@@ -448,21 +448,13 @@ def real_le_truth(algebra: BooleanAlgebra, u: RealName, v: RealName) -> BoolElem
 
 
 def l1_eq_truth(space: FiniteProbSpace, u: L1Name, v: L1Name) -> BoolElem:
-    atoms = []
-    for j in range(1, space.n_blocks + 1):
-        idx = space.block_index_array(j)
-        if np.array_equal(u.rv.values[idx], v.rv.values[idx]):
-            atoms.append(j)
-    return space.algebra.element(atoms)
+    agree = space.block_min(u.rv.values == v.rv.values)
+    return space.algebra.element((np.flatnonzero(agree) + 1).tolist())
 
 
 def l1_le_truth(space: FiniteProbSpace, u: L1Name, v: L1Name) -> BoolElem:
-    atoms = []
-    for j in range(1, space.n_blocks + 1):
-        idx = space.block_index_array(j)
-        if np.all(u.rv.values[idx] <= v.rv.values[idx]):
-            atoms.append(j)
-    return space.algebra.element(atoms)
+    below = space.block_min(u.rv.values <= v.rv.values)
+    return space.algebra.element((np.flatnonzero(below) + 1).tolist())
 
 
 def mix_reals(partition: PartitionOfUnity, reals: Sequence[RealName]) -> RealName:
@@ -493,11 +485,7 @@ def mix_l1(space: FiniteProbSpace, partition: PartitionOfUnity, names: Sequence[
 
 def expect_q(space: FiniteProbSpace, u: L1Name) -> RealName:
     """The model-side expectation: per atom, the conditional mean on its block."""
-    out = []
-    for j in range(1, space.n_blocks + 1):
-        idx = space.block_index_array(j)
-        out.append(float(np.dot(space.cond_probs(j), u.rv.values[idx])))
-    return RealName(out)
+    return RealName(space.block_mean(u.rv.values))
 
 
 def seq_index(xs: Sequence[RandomVariable], n: NatName, space: FiniteProbSpace) -> RandomVariable:
@@ -505,14 +493,14 @@ def seq_index(xs: Sequence[RandomVariable], n: NatName, space: FiniteProbSpace) 
     xs = list(xs)
     if len(n.blockwise) != space.n_blocks:
         raise ValueError("index name does not match the space's block count")
-    out = np.empty(space.n_atoms)
-    for j in range(1, space.n_blocks + 1):
-        k = int(n.blockwise[j - 1])
-        if not 1 <= k <= len(xs):
-            raise IndexError(f"block {j} index {k} outside 1..{len(xs)}")
-        idx = space.block_index_array(j)
-        out[idx] = xs[k - 1].values[idx]
-    return RandomVariable(out)
+    outside = (n.blockwise < 1) | (n.blockwise > len(xs))
+    if np.any(outside):
+        j = int(np.argmax(outside)) + 1
+        raise IndexError(f"block {j} index {int(n.blockwise[j - 1])} outside 1..{len(xs)}")
+    stacked = np.stack([x.values for x in xs])
+    return RandomVariable(
+        stacked[space.broadcast(n.blockwise - 1), np.arange(space.n_atoms)]
+    )
 
 
 # -- interpretation property suite --------------------------------------------------

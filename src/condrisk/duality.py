@@ -50,11 +50,7 @@ class DualVariable:
 
     def admissibility_gap(self, space: FiniteProbSpace) -> float:
         """max_j |E[y | block j] + 1|; zero means -y is a conditional density."""
-        gaps = [
-            abs(float(np.dot(space.cond_probs(j), self.values[space.block_index_array(j)])) + 1.0)
-            for j in range(1, space.n_blocks + 1)
-        ]
-        return max(gaps)
+        return float(np.max(np.abs(space.block_mean(self.values) + 1.0)))
 
     def is_admissible(self, space: FiniteProbSpace, tol: float = ADMISSIBLE_TOL) -> bool:
         return self.admissibility_gap(space) <= tol
@@ -68,14 +64,11 @@ def admissible_dual(space: FiniteProbSpace, densities) -> DualVariable:
     d = np.asarray(densities, dtype=float)
     if np.any(d < 0):
         raise ValueError("densities must be nonnegative")
-    out = np.empty_like(d)
-    for j in range(1, space.n_blocks + 1):
-        idx = space.block_index_array(j)
-        mass = float(np.dot(space.cond_probs(j), d[idx]))
-        if mass <= 0:
-            raise ValueError(f"density has zero conditional mass on block {j}")
-        out[idx] = -d[idx] / mass
-    return DualVariable(out)
+    mass = space.block_mean(d)
+    if np.any(mass <= 0):
+        j = int(np.argmax(mass <= 0)) + 1
+        raise ValueError(f"density has zero conditional mass on block {j}")
+    return DualVariable(-d / space.broadcast(mass))
 
 
 # -- numeric Fenchel transform --------------------------------------------------
@@ -226,11 +219,8 @@ def penalty_map(measure: CondRiskMeasure) -> Callable[[RandomVariable], Conditio
     def f(v: RandomVariable) -> ConditionalValue:
         vals = v.values
         clipped = np.minimum(vals, 0.0)
-        pen = penalty_of(measure, DualVariable(clipped)).values.copy()
-        for j in range(1, space.n_blocks + 1):
-            if np.any(vals[space.block_index_array(j)] > 0):
-                pen[j - 1] = math.inf
-        return ConditionalValue(pen)
+        pen = penalty_of(measure, DualVariable(clipped)).values
+        return ConditionalValue(np.where(space.block_max(vals) > 0, math.inf, pen))
 
     return f
 
@@ -452,7 +442,7 @@ class RepresentationEntry:
     warnings: List[str]
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "payoff": self.payoff.values.tolist(),
             "direct": self.direct.values.tolist(),
             "dual": self.dual.values.tolist(),
@@ -460,6 +450,9 @@ class RepresentationEntry:
             "maximizer": self.maximizer.values.tolist(),
             "attained": self.attained,
         }
+        if self.warnings:
+            out["warnings"] = list(self.warnings)
+        return out
 
 
 @dataclass

@@ -287,19 +287,17 @@ def _luxemburg_block(phi: YoungFunction, q: np.ndarray, absvals: np.ndarray) -> 
 
 def module_gauge(spec: ModuleSpec, x: RandomVariable, space: FiniteProbSpace) -> ConditionalValue:
     """Blockwise module norm: conditional Lp norm or Luxemburg gauge."""
-    xv = space._check_rv(x)
-    out = []
-    for j in range(1, space.n_blocks + 1):
-        q = space.cond_probs(j)
-        block = np.abs(xv[space.block_index_array(j)])
-        if spec.kind == "lp":
-            if math.isinf(spec.p):
-                out.append(float(block.max()))
-            else:
-                out.append(float(np.dot(q, block**spec.p) ** (1.0 / spec.p)))
-        else:
-            out.append(_luxemburg_block(spec.phi, q, block))
-    return ConditionalValue(out)
+    absx = np.abs(space._check_rv(x))
+    if spec.kind == "lp":
+        if math.isinf(spec.p):
+            return ConditionalValue(space.block_max(absx))
+        return ConditionalValue(space.block_mean(absx**spec.p) ** (1.0 / spec.p))
+    return ConditionalValue(
+        [
+            _luxemburg_block(spec.phi, space.cond_probs(j), absx[space.block_index_array(j)])
+            for j in range(1, space.n_blocks + 1)
+        ]
+    )
 
 
 @dataclass

@@ -7,6 +7,7 @@ blocks are addressed with 1-based indices to match the wire formats.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -172,14 +173,22 @@ class FiniteProbSpace:
         self.probs = _readonly(p)
         self.blocks = blocks
         self.algebra = BooleanAlgebra(len(blocks))
-        self._idx = [np.array([i - 1 for i in b], dtype=int) for b in blocks]
-        self.block_mass = _readonly([p[idx].sum() for idx in self._idx])
-        if _normalized:
-            self._cond = [_readonly(p[idx]) for idx in self._idx]
-        else:
-            self._cond = [
-                _readonly(p[idx] / mass) for idx, mass in zip(self._idx, self.block_mass)
-            ]
+        # block layout, built once: atoms in block order, cut at ``starts``
+        # (kept as Python ints in ``_bounds`` too, for cheap per-block slices)
+        sizes = [len(b) for b in blocks]
+        self._bounds = list(accumulate(sizes, initial=0))
+        order = np.array([i - 1 for b in blocks for i in b], dtype=np.intp)
+        starts = np.array(self._bounds[:-1], dtype=np.intp)
+        # the smallest integer type that holds a block id keeps the stable
+        # sort of block ids in cond_avar a radix sort
+        block_of = np.empty(n, dtype=np.min_scalar_type(len(blocks) - 1))
+        block_of[order] = np.arange(len(blocks)).repeat(sizes)
+        self.order, self.starts, self.block_of = order, starts, block_of
+        self.block_mass = self.block_sum(self.probs)
+        self.cond = self.probs if _normalized else self.probs / self.block_mass[block_of]
+        self._cond_in_order = self.cond[order]
+        for arr in (order, starts, block_of, self.block_mass, self.cond, self._cond_in_order):
+            arr.setflags(write=False)
         self._block_spaces: dict = {}
 
     @property
@@ -214,20 +223,43 @@ class FiniteProbSpace:
             raise SpaceError("element does not belong to this space's block algebra")
         return a
 
+    def _block_slice(self, j: int) -> slice:
+        return slice(self._bounds[j - 1], self._bounds[j])
+
     def cond_probs(self, j: int) -> np.ndarray:
         """Conditional atom probabilities inside block ``j`` (1-based)."""
-        return self._cond[j - 1]
+        return self._cond_in_order[self._block_slice(j)]
 
     def block_index_array(self, j: int) -> np.ndarray:
-        return self._idx[j - 1]
+        return self.order[self._block_slice(j)]
 
     def restrict(self, x: RandomVariable, j: int) -> np.ndarray:
-        return self._check_rv(x)[self._idx[j - 1]].copy()
+        return self._check_rv(x)[self.block_index_array(j)]
 
     def extend(self, block_values, j: int, fill: float = 0.0) -> RandomVariable:
         out = np.full(self.n_atoms, float(fill))
-        out[self._idx[j - 1]] = np.asarray(block_values, dtype=float)
+        out[self.block_index_array(j)] = np.asarray(block_values, dtype=float)
         return RandomVariable(out)
+
+    # -- blockwise reductions over the last axis of arrays (payoffs or row
+    #    batches); each is one gather into block order and one reduceat
+
+    def block_sum(self, v: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(v.take(self.order, axis=-1), self.starts, axis=-1)
+
+    def block_max(self, v: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(v.take(self.order, axis=-1), self.starts, axis=-1)
+
+    def block_min(self, v: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(v.take(self.order, axis=-1), self.starts, axis=-1)
+
+    def block_mean(self, v: np.ndarray) -> np.ndarray:
+        """Conditional expectation of each block under the conditional probabilities."""
+        return self.block_sum(self.cond * v)
+
+    def broadcast(self, per_block: np.ndarray) -> np.ndarray:
+        """Per-block values (last axis) repeated onto the atoms of each block."""
+        return per_block.take(self.block_of, axis=-1)
 
     def block_space(self, j: int) -> "FiniteProbSpace":
         """Single-block space carrying the conditional probabilities of block ``j``.
@@ -236,18 +268,16 @@ class FiniteProbSpace:
         this space agree exactly with the parent's block-``j`` quantities.
         """
         if j not in self._block_spaces:
-            q = self._cond[j - 1]
+            q = self.cond_probs(j)
             self._block_spaces[j] = FiniteProbSpace(
                 q, [tuple(range(1, q.size + 1))], _normalized=True
             )
         return self._block_spaces[j]
 
     def sample_mask(self, a: BoolElem) -> np.ndarray:
-        self._check_elem(a)
-        mask = np.zeros(self.n_atoms, dtype=bool)
-        for atom in a.atoms:
-            mask[self._idx[atom - 1]] = True
-        return mask
+        on = np.zeros(self.n_blocks, dtype=bool)
+        on[[atom - 1 for atom in self._check_elem(a).atoms]] = True
+        return self.broadcast(on)
 
     def indicator(self, a: BoolElem) -> RandomVariable:
         return RandomVariable(self.sample_mask(a).astype(float))
@@ -257,27 +287,19 @@ class FiniteProbSpace:
         vals = self._check_cv(eta)
         if not np.all(np.isfinite(vals)):
             raise SpaceError("cannot lift an extended conditional value to a payoff")
-        out = np.empty(self.n_atoms)
-        for idx, v in zip(self._idx, vals):
-            out[idx] = v
-        return RandomVariable(out)
+        return RandomVariable(self.broadcast(vals))
 
     # -- conditional operators ----------------------------------------------
 
     def cond_expect(self, x: RandomVariable) -> ConditionalValue:
         """Conditional expectation: per block the conditional weighted average."""
-        xv = self._check_rv(x)
-        return ConditionalValue(
-            [float(np.dot(q, xv[idx])) for q, idx in zip(self._cond, self._idx)]
-        )
+        return ConditionalValue(self.block_mean(self._check_rv(x)))
 
     def esssup_cond(self, x: RandomVariable) -> ConditionalValue:
-        xv = self._check_rv(x)
-        return ConditionalValue([float(xv[idx].max()) for idx in self._idx])
+        return ConditionalValue(self.block_max(self._check_rv(x)))
 
     def essinf_cond(self, x: RandomVariable) -> ConditionalValue:
-        xv = self._check_rv(x)
-        return ConditionalValue([float(xv[idx].min()) for idx in self._idx])
+        return ConditionalValue(self.block_min(self._check_rv(x)))
 
     def indicator_mix(self, partition: PartitionOfUnity, xs: Sequence[RandomVariable]) -> RandomVariable:
         """Paste one payoff per part: the result agrees with ``xs[k]`` on part k."""
@@ -289,28 +311,24 @@ class FiniteProbSpace:
             raise SpaceError(
                 f"{len(partition)} parts but {len(xs)} payoffs"
             )
-        out = np.empty(self.n_atoms)
-        for part, x in zip(partition, xs):
-            xv = self._check_rv(x)
-            for atom in part.atoms:
-                idx = self._idx[atom - 1]
-                out[idx] = xv[idx]
-        return RandomVariable(out)
+        part_of = np.empty(self.n_blocks, dtype=np.intp)
+        for k, part in enumerate(partition):
+            part_of[[atom - 1 for atom in part.atoms]] = k
+        stacked = np.stack([self._check_rv(x) for x in xs])
+        return RandomVariable(stacked[self.broadcast(part_of), np.arange(self.n_atoms)])
 
     def cond_cdf(self, x: RandomVariable, eta: ConditionalValue) -> ConditionalValue:
         """P(x <= eta | block) per block."""
         xv = self._check_rv(x)
         ev = self._check_cv(eta)
-        out = []
-        for q, idx, level in zip(self._cond, self._idx, ev):
-            out.append(float(np.dot(q, (xv[idx] <= level).astype(float))))
-        return ConditionalValue(out)
+        return ConditionalValue(self.block_mean(xv <= self.broadcast(ev)))
 
     def same_conditional_law(self, x: RandomVariable, y: RandomVariable) -> bool:
         """Exact equality of the per-block step cdfs on the observed value grid."""
         xv = self._check_rv(x)
         yv = self._check_rv(y)
-        for q, idx in zip(self._cond, self._idx):
+        for j in range(1, self.n_blocks + 1):
+            q, idx = self.cond_probs(j), self.block_index_array(j)
             xb, yb = xv[idx], yv[idx]
             for level in np.union1d(xb, yb):
                 fx = float(np.dot(q, (xb <= level).astype(float)))

@@ -8,6 +8,7 @@ carries its closed-form dual penalty for cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -19,6 +20,8 @@ from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 
 # a dual variable y is an admissible density when y <= 0 and E[y | block] = -1
 ADMISSIBLE_TOL = 1e-10
+# payoff entries per chunk of a built-in's batch: bounds its temporaries
+CHUNK_ELEMENTS = 1 << 16
 
 
 class RiskMeasureError(CondriskError):
@@ -33,10 +36,14 @@ class UndominatedSequenceError(CondriskError):
 class CondRiskMeasure:
     """Evaluable payoff-to-conditional-risk map with optional dual metadata.
 
+    ``evaluate_fn`` maps one payoff to its blockwise risk.  ``evaluate_batch_fn``
+    is the hook for a vectorized user measure: it maps a ``(rows, n_atoms)``
+    array to ``(rows, n_blocks)`` risks, and ``evaluate_batch`` loops over
+    ``evaluate`` without it.  Built-ins supply one batched function over the
+    last axis and evaluate a single payoff as a one-row case of it.
     ``closed_form_penalty`` maps a raw dual vector (one value per sample atom,
     all <= 0) to the blockwise penalty, +inf where the vector is not an
-    admissible density for the measure.  ``evaluate_batch_fn`` is a vectorized
-    fast path used by the numeric conjugation engine; ``dual_density_cap`` and
+    admissible density for the measure; ``dual_density_cap`` and
     ``dual_penalty_grad`` steer the dual ascent.
     """
 
@@ -68,61 +75,57 @@ class CondRiskMeasure:
         return np.stack([self.evaluate(RandomVariable(row)).values for row in xs])
 
 
+def _builtin(space, label, batch, penalty, **dual) -> CondRiskMeasure:
+    """A built-in from its batched risk (rows of payoffs) and its penalty map.
+
+    Batches run in chunks of rows of about CHUNK_ELEMENTS payoff entries, so a
+    batch's full-size temporaries stay that small however many rows it has.
+    """
+    step = max(1, CHUNK_ELEMENTS // space.n_atoms)
+
+    def batch_fn(xs: np.ndarray) -> np.ndarray:
+        if len(xs) <= step:
+            return batch(xs)
+        return np.concatenate([batch(xs[i : i + step]) for i in range(0, len(xs), step)])
+
+    return CondRiskMeasure(
+        space,
+        lambda x: ConditionalValue(batch(x.values[None])[0]),
+        label,
+        closed_form_penalty=lambda y: ConditionalValue(penalty(y)),
+        evaluate_batch_fn=batch_fn,
+        **dual,
+    )
+
+
 def _admissible_mask(space: FiniteProbSpace, y: np.ndarray) -> np.ndarray:
     """Blocks on which -y is a conditional density (within ADMISSIBLE_TOL)."""
-    ok = np.empty(space.n_blocks, dtype=bool)
-    for j in range(1, space.n_blocks + 1):
-        yb = y[space.block_index_array(j)]
-        mean = float(np.dot(space.cond_probs(j), yb))
-        ok[j - 1] = bool(np.all(yb <= ADMISSIBLE_TOL) and abs(mean + 1.0) <= ADMISSIBLE_TOL)
-    return ok
+    return (space.block_max(y) <= ADMISSIBLE_TOL) & (
+        np.abs(space.block_mean(y) + 1.0) <= ADMISSIBLE_TOL
+    )
+
+
+def _zero_where(ok: np.ndarray) -> np.ndarray:
+    return np.where(ok, 0.0, math.inf)
 
 
 def neg_cond_expectation(space: FiniteProbSpace) -> CondRiskMeasure:
     """rho(x) = -E[x | F]."""
-
-    def ev(x: RandomVariable) -> ConditionalValue:
-        return -space.cond_expect(x)
-
-    def ev_batch(xs: np.ndarray) -> np.ndarray:
-        return np.column_stack(
-            [-(xs[:, space.block_index_array(j)] @ space.cond_probs(j))
-             for j in range(1, space.n_blocks + 1)]
-        )
-
-    def penalty(y: np.ndarray) -> ConditionalValue:
-        out = []
-        for j in range(1, space.n_blocks + 1):
-            yb = y[space.block_index_array(j)]
-            out.append(0.0 if np.all(np.abs(yb + 1.0) <= ADMISSIBLE_TOL) else math.inf)
-        return ConditionalValue(out)
-
-    return CondRiskMeasure(
-        space, ev, "neg_expectation",
-        closed_form_penalty=penalty,
-        evaluate_batch_fn=ev_batch,
+    return _builtin(
+        space,
+        "neg_expectation",
+        lambda xs: -space.block_mean(xs),
+        lambda y: _zero_where(space.block_max(np.abs(y + 1.0)) <= ADMISSIBLE_TOL),
     )
 
 
 def cond_worst_case(space: FiniteProbSpace) -> CondRiskMeasure:
     """rho(x) = esssup(-x | F), the conditional worst case."""
-
-    def ev(x: RandomVariable) -> ConditionalValue:
-        return space.esssup_cond(-x)
-
-    def ev_batch(xs: np.ndarray) -> np.ndarray:
-        return np.column_stack(
-            [(-xs[:, space.block_index_array(j)]).max(axis=1)
-             for j in range(1, space.n_blocks + 1)]
-        )
-
-    def penalty(y: np.ndarray) -> ConditionalValue:
-        return ConditionalValue(np.where(_admissible_mask(space, y), 0.0, math.inf))
-
-    return CondRiskMeasure(
-        space, ev, "worst_case",
-        closed_form_penalty=penalty,
-        evaluate_batch_fn=ev_batch,
+    return _builtin(
+        space,
+        "worst_case",
+        lambda xs: -space.block_min(xs),
+        lambda y: _zero_where(_admissible_mask(space, y)),
     )
 
 
@@ -140,45 +143,24 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
     g = _as_block_params(space, gamma, "gamma")
     if np.any(g <= 0):
         raise ValueError("gamma must be strictly positive")
+    g_atom = space.broadcast(g)
 
-    def ev(x: RandomVariable) -> ConditionalValue:
-        out = []
-        for j in range(1, space.n_blocks + 1):
-            a = -g[j - 1] * x.values[space.block_index_array(j)]
-            m = a.max()
-            out.append((m + math.log(float(np.dot(space.cond_probs(j), np.exp(a - m))))) / g[j - 1])
-        return ConditionalValue(out)
+    def batch(xs: np.ndarray) -> np.ndarray:
+        a = -g_atom * xs
+        top = space.block_max(a)
+        return (top + np.log(space.block_mean(np.exp(a - space.broadcast(top))))) / g
 
-    def ev_batch(xs: np.ndarray) -> np.ndarray:
-        cols = []
-        for j in range(1, space.n_blocks + 1):
-            a = -g[j - 1] * xs[:, space.block_index_array(j)]
-            m = a.max(axis=1)
-            cols.append((m + np.log(np.exp(a - m[:, None]) @ space.cond_probs(j))) / g[j - 1])
-        return np.column_stack(cols)
-
-    def penalty(y: np.ndarray) -> ConditionalValue:
-        adm = _admissible_mask(space, y)
-        out = []
-        for j in range(1, space.n_blocks + 1):
-            if not adm[j - 1]:
-                out.append(math.inf)
-                continue
-            d = np.maximum(-y[space.block_index_array(j)], 0.0)
-            ent = np.where(d > 0, d * np.log(np.maximum(d, 1e-300)), 0.0)
-            out.append(float(np.dot(space.cond_probs(j), ent)) / g[j - 1])
-        return ConditionalValue(out)
+    def penalty(y: np.ndarray) -> np.ndarray:
+        d = np.maximum(-y, 0.0)
+        ent = np.where(d > 0, d * np.log(np.maximum(d, 1e-300)), 0.0)
+        return np.where(_admissible_mask(space, y), space.block_mean(ent) / g, math.inf)
 
     def grad(j: int, d: np.ndarray) -> np.ndarray:
         q = space.cond_probs(j)
         return (q / g[j - 1]) * (np.log(np.maximum(d, 1e-300)) + 1.0)
 
-    return CondRiskMeasure(
-        space, ev, "entropic",
-        closed_form_penalty=penalty,
-        evaluate_batch_fn=ev_batch,
-        dual_penalty_grad=grad,
-        params={"gamma": g},
+    return _builtin(
+        space, "entropic", batch, penalty, dual_penalty_grad=grad, params={"gamma": g}
     )
 
 
@@ -186,63 +168,52 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
     """Conditional average value at risk at level lambda in (0, 1] per block.
 
     Per block: sort the losses -x, take conditional mass until lambda is
-    filled, splitting the boundary atom fractionally, and average.
+    filled, splitting the boundary atom fractionally, and average.  All blocks
+    are sorted at once: a sort of each row by payoff, then a stable sort of
+    the block ids (a radix sort for small integer ids) groups the atoms by
+    block with the largest losses first.  Blocks at lambda = 1 take the plain
+    conditional mean of the loss.
     """
     lam_arr = _as_block_params(space, lam, "lambda")
     if np.any(lam_arr <= 0) or np.any(lam_arr > 1):
         raise ValueError("lambda must lie in (0, 1]")
+    full = lam_arr >= 1.0
+    any_full = bool(full.any())
+    starts = space.starts
 
-    def _block_value(j: int, xb: np.ndarray) -> float:
-        q = space.cond_probs(j)
-        lv = lam_arr[j - 1]
-        if lv >= 1.0:
-            # full tail: plain conditional mean of the loss
-            return -float(np.dot(q, xb))
-        losses = -xb
-        order = np.argsort(-losses, kind="stable")
-        acc = 0.0
-        total = 0.0
-        for i in order:
-            take = min(q[i], lv - acc)
-            total += take * losses[i]
-            acc += take
-            if acc >= lv:
-                break
-        return total / lv
+    @functools.cache
+    def fill_tables():
+        # Conditional masses in fixed point, so running sums over a row are
+        # exact whatever order the atoms took.  Block j's tail is filled up to
+        # ``limit``: lambda plus the mass of all blocks before j.  Built on the
+        # first evaluation: a scenario builds every measure it lists.
+        scale = 2.0 ** min(52, 62 - space.n_blocks.bit_length())
+        mass_fixed = (space.cond * scale).astype(np.int64)
+        block_fixed = space.block_sum(mass_fixed)
+        before = np.add.accumulate(block_fixed) - block_fixed + (lam_arr * scale).astype(np.int64)
+        # once grouped, position i of a row lies in block block_of[order][i]
+        return mass_fixed, before[space.block_of[space.order]], lam_arr * -scale
 
-    def ev(x: RandomVariable) -> ConditionalValue:
-        return ConditionalValue(
-            [_block_value(j, x.values[space.block_index_array(j)])
-             for j in range(1, space.n_blocks + 1)]
-        )
+    def batch(xs: np.ndarray) -> np.ndarray:
+        mass_fixed, limit, neg_lam_scaled = fill_tables()
+        rows = np.arange(len(xs))[:, None]
+        order = xs.argsort(axis=-1)
+        order = order[rows, space.block_of[order].argsort(axis=-1, kind="stable")]
+        fixed = mass_fixed[order]
+        ahead = np.add.accumulate(fixed, axis=-1) - fixed
+        take = np.minimum(np.maximum(limit - ahead, 0), fixed)
+        out = np.add.reduceat(take * xs[rows, order], starts, axis=-1) / neg_lam_scaled
+        return np.where(full, -space.block_mean(xs), out) if any_full else out
 
-    def ev_batch(xs: np.ndarray) -> np.ndarray:
-        cols = []
-        for j in range(1, space.n_blocks + 1):
-            q = space.cond_probs(j)
-            lv = lam_arr[j - 1]
-            losses = -xs[:, space.block_index_array(j)]
-            order = np.argsort(-losses, axis=1, kind="stable")
-            sorted_losses = np.take_along_axis(losses, order, axis=1)
-            masses = q[order]
-            prev = np.cumsum(masses, axis=1) - masses
-            take = np.clip(lv - prev, 0.0, masses)
-            cols.append((take * sorted_losses).sum(axis=1) / lv)
-        return np.column_stack(cols)
+    def penalty(y: np.ndarray) -> np.ndarray:
+        capped = space.block_max(-y) <= 1.0 / lam_arr + ADMISSIBLE_TOL
+        return _zero_where(_admissible_mask(space, y) & capped)
 
-    def penalty(y: np.ndarray) -> ConditionalValue:
-        adm = _admissible_mask(space, y)
-        out = []
-        for j in range(1, space.n_blocks + 1):
-            d = -y[space.block_index_array(j)]
-            capped = np.all(d <= 1.0 / lam_arr[j - 1] + ADMISSIBLE_TOL)
-            out.append(0.0 if adm[j - 1] and capped else math.inf)
-        return ConditionalValue(out)
-
-    return CondRiskMeasure(
-        space, ev, "avar",
-        closed_form_penalty=penalty,
-        evaluate_batch_fn=ev_batch,
+    return _builtin(
+        space,
+        "avar",
+        batch,
+        penalty,
         dual_density_cap=lambda j: 1.0 / lam_arr[j - 1],
         params={"lambda": lam_arr},
     )
@@ -307,7 +278,6 @@ def check_axiom(
         raise ValueError("trials must be >= 1")
     space = measure.space
     rng = np.random.default_rng(seed)
-    elements = list(space.algebra.elements())
 
     for trial in range(trials):
         xv = rng.normal(0.0, 2.0, space.n_atoms)
@@ -333,11 +303,11 @@ def check_axiom(
             rhs = measure.evaluate(x).values - eta.values
             bad = np.abs(lhs - rhs) > tol
         elif axiom == "local_property":
-            a = elements[rng.integers(0, len(elements))]
-            cut = RandomVariable(x.values * space.sample_mask(a))
+            # a uniform element of the block algebra: each block in with chance 1/2
+            on = rng.random(space.n_blocks) < 0.5
+            cut = RandomVariable(x.values * space.broadcast(on))
             lhs = measure.evaluate(x).values
             rhs = measure.evaluate(cut).values
-            on = np.array([j in a.atoms for j in range(1, space.n_blocks + 1)])
             bad = on & (np.abs(lhs - rhs) > tol)
         else:  # conditional_law_invariance
             perm = _law_preserving_permutation(space, rng)

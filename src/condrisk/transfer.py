@@ -19,6 +19,7 @@ from .duality import (
     DualSearchConfig,
     DualVariable,
     GridConjugateConfig,
+    admissible_dual,
     fenchel,
     penalty_map,
     penalty_of,
@@ -299,11 +300,7 @@ def _probe_duals(measure: CondRiskMeasure, seed: int, count: int = 5) -> List[Ra
     probes = [RandomVariable(-np.ones(space.n_atoms))]
     for _ in range(count - 1):
         d = rng.uniform(0.2, 1.8, space.n_atoms)
-        y = np.empty(space.n_atoms)
-        for j in range(1, space.n_blocks + 1):
-            idx = space.block_index_array(j)
-            y[idx] = -d[idx] / float(np.dot(space.cond_probs(j), d[idx]))
-        probes.append(RandomVariable(y))
+        probes.append(RandomVariable(admissible_dual(space, d).values))
     return probes
 
 

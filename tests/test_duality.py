@@ -5,6 +5,7 @@ import pytest
 
 from condrisk import (
     ConditionalValue,
+    DualSearchConfig,
     DualVariable,
     PartitionOfUnity,
     RandomVariable,
@@ -180,6 +181,17 @@ def test_representation_json_shape(s4):
     entry = d["entries"][0]
     assert set(entry) == {"payoff", "direct", "dual", "gap", "maximizer", "attained"}
     assert entry["attained"] is True
+
+
+def test_representation_json_carries_ascent_warnings(s4):
+    x = RandomVariable([1, 3, 2, 6])
+    # one ascent step leaves the gap open for this gamma
+    rep = verify_representation(
+        cond_entropic(s4, 0.2), [x], tol=1.0, cfg=DualSearchConfig(max_iters=1)
+    )
+    entry = rep.to_dict()["entries"][0]
+    assert len(entry["warnings"]) == 2
+    assert all("ascent stopped after 1 iterations" in w for w in entry["warnings"])
 
 
 # -- stable topology ---------------------------------------------------------------

@@ -93,6 +93,21 @@ def test_worst_case_local_exact(s4, a2):
         assert m.evaluate(x).values[0] == m.evaluate(cut).values[0]
 
 
+def test_axioms_never_list_the_algebra(monkeypatch):
+    # 20 blocks: listing the 2^20 algebra elements would be the whole cost
+    from condrisk import BooleanAlgebra, FiniteProbSpace, scalarize
+
+    def refuse(self):
+        raise AssertionError("algebra elements listed")
+
+    monkeypatch.setattr(BooleanAlgebra, "elements", refuse)
+    space = FiniteProbSpace([1 / 40] * 40, [[2 * j + 1, 2 * j + 2] for j in range(20)])
+    m = cond_avar(space, 0.5)
+    for axiom in AXIOMS:
+        assert check_axiom(m, axiom, trials=20, seed=5).passed, axiom
+    assert scalarize(m, 20, certify=True).block == 20
+
+
 def test_unknown_axiom(s4):
     with pytest.raises(ValueError):
         check_axiom(neg_cond_expectation(s4), "coherence", trials=1)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import CondriskError
 
 
@@ -29,16 +31,17 @@ class NotCoveringError(PartitionError):
 
 
 class BooleanAlgebra:
-    """Powerset algebra on atoms ``1..m``."""
+    """Powerset algebra on atoms ``1..m``; ``full`` is the mask of the unity."""
 
-    __slots__ = ("atom_count", "_zero", "_one")
+    __slots__ = ("atom_count", "full", "_zero", "_one")
 
     def __init__(self, atom_count: int):
         if not isinstance(atom_count, int) or atom_count < 1:
             raise ValueError("atom_count must be a positive integer")
         self.atom_count = atom_count
-        self._zero = BoolElem(self, ())
-        self._one = BoolElem(self, range(1, atom_count + 1))
+        self.full = (1 << atom_count) - 1
+        self._zero = _elem(self, 0)
+        self._one = _elem(self, self.full)
 
     @property
     def zero(self) -> "BoolElem":
@@ -54,35 +57,70 @@ class BooleanAlgebra:
     def atom(self, index: int) -> "BoolElem":
         return BoolElem(self, (index,))
 
+    def from_mask(self, mask: int) -> "BoolElem":
+        """The element whose atom ``a`` is bit ``a - 1`` of ``mask``."""
+        if not isinstance(mask, int) or not 0 <= mask <= self.full:
+            raise ValueError(f"mask {mask!r} outside 0..{self.full}")
+        return _elem(self, mask)
+
     def atom_elements(self) -> tuple:
         return tuple(self.atom(i) for i in range(1, self.atom_count + 1))
 
     def elements(self) -> Iterator["BoolElem"]:
         """All ``2^m`` elements, in mask order.  Intended for small ``m``."""
-        universe = range(1, self.atom_count + 1)
         for mask in range(1 << self.atom_count):
-            yield BoolElem(self, (i for i in universe if mask >> (i - 1) & 1))
+            yield _elem(self, mask)
 
     def __repr__(self):
         return f"BooleanAlgebra(atoms={self.atom_count})"
 
 
-class BoolElem:
-    """Element of a finite Boolean algebra: a subset of the atom indices."""
+def mask_atoms(mask: int) -> list:
+    """The atoms of a mask, ascending: atom ``a`` for each set bit ``a - 1``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
-    __slots__ = ("algebra", "atoms", "_hash")
+
+def mask_array(mask: int, m: int) -> np.ndarray:
+    """Boolean array of length ``m`` whose entry ``i`` is bit ``i`` of ``mask``."""
+    raw = np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=m, bitorder="little").view(bool)
+
+
+def array_mask(bits: np.ndarray) -> int:
+    """The mask whose bit ``i`` is ``bits[i]``; the inverse of ``mask_array``."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+class BoolElem:
+    """Element of a finite Boolean algebra: a subset of the atom indices.
+
+    Held as one int ``mask`` in which bit ``a - 1`` stands for atom ``a``.
+    The constructor validates the atoms; the lattice operations combine
+    valid masks, so their results skip that check.
+    """
+
+    __slots__ = ("algebra", "mask")
 
     def __init__(self, algebra: BooleanAlgebra, atoms: Iterable[int]):
-        atoms = frozenset(atoms)
+        mask = 0
         for a in atoms:
             if not isinstance(a, int) or not 1 <= a <= algebra.atom_count:
                 raise ValueError(f"atom index {a!r} outside 1..{algebra.atom_count}")
+            mask |= 1 << (a - 1)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_hash", hash((id(algebra), atoms)))
+        object.__setattr__(self, "mask", mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("BoolElem is immutable")
+
+    @property
+    def atoms(self) -> frozenset:
+        return frozenset(mask_atoms(self.mask))
 
     def _same(self, other: "BoolElem") -> None:
         if not isinstance(other, BoolElem):
@@ -93,19 +131,19 @@ class BoolElem:
     # lattice operations
     def meet(self, other: "BoolElem") -> "BoolElem":
         self._same(other)
-        return BoolElem(self.algebra, self.atoms & other.atoms)
+        return _elem(self.algebra, self.mask & other.mask)
 
     def join(self, other: "BoolElem") -> "BoolElem":
         self._same(other)
-        return BoolElem(self.algebra, self.atoms | other.atoms)
+        return _elem(self.algebra, self.mask | other.mask)
 
     def complement(self) -> "BoolElem":
-        return BoolElem(self.algebra, self.algebra.one.atoms - self.atoms)
+        return _elem(self.algebra, self.mask ^ self.algebra.full)
 
     def implies(self, other: "BoolElem") -> "BoolElem":
         # a => b is a^c v b
         self._same(other)
-        return self.complement().join(other)
+        return _elem(self.algebra, (self.mask ^ self.algebra.full) | other.mask)
 
     __and__ = meet
     __or__ = join
@@ -113,36 +151,43 @@ class BoolElem:
 
     def __le__(self, other: "BoolElem") -> bool:
         self._same(other)
-        return self.atoms <= other.atoms
+        return (self.mask & other.mask) == self.mask
 
     def __ge__(self, other: "BoolElem") -> bool:
         self._same(other)
-        return self.atoms >= other.atoms
+        return (self.mask & other.mask) == other.mask
 
     @property
     def is_zero(self) -> bool:
-        return not self.atoms
+        return not self.mask
 
     @property
     def is_one(self) -> bool:
-        return len(self.atoms) == self.algebra.atom_count
+        return self.mask == self.algebra.full
 
     def __eq__(self, other):
         return (
             isinstance(other, BoolElem)
             and other.algebra is self.algebra
-            and other.atoms == self.atoms
+            and other.mask == self.mask
         )
 
     def __ne__(self, other):
         return not self.__eq__(other)
 
     def __hash__(self):
-        return self._hash
+        return hash((id(self.algebra), self.mask))
 
     def __repr__(self):
-        inner = ",".join(str(a) for a in sorted(self.atoms))
-        return "{" + inner + "}"
+        return "{" + ",".join(map(str, mask_atoms(self.mask))) + "}"
+
+
+def _elem(algebra: BooleanAlgebra, mask: int) -> BoolElem:
+    """Unvalidated constructor, for masks already known to lie in the algebra."""
+    e = object.__new__(BoolElem)
+    object.__setattr__(e, "algebra", algebra)
+    object.__setattr__(e, "mask", mask)
+    return e
 
 
 def lattice_ops(a: BoolElem, b: BoolElem | None, op: str) -> BoolElem:
@@ -169,18 +214,17 @@ class PartitionOfUnity:
             raise ValueError("a partition needs at least one element")
         algebra = parts[0].algebra
         kept = []
-        seen: frozenset = frozenset()
+        seen = 0
         for p in parts:
             parts[0]._same(p)
-            if p.is_zero:
+            if not p.mask:
                 continue
-            if seen & p.atoms:
-                raise NotDisjointError(f"parts overlap on atoms {sorted(seen & p.atoms)}")
-            seen = seen | p.atoms
+            if seen & p.mask:
+                raise NotDisjointError(f"parts overlap on atoms {mask_atoms(seen & p.mask)}")
+            seen |= p.mask
             kept.append(p)
-        if seen != algebra.one.atoms:
-            missing = sorted(algebra.one.atoms - seen)
-            raise NotCoveringError(f"parts do not cover atoms {missing}")
+        if seen != algebra.full:
+            raise NotCoveringError(f"parts do not cover atoms {mask_atoms(algebra.full ^ seen)}")
         object.__setattr__(self, "parts", tuple(kept))
 
     def __setattr__(self, name, value):
@@ -208,15 +252,18 @@ def partition_validate(parts: Sequence[BoolElem]) -> PartitionOfUnity:
 def iter_partitions(algebra: BooleanAlgebra) -> Iterator[PartitionOfUnity]:
     """All set partitions of the atoms, each as a partition of unity."""
 
-    def rec(atoms: list) -> Iterator[list]:
-        if not atoms:
+    m = algebra.atom_count
+
+    def rec(atom: int) -> Iterator[list]:
+        # partitions of the atoms ``atom..m``, each a list of part masks
+        if atom > m:
             yield []
             return
-        head, rest = atoms[0], atoms[1:]
-        for sub in rec(rest):
-            yield [[head]] + sub
+        bit = 1 << (atom - 1)
+        for sub in rec(atom + 1):
+            yield [bit] + sub
             for i in range(len(sub)):
-                yield sub[:i] + [[head] + sub[i]] + sub[i + 1 :]
+                yield sub[:i] + [bit | sub[i]] + sub[i + 1 :]
 
-    for groups in rec(list(range(1, algebra.atom_count + 1))):
-        yield PartitionOfUnity([algebra.element(g) for g in groups])
+    for masks in rec(1):
+        yield PartitionOfUnity([_elem(algebra, mask) for mask in masks])

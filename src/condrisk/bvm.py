@@ -11,6 +11,7 @@ two routes stay independently checkable.
 from __future__ import annotations
 
 import math
+import re
 import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -23,7 +24,9 @@ from .boolalg import (
     BooleanAlgebra,
     BoolElem,
     PartitionOfUnity,
-    iter_partitions,
+    array_mask,
+    mask_array,
+    mask_atoms,
 )
 from .errors import CondriskError, ParseError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
@@ -58,6 +61,9 @@ class Name:
         self.collapses = collapses
 
     def collapse_at(self, atom: int) -> frozenset:
+        m = len(self.collapses)
+        if not 1 <= atom <= m:
+            raise ValueError(f"atom {atom} outside 1..{m}")
         return self.collapses[atom - 1]
 
     def __repr__(self):
@@ -94,15 +100,16 @@ class Universe:
                 raise UniverseError("child names must belong to this universe")
             if value.algebra is not self.algebra:
                 raise AlgebraMismatchError("entry value from a different algebra")
-            if value.is_zero:
+            if not value.mask:
                 continue
             prior = merged.get(child)
             merged[child] = value if prior is None else prior | value
-        m = self.algebra.atom_count
-        collapses = tuple(
-            frozenset(c.collapse_at(a) for c, v in merged.items() if a in v.atoms)
-            for a in range(1, m + 1)
-        )
+        # at atom a, the collapse holds the collapses of the children valued there
+        cols: list = [[] for _ in range(self.algebra.atom_count)]
+        for c, v in merged.items():
+            for a in mask_atoms(v.mask):
+                cols[a - 1].append(c.collapses[a - 1])
+        collapses = tuple(map(frozenset, cols))
         existing = self._registry.get(collapses)
         if existing is not None:
             return existing
@@ -131,34 +138,49 @@ class Universe:
     def truth_in(self, u: Name, v: Name) -> BoolElem:
         """[[u in v]] by the membership recursion."""
         self._check(u, v)
-        key = (u.canonical_id, v.canonical_id)
-        cached = self._in_memo.get(key)
-        if cached is not None:
-            return cached
-        acc = self.algebra.zero
-        for child, value in v.entries:
-            acc = acc | (value & self.truth_eq(child, u))
-            if acc.is_one:
-                break
-        return self._in_memo.setdefault(key, acc)
+        return self.algebra.from_mask(self._in(u, v))
 
     def truth_eq(self, u: Name, v: Name) -> BoolElem:
         """[[u = v]] by the double-inclusion recursion."""
         self._check(u, v)
-        key = (min(u.canonical_id, v.canonical_id), max(u.canonical_id, v.canonical_id))
-        cached = self._eq_memo.get(key)
-        if cached is not None:
-            return cached
-        acc = self.algebra.one
-        for child, value in u.entries:
-            acc = acc & value.implies(self.truth_in(child, v))
-            if acc.is_zero:
-                break
-        if not acc.is_zero:
-            for child, value in v.entries:
-                acc = acc & value.implies(self.truth_in(child, u))
-                if acc.is_zero:
+        return self.algebra.from_mask(self._eq(u, v))
+
+    # The recursion runs on masks.  It needs no name checks: make_name refuses
+    # children from another universe, so every name reached belongs to self.
+
+    def _in(self, u: Name, v: Name) -> int:
+        key = (u.canonical_id, v.canonical_id)
+        acc = self._in_memo.get(key)
+        if acc is not None:
+            return acc
+        full = self.algebra.full
+        acc = 0
+        for child, value in v.entries:
+            # only atoms of value not yet in acc can change it
+            if value.mask & ~acc:
+                acc |= value.mask & self._eq(child, u)
+                if acc == full:
                     break
+        return self._in_memo.setdefault(key, acc)
+
+    def _eq(self, u: Name, v: Name) -> int:
+        key = (u.canonical_id, v.canonical_id)
+        if key[0] > key[1]:
+            key = (key[1], key[0])
+        acc = self._eq_memo.get(key)
+        if acc is not None:
+            return acc
+        full = self.algebra.full
+        acc = full
+        for a, b in ((u, v), (v, u)):
+            for child, value in a.entries:
+                # value => [[child in b]] only constrains the atoms of value
+                if value.mask & acc:
+                    acc &= (value.mask ^ full) | self._in(child, b)
+                    if not acc:
+                        break
+            if not acc:
+                break
         return self._eq_memo.setdefault(key, acc)
 
     def _check(self, *names: Name) -> None:
@@ -187,13 +209,13 @@ class Universe:
                 candidates[child] = None
         entries = {}
         for child in candidates:
-            value = self.algebra.zero
+            value = 0
             for part, u in zip(partition, names):
-                value = value | (part & self.truth_in(child, u))
-            entries[child] = value
+                value |= part.mask & self._in(child, u)
+            entries[child] = self.algebra.from_mask(value)
         mixed = self.make_name(entries)
         for part, u in zip(partition, names):
-            if not part <= self.truth_eq(mixed, u):
+            if part.mask & ~self._eq(mixed, u):
                 raise UniverseError("mixing produced a name violating its defining bound")
         return mixed
 
@@ -215,19 +237,19 @@ class Universe:
         """
         self._check(v)
         default = default if default is not None else self.empty
-        truths = [(child, value, phi(child)) for child, value in v.entries]
-        exists = self.algebra.zero
+        truths = [(child, value.mask, phi(child).mask) for child, value in v.entries]
+        exists = 0
         for child, value, t in truths:
-            exists = exists | (value & t)
+            exists |= value & t
         picks = []
         parts = []
         fallbacks = None
         for a in range(1, self.algebra.atom_count + 1):
-            atom = self.algebra.atom(a)
-            local = [(c, val, t) for c, val, t in truths if a in val.atoms]
+            bit = 1 << (a - 1)
+            local = [(c, val, t) for c, val, t in truths if val & bit]
             local.sort(key=lambda cvt: cvt[0].canonical_id)
-            if a in exists.atoms:
-                chosen = next(c for c, val, t in local if a in t.atoms)
+            if exists & bit:
+                chosen = next(c for c, val, t in local if t & bit)
             elif local:
                 chosen = local[0][0]
             else:
@@ -239,12 +261,12 @@ class Universe:
                         ordinal = ordinal | frozenset([ordinal])
                     fallbacks = pool
                 chosen = next(
-                    (c for c in fallbacks if a not in phi(c).atoms), default
+                    (c for c in fallbacks if not phi(c).mask & bit), default
                 )
             picks.append(chosen)
-            parts.append(atom)
+            parts.append(self.algebra.from_mask(bit))
         witness = self.mix(PartitionOfUnity(parts), picks)
-        if phi(witness) != exists:
+        if phi(witness) != self.algebra.from_mask(exists):
             raise WitnessError(
                 "no witness can match the existence value: the bound name is "
                 "empty on an atom where the formula holds of every candidate"
@@ -322,9 +344,10 @@ def canonical_name(universe: Universe, h) -> Name:
 def atom_collapse(u: Name, atom) -> frozenset:
     """Two-valued evaluation of a name at an atom (1-based index or atom element)."""
     if isinstance(atom, BoolElem):
-        if len(atom.atoms) != 1:
+        mask = atom.mask
+        if not mask or mask & (mask - 1):
             raise ValueError("collapse needs a single atom")
-        atom = next(iter(atom.atoms))
+        atom = mask.bit_length()
     return u.collapse_at(int(atom))
 
 
@@ -435,48 +458,49 @@ def jmath_inv(u: L1Name) -> RandomVariable:
     return u.rv
 
 
+def _truth_of(algebra: BooleanAlgebra, holds: np.ndarray) -> BoolElem:
+    """The element whose atom ``i + 1`` is in it exactly where ``holds[i]``."""
+    if holds.shape != (algebra.atom_count,):
+        raise ValueError(f"expected {algebra.atom_count} blockwise values, got {holds.shape}")
+    return algebra.from_mask(array_mask(holds))
+
+
 def real_eq_truth(algebra: BooleanAlgebra, u: RealName, v: RealName) -> BoolElem:
-    return algebra.element(
-        i + 1 for i in range(algebra.atom_count) if u.blockwise[i] == v.blockwise[i]
-    )
+    return _truth_of(algebra, u.blockwise == v.blockwise)
 
 
 def real_le_truth(algebra: BooleanAlgebra, u: RealName, v: RealName) -> BoolElem:
-    return algebra.element(
-        i + 1 for i in range(algebra.atom_count) if u.blockwise[i] <= v.blockwise[i]
-    )
+    return _truth_of(algebra, u.blockwise <= v.blockwise)
 
 
 def l1_eq_truth(space: FiniteProbSpace, u: L1Name, v: L1Name) -> BoolElem:
-    agree = space.block_min(u.rv.values == v.rv.values)
-    return space.algebra.element((np.flatnonzero(agree) + 1).tolist())
+    return _truth_of(space.algebra, space.block_min(u.rv.values == v.rv.values))
 
 
 def l1_le_truth(space: FiniteProbSpace, u: L1Name, v: L1Name) -> BoolElem:
-    below = space.block_min(u.rv.values <= v.rv.values)
-    return space.algebra.element((np.flatnonzero(below) + 1).tolist())
+    return _truth_of(space.algebra, space.block_min(u.rv.values <= v.rv.values))
+
+
+def _paste(partition: PartitionOfUnity, rows: Sequence[np.ndarray], dtype) -> np.ndarray:
+    """Row k of ``rows`` on the atoms of part k."""
+    m = partition.algebra.atom_count
+    out = np.empty(m, dtype=dtype)
+    for part, row in zip(partition, rows):
+        on = mask_array(part.mask, m)
+        out[on] = row[on]
+    return out
 
 
 def mix_reals(partition: PartitionOfUnity, reals: Sequence[RealName]) -> RealName:
     if len(reals) != len(partition):
         raise ValueError("one real per part is required")
-    m = partition.algebra.atom_count
-    out = np.empty(m)
-    for part, r in zip(partition, reals):
-        for a in part.atoms:
-            out[a - 1] = r.blockwise[a - 1]
-    return RealName(out)
+    return RealName(_paste(partition, [r.blockwise for r in reals], float))
 
 
 def mix_nats(partition: PartitionOfUnity, nats: Sequence[NatName]) -> NatName:
     if len(nats) != len(partition):
         raise ValueError("one natural per part is required")
-    m = partition.algebra.atom_count
-    out = np.empty(m, dtype=int)
-    for part, r in zip(partition, nats):
-        for a in part.atoms:
-            out[a - 1] = r.blockwise[a - 1]
-    return NatName(out)
+    return NatName(_paste(partition, [r.blockwise for r in nats], int))
 
 
 def mix_l1(space: FiniteProbSpace, partition: PartitionOfUnity, names: Sequence[L1Name]) -> L1Name:
@@ -506,13 +530,33 @@ def seq_index(xs: Sequence[RandomVariable], n: NatName, space: FiniteProbSpace) 
 # -- interpretation property suite --------------------------------------------------
 
 
+AGREEMENT_ATOM_CAP = 16
+
+
+class ExhaustiveCapError(CondriskError):
+    """An exhaustive walk over the algebra was asked for past its atom cap."""
+
+
 def _agreement_join_exhaustive(algebra: BooleanAlgebra, agrees_on) -> BoolElem:
-    """Independent oracle: join of all elements a with agreement on every atom of a."""
-    best = algebra.zero
-    for a in algebra.elements():
-        if all(agrees_on(i) for i in a.atoms):
-            best = best | a
-    return best
+    """Independent oracle: join of all elements a with agreement on every atom of a.
+
+    Walks all ``2^m`` masks, so it refuses past ``AGREEMENT_ATOM_CAP`` atoms.
+    """
+    m = algebra.atom_count
+    if m > AGREEMENT_ATOM_CAP:
+        raise ExhaustiveCapError(
+            f"the exhaustive agreement join walks 2^m elements; {m} atoms exceed "
+            f"the cap of {AGREEMENT_ATOM_CAP}"
+        )
+    agree = 0
+    for i in range(m):
+        if agrees_on(i + 1):
+            agree |= 1 << i
+    best = 0
+    for mask in range(1 << m):
+        if mask & agree == mask:
+            best |= mask
+    return algebra.from_mask(best)
 
 
 @dataclass
@@ -563,7 +607,6 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
         "l1_mixing": 0.0,
     }
     failed = set()
-    partitions = list(iter_partitions(algebra))
 
     def mark(name, ok, dev=0.0):
         checks[name] = max(checks[name], dev)
@@ -597,21 +640,22 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
         oracle = _agreement_join_exhaustive(algebra, lambda i: ev[i - 1] <= xv[i - 1])
         mark("real_truth_joins", direct == oracle)
 
-        partition = partitions[rng.integers(0, len(partitions))]
+        # a random labelling of the atoms: atom i + 1 lies in part part_of[i]
+        _, part_of = np.unique(rng.integers(0, m, m), return_inverse=True)
+        partition = PartitionOfUnity(
+            [
+                algebra.element((np.flatnonzero(part_of == k) + 1).tolist())
+                for k in range(part_of.max() + 1)
+            ]
+        )
         etas = [ConditionalValue(rng.normal(0.0, 2.0, m)) for _ in partition]
         model_side = mix_reals(partition, [iota(e) for e in etas])
-        paste = np.empty(m)
-        for part, e in zip(partition, etas):
-            for atom in part.atoms:
-                paste[atom - 1] = e.values[atom - 1]
+        paste = np.array([etas[k].values[i] for i, k in enumerate(part_of)])
         mark("real_mixing", model_side == iota(ConditionalValue(paste)))
 
         nats = [NatName(rng.integers(1, 7, m)) for _ in partition]
         nat_mix = mix_nats(partition, nats)
-        paste_n = np.empty(m, dtype=int)
-        for part, nn in zip(partition, nats):
-            for atom in part.atoms:
-                paste_n[atom - 1] = nn.blockwise[atom - 1]
+        paste_n = np.array([nats[k].blockwise[i] for i, k in enumerate(part_of)])
         mark("nat_mixing", np.array_equal(nat_mix.blockwise, paste_n))
 
         x = RandomVariable(rng.normal(0.0, 2.0, space.n_atoms))
@@ -665,38 +709,51 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
 
 Token = namedtuple("Token", ["kind", "text", "pos"])
 
-_PUNCT = "{}()[],:;"
+LITERAL_PUNCT = {ch: ch for ch in "{}()[],:;"}
+_WORD_REST = re.compile(r"\w*")
 
 
-def tokenize_literal(text: str) -> List[Token]:
+def scan(text: str, punct: Mapping[str, str]) -> List[Token]:
+    """Split text into INT, IDENT and punctuation tokens, ending with EOF.
+
+    ``punct`` maps each one- or two-character punctuation string to its token
+    kind; a two-character entry wins over a one-character one.  Any other
+    character is a ParseError at its position.
+    """
+    pairs = {p[0] for p in punct if len(p) == 2}
     tokens = []
-    i = 0
-    while i < len(text):
+    i, n = 0, len(text)
+    while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, i))
-            i += 1
+        if ch in pairs and text[i : i + 2] in punct:
+            ch = text[i : i + 2]
+        if ch in punct:
+            tokens.append(Token(punct[ch], ch, i))
+            i += len(ch)
             continue
         if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", "", len(text)))
+            kind = "INT"
+        elif ch.isalpha() or ch == "_":
+            # \w is exactly str.isalnum() or "_"
+            j = _WORD_REST.match(text, i + 1).end()
+            kind = "IDENT"
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        tokens.append(Token(kind, text[i:j], i))
+        i = j
+    tokens.append(Token("EOF", "", n))
     return tokens
+
+
+def tokenize_literal(text: str) -> List[Token]:
+    """Tokens of the name-literal grammar."""
+    return scan(text, LITERAL_PUNCT)
 
 
 def _expect(tokens: List[Token], i: int, kind: str) -> int:
@@ -808,7 +865,7 @@ def parse_atom_set(text: str, algebra: BooleanAlgebra) -> BoolElem:
 
 
 def _atomset_text(value: BoolElem) -> str:
-    return "{" + ",".join(str(a) for a in sorted(value.atoms)) + "}"
+    return "{" + ",".join(map(str, mask_atoms(value.mask))) + "}"
 
 
 def name_to_literal(u: Name) -> str:

@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import bvm, formulalang
-from .boolalg import BoolElem, PartitionOfUnity
+from .boolalg import BoolElem, PartitionOfUnity, mask_atoms
 from .duality import DualVariable, penalty_of, verify_representation
 from .errors import CondriskError, ParseError
 from .probspace import FiniteProbSpace, RandomVariable, SpaceError
@@ -67,7 +67,7 @@ def _fmt(value):
             return "inf" if v > 0 else "-inf"
         return float(f"{v:.12g}")
     if isinstance(value, BoolElem):
-        return sorted(value.atoms)
+        return mask_atoms(value.mask)
     if isinstance(value, np.ndarray):
         return [_fmt(v) for v in value.tolist()]
     if isinstance(value, dict):

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .boolalg import PartitionOfUnity, iter_partitions
+from .boolalg import PartitionOfUnity, iter_partitions, mask_atoms
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 from .riskcore import ADMISSIBLE_TOL, CondRiskMeasure
@@ -523,7 +523,7 @@ def sigma_s_membership(
     if np.any(ev <= 0):
         raise ValueError("eps must be strictly positive blockwise")
     for part, fam in zip(parts, families):
-        for j in part.atoms:
+        for j in mask_atoms(part.mask):
             worst = max(
                 abs(_pairing_block(space, j, x.values, y.values)) for y in fam
             )
@@ -600,7 +600,7 @@ def stable_sublevel_check(
                 if not inside(mixed):
                     mixing_ok = False
                     violation = {
-                        "partition": [sorted(p.atoms) for p in partition],
+                        "partition": [mask_atoms(p.mask) for p in partition],
                         "choice": [v.values.tolist() for v in choice],
                     }
                     break

@@ -14,14 +14,16 @@ from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from .boolalg import BoolElem
 from .bvm import (
+    LITERAL_PUNCT,
     Name,
     Token,
     Universe,
+    UniverseError,
     atom_collapse,
     maximum_witness,
     name_to_literal,
     parse_name_tokens,
-    tokenize_literal,
+    scan,
 )
 from .errors import CondriskError, ParseError
 
@@ -107,59 +109,15 @@ Formula = Union[Eq, In, Not, And, Or, Implies, ForallIn, ExistsIn]
 
 # -- tokenizer --------------------------------------------------------------------
 
-_TWO_CHAR = {"->": "ARROW"}
-_ONE_CHAR = {
+_PUNCT = {
+    **LITERAL_PUNCT,
+    "->": "ARROW",
     "|": "OR",
     "&": "AND",
     "!": "NOT",
-    "(": "(",
-    ")": ")",
     ".": "DOT",
     "=": "EQ",
-    "{": "{",
-    "}": "}",
-    "[": "[",
-    "]": "]",
-    ",": ",",
-    ":": ":",
-    ";": ";",
 }
-
-
-def _tokenize(text: str) -> List[Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(_TWO_CHAR[two], two, i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token(_ONE_CHAR[ch], ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", "", len(text)))
-    return tokens
 
 
 # -- parser -----------------------------------------------------------------------
@@ -256,7 +214,7 @@ class _Parser:
 
 def parse(text: str, universe: Universe, free_names: Iterable[str] = ()) -> Formula:
     """Parse a formula; identifiers must be quantifier-bound or in free_names."""
-    parser = _Parser(_tokenize(text), universe, free_names)
+    parser = _Parser(scan(text, _PUNCT), universe, free_names)
     node = parser.formula()
     parser.take("EOF")
     return node
@@ -346,7 +304,7 @@ def evaluate(f: Formula, env: Optional[Mapping[str, Name]] = None) -> BoolElem:
     """Boolean truth value; quantifiers range over dom of the bound's value."""
     env = dict(env or {})
     uni = _find_universe(f, env)
-    algebra = uni.algebra
+    full = uni.algebra.full
 
     def term(t: Term, scope: Dict[str, Name]) -> Name:
         if isinstance(t, Lit):
@@ -356,31 +314,34 @@ def evaluate(f: Formula, env: Optional[Mapping[str, Name]] = None) -> BoolElem:
         except KeyError:
             raise FormulaError(f"no binding for {t.name!r}") from None
 
-    def rec(node: Formula, scope: Dict[str, Name]) -> BoolElem:
+    # runs on masks, with the truth values of atomic formulas from the universe
+    def rec(node: Formula, scope: Dict[str, Name]) -> int:
         if isinstance(node, Eq):
-            return uni.truth_eq(term(node.left, scope), term(node.right, scope))
+            return uni.truth_eq(term(node.left, scope), term(node.right, scope)).mask
         if isinstance(node, In):
-            return uni.truth_in(term(node.left, scope), term(node.right, scope))
+            return uni.truth_in(term(node.left, scope), term(node.right, scope)).mask
         if isinstance(node, Not):
-            return rec(node.body, scope).complement()
+            return rec(node.body, scope) ^ full
         if isinstance(node, And):
             return rec(node.left, scope) & rec(node.right, scope)
         if isinstance(node, Or):
             return rec(node.left, scope) | rec(node.right, scope)
         if isinstance(node, Implies):
-            return rec(node.left, scope).implies(rec(node.right, scope))
+            return (rec(node.left, scope) ^ full) | rec(node.right, scope)
         domain = term(node.domain, scope)
+        if domain.universe is not uni:
+            raise UniverseError("name belongs to a different universe")
         if isinstance(node, ForallIn):
-            acc = algebra.one
+            acc = full
             for child, value in domain.entries:
-                acc = acc & value.implies(rec(node.body, {**scope, node.var: child}))
+                acc &= (value.mask ^ full) | rec(node.body, {**scope, node.var: child})
             return acc
-        acc = algebra.zero
+        acc = 0
         for child, value in domain.entries:
-            acc = acc | (value & rec(node.body, {**scope, node.var: child}))
+            acc |= value.mask & rec(node.body, {**scope, node.var: child})
         return acc
 
-    return rec(f, dict(env))
+    return uni.algebra.from_mask(rec(f, dict(env)))
 
 
 def collapse_eval(f: Formula, atom: int, env: Optional[Mapping[str, Name]] = None) -> bool:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity
+from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, mask_array
 from .errors import CondriskError
 
 PROB_SUM_TOL = 1e-12
@@ -275,9 +275,7 @@ class FiniteProbSpace:
         return self._block_spaces[j]
 
     def sample_mask(self, a: BoolElem) -> np.ndarray:
-        on = np.zeros(self.n_blocks, dtype=bool)
-        on[[atom - 1 for atom in self._check_elem(a).atoms]] = True
-        return self.broadcast(on)
+        return self.broadcast(mask_array(self._check_elem(a).mask, self.n_blocks))
 
     def indicator(self, a: BoolElem) -> RandomVariable:
         return RandomVariable(self.sample_mask(a).astype(float))
@@ -313,7 +311,7 @@ class FiniteProbSpace:
             )
         part_of = np.empty(self.n_blocks, dtype=np.intp)
         for k, part in enumerate(partition):
-            part_of[[atom - 1 for atom in part.atoms]] = k
+            part_of[mask_array(part.mask, self.n_blocks)] = k
         stacked = np.stack([self._check_rv(x) for x in xs])
         return RandomVariable(stacked[self.broadcast(part_of), np.arange(self.n_atoms)])
 

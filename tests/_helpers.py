@@ -136,3 +136,57 @@ def reference_admissible_dual(space, d):
     for idx, q in reference_blocks(space):
         y[idx] = -d[idx] / float(np.dot(q, d[idx]))
     return y
+
+
+# -- plain frozenset reference for the bitmask Boolean algebra ----------------------
+# Each element is a frozenset of 1-based atoms, combined with set operations, so it
+# shares no code with the int masks of condrisk.boolalg.
+
+
+class RefElem:
+    """An element of the powerset of atoms ``1..m``, held as a frozenset."""
+
+    def __init__(self, m: int, atoms):
+        atoms = frozenset(atoms)
+        for a in atoms:
+            if not isinstance(a, int) or not 1 <= a <= m:
+                raise ValueError(f"atom index {a!r} outside 1..{m}")
+        self.m = m
+        self.atoms = atoms
+
+    def meet(self, other):
+        return RefElem(self.m, self.atoms & other.atoms)
+
+    def join(self, other):
+        return RefElem(self.m, self.atoms | other.atoms)
+
+    def complement(self):
+        return RefElem(self.m, frozenset(range(1, self.m + 1)) - self.atoms)
+
+    def implies(self, other):
+        return self.complement().join(other)
+
+    def __le__(self, other):
+        return self.atoms <= other.atoms
+
+    def __ge__(self, other):
+        return self.atoms >= other.atoms
+
+    @property
+    def is_zero(self):
+        return not self.atoms
+
+    @property
+    def is_one(self):
+        return len(self.atoms) == self.m
+
+    def __repr__(self):
+        return "{" + ",".join(str(a) for a in sorted(self.atoms)) + "}"
+
+
+def reference_elements(m: int):
+    """The atom sets of all 2^m elements, in mask order (bit a-1 is atom a)."""
+    return [
+        frozenset(a for a in range(1, m + 1) if mask >> (a - 1) & 1)
+        for mask in range(1 << m)
+    ]

@@ -5,6 +5,7 @@ from _helpers import random_name
 from condrisk import (
     BooleanAlgebra,
     ConditionalValue,
+    FiniteProbSpace,
     NatName,
     PartitionOfUnity,
     RandomVariable,
@@ -313,3 +314,47 @@ def test_literal_errors(u2):
     for text in ("name{empty: {5}}", "name{empty {1}}", "check({,})", "empty extra", "widget"):
         with pytest.raises(ParseError):
             parse_name_literal(text, u2)
+
+
+def test_atom_collapse_rejects_atoms_outside_the_algebra(u2, a2):
+    from condrisk import collapse_eval, parse
+
+    u = u2.make_name({u2.empty: a2.atom(1)})
+    formula = parse("empty in u", u2, free_names={"u"})
+    for atom in (0, -1, 3):
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+            atom_collapse(u, atom)
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+            u.collapse_at(atom)
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+            collapse_eval(formula, atom, {"u": u})
+
+
+def test_interp_props_never_list_partitions(monkeypatch):
+    import condrisk
+    import condrisk.boolalg
+    import condrisk.bvm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("set partitions listed")
+
+    for module in (condrisk, condrisk.boolalg, condrisk.bvm):
+        monkeypatch.setattr(module, "iter_partitions", refuse, raising=False)
+    n = 12
+    space = FiniteProbSpace(np.full(2 * n, 1.0 / (2 * n)), [[2 * j + 1, 2 * j + 2] for j in range(n)])
+    report = verify_interp_props(space, samples=5, seed=7)
+    assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+def test_agreement_join_refuses_past_its_cap():
+    from condrisk.bvm import AGREEMENT_ATOM_CAP, ExhaustiveCapError, _agreement_join_exhaustive
+
+    alg = BooleanAlgebra(5)
+    assert _agreement_join_exhaustive(alg, lambda i: i % 2 == 1) == alg.element({1, 3, 5})
+    big = BooleanAlgebra(AGREEMENT_ATOM_CAP + 1)
+    with pytest.raises(ExhaustiveCapError, match=f"cap of {AGREEMENT_ATOM_CAP}"):
+        _agreement_join_exhaustive(big, lambda i: True)
+    n = AGREEMENT_ATOM_CAP + 1
+    space = FiniteProbSpace(np.full(n, 1.0 / n), [[j] for j in range(1, n + 1)])
+    with pytest.raises(ExhaustiveCapError):
+        verify_interp_props(space, samples=1)

@@ -13,7 +13,7 @@ from condrisk import (
     print_formula,
     witness,
 )
-from condrisk.errors import ParseError
+from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
     And,
     Eq,
@@ -145,3 +145,75 @@ def test_witness_via_formula(u2, a2):
 def test_free_variables(u2):
     f = parse("forall x in u . (x = y | x in z)", u2, free_names={"u", "y", "z"})
     assert free_variables(f) == {"u", "y", "z"}
+
+
+# ParseError messages and positions of bad inputs in both grammars; the literal
+# grammar rejects the formula punctuation | & ! . = -> as unexpected characters.
+PARSE_ERRORS = [
+    ('literal', 'name{empty: {1} | }', "unexpected character '|'", 16),
+    ('literal', 'empty & empty', "unexpected character '&'", 6),
+    ('literal', '!empty', "unexpected character '!'", 0),
+    ('literal', 'name{empty.: {1}}', "unexpected character '.'", 10),
+    ('literal', 'empty = empty', "unexpected character '='", 6),
+    ('literal', 'empty -> empty', "unexpected character '-'", 6),
+    ('literal', 'name{empty: {0}}', 'atom index 0 outside 1..2', 14),
+    ('literal', 'name{empty {1}}', "expected ':', found '{'", 11),
+    ('literal', 'check({{}}', "expected ')', found ''", 10),
+    ('literal', 'empty empty', 'trailing input after name literal', 6),
+    ('literal', 'foo', "unknown name literal 'foo'", 0),
+    ('literal', 'mix[{1}: empty; {1}: empty]', 'parts overlap on atoms [1]', 0),
+    ('literal', '$', "unexpected character '$'", 0),
+    ('literal', '', 'expected a name literal', 0),
+    ('literal', 'name{empty: {1}, check({,}): {2}}', "expected '{', found ','", 24),
+    ('literal', 'mix[{1}: empty]', 'parts do not cover atoms [2]', 0),
+    ('literal', 'name{12abc: {1}}', 'expected a name literal', 5),
+    ('atomset', '{1,2', "expected '}', found ''", 4),
+    ('atomset', '{1,}', 'expected an atom index', 3),
+    ('atomset', '{3}', 'atom index 3 outside 1..2', 2),
+    ('atomset', '1', "expected '{', found '1'", 0),
+    ('atomset', '{1} x', 'trailing input after atom set', 4),
+    ('atomset', '{1|2}', "unexpected character '|'", 2),
+    ('formula', 'x in', 'expected a term', 4),
+    ('formula', 'empty = empty ->', 'expected a term', 16),
+    ('formula', 'empty # empty', "unexpected character '#'", 6),
+    ('formula', 'forall x in empty x in x', "expected 'DOT', found 'x'", 18),
+    ('formula', 'y = empty', "unbound variable 'y'", 0),
+    ('formula', '(empty = empty', "expected ')', found 'end of input'", 14),
+    ('formula', 'empty - empty', "unexpected character '-'", 6),
+    ('formula', 'forall in in empty . empty = empty', "'in' is reserved", 7),
+    ('formula', 'empty empty', "expected '=' or 'in' after a term", 6),
+    ('formula', 'empty = empty empty', "expected 'EOF', found 'empty'", 14),
+    ('formula', 'name{empty: {5}} = empty', 'atom index 5 outside 1..2', 14),
+    ('formula', '', 'expected a term', 0),
+    ('formula', 'exists x in empty . ', 'expected a term', 20),
+    ('formula', 'empty = empty &', 'expected a term', 15),
+    ('formula', '!(empty)', "expected '=' or 'in' after a term", 7),
+    ('formula', 'empty in empty -> -> empty', 'expected a term', 18),
+    ('formula', 'forall x on empty . x = x', "expected 'in' after the bound variable", 9),
+    ('formula', 'empty = forall', "'forall' is reserved", 8),
+    ('formula', 'empty = empty ; empty', "expected 'EOF', found ';'", 14),
+    ('formula', 'empty <- empty', "unexpected character '<'", 6),
+]
+
+
+@pytest.mark.parametrize("grammar, text, message, pos", PARSE_ERRORS)
+def test_parse_error_messages_and_positions(u2, grammar, text, message, pos):
+    from condrisk.bvm import parse_atom_set, parse_name_literal
+
+    with pytest.raises(ParseError) as err:
+        if grammar == "literal":
+            parse_name_literal(text, u2)
+        elif grammar == "atomset":
+            parse_atom_set(text, u2.algebra)
+        else:
+            parse(text, u2, free_names={"x"})
+    assert err.value.pos == pos
+    assert str(err.value) == f"{message} (at position {pos})"
+
+
+def test_evaluate_refuses_a_bound_from_another_universe(u2):
+    other = Universe(BooleanAlgebra(3))
+    bound = other.make_name({other.empty: other.algebra.one})
+    f = parse("forall x in w . u = u", u2, free_names={"u", "w"})
+    with pytest.raises(CondriskError):
+        evaluate(f, {"u": u2.empty, "w": bound})

@@ -38,7 +38,6 @@ from .duality import (
     DualResult,
     DualSearchConfig,
     DualVariable,
-    GridConjugateConfig,
     admissible_dual,
     dual_representation,
     fenchel,

@@ -79,18 +79,6 @@ def _pairing_block(space: FiniteProbSpace, j: int, xv: np.ndarray, yv: np.ndarra
     return float(np.dot(space.cond_probs(j) * yv[idx], xv[idx]))
 
 
-def _block_objective_batch(
-    measure: CondRiskMeasure, j: int, y_block: np.ndarray, points: np.ndarray
-) -> np.ndarray:
-    """E[x y | block j] - rho(x)_j for each block payoff in ``points`` (rows)."""
-    space = measure.space
-    idx = space.block_index_array(j)
-    full = np.zeros((points.shape[0], space.n_atoms))
-    full[:, idx] = points
-    risks = measure.evaluate_batch(full)[:, j - 1]
-    return points @ (space.cond_probs(j) * y_block) - risks
-
-
 def _grid_points(k: int, radius: float, per_axis: int) -> np.ndarray:
     axes = [np.linspace(-radius, radius, per_axis)] * k
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -115,39 +103,37 @@ def _compass_refine(obj_batch, start: np.ndarray, step: float, best: float, *, m
     return point, best
 
 
-@dataclass
-class GridConjugateConfig:
-    tol: float = 1e-9
-    initial_radius: float = 4.0
-    per_axis: int = 9
-    max_doublings: int = 48
-    growth_ratio: float = 1.3
+# grid conjugate: the radius starts at GRID_RADIUS and doubles until the best
+# value gains less than GRID_TOL, at most GRID_MAX_DOUBLINGS times; three
+# gains in a row that each grow by GRID_GROWTH_RATIO certify divergence
+GRID_TOL = 1e-9
+GRID_RADIUS = 4.0
+GRID_PER_AXIS = 9  # points per axis for blocks of up to 3 atoms, 5 above
+GRID_MAX_DOUBLINGS = 48
+GRID_GROWTH_RATIO = 1.3
 
 
-def _block_conjugate_grid(
-    measure: CondRiskMeasure,
-    j: int,
-    y_block: np.ndarray,
-    cfg: GridConjugateConfig,
-):
-    """Numeric sup of the pairing minus risk on one block.
+def _block_conjugate_grid(measure: CondRiskMeasure, y_block: np.ndarray):
+    """Numeric sup of E[x y] - rho(x) for a measure on one block.
 
-    Doubles the search radius until the increment falls under ``tol`` and the
-    interior max is polished by compass search, or until three consecutive
-    growing increments certify divergence; the certified ray is returned.
+    Doubles the search radius until the increment falls under GRID_TOL and
+    the interior max is polished by compass search, or until three
+    consecutive growing increments certify divergence; the certified ray is
+    returned.
     """
     k = y_block.size
+    weights = measure.space.cond_probs(1) * y_block
 
     def obj_batch(points):
-        return _block_objective_batch(measure, j, y_block, points)
+        return points @ weights - measure.evaluate_batch(points)[:, 0]
 
-    radius = cfg.initial_radius
-    per_axis = cfg.per_axis if k <= 3 else 5
+    radius = GRID_RADIUS
+    per_axis = GRID_PER_AXIS if k <= 3 else 5
     best = float(obj_batch(np.zeros((1, k)))[0])
     best_point = np.zeros(k)
     prev_inc = None
     streak = 0
-    for _ in range(cfg.max_doublings):
+    for _ in range(GRID_MAX_DOUBLINGS):
         pts = _grid_points(k, radius, per_axis)
         vals = obj_batch(pts)
         i = int(np.argmax(vals))
@@ -155,11 +141,11 @@ def _block_conjugate_grid(
         if vals[i] > best:
             best = float(vals[i])
             best_point = pts[i]
-        if inc < cfg.tol:
+        if inc < GRID_TOL:
             spacing = 2.0 * radius / (per_axis - 1)
             point, best = _compass_refine(obj_batch, best_point, spacing, best)
             return best, point, None
-        if prev_inc is not None and inc >= cfg.growth_ratio * prev_inc:
+        if prev_inc is not None and inc >= GRID_GROWTH_RATIO * prev_inc:
             streak += 1
             if streak >= 3:
                 ray = best_point / max(np.linalg.norm(best_point), 1e-30)
@@ -174,17 +160,13 @@ def _block_conjugate_grid(
 
 
 def fenchel(
-    measure: CondRiskMeasure,
-    y: DualVariable,
-    method: str = "closed_form",
-    *,
-    cfg: Optional[GridConjugateConfig] = None,
+    measure: CondRiskMeasure, y: DualVariable, method: str = "closed_form"
 ) -> ConditionalValue:
     """Blockwise penalty rho#(y) = esssup_x (E[x y | F] - rho(x)).
 
     ``closed_form`` uses the measure's declared penalty; ``grid_refine`` runs
-    the numeric sup per block.  +inf entries signal that -y is not an
-    admissible density for the measure on that block.
+    the numeric sup on each block's restriction.  +inf entries signal that -y
+    is not an admissible density for the measure on that block.
     """
     space = measure.space
     if len(y) != space.n_atoms:
@@ -195,12 +177,12 @@ def fenchel(
         return measure.closed_form_penalty(y.values)
     if method != "grid_refine":
         raise ValueError("method must be 'closed_form' or 'grid_refine'")
-    cfg = cfg or GridConjugateConfig()
-    out = []
-    for j in range(1, space.n_blocks + 1):
-        val, _, _ = _block_conjugate_grid(measure, j, y.values[space.block_index_array(j)], cfg)
-        out.append(val)
-    return ConditionalValue(out)
+    return ConditionalValue(
+        [
+            _block_conjugate_grid(measure.restrict(j), y.values[space.block_index_array(j)])[0]
+            for j in range(1, space.n_blocks + 1)
+        ]
+    )
 
 
 def penalty_of(measure: CondRiskMeasure, y: DualVariable) -> ConditionalValue:
@@ -283,27 +265,11 @@ class DualResult:
     warnings: List[str] = field(default_factory=list)
 
 
-def _block_penalty_fn(measure: CondRiskMeasure, j: int):
-    """Scalar penalty of a block density, via the declared closed form or the grid."""
-    space = measure.space
-    idx = space.block_index_array(j)
-
+def _block_penalty_fn(measure: CondRiskMeasure):
+    """Penalty of a density on a one-block measure: the closed form, else the grid."""
     if measure.closed_form_penalty is not None:
-
-        def pen(d: np.ndarray) -> float:
-            y = -np.ones(space.n_atoms)
-            y[idx] = -d
-            return float(measure.closed_form_penalty(y).values[j - 1])
-
-        return pen
-
-    cfg = GridConjugateConfig()
-
-    def pen_grid(d: np.ndarray) -> float:
-        val, _, _ = _block_conjugate_grid(measure, j, -d, cfg)
-        return val
-
-    return pen_grid
+        return lambda d: float(measure.closed_form_penalty(-d).values[0])
+    return lambda d: _block_conjugate_grid(measure, -d)[0]
 
 
 def _numeric_grad(pen, d: np.ndarray, h: float = 1e-7) -> np.ndarray:
@@ -318,21 +284,12 @@ def _numeric_grad(pen, d: np.ndarray, h: float = 1e-7) -> np.ndarray:
     return g
 
 
-def _ascend_block(
-    measure: CondRiskMeasure,
-    j: int,
-    x: RandomVariable,
-    target: float,
-    cfg: DualSearchConfig,
-):
-    """Projected-gradient ascent of E[x y | F]_j - penalty over block densities."""
-    space = measure.space
-    idx = space.block_index_array(j)
-    q = space.cond_probs(j)
-    xb = x.values[idx]
-    lin = -q * xb  # gradient of d -> E[x (-d) | block j]
-    cap = measure.dual_density_cap(j) if measure.dual_density_cap else None
-    pen = _block_penalty_fn(measure, j)
+def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: DualSearchConfig):
+    """Projected-gradient ascent of E[x y] - penalty over one block's densities."""
+    q = measure.space.cond_probs(1)
+    lin = -q * xb  # gradient of d -> E[x (-d)]
+    cap = measure.dual_density_cap(1) if measure.dual_density_cap else None
+    pen = _block_penalty_fn(measure)
     grad_pen = measure.dual_penalty_grad
 
     def obj(d: np.ndarray) -> float:
@@ -361,7 +318,7 @@ def _ascend_block(
                 converged = True
                 break
             if grad_pen is not None:
-                g = lin - grad_pen(j, d)
+                g = lin - grad_pen(1, d)
             else:
                 g = lin - _numeric_grad(pen, d)
             # propose an additive projected step and a multiplicative
@@ -417,7 +374,9 @@ def dual_representation(
     converged = []
     warnings: List[str] = []
     for j in range(1, space.n_blocks + 1):
-        val, d, ok = _ascend_block(measure, j, x, float(targets[j - 1]), cfg)
+        val, d, ok = _ascend_block(
+            measure.restrict(j), space.restrict(x, j), float(targets[j - 1]), cfg
+        )
         values[j - 1] = val
         density[space.block_index_array(j)] = d
         converged.append(ok)

@@ -140,6 +140,13 @@ class ConditionalValue:
         return f"ConditionalValue({self.values.tolist()!r})"
 
 
+def _cv(values: np.ndarray) -> ConditionalValue:
+    """Unvalidated constructor, for read-only slices of a validated value."""
+    out = object.__new__(ConditionalValue)
+    object.__setattr__(out, "values", values)
+    return out
+
+
 class FiniteProbSpace:
     """Strictly positive probabilities on ``n`` atoms, split into ``m`` blocks."""
 
@@ -224,6 +231,9 @@ class FiniteProbSpace:
         return a
 
     def _block_slice(self, j: int) -> slice:
+        """Atoms of block ``j`` in block order; the one range check of a block index."""
+        if not 1 <= j <= len(self.blocks):
+            raise ValueError(f"block {j} outside 1..{len(self.blocks)}")
         return slice(self._bounds[j - 1], self._bounds[j])
 
     def cond_probs(self, j: int) -> np.ndarray:
@@ -237,8 +247,12 @@ class FiniteProbSpace:
         return self._check_rv(x)[self.block_index_array(j)]
 
     def extend(self, block_values, j: int, fill: float = 0.0) -> RandomVariable:
+        idx = self.block_index_array(j)
+        vals = np.asarray(block_values, dtype=float)
+        if vals.shape != idx.shape:
+            raise SpaceError(f"block {j} has {idx.size} atoms, got values of shape {vals.shape}")
         out = np.full(self.n_atoms, float(fill))
-        out[self.block_index_array(j)] = np.asarray(block_values, dtype=float)
+        out[idx] = vals
         return RandomVariable(out)
 
     # -- blockwise reductions over the last axis of arrays (payoffs or row

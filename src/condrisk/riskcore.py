@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CondriskError
-from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
+from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, _cv
 
 # a dual variable y is an admissible density when y <= 0 and E[y | block] = -1
 ADMISSIBLE_TOL = 1e-10
@@ -44,7 +44,9 @@ class CondRiskMeasure:
     ``closed_form_penalty`` maps a raw dual vector (one value per sample atom,
     all <= 0) to the blockwise penalty, +inf where the vector is not an
     admissible density for the measure; ``dual_density_cap`` and
-    ``dual_penalty_grad`` steer the dual ascent.
+    ``dual_penalty_grad`` steer the dual ascent.  ``restrict(j)`` cuts block
+    ``j`` out as a classical measure on one block, which is what the dual
+    engine works on.
     """
 
     space: FiniteProbSpace
@@ -73,6 +75,53 @@ class CondRiskMeasure:
         if self.evaluate_batch_fn is not None:
             return self.evaluate_batch_fn(xs)
         return np.stack([self.evaluate(RandomVariable(row)).values for row in xs])
+
+    def restrict(self, j: int) -> "CondRiskMeasure":
+        """Block ``j`` as a measure on ``space.block_space(j)``.
+
+        The one place a block is cut out of the space: block payoffs are
+        extended by 0 and block duals by -1, the parent's column ``j`` is read
+        back, and the cap and gradient hooks are the parent's at ``j``.  Block
+        coordinates follow ``space.block_index_array(j)``, so a measure on one
+        block that lists its atoms in order is its own restriction.
+        """
+        space = self.space
+        idx = space.block_index_array(j)
+        n = space.n_atoms
+        if space.n_blocks == 1 and space.blocks[0] == tuple(range(1, n + 1)):
+            return self
+        col = slice(j - 1, j)
+
+        def ev(x: RandomVariable) -> ConditionalValue:
+            return _cv(self.evaluate(space.extend(x.values, j)).values[col])
+
+        def ev_batch(xs: np.ndarray) -> np.ndarray:
+            full = np.zeros((xs.shape[0], n))
+            full[:, idx] = xs
+            return self.evaluate_batch(full)[:, col]
+
+        pen = cap = grad = None
+        if self.closed_form_penalty is not None:
+
+            def pen(y: np.ndarray) -> ConditionalValue:
+                full = np.full(n, -1.0)
+                full[idx] = y
+                return _cv(self.closed_form_penalty(full).values[col])
+
+        if self.dual_density_cap is not None:
+            cap = lambda _: self.dual_density_cap(j)
+        if self.dual_penalty_grad is not None:
+            grad = lambda _, d: self.dual_penalty_grad(j, d)
+        return CondRiskMeasure(
+            space.block_space(j),
+            ev,
+            f"{self.label}@block{j}",
+            closed_form_penalty=pen,
+            evaluate_batch_fn=ev_batch,
+            dual_density_cap=cap,
+            dual_penalty_grad=grad,
+            params=dict(self.params),
+        )
 
 
 def _builtin(space, label, batch, penalty, **dual) -> CondRiskMeasure:

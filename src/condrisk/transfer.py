@@ -10,15 +10,13 @@ conditional penalty matches the per-block classical conjugates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .duality import (
-    DualSearchConfig,
     DualVariable,
-    GridConjugateConfig,
     admissible_dual,
     fenchel,
     penalty_map,
@@ -63,82 +61,34 @@ class ScalarRiskMeasure:
 
     def evaluate(self, xi) -> float:
         """Risk of a payoff on the block, extended by zero elsewhere."""
-        xi = np.asarray(xi, dtype=float)
-        full = self.parent.space.extend(xi, self.block)
-        return float(self.parent.evaluate(full).values[self.block - 1])
+        return float(self.as_cond_measure().evaluate(RandomVariable(xi)).values[0])
 
     def as_cond_measure(self) -> CondRiskMeasure:
-        """The same measure viewed conditionally over the trivial algebra.
-
-        Dual metadata (closed-form penalty, batch path, caps, gradients) is
-        inherited from the parent by restriction, except where a caller
-        explicitly asks for the independent numeric route.
-        """
-        parent, j = self.parent, self.block
-        pspace = parent.space
-        idx = pspace.block_index_array(j)
-        bspace = pspace.block_space(j)
-
-        def ev(x: RandomVariable) -> ConditionalValue:
-            return ConditionalValue([self.evaluate(x.values)])
-
-        def ev_batch(xs: np.ndarray) -> np.ndarray:
-            full = np.zeros((xs.shape[0], pspace.n_atoms))
-            full[:, idx] = xs
-            return parent.evaluate_batch(full)[:, j - 1 : j]
-
-        pen = None
-        if parent.closed_form_penalty is not None:
-
-            def pen(yv: np.ndarray) -> ConditionalValue:
-                y_full = -np.ones(pspace.n_atoms)
-                y_full[idx] = yv
-                return ConditionalValue(
-                    [parent.closed_form_penalty(y_full).values[j - 1]]
-                )
-
-        cap = None
-        if parent.dual_density_cap is not None:
-            cap = lambda _k: parent.dual_density_cap(j)
-        grad = None
-        if parent.dual_penalty_grad is not None:
-            grad = lambda _k, d: parent.dual_penalty_grad(j, d)
-
-        return CondRiskMeasure(
-            bspace,
-            ev,
-            f"{self.label}@block{j}",
-            closed_form_penalty=pen,
-            evaluate_batch_fn=ev_batch,
-            dual_density_cap=cap,
-            dual_penalty_grad=grad,
-            params=dict(parent.params),
-        )
+        """The same measure viewed conditionally over the trivial algebra."""
+        return self.parent.restrict(self.block)
 
 
-def scalarize(
-    measure: CondRiskMeasure,
-    atom: int,
-    *,
-    certify: bool = True,
-    trials: int = 64,
-    seed: int = 7,
-) -> ScalarRiskMeasure:
+# local-property trials run by ``scalarize`` before it restricts a measure
+SCALARIZE_TRIALS = 64
+SCALARIZE_SEED = 7
+
+
+def scalarize(measure: CondRiskMeasure, atom: int, *, certify: bool = True) -> ScalarRiskMeasure:
     """Restrict to one block; refuses measures without the local property.
 
     Well-definedness (independence from the off-block extension) is asserted
     by evaluating two different extensions and comparing exactly.
     """
     space = measure.space
-    if not 1 <= atom <= space.n_blocks:
-        raise ValueError(f"atom {atom} outside 1..{space.n_blocks}")
+    k = space.block_index_array(atom).size
     if certify:
-        report = check_axiom(measure, "local_property", trials=trials, seed=seed)
+        report = check_axiom(
+            measure, "local_property", trials=SCALARIZE_TRIALS, seed=SCALARIZE_SEED
+        )
         if not report.passed:
             raise ScalarizeError(
                 f"{measure.label} fails the local property: {report.counterexample}"
             )
-    k = space.block_index_array(atom).size
     for probe in (np.zeros(k), np.linspace(-1.0, 1.0, k)):
         lo = measure.evaluate(space.extend(probe, atom, fill=0.0)).values[atom - 1]
         hi = measure.evaluate(space.extend(probe, atom, fill=17.5)).values[atom - 1]
@@ -190,8 +140,6 @@ def fenchel_consistency(
     measure: CondRiskMeasure,
     duals: Sequence[DualVariable],
     tol: float = 1e-6,
-    *,
-    grid_cfg: Optional[GridConjugateConfig] = None,
 ) -> FenchelConsistencyReport:
     """Conditional penalty vs per-block classical conjugate, dual by dual.
 
@@ -214,9 +162,7 @@ def fenchel_consistency(
         cond = penalty_of(measure, y).values
         for j in range(1, space.n_blocks + 1):
             yj = DualVariable(y.values[space.block_index_array(j)])
-            classical = float(
-                fenchel(blocks[j - 1], yj, "grid_refine", cfg=grid_cfg).values[0]
-            )
+            classical = float(fenchel(blocks[j - 1], yj, "grid_refine").values[0])
             c = float(cond[j - 1])
             if math.isinf(c) or math.isinf(classical):
                 ok = math.isinf(c) and math.isinf(classical)
@@ -241,7 +187,6 @@ class ItemResult:
     per_atom: List[bool]
     equivalence: bool
     qualifier: Optional[str] = None
-    details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -304,6 +249,13 @@ def _probe_duals(measure: CondRiskMeasure, seed: int, count: int = 5) -> List[Ra
     return probes
 
 
+# convergence items: tolerance and last index of the shrinking perturbation;
+# law-invariance item: sampled permutations per side
+CONV_TOL = 1e-3
+CONV_N_MAX = 10_000
+LAW_TRIALS = 200
+
+
 def transfer_verify(
     measure: CondRiskMeasure,
     items: Sequence[int],
@@ -311,10 +263,6 @@ def transfer_verify(
     tol: float = 1e-6,
     *,
     seed: int = 0,
-    conv_tol: float = 1e-3,
-    conv_n_max: int = 10_000,
-    law_trials: int = 200,
-    dual_cfg: Optional[DualSearchConfig] = None,
 ) -> TransferReport:
     """Check the requested equivalences between the conditional measure and
     its per-block scalarizations on shared payoffs, sequences, and probes.
@@ -348,9 +296,9 @@ def transfer_verify(
     results: Dict[int, ItemResult] = {}
 
     if 1 in items or 2 in items:
-        cond_rep = verify_representation(measure, payoffs, tol, dual_cfg)
+        cond_rep = verify_representation(measure, payoffs, tol)
         atom_reps = [
-            verify_representation(block_measures[j - 1], restricted_payoffs[j - 1], tol, dual_cfg)
+            verify_representation(block_measures[j - 1], restricted_payoffs[j - 1], tol)
             for j in range(1, space.n_blocks + 1)
         ]
         if 1 in items:
@@ -375,16 +323,16 @@ def transfer_verify(
     for number, prop in ((3, "fatou"), (4, "lebesgue")):
         if number not in items:
             continue
-        seqs = _default_sequences(payoffs[0], conv_n_max)
+        seqs = _default_sequences(payoffs[0], CONV_N_MAX)
         cond_ok = all(
-            check_convergence_property(measure, prop, s, conv_tol).passed for s in seqs
+            check_convergence_property(measure, prop, s, CONV_TOL).passed for s in seqs
         )
         per_atom = []
         for j in range(1, space.n_blocks + 1):
             cut = [_restrict_sequence(s, space, j) for s in seqs]
             per_atom.append(
                 all(
-                    check_convergence_property(block_measures[j - 1], prop, s, conv_tol).passed
+                    check_convergence_property(block_measures[j - 1], prop, s, CONV_TOL).passed
                     for s in cut
                 )
             )
@@ -394,13 +342,13 @@ def transfer_verify(
 
     if 5 in items:
         cond_ok = check_axiom(
-            measure, "conditional_law_invariance", trials=law_trials, seed=seed
+            measure, "conditional_law_invariance", trials=LAW_TRIALS, seed=seed
         ).passed
         per_atom = [
             check_axiom(
                 block_measures[j - 1],
                 "conditional_law_invariance",
-                trials=law_trials,
+                trials=LAW_TRIALS,
                 seed=seed,
             ).passed
             for j in range(1, space.n_blocks + 1)

@@ -5,6 +5,7 @@ a coarse grid, so tied losses are common.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from _helpers import (
     reference_risk,
 )
 from condrisk import (
+    CondRiskMeasure,
     ConditionalValue,
     FiniteProbSpace,
     RandomVariable,
@@ -101,3 +103,68 @@ def test_batched_forms_match_per_block_reference(case):
         _close(space.cond_cdf(x, ConditionalValue(eta)).values, cdf)
         _close(space.lift(ConditionalValue(eta)).values, lifted)
     _close(admissible_dual(space, dens).values, y)
+
+
+def _user_entropic(space, gamma):
+    """A user measure with no batch function and no dual hooks."""
+
+    def ev(x):
+        return ConditionalValue(reference_risk(space, "entropic", gamma, x.values))
+
+    return CondRiskMeasure(space, ev, "user_entropic")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cases())
+def test_restrict_matches_its_parent(case):
+    space, xs, gamma, lam, dens, eta, stretch = case
+    n = space.n_atoms
+    y = reference_admissible_dual(space, dens)
+    off = y.copy()
+    if stretch < space.n_blocks:
+        off[np.array(space.blocks[stretch]) - 1] *= 1.5
+    # a one-block space that lists its atoms in order is its own block space
+    own = space.n_blocks == 1 and space.blocks[0] == tuple(range(1, n + 1))
+    measures = (
+        neg_cond_expectation(space),
+        cond_worst_case(space),
+        cond_entropic(space, gamma),
+        cond_avar(space, lam),
+        _user_entropic(space, gamma),
+    )
+    for m in measures:
+        with pytest.raises(ValueError):
+            m.restrict(space.n_blocks + 1)
+        for j in range(1, space.n_blocks + 1):
+            bm = m.restrict(j)
+            assert (bm is m) == own
+            assert bm.restrict(1) is bm
+            if own:
+                continue
+            idx = space.block_index_array(j)
+            assert bm.space is space.block_space(j)
+            assert bm.label == f"{m.label}@block{j}"
+            _close(bm.evaluate_batch(xs[:, idx]), m.evaluate_batch(xs)[:, j - 1 : j])
+            _close(
+                bm.evaluate(RandomVariable(xs[0, idx])).values,
+                m.evaluate(RandomVariable(xs[0])).values[j - 1 : j],
+            )
+            if m.closed_form_penalty is None:
+                assert bm.closed_form_penalty is None
+            else:
+                for dual in (y, -np.ones(n), off):
+                    _close(
+                        bm.closed_form_penalty(dual[idx]).values,
+                        m.closed_form_penalty(dual).values[j - 1 : j],
+                    )
+                if j == stretch + 1:
+                    assert np.isinf(bm.closed_form_penalty(off[idx]).values[0])
+            if m.dual_density_cap is None:
+                assert bm.dual_density_cap is None
+            else:
+                assert bm.dual_density_cap(1) == m.dual_density_cap(j)
+            if m.dual_penalty_grad is None:
+                assert bm.dual_penalty_grad is None
+            else:
+                d = dens[idx]
+                assert np.array_equal(bm.dual_penalty_grad(1, d), m.dual_penalty_grad(j, d))

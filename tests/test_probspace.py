@@ -127,3 +127,26 @@ def test_block_space_carries_conditional_probs_bitwise(space8):
         assert bs.n_blocks == 1
         assert np.array_equal(bs.probs, space8.cond_probs(j))
         assert np.array_equal(bs.cond_probs(1), space8.cond_probs(j))
+
+
+@pytest.mark.parametrize("j", [0, -1, 4])
+def test_block_index_out_of_range_refused(space8, j):
+    x = RandomVariable(np.arange(8.0))
+    calls = (
+        lambda: space8.block_index_array(j),
+        lambda: space8.cond_probs(j),
+        lambda: space8.restrict(x, j),
+        lambda: space8.block_space(j),
+        lambda: space8.extend([1.0, 2.0], j),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"block {j} outside 1..3"):
+            call()
+
+
+def test_extend_refuses_a_mismatched_block_shape(s4):
+    with pytest.raises(SpaceError):
+        s4.extend([5.0], 1)
+    with pytest.raises(SpaceError):
+        s4.extend(5.0, 1)
+    assert np.array_equal(s4.extend([5.0, 6.0], 2, fill=1.0).values, [1, 1, 5, 6])

@@ -10,6 +10,7 @@ from condrisk import (
     ModuleSpec,
     PartitionOfUnity,
     RandomVariable,
+    SpaceError,
     admissible_dual,
     cond_avar,
     cond_entropic,
@@ -70,6 +71,12 @@ def test_scalarize_examples(s4):
         sc = scalarize(m, 1, certify=False)
         base = sc.evaluate([0.0, 0.0])
         assert sc.evaluate([3.0, 3.0]) == pytest.approx(base - 3.0, abs=1e-9)
+
+
+def test_scalar_evaluate_refuses_a_short_block_payoff(s4):
+    # one value must not stand for the payoff on a 2-atom block
+    with pytest.raises(SpaceError):
+        scalarize(cond_entropic(s4, 1.0), 1).evaluate([1.0])
 
 
 def test_scalarize_refuses_nonlocal(s4):

@@ -9,6 +9,7 @@ instead of propagating NaN.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -250,11 +251,15 @@ def _project_capped_simplex(v: np.ndarray, w: np.ndarray, cap: Optional[float]) 
     return d
 
 
+# dual ascent: a block converges once its gap to rho(x) is at most
+# ASCENT_GAP_TOL, and a step search gives up below ASCENT_MIN_STEP
+ASCENT_GAP_TOL = 1e-8
+ASCENT_MIN_STEP = 1e-13
+
+
 @dataclass
 class DualSearchConfig:
     max_iters: int = 400
-    gap_tol: float = 1e-8
-    min_step: float = 1e-13
 
 
 @dataclass
@@ -314,7 +319,7 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
             continue
         step_e = step_m = 1.0
         for _ in range(cfg.max_iters):
-            if target - val <= cfg.gap_tol:
+            if target - val <= ASCENT_GAP_TOL:
                 converged = True
                 break
             if grad_pen is not None:
@@ -325,7 +330,7 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
             # (exponentiated-gradient) step; the latter crosses the orders of
             # magnitude that entropy-like penalties put between components
             moved = False
-            while max(step_e, step_m) >= cfg.min_step:
+            while max(step_e, step_m) >= ASCENT_MIN_STEP:
                 cands = [(_project_capped_simplex(d + step_e * g, q, cap), "e")]
                 expo = np.clip(step_m * g / q, -60.0, 60.0)
                 db = np.maximum(d, 1e-18) * np.exp(expo)
@@ -345,11 +350,11 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
                 step_e *= 0.5
                 step_m *= 0.5
             if not moved:
-                converged = converged or (target - val <= 10 * cfg.gap_tol)
+                converged = converged or (target - val <= 10 * ASCENT_GAP_TOL)
                 break
         if val > best_val:
             best_val, best_d = val, np.asarray(d)
-        if target - best_val <= cfg.gap_tol:
+        if target - best_val <= ASCENT_GAP_TOL:
             converged = True
             break
     return best_val, best_d, converged
@@ -514,22 +519,28 @@ class SublevelReport:
         }
 
 
+# sublevel check: the mixing walk stops after SUBLEVEL_MAX_COMBOS
+# (partition, choice) combinations; boundedness rays double their step up to
+# SUBLEVEL_RAY_BOUND
+SUBLEVEL_MAX_COMBOS = 4096
+SUBLEVEL_RAY_BOUND = 2.0**40
+
+
 def stable_sublevel_check(
     space: FiniteProbSpace,
     f: Callable[[RandomVariable], ConditionalValue],
     eta: ConditionalValue,
     probe: Sequence[RandomVariable],
-    *,
-    ray_bound: float = 2.0**40,
-    max_combos: int = 4096,
 ) -> SublevelReport:
     """Stability and boundedness of the sublevel set {v : f(v) <= eta}.
 
-    Mixing closure is exhaustive over partitions of the block algebra and the
-    probe members found inside the set (a consequence of locality, so any
-    violation means the caller's local-property certificate was wrong).
-    Boundedness is probed by step-doubling rays along +/- each probe member;
-    the verdict is only complete up to the span of the probe.
+    Mixing closure walks the partitions of the block algebra and, for each,
+    every choice of the probe members found inside the set (closure is a
+    consequence of locality, so any violation means the caller's
+    local-property certificate was wrong).  The walk stops after
+    SUBLEVEL_MAX_COMBOS combinations; a walk cut short there says so in
+    ``notes``.  Boundedness is probed by step-doubling rays along +/- each
+    probe member; the verdict is only complete up to the span of the probe.
     """
     if not probe:
         raise ValueError("probe must be nonempty")
@@ -543,58 +554,44 @@ def stable_sublevel_check(
     if not members:
         notes.append("no probe member lies in the sublevel set; verdicts vacuous")
 
-    mixing_ok = True
     violation = None
-    if members:
-        combos = 0
-        for partition in iter_partitions(space.algebra):
-            if not mixing_ok or combos > max_combos:
-                break
-            r = len(partition)
-            idxs = [0] * r
-            while True:
-                choice = [members[i] for i in idxs]
-                mixed = space.indicator_mix(partition, choice)
-                combos += 1
-                if not inside(mixed):
-                    mixing_ok = False
-                    violation = {
-                        "partition": [mask_atoms(p.mask) for p in partition],
-                        "choice": [v.values.tolist() for v in choice],
-                    }
-                    break
-                pos = r - 1
-                while pos >= 0:
-                    idxs[pos] += 1
-                    if idxs[pos] < len(members):
-                        break
-                    idxs[pos] = 0
-                    pos -= 1
-                if pos < 0 or combos > max_combos:
-                    break
+    walk = (
+        (partition, choice)
+        for partition in (iter_partitions(space.algebra) if members else ())
+        for choice in itertools.product(members, repeat=len(partition))
+    )
+    for combos, (partition, choice) in enumerate(walk, start=1):
+        if not inside(space.indicator_mix(partition, choice)):
+            violation = {
+                "partition": [mask_atoms(p.mask) for p in partition],
+                "choice": [v.values.tolist() for v in choice],
+            }
+            break
+        if combos > SUBLEVEL_MAX_COMBOS:
+            if next(walk, None) is not None:
+                notes.append(
+                    f"mixing closure checked on the first {combos} combinations of a "
+                    "partition and a choice of members only: the walk stops at its cap"
+                )
+            break
+    mixing_ok = violation is None
 
-    base = members[0] if members else probe[0]
-    bounded = [not bool(members)] * space.n_blocks
+    bounded = np.ones(space.n_blocks, dtype=bool)
     if members:
-        bounded = [True] * space.n_blocks
-        directions = []
+        base = members[0].values
         for v in probe:
-            directions.append(v.values)
-            directions.append(-v.values)
-        for dvec in directions:
-            if not np.any(dvec):
-                continue
-            escaped = np.zeros(space.n_blocks, dtype=bool)
-            t = 1.0
-            while t <= ray_bound:
-                vals = f(RandomVariable(base.values + t * dvec)).values
-                escaped |= vals > level
-                if escaped.all():
-                    break
-                t *= 2.0
-            for j in range(space.n_blocks):
-                if not escaped[j]:
-                    bounded[j] = False
+            for dvec in (v.values, -v.values):
+                if not np.any(dvec):
+                    continue
+                escaped = np.zeros(space.n_blocks, dtype=bool)
+                t = 1.0
+                while t <= SUBLEVEL_RAY_BOUND:
+                    escaped |= f(RandomVariable(base + t * dvec)).values > level
+                    if escaped.all():
+                        break
+                    t *= 2.0
+                bounded &= escaped
+    bounded = bounded.tolist()
 
     inf_compact = [mixing_ok and b for b in bounded]
     return SublevelReport(

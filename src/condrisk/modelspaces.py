@@ -19,6 +19,8 @@ from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 LUXEMBURG_TOL = 1e-10
+# slack of the blockwise pairing inequality in ``inequality_check``
+PAIRING_TOL = 1e-9
 
 
 class YoungFunctionError(CondriskError):
@@ -128,12 +130,11 @@ class YoungFunction:
         return f"YoungFunction({label}, finite_valued={self.finite_valued})"
 
 
-def young_power(p: float, grid: Optional[Sequence[float]] = None) -> YoungFunction:
+def young_power(p: float) -> YoungFunction:
     """The power Young function t^p / p for p > 1 (t for p = 1)."""
     if p < 1:
         raise ValueError("power Young functions need p >= 1")
-    if grid is None:
-        grid = np.geomspace(1e-3, 20.0, 64)
+    grid = np.geomspace(1e-3, 20.0, 64)
     if p == 1:
         return YoungFunction(lambda t: t, grid, finite_valued=True, name="t")
     return YoungFunction(lambda t: t**p / p, grid, finite_valued=True, name=f"t^{p:g}/{p:g}")
@@ -342,8 +343,6 @@ def inequality_check(
     y: RandomVariable,
     spec_pair: Sequence[ModuleSpec],
     space: FiniteProbSpace,
-    *,
-    tol: float = 1e-9,
 ) -> PairingReport:
     """Blockwise Holder/Young pairing inequality E[|xy| | F] <= C g(x) g(y).
 
@@ -359,7 +358,7 @@ def inequality_check(
     gx = module_gauge(first, x, space).values
     gy = module_gauge(second, y, space).values
     rhs = constant * gx * gy
-    holds = bool(np.all(lhs <= rhs + tol))
+    holds = bool(np.all(lhs <= rhs + PAIRING_TOL))
 
     checked = 0
     worst = 0.0

@@ -179,11 +179,16 @@ def cond_worst_case(space: FiniteProbSpace) -> CondRiskMeasure:
 
 
 def _as_block_params(space: FiniteProbSpace, value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number or one number per block") from None
     if arr.ndim == 0:
         arr = np.full(space.n_blocks, float(arr))
     if arr.shape != (space.n_blocks,):
         raise ValueError(f"{name} must be a scalar or one value per block")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return arr
 
 
@@ -313,12 +318,15 @@ def _law_preserving_permutation(space: FiniteProbSpace, rng) -> np.ndarray:
     return perm
 
 
+# slack allowed between the two sides of an axiom before a trial fails
+AXIOM_TOL = 1e-9
+
+
 def check_axiom(
     measure: CondRiskMeasure,
     axiom: str,
     trials: int = 100,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> AxiomReport:
     """Sampled check of one defining axiom; violations become report content."""
     if axiom not in AXIOMS:
@@ -340,30 +348,30 @@ def check_axiom(
             rhs = eta.values * measure.evaluate(x).values + (
                 1.0 - eta.values
             ) * measure.evaluate(y).values
-            bad = lhs > rhs + tol
+            bad = lhs > rhs + AXIOM_TOL
         elif axiom == "monotonicity":
             y = RandomVariable(xv + np.abs(rng.normal(0.0, 1.0, space.n_atoms)))
             lhs = measure.evaluate(y).values
             rhs = measure.evaluate(x).values
-            bad = lhs > rhs + tol
+            bad = lhs > rhs + AXIOM_TOL
         elif axiom == "cash_invariance":
             eta = ConditionalValue(rng.normal(0.0, 2.0, space.n_blocks))
             lhs = measure.evaluate(x + space.lift(eta)).values
             rhs = measure.evaluate(x).values - eta.values
-            bad = np.abs(lhs - rhs) > tol
+            bad = np.abs(lhs - rhs) > AXIOM_TOL
         elif axiom == "local_property":
             # a uniform element of the block algebra: each block in with chance 1/2
             on = rng.random(space.n_blocks) < 0.5
             cut = RandomVariable(x.values * space.broadcast(on))
             lhs = measure.evaluate(x).values
             rhs = measure.evaluate(cut).values
-            bad = on & (np.abs(lhs - rhs) > tol)
+            bad = on & (np.abs(lhs - rhs) > AXIOM_TOL)
         else:  # conditional_law_invariance
             perm = _law_preserving_permutation(space, rng)
             y = RandomVariable(xv[perm])
             lhs = measure.evaluate(x).values
             rhs = measure.evaluate(y).values
-            bad = np.abs(lhs - rhs) > tol
+            bad = np.abs(lhs - rhs) > AXIOM_TOL
 
         if np.any(bad):
             block = int(np.argmax(bad)) + 1

@@ -73,6 +73,14 @@ SCALARIZE_TRIALS = 64
 SCALARIZE_SEED = 7
 
 
+def _certify_local(measure: CondRiskMeasure, trials: int, seed: int) -> None:
+    report = check_axiom(measure, "local_property", trials=trials, seed=seed)
+    if not report.passed:
+        raise ScalarizeError(
+            f"{measure.label} fails the local property: {report.counterexample}"
+        )
+
+
 def scalarize(measure: CondRiskMeasure, atom: int, *, certify: bool = True) -> ScalarRiskMeasure:
     """Restrict to one block; refuses measures without the local property.
 
@@ -82,13 +90,7 @@ def scalarize(measure: CondRiskMeasure, atom: int, *, certify: bool = True) -> S
     space = measure.space
     k = space.block_index_array(atom).size
     if certify:
-        report = check_axiom(
-            measure, "local_property", trials=SCALARIZE_TRIALS, seed=SCALARIZE_SEED
-        )
-        if not report.passed:
-            raise ScalarizeError(
-                f"{measure.label} fails the local property: {report.counterexample}"
-            )
+        _certify_local(measure, SCALARIZE_TRIALS, SCALARIZE_SEED)
     for probe in (np.zeros(k), np.linspace(-1.0, 1.0, k)):
         lo = measure.evaluate(space.extend(probe, atom, fill=0.0)).values[atom - 1]
         hi = measure.evaluate(space.extend(probe, atom, fill=17.5)).values[atom - 1]
@@ -97,6 +99,15 @@ def scalarize(measure: CondRiskMeasure, atom: int, *, certify: bool = True) -> S
                 f"block {atom} restriction depends on the extension: {lo!r} vs {hi!r}"
             )
     return ScalarRiskMeasure(atom, space.block_space(atom), measure, measure.label)
+
+
+def _block_measures(measure: CondRiskMeasure, trials: int, seed: int) -> List[CondRiskMeasure]:
+    """Certify the local property once, then restrict the measure to every block."""
+    _certify_local(measure, trials, seed)
+    return [
+        scalarize(measure, j, certify=False).as_cond_measure()
+        for j in range(1, measure.space.n_blocks + 1)
+    ]
 
 
 # -- Fenchel consistency -----------------------------------------------------------
@@ -147,14 +158,11 @@ def fenchel_consistency(
     side always recomputes by the numeric grid, so the two columns are
     independent.  +inf verdicts must agree exactly.
     """
+    duals = list(duals)
+    if not duals:
+        raise ValueError("fenchel_consistency needs at least one dual")
     space = measure.space
-    report = check_axiom(measure, "local_property", trials=32, seed=11)
-    if not report.passed:
-        raise ScalarizeError(f"{measure.label} fails the local property")
-    blocks = [
-        scalarize(measure, j, certify=False).as_cond_measure()
-        for j in range(1, space.n_blocks + 1)
-    ]
+    blocks = _block_measures(measure, trials=32, seed=11)
     comparisons = []
     max_dev = 0.0
     infs_ok = True
@@ -226,18 +234,6 @@ def _default_sequences(x: RandomVariable, n_max: int):
     ]
 
 
-def _restrict_sequence(seq, space: FiniteProbSpace, j: int):
-    def cut(rv: RandomVariable) -> RandomVariable:
-        return RandomVariable(space.restrict(rv, j))
-
-    if isinstance(seq, ShrinkingPerturbationSeq):
-        dom = None if seq.dominator is None else cut(seq.dominator)
-        return ShrinkingPerturbationSeq(cut(seq.x), cut(seq.d), seq.n_max, dom)
-    return EventuallyConstantSeq(
-        tuple(cut(t) for t in seq.terms), cut(seq.tail), cut(seq.dominator)
-    )
-
-
 def _probe_duals(measure: CondRiskMeasure, seed: int, count: int = 5) -> List[RandomVariable]:
     """Admissible dual probes: the barycenter plus seeded random densities."""
     space = measure.space
@@ -249,11 +245,63 @@ def _probe_duals(measure: CondRiskMeasure, seed: int, count: int = 5) -> List[Ra
     return probes
 
 
+def _probe_level(measure: CondRiskMeasure, probes: Sequence[RandomVariable]) -> ConditionalValue:
+    """One above the largest finite probe penalty of each block (1 if none is finite)."""
+    pen = penalty_map(measure)
+    vals = np.stack([pen(p).values for p in probes])
+    levels = np.max(np.where(np.isfinite(vals), vals, -np.inf), axis=0)
+    return ConditionalValue(np.where(np.isfinite(levels), levels + 1.0, 1.0))
+
+
 # convergence items: tolerance and last index of the shrinking perturbation;
 # law-invariance item: sampled permutations per side
 CONV_TOL = 1e-3
 CONV_N_MAX = 10_000
 LAW_TRIALS = 200
+
+ITEM_QUALIFIERS = {
+    # every finite convex map on a finite space is continuous: both sides
+    # always pass, and reports must say so rather than claim evidence
+    6: "vacuous at finite scale",
+    7: "at probe resolution",
+}
+
+
+def _verdicts(
+    measure: CondRiskMeasure,
+    items: Sequence[int],
+    payoffs: List[RandomVariable],
+    probes: List[RandomVariable],
+    eta: Optional[ConditionalValue],
+    tol: float,
+    seed: int,
+) -> Dict[int, bool]:
+    """Verdict of each requested item for one measure.
+
+    The same checks judge the conditional measure and each block
+    restriction; only the inputs differ (whole or cut to the block).
+    """
+    space = measure.space
+    out: Dict[int, bool] = {}
+    if 1 in items or 2 in items:
+        rep = verify_representation(measure, payoffs, tol)
+        out[1] = rep.attained_all
+        out[2] = out[1] and all(e.maximizer.is_admissible(space) for e in rep.entries)
+    for number, prop in ((3, "fatou"), (4, "lebesgue")):
+        if number in items:
+            out[number] = all(
+                check_convergence_property(measure, prop, s, CONV_TOL).passed
+                for s in _default_sequences(payoffs[0], CONV_N_MAX)
+            )
+    if 5 in items:
+        out[5] = check_axiom(
+            measure, "conditional_law_invariance", trials=LAW_TRIALS, seed=seed
+        ).passed
+    out[6] = True
+    if 7 in items:
+        r = stable_sublevel_check(space, penalty_map(measure), eta, probes)
+        out[7] = r.mixing_closure_passed and all(r.inf_compact_per_block)
+    return {i: out[i] for i in items}
 
 
 def transfer_verify(
@@ -267,8 +315,10 @@ def transfer_verify(
     """Check the requested equivalences between the conditional measure and
     its per-block scalarizations on shared payoffs, sequences, and probes.
 
-    The per-block verdicts refine the single conditional verdict: at this
-    scale the model-side truth value is visible atom by atom.
+    One set of item checks judges the conditional measure on the whole
+    inputs, then each block restriction on the inputs cut to its block.  The
+    per-block verdicts refine the single conditional verdict: at this scale
+    the model-side truth value is visible atom by atom.
     """
     items = sorted(set(items))
     unknown = [i for i in items if i not in ITEM_NAMES]
@@ -279,123 +329,32 @@ def transfer_verify(
         raise ValueError("transfer_verify needs at least one payoff")
 
     space = measure.space
-    local = check_axiom(measure, "local_property", trials=64, seed=seed + 13)
-    if not local.passed:
-        raise ScalarizeError(
-            f"{measure.label} fails the local property: {local.counterexample}"
-        )
-    scalars = [
-        scalarize(measure, j, certify=False) for j in range(1, space.n_blocks + 1)
-    ]
-    block_measures = [s.as_cond_measure() for s in scalars]
-    restricted_payoffs = [
-        [RandomVariable(space.restrict(x, j)) for x in payoffs]
-        for j in range(1, space.n_blocks + 1)
-    ]
-
-    results: Dict[int, ItemResult] = {}
-
-    if 1 in items or 2 in items:
-        cond_rep = verify_representation(measure, payoffs, tol)
-        atom_reps = [
-            verify_representation(block_measures[j - 1], restricted_payoffs[j - 1], tol)
-            for j in range(1, space.n_blocks + 1)
-        ]
-        if 1 in items:
-            cond_ok = cond_rep.attained_all
-            per_atom = [r.attained_all for r in atom_reps]
-            results[1] = ItemResult(
-                1, ITEM_NAMES[1], cond_ok, per_atom, cond_ok == all(per_atom)
-            )
-        if 2 in items:
-            cond_ok = cond_rep.attained_all and all(
-                e.maximizer.is_admissible(space) for e in cond_rep.entries
-            )
-            per_atom = [
-                r.attained_all
-                and all(e.maximizer.is_admissible(bm.space) for e in r.entries)
-                for r, bm in zip(atom_reps, block_measures)
-            ]
-            results[2] = ItemResult(
-                2, ITEM_NAMES[2], cond_ok, per_atom, cond_ok == all(per_atom)
-            )
-
-    for number, prop in ((3, "fatou"), (4, "lebesgue")):
-        if number not in items:
-            continue
-        seqs = _default_sequences(payoffs[0], CONV_N_MAX)
-        cond_ok = all(
-            check_convergence_property(measure, prop, s, CONV_TOL).passed for s in seqs
-        )
-        per_atom = []
-        for j in range(1, space.n_blocks + 1):
-            cut = [_restrict_sequence(s, space, j) for s in seqs]
-            per_atom.append(
-                all(
-                    check_convergence_property(block_measures[j - 1], prop, s, CONV_TOL).passed
-                    for s in cut
-                )
-            )
-        results[number] = ItemResult(
-            number, ITEM_NAMES[number], cond_ok, per_atom, cond_ok == all(per_atom)
-        )
-
-    if 5 in items:
-        cond_ok = check_axiom(
-            measure, "conditional_law_invariance", trials=LAW_TRIALS, seed=seed
-        ).passed
-        per_atom = [
-            check_axiom(
-                block_measures[j - 1],
-                "conditional_law_invariance",
-                trials=LAW_TRIALS,
-                seed=seed,
-            ).passed
-            for j in range(1, space.n_blocks + 1)
-        ]
-        results[5] = ItemResult(
-            5, ITEM_NAMES[5], cond_ok, per_atom, cond_ok == all(per_atom)
-        )
-
-    if 6 in items:
-        # every finite convex map on a finite space is continuous: both sides
-        # always pass, and reports must say so rather than claim evidence
-        per_atom = [True] * space.n_blocks
-        results[6] = ItemResult(
-            6, ITEM_NAMES[6], True, per_atom, True, qualifier="vacuous at finite scale"
-        )
-
+    blocks = _block_measures(measure, trials=64, seed=seed + 13)
+    probes: List[RandomVariable] = []
+    eta = None
     if 7 in items:
         probes = _probe_duals(measure, seed)
-        pen = penalty_map(measure)
-        finite_levels = []
-        for p in probes:
-            vals = pen(p).values
-            finite_levels.append(np.where(np.isfinite(vals), vals, -np.inf))
-        levels = np.max(np.stack(finite_levels), axis=0)
-        eta = ConditionalValue(np.where(np.isfinite(levels), levels + 1.0, 1.0))
-        cond_report = stable_sublevel_check(space, pen, eta, probes)
-        cond_ok = cond_report.mixing_closure_passed and all(
-            cond_report.inf_compact_per_block
-        )
-        per_atom = []
-        for j in range(1, space.n_blocks + 1):
-            bm = block_measures[j - 1]
-            cut = [RandomVariable(space.restrict(p, j)) for p in probes]
-            r = stable_sublevel_check(
-                bm.space,
-                penalty_map(bm),
-                ConditionalValue([eta.values[j - 1]]),
-                cut,
+        eta = _probe_level(measure, probes)
+
+    verdicts = _verdicts(measure, items, payoffs, probes, eta, tol, seed)
+    per_block = []
+    for j, block in enumerate(blocks, start=1):
+        per_block.append(
+            _verdicts(
+                block,
+                items,
+                [RandomVariable(space.restrict(x, j)) for x in payoffs],
+                [RandomVariable(space.restrict(p, j)) for p in probes],
+                None if eta is None else ConditionalValue(eta.values[j - 1 : j]),
+                tol,
+                seed,
             )
-            per_atom.append(r.mixing_closure_passed and r.inf_compact_per_block[0])
-        results[7] = ItemResult(
-            7,
-            ITEM_NAMES[7],
-            cond_ok,
-            per_atom,
-            cond_ok == all(per_atom),
-            qualifier="at probe resolution",
         )
 
+    results = {}
+    for i in items:
+        ok, per_atom = verdicts[i], [v[i] for v in per_block]
+        results[i] = ItemResult(
+            i, ITEM_NAMES[i], ok, per_atom, ok == all(per_atom), ITEM_QUALIFIERS.get(i)
+        )
     return TransferReport(measure.label, results)

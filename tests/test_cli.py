@@ -194,6 +194,36 @@ def test_ingest_field_errors(tmp_path):
         assert needle in str(err.value)
 
 
+def test_non_finite_measure_parameter_named_at_ingest(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        json.dumps(
+            {
+                "probs": [0.25, 0.25, 0.25, 0.25],
+                "blocks": [[1, 2], [3, 4]],
+                "measures": [{"kind": "entropic", "gamma": None}],
+                "payoffs": [[1, 3, 2, 6]],
+            }
+        )
+    )
+    with pytest.raises(ScenarioError, match=r"measures\[0\]: gamma must be finite"):
+        ingest(str(path))
+    raw = json.loads(path.read_text())
+    for bad in ({}, "abc", [1.0, None]):
+        raw["measures"][0]["gamma"] = bad
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ScenarioError, match=r"measures\[0\]: gamma must be"):
+            ingest(str(path))
+    raw["measures"][0]["gamma"] = None
+    path.write_text(json.dumps(raw))
+    code, out = run(
+        capsys,
+        ["risk", "eval", "--scenario", str(path), "--measure", "entropic", "--payoff", "0"],
+    )
+    assert code == 2
+    assert out["error"].startswith("measures[0]: gamma must be finite")
+
+
 def test_ingest_roundtrip_structure(s4_path):
     scenario = ingest(s4_path)
     assert scenario.space.n_atoms == 4

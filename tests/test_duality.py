@@ -7,6 +7,7 @@ from condrisk import (
     ConditionalValue,
     DualSearchConfig,
     DualVariable,
+    FiniteProbSpace,
     PartitionOfUnity,
     RandomVariable,
     admissible_dual,
@@ -267,3 +268,24 @@ def test_sublevel_trivial_partition_membership(s4):
     y = RandomVariable([-5, -5, -5, -5])  # rho(y) = 5 > 0: outside
     rep = stable_sublevel_check(s4, ent.evaluate, ConditionalValue([0, 0]), [y])
     assert rep.members == 0 and rep.notes
+
+
+def test_sublevel_walk_cap_is_reported(s4):
+    # 12 singleton blocks and 5 members: Bell(12) partitions, 5^12 choices on
+    # the first alone; the walk stops at its cap and says how far it got
+    rng = np.random.default_rng(0)
+    wide = FiniteProbSpace([1 / 12] * 12, [[j] for j in range(1, 13)])
+    for space, capped in ((wide, True), (s4, False)):
+        probes = [RandomVariable(-np.ones(space.n_atoms))] + [
+            RandomVariable(admissible_dual(space, rng.uniform(0.2, 1.8, space.n_atoms)).values)
+            for _ in range(4)
+        ]
+        f = penalty_map(cond_worst_case(space))
+        rep = stable_sublevel_check(space, f, ConditionalValue(np.ones(space.n_blocks)), probes)
+        assert rep.members == 5
+        assert rep.mixing_closure_passed and all(rep.inf_compact_per_block)
+        cap_notes = [n for n in rep.notes if "cap" in n]
+        if capped:
+            assert len(cap_notes) == 1 and "first 4097 combinations" in cap_notes[0]
+        else:
+            assert cap_notes == []

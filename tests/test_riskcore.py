@@ -108,6 +108,23 @@ def test_axioms_never_list_the_algebra(monkeypatch):
     assert scalarize(m, 20, certify=True).block == 20
 
 
+@pytest.mark.parametrize(
+    "factory, value",
+    [
+        (cond_entropic, math.nan),
+        (cond_entropic, None),
+        (cond_entropic, math.inf),
+        (cond_entropic, [1.0, math.nan]),
+        (cond_avar, math.nan),
+        (cond_avar, None),
+    ],
+)
+def test_block_params_refuse_non_finite(s4, factory, value):
+    # refused at construction, not later as a NaN risk figure
+    with pytest.raises(ValueError, match="must be finite"):
+        factory(s4, value)
+
+
 def test_unknown_axiom(s4):
     with pytest.raises(ValueError):
         check_axiom(neg_cond_expectation(s4), "coherence", trials=1)

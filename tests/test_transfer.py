@@ -161,6 +161,11 @@ def test_fenchel_consistency_seeded(s4):
         assert rep.passed, (m.label, rep.max_deviation)
 
 
+def test_fenchel_consistency_needs_a_dual(s4):
+    with pytest.raises(ValueError):
+        fenchel_consistency(neg_cond_expectation(s4), [])
+
+
 def test_transfer_verify_builtins(s4):
     rng = np.random.default_rng(54)
     payoffs = [RandomVariable(rng.normal(0, 2, 4)) for _ in range(8)]
@@ -181,6 +186,28 @@ def test_transfer_tilt_localizes(s4):
     assert not item.conditional
     assert item.per_atom == [False, True]
     assert item.equivalence  # both sides fail together
+
+
+def ceil_measure(space):
+    """Local: -E[x | block 1] on block 1, -ceil(E[x | block 2]) on block 2."""
+
+    def ev(x):
+        vals = -space.cond_expect(x).values
+        vals[1] = -math.ceil(-vals[1])
+        return ConditionalValue(vals)
+
+    return CondRiskMeasure(space, ev, "ceil")
+
+
+def test_transfer_convergence_localizes(s4):
+    # block 2 has mean exactly 2, so x + 1/n jumps the ceiling there for every n:
+    # Fatou and Lebesgue fail on block 2 only, on the block's own cut sequences
+    rep = transfer_verify(ceil_measure(s4), [3, 4], [RandomVariable([0.3, -1.2, 1.0, 3.0])])
+    for number in (3, 4):
+        item = rep.items[number]
+        assert not item.conditional
+        assert item.per_atom == [True, False]
+        assert item.equivalence
 
 
 def test_transfer_verify_guards(s4):

@@ -88,7 +88,6 @@ from .riskcore import (
     neg_cond_expectation,
 )
 from .transfer import (
-    ScalarRiskMeasure,
     TransferReport,
     fenchel_consistency,
     scalarize,

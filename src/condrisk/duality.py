@@ -395,6 +395,12 @@ def dual_representation(
     )
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that no comparison can use: NaN, negative or infinite."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 @dataclass
 class RepresentationEntry:
     payoff: RandomVariable
@@ -443,6 +449,7 @@ def verify_representation(
     cfg: Optional[DualSearchConfig] = None,
 ) -> RepresentationReport:
     """Compare rho(x) against the dual value for each payoff."""
+    _check_tol(tol)
     payoffs = list(payoffs)
     if not payoffs:
         raise ValueError("verify_representation needs at least one payoff")

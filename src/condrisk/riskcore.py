@@ -46,7 +46,8 @@ class CondRiskMeasure:
     admissible density for the measure; ``dual_density_cap`` and
     ``dual_penalty_grad`` steer the dual ascent.  ``restrict(j)`` cuts block
     ``j`` out as a classical measure on one block, which is what the dual
-    engine works on.
+    engine works on: a built-in rebuilds itself there natively, a user
+    measure is padded back to the whole space.
     """
 
     space: FiniteProbSpace
@@ -57,6 +58,11 @@ class CondRiskMeasure:
     dual_density_cap: Optional[Callable[[int], Optional[float]]] = None
     dual_penalty_grad: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
+    # built-ins only: ``cut(block_space, j)`` builds the same built-in on
+    # block j's space with block j's parameter
+    _cut: Optional[Callable[[FiniteProbSpace, int], "CondRiskMeasure"]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def evaluate(self, x: RandomVariable) -> ConditionalValue:
         self.space._check_rv(x)
@@ -79,17 +85,24 @@ class CondRiskMeasure:
     def restrict(self, j: int) -> "CondRiskMeasure":
         """Block ``j`` as a measure on ``space.block_space(j)``.
 
-        The one place a block is cut out of the space: block payoffs are
-        extended by 0 and block duals by -1, the parent's column ``j`` is read
-        back, and the cap and gradient hooks are the parent's at ``j``.  Block
-        coordinates follow ``space.block_index_array(j)``, so a measure on one
-        block that lists its atoms in order is its own restriction.
+        The one place a block is cut out of the space.  A built-in is built
+        anew on the block's space with block ``j``'s parameter, so its work
+        and its ``params`` are the block's alone.  A user measure is padded:
+        block payoffs are extended by 0 and block duals by -1, the parent's
+        column ``j`` is read back, and the cap and gradient hooks are the
+        parent's at ``j``.  Block coordinates follow
+        ``space.block_index_array(j)``, so a measure on one block that lists
+        its atoms in order is its own restriction.
         """
         space = self.space
         idx = space.block_index_array(j)
         n = space.n_atoms
         if space.n_blocks == 1 and space.blocks[0] == tuple(range(1, n + 1)):
             return self
+        if self._cut is not None:
+            block = self._cut(space.block_space(j), j)
+            block.label = f"{self.label}@block{j}"
+            return block
         col = slice(j - 1, j)
 
         def ev(x: RandomVariable) -> ConditionalValue:
@@ -124,8 +137,9 @@ class CondRiskMeasure:
         )
 
 
-def _builtin(space, label, batch, penalty, **dual) -> CondRiskMeasure:
-    """A built-in from its batched risk (rows of payoffs) and its penalty map.
+def _builtin(space, label, batch, penalty, cut, **dual) -> CondRiskMeasure:
+    """A built-in from its batched risk (rows of payoffs), its penalty map and
+    ``cut(block_space, j)``, which builds it on one block for ``restrict``.
 
     Batches run in chunks of rows of about CHUNK_ELEMENTS payoff entries, so a
     batch's full-size temporaries stay that small however many rows it has.
@@ -137,7 +151,7 @@ def _builtin(space, label, batch, penalty, **dual) -> CondRiskMeasure:
             return batch(xs)
         return np.concatenate([batch(xs[i : i + step]) for i in range(0, len(xs), step)])
 
-    return CondRiskMeasure(
+    measure = CondRiskMeasure(
         space,
         lambda x: ConditionalValue(batch(x.values[None])[0]),
         label,
@@ -145,6 +159,8 @@ def _builtin(space, label, batch, penalty, **dual) -> CondRiskMeasure:
         evaluate_batch_fn=batch_fn,
         **dual,
     )
+    measure._cut = cut
+    return measure
 
 
 def _admissible_mask(space: FiniteProbSpace, y: np.ndarray) -> np.ndarray:
@@ -165,6 +181,7 @@ def neg_cond_expectation(space: FiniteProbSpace) -> CondRiskMeasure:
         "neg_expectation",
         lambda xs: -space.block_mean(xs),
         lambda y: _zero_where(space.block_max(np.abs(y + 1.0)) <= ADMISSIBLE_TOL),
+        lambda block, j: neg_cond_expectation(block),
     )
 
 
@@ -175,6 +192,7 @@ def cond_worst_case(space: FiniteProbSpace) -> CondRiskMeasure:
         "worst_case",
         lambda xs: -space.block_min(xs),
         lambda y: _zero_where(_admissible_mask(space, y)),
+        lambda block, j: cond_worst_case(block),
     )
 
 
@@ -214,7 +232,13 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
         return (q / g[j - 1]) * (np.log(np.maximum(d, 1e-300)) + 1.0)
 
     return _builtin(
-        space, "entropic", batch, penalty, dual_penalty_grad=grad, params={"gamma": g}
+        space,
+        "entropic",
+        batch,
+        penalty,
+        lambda block, j: cond_entropic(block, g[j - 1]),
+        dual_penalty_grad=grad,
+        params={"gamma": g},
     )
 
 
@@ -268,6 +292,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         "avar",
         batch,
         penalty,
+        lambda block, j: cond_avar(block, lam_arr[j - 1]),
         dual_density_cap=lambda j: 1.0 / lam_arr[j - 1],
         params={"lambda": lam_arr},
     )

@@ -10,13 +10,14 @@ conditional penalty matches the per-block classical conjugates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .duality import (
     DualVariable,
+    _check_tol,
     admissible_dual,
     fenchel,
     penalty_map,
@@ -25,7 +26,7 @@ from .duality import (
     verify_representation,
 )
 from .errors import CondriskError
-from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
+from .probspace import ConditionalValue, RandomVariable
 from .riskcore import (
     CondRiskMeasure,
     EventuallyConstantSeq,
@@ -50,24 +51,6 @@ ITEM_NAMES = {
 }
 
 
-@dataclass
-class ScalarRiskMeasure:
-    """Restriction of a local conditional risk measure to one block."""
-
-    block: int
-    space: FiniteProbSpace  # single-block space under the conditional probabilities
-    parent: CondRiskMeasure
-    label: str
-
-    def evaluate(self, xi) -> float:
-        """Risk of a payoff on the block, extended by zero elsewhere."""
-        return float(self.as_cond_measure().evaluate(RandomVariable(xi)).values[0])
-
-    def as_cond_measure(self) -> CondRiskMeasure:
-        """The same measure viewed conditionally over the trivial algebra."""
-        return self.parent.restrict(self.block)
-
-
 # local-property trials run by ``scalarize`` before it restricts a measure
 SCALARIZE_TRIALS = 64
 SCALARIZE_SEED = 7
@@ -81,33 +64,31 @@ def _certify_local(measure: CondRiskMeasure, trials: int, seed: int) -> None:
         )
 
 
-def scalarize(measure: CondRiskMeasure, atom: int, *, certify: bool = True) -> ScalarRiskMeasure:
+def scalarize(measure: CondRiskMeasure, block: int, *, certify: bool = True) -> CondRiskMeasure:
     """Restrict to one block; refuses measures without the local property.
 
     Well-definedness (independence from the off-block extension) is asserted
-    by evaluating two different extensions and comparing exactly.
+    by evaluating two different extensions and comparing exactly.  The result
+    is ``measure.restrict(block)``, a measure on ``space.block_space(block)``.
     """
     space = measure.space
-    k = space.block_index_array(atom).size
+    k = space.block_index_array(block).size
     if certify:
         _certify_local(measure, SCALARIZE_TRIALS, SCALARIZE_SEED)
     for probe in (np.zeros(k), np.linspace(-1.0, 1.0, k)):
-        lo = measure.evaluate(space.extend(probe, atom, fill=0.0)).values[atom - 1]
-        hi = measure.evaluate(space.extend(probe, atom, fill=17.5)).values[atom - 1]
+        lo = measure.evaluate(space.extend(probe, block, fill=0.0)).values[block - 1]
+        hi = measure.evaluate(space.extend(probe, block, fill=17.5)).values[block - 1]
         if lo != hi:
             raise ScalarizeError(
-                f"block {atom} restriction depends on the extension: {lo!r} vs {hi!r}"
+                f"block {block} restriction depends on the extension: {lo!r} vs {hi!r}"
             )
-    return ScalarRiskMeasure(atom, space.block_space(atom), measure, measure.label)
+    return measure.restrict(block)
 
 
 def _block_measures(measure: CondRiskMeasure, trials: int, seed: int) -> List[CondRiskMeasure]:
     """Certify the local property once, then restrict the measure to every block."""
     _certify_local(measure, trials, seed)
-    return [
-        scalarize(measure, j, certify=False).as_cond_measure()
-        for j in range(1, measure.space.n_blocks + 1)
-    ]
+    return [scalarize(measure, j, certify=False) for j in range(1, measure.space.n_blocks + 1)]
 
 
 # -- Fenchel consistency -----------------------------------------------------------
@@ -158,6 +139,7 @@ def fenchel_consistency(
     side always recomputes by the numeric grid, so the two columns are
     independent.  +inf verdicts must agree exactly.
     """
+    _check_tol(tol)
     duals = list(duals)
     if not duals:
         raise ValueError("fenchel_consistency needs at least one dual")
@@ -195,6 +177,7 @@ class ItemResult:
     per_atom: List[bool]
     equivalence: bool
     qualifier: Optional[str] = None
+    notes: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         out = {
@@ -205,6 +188,8 @@ class ItemResult:
         }
         if self.qualifier:
             out["qualifier"] = self.qualifier
+        if self.notes:
+            out["notes"] = list(self.notes)
         return out
 
 
@@ -275,14 +260,15 @@ def _verdicts(
     eta: Optional[ConditionalValue],
     tol: float,
     seed: int,
-) -> Dict[int, bool]:
-    """Verdict of each requested item for one measure.
+) -> Tuple[Dict[int, bool], List[str]]:
+    """Verdict of each requested item for one measure, and the notes of item 7.
 
     The same checks judge the conditional measure and each block
     restriction; only the inputs differ (whole or cut to the block).
     """
     space = measure.space
     out: Dict[int, bool] = {}
+    notes: List[str] = []
     if 1 in items or 2 in items:
         rep = verify_representation(measure, payoffs, tol)
         out[1] = rep.attained_all
@@ -301,7 +287,8 @@ def _verdicts(
     if 7 in items:
         r = stable_sublevel_check(space, penalty_map(measure), eta, probes)
         out[7] = r.mixing_closure_passed and all(r.inf_compact_per_block)
-    return {i: out[i] for i in items}
+        notes = r.notes
+    return {i: out[i] for i in items}, notes
 
 
 def transfer_verify(
@@ -320,6 +307,7 @@ def transfer_verify(
     per-block verdicts refine the single conditional verdict: at this scale
     the model-side truth value is visible atom by atom.
     """
+    _check_tol(tol)
     items = sorted(set(items))
     unknown = [i for i in items if i not in ITEM_NAMES]
     if unknown:
@@ -336,7 +324,7 @@ def transfer_verify(
         probes = _probe_duals(measure, seed)
         eta = _probe_level(measure, probes)
 
-    verdicts = _verdicts(measure, items, payoffs, probes, eta, tol, seed)
+    verdicts, notes = _verdicts(measure, items, payoffs, probes, eta, tol, seed)
     per_block = []
     for j, block in enumerate(blocks, start=1):
         per_block.append(
@@ -348,13 +336,19 @@ def transfer_verify(
                 None if eta is None else ConditionalValue(eta.values[j - 1 : j]),
                 tol,
                 seed,
-            )
+            )[0]
         )
 
     results = {}
     for i in items:
         ok, per_atom = verdicts[i], [v[i] for v in per_block]
         results[i] = ItemResult(
-            i, ITEM_NAMES[i], ok, per_atom, ok == all(per_atom), ITEM_QUALIFIERS.get(i)
+            i,
+            ITEM_NAMES[i],
+            ok,
+            per_atom,
+            ok == all(per_atom),
+            ITEM_QUALIFIERS.get(i),
+            notes if i == 7 else [],
         )
     return TransferReport(measure.label, results)

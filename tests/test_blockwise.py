@@ -26,6 +26,7 @@ from condrisk import (
     cond_worst_case,
     neg_cond_expectation,
 )
+from condrisk.riskcore import BUILTIN_FACTORIES
 
 TOL = 1e-9
 
@@ -168,3 +169,60 @@ def test_restrict_matches_its_parent(case):
             else:
                 d = dens[idx]
                 assert np.array_equal(bm.dual_penalty_grad(1, d), m.dual_penalty_grad(j, d))
+
+
+def _uneven_space(rng, n_blocks, max_size):
+    """Blocks of 1..max_size shuffled atoms under uneven probabilities."""
+    sizes = rng.integers(1, max_size + 1, n_blocks)
+    n = int(sizes.sum())
+    blocks = [b.tolist() for b in np.split(rng.permutation(n) + 1, np.cumsum(sizes)[:-1])]
+    weights = rng.uniform(0.5, 2.0, n)
+    return FiniteProbSpace(weights / weights.sum(), blocks)
+
+
+def test_builtins_restrict_natively():
+    rng = np.random.default_rng(61)
+    space = _uneven_space(rng, 4, 4)
+    params = {"gamma": np.array([0.5, 1.0, 2.5, 4.0]), "lambda": np.array([0.1, 0.5, 0.7, 1.0])}
+    xs = rng.integers(-4, 5, (3, space.n_atoms)) / 2.0
+    y = admissible_dual(space, rng.uniform(0.2, 1.8, space.n_atoms)).values
+    cuts = [space.block_index_array(j) for j in range(1, space.n_blocks + 1)]
+
+    def refuse(*args):
+        raise AssertionError("the parent measure was evaluated")
+
+    for kind, factory in BUILTIN_FACTORIES.items():
+        parent = factory(space, **params)
+        before = [
+            (parent.restrict(j).evaluate_batch(xs[:, idx]),
+             parent.restrict(j).closed_form_penalty(y[idx]).values)
+            for j, idx in enumerate(cuts, start=1)
+        ]
+        parent.evaluate_fn = parent.evaluate_batch_fn = parent.closed_form_penalty = refuse
+        for j, idx in enumerate(cuts, start=1):
+            block = parent.restrict(j)
+            assert np.array_equal(block.evaluate_batch(xs[:, idx]), before[j - 1][0]), kind
+            assert np.array_equal(block.closed_form_penalty(y[idx]).values, before[j - 1][1])
+            assert block.params.keys() == parent.params.keys()
+            for name, value in block.params.items():
+                assert np.array_equal(value, params[name][j - 1 : j]), (kind, name)
+
+    # a user measure has no other route than padding to the parent's width
+    user = _user_entropic(space, params["gamma"])
+    user.evaluate_fn = refuse
+    with pytest.raises(AssertionError, match="parent measure"):
+        user.restrict(1).evaluate_batch(xs[:, cuts[0]])
+
+
+def test_avar_restrictions_past_1023_blocks():
+    # the parent's fixed-point scale drops to 2^51 past 1,023 blocks, while a
+    # block's own AVaR keeps 2^52: the two roundings must still agree
+    rng = np.random.default_rng(62)
+    space = _uneven_space(rng, 1100, 5)
+    lam = rng.choice([0.1, 0.25, 0.5, 0.7, 1.0], space.n_blocks)
+    measure = cond_avar(space, lam)
+    xs = rng.integers(-4, 5, (3, space.n_atoms)) / 2.0  # tied payoffs
+    whole = measure.evaluate_batch(xs)
+    for j in range(1, space.n_blocks + 1):
+        block = measure.restrict(j).evaluate_batch(xs[:, space.block_index_array(j)])
+        _close(block, whole[:, j - 1 : j])

@@ -143,6 +143,17 @@ def test_exit_code_on_failed_check(capsys, s4_path, tmp_path):
     assert out["passed"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["transfer", "verify", "--measure", "avar"], ["dual", "represent", "--measure", "entropic"]],
+)
+def test_bad_tolerance_exits_2(capsys, s4_path, command, tol):
+    code, out = run(capsys, command + ["--scenario", s4_path, "--tol", tol])
+    assert code == 2
+    assert "tol must be a finite number >= 0" in out["error"]
+
+
 def test_input_errors(capsys, tmp_path, s4_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"probs": [0.5, 0.4], "blocks": [[1], [2]]}))

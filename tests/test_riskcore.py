@@ -105,7 +105,7 @@ def test_axioms_never_list_the_algebra(monkeypatch):
     m = cond_avar(space, 0.5)
     for axiom in AXIOMS:
         assert check_axiom(m, axiom, trials=20, seed=5).passed, axiom
-    assert scalarize(m, 20, certify=True).block == 20
+    assert scalarize(m, 20, certify=True).space is space.block_space(20)
 
 
 @pytest.mark.parametrize(

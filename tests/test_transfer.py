@@ -7,6 +7,7 @@ from condrisk import (
     CondRiskMeasure,
     ConditionalValue,
     DualVariable,
+    FiniteProbSpace,
     ModuleSpec,
     PartitionOfUnity,
     RandomVariable,
@@ -20,6 +21,7 @@ from condrisk import (
     neg_cond_expectation,
     scalarize,
     transfer_verify,
+    verify_representation,
     young_power,
 )
 from condrisk.transfer import ScalarizeError
@@ -61,22 +63,27 @@ def nonlocal_measure(space):
     return CondRiskMeasure(space, ev, "crossblock")
 
 
+def risk(measure, xi):
+    """Risk of a payoff on a one-block measure, as a float."""
+    return float(measure.evaluate(RandomVariable(xi)).values[0])
+
+
 def test_scalarize_examples(s4):
     sc = scalarize(cond_entropic(s4, 1.0), 1)
-    assert sc.evaluate([-LOG2, -LOG2]) == pytest.approx(LOG2, abs=1e-12)
+    assert risk(sc, [-LOG2, -LOG2]) == pytest.approx(LOG2, abs=1e-12)
     sc = scalarize(neg_cond_expectation(s4), 2)
-    assert sc.evaluate([1.0, 3.0]) == pytest.approx(-2.0, abs=1e-12)
+    assert risk(sc, [1.0, 3.0]) == pytest.approx(-2.0, abs=1e-12)
     # cash invariance of the restriction
     for m in builtins(s4):
         sc = scalarize(m, 1, certify=False)
-        base = sc.evaluate([0.0, 0.0])
-        assert sc.evaluate([3.0, 3.0]) == pytest.approx(base - 3.0, abs=1e-9)
+        base = risk(sc, [0.0, 0.0])
+        assert risk(sc, [3.0, 3.0]) == pytest.approx(base - 3.0, abs=1e-9)
 
 
 def test_scalar_evaluate_refuses_a_short_block_payoff(s4):
     # one value must not stand for the payoff on a 2-atom block
     with pytest.raises(SpaceError):
-        scalarize(cond_entropic(s4, 1.0), 1).evaluate([1.0])
+        scalarize(cond_entropic(s4, 1.0), 1).evaluate(RandomVariable([1.0]))
 
 
 def test_scalarize_refuses_nonlocal(s4):
@@ -100,7 +107,7 @@ def test_exact_scalarization_identity(s4, space8):
                 x = RandomVariable(rng.normal(0, 2, space.n_atoms))
                 direct = m.evaluate(x).values
                 for j, sc in enumerate(scalars, start=1):
-                    assert abs(direct[j - 1] - sc.evaluate(space.restrict(x, j))) <= 1e-12
+                    assert abs(direct[j - 1] - risk(sc, space.restrict(x, j))) <= 1e-12
 
 
 def test_gauge_restriction_identity(s4, space8):
@@ -220,9 +227,31 @@ def test_transfer_verify_guards(s4):
         transfer_verify(nonlocal_measure(s4), [1], payoffs)
 
 
-def test_uneven_blocks_and_singletons():
-    from condrisk import FiniteProbSpace, verify_representation
+def test_item_7_carries_the_sublevel_cap_note(s4):
+    # 12 singleton blocks: the mixing walk over Bell(12) partitions stops at its cap
+    space = FiniteProbSpace([1 / 12] * 12, [[a] for a in range(1, 13)])
+    x = RandomVariable(np.linspace(-1.0, 1.0, 12))
+    item = transfer_verify(neg_cond_expectation(space), [7], [x]).to_dict()["items"]["7"]
+    assert len(item["notes"]) == 1
+    assert "the walk stops at its cap" in item["notes"][0]
+    # no cap hit on s4: the key is absent, as before
+    item = transfer_verify(neg_cond_expectation(s4), [7], [RandomVariable([1, 3, 2, 6])])
+    assert "notes" not in item.to_dict()["items"]["7"]
 
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_bad_tolerance_refused(s4, tol):
+    m, x = neg_cond_expectation(s4), RandomVariable([1, 3, 2, 6])
+    for call in (
+        lambda: verify_representation(m, [x], tol=tol),
+        lambda: transfer_verify(m, [1], [x], tol=tol),
+        lambda: fenchel_consistency(m, [DualVariable([-1, -1, -1, -1])], tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol"):
+            call()
+
+
+def test_uneven_blocks_and_singletons():
     space = FiniteProbSpace([0.2, 0.3, 0.5], [[1], [2, 3]])
     x = RandomVariable([1.0, -2.0, 0.7])
     dual = admissible_dual(space, np.array([1.0, 0.5, 1.3]))

@@ -561,21 +561,29 @@ def stable_sublevel_check(
     if not members:
         notes.append("no probe member lies in the sublevel set; verdicts vacuous")
 
+    # mixed payoffs are pasted from one stack of the members: a choice picks
+    # a member (a row) per part, and the partition's part index per atom
+    # turns it into one row index per atom
+    stack = np.stack([v.values for v in members]) if members else None
+    cols = np.arange(space.n_atoms)
+
+    def walk():
+        for partition in iter_partitions(space.algebra) if members else ():
+            part = space.part_index(partition)
+            for choice in itertools.product(range(len(members)), repeat=len(partition)):
+                yield partition, part, choice
+
     violation = None
-    walk = (
-        (partition, choice)
-        for partition in (iter_partitions(space.algebra) if members else ())
-        for choice in itertools.product(members, repeat=len(partition))
-    )
-    for combos, (partition, choice) in enumerate(walk, start=1):
-        if not inside(space.indicator_mix(partition, choice)):
+    steps = walk()
+    for combos, (partition, part, choice) in enumerate(steps, start=1):
+        if not inside(RandomVariable(stack[np.array(choice)[part], cols])):
             violation = {
                 "partition": [mask_atoms(p.mask) for p in partition],
-                "choice": [v.values.tolist() for v in choice],
+                "choice": [members[k].values.tolist() for k in choice],
             }
             break
         if combos > SUBLEVEL_MAX_COMBOS:
-            if next(walk, None) is not None:
+            if next(steps, None) is not None:
                 notes.append(
                     f"mixing closure checked on the first {combos} combinations of a "
                     "partition and a choice of members only: the walk stops at its cap"

@@ -313,21 +313,30 @@ class FiniteProbSpace:
     def essinf_cond(self, x: RandomVariable) -> ConditionalValue:
         return ConditionalValue(self.block_min(self._check_rv(x)))
 
-    def indicator_mix(self, partition: PartitionOfUnity, xs: Sequence[RandomVariable]) -> RandomVariable:
-        """Paste one payoff per part: the result agrees with ``xs[k]`` on part k."""
+    def part_index(self, partition: PartitionOfUnity) -> np.ndarray:
+        """For each sample atom, the index of the part that holds its block.
+
+        The one mixing rule: a payoff pasted along ``partition`` from a stack
+        of payoffs takes atom ``i`` from row ``part_index(partition)[i]``.
+        """
         if not isinstance(partition, PartitionOfUnity):
             raise TypeError("expected a PartitionOfUnity")
         self._check_elem(partition.parts[0])
+        part_of = np.empty(self.n_blocks, dtype=np.intp)
+        for k, part in enumerate(partition):
+            part_of[mask_array(part.mask, self.n_blocks)] = k
+        return self.broadcast(part_of)
+
+    def indicator_mix(self, partition: PartitionOfUnity, xs: Sequence[RandomVariable]) -> RandomVariable:
+        """Paste one payoff per part: the result agrees with ``xs[k]`` on part k."""
+        part = self.part_index(partition)
         xs = list(xs)
         if len(xs) != len(partition):
             raise SpaceError(
                 f"{len(partition)} parts but {len(xs)} payoffs"
             )
-        part_of = np.empty(self.n_blocks, dtype=np.intp)
-        for k, part in enumerate(partition):
-            part_of[mask_array(part.mask, self.n_blocks)] = k
         stacked = np.stack([self._check_rv(x) for x in xs])
-        return RandomVariable(stacked[self.broadcast(part_of), np.arange(self.n_atoms)])
+        return RandomVariable(stacked[part, np.arange(self.n_atoms)])
 
     def cond_cdf(self, x: RandomVariable, eta: ConditionalValue) -> ConditionalValue:
         """P(x <= eta | block) per block."""

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CondriskError
-from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, _cv
+from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, SpaceError, _cv
 
 # a dual variable y is an admissible density when y <= 0 and E[y | block] = -1
 ADMISSIBLE_TOL = 1e-10
@@ -331,20 +331,109 @@ class AxiomReport:
         return out
 
 
-def _law_preserving_permutation(space: FiniteProbSpace, rng) -> np.ndarray:
-    """Permute sample atoms within equal-conditional-mass groups of each block."""
-    perm = np.arange(space.n_atoms)
+# slack allowed between the two sides of an axiom before a trial fails
+AXIOM_TOL = 1e-9
+
+
+def _equal_mass_groups(space: FiniteProbSpace) -> list:
+    """Atoms of equal conditional mass in each block, as index arrays.
+
+    A conditional law survives any shuffle inside a group.  One-atom groups
+    are left out: their shuffle is the identity and draws nothing.
+    """
+    groups = []
     for j in range(1, space.n_blocks + 1):
         idx = space.block_index_array(j)
         q = space.cond_probs(j)
         for mass in np.unique(np.round(q, 12)):
             group = idx[np.abs(q - mass) <= 1e-12]
+            if group.size > 1:
+                groups.append(group)
+    return groups
+
+
+def _draw_trials(axiom: str, space: FiniteProbSpace, groups: list, rng, size: int) -> list:
+    """Inputs of ``size`` trials, stacked: the payoffs x, then what the axiom needs.
+
+    The generator is read as if trial after trial were drawn.  Where every
+    draw of a trial is normal, one call fills the whole batch: a normal draw
+    of any shape reads one stream of standard normals z in order and
+    returns loc + scale * z.
+    """
+    n, m = space.n_atoms, space.n_blocks
+    if axiom == "monotonicity":
+        z = rng.standard_normal((size, 2 * n))
+        return [0.0 + 2.0 * z[:, :n], np.abs(z[:, n:])]
+    if axiom == "cash_invariance":
+        z = rng.normal(0.0, 2.0, (size, n + m))
+        return [z[:, :n], z[:, n:]]
+    if axiom == "conditional_law_invariance" and not groups:
+        return [rng.normal(0.0, 2.0, (size, n)), np.broadcast_to(np.arange(n), (size, n))]
+
+    def trial() -> tuple:
+        x = rng.normal(0.0, 2.0, n)
+        if axiom == "convexity":
+            return x, rng.normal(0.0, 2.0, n), rng.uniform(0.0, 1.0, m)
+        if axiom == "local_property":
+            # a uniform element of the block algebra: each block in with chance 1/2
+            return x, rng.random(m) < 0.5
+        # conditional_law_invariance: a law-preserving permutation of the atoms
+        perm = np.arange(n)
+        for group in groups:
             perm[group] = rng.permutation(perm[group])
-    return perm
+        return x, perm
+
+    return [np.stack(col) for col in zip(*(trial() for _ in range(size)))]
 
 
-# slack allowed between the two sides of an axiom before a trial fails
-AXIOM_TOL = 1e-9
+def _risk_rows(measure: CondRiskMeasure) -> Callable[[np.ndarray], np.ndarray]:
+    """Risk of each row, with every check of ``evaluate`` but finiteness.
+
+    ``check_axiom`` places a non-finite risk against the first failing trial
+    itself, so no row may raise for it here.  A measure without a batch
+    function is evaluated row by row through ``evaluate_fn``.
+    """
+    space = measure.space
+    if measure.evaluate_batch_fn is None:
+        return lambda xs: np.stack(
+            [space._check_cv(measure.evaluate_fn(RandomVariable(row))) for row in xs]
+        )
+
+    def risk(xs: np.ndarray) -> np.ndarray:
+        out = np.asarray(measure.evaluate_batch(xs), dtype=float)
+        if out.shape != (len(xs), space.n_blocks):
+            raise SpaceError(
+                f"{measure.label} returned risks of shape {out.shape}, "
+                f"expected {(len(xs), space.n_blocks)}"
+            )
+        return out
+
+    return risk
+
+
+def _axiom_sides(axiom: str, space: FiniteProbSpace, risk, x: np.ndarray, *drawn):
+    """Both sides of the axiom for a batch of trials, and the blocks that fail."""
+    if axiom == "convexity":
+        y, eta = drawn
+        weight = space.broadcast(eta)
+        lhs = risk(weight * x + (1.0 - weight) * y)
+        rhs = eta * risk(x) + (1.0 - eta) * risk(y)
+        return lhs, rhs, lhs > rhs + AXIOM_TOL
+    if axiom == "monotonicity":
+        (up,) = drawn
+        lhs, rhs = risk(x + up), risk(x)
+        return lhs, rhs, lhs > rhs + AXIOM_TOL
+    if axiom == "cash_invariance":
+        (eta,) = drawn
+        lhs, rhs = risk(x + space.broadcast(eta)), risk(x) - eta
+        return lhs, rhs, np.abs(lhs - rhs) > AXIOM_TOL
+    if axiom == "local_property":
+        (on,) = drawn
+        lhs, rhs = risk(x), risk(x * space.broadcast(on))
+        return lhs, rhs, on & (np.abs(lhs - rhs) > AXIOM_TOL)
+    (perm,) = drawn
+    lhs, rhs = risk(x), risk(np.take_along_axis(x, perm, axis=-1))
+    return lhs, rhs, np.abs(lhs - rhs) > AXIOM_TOL
 
 
 def check_axiom(
@@ -353,65 +442,54 @@ def check_axiom(
     trials: int = 100,
     seed: int = 0,
 ) -> AxiomReport:
-    """Sampled check of one defining axiom; violations become report content."""
+    """Sampled check of one defining axiom; violations become report content.
+
+    Trials are drawn one after another from one generator and evaluated in
+    row batches.  The batches double in size up to about CHUNK_ELEMENTS
+    payoff entries, so an early failure costs few evaluations and memory
+    does not grow with ``trials``.  The first failing trial is reported; a
+    non-finite risk in that trial or an earlier one raises RiskMeasureError.
+    """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     space = measure.space
     rng = np.random.default_rng(seed)
+    groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else []
+    risk = _risk_rows(measure)
+    cap = max(1, CHUNK_ELEMENTS // space.n_atoms)
 
-    for trial in range(trials):
-        xv = rng.normal(0.0, 2.0, space.n_atoms)
-        x = RandomVariable(xv)
-        if axiom == "convexity":
-            y = RandomVariable(rng.normal(0.0, 2.0, space.n_atoms))
-            eta = ConditionalValue(rng.uniform(0.0, 1.0, space.n_blocks))
-            weight = space.lift(eta).values
-            mix = RandomVariable(weight * x.values + (1.0 - weight) * y.values)
-            lhs = measure.evaluate(mix).values
-            rhs = eta.values * measure.evaluate(x).values + (
-                1.0 - eta.values
-            ) * measure.evaluate(y).values
-            bad = lhs > rhs + AXIOM_TOL
-        elif axiom == "monotonicity":
-            y = RandomVariable(xv + np.abs(rng.normal(0.0, 1.0, space.n_atoms)))
-            lhs = measure.evaluate(y).values
-            rhs = measure.evaluate(x).values
-            bad = lhs > rhs + AXIOM_TOL
-        elif axiom == "cash_invariance":
-            eta = ConditionalValue(rng.normal(0.0, 2.0, space.n_blocks))
-            lhs = measure.evaluate(x + space.lift(eta)).values
-            rhs = measure.evaluate(x).values - eta.values
-            bad = np.abs(lhs - rhs) > AXIOM_TOL
-        elif axiom == "local_property":
-            # a uniform element of the block algebra: each block in with chance 1/2
-            on = rng.random(space.n_blocks) < 0.5
-            cut = RandomVariable(x.values * space.broadcast(on))
-            lhs = measure.evaluate(x).values
-            rhs = measure.evaluate(cut).values
-            bad = on & (np.abs(lhs - rhs) > AXIOM_TOL)
-        else:  # conditional_law_invariance
-            perm = _law_preserving_permutation(space, rng)
-            y = RandomVariable(xv[perm])
-            lhs = measure.evaluate(x).values
-            rhs = measure.evaluate(y).values
-            bad = np.abs(lhs - rhs) > AXIOM_TOL
-
-        if np.any(bad):
-            block = int(np.argmax(bad)) + 1
+    done, size = 0, 1
+    while done < trials:
+        size = min(size, cap, trials - done)
+        inputs = _draw_trials(axiom, space, groups, rng, size)
+        # a side is finite exactly when the risks it is made of are
+        with np.errstate(invalid="ignore"):
+            lhs, rhs, bad = _axiom_sides(axiom, space, risk, *inputs)
+        failing = bad.any(axis=-1)
+        first = int(np.argmax(failing)) if failing.any() else size
+        finite = np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
+        if not finite[: first + 1].all():
+            raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
+        if first < size:
+            block = int(np.argmax(bad[first])) + 1
             return AxiomReport(
                 axiom,
                 trials,
                 False,
                 {
-                    "trial": trial,
+                    "trial": done + first,
                     "block": block,
-                    "x": x.values.tolist(),
-                    "lhs": float(lhs[block - 1]),
-                    "rhs": float(rhs[block - 1]),
+                    "x": inputs[0][first].tolist(),
+                    "lhs": float(lhs[first, block - 1]),
+                    "rhs": float(rhs[first, block - 1]),
                 },
             )
+        done += size
+        size *= 2
     return AxiomReport(axiom, trials, True)
 
 

@@ -190,3 +190,111 @@ def reference_elements(m: int):
         frozenset(a for a in range(1, m + 1) if mask >> (a - 1) & 1)
         for mask in range(1 << m)
     ]
+
+
+# -- one-trial-at-a-time reference for the axiom checker ----------------------------
+# Each trial is drawn and judged on its own with ``evaluate``, which raises on a
+# non-finite risk; the batched checker must agree report for report.
+
+
+def reference_check_axiom(measure, axiom, trials, seed):
+    """AxiomReport of ``axiom`` from ``trials`` trials judged one at a time."""
+    from condrisk import ConditionalValue, RandomVariable
+    from condrisk.riskcore import AXIOM_TOL, AxiomReport
+
+    space = measure.space
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        xv = rng.normal(0.0, 2.0, space.n_atoms)
+        x = RandomVariable(xv)
+        if axiom == "convexity":
+            y = RandomVariable(rng.normal(0.0, 2.0, space.n_atoms))
+            eta = ConditionalValue(rng.uniform(0.0, 1.0, space.n_blocks))
+            weight = space.lift(eta).values
+            mix = RandomVariable(weight * x.values + (1.0 - weight) * y.values)
+            lhs = measure.evaluate(mix).values
+            rhs = eta.values * measure.evaluate(x).values + (
+                1.0 - eta.values
+            ) * measure.evaluate(y).values
+            bad = lhs > rhs + AXIOM_TOL
+        elif axiom == "monotonicity":
+            y = RandomVariable(xv + np.abs(rng.normal(0.0, 1.0, space.n_atoms)))
+            lhs = measure.evaluate(y).values
+            rhs = measure.evaluate(x).values
+            bad = lhs > rhs + AXIOM_TOL
+        elif axiom == "cash_invariance":
+            eta = ConditionalValue(rng.normal(0.0, 2.0, space.n_blocks))
+            lhs = measure.evaluate(x + space.lift(eta)).values
+            rhs = measure.evaluate(x).values - eta.values
+            bad = np.abs(lhs - rhs) > AXIOM_TOL
+        elif axiom == "local_property":
+            on = rng.random(space.n_blocks) < 0.5
+            cut = RandomVariable(x.values * space.broadcast(on))
+            lhs = measure.evaluate(x).values
+            rhs = measure.evaluate(cut).values
+            bad = on & (np.abs(lhs - rhs) > AXIOM_TOL)
+        else:  # conditional_law_invariance
+            perm = np.arange(space.n_atoms)
+            for j in range(1, space.n_blocks + 1):
+                idx = space.block_index_array(j)
+                q = space.cond_probs(j)
+                for mass in np.unique(np.round(q, 12)):
+                    group = idx[np.abs(q - mass) <= 1e-12]
+                    perm[group] = rng.permutation(perm[group])
+            lhs = measure.evaluate(x).values
+            rhs = measure.evaluate(RandomVariable(xv[perm])).values
+            bad = np.abs(lhs - rhs) > AXIOM_TOL
+        if np.any(bad):
+            block = int(np.argmax(bad)) + 1
+            return AxiomReport(
+                axiom,
+                trials,
+                False,
+                {
+                    "trial": trial,
+                    "block": block,
+                    "x": x.values.tolist(),
+                    "lhs": float(lhs[block - 1]),
+                    "rhs": float(rhs[block - 1]),
+                },
+            )
+    return AxiomReport(axiom, trials, True)
+
+
+# -- reference mixing walk ----------------------------------------------------------
+# Pastes every combination through the validated ``indicator_mix``, as the walk
+# of ``stable_sublevel_check`` did before it pasted from a member stack.
+
+
+def reference_sublevel_walk(space, f, eta, probe, max_combos):
+    """(members, violation, notes) of the mixing walk over ``probe``."""
+    import itertools
+
+    from condrisk import iter_partitions
+    from condrisk.boolalg import mask_atoms
+
+    def inside(v):
+        return bool(np.all(f(v).values <= eta.values))
+
+    members = [v for v in probe if inside(v)]
+    notes = [] if members else ["no probe member lies in the sublevel set; verdicts vacuous"]
+    walk = (
+        (partition, choice)
+        for partition in (iter_partitions(space.algebra) if members else ())
+        for choice in itertools.product(members, repeat=len(partition))
+    )
+    for combos, (partition, choice) in enumerate(walk, start=1):
+        if not inside(space.indicator_mix(partition, choice)):
+            violation = {
+                "partition": [mask_atoms(p.mask) for p in partition],
+                "choice": [v.values.tolist() for v in choice],
+            }
+            return len(members), violation, notes
+        if combos > max_combos:
+            if next(walk, None) is not None:
+                notes.append(
+                    f"mixing closure checked on the first {combos} combinations of a "
+                    "partition and a choice of members only: the walk stops at its cap"
+                )
+            break
+    return len(members), None, notes

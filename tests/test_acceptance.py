@@ -123,6 +123,7 @@ def test_criterion_5_interpretation_maps(s4):
 
 def test_criterion_6_axiom_suite(s4):
     with criterion(6, "axiom suite"):
+        start = time.perf_counter()
         for measure in _builtins(s4):
             for axiom in cr.AXIOMS:
                 report = cr.check_axiom(measure, axiom, trials=1000, seed=106)
@@ -138,6 +139,8 @@ def test_criterion_6_axiom_suite(s4):
         ce = report.counterexample
         assert ce is not None
         assert ce["lhs"] > ce["rhs"] + 1e-9  # a concrete violated inequality
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"axiom suite took {elapsed:.2f}s"
 
 
 def test_criterion_7_young_holder(s4):

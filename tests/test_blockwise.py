@@ -4,6 +4,8 @@ Spaces are uneven, with shuffled atoms and single-atom blocks; payoffs sit on
 a coarse grid, so tied losses are common.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     reference_admissible_dual,
+    reference_check_axiom,
     reference_cond_ops,
     reference_penalty,
     reference_risk,
@@ -21,12 +24,14 @@ from condrisk import (
     FiniteProbSpace,
     RandomVariable,
     admissible_dual,
+    check_axiom,
     cond_avar,
     cond_entropic,
     cond_worst_case,
     neg_cond_expectation,
 )
-from condrisk.riskcore import BUILTIN_FACTORIES
+from condrisk import riskcore
+from condrisk.riskcore import AXIOMS, BUILTIN_FACTORIES
 
 TOL = 1e-9
 
@@ -226,3 +231,48 @@ def test_avar_restrictions_past_1023_blocks():
     for j in range(1, space.n_blocks + 1):
         block = measure.restrict(j).evaluate_batch(xs[:, space.block_index_array(j)])
         _close(block, whole[:, j - 1 : j])
+
+
+def _axiom_measures(space, gamma, lam):
+    """The four built-ins, a broken measure with a batch function and a
+    non-local user measure without one."""
+
+    def broken_rows(xs):
+        mu = space.block_mean(xs)
+        return -mu - 0.1 * np.sign(mu)
+
+    broken = CondRiskMeasure(
+        space,
+        lambda x: ConditionalValue(broken_rows(x.values)),
+        "broken_sign",
+        evaluate_batch_fn=broken_rows,
+    )
+
+    def leaky(x):
+        # every block's figure also sees the global mean: not local
+        return ConditionalValue(-space.block_mean(x.values) - 0.25 * np.dot(space.probs, x.values))
+
+    return [
+        neg_cond_expectation(space),
+        cond_worst_case(space),
+        cond_entropic(space, gamma),
+        cond_avar(space, lam),
+        broken,
+        CondRiskMeasure(space, leaky, "leaky"),
+    ]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(cases(), st.integers(0, 2**16))
+def test_check_axiom_matches_one_trial_at_a_time(case, seed):
+    space, _, gamma, lam, _, _, _ = case
+    for measure in _axiom_measures(space, gamma, lam):
+        for axiom in AXIOMS:
+            want = reference_check_axiom(measure, axiom, 25, seed)
+            # batches of at most three trials as well: the cap on a batch
+            # and the trial offset of later batches come into play
+            for chunk in (3 * space.n_atoms, riskcore.CHUNK_ELEMENTS):
+                with mock.patch.object(riskcore, "CHUNK_ELEMENTS", chunk):
+                    got = check_axiom(measure, axiom, 25, seed)
+                assert (got.passed, got.trials) == (want.passed, want.trials)
+                assert repr(got.counterexample) == repr(want.counterexample)

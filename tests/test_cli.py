@@ -68,6 +68,16 @@ def test_risk_check_axioms(capsys, s4_path):
     }
 
 
+def test_negative_seed_refused_by_name(capsys, s4_path):
+    code, out = run(
+        capsys,
+        ["risk", "check-axioms", "--scenario", s4_path, "--measure", "worst_case",
+         "--seed", "-1"],
+    )
+    assert code == 2
+    assert out == {"error": "seed must be a non-negative integer, got -1"}
+
+
 def test_dual_penalty(capsys, s4_path):
     code, out = run(
         capsys,

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from condrisk import (
     stable_sublevel_check,
     verify_representation,
 )
-from condrisk.duality import DualityError, _project_capped_simplex
+from _helpers import reference_sublevel_walk
+from condrisk import duality
+from condrisk.duality import SUBLEVEL_MAX_COMBOS, DualityError, _project_capped_simplex
 
 LOG2 = math.log(2.0)
 
@@ -270,22 +273,71 @@ def test_sublevel_trivial_partition_membership(s4):
     assert rep.members == 0 and rep.notes
 
 
+def _dual_probes(space, rng):
+    return [RandomVariable(-np.ones(space.n_atoms))] + [
+        RandomVariable(admissible_dual(space, rng.uniform(0.2, 1.8, space.n_atoms)).values)
+        for _ in range(4)
+    ]
+
+
 def test_sublevel_walk_cap_is_reported(s4):
     # 12 singleton blocks and 5 members: Bell(12) partitions, 5^12 choices on
-    # the first alone; the walk stops at its cap and says how far it got
+    # the first alone; the walk stops at its cap and says how far it got, in
+    # the words of the walk through indicator_mix
     rng = np.random.default_rng(0)
     wide = FiniteProbSpace([1 / 12] * 12, [[j] for j in range(1, 13)])
     for space, capped in ((wide, True), (s4, False)):
-        probes = [RandomVariable(-np.ones(space.n_atoms))] + [
-            RandomVariable(admissible_dual(space, rng.uniform(0.2, 1.8, space.n_atoms)).values)
-            for _ in range(4)
-        ]
+        probes = _dual_probes(space, rng)
         f = penalty_map(cond_worst_case(space))
-        rep = stable_sublevel_check(space, f, ConditionalValue(np.ones(space.n_blocks)), probes)
+        eta = ConditionalValue(np.ones(space.n_blocks))
+        rep = stable_sublevel_check(space, f, eta, probes)
         assert rep.members == 5
         assert rep.mixing_closure_passed and all(rep.inf_compact_per_block)
+        assert (rep.members, rep.mixing_violation, rep.notes) == reference_sublevel_walk(
+            space, f, eta, probes, SUBLEVEL_MAX_COMBOS
+        )
         cap_notes = [n for n in rep.notes if "cap" in n]
         if capped:
             assert len(cap_notes) == 1 and "first 4097 combinations" in cap_notes[0]
         else:
             assert cap_notes == []
+    # s4's whole walk is 30 combinations: a cap one below stops on the last
+    # of them, with none left and no note; a cap two below leaves one
+    for cap, noted in ((29, False), (28, True)):
+        with mock.patch.object(duality, "SUBLEVEL_MAX_COMBOS", cap):
+            rep = stable_sublevel_check(s4, f, eta, probes)
+        assert (rep.members, rep.mixing_violation, rep.notes) == reference_sublevel_walk(
+            s4, f, eta, probes, cap
+        )
+        assert bool(rep.notes) == noted
+
+
+def test_mixing_walk_matches_indicator_mix_reference():
+    # four blocks of two shuffled atoms, five members: 1,555 combinations over
+    # Bell(4) = 15 partitions.  A mix along a coarse partition is also a mix
+    # along the finest one, so a plain f that breaks closure does it on the
+    # first partition; this f is not even a function of the payoff: it turns
+    # away the k-th payoff it is shown, so its violation lands wherever the
+    # walk is at that call, late partitions included
+    rng = np.random.default_rng(8)
+    space = FiniteProbSpace([1 / 8] * 8, [[3, 5], [1, 8], [6, 2], [7, 4]])
+    probes = _dual_probes(space, rng)
+    eta = ConditionalValue(np.ones(space.n_blocks))
+    base = penalty_map(cond_worst_case(space))
+    # calls 1-5 screen the members, 6-1560 are the combinations, 1561 on
+    # probe the rays
+    for k in (9, 640, 1200, 1560, 1561):
+        calls = [0]
+
+        def f(v, k=k):
+            calls[0] += 1
+            out = base(v)
+            return ConditionalValue(out.values + 5.0) if calls[0] == k else out
+
+        rep = stable_sublevel_check(space, f, eta, probes)
+        calls[0] = 0
+        want = reference_sublevel_walk(space, f, eta, probes, SUBLEVEL_MAX_COMBOS)
+        assert (rep.members, rep.mixing_violation, rep.notes) == want
+        assert rep.mixing_closure_passed == (k == 1561)
+        if k == 1560:  # the last combination: the whole space as one part
+            assert rep.mixing_violation["partition"] == [[1, 2, 3, 4]]

@@ -1,8 +1,12 @@
 import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from _helpers import reference_check_axiom
 from condrisk import (
     AXIOMS,
     CondRiskMeasure,
@@ -10,6 +14,7 @@ from condrisk import (
     EventuallyConstantSeq,
     RandomVariable,
     ShrinkingPerturbationSeq,
+    SpaceError,
     check_all_axioms,
     check_axiom,
     check_convergence_property,
@@ -18,6 +23,7 @@ from condrisk import (
     cond_worst_case,
     neg_cond_expectation,
 )
+from condrisk import riskcore
 from condrisk.riskcore import RiskMeasureError, UndominatedSequenceError
 
 
@@ -130,6 +136,113 @@ def test_unknown_axiom(s4):
         check_axiom(neg_cond_expectation(s4), "coherence", trials=1)
     with pytest.raises(ValueError):
         check_axiom(neg_cond_expectation(s4), "convexity", trials=0)
+
+
+def _trial_payoffs(space, axiom, trials, seed):
+    """The payoff x of each trial, drawn in check_axiom's order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        out.append(rng.normal(0.0, 2.0, space.n_atoms))
+        if axiom == "convexity":
+            rng.normal(0.0, 2.0, space.n_atoms)
+            rng.uniform(0.0, 1.0, space.n_blocks)
+        else:  # cash_invariance
+            rng.normal(0.0, 2.0, space.n_blocks)
+    return out
+
+
+def _infinite_at(space, rows, x_bad, batched):
+    """A measure from ``rows`` that is +inf on every block at payoff ``x_bad``."""
+
+    def inf_rows(vals):
+        hit = np.all(vals == x_bad, axis=-1)
+        return np.where(hit[..., None], math.inf, rows(vals))
+
+    return CondRiskMeasure(
+        space,
+        lambda x: ConditionalValue(inf_rows(x.values)),
+        "inf_at_k",
+        evaluate_batch_fn=inf_rows if batched else None,
+    )
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_non_finite_risk_against_first_failure(s4, batched):
+    # seed 36: broken_sign first fails convexity at trial 5, inside the batch
+    # of trials 3..6; trial k's own payoff gets an infinite risk
+    seed, first_fail = 36, 5
+    xs = _trial_payoffs(s4, "convexity", 10, seed)
+    assert reference_check_axiom(broken_measure(s4), "convexity", 10, seed).counterexample[
+        "trial"
+    ] == first_fail
+    broken_rows = lambda v: -s4.block_mean(v) - 0.1 * np.sign(s4.block_mean(v))
+    for k in (0, 3, 4, 5, 6, 9):
+        measure = _infinite_at(s4, broken_rows, xs[k], batched)
+        if k <= first_fail:
+            with pytest.raises(RiskMeasureError, match="non-finite"):
+                reference_check_axiom(measure, "convexity", 10, seed)
+            with pytest.raises(RiskMeasureError, match="non-finite"):
+                check_axiom(measure, "convexity", 10, seed)
+        else:
+            want = reference_check_axiom(measure, "convexity", 10, seed)
+            got = check_axiom(measure, "convexity", 10, seed)
+            assert want.counterexample["trial"] == first_fail
+            assert repr(got.to_dict()) == repr(want.to_dict())
+
+    # cash invariance of the negated mean: the infinite risk of trial 4 is
+    # also the first trial whose two sides differ, and it still raises
+    xs = _trial_payoffs(s4, "cash_invariance", 10, seed)
+    measure = _infinite_at(s4, lambda v: -s4.block_mean(v), xs[4], batched)
+    with pytest.raises(RiskMeasureError, match="non-finite"):
+        check_axiom(measure, "cash_invariance", 10, seed)
+
+
+def test_batch_of_wrong_shape_refused(s4):
+    m = CondRiskMeasure(
+        s4,
+        lambda x: ConditionalValue([0.0, 0.0]),
+        "flat",
+        evaluate_batch_fn=lambda xs: np.zeros((len(xs), 3)),
+    )
+    with pytest.raises(SpaceError, match="shape"):
+        check_axiom(m, "monotonicity", trials=5)
+
+
+def test_early_failure_among_many_trials_is_cheap(s4):
+    # 10**9 trials: the batches grow from one trial, so the failure at trial 3
+    # is found after a few small batches, not after 10**9 x 4 drawn entries
+    tracemalloc.start()
+    try:
+        report = check_axiom(broken_measure(s4), "convexity", trials=10**9, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = reference_check_axiom(broken_measure(s4), "convexity", 10**9, 0)
+    assert repr(report.to_dict()) == repr(want.to_dict())
+    assert report.counterexample["trial"] == 3
+    assert peak < 1 << 20, peak
+
+
+def test_trial_memory_does_not_grow_with_trials(s4):
+    # batches of at most 64 trials: 20,000 trials pass through the same few
+    # small arrays; stacking them all would take 20,000 x 4 x 8 bytes per side
+    with mock.patch.object(riskcore, "CHUNK_ELEMENTS", 256):
+        tracemalloc.start()
+        try:
+            report = check_axiom(neg_cond_expectation(s4), "monotonicity", trials=20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert report.passed and report.trials == 20_000
+    assert peak < 1 << 18, peak
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3"])
+def test_bad_seed_refused_by_name(s4, seed):
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_axiom(neg_cond_expectation(s4), "convexity", trials=1, seed=seed)
 
 
 def test_avar_lambda_one_is_neg_expectation(s4, space8):

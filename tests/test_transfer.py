@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -260,6 +261,20 @@ def test_uneven_blocks_and_singletons():
         assert fenchel_consistency(m, [dual], tol=1e-6).passed
     rep = transfer_verify(cond_entropic(space, 1.0), [1, 2, 3, 4, 5, 6, 7], [x])
     assert rep.all_equivalences_hold
+
+
+def test_transfer_verify_on_20_blocks_in_time():
+    # AVaR on 20 blocks of 2 atoms, items 1-7; item 7's walk stops at its cap
+    rng = np.random.default_rng(71)
+    probs = rng.uniform(0.5, 2.0, 40)
+    space = FiniteProbSpace(probs / probs.sum(), [[2 * j + 1, 2 * j + 2] for j in range(20)])
+    payoffs = [RandomVariable(rng.normal(0, 2, 40)) for _ in range(3)]
+    start = time.perf_counter()
+    rep = transfer_verify(cond_avar(space, 0.5), [1, 2, 3, 4, 5, 6, 7], payoffs)
+    elapsed = time.perf_counter() - start
+    assert rep.all_equivalences_hold
+    assert "the walk stops at its cap" in rep.items[7].notes[0]
+    assert elapsed < 2.0, f"transfer_verify on 20 blocks took {elapsed:.2f}s"
 
 
 def test_transfer_report_shape(s4):

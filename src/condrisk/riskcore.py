@@ -39,7 +39,7 @@ class CondRiskMeasure:
     ``evaluate_fn`` maps one payoff to its blockwise risk.  ``evaluate_batch_fn``
     is the hook for a vectorized user measure: it maps a ``(rows, n_atoms)``
     array to ``(rows, n_blocks)`` risks, and ``evaluate_batch`` loops over
-    ``evaluate`` without it.  Built-ins supply one batched function over the
+    ``evaluate_fn`` without it.  Built-ins supply one batched function over the
     last axis and evaluate a single payoff as a one-row case of it.
     ``closed_form_penalty`` maps a raw dual vector (one value per sample atom,
     all <= 0) to the blockwise penalty, +inf where the vector is not an
@@ -65,22 +65,30 @@ class CondRiskMeasure:
     )
 
     def evaluate(self, x: RandomVariable) -> ConditionalValue:
+        out = self._evaluate_one(x)
+        if not np.all(np.isfinite(out.values)):
+            raise RiskMeasureError(f"{self.label} produced a non-finite risk value")
+        return out
+
+    def _evaluate_one(self, x: RandomVariable) -> ConditionalValue:
         self.space._check_rv(x)
         out = self.evaluate_fn(x)
-        vals = self.space._check_cv(out)
-        if not np.all(np.isfinite(vals)):
-            raise RiskMeasureError(f"{self.label} produced a non-finite risk value")
+        self.space._check_cv(out)
         return out
 
     def __call__(self, x: RandomVariable) -> ConditionalValue:
         return self.evaluate(x)
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Risk of each row of ``xs``; falls back to looping over evaluate."""
+        """Risk of each row of ``xs``; falls back to looping over evaluate_fn.
+
+        Unlike ``evaluate`` it passes non-finite risks through, batch
+        function or not, and leaves them to the caller.
+        """
         xs = np.asarray(xs, dtype=float)
         if self.evaluate_batch_fn is not None:
             return self.evaluate_batch_fn(xs)
-        return np.stack([self.evaluate(RandomVariable(row)).values for row in xs])
+        return np.stack([self._evaluate_one(RandomVariable(row)).values for row in xs])
 
     def restrict(self, j: int) -> "CondRiskMeasure":
         """Block ``j`` as a measure on ``space.block_space(j)``.
@@ -353,27 +361,18 @@ def _equal_mass_groups(space: FiniteProbSpace) -> list:
 
 
 def _draw_trials(axiom: str, space: FiniteProbSpace, groups: list, rng, size: int) -> list:
-    """Inputs of ``size`` trials, stacked: the payoffs x, then what the axiom needs.
-
-    The generator is read as if trial after trial were drawn.  Where every
-    draw of a trial is normal, one call fills the whole batch: a normal draw
-    of any shape reads one stream of standard normals z in order and
-    returns loc + scale * z.
-    """
+    """Inputs of ``size`` trials, drawn trial after trial and stacked: the
+    payoffs x, then what the axiom needs."""
     n, m = space.n_atoms, space.n_blocks
-    if axiom == "monotonicity":
-        z = rng.standard_normal((size, 2 * n))
-        return [0.0 + 2.0 * z[:, :n], np.abs(z[:, n:])]
-    if axiom == "cash_invariance":
-        z = rng.normal(0.0, 2.0, (size, n + m))
-        return [z[:, :n], z[:, n:]]
-    if axiom == "conditional_law_invariance" and not groups:
-        return [rng.normal(0.0, 2.0, (size, n)), np.broadcast_to(np.arange(n), (size, n))]
 
     def trial() -> tuple:
         x = rng.normal(0.0, 2.0, n)
         if axiom == "convexity":
             return x, rng.normal(0.0, 2.0, n), rng.uniform(0.0, 1.0, m)
+        if axiom == "monotonicity":
+            return x, np.abs(rng.normal(0.0, 1.0, n))
+        if axiom == "cash_invariance":
+            return x, rng.normal(0.0, 2.0, m)
         if axiom == "local_property":
             # a uniform element of the block algebra: each block in with chance 1/2
             return x, rng.random(m) < 0.5
@@ -387,17 +386,12 @@ def _draw_trials(axiom: str, space: FiniteProbSpace, groups: list, rng, size: in
 
 
 def _risk_rows(measure: CondRiskMeasure) -> Callable[[np.ndarray], np.ndarray]:
-    """Risk of each row, with every check of ``evaluate`` but finiteness.
+    """``evaluate_batch`` with its output shape checked.
 
-    ``check_axiom`` places a non-finite risk against the first failing trial
-    itself, so no row may raise for it here.  A measure without a batch
-    function is evaluated row by row through ``evaluate_fn``.
+    Like ``evaluate_batch`` it lets a non-finite risk through: ``check_axiom``
+    places one against the first failing trial itself.
     """
     space = measure.space
-    if measure.evaluate_batch_fn is None:
-        return lambda xs: np.stack(
-            [space._check_cv(measure.evaluate_fn(RandomVariable(row))) for row in xs]
-        )
 
     def risk(xs: np.ndarray) -> np.ndarray:
         out = np.asarray(measure.evaluate_batch(xs), dtype=float)
@@ -436,6 +430,37 @@ def _axiom_sides(axiom: str, space: FiniteProbSpace, risk, x: np.ndarray, *drawn
     return lhs, rhs, np.abs(lhs - rhs) > AXIOM_TOL
 
 
+def _first_failure(measure: CondRiskMeasure, axiom: str, inputs: list) -> Optional[tuple]:
+    """``(trial, block, lhs, rhs)`` of the first failing trial of a batch, or None.
+
+    As if the trials ran one by one, a non-finite risk or an error in that
+    trial or an earlier one is raised, and nothing after it.  So a batch that
+    raises is run again a trial at a time to place the error.
+    """
+    space = measure.space
+    try:
+        # a side is finite exactly when the risks it is made of are
+        with np.errstate(invalid="ignore"):
+            lhs, rhs, bad = _axiom_sides(axiom, space, _risk_rows(measure), *inputs)
+    except Exception:
+        if len(inputs[0]) == 1:
+            raise
+        for i in range(len(inputs[0])):
+            found = _first_failure(measure, axiom, [a[i : i + 1] for a in inputs])
+            if found is not None:
+                return (i, *found[1:])
+        raise
+    failing = bad.any(axis=-1)
+    first = int(np.argmax(failing)) if failing.any() else len(failing)
+    finite = np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
+    if not finite[: first + 1].all():
+        raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
+    if first == len(failing):
+        return None
+    block = int(np.argmax(bad[first])) + 1
+    return first, block, float(lhs[first, block - 1]), float(rhs[first, block - 1])
+
+
 def check_axiom(
     measure: CondRiskMeasure,
     axiom: str,
@@ -448,7 +473,8 @@ def check_axiom(
     row batches.  The batches double in size up to about CHUNK_ELEMENTS
     payoff entries, so an early failure costs few evaluations and memory
     does not grow with ``trials``.  The first failing trial is reported; a
-    non-finite risk in that trial or an earlier one raises RiskMeasureError.
+    non-finite risk in that trial or an earlier one raises RiskMeasureError,
+    and an error the measure raises there is raised.
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
@@ -459,23 +485,15 @@ def check_axiom(
     space = measure.space
     rng = np.random.default_rng(seed)
     groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else []
-    risk = _risk_rows(measure)
     cap = max(1, CHUNK_ELEMENTS // space.n_atoms)
 
     done, size = 0, 1
     while done < trials:
         size = min(size, cap, trials - done)
         inputs = _draw_trials(axiom, space, groups, rng, size)
-        # a side is finite exactly when the risks it is made of are
-        with np.errstate(invalid="ignore"):
-            lhs, rhs, bad = _axiom_sides(axiom, space, risk, *inputs)
-        failing = bad.any(axis=-1)
-        first = int(np.argmax(failing)) if failing.any() else size
-        finite = np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
-        if not finite[: first + 1].all():
-            raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
-        if first < size:
-            block = int(np.argmax(bad[first])) + 1
+        found = _first_failure(measure, axiom, inputs)
+        if found is not None:
+            first, block, lhs, rhs = found
             return AxiomReport(
                 axiom,
                 trials,
@@ -484,8 +502,8 @@ def check_axiom(
                     "trial": done + first,
                     "block": block,
                     "x": inputs[0][first].tolist(),
-                    "lhs": float(lhs[first, block - 1]),
-                    "rhs": float(rhs[first, block - 1]),
+                    "lhs": lhs,
+                    "rhs": rhs,
                 },
             )
         done += size

@@ -12,6 +12,7 @@ from condrisk import (
     CondRiskMeasure,
     ConditionalValue,
     EventuallyConstantSeq,
+    FiniteProbSpace,
     RandomVariable,
     ShrinkingPerturbationSeq,
     SpaceError,
@@ -147,16 +148,21 @@ def _trial_payoffs(space, axiom, trials, seed):
         if axiom == "convexity":
             rng.normal(0.0, 2.0, space.n_atoms)
             rng.uniform(0.0, 1.0, space.n_blocks)
-        else:  # cash_invariance
+        elif axiom == "cash_invariance":
             rng.normal(0.0, 2.0, space.n_blocks)
+        else:  # conditional_law_invariance on one block of equal masses
+            rng.permutation(space.n_atoms)
     return out
 
 
-def _infinite_at(space, rows, x_bad, batched):
-    """A measure from ``rows`` that is +inf on every block at payoff ``x_bad``."""
+def _infinite_at(space, rows, x_bad, batched, fault=None):
+    """A measure from ``rows`` that is +inf on every block at payoff ``x_bad``,
+    or that raises ``fault`` there if one is given."""
 
     def inf_rows(vals):
         hit = np.all(vals == x_bad, axis=-1)
+        if fault is not None and hit.any():
+            raise fault
         return np.where(hit[..., None], math.inf, rows(vals))
 
     return CondRiskMeasure(
@@ -167,10 +173,20 @@ def _infinite_at(space, rows, x_bad, batched):
     )
 
 
+def _raised(fault):
+    if fault is None:
+        return pytest.raises(RiskMeasureError, match="non-finite")
+    return pytest.raises(type(fault))
+
+
+@pytest.mark.parametrize("fault", [None, ZeroDivisionError("k")], ids=["inf", "error"])
 @pytest.mark.parametrize("batched", [False, True])
-def test_non_finite_risk_against_first_failure(s4, batched):
-    # seed 36: broken_sign first fails convexity at trial 5, inside the batch
-    # of trials 3..6; trial k's own payoff gets an infinite risk
+def test_non_finite_risk_against_first_failure(s4, batched, fault):
+    # trial k's own payoff gets an infinite risk, or the measure raises
+    # there; that is raised when k comes at or before the first failing
+    # trial, and after it the failing trial is reported, as one at a time.
+    # Seed 36: broken_sign first fails convexity at trial 5, inside the batch
+    # of trials 3..6
     seed, first_fail = 36, 5
     xs = _trial_payoffs(s4, "convexity", 10, seed)
     assert reference_check_axiom(broken_measure(s4), "convexity", 10, seed).counterexample[
@@ -178,11 +194,11 @@ def test_non_finite_risk_against_first_failure(s4, batched):
     ] == first_fail
     broken_rows = lambda v: -s4.block_mean(v) - 0.1 * np.sign(s4.block_mean(v))
     for k in (0, 3, 4, 5, 6, 9):
-        measure = _infinite_at(s4, broken_rows, xs[k], batched)
+        measure = _infinite_at(s4, broken_rows, xs[k], batched, fault)
         if k <= first_fail:
-            with pytest.raises(RiskMeasureError, match="non-finite"):
+            with _raised(fault):
                 reference_check_axiom(measure, "convexity", 10, seed)
-            with pytest.raises(RiskMeasureError, match="non-finite"):
+            with _raised(fault):
                 check_axiom(measure, "convexity", 10, seed)
         else:
             want = reference_check_axiom(measure, "convexity", 10, seed)
@@ -193,9 +209,28 @@ def test_non_finite_risk_against_first_failure(s4, batched):
     # cash invariance of the negated mean: the infinite risk of trial 4 is
     # also the first trial whose two sides differ, and it still raises
     xs = _trial_payoffs(s4, "cash_invariance", 10, seed)
-    measure = _infinite_at(s4, lambda v: -s4.block_mean(v), xs[4], batched)
-    with pytest.raises(RiskMeasureError, match="non-finite"):
+    measure = _infinite_at(s4, lambda v: -s4.block_mean(v), xs[4], batched, fault)
+    with _raised(fault):
         check_axiom(measure, "cash_invariance", 10, seed)
+
+    # block 2 of a user measure: its restriction evaluates padded rows
+    # through the parent's evaluate_batch.  The atom-3 kink breaks law
+    # invariance; seed 47 first fails at trial 4, inside the batch of 3..6
+    space = FiniteProbSpace([0.1, 0.2, 0.1, 0.1, 0.1, 0.2, 0.2], [[1, 2], [3, 4, 5], [6, 7]])
+    rows = lambda v: -space.block_mean(v) - 0.1 * (v[..., [2]] > 1.0)
+    axiom, seed, first_fail = "conditional_law_invariance", 47, 4
+    block = CondRiskMeasure(space, lambda x: ConditionalValue(rows(x.values)), "kink").restrict(2)
+    want = reference_check_axiom(block, axiom, 10, seed)
+    assert want.counterexample["trial"] == first_fail
+    xs = _trial_payoffs(block.space, axiom, 10, seed)
+    for k in (0, 3, 4, 5, 6, 9):
+        x_bad = space.extend(xs[k], 2).values
+        measure = _infinite_at(space, rows, x_bad, batched, fault).restrict(2)
+        if k <= first_fail:
+            with _raised(fault):
+                check_axiom(measure, axiom, 10, seed)
+        else:
+            assert repr(check_axiom(measure, axiom, 10, seed).to_dict()) == repr(want.to_dict())
 
 
 def test_batch_of_wrong_shape_refused(s4):

@@ -308,15 +308,6 @@ def _to_hf(obj) -> frozenset:
     raise TypeError("hereditary finite sets are nested lists/tuples/sets")
 
 
-def hf_sort_key(hf: frozenset):
-    return (len(hf), sorted((hf_sort_key(c) for c in hf)))
-
-
-def hf_to_text(hf: frozenset) -> str:
-    inner = ",".join(hf_to_text(c) for c in sorted(hf, key=hf_sort_key))
-    return "{" + inner + "}"
-
-
 # -- module-level operation wrappers ----------------------------------------------
 
 

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .boolalg import PartitionOfUnity, iter_partitions, mask_atoms
+from .boolalg import PartitionOfUnity, iter_partitions, mask_array, mask_atoms
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 from .riskcore import ADMISSIBLE_TOL, CondRiskMeasure
@@ -73,11 +73,6 @@ def admissible_dual(space: FiniteProbSpace, densities) -> DualVariable:
 
 
 # -- numeric Fenchel transform --------------------------------------------------
-
-
-def _pairing_block(space: FiniteProbSpace, j: int, xv: np.ndarray, yv: np.ndarray) -> float:
-    idx = space.block_index_array(j)
-    return float(np.dot(space.cond_probs(j) * yv[idx], xv[idx]))
 
 
 def _grid_points(k: int, radius: float, per_axis: int) -> np.ndarray:
@@ -493,13 +488,12 @@ def sigma_s_membership(
     ev = space._check_cv(eps)
     if np.any(ev <= 0):
         raise ValueError("eps must be strictly positive blockwise")
+    xv = space._check_rv(x)
     for part, fam in zip(parts, families):
-        for j in mask_atoms(part.mask):
-            worst = max(
-                abs(_pairing_block(space, j, x.values, y.values)) for y in fam
-            )
-            if not worst < ev[j - 1]:
-                return False
+        worst = np.abs(space.block_mean(np.stack([y.values for y in fam]) * xv)).max(axis=0)
+        on = mask_array(part.mask, space.n_blocks)
+        if not np.all(worst[on] < ev[on]):
+            return False
     return True
 
 

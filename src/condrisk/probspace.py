@@ -345,18 +345,21 @@ class FiniteProbSpace:
         return ConditionalValue(self.block_mean(xv <= self.broadcast(ev)))
 
     def same_conditional_law(self, x: RandomVariable, y: RandomVariable) -> bool:
-        """Exact equality of the per-block step cdfs on the observed value grid."""
-        xv = self._check_rv(x)
-        yv = self._check_rv(y)
-        for j in range(1, self.n_blocks + 1):
-            q, idx = self.cond_probs(j), self.block_index_array(j)
-            xb, yb = xv[idx], yv[idx]
-            for level in np.union1d(xb, yb):
-                fx = float(np.dot(q, (xb <= level).astype(float)))
-                fy = float(np.dot(q, (yb <= level).astype(float)))
-                if fx != fy:
-                    return False
-        return True
+        """Whether every block gives x and y the same law: the same values,
+        each carrying the same conditional mass.
+
+        The mass at a value is summed in the order of a lexsort by block,
+        value and atom mass, so the verdict does not depend on atom order.
+        """
+        laws = []
+        for v in (self._check_rv(x), self._check_rv(y)):
+            at = np.lexsort((self.cond, v, self.block_of))
+            block, value = self.block_of[at], v[at]
+            first = np.flatnonzero(
+                np.r_[True, (block[1:] != block[:-1]) | (value[1:] != value[:-1])]
+            )
+            laws.append((block[first], value[first], np.add.reduceat(self.cond[at], first)))
+        return all(np.array_equal(a, b) for a, b in zip(*laws))
 
 
 def esssup_family(values: Iterable[ConditionalValue]) -> ConditionalValue:

@@ -16,12 +16,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CondriskError
-from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, SpaceError, _cv
+from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, SpaceError, _cv, _readonly
 
 # a dual variable y is an admissible density when y <= 0 and E[y | block] = -1
 ADMISSIBLE_TOL = 1e-10
 # payoff entries per chunk of a built-in's batch: bounds its temporaries
 CHUNK_ELEMENTS = 1 << 16
+# off-block value of the second extension that a padded restriction is probed with
+EXTENSION_FILL = 17.5
 
 
 class RiskMeasureError(CondriskError):
@@ -30,6 +32,11 @@ class RiskMeasureError(CondriskError):
 
 class UndominatedSequenceError(CondriskError):
     """A convergence sequence spec exceeds its declared dominator."""
+
+
+class ScalarizeError(CondriskError):
+    """A block restriction that is not well defined: its figure depends on
+    the measure's other blocks."""
 
 
 @dataclass
@@ -47,7 +54,7 @@ class CondRiskMeasure:
     ``dual_penalty_grad`` steer the dual ascent.  ``restrict(j)`` cuts block
     ``j`` out as a classical measure on one block, which is what the dual
     engine works on: a built-in rebuilds itself there natively, a user
-    measure is padded back to the whole space.
+    measure is padded back to the whole space and checked for that padding.
     """
 
     space: FiniteProbSpace
@@ -82,13 +89,20 @@ class CondRiskMeasure:
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Risk of each row of ``xs``; falls back to looping over evaluate_fn.
 
+        A batch function's result must have shape ``(rows, n_blocks)``.
         Unlike ``evaluate`` it passes non-finite risks through, batch
         function or not, and leaves them to the caller.
         """
         xs = np.asarray(xs, dtype=float)
-        if self.evaluate_batch_fn is not None:
-            return self.evaluate_batch_fn(xs)
-        return np.stack([self._evaluate_one(RandomVariable(row)).values for row in xs])
+        if self.evaluate_batch_fn is None:
+            return np.stack([self._evaluate_one(RandomVariable(row)).values for row in xs])
+        out = np.asarray(self.evaluate_batch_fn(xs), dtype=float)
+        if out.shape != (len(xs), self.space.n_blocks):
+            raise SpaceError(
+                f"{self.label} returned risks of shape {out.shape}, "
+                f"expected {(len(xs), self.space.n_blocks)}"
+            )
+        return out
 
     def restrict(self, j: int) -> "CondRiskMeasure":
         """Block ``j`` as a measure on ``space.block_space(j)``.
@@ -98,9 +112,11 @@ class CondRiskMeasure:
         and its ``params`` are the block's alone.  A user measure is padded:
         block payoffs are extended by 0 and block duals by -1, the parent's
         column ``j`` is read back, and the cap and gradient hooks are the
-        parent's at ``j``.  Block coordinates follow
-        ``space.block_index_array(j)``, so a measure on one block that lists
-        its atoms in order is its own restriction.
+        parent's at ``j``.  The padding is checked once, exactly: two probe
+        payoffs, each extended by 0 and by EXTENSION_FILL, must give the same
+        figure on block ``j``, or ScalarizeError is raised.  Block
+        coordinates follow ``space.block_index_array(j)``, so a measure on
+        one block that lists its atoms in order is its own restriction.
         """
         space = self.space
         idx = space.block_index_array(j)
@@ -113,13 +129,19 @@ class CondRiskMeasure:
             return block
         col = slice(j - 1, j)
 
-        def ev(x: RandomVariable) -> ConditionalValue:
-            return _cv(self.evaluate(space.extend(x.values, j)).values[col])
-
-        def ev_batch(xs: np.ndarray) -> np.ndarray:
-            full = np.zeros((xs.shape[0], n))
+        def ev_batch(xs: np.ndarray, fill: float = 0.0) -> np.ndarray:
+            full = np.full((xs.shape[0], n), fill)
             full[:, idx] = xs
             return self.evaluate_batch(full)[:, col]
+
+        probes = np.stack([np.zeros(idx.size), np.linspace(-1.0, 1.0, idx.size)])
+        lo, hi = ev_batch(probes)[:, 0], ev_batch(probes, EXTENSION_FILL)[:, 0]
+        if np.any(lo != hi):
+            p = int(np.argmax(lo != hi))
+            raise ScalarizeError(
+                f"block {j} restriction depends on the extension: "
+                f"{float(lo[p])!r} vs {float(hi[p])!r}"
+            )
 
         pen = cap = grad = None
         if self.closed_form_penalty is not None:
@@ -135,7 +157,7 @@ class CondRiskMeasure:
             grad = lambda _, d: self.dual_penalty_grad(j, d)
         return CondRiskMeasure(
             space.block_space(j),
-            ev,
+            lambda x: _cv(_readonly(ev_batch(x.values[None])[0])),
             f"{self.label}@block{j}",
             closed_form_penalty=pen,
             evaluate_batch_fn=ev_batch,
@@ -343,6 +365,12 @@ class AxiomReport:
 AXIOM_TOL = 1e-9
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that numpy's generators cannot take, by name."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _equal_mass_groups(space: FiniteProbSpace) -> list:
     """Atoms of equal conditional mass in each block, as index arrays.
 
@@ -385,26 +413,6 @@ def _draw_trials(axiom: str, space: FiniteProbSpace, groups: list, rng, size: in
     return [np.stack(col) for col in zip(*(trial() for _ in range(size)))]
 
 
-def _risk_rows(measure: CondRiskMeasure) -> Callable[[np.ndarray], np.ndarray]:
-    """``evaluate_batch`` with its output shape checked.
-
-    Like ``evaluate_batch`` it lets a non-finite risk through: ``check_axiom``
-    places one against the first failing trial itself.
-    """
-    space = measure.space
-
-    def risk(xs: np.ndarray) -> np.ndarray:
-        out = np.asarray(measure.evaluate_batch(xs), dtype=float)
-        if out.shape != (len(xs), space.n_blocks):
-            raise SpaceError(
-                f"{measure.label} returned risks of shape {out.shape}, "
-                f"expected {(len(xs), space.n_blocks)}"
-            )
-        return out
-
-    return risk
-
-
 def _axiom_sides(axiom: str, space: FiniteProbSpace, risk, x: np.ndarray, *drawn):
     """Both sides of the axiom for a batch of trials, and the blocks that fail."""
     if axiom == "convexity":
@@ -441,7 +449,7 @@ def _first_failure(measure: CondRiskMeasure, axiom: str, inputs: list) -> Option
     try:
         # a side is finite exactly when the risks it is made of are
         with np.errstate(invalid="ignore"):
-            lhs, rhs, bad = _axiom_sides(axiom, space, _risk_rows(measure), *inputs)
+            lhs, rhs, bad = _axiom_sides(axiom, space, measure.evaluate_batch, *inputs)
     except Exception:
         if len(inputs[0]) == 1:
             raise
@@ -480,8 +488,7 @@ def check_axiom(
         raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     space = measure.space
     rng = np.random.default_rng(seed)
     groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else []
@@ -589,6 +596,8 @@ def check_convergence_property(
     Eventually-constant sequences give exact verdicts; shrinking-perturbation
     sequences are sampled at geometrically spaced indices up to n_max and the
     convergence order is estimated from the two largest sampled indices.
+    The limit and the sampled terms are evaluated in one batch; a non-finite
+    risk among them raises RiskMeasureError, as ``evaluate`` does.
     """
     if prop not in ("fatou", "lebesgue"):
         raise ValueError("property must be 'fatou' or 'lebesgue'")
@@ -601,9 +610,12 @@ def check_convergence_property(
     if not isinstance(sequence, ShrinkingPerturbationSeq):
         raise TypeError("unsupported sequence spec")
 
-    limit_vals = measure.evaluate(sequence.limit()).values
     ns = sorted({min(2**k, sequence.n_max) for k in range(0, 64) if 2**k <= sequence.n_max} | {sequence.n_max})
-    values = [measure.evaluate(sequence.term(n)).values for n in ns]
+    limit = measure.space._check_rv(sequence.limit())
+    risks = measure.evaluate_batch(np.stack([limit] + [sequence.term(n).values for n in ns]))
+    if not np.all(np.isfinite(risks)):
+        raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
+    limit_vals, values = risks[0], risks[1:]
     devs = [float(np.max(np.abs(v - limit_vals))) for v in values]
     order = None
     if len(ns) >= 2 and devs[-1] > 0 and devs[-2] > 0:

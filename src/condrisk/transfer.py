@@ -9,7 +9,6 @@ conditional penalty matches the per-block classical conjugates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,19 +24,16 @@ from .duality import (
     stable_sublevel_check,
     verify_representation,
 )
-from .errors import CondriskError
 from .probspace import ConditionalValue, RandomVariable
 from .riskcore import (
     CondRiskMeasure,
     EventuallyConstantSeq,
+    ScalarizeError,
     ShrinkingPerturbationSeq,
+    _check_seed,
     check_axiom,
     check_convergence_property,
 )
-
-
-class ScalarizeError(CondriskError):
-    pass
 
 
 ITEM_NAMES = {
@@ -64,31 +60,15 @@ def _certify_local(measure: CondRiskMeasure, trials: int, seed: int) -> None:
         )
 
 
-def scalarize(measure: CondRiskMeasure, block: int, *, certify: bool = True) -> CondRiskMeasure:
+def scalarize(measure: CondRiskMeasure, block: int) -> CondRiskMeasure:
     """Restrict to one block; refuses measures without the local property.
 
-    Well-definedness (independence from the off-block extension) is asserted
-    by evaluating two different extensions and comparing exactly.  The result
-    is ``measure.restrict(block)``, a measure on ``space.block_space(block)``.
+    The local-property certificate runs first; the result is
+    ``measure.restrict(block)``, a measure on ``space.block_space(block)``,
+    whose padding (user measures only) is checked by ``restrict`` itself.
     """
-    space = measure.space
-    k = space.block_index_array(block).size
-    if certify:
-        _certify_local(measure, SCALARIZE_TRIALS, SCALARIZE_SEED)
-    for probe in (np.zeros(k), np.linspace(-1.0, 1.0, k)):
-        lo = measure.evaluate(space.extend(probe, block, fill=0.0)).values[block - 1]
-        hi = measure.evaluate(space.extend(probe, block, fill=17.5)).values[block - 1]
-        if lo != hi:
-            raise ScalarizeError(
-                f"block {block} restriction depends on the extension: {lo!r} vs {hi!r}"
-            )
+    _certify_local(measure, SCALARIZE_TRIALS, SCALARIZE_SEED)
     return measure.restrict(block)
-
-
-def _block_measures(measure: CondRiskMeasure, trials: int, seed: int) -> List[CondRiskMeasure]:
-    """Certify the local property once, then restrict the measure to every block."""
-    _certify_local(measure, trials, seed)
-    return [scalarize(measure, j, certify=False) for j in range(1, measure.space.n_blocks + 1)]
 
 
 # -- Fenchel consistency -----------------------------------------------------------
@@ -136,32 +116,31 @@ def fenchel_consistency(
     """Conditional penalty vs per-block classical conjugate, dual by dual.
 
     The conditional side uses the measure's own penalty route; the classical
-    side always recomputes by the numeric grid, so the two columns are
-    independent.  +inf verdicts must agree exactly.
+    side always recomputes by the numeric grid on each block restriction
+    (``fenchel(..., "grid_refine")``), so the two columns are independent.
+    +inf verdicts must agree exactly.
     """
     _check_tol(tol)
     duals = list(duals)
     if not duals:
         raise ValueError("fenchel_consistency needs at least one dual")
-    space = measure.space
-    blocks = _block_measures(measure, trials=32, seed=11)
+    _certify_local(measure, trials=32, seed=11)
     comparisons = []
     max_dev = 0.0
     infs_ok = True
     for i, y in enumerate(duals):
         cond = penalty_of(measure, y).values
-        for j in range(1, space.n_blocks + 1):
-            yj = DualVariable(y.values[space.block_index_array(j)])
-            classical = float(fenchel(blocks[j - 1], yj, "grid_refine").values[0])
-            c = float(cond[j - 1])
-            if math.isinf(c) or math.isinf(classical):
-                ok = math.isinf(c) and math.isinf(classical)
-                infs_ok = infs_ok and ok
-            else:
-                dev = abs(c - classical)
-                max_dev = max(max_dev, dev)
-                ok = dev <= tol
-            comparisons.append(FenchelComparison(i, j, c, classical, ok))
+        classical = fenchel(measure, y, "grid_refine").values
+        c_inf, k_inf = np.isinf(cond), np.isinf(classical)
+        # deviations of the blocks where both sides are finite, 0 elsewhere
+        dev = np.abs(np.subtract(cond, classical, out=np.zeros(len(cond)), where=~(c_inf | k_inf)))
+        agrees = (c_inf == k_inf) & (dev <= tol)
+        infs_ok = infs_ok and bool(np.all(c_inf == k_inf))
+        max_dev = max(max_dev, float(dev.max()))
+        comparisons += [
+            FenchelComparison(i, j, float(c), float(k), bool(ok))
+            for j, (c, k, ok) in enumerate(zip(cond, classical, agrees), start=1)
+        ]
     passed = infs_ok and all(c.agrees for c in comparisons)
     return FenchelConsistencyReport(comparisons, max_dev, infs_ok, passed)
 
@@ -316,8 +295,9 @@ def transfer_verify(
     if not payoffs:
         raise ValueError("transfer_verify needs at least one payoff")
 
+    _check_seed(seed)
     space = measure.space
-    blocks = _block_measures(measure, trials=64, seed=seed + 13)
+    _certify_local(measure, trials=64, seed=seed + 13)
     probes: List[RandomVariable] = []
     eta = None
     if 7 in items:
@@ -326,10 +306,10 @@ def transfer_verify(
 
     verdicts, notes = _verdicts(measure, items, payoffs, probes, eta, tol, seed)
     per_block = []
-    for j, block in enumerate(blocks, start=1):
+    for j in range(1, space.n_blocks + 1):
         per_block.append(
             _verdicts(
-                block,
+                measure.restrict(j),
                 items,
                 [RandomVariable(space.restrict(x, j)) for x in payoffs],
                 [RandomVariable(space.restrict(p, j)) for p in probes],

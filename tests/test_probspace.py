@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condrisk import (
     ConditionalValue,
@@ -58,6 +60,44 @@ def test_conditional_law_examples(s4):
     assert not s4.same_conditional_law(x, RandomVariable([1, 3, 6, 6]))
     cdf = s4.cond_cdf(x, ConditionalValue([1, 6]))
     assert np.array_equal(cdf.values, [0.5, 1.0])
+
+
+@st.composite
+def uneven_spaces(draw):
+    """Shuffled atoms in uneven blocks; masses from 1..3, so blocks hold
+    groups of atoms of equal mass next to atoms of other masses."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    n = sum(sizes)
+    atoms = draw(st.permutations(range(1, n + 1)))
+    weights = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), float)
+    blocks = [b.tolist() for b in np.split(np.array(atoms), np.cumsum(sizes)[:-1])]
+    return FiniteProbSpace(weights / weights.sum(), blocks), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(uneven_spaces())
+def test_conditional_law_does_not_depend_on_atom_order(case):
+    space, seed = case
+    rng = np.random.default_rng(seed)
+    x = RandomVariable(rng.permutation(space.n_atoms) / 7.0)
+    groups, other_mass = [], []
+    for j in range(1, space.n_blocks + 1):
+        idx = space.block_index_array(j)
+        q = space.cond[idx]
+        groups += [idx[q == mass] for mass in np.unique(q)]
+        if np.unique(q).size > 1:
+            other_mass.append((idx[0], idx[np.argmax(q != q[0])]))
+    # every permutation within the equal-mass atoms of a block keeps the law
+    for _ in range(20):
+        perm = np.arange(space.n_atoms)
+        for group in groups:
+            perm[group] = rng.permutation(perm[group])
+        assert space.same_conditional_law(x, RandomVariable(x.values[perm]))
+    # a value moved to an atom of another mass changes it (the values are distinct)
+    for a, b in other_mass:
+        moved = x.values.copy()
+        moved[[a, b]] = moved[[b, a]]
+        assert not space.same_conditional_law(x, RandomVariable(moved))
 
 
 def test_tower_property(s4):

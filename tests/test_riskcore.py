@@ -11,6 +11,7 @@ from condrisk import (
     AXIOMS,
     CondRiskMeasure,
     ConditionalValue,
+    DualVariable,
     EventuallyConstantSeq,
     FiniteProbSpace,
     RandomVariable,
@@ -22,6 +23,7 @@ from condrisk import (
     cond_avar,
     cond_entropic,
     cond_worst_case,
+    fenchel,
     neg_cond_expectation,
 )
 from condrisk import riskcore
@@ -112,7 +114,7 @@ def test_axioms_never_list_the_algebra(monkeypatch):
     m = cond_avar(space, 0.5)
     for axiom in AXIOMS:
         assert check_axiom(m, axiom, trials=20, seed=5).passed, axiom
-    assert scalarize(m, 20, certify=True).space is space.block_space(20)
+    assert scalarize(m, 20).space is space.block_space(20)
 
 
 @pytest.mark.parametrize(
@@ -242,6 +244,21 @@ def test_batch_of_wrong_shape_refused(s4):
     )
     with pytest.raises(SpaceError, match="shape"):
         check_axiom(m, "monotonicity", trials=5)
+
+
+@pytest.mark.parametrize("shape", [lambda rows: (rows, 3), lambda rows: (rows,)])
+def test_batch_of_wrong_shape_refused_for_every_caller(s4, shape):
+    m = CondRiskMeasure(
+        s4,
+        lambda x: -s4.cond_expect(x),
+        "misshapen",
+        evaluate_batch_fn=lambda xs: np.zeros(shape(len(xs))),
+    )
+    named = re.escape(f"returned risks of shape {shape(2)}")
+    with pytest.raises(SpaceError, match=named):
+        fenchel(m, DualVariable([-1.0] * 4), "grid_refine")
+    with pytest.raises(SpaceError, match=named):
+        m.restrict(2).evaluate_batch(np.zeros((2, 2)))
 
 
 def test_early_failure_among_many_trials_is_cheap(s4):
@@ -383,6 +400,23 @@ def test_fatou_perturbation(s4):
     seq = ShrinkingPerturbationSeq(x, RandomVariable([1, 1, 1, 1]), 4096)
     for m in (cond_entropic(s4, 1.0), cond_avar(s4, 0.5)):
         assert check_convergence_property(m, "fatou", seq, tol=1e-3).passed
+
+
+def test_non_finite_term_of_a_sequence_raises(s4):
+    # the risk blows up on the first term only, x + d with x + d > 5 on atom 4
+    def ev(x):
+        vals = -s4.cond_expect(x).values
+        vals[1] = math.inf if x.values[3] > 5.0 else vals[1]
+        return ConditionalValue(vals)
+
+    x = RandomVariable([1, 3, 2, 4.5])
+    seq = ShrinkingPerturbationSeq(x, RandomVariable([1, 1, 1, 1]), 64)
+    for batched in (False, True):
+        m = CondRiskMeasure(s4, ev, "blowup")
+        if batched:
+            m.evaluate_batch_fn = lambda xs: np.stack([ev(RandomVariable(r)).values for r in xs])
+        with pytest.raises(RiskMeasureError, match="non-finite"):
+            check_convergence_property(m, "lebesgue", seq)
 
 
 def test_undominated_sequence_rejected(s4):

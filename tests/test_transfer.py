@@ -14,9 +14,11 @@ from condrisk import (
     RandomVariable,
     SpaceError,
     admissible_dual,
+    check_axiom,
     cond_avar,
     cond_entropic,
     cond_worst_case,
+    dual_representation,
     fenchel_consistency,
     module_gauge,
     neg_cond_expectation,
@@ -76,7 +78,7 @@ def test_scalarize_examples(s4):
     assert risk(sc, [1.0, 3.0]) == pytest.approx(-2.0, abs=1e-12)
     # cash invariance of the restriction
     for m in builtins(s4):
-        sc = scalarize(m, 1, certify=False)
+        sc = m.restrict(1)
         base = risk(sc, [0.0, 0.0])
         assert risk(sc, [3.0, 3.0]) == pytest.approx(base - 3.0, abs=1e-9)
 
@@ -92,6 +94,23 @@ def test_scalarize_refuses_nonlocal(s4):
         scalarize(nonlocal_measure(s4), 1)
 
 
+def test_padded_restriction_refuses_an_off_block_dependence(s4):
+    # block 1 reads atom 3 of block 2 at 1e-12: below AXIOM_TOL, so the sampled
+    # certificate passes, but the exact probes of the padded cut see it
+    def ev(x):
+        vals = -s4.cond_expect(x).values
+        vals[0] += 1e-12 * x.values[2]
+        return ConditionalValue(vals)
+
+    m = CondRiskMeasure(s4, ev, "leaky")
+    assert check_axiom(m, "local_property", trials=64, seed=7).passed
+    with pytest.raises(ScalarizeError, match="block 1 restriction depends on the extension"):
+        m.restrict(1)
+    with pytest.raises(ScalarizeError):
+        dual_representation(m, RandomVariable([1, 3, 2, 6]))
+    assert m.restrict(2).evaluate(RandomVariable([2.0, 6.0])).values[0] == -4.0
+
+
 def test_scalarize_range_check(s4):
     with pytest.raises(ValueError):
         scalarize(neg_cond_expectation(s4), 3)
@@ -101,9 +120,7 @@ def test_exact_scalarization_identity(s4, space8):
     rng = np.random.default_rng(50)
     for space in (s4, space8):
         for m in builtins(space):
-            scalars = [
-                scalarize(m, j, certify=False) for j in range(1, space.n_blocks + 1)
-            ]
+            scalars = [m.restrict(j) for j in range(1, space.n_blocks + 1)]
             for _ in range(101 // space.n_blocks):
                 x = RandomVariable(rng.normal(0, 2, space.n_atoms))
                 direct = m.evaluate(x).values
@@ -226,6 +243,34 @@ def test_transfer_verify_guards(s4):
         transfer_verify(neg_cond_expectation(s4), [1], [])
     with pytest.raises(ScalarizeError):
         transfer_verify(nonlocal_measure(s4), [1], payoffs)
+
+
+@pytest.mark.parametrize("items", [[1], [5], [7]])
+def test_transfer_verify_refuses_a_bad_seed_by_name(s4, items):
+    m, x = neg_cond_expectation(s4), RandomVariable([1, 3, 2, 6])
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        transfer_verify(m, items, [x], seed=-1)
+
+
+def test_builtin_cuts_run_no_full_space_evaluation():
+    # 200 blocks of 2 atoms: the native cuts probe nothing and each
+    # convergence check is one batch, so the whole measure's one-payoff
+    # evaluate_fn is not called once per block
+    rng = np.random.default_rng(72)
+    probs = rng.uniform(0.5, 2.0, 400)
+    space = FiniteProbSpace(probs / probs.sum(), [[2 * j + 1, 2 * j + 2] for j in range(200)])
+    m = cond_entropic(space, 1.0)
+    calls = [0]
+    one = m.evaluate_fn
+
+    def counted(x):
+        calls[0] += 1
+        return one(x)
+
+    m.evaluate_fn = counted
+    rep = transfer_verify(m, [3, 4], [RandomVariable(rng.normal(0, 2, 400))])
+    assert rep.all_equivalences_hold
+    assert calls[0] < 100, calls[0]
 
 
 def test_item_7_carries_the_sublevel_cap_note(s4):

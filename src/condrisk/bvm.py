@@ -725,9 +725,9 @@ def scan(text: str, punct: Mapping[str, str]) -> List[Token]:
             tokens.append(Token(punct[ch], ch, i))
             i += len(ch)
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             kind = "INT"
         elif ch.isalpha() or ch == "_":

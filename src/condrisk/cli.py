@@ -152,7 +152,7 @@ def _pick_measure(scenario: Scenario, key: str) -> CondRiskMeasure:
     for m in scenario.measures:
         if m.label == key:
             return m
-    if key.isdigit() and int(key) < len(scenario.measures):
+    if key.isdecimal() and int(key) < len(scenario.measures):
         return scenario.measures[int(key)]
     raise ScenarioError(f"no measure {key!r} in the scenario")
 

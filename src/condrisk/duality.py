@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .boolalg import PartitionOfUnity, iter_partitions, mask_array, mask_atoms
+from .boolalg import PartitionOfUnity, mask_array
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 from .riskcore import ADMISSIBLE_TOL, CondRiskMeasure
@@ -266,35 +266,35 @@ class DualResult:
 
 
 def _block_penalty_fn(measure: CondRiskMeasure):
-    """Penalty of a density on a one-block measure: the closed form, else the grid."""
+    """Penalty of a density d on a one-block measure, and the payoff attaining it.
+
+    The closed form names no payoff.  The grid conjugate returns its maximizer
+    x*, and -q x* is the penalty's gradient at d (envelope theorem), so the
+    ascent gets its slope from the penalty it already paid for.
+    """
     if measure.closed_form_penalty is not None:
-        return lambda d: float(measure.closed_form_penalty(-d).values[0])
-    return lambda d: _block_conjugate_grid(measure, -d)[0]
-
-
-def _numeric_grad(pen, d: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    g = np.zeros_like(d)
-    for i in range(d.size):
-        dp, dm = d.copy(), d.copy()
-        dp[i] += h
-        dm[i] = max(dm[i] - h, 0.0)
-        fp, fm = pen(dp), pen(dm)
-        if math.isfinite(fp) and math.isfinite(fm) and dp[i] != dm[i]:
-            g[i] = (fp - fm) / (dp[i] - dm[i])
-    return g
+        return lambda d: (float(measure.closed_form_penalty(-d).values[0]), None)
+    return lambda d: _block_conjugate_grid(measure, -d)[:2]
 
 
 def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: DualSearchConfig):
-    """Projected-gradient ascent of E[x y] - penalty over one block's densities."""
+    """Projected-gradient ascent of E[x y] - penalty over one block's densities.
+
+    The step direction is the linear part minus the penalty's gradient:
+    ``dual_penalty_grad`` where the measure declares it, else -q x* from the
+    grid conjugate's maximizer x*.  A closed-form penalty without the hook
+    adds no slope, and the ascent climbs the linear part alone.  Every
+    density the ascent scores lies on the simplex, and each is scored once.
+    """
     q = measure.space.cond_probs(1)
     lin = -q * xb  # gradient of d -> E[x (-d)]
     cap = measure.dual_density_cap(1) if measure.dual_density_cap else None
     pen = _block_penalty_fn(measure)
     grad_pen = measure.dual_penalty_grad
 
-    def obj(d: np.ndarray) -> float:
-        p = pen(d)
-        return -math.inf if math.isinf(p) else float(np.dot(lin, d)) - p
+    def obj(d: np.ndarray):
+        p, x_star = pen(d)
+        return (-math.inf if math.isinf(p) else float(np.dot(lin, d)) - p), x_star
 
     k = xb.size
     starts = [np.ones(k)]
@@ -302,16 +302,16 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
         vertex = np.zeros(k)
         vertex[i] = 1.0 / q[i]
         starts.append(_project_capped_simplex(vertex, q, cap))
-    scored = sorted(((obj(s), tuple(s)) for s in starts), reverse=True)
+    # best score first, ties broken by the start itself, as plain tuples sort
+    scored = sorted(((*obj(s), tuple(s)) for s in starts), key=lambda t: t[::2], reverse=True)
 
-    best_d = np.array(scored[0][1])
+    best_d = np.array(scored[0][2])
     best_val = scored[0][0]
     converged = False
-    for _, start in scored:
-        d = np.array(start)
-        val = obj(d)
+    for val, x_star, start in scored:
         if not math.isfinite(val):
             continue
+        d = np.array(start)
         step_e = step_m = 1.0
         for _ in range(cfg.max_iters):
             if target - val <= ASCENT_GAP_TOL:
@@ -320,7 +320,7 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
             if grad_pen is not None:
                 g = lin - grad_pen(1, d)
             else:
-                g = lin - _numeric_grad(pen, d)
+                g = lin if x_star is None else lin + q * x_star
             # propose an additive projected step and a multiplicative
             # (exponentiated-gradient) step; the latter crosses the orders of
             # magnitude that entropy-like penalties put between components
@@ -332,10 +332,12 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
                 s = float(np.dot(q, db))
                 if s > 0 and np.all(np.isfinite(db)):
                     cands.append((_project_capped_simplex(db / s, q, cap), "m"))
-                cand, kind = max(cands, key=lambda cv: obj(cv[0]))
-                cval = obj(cand)
+                # max keeps the first of equal scores
+                cval, cx_star, cand, kind = max(
+                    ((*obj(c), c, how) for c, how in cands), key=lambda t: t[0]
+                )
                 if cval > val + 1e-15:
-                    d, val = cand, cval
+                    d, val, x_star = cand, cval, cx_star
                     if kind == "e":
                         step_e *= 1.6
                     else:
@@ -520,9 +522,8 @@ class SublevelReport:
         }
 
 
-# sublevel check: the mixing walk stops after SUBLEVEL_MAX_COMBOS
-# (partition, choice) combinations; boundedness rays double their step up to
-# SUBLEVEL_RAY_BOUND
+# sublevel check: the mixing walk stops after SUBLEVEL_MAX_COMBOS choices;
+# boundedness rays double their step up to SUBLEVEL_RAY_BOUND
 SUBLEVEL_MAX_COMBOS = 4096
 SUBLEVEL_RAY_BOUND = 2.0**40
 
@@ -535,13 +536,15 @@ def stable_sublevel_check(
 ) -> SublevelReport:
     """Stability and boundedness of the sublevel set {v : f(v) <= eta}.
 
-    Mixing closure walks the partitions of the block algebra and, for each,
-    every choice of the probe members found inside the set (closure is a
-    consequence of locality, so any violation means the caller's
-    local-property certificate was wrong).  The walk stops after
-    SUBLEVEL_MAX_COMBOS combinations; a walk cut short there says so in
-    ``notes``.  Boundedness is probed by step-doubling rays along +/- each
-    probe member; the verdict is only complete up to the span of the probe.
+    Mixing closure walks every choice of one member (a probe payoff inside
+    the set) per block: M^m choices for M members and m blocks.  A mix along
+    any partition of unity is the mix along the blocks that gives each block
+    its part's member, so coarser partitions add nothing.  Closure follows
+    from locality: a violation means the caller's local-property certificate
+    was wrong.  The walk stops after SUBLEVEL_MAX_COMBOS choices; a walk cut
+    short there says so in ``notes``.  Boundedness is probed by step-doubling
+    rays along +/- each probe member; the verdict is only complete up to the
+    span of the probe.
     """
     if not probe:
         raise ValueError("probe must be nonempty")
@@ -556,23 +559,16 @@ def stable_sublevel_check(
         notes.append("no probe member lies in the sublevel set; verdicts vacuous")
 
     # mixed payoffs are pasted from one stack of the members: a choice picks
-    # a member (a row) per part, and the partition's part index per atom
-    # turns it into one row index per atom
+    # a member (a row) per block, broadcast to one row index per atom
     stack = np.stack([v.values for v in members]) if members else None
     cols = np.arange(space.n_atoms)
 
-    def walk():
-        for partition in iter_partitions(space.algebra) if members else ():
-            part = space.part_index(partition)
-            for choice in itertools.product(range(len(members)), repeat=len(partition)):
-                yield partition, part, choice
-
     violation = None
-    steps = walk()
-    for combos, (partition, part, choice) in enumerate(steps, start=1):
-        if not inside(RandomVariable(stack[np.array(choice)[part], cols])):
+    steps = itertools.product(range(len(members)), repeat=space.n_blocks)
+    for combos, choice in enumerate(steps, start=1):
+        if not inside(RandomVariable(stack[space.broadcast(np.array(choice)), cols])):
             violation = {
-                "partition": [mask_atoms(p.mask) for p in partition],
+                "partition": [[j] for j in range(1, space.n_blocks + 1)],
                 "choice": [members[k].values.tolist() for k in choice],
             }
             break

@@ -50,8 +50,9 @@ class CondRiskMeasure:
     last axis and evaluate a single payoff as a one-row case of it.
     ``closed_form_penalty`` maps a raw dual vector (one value per sample atom,
     all <= 0) to the blockwise penalty, +inf where the vector is not an
-    admissible density for the measure; ``dual_density_cap`` and
-    ``dual_penalty_grad`` steer the dual ascent.  ``restrict(j)`` cuts block
+    admissible density for the measure; ``dual_density_cap`` bounds the dual
+    ascent's densities and ``dual_penalty_grad`` gives it the penalty's slope
+    (a closed form without it adds none).  ``restrict(j)`` cuts block
     ``j`` out as a classical measure on one block, which is what the dual
     engine works on: a built-in rebuilds itself there natively, a user
     measure is padded back to the whole space and checked for that padding.

@@ -262,15 +262,16 @@ def reference_check_axiom(measure, axiom, trials, seed):
 
 
 # -- reference mixing walk ----------------------------------------------------------
-# Pastes every combination through the validated ``indicator_mix``, as the walk
-# of ``stable_sublevel_check`` did before it pasted from a member stack.
+# Pastes every choice through the validated ``indicator_mix`` along the finest
+# partition (one part per block), so it shares no indexing with the member stack
+# of ``stable_sublevel_check``.
 
 
 def reference_sublevel_walk(space, f, eta, probe, max_combos):
     """(members, violation, notes) of the mixing walk over ``probe``."""
     import itertools
 
-    from condrisk import iter_partitions
+    from condrisk import PartitionOfUnity
     from condrisk.boolalg import mask_atoms
 
     def inside(v):
@@ -278,15 +279,12 @@ def reference_sublevel_walk(space, f, eta, probe, max_combos):
 
     members = [v for v in probe if inside(v)]
     notes = [] if members else ["no probe member lies in the sublevel set; verdicts vacuous"]
-    walk = (
-        (partition, choice)
-        for partition in (iter_partitions(space.algebra) if members else ())
-        for choice in itertools.product(members, repeat=len(partition))
-    )
-    for combos, (partition, choice) in enumerate(walk, start=1):
-        if not inside(space.indicator_mix(partition, choice)):
+    finest = PartitionOfUnity(space.algebra.atom_elements())
+    walk = itertools.product(members, repeat=len(finest))
+    for combos, choice in enumerate(walk, start=1):
+        if not inside(space.indicator_mix(finest, choice)):
             violation = {
-                "partition": [mask_atoms(p.mask) for p in partition],
+                "partition": [mask_atoms(p.mask) for p in finest],
                 "choice": [v.values.tolist() for v in choice],
             }
             return len(members), violation, notes

@@ -198,6 +198,16 @@ def test_input_errors(capsys, tmp_path, s4_path):
     assert code == 2
 
 
+def test_measure_index_is_decimal_digits(capsys, s4_path):
+    # a superscript digit is a digit to str.isdigit but not to int()
+    code, out = run(
+        capsys,
+        ["risk", "eval", "--scenario", s4_path, "--measure", "\u00b2", "--payoff", "0"],
+    )
+    assert code == 2
+    assert out["error"] == "no measure '\u00b2' in the scenario"
+
+
 def test_ingest_field_errors(tmp_path):
     path = tmp_path / "x.json"
     cases = [

@@ -1,11 +1,15 @@
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condrisk import (
     ConditionalValue,
+    CondRiskMeasure,
     DualSearchConfig,
     DualVariable,
     FiniteProbSpace,
@@ -24,7 +28,7 @@ from condrisk import (
     stable_sublevel_check,
     verify_representation,
 )
-from _helpers import reference_sublevel_walk
+from _helpers import reference_risk, reference_sublevel_walk
 from condrisk import duality
 from condrisk.duality import SUBLEVEL_MAX_COMBOS, DualityError, _project_capped_simplex
 
@@ -86,7 +90,6 @@ def test_fenchel_method_validation(s4):
     ent = cond_entropic(s4, 1.0)
     with pytest.raises(ValueError):
         fenchel(ent, DualVariable([-1, -1, -1, -1]), "magic")
-    from condrisk import CondRiskMeasure
 
     plain = CondRiskMeasure(s4, lambda x: -s4.cond_expect(x), "plain")
     with pytest.raises(DualityError):
@@ -281,9 +284,9 @@ def _dual_probes(space, rng):
 
 
 def test_sublevel_walk_cap_is_reported(s4):
-    # 12 singleton blocks and 5 members: Bell(12) partitions, 5^12 choices on
-    # the first alone; the walk stops at its cap and says how far it got, in
-    # the words of the walk through indicator_mix
+    # 12 singleton blocks and 5 members: 5^12 choices, one member per block;
+    # the walk stops at its cap and says how far it got, in the words of the
+    # walk through indicator_mix
     rng = np.random.default_rng(0)
     wide = FiniteProbSpace([1 / 12] * 12, [[j] for j in range(1, 13)])
     for space, capped in ((wide, True), (s4, False)):
@@ -301,9 +304,9 @@ def test_sublevel_walk_cap_is_reported(s4):
             assert len(cap_notes) == 1 and "first 4097 combinations" in cap_notes[0]
         else:
             assert cap_notes == []
-    # s4's whole walk is 30 combinations: a cap one below stops on the last
+    # s4's whole walk is 5^2 = 25 choices: a cap one below stops on the last
     # of them, with none left and no note; a cap two below leaves one
-    for cap, noted in ((29, False), (28, True)):
+    for cap, noted in ((24, False), (23, True)):
         with mock.patch.object(duality, "SUBLEVEL_MAX_COMBOS", cap):
             rep = stable_sublevel_check(s4, f, eta, probes)
         assert (rep.members, rep.mixing_violation, rep.notes) == reference_sublevel_walk(
@@ -313,20 +316,19 @@ def test_sublevel_walk_cap_is_reported(s4):
 
 
 def test_mixing_walk_matches_indicator_mix_reference():
-    # four blocks of two shuffled atoms, five members: 1,555 combinations over
-    # Bell(4) = 15 partitions.  A mix along a coarse partition is also a mix
-    # along the finest one, so a plain f that breaks closure does it on the
-    # first partition; this f is not even a function of the payoff: it turns
-    # away the k-th payoff it is shown, so its violation lands wherever the
-    # walk is at that call, late partitions included
+    # four blocks of two shuffled atoms, five members: 5^4 = 625 choices of
+    # one member per block.  This f is not even a function of the payoff: it
+    # turns away the k-th payoff it is shown, so its violation lands wherever
+    # the walk is at that call, and the walk must be at the same choice as
+    # the reference
     rng = np.random.default_rng(8)
     space = FiniteProbSpace([1 / 8] * 8, [[3, 5], [1, 8], [6, 2], [7, 4]])
     probes = _dual_probes(space, rng)
     eta = ConditionalValue(np.ones(space.n_blocks))
     base = penalty_map(cond_worst_case(space))
-    # calls 1-5 screen the members, 6-1560 are the combinations, 1561 on
-    # probe the rays
-    for k in (9, 640, 1200, 1560, 1561):
+    # calls 1-5 screen the members, 6-630 are the choices, 631 on probe the
+    # rays
+    for k in (9, 320, 630, 631):
         calls = [0]
 
         def f(v, k=k):
@@ -338,6 +340,106 @@ def test_mixing_walk_matches_indicator_mix_reference():
         calls[0] = 0
         want = reference_sublevel_walk(space, f, eta, probes, SUBLEVEL_MAX_COMBOS)
         assert (rep.members, rep.mixing_violation, rep.notes) == want
-        assert rep.mixing_closure_passed == (k == 1561)
-        if k == 1560:  # the last combination: the whole space as one part
-            assert rep.mixing_violation["partition"] == [[1, 2, 3, 4]]
+        assert rep.mixing_closure_passed == (k == 631)
+        if k == 630:  # the last choice: the last member on every block
+            assert rep.mixing_violation["partition"] == [[1], [2], [3], [4]]
+            assert rep.mixing_violation["choice"] == [probes[-1].values.tolist()] * 4
+
+
+def test_mixing_walk_runs_to_its_end_under_the_cap():
+    # 5 singleton blocks and 5 members: 5^5 = 3,125 choices fit under the cap,
+    # so every choice is checked and no cap note is added
+    space = FiniteProbSpace([1 / 5] * 5, [[j] for j in range(1, 6)])
+    rows = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 5))
+    probes = [RandomVariable(r) for r in rows]
+    seen = []
+
+    def f(v):
+        # record the member each atom was taken from, for pasted payoffs
+        hit = v.values[None, :] == rows
+        if hit.any(axis=0).all():
+            seen.append(tuple(int(np.argmax(c)) for c in hit.T))
+        return ConditionalValue(np.abs(v.values))
+
+    rep = stable_sublevel_check(space, f, ConditionalValue(np.ones(5)), probes)
+    assert rep.members == 5 and rep.mixing_closure_passed
+    assert rep.notes == []
+    walked = seen[5:]  # the first five calls screen the members
+    assert len(walked) == 3125 and set(walked) == set(itertools.product(range(5), repeat=5))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_any_partition_mix_is_a_mix_along_the_blocks(data):
+    # the lemma the walk rests on: a mix along a partition of unity equals the
+    # mix along the finest partition that gives each block its part's member
+    m = data.draw(st.integers(1, 6))
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    n = sum(sizes)
+    order = data.draw(st.permutations(range(1, n + 1)))
+    bounds = np.cumsum(sizes)[:-1]
+    blocks = [list(b) for b in np.split(np.array(order), bounds)]
+    space = FiniteProbSpace(np.full(n, 1.0 / n), blocks)
+    labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    used = sorted(set(labels))
+    partition = PartitionOfUnity(
+        [space.algebra.element([j + 1 for j in range(m) if labels[j] == lab]) for lab in used]
+    )
+    members = [RandomVariable(np.arange(n) + 100.0 * r) for r in range(4)]
+    choice = data.draw(st.lists(st.integers(0, 3), min_size=len(used), max_size=len(used)))
+    mixed = space.indicator_mix(partition, [members[c] for c in choice])
+    # the part of block j + 1 is the one holding its atom of the algebra
+    part_of = [next(i for i, p in enumerate(partition) if p.mask >> j & 1) for j in range(m)]
+    finest = PartitionOfUnity(space.algebra.atom_elements())
+    composed = space.indicator_mix(finest, [members[choice[part_of[j]]] for j in range(m)])
+    assert np.array_equal(mixed.values, composed.values)
+
+
+def test_user_ascent_stays_on_the_density_simplex():
+    # every penalty is +inf off the simplex, so the ascent of a user measure
+    # with no gradient hook asks the grid conjugate only about densities
+    space = FiniteProbSpace([0.1, 0.2, 0.3, 0.15, 0.25], [[2, 4, 5], [1, 3]])
+
+    def ev(x):
+        return ConditionalValue(reference_risk(space, "entropic", [1.0, 1.0], x.values))
+
+    user = CondRiskMeasure(space, ev, "user_entropic")
+    gaps = []
+    grid = duality._block_conjugate_grid
+
+    def spy(measure, y_block):
+        gaps.append(abs(float(np.dot(measure.space.cond_probs(1), y_block)) + 1.0))
+        return grid(measure, y_block)
+
+    x = RandomVariable([0.5, -1.0, 2.0, 0.0, 1.0])
+    with mock.patch.object(duality, "_block_conjugate_grid", spy):
+        result = dual_representation(user, x, DualSearchConfig(max_iters=3))
+    assert gaps and max(gaps) <= 1e-9
+    assert np.all(result.value.values <= user.evaluate(x).values + 1e-9)
+
+
+def test_user_ascent_climbs_along_the_grid_maximizer():
+    # a user measure declares no penalty gradient; the grid conjugate's
+    # maximizer supplies it, and the ascent must reach rho(x) on every block,
+    # the 3-atom block included
+    p = np.array([0.113, 0.26, 0.156, 0.102, 0.124, 0.245])
+    space = FiniteProbSpace(p / p.sum(), [[2], [1, 4], [3, 5, 6]])
+    blocks = [np.array(b) - 1 for b in space.blocks]
+
+    def batch(xs):
+        out = np.empty((len(xs), len(blocks)))
+        for j, idx in enumerate(blocks):
+            q = space.probs[idx] / space.probs[idx].sum()
+            a = -1.3 * xs[:, idx]
+            top = a.max(axis=1)
+            out[:, j] = (top + np.log(np.exp(a - top[:, None]) @ q)) / 1.3
+        return out
+
+    user = CondRiskMeasure(
+        space, lambda x: ConditionalValue(batch(x.values[None])[0]), "user", evaluate_batch_fn=batch
+    )
+    x = RandomVariable([1.09, -2.9, 0.6, 1.99, 0.94, 0.52])
+    result = dual_representation(user, x)
+    assert result.converged == [True, True, True] and result.warnings == []
+    gap = user.evaluate(x).values - result.value.values
+    assert np.all(gap >= -1e-9) and np.all(gap <= 1e-7)

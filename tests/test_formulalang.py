@@ -167,12 +167,14 @@ PARSE_ERRORS = [
     ('literal', 'name{empty: {1}, check({,}): {2}}', "expected '{', found ','", 24),
     ('literal', 'mix[{1}: empty]', 'parts do not cover atoms [2]', 0),
     ('literal', 'name{12abc: {1}}', 'expected a name literal', 5),
+    ('literal', 'name{empty: {1²}}', "unexpected character '²'", 14),
     ('atomset', '{1,2', "expected '}', found ''", 4),
     ('atomset', '{1,}', 'expected an atom index', 3),
     ('atomset', '{3}', 'atom index 3 outside 1..2', 2),
     ('atomset', '1', "expected '{', found '1'", 0),
     ('atomset', '{1} x', 'trailing input after atom set', 4),
     ('atomset', '{1|2}', "unexpected character '|'", 2),
+    ('atomset', '{²}', "unexpected character '²'", 1),
     ('formula', 'x in', 'expected a term', 4),
     ('formula', 'empty = empty ->', 'expected a term', 16),
     ('formula', 'empty # empty', "unexpected character '#'", 6),

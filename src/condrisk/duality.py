@@ -285,6 +285,8 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
     grid conjugate's maximizer x*.  A closed-form penalty without the hook
     adds no slope, and the ascent climbs the linear part alone.  Every
     density the ascent scores lies on the simplex, and each is scored once.
+    Returns the best value and density, whether the block converged, and
+    why the climb that reached the best value stopped.
     """
     q = measure.space.cond_probs(1)
     lin = -q * xb  # gradient of d -> E[x (-d)]
@@ -305,15 +307,16 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
     # best score first, ties broken by the start itself, as plain tuples sort
     scored = sorted(((*obj(s), tuple(s)) for s in starts), key=lambda t: t[::2], reverse=True)
 
-    best_d = np.array(scored[0][2])
-    best_val = scored[0][0]
+    best_val, best_d = scored[0][0], np.array(scored[0][2])
+    best_stop = None
     converged = False
     for val, x_star, start in scored:
         if not math.isfinite(val):
             continue
         d = np.array(start)
         step_e = step_m = 1.0
-        for _ in range(cfg.max_iters):
+        stop = f"ascent stopped after {cfg.max_iters} iterations"
+        for it in range(cfg.max_iters):
             if target - val <= ASCENT_GAP_TOL:
                 converged = True
                 break
@@ -348,13 +351,15 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
                 step_m *= 0.5
             if not moved:
                 converged = converged or (target - val <= 10 * ASCENT_GAP_TOL)
+                stop = f"step search stalled after {it} iterations"
                 break
-        if val > best_val:
-            best_val, best_d = val, np.asarray(d)
+        # the first climb starts from the best score, so it sets the stop
+        if best_stop is None or val > best_val:
+            best_val, best_d, best_stop = val, np.asarray(d), stop
         if target - best_val <= ASCENT_GAP_TOL:
             converged = True
             break
-    return best_val, best_d, converged
+    return best_val, best_d, converged, best_stop or "no start has a finite objective"
 
 
 def dual_representation(
@@ -376,17 +381,14 @@ def dual_representation(
     converged = []
     warnings: List[str] = []
     for j in range(1, space.n_blocks + 1):
-        val, d, ok = _ascend_block(
+        val, d, ok, stop = _ascend_block(
             measure.restrict(j), space.restrict(x, j), float(targets[j - 1]), cfg
         )
         values[j - 1] = val
         density[space.block_index_array(j)] = d
         converged.append(ok)
         if not ok:
-            warnings.append(
-                f"block {j}: ascent stopped after {cfg.max_iters} iterations "
-                f"with gap {targets[j - 1] - val:.3e}"
-            )
+            warnings.append(f"block {j}: {stop} with gap {targets[j - 1] - val:.3e}")
     return DualResult(
         ConditionalValue(values), admissible_dual(space, density), converged, warnings
     )

@@ -19,6 +19,8 @@ from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 LUXEMBURG_TOL = 1e-10
+# values a Young function keeps memoised; the memo is cleared when it is full
+YOUNG_MEMO_CAP = 1 << 16
 # slack of the blockwise pairing inequality in ``inequality_check``
 PAIRING_TOL = 1e-9
 
@@ -98,6 +100,8 @@ class YoungFunction:
         v = self._memo.get(t)
         if v is None:
             v = _safe_eval(self._fn, t)
+            if len(self._memo) >= YOUNG_MEMO_CAP:
+                self._memo.clear()
             self._memo[t] = v
         return v
 

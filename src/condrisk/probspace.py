@@ -189,12 +189,14 @@ class FiniteProbSpace:
         # the smallest integer type that holds a block id keeps the stable
         # sort of block ids in cond_avar a radix sort
         block_of = np.empty(n, dtype=np.min_scalar_type(len(blocks) - 1))
-        block_of[order] = np.arange(len(blocks)).repeat(sizes)
+        self._block_in_order = np.arange(len(blocks), dtype=block_of.dtype).repeat(sizes)
+        block_of[order] = self._block_in_order
         self.order, self.starts, self.block_of = order, starts, block_of
         self.block_mass = self.block_sum(self.probs)
         self.cond = self.probs if _normalized else self.probs / self.block_mass[block_of]
         self._cond_in_order = self.cond[order]
-        for arr in (order, starts, block_of, self.block_mass, self.cond, self._cond_in_order):
+        for arr in (order, starts, block_of, self.block_mass, self.cond, self._cond_in_order,
+                    self._block_in_order):
             arr.setflags(write=False)
         self._block_spaces: dict = {}
 

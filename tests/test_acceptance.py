@@ -143,6 +143,23 @@ def test_criterion_6_axiom_suite(s4):
         assert elapsed < 0.5, f"axiom suite took {elapsed:.2f}s"
 
 
+def test_avar_batch_budget_on_a_large_space():
+    # runtime gate in the style of criterion 6: 1e5 atoms in 1e3 uneven,
+    # shuffled blocks, 16 rows in one evaluate_batch call
+    rng = np.random.default_rng(108)
+    weights = rng.uniform(0.0, 1.0, 1000) ** 1.5
+    sizes = 1 + rng.multinomial(100_000 - 1000, weights / weights.sum())
+    blocks = np.split(rng.permutation(100_000) + 1, np.cumsum(sizes)[:-1])
+    probs = rng.uniform(0.5, 2.0, 100_000)
+    space = cr.FiniteProbSpace(probs / probs.sum(), [b.tolist() for b in blocks])
+    xs = rng.normal(0.0, 2.0, (16, 100_000))
+    start = time.perf_counter()
+    risks = cr.cond_avar(space, 0.3).evaluate_batch(xs)
+    elapsed = time.perf_counter() - start
+    assert risks.shape == (16, 1000) and np.all(np.isfinite(risks))
+    assert elapsed < 1.0, f"avar batch took {elapsed:.2f}s"
+
+
 def test_criterion_7_young_holder(s4):
     with criterion(7, "young and holder"):
         phi = cr.young_power(2)

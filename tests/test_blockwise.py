@@ -178,8 +178,12 @@ def test_restrict_matches_its_parent(case):
 
 def _uneven_space(rng, n_blocks, max_size):
     """Blocks of 1..max_size shuffled atoms under uneven probabilities."""
-    sizes = rng.integers(1, max_size + 1, n_blocks)
-    n = int(sizes.sum())
+    return _shuffled_space(rng, rng.integers(1, max_size + 1, n_blocks))
+
+
+def _shuffled_space(rng, sizes):
+    """Blocks of the given sizes over shuffled atoms, uneven probabilities."""
+    n = int(np.sum(sizes))
     blocks = [b.tolist() for b in np.split(rng.permutation(n) + 1, np.cumsum(sizes)[:-1])]
     weights = rng.uniform(0.5, 2.0, n)
     return FiniteProbSpace(weights / weights.sum(), blocks)
@@ -276,3 +280,95 @@ def test_check_axiom_matches_one_trial_at_a_time(case, seed):
                     got = check_axiom(measure, axiom, 25, seed)
                 assert (got.passed, got.trials) == (want.passed, want.trials)
                 assert repr(got.counterexample) == repr(want.counterexample)
+
+
+# -- the packed-key sort of long AVaR rows -----------------------------------------
+
+
+def _long_space(rng, max_size):
+    """Uneven shuffled blocks of 1..max_size atoms, long enough for the
+    packed-key sort of cond_avar."""
+    sizes = []
+    while sum(sizes) < riskcore.PACKED_SORT_MIN_ATOMS:
+        sizes.append(int(rng.integers(1, max_size + 1)))
+    return _shuffled_space(rng, sizes)
+
+
+def _routes(space, lam, xs):
+    """The risks of the long-row route, the rows it sorted again the exact
+    way, and the risks of the short-row route."""
+    with mock.patch.object(riskcore, "_two_sorts", wraps=riskcore._two_sorts) as spy:
+        packed = cond_avar(space, lam).evaluate_batch(xs)
+    again = [call.args[2] for call in spy.call_args_list]
+    with mock.patch.object(riskcore, "PACKED_SORT_MIN_ATOMS", space.n_atoms + 1):
+        exact = cond_avar(space, lam).evaluate_batch(xs)
+    return packed, again, exact
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 6, 300]), st.sampled_from([1, 3]))
+def test_packed_avar_matches_per_block_reference(seed, max_size, rows):
+    rng = np.random.default_rng(seed)
+    space = _long_space(rng, max_size)
+    lam = rng.choice([0.1, 0.25, 0.5, 0.7, 1.0], space.n_blocks)
+    xs = rng.integers(-4, 5, (rows, space.n_atoms)) / 2.0  # tied payoffs
+    packed, again, exact = _routes(space, lam, xs)
+    assert again == []  # ties share a bucket in position order: no row is sorted again
+    ref = np.stack([reference_risk(space, "avar", lam, row) for row in xs])
+    _close(packed, ref)
+    _close(exact, ref)
+
+
+def test_packed_avar_collision_falls_back_to_the_exact_sort():
+    rng = np.random.default_rng(71)
+    space = _long_space(rng, 8)
+    xs = rng.normal(0.0, 2.0, (3, space.n_atoms))
+    # two payoffs one ulp apart share a key bucket, where the block position
+    # puts the larger one first
+    j = next(j for j, b in enumerate(space.blocks, start=1) if len(b) > 1)
+    first, second = space.block_index_array(j)[:2]
+    xs[1, second] = 1.5
+    xs[1, first] = np.nextafter(1.5, np.inf)
+    lam = np.full(space.n_blocks, 0.3)
+    packed, again, exact = _routes(space, lam, xs)
+    assert len(again) == 1 and np.array_equal(again[0], xs[1:2])
+    assert np.array_equal(packed, exact)
+    _close(packed, np.stack([reference_risk(space, "avar", lam, row) for row in xs]))
+
+
+def test_packed_avar_signed_zeros():
+    rng = np.random.default_rng(72)
+    space = _long_space(rng, 12)
+    xs = rng.integers(-1, 2, (2, space.n_atoms)) * 0.0  # +0.0 and -0.0 only
+    xs[1, ::3] = rng.normal(0.0, 1.0, xs[1, ::3].size)
+    lam = np.full(space.n_blocks, 0.4)
+    packed, again, exact = _routes(space, lam, xs)
+    assert np.array_equal(packed, exact)
+    _close(packed, np.stack([reference_risk(space, "avar", lam, row) for row in xs]))
+
+
+def test_packed_avar_non_finite_rows_match_the_exact_route():
+    rng = np.random.default_rng(73)
+    space = _long_space(rng, 40)
+    xs = rng.normal(0.0, 2.0, (6, space.n_atoms))
+    for r in range(1, 6):
+        at = rng.choice(space.n_atoms, 8, replace=False)
+        xs[r, at] = rng.choice([np.inf, -np.inf, np.nan], at.size)
+    xs[5, :] = np.nan
+    for lam in (0.3, 1.0):
+        with np.errstate(invalid="ignore"):
+            packed, _, exact = _routes(space, lam, xs)
+        assert np.array_equal(packed, exact, equal_nan=True), lam
+        assert np.isnan(packed).any() and np.isinf(packed).any()
+        assert np.isfinite(packed[0]).all()
+
+
+def test_avar_route_follows_the_row_length():
+    rng = np.random.default_rng(74)
+    for space, long_rows in ((_uneven_space(rng, 9, 4), False), (_long_space(rng, 30), True)):
+        xs = rng.normal(0.0, 2.0, (3, space.n_atoms))
+        with mock.patch.object(riskcore, "_packed_sort", wraps=riskcore._packed_sort) as packed, \
+                mock.patch.object(riskcore, "_two_sorts", wraps=riskcore._two_sorts) as exact:
+            cond_avar(space, 0.3).evaluate_batch(xs)
+        assert packed.called == long_rows
+        assert exact.called != long_rows

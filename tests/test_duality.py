@@ -443,3 +443,19 @@ def test_user_ascent_climbs_along_the_grid_maximizer():
     assert result.converged == [True, True, True] and result.warnings == []
     gap = user.evaluate(x).values - result.value.values
     assert np.all(gap >= -1e-9) and np.all(gap <= 1e-7)
+
+
+def test_ascent_warning_names_a_stalled_step_search(space8):
+    # a closed-form penalty without a gradient hook: the ascent climbs the
+    # linear part alone, and its step search stalls well before max_iters
+    ent = cond_entropic(space8, 2.0)
+    user = CondRiskMeasure(
+        space8, ent.evaluate_fn, "user_entropic", closed_form_penalty=ent.closed_form_penalty
+    )
+    x = RandomVariable(np.random.default_rng(5).normal(0.0, 2.0, 8))
+    cfg = DualSearchConfig(max_iters=400)
+    result = dual_representation(user, x, cfg)
+    assert result.warnings and len(result.warnings) == result.converged.count(False)
+    for warning in result.warnings:
+        assert "step search stalled after" in warning and " with gap " in warning
+        assert int(warning.split("stalled after ")[1].split()[0]) < cfg.max_iters

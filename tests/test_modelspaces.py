@@ -13,7 +13,7 @@ from condrisk import (
     young_conjugate,
     young_power,
 )
-from condrisk.modelspaces import ConjugacyError, YoungFunctionError
+from condrisk.modelspaces import YOUNG_MEMO_CAP, ConjugacyError, YoungFunctionError
 
 
 def indicator_young():
@@ -160,3 +160,17 @@ def test_holder_seeded(s4):
             x = RandomVariable(rng.normal(0, 2, 4))
             y = RandomVariable(rng.normal(0, 2, 4))
             assert inequality_check(x, y, pair, s4).holds
+
+
+def test_young_memo_stays_under_its_cap(space8):
+    phi = young_power(2)
+    calls = []
+    evaluator = phi._fn
+    phi._fn = lambda t: calls.append(t) or evaluator(t)
+    psi = young_conjugate(phi)
+    phi2 = young_conjugate(psi)
+    x = RandomVariable(np.random.default_rng(2024).normal(0.0, 2.0, 8))
+    module_gauge(ModuleSpec.orlicz(phi2), x, space8)
+    assert len(calls) > YOUNG_MEMO_CAP  # the cap was reached
+    for f in (phi, psi, phi2):
+        assert len(f._memo) <= YOUNG_MEMO_CAP

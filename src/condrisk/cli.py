@@ -9,6 +9,7 @@ values as sorted atom-index arrays.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -285,7 +286,10 @@ def _cmd_bvm_mix(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs far more than a parse."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", help="path to a scenario JSON file")
 

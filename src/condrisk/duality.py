@@ -9,7 +9,6 @@ instead of propagating NaN.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 from .boolalg import PartitionOfUnity, mask_array
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
-from .riskcore import ADMISSIBLE_TOL, CondRiskMeasure
+from .riskcore import ADMISSIBLE_TOL, CHUNK_ELEMENTS, CondRiskMeasure
 
 
 class DualityError(CondriskError):
@@ -109,28 +108,21 @@ GRID_MAX_DOUBLINGS = 48
 GRID_GROWTH_RATIO = 1.3
 
 
-def _block_conjugate_grid(measure: CondRiskMeasure, y_block: np.ndarray):
-    """Numeric sup of E[x y] - rho(x) for a measure on one block.
+def _doubling_search(obj_batch, points_at, best: float, k: int):
+    """Best value of ``obj_batch`` over ``points_at(radius)`` as the radius
+    doubles from GRID_RADIUS, against a start value ``best`` at 0.
 
-    Doubles the search radius until the increment falls under GRID_TOL and
-    the interior max is polished by compass search, or until three
-    consecutive growing increments certify divergence; the certified ray is
-    returned.
+    Stops once the best value gains less than GRID_TOL; three consecutive
+    growing gains, or GRID_MAX_DOUBLINGS doublings, certify divergence.
+    Returns the best value (+inf when divergent), its point, the last radius
+    and the certified ray (None unless divergent).
     """
-    k = y_block.size
-    weights = measure.space.cond_probs(1) * y_block
-
-    def obj_batch(points):
-        return points @ weights - measure.evaluate_batch(points)[:, 0]
-
-    radius = GRID_RADIUS
-    per_axis = GRID_PER_AXIS if k <= 3 else 5
-    best = float(obj_batch(np.zeros((1, k)))[0])
     best_point = np.zeros(k)
+    radius = GRID_RADIUS
     prev_inc = None
     streak = 0
     for _ in range(GRID_MAX_DOUBLINGS):
-        pts = _grid_points(k, radius, per_axis)
+        pts = points_at(radius)
         vals = obj_batch(pts)
         i = int(np.argmax(vals))
         inc = float(vals[i]) - best
@@ -138,21 +130,54 @@ def _block_conjugate_grid(measure: CondRiskMeasure, y_block: np.ndarray):
             best = float(vals[i])
             best_point = pts[i]
         if inc < GRID_TOL:
-            spacing = 2.0 * radius / (per_axis - 1)
-            point, best = _compass_refine(obj_batch, best_point, spacing, best)
-            return best, point, None
+            return best, best_point, radius, None
         if prev_inc is not None and inc >= GRID_GROWTH_RATIO * prev_inc:
             streak += 1
             if streak >= 3:
-                ray = best_point / max(np.linalg.norm(best_point), 1e-30)
-                return math.inf, best_point, ray
+                break
         else:
             streak = 0
         prev_inc = inc
         radius *= 2.0
-    # radius exhausted while still improving: unbounded for all practical radii
+    # three growing gains, or the radius exhausted while still improving:
+    # unbounded for all practical radii
     ray = best_point / max(np.linalg.norm(best_point), 1e-30)
-    return math.inf, best_point, ray
+    return math.inf, best_point, radius, ray
+
+
+def _block_conjugate_grid(measure: CondRiskMeasure, y_block: np.ndarray):
+    """Numeric sup of E[x y] - rho(x) for a measure on one block.
+
+    Doubles the search radius until the increment falls under GRID_TOL and
+    the interior max is polished by compass search, or until three
+    consecutive growing increments certify divergence; the certified ray is
+    returned.  A dual off the density simplex (|E[y] + 1| > ADMISSIBLE_TOL)
+    first walks the constant ray x = c sign(E[y] + 1), along which a
+    cash-invariant measure's objective grows like c |E[y] + 1|: a grid whose
+    gains shrink faster than that would stop at a finite value.
+    """
+    k = y_block.size
+    weights = measure.space.cond_probs(1) * y_block
+
+    def obj_batch(points):
+        return points @ weights - measure.evaluate_batch(points)[:, 0]
+
+    start = float(obj_batch(np.zeros((1, k)))[0])
+    gap = float(measure.space.block_mean(y_block)[0]) + 1.0
+    if abs(gap) > ADMISSIBLE_TOL:
+        unit = np.full((1, k), math.copysign(1.0, gap))
+        best, point, _, ray = _doubling_search(obj_batch, lambda r: r * unit, start, k)
+        if ray is not None:
+            return best, point, ray
+    per_axis = GRID_PER_AXIS if k <= 3 else 5
+    best, point, radius, ray = _doubling_search(
+        obj_batch, lambda r: _grid_points(k, r, per_axis), start, k
+    )
+    if ray is not None:
+        return best, point, ray
+    spacing = 2.0 * radius / (per_axis - 1)
+    point, best = _compass_refine(obj_batch, point, spacing, best)
+    return best, point, None
 
 
 def fenchel(
@@ -190,7 +215,11 @@ def penalty_map(measure: CondRiskMeasure) -> Callable[[RandomVariable], Conditio
     """Penalty as a map on raw payoff vectors, +inf on blocks with positive entries.
 
     Lets the sublevel-set machinery walk the dual space: vectors with a
-    positive entry on a block are outside the density cone there.
+    positive entry on a block are outside the density cone there.  The map
+    of a built-in also has a row form ``f.rows``: it takes a ``(rows,
+    n_atoms)`` array to ``(rows, n_blocks)`` penalties in one call, with the
+    values and checks of ``f`` on each row.  A user measure's map has
+    ``f.rows = None``.
     """
     space = measure.space
 
@@ -200,7 +229,30 @@ def penalty_map(measure: CondRiskMeasure) -> Callable[[RandomVariable], Conditio
         pen = penalty_of(measure, DualVariable(clipped)).values
         return ConditionalValue(np.where(space.block_max(vals) > 0, math.inf, pen))
 
+    f.rows = None
+    if measure._penalty_rows is not None:
+
+        def rows(vs: np.ndarray) -> np.ndarray:
+            # the checks of DualVariable, fenchel and ConditionalValue, row-wise
+            if not np.all(np.isfinite(vs)):
+                raise ValueError("dual variable entries must be finite")
+            if vs.shape[-1] != space.n_atoms:
+                raise DualityError("dual variable length does not match the space")
+            pen = measure._penalty_rows(np.minimum(vs, 0.0))
+            if np.any(np.isnan(pen)):
+                raise ValueError("conditional value entries must not be NaN")
+            return np.where(space.block_max(vs) > 0, math.inf, pen)
+
+        f.rows = rows
     return f
+
+
+def _values_of_rows(f, vs: np.ndarray) -> np.ndarray:
+    """``f`` of each row of ``vs`` as ``(rows, n_blocks)``: one call of its
+    row form, or one call of ``f`` per row, in order, without one."""
+    if getattr(f, "rows", None) is not None:
+        return f.rows(vs)
+    return np.stack([f(RandomVariable(v)).values for v in vs])
 
 
 # -- dual representation ---------------------------------------------------------
@@ -547,56 +599,87 @@ def stable_sublevel_check(
     short there says so in ``notes``.  Boundedness is probed by step-doubling
     rays along +/- each probe member; the verdict is only complete up to the
     span of the probe.
+
+    An ``f`` with a row form (``f.rows``, as ``penalty_map`` of a built-in
+    has) screens the probe in one call, pastes the choices in row batches
+    that double up to about CHUNK_ELEMENTS payoff entries, stopping after
+    the batch that holds the first violation, and takes every ray point in
+    one call.  Any other ``f`` is called on one payoff at a time, in walk
+    order, and each ray stops once it has left the set on every block.
     """
     if not probe:
         raise ValueError("probe must be nonempty")
     level = space._check_cv(eta)
+    batched = getattr(f, "rows", None) is not None
+    n, m = space.n_atoms, space.n_blocks
 
-    def inside(v: RandomVariable) -> bool:
-        return bool(np.all(f(v).values <= level))
-
-    members = [v for v in probe if inside(v)]
+    inside = np.all(_values_of_rows(f, np.stack([v.values for v in probe])) <= level, axis=1)
+    members = [v for v, ok in zip(probe, inside) if ok]
     notes = []
     if not members:
         notes.append("no probe member lies in the sublevel set; verdicts vacuous")
 
     # mixed payoffs are pasted from one stack of the members: a choice picks
-    # a member (a row) per block, broadcast to one row index per atom
+    # a member (a row) per block, broadcast to one row index per atom.  The
+    # c-th choice of itertools.product has the base-M digits of c, block 1
+    # the most significant
     stack = np.stack([v.values for v in members]) if members else None
-    cols = np.arange(space.n_atoms)
-
+    cols = np.arange(n)
+    total = len(members) ** m
+    end = min(total, SUBLEVEL_MAX_COMBOS + 1)
+    max_rows = max(1, CHUNK_ELEMENTS // n) if batched else 1
     violation = None
-    steps = itertools.product(range(len(members)), repeat=space.n_blocks)
-    for combos, choice in enumerate(steps, start=1):
-        if not inside(RandomVariable(stack[space.broadcast(np.array(choice)), cols])):
+    done, size = 0, 1
+    while done < end:
+        rest = np.arange(done, min(done + size, end))
+        choices = np.zeros((rest.size, m), dtype=np.intp)
+        for j in range(m - 1, -1, -1):
+            if not rest.any():
+                break
+            rest, choices[:, j] = np.divmod(rest, len(members))
+        vals = _values_of_rows(f, stack[space.broadcast(choices), cols])
+        outside = ~np.all(vals <= level, axis=1)
+        if outside.any():
+            choice = choices[int(np.argmax(outside))].tolist()
             violation = {
-                "partition": [[j] for j in range(1, space.n_blocks + 1)],
+                "partition": [[j] for j in range(1, m + 1)],
                 "choice": [members[k].values.tolist() for k in choice],
             }
             break
-        if combos > SUBLEVEL_MAX_COMBOS:
-            if next(steps, None) is not None:
-                notes.append(
-                    f"mixing closure checked on the first {combos} combinations of a "
-                    "partition and a choice of members only: the walk stops at its cap"
-                )
-            break
+        done += len(choices)
+        size = min(2 * size, max_rows)
+    if violation is None and done < total:
+        notes.append(
+            f"mixing closure checked on the first {done} combinations of a "
+            "partition and a choice of members only: the walk stops at its cap"
+        )
     mixing_ok = violation is None
 
-    bounded = np.ones(space.n_blocks, dtype=bool)
-    if members:
+    bounded = np.ones(m, dtype=bool)
+    dirs = [d for v in probe for d in (v.values, -v.values) if np.any(d)]
+    if members and dirs:
         base = members[0].values
-        for v in probe:
-            for dvec in (v.values, -v.values):
-                if not np.any(dvec):
-                    continue
-                escaped = np.zeros(space.n_blocks, dtype=bool)
-                t = 1.0
-                while t <= SUBLEVEL_RAY_BOUND:
+        ts = 2.0 ** np.arange(math.floor(math.log2(SUBLEVEL_RAY_BOUND)) + 1)
+        if batched:
+            with np.errstate(over="ignore"):
+                rays = base + ts[:, None] * np.stack(dirs)[:, None, :]
+            # a direction's steps past float range follow its finite ones:
+            # one is an error, as a payoff, unless the direction had already
+            # left the set on every block
+            finite = np.isfinite(rays).all(axis=-1)
+            hits = np.zeros(finite.shape + (m,), dtype=bool)
+            hits[finite] = f.rows(rays[finite]) > level
+            escaped = hits.any(axis=1)
+            if not escaped[~finite.all(axis=1)].all():
+                raise ValueError("random variable entries must be finite")
+            bounded = escaped.all(axis=0)
+        else:
+            for dvec in dirs:
+                escaped = np.zeros(m, dtype=bool)
+                for t in ts:
                     escaped |= f(RandomVariable(base + t * dvec)).values > level
                     if escaped.all():
                         break
-                    t *= 2.0
                 bounded &= escaped
     bounded = bounded.tolist()
 

@@ -75,6 +75,11 @@ class CondRiskMeasure:
     _cut: Optional[Callable[[FiniteProbSpace, int], "CondRiskMeasure"]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # built-ins only: the closed-form penalty of each row of a ``(rows,
+    # n_atoms)`` array of raw dual vectors, as ``(rows, n_blocks)``, unchecked
+    _penalty_rows: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def evaluate(self, x: RandomVariable) -> ConditionalValue:
         out = self._evaluate_one(x)
@@ -173,8 +178,9 @@ class CondRiskMeasure:
 
 
 def _builtin(space, label, batch, penalty, cut, **dual) -> CondRiskMeasure:
-    """A built-in from its batched risk (rows of payoffs), its penalty map and
-    ``cut(block_space, j)``, which builds it on one block for ``restrict``.
+    """A built-in from its batched risk (rows of payoffs), its batched penalty
+    (rows of duals) and ``cut(block_space, j)``, which builds it on one block
+    for ``restrict``.
 
     Batches run in chunks of rows of about CHUNK_ELEMENTS payoff entries, so a
     batch's full-size temporaries stay that small however many rows it has.
@@ -195,6 +201,7 @@ def _builtin(space, label, batch, penalty, cut, **dual) -> CondRiskMeasure:
         **dual,
     )
     measure._cut = cut
+    measure._penalty_rows = penalty
     return measure
 
 

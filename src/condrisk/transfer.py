@@ -17,6 +17,7 @@ import numpy as np
 from .duality import (
     DualVariable,
     _check_tol,
+    _values_of_rows,
     admissible_dual,
     fenchel,
     penalty_map,
@@ -211,8 +212,7 @@ def _probe_duals(measure: CondRiskMeasure, seed: int, count: int = 5) -> List[Ra
 
 def _probe_level(measure: CondRiskMeasure, probes: Sequence[RandomVariable]) -> ConditionalValue:
     """One above the largest finite probe penalty of each block (1 if none is finite)."""
-    pen = penalty_map(measure)
-    vals = np.stack([pen(p).values for p in probes])
+    vals = _values_of_rows(penalty_map(measure), np.stack([p.values for p in probes]))
     levels = np.max(np.where(np.isfinite(vals), vals, -np.inf), axis=0)
     return ConditionalValue(np.where(np.isfinite(levels), levels + 1.0, 1.0))
 

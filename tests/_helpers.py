@@ -296,3 +296,27 @@ def reference_sublevel_walk(space, f, eta, probe, max_combos):
                 )
             break
     return len(members), None, notes
+
+
+def reference_sublevel_rays(space, f, eta, probe, members):
+    """Blocks bounded along every step-doubling ray of ``stable_sublevel_check``,
+    found one payoff per call of ``f``."""
+    from condrisk import RandomVariable
+    from condrisk.duality import SUBLEVEL_RAY_BOUND
+
+    bounded = [True] * space.n_blocks
+    if not members:
+        return bounded
+    base = members[0].values
+    for v in probe:
+        for dvec in (v.values, -v.values):
+            if not np.any(dvec):
+                continue
+            escaped = [False] * space.n_blocks
+            t = 1.0
+            while t <= SUBLEVEL_RAY_BOUND:
+                vals = f(RandomVariable(base + t * dvec)).values
+                escaped = [e or bool(val > lev) for e, val, lev in zip(escaped, vals, eta.values)]
+                t *= 2.0
+            bounded = [b and e for b, e in zip(bounded, escaped)]
+    return bounded

@@ -160,6 +160,30 @@ def test_avar_batch_budget_on_a_large_space():
     assert elapsed < 1.0, f"avar batch took {elapsed:.2f}s"
 
 
+def test_sublevel_check_budget_at_its_cap():
+    # runtime gate in the style of criterion 6: 12 shuffled blocks of 3 atoms
+    # and 5 members, so the mixing walk stops at its cap (4,097 of 5^12
+    # choices), with the penalty map of a built-in as f
+    rng = np.random.default_rng(109)
+    blocks = np.split(rng.permutation(36) + 1, 12)
+    probs = rng.uniform(0.5, 2.0, 36)
+    space = cr.FiniteProbSpace(probs / probs.sum(), [b.tolist() for b in blocks])
+    probes = [cr.RandomVariable(-np.ones(36))] + [
+        cr.RandomVariable(cr.admissible_dual(space, rng.uniform(0.2, 1.8, 36)).values)
+        for _ in range(4)
+    ]
+    for measure in (cr.cond_worst_case(space), cr.cond_avar(space, 0.3), cr.cond_entropic(space, 1.0)):
+        f = cr.penalty_map(measure)
+        eta = cr.ConditionalValue(np.max([f(p).values for p in probes], axis=0) + 1.0)
+        start = time.perf_counter()
+        report = cr.stable_sublevel_check(space, f, eta, probes)
+        elapsed = time.perf_counter() - start
+        assert report.members == 5 and report.mixing_closure_passed, measure.label
+        assert all(report.inf_compact_per_block), measure.label
+        assert any("first 4097 combinations" in note for note in report.notes)
+        assert elapsed < 0.15, f"sublevel check of {measure.label} took {elapsed:.2f}s"
+
+
 def test_criterion_7_young_holder(s4):
     with criterion(7, "young and holder"):
         phi = cr.young_power(2)

@@ -28,9 +28,10 @@ from condrisk import (
     stable_sublevel_check,
     verify_representation,
 )
-from _helpers import reference_risk, reference_sublevel_walk
+from _helpers import reference_risk, reference_sublevel_rays, reference_sublevel_walk
 from condrisk import duality
 from condrisk.duality import SUBLEVEL_MAX_COMBOS, DualityError, _project_capped_simplex
+from condrisk.riskcore import BUILTIN_FACTORIES
 
 LOG2 = math.log(2.0)
 
@@ -104,6 +105,26 @@ def test_grid_matches_closed_form_entropic(s4):
         a = fenchel(ent, y).values
         b = fenchel(ent, y, "grid_refine").values
         assert np.max(np.abs(a - b)) <= 1e-5
+
+
+def test_grid_conjugate_is_infinite_just_off_the_density_simplex():
+    # on this block the grid's gains stop under GRID_TOL before they show the
+    # slope |E[y] + 1| of a dual moved off the simplex by 1e-7 or 1e-4, so
+    # the constant ray x = c sign(E[y] + 1) must certify +inf first
+    space = FiniteProbSpace([0.178, 0.623, 0.199], [[1, 2, 3]])
+    ent = cond_entropic(space, 1.3)
+    y = admissible_dual(space, [2.13, 0.94, 0.19]).values
+    value, _, ray = duality._block_conjugate_grid(ent, y)
+    assert ray is None
+    assert abs(value - ent.closed_form_penalty(y).values[0]) <= 1e-6
+    for i in range(3):
+        for shift in (1e-7, -1e-7, 1e-4, -1e-4):
+            z = y.copy()
+            z[i] += shift
+            assert math.isinf(ent.closed_form_penalty(z).values[0])
+            value, _, ray = duality._block_conjugate_grid(ent, z)
+            assert math.isinf(value)
+            assert np.allclose(ray, math.copysign(1.0, shift) / math.sqrt(3.0))
 
 
 def test_dual_representation_examples(s4):
@@ -459,3 +480,142 @@ def test_ascent_warning_names_a_stalled_step_search(space8):
     for warning in result.warnings:
         assert "step search stalled after" in warning and " with gap " in warning
         assert int(warning.split("stalled after ")[1].split()[0]) < cfg.max_iters
+
+
+def _message(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_penalty_map_row_form_keeps_the_row_checks(s4, space8):
+    rng = np.random.default_rng(12)
+    for measure in (cond_entropic(space8, 1.5), cond_avar(space8, 0.4).restrict(2)):
+        f = penalty_map(measure)
+        n = measure.space.n_atoms
+        vs = np.vstack([rng.normal(-1.0, 1.0, (6, n)), -np.ones(n)])
+        assert np.array_equal(f.rows(vs), np.stack([f(RandomVariable(v)).values for v in vs]))
+        bad = vs.copy()
+        bad[3, 0] = -np.inf
+        assert _message(lambda: f.rows(bad)) == _message(lambda: DualVariable(bad[3]))
+    f = penalty_map(cond_worst_case(s4))
+    wrong = -np.ones(5)
+    assert _message(lambda: f.rows(wrong[None])) == _message(lambda: f(RandomVariable(wrong)))
+    # a NaN penalty is refused as a ConditionalValue refuses it
+    nan = cond_worst_case(s4)
+    nan.closed_form_penalty = lambda y: ConditionalValue([math.nan, 0.0])
+    nan._penalty_rows = lambda ys: np.full((len(ys), 2), math.nan)
+    f = penalty_map(nan)
+    v = -np.ones(4)
+    assert _message(lambda: f.rows(v[None])) == _message(lambda: f(RandomVariable(v)))
+    # user measures, and their padded restrictions, have no row form
+    worst = cond_worst_case(s4)
+    user = CondRiskMeasure(
+        s4, lambda x: s4.esssup_cond(-x), "user_worst", closed_form_penalty=worst.closed_form_penalty
+    )
+    assert penalty_map(user).rows is None and penalty_map(user.restrict(1)).rows is None
+
+
+def _with_rows(per_row, rows):
+    def f(v):
+        return per_row(v)
+
+    f.rows = rows
+    return f
+
+
+def test_rays_past_float_range_act_as_one_payoff_at_a_time(s4):
+    # a ray that has left the set on every block before it leaves float range
+    # is fine; one that leaves float range first raises, as that payoff would
+    bary = RandomVariable(-np.ones(4))
+    huge = RandomVariable([-1e300, -1.0, -1.0, -1.0])
+    pen = penalty_map(cond_worst_case(s4))
+    for f in (pen, lambda v: pen(v)):
+        rep = stable_sublevel_check(s4, f, ConditionalValue([1, 1]), [bary, huge])
+        assert rep.members == 1 and rep.bounded_per_block == [True, True]
+    ent = cond_entropic(s4, 1.0)
+    for f in (_with_rows(ent.evaluate, ent.evaluate_batch), ent.evaluate):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+            stable_sublevel_check(s4, f, ConditionalValue([5, 5]), [RandomVariable([5.0] * 4), huge])
+
+
+@st.composite
+def sublevel_cases(draw):
+    m = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    n = sum(sizes)
+    order = draw(st.permutations(range(1, n + 1)))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), float)
+    blocks = [b.tolist() for b in np.split(np.array(order), np.cumsum(sizes)[:-1])]
+    space = FiniteProbSpace(weights / weights.sum(), blocks)
+    measure = BUILTIN_FACTORIES[draw(st.sampled_from(sorted(BUILTIN_FACTORIES)))](
+        space, gamma=draw(st.sampled_from([0.5, 2.0])), **{"lambda": draw(st.sampled_from([0.3, 1.0]))}
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probes = [RandomVariable(-np.ones(n))] + [
+        RandomVariable(admissible_dual(space, rng.uniform(0.2, 1.8, n)).values)
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    if draw(st.booleans()):  # a zero direction and a payoff off the density cone
+        probes += [RandomVariable(np.zeros(n)), RandomVariable(rng.normal(0.0, 1.0, n))]
+    levels = draw(st.lists(st.sampled_from([0.0, 0.05, 1.0]), min_size=m, max_size=m))
+    return space, measure, probes, ConditionalValue(levels), draw(st.integers(1, 40))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(sublevel_cases(), st.booleans())
+def test_batched_walk_and_rays_match_the_row_by_row_references(case, on_risk):
+    # f is a built-in's penalty map, or its risk, whose sublevel sets are
+    # unbounded along payoffs that rise; each walk runs under a small cap and
+    # under the real one, so caps are both hit and not hit
+    space, measure, probes, eta, cap = case
+    if on_risk:
+        f = _with_rows(measure.evaluate, measure.evaluate_batch)
+    else:
+        f = penalty_map(measure)
+        assert f.rows is not None
+    members = [v for v in probes if np.all(f(v).values <= eta.values)]
+    rays = reference_sublevel_rays(space, f, eta, probes, members)
+    for max_combos in (cap, SUBLEVEL_MAX_COMBOS):
+        with mock.patch.object(duality, "SUBLEVEL_MAX_COMBOS", max_combos):
+            rep = stable_sublevel_check(space, f, eta, probes)
+        walk = reference_sublevel_walk(space, f, eta, probes, max_combos)
+        assert (rep.members, rep.mixing_violation, rep.notes) == walk
+        assert rep.bounded_per_block == rays
+
+
+def test_row_form_walk_reports_the_first_violation_in_product_order():
+    # 4 uneven shuffled blocks and 4 members: 256 choices, and no block is a
+    # singleton, on which every member is -1.  This row-form f breaks
+    # locality on chosen mixes; a batch may hold several of them, and the
+    # report must name the first in product order
+    space = FiniteProbSpace(np.full(9, 1 / 9), [[4, 9], [1, 6], [7, 2, 5], [3, 8]])
+    probes = _dual_probes(space, np.random.default_rng(5))[:4]
+    eta = ConditionalValue(np.ones(4))
+    base = penalty_map(cond_worst_case(space))
+    choices = list(itertools.product(range(4), repeat=4))
+    stack = np.stack([p.values for p in probes])
+    cols = np.arange(space.n_atoms)
+    # no chosen mix is a probe itself, as choices 0, 85, 170 and 255 are
+    for bad in ([5, 6], [100, 97, 120], [1], [254], [200, 130]):
+        mixes = np.stack([stack[space.broadcast(np.array(choices[c])), cols] for c in bad])
+        seen = []
+
+        def hit(vs, mixes=mixes):
+            return (vs[:, None, :] == mixes[None]).all(axis=-1).any(axis=-1)
+
+        def rows(vs, seen=seen, hit=hit):
+            seen.append(len(vs))
+            return base.rows(vs) + 5.0 * hit(vs)[:, None]
+
+        f = _with_rows(lambda v, hit=hit: ConditionalValue(base(v).values + 5.0 * hit(v.values[None])[0]), rows)
+        rep = stable_sublevel_check(space, f, eta, probes)
+        want = reference_sublevel_walk(space, f, eta, probes, SUBLEVEL_MAX_COMBOS)
+        assert (rep.members, rep.mixing_violation, rep.notes) == want
+        first = min(bad)
+        assert rep.mixing_violation["choice"] == [probes[k].values.tolist() for k in choices[first]]
+        # one call screens the probe and one takes every ray; the walk between
+        # them pastes batches of 1, 2, 4, ... rows and stops with the batch
+        # that holds the first violation
+        assert seen[0] == 4 and seen[-1] == 41 * 8
+        assert sum(seen[1:-1]) == 2 ** (first + 1).bit_length() - 1

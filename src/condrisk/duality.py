@@ -18,7 +18,7 @@ import numpy as np
 from .boolalg import PartitionOfUnity, mask_array
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
-from .riskcore import ADMISSIBLE_TOL, CHUNK_ELEMENTS, CondRiskMeasure
+from .riskcore import ADMISSIBLE_TOL, CondRiskMeasure, _row_batches
 
 
 class DualityError(CondriskError):
@@ -154,7 +154,8 @@ def _block_conjugate_grid(measure: CondRiskMeasure, y_block: np.ndarray):
     returned.  A dual off the density simplex (|E[y] + 1| > ADMISSIBLE_TOL)
     first walks the constant ray x = c sign(E[y] + 1), along which a
     cash-invariant measure's objective grows like c |E[y] + 1|: a grid whose
-    gains shrink faster than that would stop at a finite value.
+    gains shrink faster than that would stop at a finite value.  The ray's
+    unit is stretched so that its first gain is at least 2 GRID_TOL.
     """
     k = y_block.size
     weights = measure.space.cond_probs(1) * y_block
@@ -165,7 +166,8 @@ def _block_conjugate_grid(measure: CondRiskMeasure, y_block: np.ndarray):
     start = float(obj_batch(np.zeros((1, k)))[0])
     gap = float(measure.space.block_mean(y_block)[0]) + 1.0
     if abs(gap) > ADMISSIBLE_TOL:
-        unit = np.full((1, k), math.copysign(1.0, gap))
+        stretch = max(1.0, 2.0 * GRID_TOL / (GRID_RADIUS * abs(gap)))
+        unit = np.full((1, k), math.copysign(stretch, gap))
         best, point, _, ray = _doubling_search(obj_batch, lambda r: r * unit, start, k)
         if ray is not None:
             return best, point, ray
@@ -195,7 +197,8 @@ def fenchel(
     if method == "closed_form":
         if measure.closed_form_penalty is None:
             raise DualityError(f"{measure.label} declares no closed-form penalty")
-        return measure.closed_form_penalty(y.values)
+        pen = measure._rows(measure.closed_form_penalty, y.values[None], "penalties")
+        return ConditionalValue(pen[0])
     if method != "grid_refine":
         raise ValueError("method must be 'closed_form' or 'grid_refine'")
     return ConditionalValue(
@@ -215,35 +218,33 @@ def penalty_map(measure: CondRiskMeasure) -> Callable[[RandomVariable], Conditio
     """Penalty as a map on raw payoff vectors, +inf on blocks with positive entries.
 
     Lets the sublevel-set machinery walk the dual space: vectors with a
-    positive entry on a block are outside the density cone there.  The map
-    of a built-in also has a row form ``f.rows``: it takes a ``(rows,
-    n_atoms)`` array to ``(rows, n_blocks)`` penalties in one call, with the
-    values and checks of ``f`` on each row.  A user measure's map has
-    ``f.rows = None``.
+    positive entry on a block are outside the density cone there.  Every
+    map has a row form ``f.rows``: it takes a ``(rows, n_atoms)`` array to
+    ``(rows, n_blocks)`` penalties, with the checks of ``DualVariable``,
+    ``fenchel`` and ``ConditionalValue`` on each row, in one call of the
+    closed form or, without one, one ``grid_refine`` conjugate per row.
+    ``f`` is its one-row case.
     """
     space = measure.space
 
+    def rows(vs: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(vs)):
+            raise ValueError("dual variable entries must be finite")
+        if vs.shape[-1] != space.n_atoms:
+            raise DualityError("dual variable length does not match the space")
+        clipped = np.minimum(vs, 0.0)
+        if measure.closed_form_penalty is not None:
+            pen = measure._rows(measure.closed_form_penalty, clipped, "penalties")
+        else:
+            pen = np.stack([fenchel(measure, DualVariable(y), "grid_refine").values for y in clipped])
+        if np.any(np.isnan(pen)):
+            raise ValueError("conditional value entries must not be NaN")
+        return np.where(space.block_max(vs) > 0, math.inf, pen)
+
     def f(v: RandomVariable) -> ConditionalValue:
-        vals = v.values
-        clipped = np.minimum(vals, 0.0)
-        pen = penalty_of(measure, DualVariable(clipped)).values
-        return ConditionalValue(np.where(space.block_max(vals) > 0, math.inf, pen))
+        return ConditionalValue(rows(v.values[None])[0])
 
-    f.rows = None
-    if measure._penalty_rows is not None:
-
-        def rows(vs: np.ndarray) -> np.ndarray:
-            # the checks of DualVariable, fenchel and ConditionalValue, row-wise
-            if not np.all(np.isfinite(vs)):
-                raise ValueError("dual variable entries must be finite")
-            if vs.shape[-1] != space.n_atoms:
-                raise DualityError("dual variable length does not match the space")
-            pen = measure._penalty_rows(np.minimum(vs, 0.0))
-            if np.any(np.isnan(pen)):
-                raise ValueError("conditional value entries must not be NaN")
-            return np.where(space.block_max(vs) > 0, math.inf, pen)
-
-        f.rows = rows
+    f.rows = rows
     return f
 
 
@@ -324,8 +325,9 @@ def _block_penalty_fn(measure: CondRiskMeasure):
     x*, and -q x* is the penalty's gradient at d (envelope theorem), so the
     ascent gets its slope from the penalty it already paid for.
     """
-    if measure.closed_form_penalty is not None:
-        return lambda d: (float(measure.closed_form_penalty(-d).values[0]), None)
+    pen = measure.closed_form_penalty
+    if pen is not None:
+        return lambda d: (float(measure._rows(pen, -d[None], "penalties")[0, 0]), None)
     return lambda d: _block_conjugate_grid(measure, -d)[:2]
 
 
@@ -600,17 +602,19 @@ def stable_sublevel_check(
     rays along +/- each probe member; the verdict is only complete up to the
     span of the probe.
 
-    An ``f`` with a row form (``f.rows``, as ``penalty_map`` of a built-in
-    has) screens the probe in one call, pastes the choices in row batches
-    that double up to about CHUNK_ELEMENTS payoff entries, stopping after
-    the batch that holds the first violation, and takes every ray point in
-    one call.  Any other ``f`` is called on one payoff at a time, in walk
-    order, and each ray stops once it has left the set on every block.
+    ``f`` is called through its row form ``f.rows`` where it has one (every
+    ``penalty_map`` has), else on one payoff at a time, in order.  The probe
+    is screened in one call.  The walk pastes its choices in row batches that
+    double up to about CHUNK_ELEMENTS payoff entries and stops after the
+    batch that holds the first violation, which it reports.  The rays are
+    taken step by step, t = 1, 2, 4, ..., SUBLEVEL_RAY_BOUND: each step is
+    one call on the directions that are still inside the set on some block,
+    and a step of such a direction past float range raises the payoff's
+    ValueError.
     """
     if not probe:
         raise ValueError("probe must be nonempty")
     level = space._check_cv(eta)
-    batched = getattr(f, "rows", None) is not None
     n, m = space.n_atoms, space.n_blocks
 
     inside = np.all(_values_of_rows(f, np.stack([v.values for v in probe])) <= level, axis=1)
@@ -627,11 +631,9 @@ def stable_sublevel_check(
     cols = np.arange(n)
     total = len(members) ** m
     end = min(total, SUBLEVEL_MAX_COMBOS + 1)
-    max_rows = max(1, CHUNK_ELEMENTS // n) if batched else 1
     violation = None
-    done, size = 0, 1
-    while done < end:
-        rest = np.arange(done, min(done + size, end))
+    for done, size in _row_batches(n, end):
+        rest = np.arange(done, done + size)
         choices = np.zeros((rest.size, m), dtype=np.intp)
         for j in range(m - 1, -1, -1):
             if not rest.any():
@@ -646,42 +648,26 @@ def stable_sublevel_check(
                 "choice": [members[k].values.tolist() for k in choice],
             }
             break
-        done += len(choices)
-        size = min(2 * size, max_rows)
-    if violation is None and done < total:
+    if violation is None and end < total:
         notes.append(
-            f"mixing closure checked on the first {done} combinations of a "
+            f"mixing closure checked on the first {end} combinations of a "
             "partition and a choice of members only: the walk stops at its cap"
         )
     mixing_ok = violation is None
 
-    bounded = np.ones(m, dtype=bool)
-    dirs = [d for v in probe for d in (v.values, -v.values) if np.any(d)]
-    if members and dirs:
-        base = members[0].values
-        ts = 2.0 ** np.arange(math.floor(math.log2(SUBLEVEL_RAY_BOUND)) + 1)
-        if batched:
-            with np.errstate(over="ignore"):
-                rays = base + ts[:, None] * np.stack(dirs)[:, None, :]
-            # a direction's steps past float range follow its finite ones:
-            # one is an error, as a payoff, unless the direction had already
-            # left the set on every block
-            finite = np.isfinite(rays).all(axis=-1)
-            hits = np.zeros(finite.shape + (m,), dtype=bool)
-            hits[finite] = f.rows(rays[finite]) > level
-            escaped = hits.any(axis=1)
-            if not escaped[~finite.all(axis=1)].all():
-                raise ValueError("random variable entries must be finite")
-            bounded = escaped.all(axis=0)
-        else:
-            for dvec in dirs:
-                escaped = np.zeros(m, dtype=bool)
-                for t in ts:
-                    escaped |= f(RandomVariable(base + t * dvec)).values > level
-                    if escaped.all():
-                        break
-                bounded &= escaped
-    bounded = bounded.tolist()
+    dirs = [d for v in probe for d in (v.values, -v.values) if np.any(d)] if members else []
+    dirs = np.reshape(dirs, (-1, n))
+    escaped = np.zeros((len(dirs), m), dtype=bool)
+    live, t = np.arange(len(dirs)), 1.0
+    while live.size and t <= SUBLEVEL_RAY_BOUND:
+        with np.errstate(over="ignore"):
+            rays = members[0].values + t * dirs[live]
+        if not np.isfinite(rays).all():
+            raise ValueError("random variable entries must be finite")
+        escaped[live] |= _values_of_rows(f, rays) > level
+        live = live[~escaped[live].all(axis=1)]
+        t *= 2.0
+    bounded = escaped.all(axis=0).tolist()
 
     inf_compact = [mixing_ok and b for b in bounded]
     return SublevelReport(

@@ -52,11 +52,13 @@ class CondRiskMeasure:
     array to ``(rows, n_blocks)`` risks, and ``evaluate_batch`` loops over
     ``evaluate_fn`` without it.  Built-ins supply one batched function over the
     last axis and evaluate a single payoff as a one-row case of it.
-    ``closed_form_penalty`` maps a raw dual vector (one value per sample atom,
-    all <= 0) to the blockwise penalty, +inf where the vector is not an
-    admissible density for the measure; ``dual_density_cap`` bounds the dual
-    ascent's densities and ``dual_penalty_grad`` gives it the penalty's slope
-    (a closed form without it adds none).  ``restrict(j)`` cuts block
+    ``closed_form_penalty`` has the contract of ``evaluate_batch_fn``: it maps
+    a ``(rows, n_atoms)`` array of raw dual vectors (all <= 0) to ``(rows,
+    n_blocks)`` penalties, +inf where a row is not an admissible density for
+    the measure, and a result of another shape is refused by name.  Built-ins
+    pass their batched penalty as it is.  ``dual_density_cap`` bounds the
+    dual ascent's densities and ``dual_penalty_grad`` gives it the penalty's
+    slope (a closed form without it adds none).  ``restrict(j)`` cuts block
     ``j`` out as a classical measure on one block, which is what the dual
     engine works on: a built-in rebuilds itself there natively, a user
     measure is padded back to the whole space and checked for that padding.
@@ -65,7 +67,7 @@ class CondRiskMeasure:
     space: FiniteProbSpace
     evaluate_fn: Callable[[RandomVariable], ConditionalValue]
     label: str
-    closed_form_penalty: Optional[Callable[[np.ndarray], ConditionalValue]] = None
+    closed_form_penalty: Optional[Callable[[np.ndarray], np.ndarray]] = None
     evaluate_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dual_density_cap: Optional[Callable[[int], Optional[float]]] = None
     dual_penalty_grad: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
@@ -73,11 +75,6 @@ class CondRiskMeasure:
     # built-ins only: ``cut(block_space, j)`` builds the same built-in on
     # block j's space with block j's parameter
     _cut: Optional[Callable[[FiniteProbSpace, int], "CondRiskMeasure"]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # built-ins only: the closed-form penalty of each row of a ``(rows,
-    # n_atoms)`` array of raw dual vectors, as ``(rows, n_blocks)``, unchecked
-    _penalty_rows: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -106,10 +103,14 @@ class CondRiskMeasure:
         xs = np.asarray(xs, dtype=float)
         if self.evaluate_batch_fn is None:
             return np.stack([self._evaluate_one(RandomVariable(row)).values for row in xs])
-        out = np.asarray(self.evaluate_batch_fn(xs), dtype=float)
+        return self._rows(self.evaluate_batch_fn, xs, "risks")
+
+    def _rows(self, fn, xs: np.ndarray, what: str) -> np.ndarray:
+        """``fn(xs)`` of a row hook, refused by name unless ``(rows, n_blocks)``."""
+        out = np.asarray(fn(xs), dtype=float)
         if out.shape != (len(xs), self.space.n_blocks):
             raise SpaceError(
-                f"{self.label} returned risks of shape {out.shape}, "
+                f"{self.label} returned {what} of shape {out.shape}, "
                 f"expected {(len(xs), self.space.n_blocks)}"
             )
         return out
@@ -139,10 +140,13 @@ class CondRiskMeasure:
             return block
         col = slice(j - 1, j)
 
+        def pad(rows: np.ndarray, fill: float) -> np.ndarray:
+            full = np.full((rows.shape[0], n), fill)
+            full[:, idx] = rows
+            return full
+
         def ev_batch(xs: np.ndarray, fill: float = 0.0) -> np.ndarray:
-            full = np.full((xs.shape[0], n), fill)
-            full[:, idx] = xs
-            return self.evaluate_batch(full)[:, col]
+            return self.evaluate_batch(pad(xs, fill))[:, col]
 
         probes = np.stack([np.zeros(idx.size), np.linspace(-1.0, 1.0, idx.size)])
         lo, hi = ev_batch(probes)[:, 0], ev_batch(probes, EXTENSION_FILL)[:, 0]
@@ -155,12 +159,7 @@ class CondRiskMeasure:
 
         pen = cap = grad = None
         if self.closed_form_penalty is not None:
-
-            def pen(y: np.ndarray) -> ConditionalValue:
-                full = np.full(n, -1.0)
-                full[idx] = y
-                return _cv(self.closed_form_penalty(full).values[col])
-
+            pen = lambda ys: self._rows(self.closed_form_penalty, pad(ys, -1.0), "penalties")[:, col]
         if self.dual_density_cap is not None:
             cap = lambda _: self.dual_density_cap(j)
         if self.dual_penalty_grad is not None:
@@ -175,6 +174,17 @@ class CondRiskMeasure:
             dual_penalty_grad=grad,
             params=dict(self.params),
         )
+
+
+def _row_batches(n_atoms: int, total: int):
+    """``(start, size)`` of row batches that cover ``total`` rows, the sizes
+    doubling from 1 up to about CHUNK_ELEMENTS payoff entries."""
+    start, size, cap = 0, 1, max(1, CHUNK_ELEMENTS // n_atoms)
+    while start < total:
+        size = min(size, cap, total - start)
+        yield start, size
+        start += size
+        size *= 2
 
 
 def _builtin(space, label, batch, penalty, cut, **dual) -> CondRiskMeasure:
@@ -196,12 +206,11 @@ def _builtin(space, label, batch, penalty, cut, **dual) -> CondRiskMeasure:
         space,
         lambda x: ConditionalValue(batch(x.values[None])[0]),
         label,
-        closed_form_penalty=lambda y: ConditionalValue(penalty(y)),
+        closed_form_penalty=penalty,
         evaluate_batch_fn=batch_fn,
         **dual,
     )
     measure._cut = cut
-    measure._penalty_rows = penalty
     return measure
 
 
@@ -579,11 +588,7 @@ def check_axiom(
     space = measure.space
     rng = np.random.default_rng(seed)
     groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else []
-    cap = max(1, CHUNK_ELEMENTS // space.n_atoms)
-
-    done, size = 0, 1
-    while done < trials:
-        size = min(size, cap, trials - done)
+    for done, size in _row_batches(space.n_atoms, trials):
         inputs = _draw_trials(axiom, space, groups, rng, size)
         found = _first_failure(measure, axiom, inputs)
         if found is not None:
@@ -600,8 +605,6 @@ def check_axiom(
                     "rhs": rhs,
                 },
             )
-        done += size
-        size *= 2
     return AxiomReport(axiom, trials, True)
 
 
@@ -629,12 +632,16 @@ class EventuallyConstantSeq:
 
 @dataclass(frozen=True)
 class ShrinkingPerturbationSeq:
-    """x_n = x + (1/n) d, truncated at n_max; converges to x."""
+    """x_n = x + (1/n) d, truncated at n_max >= 1; converges to x."""
 
     x: RandomVariable
     d: RandomVariable
     n_max: int
     dominator: Optional[RandomVariable] = None
+
+    def __post_init__(self):
+        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
     def limit(self) -> RandomVariable:
         return self.x

@@ -17,7 +17,6 @@ import numpy as np
 from .duality import (
     DualVariable,
     _check_tol,
-    _values_of_rows,
     admissible_dual,
     fenchel,
     penalty_map,
@@ -212,7 +211,7 @@ def _probe_duals(measure: CondRiskMeasure, seed: int, count: int = 5) -> List[Ra
 
 def _probe_level(measure: CondRiskMeasure, probes: Sequence[RandomVariable]) -> ConditionalValue:
     """One above the largest finite probe penalty of each block (1 if none is finite)."""
-    vals = _values_of_rows(penalty_map(measure), np.stack([p.values for p in probes]))
+    vals = penalty_map(measure).rows(np.stack([p.values for p in probes]))
     levels = np.max(np.where(np.isfinite(vals), vals, -np.inf), axis=0)
     return ConditionalValue(np.where(np.isfinite(levels), levels + 1.0, 1.0))
 
@@ -288,6 +287,8 @@ def transfer_verify(
     """
     _check_tol(tol)
     items = sorted(set(items))
+    if not items:
+        raise ValueError("transfer_verify needs at least one item")
     unknown = [i for i in items if i not in ITEM_NAMES]
     if unknown:
         raise ValueError(f"unknown item numbers {unknown}; known: {sorted(ITEM_NAMES)}")

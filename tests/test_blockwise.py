@@ -96,7 +96,7 @@ def test_batched_forms_match_per_block_reference(case):
         _close(measure.evaluate(RandomVariable(xs[0])).values, ref[0])
         for dual in duals:
             _close(
-                measure.closed_form_penalty(dual).values,
+                measure.closed_form_penalty(dual[None])[0],
                 reference_penalty(space, kind, param, dual),
             )
 
@@ -160,11 +160,11 @@ def test_restrict_matches_its_parent(case):
             else:
                 for dual in (y, -np.ones(n), off):
                     _close(
-                        bm.closed_form_penalty(dual[idx]).values,
-                        m.closed_form_penalty(dual).values[j - 1 : j],
+                        bm.closed_form_penalty(dual[None, idx])[0],
+                        m.closed_form_penalty(dual[None])[0, j - 1 : j],
                     )
                 if j == stretch + 1:
-                    assert np.isinf(bm.closed_form_penalty(off[idx]).values[0])
+                    assert np.isinf(bm.closed_form_penalty(off[None, idx])[0, 0])
             if m.dual_density_cap is None:
                 assert bm.dual_density_cap is None
             else:
@@ -204,14 +204,14 @@ def test_builtins_restrict_natively():
         parent = factory(space, **params)
         before = [
             (parent.restrict(j).evaluate_batch(xs[:, idx]),
-             parent.restrict(j).closed_form_penalty(y[idx]).values)
+             parent.restrict(j).closed_form_penalty(y[None, idx])[0])
             for j, idx in enumerate(cuts, start=1)
         ]
         parent.evaluate_fn = parent.evaluate_batch_fn = parent.closed_form_penalty = refuse
         for j, idx in enumerate(cuts, start=1):
             block = parent.restrict(j)
             assert np.array_equal(block.evaluate_batch(xs[:, idx]), before[j - 1][0]), kind
-            assert np.array_equal(block.closed_form_penalty(y[idx]).values, before[j - 1][1])
+            assert np.array_equal(block.closed_form_penalty(y[None, idx])[0], before[j - 1][1])
             assert block.params.keys() == parent.params.keys()
             for name, value in block.params.items():
                 assert np.array_equal(value, params[name][j - 1 : j]), (kind, name)

@@ -113,6 +113,14 @@ def test_transfer_verify_cmd(capsys, s4_path):
     assert out["items"]["5"]["per_atom"] == [True, True]
 
 
+@pytest.mark.parametrize("items", ["", ","])
+def test_transfer_verify_cmd_refuses_an_empty_item_list(capsys, s4_path, items):
+    code, out = run(
+        capsys, ["transfer", "verify", "--scenario", s4_path, "--measure", "avar", "--items", items]
+    )
+    assert code == 2 and out == {"error": "transfer_verify needs at least one item"}
+
+
 def test_bvm_eval(capsys, s4_path):
     code, out = run(
         capsys,

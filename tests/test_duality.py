@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from condrisk import (
     FiniteProbSpace,
     PartitionOfUnity,
     RandomVariable,
+    SpaceError,
     admissible_dual,
     cond_avar,
     cond_entropic,
@@ -116,15 +118,30 @@ def test_grid_conjugate_is_infinite_just_off_the_density_simplex():
     y = admissible_dual(space, [2.13, 0.94, 0.19]).values
     value, _, ray = duality._block_conjugate_grid(ent, y)
     assert ray is None
-    assert abs(value - ent.closed_form_penalty(y).values[0]) <= 1e-6
+    assert abs(value - ent.closed_form_penalty(y[None])[0, 0]) <= 1e-6
     for i in range(3):
         for shift in (1e-7, -1e-7, 1e-4, -1e-4):
             z = y.copy()
             z[i] += shift
-            assert math.isinf(ent.closed_form_penalty(z).values[0])
+            assert math.isinf(ent.closed_form_penalty(z[None])[0, 0])
             value, _, ray = duality._block_conjugate_grid(ent, z)
             assert math.isinf(value)
             assert np.allclose(ray, math.copysign(1.0, shift) / math.sqrt(3.0))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_FACTORIES))
+def test_grid_conjugate_is_infinite_a_hair_off_the_density_simplex(kind):
+    # a gap just over ADMISSIBLE_TOL gains under GRID_TOL at the constant
+    # ray's first radius unless the ray's unit is stretched to clear it
+    space = FiniteProbSpace([0.178, 0.623, 0.199], [[1, 2, 3]])
+    measure = BUILTIN_FACTORIES[kind](space, gamma=1.3, **{"lambda": 0.4})
+    y = admissible_dual(space, [2.13, 0.94, 0.19]).values
+    for gap in (2e-10, -2e-10, 1.01e-10):
+        z = y * (1.0 - gap)  # E[z] + 1 = gap
+        assert math.isinf(measure.closed_form_penalty(z[None])[0, 0])
+        value, _, ray = duality._block_conjugate_grid(measure, z)
+        assert math.isinf(value), (gap, value)
+        assert np.allclose(ray, math.copysign(1.0, gap) / math.sqrt(3.0))
 
 
 def test_dual_representation_examples(s4):
@@ -503,17 +520,56 @@ def test_penalty_map_row_form_keeps_the_row_checks(s4, space8):
     assert _message(lambda: f.rows(wrong[None])) == _message(lambda: f(RandomVariable(wrong)))
     # a NaN penalty is refused as a ConditionalValue refuses it
     nan = cond_worst_case(s4)
-    nan.closed_form_penalty = lambda y: ConditionalValue([math.nan, 0.0])
-    nan._penalty_rows = lambda ys: np.full((len(ys), 2), math.nan)
+    nan.closed_form_penalty = lambda ys: np.full((len(ys), 2), math.nan)
     f = penalty_map(nan)
     v = -np.ones(4)
     assert _message(lambda: f.rows(v[None])) == _message(lambda: f(RandomVariable(v)))
-    # user measures, and their padded restrictions, have no row form
+    # user measures, and their padded restrictions, have the row form too
     worst = cond_worst_case(s4)
     user = CondRiskMeasure(
         s4, lambda x: s4.esssup_cond(-x), "user_worst", closed_form_penalty=worst.closed_form_penalty
     )
-    assert penalty_map(user).rows is None and penalty_map(user.restrict(1)).rows is None
+    for measure in (user, user.restrict(1)):
+        f = penalty_map(measure)
+        vs = -np.ones((2, measure.space.n_atoms))
+        assert np.array_equal(f.rows(vs), np.stack([f(RandomVariable(v)).values for v in vs]))
+
+
+def test_reassigned_closed_form_moves_f_and_its_row_form_alike(s4):
+    m = cond_worst_case(s4)
+    m.closed_form_penalty = lambda ys: np.full((len(ys), 2), 7.0)
+    f = penalty_map(m)
+    v = -np.ones(4)
+    assert f(RandomVariable(v)) == ConditionalValue([7.0, 7.0])
+    assert np.array_equal(f.rows(v[None]), [[7.0, 7.0]])
+
+
+@pytest.mark.parametrize("shape", [lambda rows: (rows, 3), lambda rows: (rows,), lambda rows: (2,)])
+def test_closed_form_of_wrong_shape_refused_for_every_caller(s4, shape):
+    m = CondRiskMeasure(
+        s4,
+        lambda x: s4.esssup_cond(-x),
+        "misshapen",
+        closed_form_penalty=lambda ys: np.zeros(shape(len(ys))),
+    )
+    named = re.escape(f"misshapen returned penalties of shape {shape(1)}")
+    y = DualVariable([-1.0] * 4)
+    for call in (
+        lambda: fenchel(m, y),
+        lambda: penalty_of(m, y),
+        lambda: penalty_map(m)(RandomVariable(y.values)),
+        lambda: penalty_map(m.restrict(2)).rows(-np.ones((1, 2))),
+        lambda: dual_representation(m, RandomVariable([1.0, 2.0, 3.0, 4.0])),
+    ):
+        with pytest.raises(SpaceError, match=named):
+            call()
+
+
+def test_hypothesis_can_report_a_falsifying_example():
+    # Hypothesis imports this module to print a failing example; the warning
+    # filter must let it in, or a failing property ends the run with an
+    # INTERNALERROR that hides the example
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def _with_rows(per_row, rows):
@@ -614,8 +670,52 @@ def test_row_form_walk_reports_the_first_violation_in_product_order():
         assert (rep.members, rep.mixing_violation, rep.notes) == want
         first = min(bad)
         assert rep.mixing_violation["choice"] == [probes[k].values.tolist() for k in choices[first]]
-        # one call screens the probe and one takes every ray; the walk between
-        # them pastes batches of 1, 2, 4, ... rows and stops with the batch
-        # that holds the first violation
-        assert seen[0] == 4 and seen[-1] == 41 * 8
+        # one call screens the probe and one takes every ray at its first
+        # step, where all 8 leave the set; the walk between them pastes
+        # batches of 1, 2, 4, ... rows and stops with the batch that holds the
+        # first violation
+        assert seen[0] == 4 and seen[-1] == 8
         assert sum(seen[1:-1]) == 2 ** (first + 1).bit_length() - 1
+
+
+def _hook_variant(hook, variant):
+    """A closed form as declared, or one that breaks its contract on every call."""
+    if variant == "nan":
+        return lambda ys: hook(ys) * math.nan
+    if variant == "misshapen":
+        return lambda ys: hook(ys)[..., None]
+    return hook
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(sublevel_cases(), st.sampled_from(["plain", "nan", "misshapen"]))
+def test_user_row_form_is_the_stack_of_its_rows(case, variant):
+    # a user measure that declares a closed form, and each of its padded
+    # restrictions: the row form gives what f gives on each row, values and
+    # errors alike, and the values of the built-in it was made from
+    space, builtin, _, _, _ = case
+    user = CondRiskMeasure(
+        space,
+        builtin.evaluate_fn,
+        "user",
+        closed_form_penalty=_hook_variant(builtin.closed_form_penalty, variant),
+    )
+    rng = np.random.default_rng(space.n_atoms)
+    for j, measure in [(0, user)] + [(j, user.restrict(j)) for j in range(1, space.n_blocks + 1)]:
+        f = penalty_map(measure)
+        n = measure.space.n_atoms
+        vs = np.vstack([rng.normal(-1.0, 1.0, (5, n)), -np.ones(n)])
+        if variant != "plain":
+            for v in vs:
+                assert _message(lambda: f.rows(v[None])) == _message(lambda: f(RandomVariable(v)))
+            continue
+        rows = f.rows(vs)
+        assert np.array_equal(rows, np.stack([f(RandomVariable(v)).values for v in vs]))
+        native = penalty_map(builtin if j == 0 else builtin.restrict(j)).rows(vs)
+        assert np.array_equal(np.isinf(rows), np.isinf(native))
+        assert np.allclose(rows[~np.isinf(rows)], native[~np.isinf(native)], rtol=0, atol=1e-12)
+        bad = vs.copy()
+        bad[2, 0] = math.nan
+        assert _message(lambda: f.rows(bad)) == _message(lambda: DualVariable(bad[2]))
+        wrong = -np.ones(n + 1)
+        assert _message(lambda: f.rows(wrong[None])) == _message(lambda: f(RandomVariable(wrong)))

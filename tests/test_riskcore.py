@@ -419,6 +419,15 @@ def test_non_finite_term_of_a_sequence_raises(s4):
             check_convergence_property(m, "lebesgue", seq)
 
 
+@pytest.mark.parametrize("n_max", [0, -3, 2.5, math.nan])
+def test_shrinking_sequence_refuses_n_max_below_one(n_max):
+    # n_max = 0 divided by zero, n_max = -3 judged x - d/3 as the last term,
+    # and 2.5 sampled a term at a fractional index
+    x = RandomVariable([1, 3, 2, 6])
+    with pytest.raises(ValueError, match=re.escape(f"n_max must be an integer >= 1, got {n_max!r}")):
+        ShrinkingPerturbationSeq(x, RandomVariable([1, 1, 1, 1]), n_max)
+
+
 def test_undominated_sequence_rejected(s4):
     x = RandomVariable([1, 3, 2, 6])
     small = RandomVariable([0.1] * 4)

@@ -245,6 +245,12 @@ def test_transfer_verify_guards(s4):
         transfer_verify(nonlocal_measure(s4), [1], payoffs)
 
 
+def test_transfer_verify_refuses_an_empty_item_list(s4):
+    # zero checks are no pass
+    with pytest.raises(ValueError, match="transfer_verify needs at least one item"):
+        transfer_verify(neg_cond_expectation(s4), [], [RandomVariable([1, 3, 2, 6])])
+
+
 @pytest.mark.parametrize("items", [[1], [5], [7]])
 def test_transfer_verify_refuses_a_bad_seed_by_name(s4, items):
     m, x = neg_cond_expectation(s4), RandomVariable([1, 3, 2, 6])

@@ -49,13 +49,18 @@ class WitnessError(CondriskError):
 
 
 class Name:
-    """Node of the separated universe; compare by identity (hash-consed)."""
+    """Node of the separated universe; compare by identity (hash-consed).
 
-    __slots__ = ("universe", "entries", "rank", "canonical_id", "collapses")
+    ``entries`` holds ``(child, BoolElem)`` pairs by child id; ``masks`` holds
+    the same pairs with bare int masks, for the truth recursion.
+    """
+
+    __slots__ = ("universe", "entries", "masks", "rank", "canonical_id", "collapses")
 
     def __init__(self, universe, entries, rank, canonical_id, collapses):
         self.universe = universe
         self.entries = entries
+        self.masks = tuple((child, value.mask) for child, value in entries)
         self.rank = rank
         self.canonical_id = canonical_id
         self.collapses = collapses
@@ -67,15 +72,20 @@ class Name:
         return self.collapses[atom - 1]
 
     def __repr__(self):
-        return name_to_literal(self)
+        try:
+            return name_to_literal(self)
+        except UniverseError:
+            return f"Name(canonical_id={self.canonical_id}, rank={self.rank})"
 
 
 class Universe:
     """Separated Boolean-valued universe over one finite algebra.
 
-    The registry and truth memo tables are shared mutable state; all inserts
-    go through dict.setdefault so concurrent use only ever caches values that
-    are deterministic functions of the keys.
+    The registry, truth memo tables and literal memo are shared mutable state;
+    all inserts go through dict.setdefault so concurrent use only ever caches
+    values that are deterministic functions of the keys.  The literal memo
+    maps the exact source text of a ``name{...}``, ``check(...)`` or
+    ``mix[...]`` literal to its name, so a spelling is parsed once here.
     """
 
     def __init__(self, algebra: BooleanAlgebra):
@@ -83,6 +93,7 @@ class Universe:
         self._registry: dict = {}
         self._eq_memo: dict = {}
         self._in_memo: dict = {}
+        self._literal_memo: dict = {}
         self._next_id = 0
         self._lock = threading.Lock()
         self.empty = self.make_name({})
@@ -145,38 +156,38 @@ class Universe:
         self._check(u, v)
         return self.algebra.from_mask(self._eq(u, v))
 
-    # The recursion runs on masks.  It needs no name checks: make_name refuses
-    # children from another universe, so every name reached belongs to self.
+    # The recursion runs on masks, keyed by one int per pair of ids.  It needs
+    # no name checks: make_name refuses children from another universe, so
+    # every name reached belongs to self.
 
     def _in(self, u: Name, v: Name) -> int:
-        key = (u.canonical_id, v.canonical_id)
+        key = u.canonical_id << 32 | v.canonical_id
         acc = self._in_memo.get(key)
         if acc is not None:
             return acc
         full = self.algebra.full
         acc = 0
-        for child, value in v.entries:
-            # only atoms of value not yet in acc can change it
-            if value.mask & ~acc:
-                acc |= value.mask & self._eq(child, u)
+        for child, mask in v.masks:
+            # only atoms of mask not yet in acc can change it
+            if mask & ~acc:
+                acc |= mask & self._eq(child, u)
                 if acc == full:
                     break
         return self._in_memo.setdefault(key, acc)
 
     def _eq(self, u: Name, v: Name) -> int:
-        key = (u.canonical_id, v.canonical_id)
-        if key[0] > key[1]:
-            key = (key[1], key[0])
+        i, j = u.canonical_id, v.canonical_id
+        key = i << 32 | j if i < j else j << 32 | i
         acc = self._eq_memo.get(key)
         if acc is not None:
             return acc
         full = self.algebra.full
         acc = full
         for a, b in ((u, v), (v, u)):
-            for child, value in a.entries:
-                # value => [[child in b]] only constrains the atoms of value
-                if value.mask & acc:
-                    acc &= (value.mask ^ full) | self._in(child, b)
+            for child, mask in a.masks:
+                # mask => [[child in b]] only constrains the atoms of mask
+                if mask & acc:
+                    acc &= (mask ^ full) | self._in(child, b)
                     if not acc:
                         break
             if not acc:
@@ -701,28 +712,66 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
 Token = namedtuple("Token", ["kind", "text", "pos"])
 
 LITERAL_PUNCT = {ch: ch for ch in "{}()[],:;"}
+# literal spellings a universe remembers; a full memo is cleared before the next insert
+LITERAL_MEMO_CAP = 1 << 12
+# the longest text name_to_literal spells
+LITERAL_CHAR_CAP = 1 << 20
 _WORD_REST = re.compile(r"\w*")
+# a non-empty atom set; \d and \s are exactly str.isdecimal and str.isspace
+_ATOMS = re.compile(r"\{\s*\d+\s*(?:,\s*\d+\s*)*\}")
+_DIGITS = re.compile(r"\d+")
+# the token kinds after which either grammar takes an atom set
+_ATOMS_AFTER = frozenset(":[;")
+_OPEN = frozenset("{([")
+_CLOSE = frozenset("})]")
+_HEAD_OPEN = {"name": "{", "check": "(", "mix": "["}
+# builds a Token without the Python-level __new__ of a namedtuple
+_token = tuple.__new__
+
+
+class Tokens(list):
+    """The tokens of ``source``; ``close[k]`` is the index of the token that
+    closes the opening bracket at index ``k`` (one stack over all kinds)."""
+
+    __slots__ = ("source", "close")
 
 
 def scan(text: str, punct: Mapping[str, str]) -> List[Token]:
-    """Split text into INT, IDENT and punctuation tokens, ending with EOF.
+    """Split text into INT, IDENT, ATOMS and punctuation tokens, ending with EOF.
 
     ``punct`` maps each one- or two-character punctuation string to its token
-    kind; a two-character entry wins over a one-character one.  Any other
-    character is a ParseError at its position.
+    kind; a two-character entry wins over a one-character one.  Right after a
+    ``:``, ``[`` or ``;`` token a well-formed non-empty atom set ``{1, 2}`` is
+    one ATOMS token; any other text there is lexed character by character.
+    Any other character is a ParseError at its position.  The result is a
+    ``Tokens`` list, which also holds the text and each bracket's close.
     """
     pairs = {p[0] for p in punct if len(p) == 2}
-    tokens = []
+    tokens = Tokens()
+    tokens.source = text
+    tokens.close = close = {}
+    opens = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
             continue
+        if ch == "{" and tokens and tokens[-1].kind in _ATOMS_AFTER:
+            m = _ATOMS.match(text, i)
+            if m is not None:
+                j = m.end()
+                tokens.append(_token(Token, ("ATOMS", text[i:j], i)))
+                i = j
+                continue
         if ch in pairs and text[i : i + 2] in punct:
             ch = text[i : i + 2]
         if ch in punct:
-            tokens.append(Token(punct[ch], ch, i))
+            if ch in _OPEN:
+                opens.append(len(tokens))
+            elif ch in _CLOSE and opens:
+                close[opens.pop()] = len(tokens)
+            tokens.append(_token(Token, (punct[ch], ch, i)))
             i += len(ch)
             continue
         if ch.isdecimal():
@@ -736,7 +785,7 @@ def scan(text: str, punct: Mapping[str, str]) -> List[Token]:
             kind = "IDENT"
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
-        tokens.append(Token(kind, text[i:j], i))
+        tokens.append(_token(Token, (kind, text[i:j], i)))
         i = j
     tokens.append(Token("EOF", "", n))
     return tokens
@@ -754,20 +803,27 @@ def _expect(tokens: List[Token], i: int, kind: str) -> int:
 
 
 def parse_atomset_tokens(tokens: List[Token], i: int, algebra: BooleanAlgebra):
-    i = _expect(tokens, i, "{")
-    atoms = []
-    if tokens[i].kind != "}":
-        while True:
-            if tokens[i].kind != "INT":
-                raise ParseError("expected an atom index", tokens[i].pos)
-            atoms.append(int(tokens[i].text))
-            i += 1
-            if tokens[i].kind == ",":
+    tok = tokens[i]
+    if tok.kind == "ATOMS":
+        # findall, not split: int() refuses some str.isspace characters
+        atoms = list(map(int, _DIGITS.findall(tok.text)))
+        pos = tok.pos + len(tok.text) - 1
+        i += 1
+    else:
+        i = _expect(tokens, i, "{")
+        atoms = []
+        if tokens[i].kind != "}":
+            while True:
+                if tokens[i].kind != "INT":
+                    raise ParseError("expected an atom index", tokens[i].pos)
+                atoms.append(int(tokens[i].text))
                 i += 1
-                continue
-            break
-    pos = tokens[i].pos
-    i = _expect(tokens, i, "}")
+                if tokens[i].kind == ",":
+                    i += 1
+                    continue
+                break
+        pos = tokens[i].pos
+        i = _expect(tokens, i, "}")
     try:
         return algebra.element(atoms), i
     except ValueError as exc:
@@ -790,11 +846,35 @@ def _parse_hf_tokens(tokens: List[Token], i: int):
 
 
 def parse_name_tokens(tokens: List[Token], i: int, universe: Universe):
+    """The name whose literal starts at token ``i``, and the index after it.
+
+    A ``name{...}``, ``check(...)`` or ``mix[...]`` literal is looked up by
+    its exact source text in the universe's literal memo, and stored there
+    after a parse that ends at its closing bracket.
+    """
     tok = tokens[i]
     if tok.kind != "IDENT":
         raise ParseError("expected a name literal", tok.pos)
     if tok.text == "empty":
         return universe.empty, i + 1
+    j = tokens.close.get(i + 1)
+    if j is None or tokens[i + 1].kind != _HEAD_OPEN.get(tok.text):
+        return _parse_compound(tokens, i, universe)
+    key = tokens.source[tok.pos : tokens[j].pos + 1]
+    memo = universe._literal_memo
+    name = memo.get(key)
+    if name is not None:
+        return name, j + 1
+    name, end = _parse_compound(tokens, i, universe)
+    if end == j + 1:
+        if len(memo) >= LITERAL_MEMO_CAP:
+            memo.clear()
+        memo.setdefault(key, name)
+    return name, end
+
+
+def _parse_compound(tokens: List[Token], i: int, universe: Universe):
+    tok = tokens[i]
     if tok.text == "check":
         i = _expect(tokens, i + 1, "(")
         hf, i = _parse_hf_tokens(tokens, i)
@@ -860,10 +940,28 @@ def _atomset_text(value: BoolElem) -> str:
 
 
 def name_to_literal(u: Name) -> str:
-    """Canonical text form: ``empty`` or a ``name{...}`` listing by child id."""
-    if not u.entries:
-        return "empty"
-    inner = ", ".join(
-        f"{name_to_literal(child)}: {_atomset_text(value)}" for child, value in u.entries
-    )
-    return "name{" + inner + "}"
+    """Canonical text form: ``empty`` or a ``name{...}`` listing by child id.
+
+    A shared child is spelled once per occurrence, so the text can grow
+    exponentially in the rank; each name is spelled once per call, and a text
+    longer than ``LITERAL_CHAR_CAP`` characters raises ``UniverseError``.
+    """
+    spelled: dict = {}
+
+    def spell(v: Name) -> str:
+        text = spelled.get(v)
+        if text is None:
+            if not v.entries:
+                text = "empty"
+            else:
+                items = [f"{spell(c)}: {_atomset_text(value)}" for c, value in v.entries]
+                if sum(map(len, items)) + 2 * len(items) + 4 > LITERAL_CHAR_CAP:
+                    raise UniverseError(
+                        f"the literal of this name exceeds LITERAL_CHAR_CAP = "
+                        f"{LITERAL_CHAR_CAP} characters"
+                    )
+                text = "name{" + ", ".join(items) + "}"
+            spelled[v] = text
+        return text
+
+    return spell(u)

@@ -333,12 +333,12 @@ def evaluate(f: Formula, env: Optional[Mapping[str, Name]] = None) -> BoolElem:
             raise UniverseError("name belongs to a different universe")
         if isinstance(node, ForallIn):
             acc = full
-            for child, value in domain.entries:
-                acc &= (value.mask ^ full) | rec(node.body, {**scope, node.var: child})
+            for child, mask in domain.masks:
+                acc &= (mask ^ full) | rec(node.body, {**scope, node.var: child})
             return acc
         acc = 0
-        for child, value in domain.entries:
-            acc |= value.mask & rec(node.body, {**scope, node.var: child})
+        for child, mask in domain.masks:
+            acc |= mask & rec(node.body, {**scope, node.var: child})
         return acc
 
     return uni.algebra.from_mask(rec(f, dict(env)))

@@ -250,6 +250,27 @@ def test_criterion_9_formula_evaluator(u2):
             assert again == formula
 
 
+def test_formula_parse_budget_on_long_literals():
+    # runtime gate in the style of criterion 6: two rank-3 literals on 16 atoms
+    # (666 and 579 characters), each spelled 200 times in 100 conjuncts
+    algebra = cr.BooleanAlgebra(16)
+    source = cr.Universe(algebra)
+    big, small = (random_name(source, np.random.default_rng(seed), 3, 4) for seed in (360, 143))
+    lit_big, lit_small = cr.name_to_literal(big), cr.name_to_literal(small)
+    assert big.rank == small.rank == 3 and (len(lit_big), len(lit_small)) == (666, 579)
+    text = " & ".join(
+        [f"({lit_big} = {lit_small} | {lit_small} in {lit_big})"] * 100
+    )
+    uni = cr.Universe(algebra)
+    start = time.perf_counter()
+    formula = cr.parse(text, uni)
+    elapsed = time.perf_counter() - start
+    last = formula.right.left
+    assert last.left.name.collapses == big.collapses
+    assert last.right.name.collapses == small.collapses
+    assert elapsed < 0.12, f"parsing {len(text)} characters took {elapsed:.3f}s"
+
+
 def test_criterion_10_cli(tmp_path, capsys):
     with criterion(10, "cli"):
         from condrisk.cli import main

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,25 @@ def test_literal_errors(u2):
     for text in ("name{empty: {5}}", "name{empty {1}}", "check({,})", "empty extra", "widget"):
         with pytest.raises(ParseError):
             parse_name_literal(text, u2)
+
+
+def test_literal_of_a_shared_dag_is_refused_past_its_cap(u2, a2):
+    from condrisk.bvm import LITERAL_CHAR_CAP
+
+    # name k+1 = {name k: {1}, name k-1: {2}}: 41 names whose spellings grow
+    # like 1.62^k, so name 40 would spell billions of characters
+    chain = [u2.empty, u2.make_name({u2.empty: a2.atom(1)})]
+    for _ in range(39):
+        chain.append(u2.make_name({chain[-1]: a2.atom(1), chain[-2]: a2.atom(2)}))
+    assert parse_name_literal(name_to_literal(chain[12]), u2) is chain[12]
+    start = time.perf_counter()
+    with pytest.raises(UniverseError, match=f"LITERAL_CHAR_CAP = {LITERAL_CHAR_CAP}"):
+        name_to_literal(chain[40])
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    assert repr(chain[40]) == f"Name(canonical_id={chain[40].canonical_id}, rank=40)"
+    assert time.perf_counter() - start < 0.1
+    assert repr(chain[2]) == name_to_literal(chain[2])
 
 
 def test_atom_collapse_rejects_atoms_outside_the_algebra(u2, a2):

@@ -148,6 +148,17 @@ def test_bvm_mix(capsys, s4_path):
     assert out["name"] == "name{empty: {2}}"
 
 
+def test_bvm_mix_refuses_a_literal_past_its_cap(capsys, s4_path, monkeypatch):
+    monkeypatch.setattr("condrisk.bvm.LITERAL_CHAR_CAP", 10)
+    code, out = run(
+        capsys,
+        ["bvm", "mix", "--scenario", s4_path, "--parts", "{1};{2}",
+         "--names", "empty;check({{}})"],
+    )
+    assert code == 2
+    assert out == {"error": "the literal of this name exceeds LITERAL_CHAR_CAP = 10 characters"}
+
+
 def test_exit_code_on_failed_check(capsys, s4_path, tmp_path):
     # a dual variable whose representation cannot attain is hard to fake with
     # builtins; instead check-axioms on a scenario-declared measure stays 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import random_formula, random_name
 from condrisk import (
@@ -13,6 +15,7 @@ from condrisk import (
     print_formula,
     witness,
 )
+from condrisk.bvm import LITERAL_MEMO_CAP, name_to_literal, parse_name_literal
 from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
     And,
@@ -168,6 +171,13 @@ PARSE_ERRORS = [
     ('literal', 'mix[{1}: empty]', 'parts do not cover atoms [2]', 0),
     ('literal', 'name{12abc: {1}}', 'expected a name literal', 5),
     ('literal', 'name{empty: {1²}}', "unexpected character '²'", 14),
+    ('literal', 'name{empty: {1, 3}}', 'atom index 3 outside 1..2', 17),
+    ('literal', 'name{empty: { 2 ,1 }, empty: {1,,2}}', 'expected an atom index', 32),
+    ('literal', 'name{empty: {1 2}}', "expected '}', found '2'", 15),
+    ('literal', 'mix[{1}: empty; {2, 7}: empty]', 'atom index 7 outside 1..2', 21),
+    ('literal', 'name{empty: {1,}}', 'expected an atom index', 15),
+    ('literal', 'name{empty: {,1}}', 'expected an atom index', 13),
+    ('literal', 'name{empty: {1)}', "expected '}', found ')'", 14),
     ('atomset', '{1,2', "expected '}', found ''", 4),
     ('atomset', '{1,}', 'expected an atom index', 3),
     ('atomset', '{3}', 'atom index 3 outside 1..2', 2),
@@ -195,6 +205,7 @@ PARSE_ERRORS = [
     ('formula', 'empty = forall', "'forall' is reserved", 8),
     ('formula', 'empty = empty ; empty', "expected 'EOF', found ';'", 14),
     ('formula', 'empty <- empty', "unexpected character '<'", 6),
+    ('formula', 'name{empty: {1,2}} = name{empty: {2, 3}}', 'atom index 3 outside 1..2', 38),
 ]
 
 
@@ -219,3 +230,109 @@ def test_evaluate_refuses_a_bound_from_another_universe(u2):
     f = parse("forall x in w . u = u", u2, free_names={"u", "w"})
     with pytest.raises(CondriskError):
         evaluate(f, {"u": u2.empty, "w": bound})
+
+
+# -- atom-set tokens and the per-universe literal memo ------------------------------
+
+
+def test_atom_sets_take_unicode_digits_and_blanks(u2):
+    # \x1c is str.isspace but int() refuses it
+    for text in ("name{empty: {\xa01 }}", "name{empty: {١}}", "name{empty: {\x1c1\x1c}}"):
+        assert parse_name_literal(text, u2) is parse_name_literal("name{empty: {1}}", u2)
+
+
+_GAPS = ("", "", " ", "  ", "\t", "\n", "\xa0", "\u2003", "\x1c")
+_CORRUPTIONS = "{}()[],:; 0123456789x١²"
+
+
+def _build(universe, recipe):
+    if recipe is None:
+        return universe.empty
+    entries = {}
+    for child, atoms in recipe:
+        value = universe.algebra.element(atoms)
+        c = _build(universe, child)
+        entries[c] = entries[c] | value if c in entries else value
+    return universe.make_name(entries)
+
+
+@st.composite
+def spelled_literals(draw):
+    """A random name (rank <= 3, up to 16 atoms), a literal of it with random
+    blanks between tokens, and that literal with one character corrupted."""
+    m = draw(st.integers(min_value=1, max_value=16))
+
+    def gap():
+        return draw(st.sampled_from(_GAPS))
+
+    def recipe(rank):
+        if rank == 0 or draw(st.integers(0, 3)) == 0:
+            return None
+        n = draw(st.integers(1, 3))
+        return tuple(
+            (recipe(rank - 1), tuple(draw(st.lists(st.integers(1, m), max_size=4))))
+            for _ in range(n)
+        )
+
+    def spell(r):
+        if r is None:
+            return "empty"
+        items = [
+            spell(child) + gap() + ":" + gap() + "{" + gap()
+            + (gap() + "," + gap()).join(map(str, atoms)) + gap() + "}"
+            for child, atoms in r
+        ]
+        return "name" + gap() + "{" + gap() + (gap() + "," + gap()).join(items) + gap() + "}"
+
+    r = recipe(3)
+    clean = gap() + spell(r) + gap()
+    at = draw(st.integers(0, len(clean)))
+    op = draw(st.sampled_from(("replace", "delete", "insert")))
+    ch = draw(st.sampled_from(_CORRUPTIONS))
+    if op == "insert":
+        corrupt = clean[:at] + ch + clean[at:]
+    else:
+        corrupt = clean[:at] + ("" if op == "delete" else ch) + clean[at + 1 :]
+    return m, r, clean, corrupt
+
+
+def _outcome(text, universe):
+    try:
+        return parse_name_literal(text, universe).collapses
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spelled_literals())
+def test_literal_memo_agrees_with_a_fresh_parse(case):
+    m, recipe, clean, corrupt = case
+    algebra = BooleanAlgebra(m)
+    warm = Universe(algebra)
+    name = _build(warm, recipe)
+    assert parse_name_literal(clean, warm) is name
+    assert parse_name_literal(name_to_literal(name), warm) is name
+    assert _outcome(corrupt, Universe(algebra)) == _outcome(corrupt, warm)
+
+
+def test_literal_memo_stays_within_its_cap():
+    uni = Universe(BooleanAlgebra(16))
+    sizes = []
+    for sep in (",", ", "):
+        for a in range(1, 17):
+            for b in range(1, 17):
+                for c in range(1, 17):
+                    parse_name_literal(f"name{{empty: {{{a}{sep}{b}{sep}{c}}}}}", uni)
+                    sizes.append(len(uni._literal_memo))
+    assert max(sizes) == LITERAL_MEMO_CAP
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # cleared
+
+
+def test_literal_memo_belongs_to_one_universe():
+    three = Universe(BooleanAlgebra(3))
+    two = Universe(BooleanAlgebra(2))
+    text = "name{empty: {3}}"
+    assert parse_name_literal(text, three).collapses == (frozenset(), frozenset(), frozenset([frozenset()]))
+    with pytest.raises(ParseError) as err:
+        parse_name_literal(text, two)
+    assert (str(err.value), err.value.pos) == ("atom index 3 outside 1..2 (at position 14)", 14)

@@ -62,6 +62,10 @@ class CondRiskMeasure:
     ``j`` out as a classical measure on one block, which is what the dual
     engine works on: a built-in rebuilds itself there natively, a user
     measure is padded back to the whole space and checked for that padding.
+    A built-in also carries its exact dual oracle ``_dual_oracle``: it maps a
+    ``(rows, n_atoms)`` array of payoffs to nonnegative weights of that shape
+    whose normalization on each block is the density that attains the
+    block's risk.
     """
 
     space: FiniteProbSpace
@@ -75,6 +79,9 @@ class CondRiskMeasure:
     # built-ins only: ``cut(block_space, j)`` builds the same built-in on
     # block j's space with block j's parameter
     _cut: Optional[Callable[[FiniteProbSpace, int], "CondRiskMeasure"]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _dual_oracle: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -187,10 +194,10 @@ def _row_batches(n_atoms: int, total: int):
         size *= 2
 
 
-def _builtin(space, label, batch, penalty, cut, **dual) -> CondRiskMeasure:
+def _builtin(space, label, batch, penalty, cut, oracle, **dual) -> CondRiskMeasure:
     """A built-in from its batched risk (rows of payoffs), its batched penalty
-    (rows of duals) and ``cut(block_space, j)``, which builds it on one block
-    for ``restrict``.
+    (rows of duals), ``cut(block_space, j)``, which builds it on one block
+    for ``restrict``, and its dual oracle (rows of payoffs to weights).
 
     Batches run in chunks of rows of about CHUNK_ELEMENTS payoff entries, so a
     batch's full-size temporaries stay that small however many rows it has.
@@ -211,6 +218,7 @@ def _builtin(space, label, batch, penalty, cut, **dual) -> CondRiskMeasure:
         **dual,
     )
     measure._cut = cut
+    measure._dual_oracle = oracle
     return measure
 
 
@@ -233,17 +241,34 @@ def neg_cond_expectation(space: FiniteProbSpace) -> CondRiskMeasure:
         lambda xs: -space.block_mean(xs),
         lambda y: _zero_where(space.block_max(np.abs(y + 1.0)) <= ADMISSIBLE_TOL),
         lambda block, j: neg_cond_expectation(block),
+        lambda xs: np.ones(xs.shape),
     )
 
 
 def cond_worst_case(space: FiniteProbSpace) -> CondRiskMeasure:
-    """rho(x) = esssup(-x | F), the conditional worst case."""
+    """rho(x) = esssup(-x | F), the conditional worst case.
+
+    The dual oracle puts each block's mass on the first atom, in block order,
+    where x is least.
+    """
+    ids, starts = space._block_in_order, space.starts
+
+    def oracle(xs: np.ndarray) -> np.ndarray:
+        a = xs.take(space.order, axis=-1)
+        least = a == np.minimum.reduceat(a, starts, axis=-1).take(ids, axis=-1)
+        place = np.where(least, np.arange(a.shape[-1]), a.shape[-1])
+        first = np.minimum.reduceat(place, starts, axis=-1)
+        w = np.zeros(xs.shape)
+        np.put_along_axis(w, space.order.take(first), 1.0, axis=-1)
+        return w
+
     return _builtin(
         space,
         "worst_case",
         lambda xs: -space.block_min(xs),
         lambda y: _zero_where(_admissible_mask(space, y)),
         lambda block, j: cond_worst_case(block),
+        oracle,
     )
 
 
@@ -262,22 +287,37 @@ def _as_block_params(space: FiniteProbSpace, value, name: str) -> np.ndarray:
 
 
 def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
-    """rho(x) = (1/gamma) log E[exp(-gamma x) | F], gamma > 0 per block."""
+    """rho(x) = (1/gamma) log E[exp(-gamma x) | F], gamma > 0 per block.
+
+    The dual oracle is the Gibbs density, exp(-gamma x) normalized on each
+    block.
+    """
     g = _as_block_params(space, gamma, "gamma")
     if np.any(g <= 0):
         raise ValueError("gamma must be strictly positive")
     ids, starts = space._block_in_order, space.starts
     neg_g = -g.take(ids)
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        # one gather into block order; every later step stays there
+    def tilt(xs: np.ndarray):
+        """exp(-gamma x - top) in block order, with top the block's largest
+        -gamma x: one gather into block order, and every later step stays
+        there."""
         a = xs.take(space.order, axis=-1)
         a *= neg_g
         top = np.maximum.reduceat(a, starts, axis=-1)
         a -= top.take(ids, axis=-1)
         np.exp(a, out=a)
+        return a, top
+
+    def batch(xs: np.ndarray) -> np.ndarray:
+        a, top = tilt(xs)
         a *= space._cond_in_order
         return (top + np.log(np.add.reduceat(a, starts, axis=-1))) / g
+
+    def oracle(xs: np.ndarray) -> np.ndarray:
+        w = np.empty(xs.shape)
+        w[..., space.order] = tilt(xs)[0]
+        return w
 
     def penalty(y: np.ndarray) -> np.ndarray:
         d = np.maximum(-y, 0.0)
@@ -294,6 +334,7 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
         batch,
         penalty,
         lambda block, j: cond_entropic(block, g[j - 1]),
+        oracle,
         dual_penalty_grad=grad,
         params={"gamma": g},
     )
@@ -301,16 +342,20 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
 
 def _two_sorts(space: FiniteProbSpace, mass_fixed: np.ndarray, xs: np.ndarray):
     """Fixed-point masses and payoffs of each row, grouped by block in block
-    order with each block's payoffs ascending: a sort of each row by payoff,
-    then a stable sort of the block ids (a radix sort for small integer ids)."""
+    order with each block's payoffs ascending, and the atom at each place: a
+    sort of each row by payoff, then a stable sort of the block ids (a radix
+    sort for small integer ids)."""
     rows = np.arange(len(xs))[:, None]
     order = xs.argsort(axis=-1)
     order = order[rows, space.block_of[order].argsort(axis=-1, kind="stable")]
-    return mass_fixed[order], xs[rows, order]
+    return mass_fixed[order], xs[rows, order], order
 
 
-def _packed_sort(space: FiniteProbSpace, mass_fixed: np.ndarray, layout: tuple, xs: np.ndarray):
-    """What ``_two_sorts`` returns, from one sort of a packed key per row.
+def _packed_sort(
+    space: FiniteProbSpace, mass_fixed: np.ndarray, layout: tuple, xs: np.ndarray, atoms: bool
+):
+    """What ``_two_sorts`` returns, from one sort of a packed key per row;
+    the atoms are None unless ``atoms`` asks for them.
 
     The rows are gathered into block order and keyed (``layout`` is built by
     ``cond_avar``).  A row whose sorted payoffs decrease inside a block, as
@@ -330,13 +375,16 @@ def _packed_sort(space: FiniteProbSpace, mass_fixed: np.ndarray, layout: tuple, 
     at = key.view(np.int64)
     at += base
     fixed = mass.take(at)
+    where = space.order.take(at) if atoms else None
     at += np.arange(0, v.size, v.shape[-1])[:, None]  # index into the flat rows
     vals = v.take(at)
     # NaN compares false, so a block holding one is sorted again too
     bad = ~np.all((vals[:, 1:] >= vals[:, :-1]) | first, axis=-1)
     if bad.any():
-        fixed[bad], vals[bad] = _two_sorts(space, mass_fixed, xs[bad])
-    return fixed, vals
+        fixed[bad], vals[bad], redone = _two_sorts(space, mass_fixed, xs[bad])
+        if atoms:
+            where[bad] = redone
+    return fixed, vals, where
 
 
 def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
@@ -353,6 +401,11 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
     sorted again the exact way.  Shorter rows take that way at once: a sort
     by payoff, then a stable sort of the block ids.  Blocks at lambda = 1
     take the plain conditional mean of the loss.
+
+    The dual oracle reads the same sort and the same fixed-point tail: each
+    atom's density is the mass it gives the tail over lambda times its own
+    mass, so the boundary atom is fractional and no density exceeds
+    1/lambda; blocks at lambda = 1 take the density 1.
     """
     lam_arr = _as_block_params(space, lam, "lambda")
     if np.any(lam_arr <= 0) or np.any(lam_arr > 1):
@@ -393,21 +446,37 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
             )
         return mass_fixed, before[ids], lam_arr * -scale, layout
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        mass_fixed, limit, neg_lam_scaled, layout = fill_tables()
+    def tail(xs: np.ndarray, atoms: bool = False):
+        """Each row sorted: the fixed-point masses, the payoffs, the mass
+        each atom gives its block's tail, and the atom at each place (None
+        unless ``atoms`` asks for them)."""
+        mass_fixed, limit, _, layout = fill_tables()
         if packed:
-            fixed, vals = _packed_sort(space, mass_fixed, layout, xs)
+            fixed, vals, where = _packed_sort(space, mass_fixed, layout, xs, atoms)
         else:
-            fixed, vals = _two_sorts(space, mass_fixed, xs)
+            fixed, vals, where = _two_sorts(space, mass_fixed, xs)
         # mass taken from each atom: what is left of limit after the atoms ahead
         take = np.add.accumulate(fixed, axis=-1)
         take -= fixed
         np.subtract(limit, take, out=take)
         np.maximum(take, 0, out=take)
         np.minimum(take, fixed, out=take)
+        return fixed, vals, take, where
+
+    def batch(xs: np.ndarray) -> np.ndarray:
+        _, vals, take, _ = tail(xs)
         vals *= take
-        out = np.add.reduceat(vals, starts, axis=-1) / neg_lam_scaled
+        out = np.add.reduceat(vals, starts, axis=-1) / fill_tables()[2]  # -lambda, fixed point
         return np.where(full, -space.block_mean(xs), out) if any_full else out
+
+    def oracle(xs: np.ndarray) -> np.ndarray:
+        fixed, _, take, where = tail(xs, atoms=True)
+        dens = np.divide(take, fixed, out=np.zeros(fixed.shape), where=fixed > 0)
+        if any_full:
+            dens[..., full[space._block_in_order]] = 1.0
+        w = np.empty(xs.shape)
+        np.put_along_axis(w, where, dens, axis=-1)
+        return w
 
     def penalty(y: np.ndarray) -> np.ndarray:
         capped = space.block_max(-y) <= 1.0 / lam_arr + ADMISSIBLE_TOL
@@ -419,6 +488,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         batch,
         penalty,
         lambda block, j: cond_avar(block, lam_arr[j - 1]),
+        oracle,
         dual_density_cap=lambda j: 1.0 / lam_arr[j - 1],
         params={"lambda": lam_arr},
     )

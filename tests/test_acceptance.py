@@ -184,6 +184,22 @@ def test_sublevel_check_budget_at_its_cap():
         assert elapsed < 0.15, f"sublevel check of {measure.label} took {elapsed:.2f}s"
 
 
+def test_exact_dual_budget_on_many_blocks():
+    # runtime gate in the style of criterion 6: 1,000 shuffled blocks of 3
+    # atoms, one payoff, every block solved by the built-in's dual oracle
+    rng = np.random.default_rng(110)
+    blocks = np.split(rng.permutation(3000) + 1, 1000)
+    probs = rng.uniform(0.5, 2.0, 3000)
+    space = cr.FiniteProbSpace(probs / probs.sum(), [b.tolist() for b in blocks])
+    x = cr.RandomVariable(rng.normal(0.0, 2.0, 3000))
+    for measure in _builtins(space):
+        start = time.perf_counter()
+        result = cr.dual_representation(measure, x)
+        elapsed = time.perf_counter() - start
+        assert all(result.converged), measure.label
+        assert elapsed < 0.1, f"dual representation of {measure.label} took {elapsed:.3f}s"
+
+
 def test_criterion_7_young_holder(s4):
     with criterion(7, "young and holder"):
         phi = cr.young_power(2)
@@ -271,7 +287,7 @@ def test_formula_parse_budget_on_long_literals():
     assert elapsed < 0.12, f"parsing {len(text)} characters took {elapsed:.3f}s"
 
 
-def test_criterion_10_cli(tmp_path, capsys):
+def test_criterion_10_cli(tmp_path, capsys, monkeypatch):
     with criterion(10, "cli"):
         from condrisk.cli import main
 
@@ -328,6 +344,9 @@ def test_criterion_10_cli(tmp_path, capsys):
         code, out = run(["space", "validate", "--scenario", str(bad)])
         assert code == 2 and out["error"] == "probs sum 0.9"
 
+        # a built-in's exact dual attains rho(x) to rounding; the ascent,
+        # with the oracle route off, stops short of an absurd tolerance
+        monkeypatch.setattr(cr.duality, "_exact_duals", lambda *args: None)
         code, out = run(
             ["dual", "represent", "--scenario", scenario, "--measure", "entropic",
              "--payoff", "1", "--tol", "1e-18"]

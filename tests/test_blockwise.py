@@ -21,6 +21,7 @@ from _helpers import (
 from condrisk import (
     CondRiskMeasure,
     ConditionalValue,
+    DualSearchConfig,
     FiniteProbSpace,
     RandomVariable,
     admissible_dual,
@@ -28,9 +29,10 @@ from condrisk import (
     cond_avar,
     cond_entropic,
     cond_worst_case,
+    dual_representation,
     neg_cond_expectation,
 )
-from condrisk import riskcore
+from condrisk import duality, riskcore
 from condrisk.riskcore import AXIOMS, BUILTIN_FACTORIES
 
 TOL = 1e-9
@@ -235,6 +237,36 @@ def test_avar_restrictions_past_1023_blocks():
     for j in range(1, space.n_blocks + 1):
         block = measure.restrict(j).evaluate_batch(xs[:, space.block_index_array(j)])
         _close(block, whole[:, j - 1 : j])
+
+
+# -- exact dual oracles against evaluate and the ascent ------------------------------
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cases())
+def test_exact_duals_match_evaluate_and_beat_the_ascent(case):
+    space, xs, gamma, lam, _, _, _ = case
+    x = RandomVariable(xs[0])
+    cap = space.broadcast(1.0 / lam) + riskcore.ADMISSIBLE_TOL
+    for kind, factory in BUILTIN_FACTORIES.items():
+        measure = factory(space, gamma=gamma, **{"lambda": lam})
+        rho = measure.evaluate(x).values
+        # the oracle route takes every block: the ascent is never asked
+        with mock.patch.object(duality, "_ascend_block", side_effect=AssertionError(kind)):
+            result = dual_representation(measure, x)
+        value, y = result.value.values, result.maximizer
+        assert result.converged == [True] * space.n_blocks and result.warnings == []
+        assert np.all(np.abs(value - rho) <= 1e-12 * np.maximum(1.0, np.abs(rho))), kind
+        assert y.is_admissible(space, 1e-10), kind
+        if kind == "avar":
+            assert np.all(-y.values <= cap)
+        # the value is the one graded at the returned dual
+        assert np.array_equal(value, duality._graded(measure, xs[0], y))
+        for j in range(1, space.n_blocks + 1):
+            climbed = duality._ascend_block(
+                measure.restrict(j), space.restrict(x, j), float(rho[j - 1]), DualSearchConfig()
+            )[0]
+            assert value[j - 1] >= climbed - 1e-12, (kind, j)
 
 
 def _axiom_measures(space, gamma, lam):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from condrisk import duality
 from condrisk.cli import ingest, main
 from condrisk.cli import ScenarioError
 
@@ -159,10 +160,12 @@ def test_bvm_mix_refuses_a_literal_past_its_cap(capsys, s4_path, monkeypatch):
     assert out == {"error": "the literal of this name exceeds LITERAL_CHAR_CAP = 10 characters"}
 
 
-def test_exit_code_on_failed_check(capsys, s4_path, tmp_path):
-    # a dual variable whose representation cannot attain is hard to fake with
-    # builtins; instead check-axioms on a scenario-declared measure stays 0
-    # and a represent with an absurd tolerance trips the failure exit code
+def test_exit_code_on_failed_check(capsys, s4_path, monkeypatch):
+    # a built-in's exact dual attains rho(x) to rounding, so a representation
+    # that cannot attain is hard to fake with builtins; with the oracle route
+    # off, the ascent stops short of an absurd tolerance and represent trips
+    # the failure exit code
+    monkeypatch.setattr(duality, "_exact_duals", lambda *args: None)
     code, out = run(
         capsys,
         ["dual", "represent", "--scenario", s4_path, "--measure", "entropic",
@@ -170,6 +173,17 @@ def test_exit_code_on_failed_check(capsys, s4_path, tmp_path):
     )
     assert code == 1
     assert out["passed"] is False
+
+
+def test_exact_duals_attain_where_the_ascent_stops_short(capsys, s4_path, monkeypatch):
+    argv = ["dual", "represent", "--scenario", s4_path, "--measure", "entropic",
+            "--payoff", "1", "--tol", "1e-12"]
+    code, out = run(capsys, argv)
+    assert code == 0 and out["passed"] is True
+    assert "warnings" not in out["entries"][0]
+    monkeypatch.setattr(duality, "_exact_duals", lambda *args: None)
+    code, out = run(capsys, argv)
+    assert code == 1 and out["passed"] is False
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

@@ -230,13 +230,104 @@ def test_representation_json_shape(s4):
 
 def test_representation_json_carries_ascent_warnings(s4):
     x = RandomVariable([1, 3, 2, 6])
-    # one ascent step leaves the gap open for this gamma
-    rep = verify_representation(
-        cond_entropic(s4, 0.2), [x], tol=1.0, cfg=DualSearchConfig(max_iters=1)
+    # a built-in's exact dual leaves no gap, so a user copy of entropic runs
+    # the ascent, and one ascent step leaves the gap open for this gamma
+    ent = cond_entropic(s4, 0.2)
+    user = CondRiskMeasure(
+        s4,
+        ent.evaluate_fn,
+        "user_entropic",
+        closed_form_penalty=ent.closed_form_penalty,
+        evaluate_batch_fn=ent.evaluate_batch_fn,
+        dual_penalty_grad=ent.dual_penalty_grad,
     )
+    rep = verify_representation(user, [x], tol=1.0, cfg=DualSearchConfig(max_iters=1))
     entry = rep.to_dict()["entries"][0]
     assert len(entry["warnings"]) == 2
     assert all("ascent stopped after 1 iterations" in w for w in entry["warnings"])
+
+
+def test_verify_representation_evaluates_each_payoff_once(space8):
+    m = cond_avar(space8, 0.4)
+    calls = []
+    evaluate = m.evaluate_fn
+    m.evaluate_fn = lambda x: calls.append(x) or evaluate(x)
+    payoffs = [RandomVariable(np.arange(8.0)), RandomVariable(np.ones(8))]
+    assert verify_representation(m, payoffs).attained_all
+    assert calls == payoffs
+
+
+def test_worst_case_dual_takes_the_first_tied_minimum():
+    space = FiniteProbSpace([0.1, 0.2, 0.3, 0.15, 0.25], [[3, 1, 5], [4, 2]])
+    x = RandomVariable([-1.0, 2.0, -1.0, 2.0, 0.5])
+    result = dual_representation(cond_worst_case(space), x)
+    # atom 3 comes before atom 1 in block 1; atom 4 before atom 2 in block 2
+    q = space.probs / space.block_mass[space.block_of]
+    assert result.maximizer.values == pytest.approx([0, 0, -1 / q[2], -1 / q[3], 0], rel=1e-15)
+    assert result.value.values == pytest.approx([1.0, -2.0], abs=1e-15)
+
+
+def test_avar_dual_splits_tied_boundary_atoms_under_the_cap():
+    space = FiniteProbSpace([0.125] * 8, [[1, 2, 3, 4], [5, 6, 7, 8]])
+    m = cond_avar(space, [0.5, 1.0])
+    x = RandomVariable([1.0, 0.0, 1.0, 1.0, 3.0, -1.0, 0.0, 2.0])
+    result = dual_representation(m, x)
+    rho = m.evaluate(x).values
+    assert rho == pytest.approx([-0.5, -1.0], abs=1e-15)
+    assert np.all(np.abs(result.value.values - rho) <= 1e-15)
+    d = -result.maximizer.values
+    # block 1: the tail is atom 2 and a half of the tied atoms 1, 3 and 4,
+    # which the oracle fills one at a time; block 2 is at lambda = 1
+    assert np.all(d[:4] <= 2.0 + 1e-10) and d[1] == pytest.approx(2.0, rel=1e-15)
+    assert sorted(d[[0, 2, 3]]) == pytest.approx([0.0, 0.0, 2.0], abs=1e-15)
+    assert d[4:] == pytest.approx([1.0] * 4, rel=1e-15)
+
+
+def test_entropic_dual_past_exp_underflow():
+    space = FiniteProbSpace([0.3, 0.7], [[1, 2]])
+    m = cond_entropic(space, 1.0)
+    x = RandomVariable([0.0, 800.0])
+    result = dual_representation(m, x)
+    assert result.converged == [True] and result.warnings == []
+    assert result.value.values == pytest.approx(m.evaluate(x).values, rel=1e-15)
+    assert result.maximizer.values == pytest.approx([-1 / 0.3, 0.0], rel=1e-15)
+
+
+def test_wrong_penalty_on_a_builtin_falls_back_to_the_ascent(s4, monkeypatch):
+    x = RandomVariable([1, 3, 2, 6])
+    cfg = DualSearchConfig(max_iters=1)
+    ent = cond_entropic(s4, 0.2)
+    pen = ent.closed_form_penalty
+    ent.closed_form_penalty = lambda ys: pen(ys) + 1.0
+    result = dual_representation(ent, x, cfg)
+    assert len(result.warnings) == 2
+    assert all("ascent stopped after 1 iterations" in w for w in result.warnings)
+    # the same as the ascent alone, warnings and all
+    monkeypatch.setattr(duality, "_exact_duals", lambda *args: None)
+    alone = dual_representation(ent, x, cfg)
+    assert result.value == alone.value and result.warnings == alone.warnings
+    assert np.array_equal(result.maximizer.values, alone.maximizer.values)
+
+
+def test_a_block_that_fails_its_grade_falls_back_alone(space8):
+    x = RandomVariable(np.random.default_rng(8).normal(0.0, 2.0, 8))
+    m = cond_entropic(space8, 1.5)
+    pen = m.closed_form_penalty
+    m.closed_form_penalty = lambda ys: pen(ys) + [0.0, 1.0, 0.0]
+    climbed = []
+    ascend = duality._ascend_block
+
+    def spy(measure, *args):
+        climbed.append(measure.label)
+        return ascend(measure, *args)
+
+    with mock.patch.object(duality, "_ascend_block", spy):
+        result = dual_representation(m, x)
+    assert climbed == ["entropic@block2"]
+    # blocks 1 and 3 keep the graded value at the dual that is returned
+    graded = duality._graded(m, x.values, result.maximizer)
+    assert result.value.values[[0, 2]].tolist() == graded[[0, 2]].tolist()
+    assert np.all(np.abs(result.value.values - m.evaluate(x).values) <= 1e-8)
 
 
 # -- stable topology ---------------------------------------------------------------

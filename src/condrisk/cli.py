@@ -36,7 +36,6 @@ class Scenario:
     space: FiniteProbSpace
     measures: List[CondRiskMeasure]
     payoffs: List[RandomVariable]
-    raw: dict
 
     def to_dict(self) -> dict:
         """Canonical JSON form; ingest(dump(to_dict())) is structurally equal."""
@@ -146,7 +145,7 @@ def ingest(path: str) -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"payoffs[{k}]: {exc}") from None
 
-    return Scenario(space, measures, payoffs, raw)
+    return Scenario(space, measures, payoffs)
 
 
 def _pick_measure(scenario: Scenario, key: str) -> CondRiskMeasure:

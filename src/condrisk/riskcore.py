@@ -43,7 +43,7 @@ class ScalarizeError(CondriskError):
     the measure's other blocks."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CondRiskMeasure:
     """Evaluable payoff-to-conditional-risk map with optional dual metadata.
 
@@ -66,6 +66,12 @@ class CondRiskMeasure:
     ``(rows, n_atoms)`` array of payoffs to nonnegative weights of that shape
     whose normalization on each block is the density that attains the
     block's risk.
+
+    A measure is immutable, so its hooks, its restriction and its oracle
+    cannot drift apart.  A measure with another hook is a new measure, made
+    with ``dataclasses.replace``; that leaves ``_cut`` and ``_dual_oracle``
+    unset, so the copy is a user measure: a padded restriction, and a dual
+    ascent on the hooks it holds.
     """
 
     space: FiniteProbSpace
@@ -127,7 +133,8 @@ class CondRiskMeasure:
 
         The one place a block is cut out of the space.  A built-in is built
         anew on the block's space with block ``j``'s parameter, so its work
-        and its ``params`` are the block's alone.  A user measure is padded:
+        and its ``params`` are the block's alone.  A user measure, a
+        ``dataclasses.replace`` copy of a built-in included, is padded:
         block payoffs are extended by 0 and block duals by -1, the parent's
         column ``j`` is read back, and the cap and gradient hooks are the
         parent's at ``j``.  The padding is checked once, exactly: two probe
@@ -143,7 +150,7 @@ class CondRiskMeasure:
             return self
         if self._cut is not None:
             block = self._cut(space.block_space(j), j)
-            block.label = f"{self.label}@block{j}"
+            object.__setattr__(block, "label", f"{self.label}@block{j}")
             return block
         col = slice(j - 1, j)
 
@@ -217,8 +224,8 @@ def _builtin(space, label, batch, penalty, cut, oracle, **dual) -> CondRiskMeasu
         evaluate_batch_fn=batch_fn,
         **dual,
     )
-    measure._cut = cut
-    measure._dual_oracle = oracle
+    object.__setattr__(measure, "_cut", cut)
+    object.__setattr__(measure, "_dual_oracle", oracle)
     return measure
 
 
@@ -283,7 +290,8 @@ def _as_block_params(space: FiniteProbSpace, value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a scalar or one value per block")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return arr
+    # a copy, read-only: the measure's closures and its params share it
+    return _readonly(arr)
 
 
 def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:

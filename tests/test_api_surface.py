@@ -1,6 +1,9 @@
 """A guard against new settable options in the public API."""
 
+import dataclasses
 import inspect
+
+import pytest
 
 import condrisk
 
@@ -44,3 +47,35 @@ def test_public_api_adds_no_option():
     total = sum(len(v) for v in found.values())
     listing = {name: v for name, v in found.items() if v}
     assert total <= MAX_DEFAULTED_PARAMETERS, listing
+
+
+def _immutable_values():
+    """One value of each type whose attributes must not be assignable.
+
+    FiniteProbSpace is left out: its attributes are still assignable, and
+    closing them is a change of its own.
+    """
+    algebra = condrisk.BooleanAlgebra(2)
+    space = condrisk.FiniteProbSpace([0.5, 0.5], [[1], [2]])
+    return [
+        condrisk.RandomVariable([1.0, 2.0]),
+        condrisk.ConditionalValue([1.0, 2.0]),
+        condrisk.DualVariable([-1.0, -1.0]),
+        algebra.atom(1),
+        condrisk.PartitionOfUnity([algebra.atom(1), algebra.atom(2)]),
+        condrisk.ModuleSpec.lp(2.0),
+        condrisk.neg_cond_expectation(space),
+    ]
+
+
+@pytest.mark.parametrize("value", _immutable_values(), ids=lambda v: type(v).__name__)
+def test_values_refuse_attribute_assignment(value):
+    """Every attribute, and a new one, is refused: a value that can be
+    changed in place can drift from what was checked when it was built."""
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+    else:
+        names = list(type(value).__slots__)
+    for name in names + ["not_an_attribute"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name, None))

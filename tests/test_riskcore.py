@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -132,6 +133,28 @@ def test_block_params_refuse_non_finite(s4, factory, value):
     # refused at construction, not later as a NaN risk figure
     with pytest.raises(ValueError, match="must be finite"):
         factory(s4, value)
+
+
+def test_measures_refuse_field_assignment(s4):
+    user = CondRiskMeasure(s4, lambda x: s4.esssup_cond(-x), "user_worst")
+    for m in (cond_entropic(s4, 0.5), cond_avar(s4, 0.5).restrict(1), user):
+        for f in dataclasses.fields(m):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, f.name, getattr(m, f.name))
+
+
+def test_builtin_params_are_read_only_copies(s4):
+    # a write here would split the measure: on block 1 the whole space kept
+    # gamma 0.5 (-0.440) while restrict(1) took gamma 2 (-1.337)
+    gamma = np.array([0.5, 0.5])
+    m = cond_entropic(s4, gamma)
+    with pytest.raises(ValueError, match="read-only"):
+        m.params["gamma"][0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        cond_avar(s4, 0.5).params["lambda"][0] = 1.0
+    gamma[0] = 2.0  # the caller's array stays the caller's
+    x = RandomVariable([1, 3, 2, 6])
+    assert m.evaluate(x).values[0] == m.restrict(1).evaluate(RandomVariable([1, 3])).values[0]
 
 
 def test_unknown_axiom(s4):
@@ -411,10 +434,12 @@ def test_non_finite_term_of_a_sequence_raises(s4):
 
     x = RandomVariable([1, 3, 2, 4.5])
     seq = ShrinkingPerturbationSeq(x, RandomVariable([1, 1, 1, 1]), 64)
-    for batched in (False, True):
-        m = CondRiskMeasure(s4, ev, "blowup")
-        if batched:
-            m.evaluate_batch_fn = lambda xs: np.stack([ev(RandomVariable(r)).values for r in xs])
+
+    def batch(xs):
+        return np.stack([ev(RandomVariable(r)).values for r in xs])
+
+    for batch_fn in (None, batch):
+        m = CondRiskMeasure(s4, ev, "blowup", evaluate_batch_fn=batch_fn)
         with pytest.raises(RiskMeasureError, match="non-finite"):
             check_convergence_property(m, "lebesgue", seq)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .boolalg import PartitionOfUnity, mask_array
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
-from .riskcore import ADMISSIBLE_TOL, CondRiskMeasure, _row_batches
+from .riskcore import ADMISSIBLE_TOL, CHUNK_ELEMENTS, CondRiskMeasure, _row_batches
 
 
 class DualityError(CondriskError):
@@ -299,8 +299,8 @@ def _project_capped_simplex(v: np.ndarray, w: np.ndarray, cap: Optional[float]) 
     return d
 
 
-# dual ascent: a block converges once its gap to rho(x) is at most
-# ASCENT_GAP_TOL, and a step search gives up below ASCENT_MIN_STEP
+# a block's dual is accepted, or its ascent converges, once its gap to rho(x)
+# is at most ASCENT_GAP_TOL; a step search gives up below ASCENT_MIN_STEP
 ASCENT_GAP_TOL = 1e-8
 ASCENT_MIN_STEP = 1e-13
 
@@ -331,7 +331,13 @@ def _block_penalty_fn(measure: CondRiskMeasure):
     return lambda d: _block_conjugate_grid(measure, -d)[:2]
 
 
-def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: DualSearchConfig):
+def _ascend_block(
+    measure: CondRiskMeasure,
+    xb: np.ndarray,
+    target: float,
+    cfg: DualSearchConfig,
+    first: Optional[np.ndarray] = None,
+):
     """Projected-gradient ascent of E[x y] - penalty over one block's densities.
 
     The step direction is the linear part minus the penalty's gradient:
@@ -339,8 +345,10 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
     grid conjugate's maximizer x*.  A closed-form penalty without the hook
     adds no slope, and the ascent climbs the linear part alone.  Every
     density the ascent scores lies on the simplex, and each is scored once.
-    Returns the best value and density, whether the block converged, and
-    why the climb that reached the best value stopped.
+    The starts are ``first`` (projected onto the capped simplex) when given,
+    the barycenter and the projected vertices.  Returns the best value and
+    density, whether the block converged, and why the climb that reached
+    the best value stopped.
     """
     q = measure.space.cond_probs(1)
     lin = -q * xb  # gradient of d -> E[x (-d)]
@@ -350,10 +358,15 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
 
     def obj(d: np.ndarray):
         p, x_star = pen(d)
-        return (-math.inf if math.isinf(p) else float(np.dot(lin, d)) - p), x_star
+        val = -math.inf if math.isinf(p) else float(np.dot(lin, d)) - p
+        # by weak duality a value above rho(x) shows a penalty short of the
+        # conjugate there (a grid that missed the sup, or a cap's slack)
+        return (val if val <= target + ASCENT_GAP_TOL else -math.inf), x_star
 
     k = xb.size
     starts = [np.ones(k)]
+    if first is not None:
+        starts.insert(0, _project_capped_simplex(first, q, cap))
     for i in range(k):
         vertex = np.zeros(k)
         vertex[i] = 1.0 / q[i]
@@ -417,9 +430,9 @@ def _ascend_block(measure: CondRiskMeasure, xb: np.ndarray, target: float, cfg: 
 
 
 def _graded(measure: CondRiskMeasure, xv: np.ndarray, y: DualVariable) -> np.ndarray:
-    """E[x y | block] - penalty(y) on every block, from the closed form."""
-    pen = measure._rows(measure.closed_form_penalty, y.values[None], "penalties")[0]
-    return measure.space.block_mean(xv * y.values) - pen
+    """E[x y | block] - penalty(y) on every block, from the measure's own
+    penalty route: the closed form, else one grid conjugate per block."""
+    return measure.space.block_mean(xv * y.values) - penalty_of(measure, y).values
 
 
 def _exact_duals(measure: CondRiskMeasure, xv: np.ndarray) -> Optional[DualVariable]:
@@ -428,6 +441,63 @@ def _exact_duals(measure: CondRiskMeasure, xv: np.ndarray) -> Optional[DualVaria
     if measure._dual_oracle is None:
         return None
     return admissible_dual(measure.space, measure._dual_oracle(xv[None])[0])
+
+
+# difference duals: atom i steps by h_i = 2^(e - DIFFERENCE_STEP_BITS), where e
+# is the binary exponent of max(1, max |x| on its block).  Blocks left short
+# take them again at x + 2^(e - SHIFT_BITS) u, with steps of 2^(e -
+# SHIFTED_STEP_BITS), for each irregular pattern u_i = frac(i s) - 1/2 that
+# a slope s of SHIFT_SLOPES gives, in turn
+DIFFERENCE_STEP_BITS = 20
+SHIFT_BITS = 8
+SHIFTED_STEP_BITS = 16
+SHIFT_SLOPES = (0.6180339887498949, 0.4142135623730951)
+
+
+def _binary_scale(space: FiniteProbSpace, xv: np.ndarray, bits: int) -> np.ndarray:
+    """2^(e - bits) on each atom, e the binary exponent of max(1, max |x| on
+    its block): x and 2^k x get the same bits, shifted by k."""
+    scale = space.broadcast(np.maximum(space.block_max(np.abs(xv)), 1.0))
+    return np.ldexp(1.0, np.frexp(scale)[1] - 1 - bits)
+
+
+def _difference_duals(
+    measure: CondRiskMeasure, xv: np.ndarray, bits: int = DIFFERENCE_STEP_BITS
+) -> Optional[DualVariable]:
+    """The density -grad rho(x) / q on every block, from central differences
+    with steps ``_binary_scale(space, x, bits)``, as an admissible dual; None
+    where the differences give no density.
+
+    Where rho is differentiable at x this is the maximizer of the robust
+    representation (the Fenchel-Young equality).  The steps are powers of 2
+    set by each block's scale, so x and 2^k x give the same bits for a
+    positively homogeneous measure.  By locality one row steps one atom of
+    every block, so one ``evaluate_batch`` call of twice the largest block
+    size gives every block's differences; rows go in chunks of about
+    CHUNK_ELEMENTS payoff entries.  The slope is clipped at 0 and normalized
+    blockwise by ``admissible_dual``; a non-finite risk, or a block with no
+    mass left, gives None.
+    """
+    space = measure.space
+    n = space.n_atoms
+    h = _binary_scale(space, xv, bits)
+    # the position of each atom in its block: row r steps the atoms at
+    # position r up, row k + r steps them down, for blocks of at most k atoms
+    pos = np.empty(n, dtype=np.intp)
+    pos[space.order] = np.arange(n) - space.starts[space._block_in_order]
+    k = int(pos.max()) + 1
+    chunk = max(1, CHUNK_ELEMENTS // n)
+    risk = np.concatenate(
+        [
+            measure.evaluate_batch(xv + (r % k == pos) * np.where(r < k, h, -h))
+            for r in np.split(np.arange(2 * k)[:, None], range(chunk, 2 * k, chunk))
+        ]
+    )
+    at = (pos, space.block_of)
+    d = np.maximum((risk[k:][at] - risk[:k][at]) / (2.0 * h * space.cond), 0.0)
+    if not np.all(np.isfinite(d)) or np.any(space.block_max(d) <= 0):
+        return None
+    return admissible_dual(space, d)
 
 
 def _represent(
@@ -450,19 +520,42 @@ def _represent(
             if not ok
         ]
         return DualResult(ConditionalValue(values), y, converged, warnings)
-    cfg = cfg or DualSearchConfig()
-    values, density = np.empty(space.n_blocks), np.empty(space.n_atoms)
-    converged: List[bool] = []
+    y = _difference_duals(measure, xv)
+    if y is None:
+        values, density = np.full(space.n_blocks, -math.inf), np.ones(space.n_atoms)
+    else:
+        values, density = _graded(measure, xv, y), -y.values
+    # a value above rho(x) leans on a penalty's slack: not accepted either
+    accepted = np.abs(targets - values) <= ASCENT_GAP_TOL
+    if accepted.all():
+        return DualResult(ConditionalValue(values), y, accepted.tolist(), [])
+    # at a kink the differences at x need not give a subgradient.  Those at a
+    # generic point nearby do for a max of linear pieces, graded at x, unless
+    # the steps there still straddle a kink; the next pattern takes those
+    i = np.arange(1, space.n_atoms + 1)
+    for slope in SHIFT_SLOPES:
+        shift = _binary_scale(space, xv, SHIFT_BITS) * ((i * slope) % 1.0 - 0.5)
+        shifted = _difference_duals(measure, xv + shift, SHIFTED_STEP_BITS)
+        if shifted is not None:
+            graded = _graded(measure, xv, shifted)
+            take = ~accepted & (np.abs(targets - graded) <= ASCENT_GAP_TOL)
+            values[take] = graded[take]
+            on = space.broadcast(take)
+            density[on] = -shifted.values[on]
+            accepted |= take
+        if accepted.all():
+            break
+    converged = accepted.tolist()
     warnings: List[str] = []
-    for j in range(1, space.n_blocks + 1):
-        val, d, ok, stop = _ascend_block(
-            measure.restrict(j), space.restrict(x, j), float(targets[j - 1]), cfg
+    cfg = cfg or DualSearchConfig()
+    for j in np.flatnonzero(~accepted).tolist():
+        idx = space.block_index_array(j + 1)
+        first = None if y is None else density[idx]
+        values[j], density[idx], converged[j], stop = _ascend_block(
+            measure.restrict(j + 1), xv[idx], float(targets[j]), cfg, first
         )
-        values[j - 1] = val
-        density[space.block_index_array(j)] = d
-        converged.append(ok)
-        if not ok:
-            warnings.append(f"block {j}: {stop} with gap {targets[j - 1] - val:.3e}")
+        if not converged[j]:
+            warnings.append(f"block {j + 1}: {stop} with gap {targets[j] - values[j]:.3e}")
     return DualResult(ConditionalValue(values), admissible_dual(space, density), converged, warnings)
 
 
@@ -478,10 +571,16 @@ def dual_representation(
     dual from the closed-form penalty (``_graded``), and a block more than
     ASCENT_GAP_TOL short of rho(x) is reported unconverged, with a warning
     that names the shortfall.  A user measure, a ``dataclasses.replace``
-    copy of a built-in included, climbs on every block: projected-gradient
-    ascent on the block's restriction, over its conditional-density simplex,
-    from the barycenter with multistart from the vertices.  The value never
-    exceeds rho(x) beyond tolerance (weak duality).
+    copy of a built-in included, first takes -grad rho(x) / q from one batch
+    of central differences (``_difference_duals``), graded the same way
+    from its own penalty route (the closed form, else one grid conjugate per
+    block); a block within ASCENT_GAP_TOL of rho(x), on either side, is
+    accepted.  Blocks left short take the differences again at generic
+    points near x, which finds a subgradient at a kink of a max of linear
+    pieces.  Only the blocks still short climb: projected-gradient ascent
+    on the block's restriction, over its conditional-density simplex, from
+    the projected difference density, the barycenter and the vertices.  The
+    ascent scores no density above rho(x) beyond tolerance (weak duality).
     """
     return _represent(measure, x, measure.evaluate(x).values, cfg)
 

@@ -177,28 +177,43 @@ class FiniteProbSpace:
             missing = sorted(set(range(1, n + 1)) - seen)
             raise SpaceError(f"blocks do not cover atoms {missing}")
 
-        self.probs = _readonly(p)
-        self.blocks = blocks
-        self.algebra = BooleanAlgebra(len(blocks))
+        probs = _readonly(p)
         # block layout, built once: atoms in block order, cut at ``starts``
         # (kept as Python ints in ``_bounds`` too, for cheap per-block slices)
         sizes = [len(b) for b in blocks]
-        self._bounds = list(accumulate(sizes, initial=0))
+        bounds = tuple(accumulate(sizes, initial=0))
         order = np.array([i - 1 for b in blocks for i in b], dtype=np.intp)
-        starts = np.array(self._bounds[:-1], dtype=np.intp)
+        starts = np.array(bounds[:-1], dtype=np.intp)
         # the smallest integer type that holds a block id keeps the stable
         # sort of block ids in cond_avar a radix sort
         block_of = np.empty(n, dtype=np.min_scalar_type(len(blocks) - 1))
-        self._block_in_order = np.arange(len(blocks), dtype=block_of.dtype).repeat(sizes)
-        block_of[order] = self._block_in_order
-        self.order, self.starts, self.block_of = order, starts, block_of
-        self.block_mass = self.block_sum(self.probs)
-        self.cond = self.probs if _normalized else self.probs / self.block_mass[block_of]
-        self._cond_in_order = self.cond[order]
-        for arr in (order, starts, block_of, self.block_mass, self.cond, self._cond_in_order,
-                    self._block_in_order):
+        in_order = np.arange(len(blocks), dtype=block_of.dtype).repeat(sizes)
+        block_of[order] = in_order
+        block_mass = np.add.reduceat(probs.take(order), starts)
+        cond = probs if _normalized else probs / block_mass[block_of]
+        cond_in_order = cond[order]
+        for arr in (order, starts, block_of, block_mass, cond, cond_in_order, in_order):
             arr.setflags(write=False)
-        self._block_spaces: dict = {}
+        # set once, here: every measure on the space reads this layout, so
+        # assignment is refused; the memo of block spaces is the one part
+        # that changes
+        vars(self).update(
+            probs=probs,
+            blocks=blocks,
+            algebra=BooleanAlgebra(len(blocks)),
+            _bounds=bounds,
+            order=order,
+            starts=starts,
+            block_of=block_of,
+            _block_in_order=in_order,
+            block_mass=block_mass,
+            cond=cond,
+            _cond_in_order=cond_in_order,
+            _block_spaces={},
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteProbSpace is immutable")
 
     @property
     def n_atoms(self) -> int:

@@ -56,9 +56,11 @@ class CondRiskMeasure:
     a ``(rows, n_atoms)`` array of raw dual vectors (all <= 0) to ``(rows,
     n_blocks)`` penalties, +inf where a row is not an admissible density for
     the measure, and a result of another shape is refused by name.  Built-ins
-    pass their batched penalty as it is.  ``dual_density_cap`` bounds the
-    dual ascent's densities and ``dual_penalty_grad`` gives it the penalty's
-    slope (a closed form without it adds none).  ``restrict(j)`` cuts block
+    pass their batched penalty as it is.  A user measure's dual comes from
+    central differences of its risk first; ``dual_density_cap`` and
+    ``dual_penalty_grad`` serve only the fallback ascent, for the blocks the
+    differences leave short: the cap bounds its densities and the gradient
+    gives it the penalty's slope (a closed form without it adds none).  ``restrict(j)`` cuts block
     ``j`` out as a classical measure on one block, which is what the dual
     engine works on: a built-in rebuilds itself there natively, a user
     measure is padded back to the whole space and checked for that padding.
@@ -70,8 +72,9 @@ class CondRiskMeasure:
     A measure is immutable, so its hooks, its restriction and its oracle
     cannot drift apart.  A measure with another hook is a new measure, made
     with ``dataclasses.replace``; that leaves ``_cut`` and ``_dual_oracle``
-    unset, so the copy is a user measure: a padded restriction, and a dual
-    ascent on the hooks it holds.
+    unset, so the copy is a user measure: a padded restriction, and duals
+    from differences and, where they fall short, an ascent on the hooks it
+    holds.
     """
 
     space: FiniteProbSpace

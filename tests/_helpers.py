@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from condrisk import Universe
+from condrisk import ConditionalValue, CondRiskMeasure, Universe
 from condrisk.formulalang import And, Eq, ExistsIn, ForallIn, Implies, In, Lit, Not, Or, Var
 
 
@@ -94,6 +94,47 @@ def reference_risk(space, kind, param, x):
         else:
             out.append(reference_avar_block(q, xb, param[j]))
     return np.array(out)
+
+
+def user_entropic(space, gamma):
+    """Entropic risk as a user measure with a batch function only: no closed
+    form, no cap or gradient hook, no oracle."""
+    blocks = reference_blocks(space)
+
+    def batch(xs):
+        out = np.empty((len(xs), len(blocks)))
+        for j, (idx, q) in enumerate(blocks):
+            a = -gamma * xs[:, idx]
+            top = a.max(axis=1)
+            out[:, j] = (top + np.log(np.exp(a - top[:, None]) @ q)) / gamma
+        return out
+
+    return CondRiskMeasure(
+        space, lambda x: ConditionalValue(batch(x.values[None])[0]), "user_entropic", evaluate_batch_fn=batch
+    )
+
+
+def max_of_linear(space, densities, alphas):
+    """A user measure made of linear pieces: on block j, rho(x) is the
+    largest E[-x d_i | block j] - alphas[i, j] over the pieces i.
+
+    Each row d_i of ``densities`` has conditional mean 1 on every block.
+    The measure gives ``evaluate_batch_fn`` only: no closed form and no dual
+    hooks, so its penalty is the grid conjugate.  Its dual set on a block is
+    the hull of the d_i, and rho has a kink wherever two pieces tie.
+    """
+    blocks = reference_blocks(space)
+    d, a = np.asarray(densities, dtype=float), np.asarray(alphas, dtype=float)
+
+    def batch(xs):
+        out = np.empty((len(xs), len(blocks)))
+        for j, (idx, q) in enumerate(blocks):
+            out[:, j] = np.max(-(xs[:, idx] * q) @ d[:, idx].T - a[:, j], axis=1)
+        return out
+
+    return CondRiskMeasure(
+        space, lambda x: ConditionalValue(batch(x.values[None])[0]), "max_of_linear", evaluate_batch_fn=batch
+    )
 
 
 def reference_penalty(space, kind, param, y):

@@ -7,12 +7,14 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import condrisk as cr
-from _helpers import random_formula, random_name
+from _helpers import random_formula, random_name, user_entropic
+from condrisk import duality
 
 LOG2 = math.log(2.0)
 
@@ -198,6 +200,37 @@ def test_exact_dual_budget_on_many_blocks():
         elapsed = time.perf_counter() - start
         assert all(result.converged), measure.label
         assert elapsed < 0.1, f"dual representation of {measure.label} took {elapsed:.3f}s"
+
+
+def test_user_dual_budget_on_two_five_atom_blocks():
+    # runtime gate in the style of criterion 6: a user measure's dual comes
+    # from one batch of differences and one grid conjugate per block, where
+    # the ascent alone took about 0.3 s a payoff
+    rng = np.random.default_rng(111)
+    probs = rng.uniform(0.5, 2.0, 10)
+    space = cr.FiniteProbSpace(probs / probs.sum(), [[1, 3, 5, 7, 9], [2, 4, 6, 8, 10]])
+    user = user_entropic(space, 1.0)
+    for _ in range(5):
+        x = cr.RandomVariable(rng.normal(0.0, 2.0, 10))
+        start = time.perf_counter()
+        result = cr.dual_representation(user, x)
+        elapsed = time.perf_counter() - start
+        assert all(result.converged) and result.warnings == []
+        assert np.all(np.abs(user.evaluate(x).values - result.value.values) <= duality.ASCENT_GAP_TOL)
+        assert elapsed < 0.1, f"user dual representation took {elapsed:.3f}s"
+
+
+def test_user_dual_at_the_benchmark_point_never_climbs():
+    # the shape of the benchmark's user request: entropic, gamma 1, one
+    # nonuniform 3-atom block, x = (-1, 2, 0.5), 60 ascent iterations allowed
+    space = cr.FiniteProbSpace([0.2, 0.5, 0.3], [[1, 2, 3]])
+    user = user_entropic(space, 1.0)
+    x = cr.RandomVariable([-1.0, 2.0, 0.5])
+    with mock.patch.object(duality, "_ascend_block", side_effect=AssertionError("climbed")):
+        result = cr.dual_representation(user, x, cr.DualSearchConfig(max_iters=60))
+    assert result.converged == [True] and result.warnings == []
+    assert result.maximizer.is_admissible(space)
+    assert abs(user.evaluate(x).values[0] - result.value.values[0]) <= duality.ASCENT_GAP_TOL
 
 
 def test_criterion_7_young_holder(s4):

@@ -50,14 +50,11 @@ def test_public_api_adds_no_option():
 
 
 def _immutable_values():
-    """One value of each type whose attributes must not be assignable.
-
-    FiniteProbSpace is left out: its attributes are still assignable, and
-    closing them is a change of its own.
-    """
+    """One value of each type whose attributes must not be assignable."""
     algebra = condrisk.BooleanAlgebra(2)
     space = condrisk.FiniteProbSpace([0.5, 0.5], [[1], [2]])
     return [
+        space,
         condrisk.RandomVariable([1.0, 2.0]),
         condrisk.ConditionalValue([1.0, 2.0]),
         condrisk.DualVariable([-1.0, -1.0]),
@@ -74,8 +71,10 @@ def test_values_refuse_attribute_assignment(value):
     changed in place can drift from what was checked when it was built."""
     if dataclasses.is_dataclass(value):
         names = [f.name for f in dataclasses.fields(value)]
-    else:
+    elif hasattr(type(value), "__slots__"):
         names = list(type(value).__slots__)
+    else:
+        names = list(vars(value))
     for name in names + ["not_an_attribute"]:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name, None))

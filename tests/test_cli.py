@@ -162,10 +162,11 @@ def test_bvm_mix_refuses_a_literal_past_its_cap(capsys, s4_path, monkeypatch):
 
 def test_exit_code_on_failed_check(capsys, s4_path, monkeypatch):
     # a built-in's exact dual attains rho(x) to rounding, so a representation
-    # that cannot attain is hard to fake with builtins; with the oracle route
-    # off, the ascent stops short of an absurd tolerance and represent trips
-    # the failure exit code
+    # that cannot attain is hard to fake with builtins; with the oracle and
+    # difference routes off, the ascent stops short of an absurd tolerance
+    # and represent trips the failure exit code
     monkeypatch.setattr(duality, "_exact_duals", lambda *args: None)
+    monkeypatch.setattr(duality, "_difference_duals", lambda *args: None)
     code, out = run(
         capsys,
         ["dual", "represent", "--scenario", s4_path, "--measure", "entropic",
@@ -182,6 +183,7 @@ def test_exact_duals_attain_where_the_ascent_stops_short(capsys, s4_path, monkey
     assert code == 0 and out["passed"] is True
     assert "warnings" not in out["entries"][0]
     monkeypatch.setattr(duality, "_exact_duals", lambda *args: None)
+    monkeypatch.setattr(duality, "_difference_duals", lambda *args: None)
     code, out = run(capsys, argv)
     assert code == 1 and out["passed"] is False
 

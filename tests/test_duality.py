@@ -31,12 +31,24 @@ from condrisk import (
     stable_sublevel_check,
     verify_representation,
 )
-from _helpers import reference_risk, reference_sublevel_rays, reference_sublevel_walk
+from _helpers import (
+    max_of_linear,
+    reference_risk,
+    reference_sublevel_rays,
+    reference_sublevel_walk,
+    user_entropic,
+)
 from condrisk import duality
 from condrisk.duality import SUBLEVEL_MAX_COMBOS, DualityError, _project_capped_simplex
 from condrisk.riskcore import BUILTIN_FACTORIES
 
 LOG2 = math.log(2.0)
+
+
+def _no_difference_duals():
+    """The difference route off, as ``_exact_duals`` is off for a user
+    measure: every block of a user measure climbs."""
+    return mock.patch.object(duality, "_difference_duals", return_value=None)
 
 
 def test_dual_variable_guards():
@@ -231,8 +243,9 @@ def test_representation_json_shape(s4):
 
 def test_representation_json_carries_ascent_warnings(s4):
     x = RandomVariable([1, 3, 2, 6])
-    # a built-in's exact dual leaves no gap, so a user copy of entropic runs
-    # the ascent, and one ascent step leaves the gap open for this gamma
+    # a built-in's exact dual leaves no gap, and neither do the differences
+    # of a user copy of entropic; with them off the copy runs the ascent, and
+    # one ascent step leaves the gap open for this gamma
     ent = cond_entropic(s4, 0.2)
     user = CondRiskMeasure(
         s4,
@@ -242,7 +255,8 @@ def test_representation_json_carries_ascent_warnings(s4):
         evaluate_batch_fn=ent.evaluate_batch_fn,
         dual_penalty_grad=ent.dual_penalty_grad,
     )
-    rep = verify_representation(user, [x], tol=1.0, cfg=DualSearchConfig(max_iters=1))
+    with _no_difference_duals():
+        rep = verify_representation(user, [x], tol=1.0, cfg=DualSearchConfig(max_iters=1))
     entry = rep.to_dict()["entries"][0]
     assert len(entry["warnings"]) == 2
     assert all("ascent stopped after 1 iterations" in w for w in entry["warnings"])
@@ -309,6 +323,19 @@ def test_a_replaced_penalty_takes_the_user_route(s4):
     assert np.all(np.abs(result.value.values - (rho - 1.0)) <= duality.ASCENT_GAP_TOL)
     assert result.converged == [False, False] and len(result.warnings) == 2
     assert not verify_representation(moved, [x]).attained_all
+
+
+def test_the_fallback_ascent_starts_from_the_difference_density(space8):
+    # a penalty moved up by 1 leaves every difference dual 1 short, so every
+    # block climbs; with no gradient hook the climb alone stalls far from the
+    # sup, and only its start at the difference density reaches rho(x) - 1
+    ent = cond_entropic(space8, 2.0)
+    pen = ent.closed_form_penalty
+    moved = CondRiskMeasure(space8, ent.evaluate_fn, "moved", closed_form_penalty=lambda ys: pen(ys) + 1.0)
+    x = RandomVariable(np.random.default_rng(5).normal(0.0, 2.0, 8))
+    result = dual_representation(moved, x)
+    assert result.converged == [False, False, False]
+    assert np.all(np.abs(result.value.values - (ent.evaluate(x).values - 1.0)) <= duality.ASCENT_GAP_TOL)
 
 
 def test_a_block_short_at_payoff_scale_1e8_is_reported_not_climbed(space8):
@@ -522,7 +549,8 @@ def test_any_partition_mix_is_a_mix_along_the_blocks(data):
 
 def test_user_ascent_stays_on_the_density_simplex():
     # every penalty is +inf off the simplex, so the ascent of a user measure
-    # with no gradient hook asks the grid conjugate only about densities
+    # with no gradient hook asks the grid conjugate only about densities; the
+    # difference route is off, so every block climbs
     space = FiniteProbSpace([0.1, 0.2, 0.3, 0.15, 0.25], [[2, 4, 5], [1, 3]])
 
     def ev(x):
@@ -537,7 +565,7 @@ def test_user_ascent_stays_on_the_density_simplex():
         return grid(measure, y_block)
 
     x = RandomVariable([0.5, -1.0, 2.0, 0.0, 1.0])
-    with mock.patch.object(duality, "_block_conjugate_grid", spy):
+    with mock.patch.object(duality, "_block_conjugate_grid", spy), _no_difference_duals():
         result = dual_representation(user, x, DualSearchConfig(max_iters=3))
     assert gaps and max(gaps) <= 1e-9
     assert np.all(result.value.values <= user.evaluate(x).values + 1e-9)
@@ -546,40 +574,30 @@ def test_user_ascent_stays_on_the_density_simplex():
 def test_user_ascent_climbs_along_the_grid_maximizer():
     # a user measure declares no penalty gradient; the grid conjugate's
     # maximizer supplies it, and the ascent must reach rho(x) on every block,
-    # the 3-atom block included
+    # the 3-atom block included, with the difference route off
     p = np.array([0.113, 0.26, 0.156, 0.102, 0.124, 0.245])
     space = FiniteProbSpace(p / p.sum(), [[2], [1, 4], [3, 5, 6]])
-    blocks = [np.array(b) - 1 for b in space.blocks]
-
-    def batch(xs):
-        out = np.empty((len(xs), len(blocks)))
-        for j, idx in enumerate(blocks):
-            q = space.probs[idx] / space.probs[idx].sum()
-            a = -1.3 * xs[:, idx]
-            top = a.max(axis=1)
-            out[:, j] = (top + np.log(np.exp(a - top[:, None]) @ q)) / 1.3
-        return out
-
-    user = CondRiskMeasure(
-        space, lambda x: ConditionalValue(batch(x.values[None])[0]), "user", evaluate_batch_fn=batch
-    )
+    user = user_entropic(space, 1.3)
     x = RandomVariable([1.09, -2.9, 0.6, 1.99, 0.94, 0.52])
-    result = dual_representation(user, x)
+    with _no_difference_duals():
+        result = dual_representation(user, x)
     assert result.converged == [True, True, True] and result.warnings == []
     gap = user.evaluate(x).values - result.value.values
     assert np.all(gap >= -1e-9) and np.all(gap <= 1e-7)
 
 
 def test_ascent_warning_names_a_stalled_step_search(space8):
-    # a closed-form penalty without a gradient hook: the ascent climbs the
-    # linear part alone, and its step search stalls well before max_iters
+    # a closed-form penalty without a gradient hook: with the difference
+    # route off, the ascent climbs the linear part alone, and its step search
+    # stalls well before max_iters
     ent = cond_entropic(space8, 2.0)
     user = CondRiskMeasure(
         space8, ent.evaluate_fn, "user_entropic", closed_form_penalty=ent.closed_form_penalty
     )
     x = RandomVariable(np.random.default_rng(5).normal(0.0, 2.0, 8))
     cfg = DualSearchConfig(max_iters=400)
-    result = dual_representation(user, x, cfg)
+    with _no_difference_duals():
+        result = dual_representation(user, x, cfg)
     assert result.warnings and len(result.warnings) == result.converged.count(False)
     for warning in result.warnings:
         assert "step search stalled after" in warning and " with gap " in warning
@@ -808,3 +826,75 @@ def test_user_row_form_is_the_stack_of_its_rows(case, variant):
         assert _message(lambda: f.rows(bad)) == _message(lambda: DualVariable(bad[2]))
         wrong = -np.ones(n + 1)
         assert _message(lambda: f.rows(wrong[None])) == _message(lambda: f(RandomVariable(wrong)))
+
+
+def _drawn_space(draw):
+    m = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    n = sum(sizes)
+    order = draw(st.permutations(range(1, n + 1)))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), float)
+    blocks = [b.tolist() for b in np.split(np.array(order), np.cumsum(sizes)[:-1])]
+    return FiniteProbSpace(weights / weights.sum(), blocks)
+
+
+@st.composite
+def user_dual_cases(draw):
+    """A user measure and a payoff: a ``replace`` copy of a built-in, with or
+    without its closed form, at payoff scale 1, 1e3 or 1e5, or a max of
+    linear pieces whose first one, two or three pieces tie for the maximum
+    on every block, at scale 1.  Payoffs on a grid of halves tie at the
+    minimum and at AVaR's boundary often.  At scale 1e5 rounding leaves
+    some copies' difference duals short, and the ascent takes them."""
+    space = _drawn_space(draw)
+    n = space.n_atoms
+    point = st.one_of(st.integers(-8, 8).map(lambda k: k / 2), st.floats(-4.0, 4.0))
+    x = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(sorted(BUILTIN_FACTORIES) + ["max_of_linear"]))
+    if kind != "max_of_linear":
+        builtin = BUILTIN_FACTORIES[kind](
+            space, gamma=draw(st.sampled_from([0.5, 2.0])), **{"lambda": draw(st.sampled_from([0.4, 1.0]))}
+        )
+        keep = draw(st.booleans())
+        copy = dataclasses.replace(builtin, closed_form_penalty=builtin.closed_form_penalty if keep else None)
+        return copy, x * draw(st.sampled_from([1.0, 1e3, 1e5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = draw(st.integers(2, 4))
+    d = np.stack([-admissible_dual(space, rng.uniform(0.1, 2.0, n)).values for _ in range(pieces)])
+    # alphas put each piece's value at x at t: 0 for the tied pieces, below
+    # for the rest
+    t = -rng.uniform(0.1, 1.0, (pieces, space.n_blocks))
+    t[: draw(st.integers(1, 3))] = 0.0
+    return max_of_linear(space, d, space.block_mean(-x * d) - t), x
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(user_dual_cases())
+def test_user_measures_converge_by_differences_or_the_ascent(case):
+    measure, x = case
+    rho = measure.evaluate(RandomVariable(x)).values
+    result = dual_representation(measure, RandomVariable(x))
+    assert all(result.converged) and result.warnings == []
+    assert np.all(result.value.values <= rho + duality.ASCENT_GAP_TOL)
+    assert result.maximizer.is_admissible(measure.space)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_difference_duals_of_homogeneous_copies_scale_exactly(data):
+    # the steps are powers of 2 of each block's scale, so for a positively
+    # homogeneous measure x and 2^k x give the same density to the bit, on
+    # blocks where max |x| is at least 1
+    space = _drawn_space(data.draw)
+    n = space.n_atoms
+    x = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+    big = st.sampled_from([-3.5, -1.0, 1.0, 2.25])
+    x[space.order[space.starts]] = data.draw(
+        st.lists(big, min_size=space.n_blocks, max_size=space.n_blocks)
+    )
+    kind = data.draw(st.sampled_from(["neg_expectation", "worst_case", "avar"]))
+    copy = dataclasses.replace(BUILTIN_FACTORIES[kind](space, **{"lambda": 0.4}))
+    k = data.draw(st.integers(1, 30))
+    y = duality._difference_duals(copy, x)
+    assert y is not None
+    assert np.array_equal(duality._difference_duals(copy, np.ldexp(x, k)).values, y.values)

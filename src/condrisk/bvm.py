@@ -4,13 +4,13 @@ Names are finite maps from child names to algebra elements, hash-consed into
 a separated universe.  Over a finite atomic algebra the universe factors over
 the atoms: a name is determined, up to equivalence, by its two-valued collapse
 at each atom.  Canonical identity is therefore keyed on the collapse tuple,
-while Boolean truth values are computed by the genuine rank recursion so the
-two routes stay independently checkable.
+while Boolean truth values come from the rank recursion itself, evaluated
+bottom-up into dense tables, so the two routes stay independently checkable.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import re
 import threading
 from collections import namedtuple
@@ -81,9 +81,11 @@ class Name:
 class Universe:
     """Separated Boolean-valued universe over one finite algebra.
 
-    The registry, truth memo tables and literal memo are shared mutable state;
-    all inserts go through dict.setdefault so concurrent use only ever caches
-    values that are deterministic functions of the keys.  The literal memo
+    The registry, truth tables and literal memo are shared mutable state.
+    Names are registered, and truth tables grown, under one lock; a reader
+    takes one reference to the current table and reads only slots it holds,
+    and a table cleared at its cap is swapped for a new one, so no slot a
+    reader holds is ever rewritten.  The literal memo
     maps the exact source text of a ``name{...}``, ``check(...)`` or
     ``mix[...]`` literal to its name, so a spelling is parsed once here.
     """
@@ -91,10 +93,10 @@ class Universe:
     def __init__(self, algebra: BooleanAlgebra):
         self.algebra = algebra
         self._registry: dict = {}
-        self._eq_memo: dict = {}
-        self._in_memo: dict = {}
+        # names by canonical id; the truth tables are built on the first query
+        self._names: list = []
+        self._table: Optional[_TruthTable] = None
         self._literal_memo: dict = {}
-        self._next_id = 0
         self._lock = threading.Lock()
         self.empty = self.make_name({})
 
@@ -130,9 +132,9 @@ class Universe:
                 return existing
             ordered = tuple(sorted(merged.items(), key=lambda cv: cv[0].canonical_id))
             rank = 1 + max((c.rank for c, _ in ordered), default=-1)
-            name = Name(self, ordered, rank, self._next_id, collapses)
+            name = Name(self, ordered, rank, len(self._names), collapses)
             self._registry[collapses] = name
-            self._next_id += 1
+            self._names.append(name)
         return name
 
     def canonical_name(self, h) -> Name:
@@ -147,52 +149,63 @@ class Universe:
     # -- Boolean truth values -------------------------------------------------
 
     def truth_in(self, u: Name, v: Name) -> BoolElem:
-        """[[u in v]] by the membership recursion."""
+        """[[u in v]] by the membership equation, read from the truth table."""
         self._check(u, v)
         return self.algebra.from_mask(self._in(u, v))
 
     def truth_eq(self, u: Name, v: Name) -> BoolElem:
-        """[[u = v]] by the double-inclusion recursion."""
+        """[[u = v]] by the double-inclusion equation, read from the truth table."""
         self._check(u, v)
         return self.algebra.from_mask(self._eq(u, v))
 
-    # The recursion runs on masks, keyed by one int per pair of ids.  It needs
-    # no name checks: make_name refuses children from another universe, so
-    # every name reached belongs to self.
+    # Both read the truth tables; no name checks are needed past _check:
+    # make_name refuses children from another universe, so every name reached
+    # belongs to self.
 
     def _in(self, u: Name, v: Name) -> int:
-        key = u.canonical_id << 32 | v.canonical_id
-        acc = self._in_memo.get(key)
-        if acc is not None:
-            return acc
-        full = self.algebra.full
-        acc = 0
-        for child, mask in v.masks:
-            # only atoms of mask not yet in acc can change it
-            if mask & ~acc:
-                acc |= mask & self._eq(child, u)
-                if acc == full:
-                    break
-        return self._in_memo.setdefault(key, acc)
+        table, s, t = self._slots(v, u)
+        return table.inn.item(s, t)
 
     def _eq(self, u: Name, v: Name) -> int:
-        i, j = u.canonical_id, v.canonical_id
-        key = i << 32 | j if i < j else j << 32 | i
-        acc = self._eq_memo.get(key)
-        if acc is not None:
-            return acc
-        full = self.algebra.full
-        acc = full
-        for a, b in ((u, v), (v, u)):
-            for child, mask in a.masks:
-                # mask => [[child in b]] only constrains the atoms of mask
-                if mask & acc:
-                    acc &= (mask ^ full) | self._in(child, b)
-                    if not acc:
-                        break
-            if not acc:
-                break
-        return self._eq_memo.setdefault(key, acc)
+        table, s, t = self._slots(u, v)
+        return table.eq.item(s, t)
+
+    def _slots(self, u: Name, v: Name):
+        """A truth table holding u and v, and their slots in it."""
+        table = self._table
+        if table is not None:
+            s = table.slot.get(u)
+            t = table.slot.get(v)
+            if s is not None and t is not None:
+                return table, s, t
+        table = self._grow(u, v)
+        return table, table.slot[u], table.slot[v]
+
+    def _grow(self, u: Name, v: Name) -> "_TruthTable":
+        """Slot every unslotted name if the registry fits under the cap, else
+        the unslotted closure of u and v, in a cleared table if need be."""
+        with self._lock:
+            table = self._table
+            if table is None:
+                table = self._table = _TruthTable(self.algebra)
+            if u in table.slot and v in table.slot:
+                return table
+            if len(self._names) <= TRUTH_TABLE_CAP:
+                table.add([w for w in self._names if w not in table.slot])
+                return table
+            batch = _unslotted_closure((u, v), table.slot)
+            if len(table.slot) + len(batch) > TRUTH_TABLE_CAP:
+                batch = _unslotted_closure((u, v), {})
+                if len(batch) > TRUTH_TABLE_CAP:
+                    raise UniverseError(
+                        f"the truth values of this pair need {len(batch)} names, "
+                        f"over TRUTH_TABLE_CAP = {TRUTH_TABLE_CAP}"
+                    )
+                # a reader may still hold the full table: swap, never rewrite
+                table = _TruthTable(self.algebra)
+            table.add(batch)
+            self._table = table
+            return table
 
     def _check(self, *names: Name) -> None:
         for n in names:
@@ -311,6 +324,123 @@ class Universe:
         return graph
 
 
+# slots a universe's truth tables hold; a miss that cannot fit clears them
+TRUTH_TABLE_CAP = 1 << 11
+# entries of one fill step's intermediate arrays before a level is cut in chunks
+_FILL_CHUNK = 1 << 20
+
+
+def _mask_dtype(atom_count: int) -> np.dtype:
+    """The smallest unsigned int dtype that holds every mask; object past 64 atoms."""
+    for bits in (8, 16, 32, 64):
+        if atom_count <= bits:
+            return np.dtype(f"uint{bits}")
+    return np.dtype(object)
+
+
+def _unslotted_closure(roots: Iterable[Name], slot: Mapping) -> list:
+    """The names hereditarily below ``roots`` (roots included) with no slot."""
+    seen: dict = {}
+    stack = [r for r in roots if r not in slot]
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen[w] = None
+            stack.extend(c for c, _ in w.masks if c not in slot and c not in seen)
+    return list(seen)
+
+
+class _TruthTable:
+    """Square tables ``EQ[s, t] = [[u_s = u_t]]`` and ``IN[s, t] = [[u_t in u_s]]``.
+
+    ``slot`` maps a slotted name to its row; a name is slotted only with all
+    its children, each at a lower slot.  The child edges of slot ``s`` are
+    entries ``start[s]`` to ``start[s + 1]`` of ``child`` and ``mask``, so
+    they are sorted by parent; the empty name gets one edge to itself with
+    mask 0, which no reduction can tell from none.
+    """
+
+    __slots__ = ("full", "slot", "eq", "inn", "child", "mask", "start")
+
+    def __init__(self, algebra: BooleanAlgebra):
+        dtype = _mask_dtype(algebra.atom_count)
+        self.full = algebra.full
+        self.slot: dict = {}
+        self.eq = self.inn = np.zeros((0, 0), dtype)
+        self.child = np.zeros(0, np.intp)
+        self.mask = np.zeros(0, dtype)
+        self.start = np.zeros(1, np.intp)
+
+    def add(self, batch: Sequence[Name]) -> None:
+        """Slot ``batch``, whose unslotted children are all in it, level by level.
+
+        A name's level is 0 if none of its children is in the batch, else one
+        more than the highest level among them; slots run by level, then by
+        id.  Each level, cut in chunks when large, fills its IN rows against
+        the slots below it, then its EQ rows and columns, then its IN columns.
+        The new slots are published once they are filled.
+        """
+        by_id = sorted(batch, key=operator.attrgetter("canonical_id"))
+        level: dict = {}
+        for u in by_id:
+            level[u] = 1 + max((level.get(c, -1) for c, _ in u.masks), default=-1)
+        order = sorted(by_id, key=level.__getitem__)
+        n = len(self.slot)
+        new: dict = {}
+        child, mask, counts = [], [], []
+        for k, u in enumerate(order, n):
+            new[u] = k
+            for c, value in u.masks or ((u, 0),):
+                child.append(new[c] if c in new else self.slot[c])
+                mask.append(value)
+            counts.append(len(u.masks) or 1)
+        self.child = np.concatenate([self.child, np.array(child, np.intp)])
+        self.mask = np.concatenate([self.mask, np.array(mask, self.mask.dtype)])
+        self.start = np.concatenate([self.start, self.start[-1] + np.cumsum(counts, dtype=np.intp)])
+        end = n + len(order)
+        self._reserve(end)
+        # a chunk's intermediates hold at most its names times all edges, or
+        # its edges times all slots
+        edges, lo = len(self.child), n
+        for k in range(n + 1, end + 1):
+            if (
+                k == end
+                or level[order[k - n]] != level[order[lo - n]]
+                or (k + 1 - lo) * edges + (self.start[k + 1] - self.start[lo]) * end > _FILL_CHUNK
+            ):
+                self._fill(lo, k)
+                lo = k
+        self.slot.update(new)
+
+    def _reserve(self, size: int) -> None:
+        old = len(self.eq)
+        if size > old:
+            size = max(size, min(TRUTH_TABLE_CAP, max(64, 2 * old)))
+            for key in ("eq", "inn"):
+                grown = np.zeros((size, size), self.mask.dtype)
+                grown[:old, :old] = getattr(self, key)
+                setattr(self, key, grown)
+
+    def _fill(self, lo: int, hi: int) -> None:
+        """Rows and columns of slots lo..hi, whose children are all below lo."""
+        eq, inn, start = self.eq, self.inn, self.start
+        a, b = start[lo], start[hi]
+        child, mask = self.child[:b], self.mask[:b]
+        cmask = mask ^ self.full
+        kids, own, every = child[a:], start[lo:hi] - a, start[:hi]
+        if lo:
+            # IN[s, t] = OR over the edges (c, m) of s of m & EQ[c, t]
+            inn[lo:hi, :lo] = np.bitwise_or.reduceat(mask[a:, None] & eq[kids, :lo], own, axis=0)
+        # sub[t, s] = [[u_s sub u_t]] and sup[s, t] = [[u_t sub u_s]]: each is
+        # an AND over the edges (c, m) of the subset of (m ^ full) | [[c in superset]]
+        sub = np.bitwise_and.reduceat(cmask[None, a:] | inn[:hi, kids], own, axis=1)
+        sup = np.bitwise_and.reduceat(cmask[None, :] | inn[lo:hi, child], every, axis=1)
+        rows = sub.T & sup
+        eq[lo:hi, :hi] = rows
+        eq[:hi, lo:hi] = rows.T
+        inn[:hi, lo:hi] = np.bitwise_or.reduceat(mask[:, None] & eq[child, lo:hi], every, axis=0)
+
+
 def _to_hf(obj) -> frozenset:
     if isinstance(obj, frozenset):
         return frozenset(_to_hf(c) for c in obj)
@@ -344,13 +474,21 @@ def canonical_name(universe: Universe, h) -> Name:
 
 
 def atom_collapse(u: Name, atom) -> frozenset:
-    """Two-valued evaluation of a name at an atom (1-based index or atom element)."""
+    """Two-valued evaluation of a name at an atom (1-based index or atom element).
+
+    An index is any integer but a bool; an element must be one atom of the
+    name's algebra.
+    """
     if isinstance(atom, BoolElem):
+        if atom.algebra is not u.universe.algebra:
+            raise AlgebraMismatchError("atom from a different algebra")
         mask = atom.mask
         if not mask or mask & (mask - 1):
             raise ValueError("collapse needs a single atom")
-        atom = mask.bit_length()
-    return u.collapse_at(int(atom))
+        return u.collapse_at(mask.bit_length())
+    if isinstance(atom, (bool, np.bool_)):
+        raise TypeError("an atom index must be an integer, not a bool")
+    return u.collapse_at(operator.index(atom))
 
 
 def maximum_witness(phi: Callable[[Name], BoolElem], v: Name, default: Optional[Name] = None) -> Name:

@@ -1,5 +1,7 @@
 """Seeded generators shared between the unit tests and the acceptance suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from condrisk import ConditionalValue, CondRiskMeasure, Universe
@@ -361,3 +363,49 @@ def reference_sublevel_rays(space, f, eta, probe, members):
                 t *= 2.0
             bounded = [b and e for b, e in zip(bounded, escaped)]
     return bounded
+
+
+# -- per-pair reference for the truth tables --------------------------------------
+# The rank recursion as it ran before the tables: one memoised call per pair
+# of names, on int masks, sharing no code with bvm's bottom-up fill.
+
+
+def reference_truth(universe: Universe) -> SimpleNamespace:
+    """``truth_eq(u, v)`` and ``truth_in(u, v)`` as int masks, by the
+    memoised per-pair recursion over the names of ``universe``."""
+    full = universe.algebra.full
+    eq_memo: dict = {}
+    in_memo: dict = {}
+
+    def truth_in(u, v) -> int:
+        key = (u.canonical_id, v.canonical_id)
+        acc = in_memo.get(key)
+        if acc is not None:
+            return acc
+        acc = 0
+        for child, mask in v.masks:
+            # only atoms of mask not yet in acc can change it
+            if mask & ~acc:
+                acc |= mask & truth_eq(child, u)
+                if acc == full:
+                    break
+        return in_memo.setdefault(key, acc)
+
+    def truth_eq(u, v) -> int:
+        key = tuple(sorted((u.canonical_id, v.canonical_id)))
+        acc = eq_memo.get(key)
+        if acc is not None:
+            return acc
+        acc = full
+        for a, b in ((u, v), (v, u)):
+            for child, mask in a.masks:
+                # mask => [[child in b]] only constrains the atoms of mask
+                if mask & acc:
+                    acc &= (mask ^ full) | truth_in(child, b)
+                    if not acc:
+                        break
+            if not acc:
+                break
+        return eq_memo.setdefault(key, acc)
+
+    return SimpleNamespace(truth_eq=truth_eq, truth_in=truth_in)

@@ -299,6 +299,22 @@ def test_criterion_9_formula_evaluator(u2):
             assert again == formula
 
 
+def test_cold_truth_budget_on_all_pairs():
+    # runtime gate in the style of criterion 6: every ordered pair of 120
+    # rank-4 names on 16 atoms (328 names registered), on a cold universe
+    uni = cr.Universe(cr.BooleanAlgebra(16))
+    rng = np.random.default_rng(7)
+    names = [random_name(uni, rng, 4) for _ in range(120)]
+    start = time.perf_counter()
+    for u in names:
+        for v in names:
+            uni.truth_eq(u, v)
+            uni.truth_in(u, v)
+    elapsed = time.perf_counter() - start
+    assert repr(uni) == "Universe(atoms=16, names=328)"
+    assert elapsed < 0.1, f"cold truth values of all pairs took {elapsed:.3f}s"
+
+
 def test_formula_parse_budget_on_long_literals():
     # runtime gate in the style of criterion 6: two rank-3 literals on 16 atoms
     # (666 and 579 characters), each spelled 200 times in 100 conjuncts

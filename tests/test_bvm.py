@@ -1,9 +1,15 @@
+import sys
+import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import random_name
+from _helpers import random_name, reference_truth
+from condrisk import bvm
 from condrisk import (
     BooleanAlgebra,
     ConditionalValue,
@@ -26,6 +32,7 @@ from condrisk import (
     truth_atomic,
     verify_interp_props,
 )
+from condrisk.boolalg import AlgebraMismatchError
 from condrisk.bvm import (
     ExtensionalityError,
     UniverseError,
@@ -74,6 +81,23 @@ def test_atom_collapse_example(u2, a2):
     assert atom_collapse(u, a2.atom(1)) == SINGLE_HF
     with pytest.raises(ValueError):
         atom_collapse(u, a2.one)
+
+
+def test_atom_collapse_refuses_foreign_atoms_and_non_integral_indices(u2, a2):
+    from condrisk import collapse_eval
+    from condrisk.formulalang import In, Lit
+
+    u = u2.make_name({u2.empty: a2.atom(1)})
+    with pytest.raises(AlgebraMismatchError):
+        atom_collapse(u, BooleanAlgebra(2).atom(1))
+    for index in (True, False, np.bool_(True), 1.9, 1.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            atom_collapse(u, index)
+    with pytest.raises(TypeError):
+        collapse_eval(In(Lit(u2.empty), Lit(u)), True)
+    assert atom_collapse(u, np.int64(1)) == SINGLE_HF
+    assert atom_collapse(u, np.uint8(2)) == EMPTY_HF
+    assert collapse_eval(In(Lit(u2.empty), Lit(u)), np.int32(1))
 
 
 def test_mix_examples(u2, a2):
@@ -379,3 +403,129 @@ def test_agreement_join_refuses_past_its_cap():
     space = FiniteProbSpace(np.full(n, 1.0 / n), [[j] for j in range(1, n + 1)])
     with pytest.raises(ExhaustiveCapError):
         verify_interp_props(space, samples=1)
+
+
+# -- truth tables --------------------------------------------------------------------
+
+
+def _closure_size(*roots) -> int:
+    seen = set()
+    stack = list(roots)
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen.add(w)
+            stack.extend(c for c, _ in w.entries)
+    return len(seen)
+
+
+def _assert_truth_matches(uni, ref, u, v):
+    m = uni.algebra.atom_count
+    eq, member = uni.truth_eq(u, v), uni.truth_in(u, v)
+    assert eq.mask == ref.truth_eq(u, v)
+    assert member.mask == ref.truth_in(u, v)
+    cu = [atom_collapse(u, a) for a in range(1, m + 1)]
+    cv = [atom_collapse(v, a) for a in range(1, m + 1)]
+    assert eq.atoms == {a for a in range(1, m + 1) if cu[a - 1] == cv[a - 1]}
+    assert member.atoms == {a for a in range(1, m + 1) if cu[a - 1] in cv[a - 1]}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    m=st.sampled_from([1, 8, 9, 16, 17, 32, 33, 64, 65]),
+    cap=st.integers(min_value=8, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_truth_tables_match_the_per_pair_recursion(m, cap, seed):
+    # names are made in rounds between queries, so grows mix old and new
+    # slots over several levels; the small cap makes closure-only grows and
+    # clears happen as the registry passes it
+    rng = np.random.default_rng(seed)
+    uni = Universe(BooleanAlgebra(m))
+    ref = reference_truth(uni)
+    names = []
+    with mock.patch.object(bvm, "TRUTH_TABLE_CAP", cap):
+        for _ in range(4):
+            names += [random_name(uni, rng, 3, 2) for _ in range(4)]
+            for i, j in rng.integers(0, len(names), (12, 2)):
+                u, v = names[i], names[j]
+                if _closure_size(u, v) > cap:
+                    with pytest.raises(UniverseError, match="TRUTH_TABLE_CAP"):
+                        uni.truth_in(u, v)
+                    continue
+                _assert_truth_matches(uni, ref, u, v)
+                _assert_truth_matches(uni, ref, v, u)
+                assert len(uni._table.slot) <= cap
+
+
+def _ordinals(k):
+    out = [frozenset()]
+    for _ in range(k):
+        out.append(out[-1] | {out[-1]})
+    return out
+
+
+def test_truth_table_grows_then_clears_at_its_cap(monkeypatch):
+    monkeypatch.setattr(bvm, "TRUTH_TABLE_CAP", 8)
+    alg = BooleanAlgebra(3)
+    uni = Universe(alg)
+    ref = reference_truth(uni)
+    # ordinal k has the k + 1 ordinals up to it as its closure
+    o = [uni._canonical_from_hf(hf) for hf in _ordinals(11)]
+    assert uni._table is None
+    # 12 registered names do not fit: only the closure of the pair is slotted
+    _assert_truth_matches(uni, ref, o[2], o[3])
+    table = uni._table
+    assert set(table.slot) == set(o[:4])
+    # a pair whose new names still fit extends the same table
+    _assert_truth_matches(uni, ref, o[7], o[0])
+    assert uni._table is table and set(table.slot) == set(o[:8])
+    # one that does not fit clears it: a new table takes its closure alone
+    w = uni.make_name({o[1]: alg.atom(1)})
+    _assert_truth_matches(uni, ref, w, o[0])
+    assert uni._table is not table and set(uni._table.slot) == {w, o[1], o[0]}
+    # the table a reader may still hold keeps its values
+    s, t = table.slot[o[3]], table.slot[o[7]]
+    assert table.inn.item(t, s) == ref.truth_in(o[3], o[7]) == alg.full
+    # a pair whose closure alone exceeds the cap raises and clears nothing
+    held = uni._table
+    with pytest.raises(UniverseError, match="over TRUTH_TABLE_CAP = 8"):
+        uni.truth_eq(o[8], o[0])
+    assert uni._table is held and len(held.slot) == 3
+
+
+def test_concurrent_truth_queries_across_clears(monkeypatch):
+    # rank-2, width-2 names have closures of at most 7 names, so every pair
+    # fits under the cap while the registry outgrows it and tables clear
+    monkeypatch.setattr(bvm, "TRUTH_TABLE_CAP", 24)
+    uni = Universe(BooleanAlgebra(9))
+    results = [None] * 6
+    tables = []
+
+    def work(k):
+        rng = np.random.default_rng(k % 3)  # overlapping streams force races
+        names, out = [], []
+        for _ in range(60):
+            names.append(random_name(uni, rng, 2, 2))
+            u, v = names[int(rng.integers(len(names)))], names[-1]
+            out.append((u, v, uni.truth_eq(u, v).mask, uni.truth_in(u, v).mask, uni.truth_in(v, u).mask))
+            tables.append(uni._table)
+        results[k] = out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    ref = reference_truth(uni)
+    for out in results:
+        for u, v, eq, uv, vu in out:
+            assert (eq, uv, vu) == (ref.truth_eq(u, v), ref.truth_in(u, v), ref.truth_in(v, u))
+    assert len({id(t) for t in tables}) > 1
+    assert all(len(t.slot) <= 24 for t in tables)

@@ -18,7 +18,14 @@ import numpy as np
 from .boolalg import PartitionOfUnity, mask_array
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
-from .riskcore import ADMISSIBLE_TOL, CHUNK_ELEMENTS, CondRiskMeasure, _row_batches
+from .riskcore import (
+    ADMISSIBLE_TOL,
+    CHUNK_ELEMENTS,
+    CondRiskMeasure,
+    _row_batches,
+    cond_avar,
+    cond_worst_case,
+)
 
 
 class DualityError(CondriskError):
@@ -259,54 +266,17 @@ def _values_of_rows(f, vs: np.ndarray) -> np.ndarray:
 # -- dual representation ---------------------------------------------------------
 
 
-def _project_capped_simplex(v: np.ndarray, w: np.ndarray, cap: Optional[float]) -> np.ndarray:
-    """Euclidean projection onto {d : w . d = 1, 0 <= d <= cap}.
-
-    tau -> w . clip(v - tau w, 0, cap) is piecewise linear and nonincreasing;
-    the crossing segment is located by breakpoint bisection and solved exactly.
-    """
-    hi = math.inf if cap is None else cap
-    bps = [v / w]
-    if cap is not None:
-        if float(np.dot(w, np.full_like(v, cap))) < 1.0 - 1e-12:
-            raise DualityError("density cap is infeasible for the block")
-        bps.append((v - cap) / w)
-    bps = np.unique(np.concatenate(bps))
-
-    def total(tau: float) -> float:
-        return float(np.dot(w, np.clip(v - tau * w, 0.0, hi)))
-
-    f_lo = total(bps[0])
-    if f_lo < 1.0:
-        # left of every breakpoint all components move linearly (a finite cap
-        # would make this region flat at w.cap >= 1, so it is uncapped here)
-        tau = bps[0] - (1.0 - f_lo) / float(np.dot(w, w))
-    else:
-        lo, hi_i = 0, len(bps) - 1
-        while hi_i - lo > 1:
-            mid = (lo + hi_i) // 2
-            if total(bps[mid]) >= 1.0:
-                lo = mid
-            else:
-                hi_i = mid
-        t0, t1 = bps[lo], bps[hi_i]
-        f0, f1 = total(t0), total(t1)
-        tau = t0 if f0 <= f1 else t0 + (f0 - 1.0) * (t1 - t0) / (f0 - f1)
-    d = np.clip(v - tau * w, 0.0, hi)
-    s = float(np.dot(w, d))
-    if s > 0:
-        d = d / s
-    return d
-
-
-# a block's dual is accepted, or its ascent converges, once its gap to rho(x)
-# is at most ASCENT_GAP_TOL; a step search gives up below ASCENT_MIN_STEP
+# a user measure's block takes a candidate dual once its value is within
+# ASCENT_GAP_TOL of rho(x), on either side
 ASCENT_GAP_TOL = 1e-8
-ASCENT_MIN_STEP = 1e-13
 
 
 @dataclass
 class DualSearchConfig:
+    """Accepted by ``dual_representation`` and ``verify_representation`` so
+    that callers passing one still run; it has no effect.  Every dual comes
+    from a fixed list of candidates, and there is no search to configure."""
+
     max_iters: int = 400
 
 
@@ -316,117 +286,6 @@ class DualResult:
     maximizer: DualVariable
     converged: List[bool]
     warnings: List[str] = field(default_factory=list)
-
-
-def _block_penalty_fn(measure: CondRiskMeasure):
-    """Penalty of a density d on a one-block measure, and the payoff attaining it.
-
-    The closed form names no payoff.  The grid conjugate returns its maximizer
-    x*, and -q x* is the penalty's gradient at d (envelope theorem), so the
-    ascent gets its slope from the penalty it already paid for.
-    """
-    pen = measure.closed_form_penalty
-    if pen is not None:
-        return lambda d: (float(measure._rows(pen, -d[None], "penalties")[0, 0]), None)
-    return lambda d: _block_conjugate_grid(measure, -d)[:2]
-
-
-def _ascend_block(
-    measure: CondRiskMeasure,
-    xb: np.ndarray,
-    target: float,
-    cfg: DualSearchConfig,
-    first: Optional[np.ndarray] = None,
-):
-    """Projected-gradient ascent of E[x y] - penalty over one block's densities.
-
-    The step direction is the linear part minus the penalty's gradient:
-    ``dual_penalty_grad`` where the measure declares it, else -q x* from the
-    grid conjugate's maximizer x*.  A closed-form penalty without the hook
-    adds no slope, and the ascent climbs the linear part alone.  Every
-    density the ascent scores lies on the simplex, and each is scored once.
-    The starts are ``first`` (projected onto the capped simplex) when given,
-    the barycenter and the projected vertices.  Returns the best value and
-    density, whether the block converged, and why the climb that reached
-    the best value stopped.
-    """
-    q = measure.space.cond_probs(1)
-    lin = -q * xb  # gradient of d -> E[x (-d)]
-    cap = measure.dual_density_cap(1) if measure.dual_density_cap else None
-    pen = _block_penalty_fn(measure)
-    grad_pen = measure.dual_penalty_grad
-
-    def obj(d: np.ndarray):
-        p, x_star = pen(d)
-        val = -math.inf if math.isinf(p) else float(np.dot(lin, d)) - p
-        # by weak duality a value above rho(x) shows a penalty short of the
-        # conjugate there (a grid that missed the sup, or a cap's slack)
-        return (val if val <= target + ASCENT_GAP_TOL else -math.inf), x_star
-
-    k = xb.size
-    starts = [np.ones(k)]
-    if first is not None:
-        starts.insert(0, _project_capped_simplex(first, q, cap))
-    for i in range(k):
-        vertex = np.zeros(k)
-        vertex[i] = 1.0 / q[i]
-        starts.append(_project_capped_simplex(vertex, q, cap))
-    # best score first, ties broken by the start itself, as plain tuples sort
-    scored = sorted(((*obj(s), tuple(s)) for s in starts), key=lambda t: t[::2], reverse=True)
-
-    best_val, best_d = scored[0][0], np.array(scored[0][2])
-    best_stop = None
-    converged = False
-    for val, x_star, start in scored:
-        if not math.isfinite(val):
-            continue
-        d = np.array(start)
-        step_e = step_m = 1.0
-        stop = f"ascent stopped after {cfg.max_iters} iterations"
-        for it in range(cfg.max_iters):
-            if target - val <= ASCENT_GAP_TOL:
-                converged = True
-                break
-            if grad_pen is not None:
-                g = lin - grad_pen(1, d)
-            else:
-                g = lin if x_star is None else lin + q * x_star
-            # propose an additive projected step and a multiplicative
-            # (exponentiated-gradient) step; the latter crosses the orders of
-            # magnitude that entropy-like penalties put between components
-            moved = False
-            while max(step_e, step_m) >= ASCENT_MIN_STEP:
-                cands = [(_project_capped_simplex(d + step_e * g, q, cap), "e")]
-                expo = np.clip(step_m * g / q, -60.0, 60.0)
-                db = np.maximum(d, 1e-18) * np.exp(expo)
-                s = float(np.dot(q, db))
-                if s > 0 and np.all(np.isfinite(db)):
-                    cands.append((_project_capped_simplex(db / s, q, cap), "m"))
-                # max keeps the first of equal scores
-                cval, cx_star, cand, kind = max(
-                    ((*obj(c), c, how) for c, how in cands), key=lambda t: t[0]
-                )
-                if cval > val + 1e-15:
-                    d, val, x_star = cand, cval, cx_star
-                    if kind == "e":
-                        step_e *= 1.6
-                    else:
-                        step_m *= 1.6
-                    moved = True
-                    break
-                step_e *= 0.5
-                step_m *= 0.5
-            if not moved:
-                converged = converged or (target - val <= 10 * ASCENT_GAP_TOL)
-                stop = f"step search stalled after {it} iterations"
-                break
-        # the first climb starts from the best score, so it sets the stop
-        if best_stop is None or val > best_val:
-            best_val, best_d, best_stop = val, np.asarray(d), stop
-        if target - best_val <= ASCENT_GAP_TOL:
-            converged = True
-            break
-    return best_val, best_d, converged, best_stop or "no start has a finite objective"
 
 
 def _graded(measure: CondRiskMeasure, xv: np.ndarray, y: DualVariable) -> np.ndarray:
@@ -447,11 +306,13 @@ def _exact_duals(measure: CondRiskMeasure, xv: np.ndarray) -> Optional[DualVaria
 # is the binary exponent of max(1, max |x| on its block).  Blocks left short
 # take them again at x + 2^(e - SHIFT_BITS) u, with steps of 2^(e -
 # SHIFTED_STEP_BITS), for each irregular pattern u_i = frac(i s) - 1/2 that
-# a slope s of SHIFT_SLOPES gives, in turn
+# a slope s of SHIFT_SLOPES gives, in turn; the last candidate takes them at
+# x with the finer steps 2^(e - FINE_STEP_BITS)
 DIFFERENCE_STEP_BITS = 20
 SHIFT_BITS = 8
 SHIFTED_STEP_BITS = 16
 SHIFT_SLOPES = (0.6180339887498949, 0.4142135623730951)
+FINE_STEP_BITS = 36
 
 
 def _binary_scale(space: FiniteProbSpace, xv: np.ndarray, bits: int) -> np.ndarray:
@@ -500,12 +361,63 @@ def _difference_duals(
     return admissible_dual(space, d)
 
 
-def _represent(
-    measure: CondRiskMeasure,
-    x: RandomVariable,
-    targets: np.ndarray,
-    cfg: Optional[DualSearchConfig],
-) -> DualResult:
+def _capped_fill(measure: CondRiskMeasure, xv: np.ndarray) -> DualVariable:
+    """Each block filled to its declared ``dual_density_cap``: the dual
+    oracle of ``cond_avar`` at lambda = 1/cap, which gives density cap to the
+    atoms where x is least until the block's mass is filled.  A block whose
+    cap is None takes the vertex of the atom where x is least, as does one
+    whose cap is at least 1/q for every atom of it.  A cap below 1 leaves no
+    density on its block and is refused by name."""
+    space = measure.space
+    lam = space.block_min(space.cond)
+    for j in range(1, space.n_blocks + 1):
+        cap = measure.dual_density_cap(j)
+        if cap is None:
+            continue
+        if not cap >= 1.0 - 1e-12:
+            raise DualityError(f"block {j}: density cap {float(cap)!r} is infeasible, below 1")
+        lam[j - 1] = min(1.0, max(lam[j - 1], 1.0 / cap))
+    return admissible_dual(space, cond_avar(space, lam)._dual_oracle(xv[None])[0])
+
+
+def _fallback_duals(measure: CondRiskMeasure, xv: np.ndarray):
+    """The candidates after the difference passes, in order: the barycenter,
+    the vertex of the atom where x is least (the dual oracle of
+    ``cond_worst_case``), the fill to the declared cap, where the measure
+    declares one, and the differences at x with steps of 2^(e -
+    FINE_STEP_BITS).
+
+    At large payoff scales rounding can leave a difference density off the
+    barycenter or off the cap by more than ADMISSIBLE_TOL, where a coherent
+    measure's penalty is +inf; the first three are exact.  The finer steps
+    take the smooth blocks whose coarser differences round short.
+    """
+    space = measure.space
+    yield DualVariable(-np.ones(space.n_atoms))
+    yield admissible_dual(space, cond_worst_case(space)._dual_oracle(xv[None])[0])
+    if measure.dual_density_cap is not None:
+        yield _capped_fill(measure, xv)
+    yield _difference_duals(measure, xv, FINE_STEP_BITS)
+
+
+def _candidate_duals(measure: CondRiskMeasure, xv: np.ndarray):
+    """A user measure's candidate duals, in the order they are graded, each
+    made when it is asked for: the differences at x, at two generic points
+    near x, then ``_fallback_duals``.  None stands for a pass that gave no
+    density."""
+    space = measure.space
+    yield _difference_duals(measure, xv)
+    # at a kink the differences at x need not give a subgradient.  Those at a
+    # generic point nearby do for a max of linear pieces, graded at x, unless
+    # the steps there still straddle a kink; the next pattern takes those
+    i = np.arange(1, space.n_atoms + 1)
+    for slope in SHIFT_SLOPES:
+        shift = _binary_scale(space, xv, SHIFT_BITS) * ((i * slope) % 1.0 - 0.5)
+        yield _difference_duals(measure, xv + shift, SHIFTED_STEP_BITS)
+    yield from _fallback_duals(measure, xv)
+
+
+def _represent(measure: CondRiskMeasure, x: RandomVariable, targets: np.ndarray) -> DualResult:
     """``dual_representation`` against ``targets``, the figure rho(x)."""
     space = measure.space
     xv = space._check_rv(x)
@@ -520,43 +432,29 @@ def _represent(
             if not ok
         ]
         return DualResult(ConditionalValue(values), y, converged, warnings)
-    y = _difference_duals(measure, xv)
-    if y is None:
-        values, density = np.full(space.n_blocks, -math.inf), np.ones(space.n_atoms)
-    else:
-        values, density = _graded(measure, xv, y), -y.values
-    # a value above rho(x) leans on a penalty's slack: not accepted either
-    accepted = np.abs(targets - values) <= ASCENT_GAP_TOL
-    if accepted.all():
-        return DualResult(ConditionalValue(values), y, accepted.tolist(), [])
-    # at a kink the differences at x need not give a subgradient.  Those at a
-    # generic point nearby do for a max of linear pieces, graded at x, unless
-    # the steps there still straddle a kink; the next pattern takes those
-    i = np.arange(1, space.n_atoms + 1)
-    for slope in SHIFT_SLOPES:
-        shift = _binary_scale(space, xv, SHIFT_BITS) * ((i * slope) % 1.0 - 0.5)
-        shifted = _difference_duals(measure, xv + shift, SHIFTED_STEP_BITS)
-        if shifted is not None:
-            graded = _graded(measure, xv, shifted)
-            take = ~accepted & (np.abs(targets - graded) <= ASCENT_GAP_TOL)
-            values[take] = graded[take]
-            on = space.broadcast(take)
-            density[on] = -shifted.values[on]
-            accepted |= take
+    values = np.full(space.n_blocks, -math.inf)
+    density = np.ones(space.n_atoms)
+    accepted = np.zeros(space.n_blocks, dtype=bool)
+    for y in _candidate_duals(measure, xv):
+        if y is None:
+            continue
+        graded = _graded(measure, xv, y)
+        # a value above rho(x) leans on a penalty's slack: never kept.  The
+        # gap is compared, not rho(x) + ASCENT_GAP_TOL, which rounds upward
+        # at large payoffs
+        take = ~accepted & (graded > values) & (targets - graded >= -ASCENT_GAP_TOL)
+        values[take] = graded[take]
+        on = space.broadcast(take)
+        density[on] = -y.values[on]
+        accepted = np.abs(targets - values) <= ASCENT_GAP_TOL
         if accepted.all():
             break
-    converged = accepted.tolist()
-    warnings: List[str] = []
-    cfg = cfg or DualSearchConfig()
-    for j in np.flatnonzero(~accepted).tolist():
-        idx = space.block_index_array(j + 1)
-        first = None if y is None else density[idx]
-        values[j], density[idx], converged[j], stop = _ascend_block(
-            measure.restrict(j + 1), xv[idx], float(targets[j]), cfg, first
-        )
-        if not converged[j]:
-            warnings.append(f"block {j + 1}: {stop} with gap {targets[j] - values[j]:.3e}")
-    return DualResult(ConditionalValue(values), admissible_dual(space, density), converged, warnings)
+    short = targets - values
+    warnings = [
+        f"block {j}: no candidate dual within {ASCENT_GAP_TOL:g}, short of rho(x) by {short[j - 1]:.3e}"
+        for j in (np.flatnonzero(~accepted) + 1).tolist()
+    ]
+    return DualResult(ConditionalValue(values), DualVariable(-density), accepted.tolist(), warnings)
 
 
 def dual_representation(
@@ -571,18 +469,20 @@ def dual_representation(
     dual from the closed-form penalty (``_graded``), and a block more than
     ASCENT_GAP_TOL short of rho(x) is reported unconverged, with a warning
     that names the shortfall.  A user measure, a ``dataclasses.replace``
-    copy of a built-in included, first takes -grad rho(x) / q from one batch
-    of central differences (``_difference_duals``), graded the same way
-    from its own penalty route (the closed form, else one grid conjugate per
-    block); a block within ASCENT_GAP_TOL of rho(x), on either side, is
-    accepted.  Blocks left short take the differences again at generic
-    points near x, which finds a subgradient at a kink of a max of linear
-    pieces.  Only the blocks still short climb: projected-gradient ascent
-    on the block's restriction, over its conditional-density simplex, from
-    the projected difference density, the barycenter and the vertices.  The
-    ascent scores no density above rho(x) beyond tolerance (weak duality).
+    copy of a built-in included, grades candidate duals in turn
+    (``_candidate_duals``), each on every block from its own penalty route
+    (the closed form, else one grid conjugate per block), until every block
+    has one: -grad rho(x) / q from central differences at x, then at two
+    generic points near x (a subgradient at a kink of a max of linear
+    pieces), the barycenter, the vertex of the atom where x is least, the
+    fill to the declared ``dual_density_cap`` and finer differences at x.  A block takes
+    the first candidate within ASCENT_GAP_TOL of rho(x), on either side.  A
+    block that none takes is reported unconverged, with a warning that names
+    its shortfall, at the best candidate value not above rho(x) +
+    ASCENT_GAP_TOL (weak duality), or -inf without one.  ``cfg`` has no
+    effect.
     """
-    return _represent(measure, x, measure.evaluate(x).values, cfg)
+    return _represent(measure, x, measure.evaluate(x).values)
 
 
 def _check_tol(tol: float) -> None:
@@ -638,7 +538,8 @@ def verify_representation(
     tol: float = 1e-6,
     cfg: Optional[DualSearchConfig] = None,
 ) -> RepresentationReport:
-    """Compare rho(x) against the dual value for each payoff."""
+    """Compare rho(x) against the dual value for each payoff; ``cfg`` has no
+    effect."""
     _check_tol(tol)
     payoffs = list(payoffs)
     if not payoffs:
@@ -646,7 +547,7 @@ def verify_representation(
     entries = []
     for x in payoffs:
         direct = measure.evaluate(x)
-        result = _represent(measure, x, direct.values, cfg)
+        result = _represent(measure, x, direct.values)
         gap = direct.values - result.value.values
         if np.any(gap < -tol):
             raise DualityError(

@@ -57,10 +57,10 @@ class CondRiskMeasure:
     n_blocks)`` penalties, +inf where a row is not an admissible density for
     the measure, and a result of another shape is refused by name.  Built-ins
     pass their batched penalty as it is.  A user measure's dual comes from
-    central differences of its risk first; ``dual_density_cap`` and
-    ``dual_penalty_grad`` serve only the fallback ascent, for the blocks the
-    differences leave short: the cap bounds its densities and the gradient
-    gives it the penalty's slope (a closed form without it adds none).  ``restrict(j)`` cuts block
+    candidate duals graded by its own penalty, central differences of its
+    risk first; ``dual_density_cap(j)`` gives block ``j``'s bound on the
+    density, or None, and adds the fill to that cap to the candidates for
+    the blocks the differences leave short.  ``restrict(j)`` cuts block
     ``j`` out as a classical measure on one block, which is what the dual
     engine works on: a built-in rebuilds itself there natively, a user
     measure is padded back to the whole space and checked for that padding.
@@ -73,8 +73,7 @@ class CondRiskMeasure:
     cannot drift apart.  A measure with another hook is a new measure, made
     with ``dataclasses.replace``; that leaves ``_cut`` and ``_dual_oracle``
     unset, so the copy is a user measure: a padded restriction, and duals
-    from differences and, where they fall short, an ascent on the hooks it
-    holds.
+    from the candidates graded by the hooks it holds.
     """
 
     space: FiniteProbSpace
@@ -83,7 +82,6 @@ class CondRiskMeasure:
     closed_form_penalty: Optional[Callable[[np.ndarray], np.ndarray]] = None
     evaluate_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dual_density_cap: Optional[Callable[[int], Optional[float]]] = None
-    dual_penalty_grad: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
     # built-ins only: ``cut(block_space, j)`` builds the same built-in on
     # block j's space with block j's parameter
@@ -139,8 +137,8 @@ class CondRiskMeasure:
         and its ``params`` are the block's alone.  A user measure, a
         ``dataclasses.replace`` copy of a built-in included, is padded:
         block payoffs are extended by 0 and block duals by -1, the parent's
-        column ``j`` is read back, and the cap and gradient hooks are the
-        parent's at ``j``.  The padding is checked once, exactly: two probe
+        column ``j`` is read back, and the cap hook is the parent's at
+        ``j``.  The padding is checked once, exactly: two probe
         payoffs, each extended by 0 and by EXTENSION_FILL, must give the same
         figure on block ``j``, or ScalarizeError is raised.  Block
         coordinates follow ``space.block_index_array(j)``, so a measure on
@@ -174,13 +172,11 @@ class CondRiskMeasure:
                 f"{float(lo[p])!r} vs {float(hi[p])!r}"
             )
 
-        pen = cap = grad = None
+        pen = cap = None
         if self.closed_form_penalty is not None:
             pen = lambda ys: self._rows(self.closed_form_penalty, pad(ys, -1.0), "penalties")[:, col]
         if self.dual_density_cap is not None:
             cap = lambda _: self.dual_density_cap(j)
-        if self.dual_penalty_grad is not None:
-            grad = lambda _, d: self.dual_penalty_grad(j, d)
         return CondRiskMeasure(
             space.block_space(j),
             lambda x: _cv(_readonly(ev_batch(x.values[None])[0])),
@@ -188,7 +184,6 @@ class CondRiskMeasure:
             closed_form_penalty=pen,
             evaluate_batch_fn=ev_batch,
             dual_density_cap=cap,
-            dual_penalty_grad=grad,
             params=dict(self.params),
         )
 
@@ -335,10 +330,6 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
         ent = np.where(d > 0, d * np.log(np.maximum(d, 1e-300)), 0.0)
         return np.where(_admissible_mask(space, y), space.block_mean(ent) / g, math.inf)
 
-    def grad(j: int, d: np.ndarray) -> np.ndarray:
-        q = space.cond_probs(j)
-        return (q / g[j - 1]) * (np.log(np.maximum(d, 1e-300)) + 1.0)
-
     return _builtin(
         space,
         "entropic",
@@ -346,7 +337,6 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
         penalty,
         lambda block, j: cond_entropic(block, g[j - 1]),
         oracle,
-        dual_penalty_grad=grad,
         params={"gamma": g},
     )
 

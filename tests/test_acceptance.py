@@ -204,8 +204,7 @@ def test_exact_dual_budget_on_many_blocks():
 
 def test_user_dual_budget_on_two_five_atom_blocks():
     # runtime gate in the style of criterion 6: a user measure's dual comes
-    # from one batch of differences and one grid conjugate per block, where
-    # the ascent alone took about 0.3 s a payoff
+    # from one batch of differences and one grid conjugate per block
     rng = np.random.default_rng(111)
     probs = rng.uniform(0.5, 2.0, 10)
     space = cr.FiniteProbSpace(probs / probs.sum(), [[1, 3, 5, 7, 9], [2, 4, 6, 8, 10]])
@@ -222,12 +221,17 @@ def test_user_dual_budget_on_two_five_atom_blocks():
 
 def test_user_dual_at_the_benchmark_point_never_climbs():
     # the shape of the benchmark's user request: entropic, gamma 1, one
-    # nonuniform 3-atom block, x = (-1, 2, 0.5), 60 ascent iterations allowed
+    # nonuniform 3-atom block, x = (-1, 2, 0.5), with the search configuration
+    # it passes; the first candidate, the differences at x, is accepted
     space = cr.FiniteProbSpace([0.2, 0.5, 0.3], [[1, 2, 3]])
     user = user_entropic(space, 1.0)
     x = cr.RandomVariable([-1.0, 2.0, 0.5])
-    with mock.patch.object(duality, "_ascend_block", side_effect=AssertionError("climbed")):
+    differences = mock.Mock(wraps=duality._difference_duals)
+    with mock.patch.object(duality, "_difference_duals", differences), mock.patch.object(
+        duality, "_fallback_duals", side_effect=AssertionError("fallback")
+    ):
         result = cr.dual_representation(user, x, cr.DualSearchConfig(max_iters=60))
+    assert differences.call_count == 1
     assert result.converged == [True] and result.warnings == []
     assert result.maximizer.is_admissible(space)
     assert abs(user.evaluate(x).values[0] - result.value.values[0]) <= duality.ASCENT_GAP_TOL
@@ -393,8 +397,9 @@ def test_criterion_10_cli(tmp_path, capsys, monkeypatch):
         code, out = run(["space", "validate", "--scenario", str(bad)])
         assert code == 2 and out["error"] == "probs sum 0.9"
 
-        # a built-in's exact dual attains rho(x) to rounding; the ascent,
-        # with the oracle route off, stops short of an absurd tolerance
+        # a built-in's exact dual attains rho(x) to rounding; the user
+        # route's candidates, with the oracle route off, fall short of an
+        # absurd tolerance
         monkeypatch.setattr(cr.duality, "_exact_duals", lambda *args: None)
         code, out = run(
             ["dual", "represent", "--scenario", scenario, "--measure", "entropic",

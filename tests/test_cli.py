@@ -163,7 +163,7 @@ def test_bvm_mix_refuses_a_literal_past_its_cap(capsys, s4_path, monkeypatch):
 def test_exit_code_on_failed_check(capsys, s4_path, monkeypatch):
     # a built-in's exact dual attains rho(x) to rounding, so a representation
     # that cannot attain is hard to fake with builtins; with the oracle and
-    # difference routes off, the ascent stops short of an absurd tolerance
+    # difference routes off, the fallback candidates fall short of an absurd tolerance
     # and represent trips the failure exit code
     monkeypatch.setattr(duality, "_exact_duals", lambda *args: None)
     monkeypatch.setattr(duality, "_difference_duals", lambda *args: None)

@@ -39,7 +39,7 @@ from _helpers import (
     user_entropic,
 )
 from condrisk import duality
-from condrisk.duality import SUBLEVEL_MAX_COMBOS, DualityError, _project_capped_simplex
+from condrisk.duality import SUBLEVEL_MAX_COMBOS, DualityError
 from condrisk.riskcore import BUILTIN_FACTORIES
 
 LOG2 = math.log(2.0)
@@ -47,7 +47,7 @@ LOG2 = math.log(2.0)
 
 def _no_difference_duals():
     """The difference route off, as ``_exact_duals`` is off for a user
-    measure: every block of a user measure climbs."""
+    measure: every block of a user measure goes to the fallback candidates."""
     return mock.patch.object(duality, "_difference_duals", return_value=None)
 
 
@@ -64,21 +64,6 @@ def test_admissibility(s4):
     assert DualVariable([-1, -1, -1, -1]).is_admissible(s4)
     assert DualVariable([-2, 0, -1, -1]).is_admissible(s4)
     assert not DualVariable([-0.5, -0.5, -1, -1]).is_admissible(s4)
-
-
-def test_projection_properties():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        k = int(rng.integers(1, 5))
-        w = rng.uniform(0.1, 1.0, k)
-        w /= w.sum()
-        v = rng.normal(0, 3, k)
-        cap = None if rng.random() < 0.5 else float(rng.uniform(1.1, 4.0))
-        d = _project_capped_simplex(v, w, cap)
-        assert np.all(d >= -1e-15)
-        if cap is not None:
-            assert np.all(d <= cap + 1e-10)
-        assert abs(np.dot(w, d) - 1.0) <= 1e-10
 
 
 def test_fenchel_examples_neg_expectation(s4):
@@ -241,25 +226,24 @@ def test_representation_json_shape(s4):
     assert entry["attained"] is True
 
 
-def test_representation_json_carries_ascent_warnings(s4):
+def test_representation_json_carries_dual_warnings(s4):
+    # a built-in's exact dual leaves no gap; a user copy of entropic whose
+    # penalty is moved up by 1 leaves every candidate 1 short, and the
+    # warning that names each block's shortfall reaches the JSON
     x = RandomVariable([1, 3, 2, 6])
-    # a built-in's exact dual leaves no gap, and neither do the differences
-    # of a user copy of entropic; with them off the copy runs the ascent, and
-    # one ascent step leaves the gap open for this gamma
     ent = cond_entropic(s4, 0.2)
-    user = CondRiskMeasure(
-        s4,
-        ent.evaluate_fn,
-        "user_entropic",
-        closed_form_penalty=ent.closed_form_penalty,
-        evaluate_batch_fn=ent.evaluate_batch_fn,
-        dual_penalty_grad=ent.dual_penalty_grad,
-    )
-    with _no_difference_duals():
-        rep = verify_representation(user, [x], tol=1.0, cfg=DualSearchConfig(max_iters=1))
-    entry = rep.to_dict()["entries"][0]
-    assert len(entry["warnings"]) == 2
-    assert all("ascent stopped after 1 iterations" in w for w in entry["warnings"])
+    pen = ent.closed_form_penalty
+    moved = dataclasses.replace(ent, closed_form_penalty=lambda ys: pen(ys) + 1.0)
+    entry = verify_representation(moved, [x]).to_dict()["entries"][0]
+    assert entry["attained"] is False
+    assert [w.split(", short")[0] for w in entry["warnings"]] == [
+        f"block {j}: no candidate dual within 1e-08" for j in (1, 2)
+    ]
+    for w, short in zip(entry["warnings"], entry["gap"]):
+        assert w.endswith(f"short of rho(x) by {short:.3e}") and abs(short - 1.0) <= 1e-8
+    # a search configuration is accepted and changes nothing
+    again = verify_representation(moved, [x], cfg=DualSearchConfig(max_iters=1))
+    assert again.to_dict() == verify_representation(moved, [x]).to_dict()
 
 
 def test_verify_representation_evaluates_each_payoff_once(space8):
@@ -311,7 +295,7 @@ def test_entropic_dual_past_exp_underflow():
 
 def test_a_replaced_penalty_takes_the_user_route(s4):
     # a copy with another penalty has no oracle and no native cut: its
-    # padded restriction holds the new penalty, and the ascent climbs it
+    # padded restriction holds the new penalty, which grades every candidate
     x = RandomVariable([1, 3, 2, 6])
     ent = cond_entropic(s4, 0.2)
     pen = ent.closed_form_penalty
@@ -326,9 +310,9 @@ def test_a_replaced_penalty_takes_the_user_route(s4):
 
 
 def test_the_fallback_ascent_starts_from_the_difference_density(space8):
-    # a penalty moved up by 1 leaves every difference dual 1 short, so every
-    # block climbs; with no gradient hook the climb alone stalls far from the
-    # sup, and only its start at the difference density reaches rho(x) - 1
+    # a penalty moved up by 1 leaves every candidate at least 1 short, so no
+    # block converges; each keeps its best candidate, the difference
+    # density, whose value is rho(x) - 1
     ent = cond_entropic(space8, 2.0)
     pen = ent.closed_form_penalty
     moved = CondRiskMeasure(space8, ent.evaluate_fn, "moved", closed_form_penalty=lambda ys: pen(ys) + 1.0)
@@ -340,10 +324,10 @@ def test_the_fallback_ascent_starts_from_the_difference_density(space8):
 
 def test_a_block_short_at_payoff_scale_1e8_is_reported_not_climbed(space8):
     # the exact dual of block 1 grades 1.1e-8 short, a rounding of payoffs
-    # near 1e8; an ascent there came back 3.75e-5 above rho(x)
+    # near 1e8; a built-in never asks the user route's candidates
     m = cond_avar(space8, 0.4)
     x = RandomVariable(np.random.default_rng(1).normal(0.0, 1e8, 8))
-    with mock.patch.object(duality, "_ascend_block", side_effect=AssertionError("climbed")):
+    with mock.patch.object(duality, "_candidate_duals", side_effect=AssertionError("candidates")):
         rep = verify_representation(m, [x], tol=1e-6)
         result = dual_representation(m, x)
     assert rep.attained_all
@@ -548,9 +532,10 @@ def test_any_partition_mix_is_a_mix_along_the_blocks(data):
 
 
 def test_user_ascent_stays_on_the_density_simplex():
-    # every penalty is +inf off the simplex, so the ascent of a user measure
-    # with no gradient hook asks the grid conjugate only about densities; the
-    # difference route is off, so every block climbs
+    # every penalty is +inf off the simplex, so every candidate of a user
+    # measure is a density, and the grid conjugate is asked about nothing
+    # else; the difference route is off, so every block takes a fallback
+    # candidate
     space = FiniteProbSpace([0.1, 0.2, 0.3, 0.15, 0.25], [[2, 4, 5], [1, 3]])
 
     def ev(x):
@@ -569,39 +554,6 @@ def test_user_ascent_stays_on_the_density_simplex():
         result = dual_representation(user, x, DualSearchConfig(max_iters=3))
     assert gaps and max(gaps) <= 1e-9
     assert np.all(result.value.values <= user.evaluate(x).values + 1e-9)
-
-
-def test_user_ascent_climbs_along_the_grid_maximizer():
-    # a user measure declares no penalty gradient; the grid conjugate's
-    # maximizer supplies it, and the ascent must reach rho(x) on every block,
-    # the 3-atom block included, with the difference route off
-    p = np.array([0.113, 0.26, 0.156, 0.102, 0.124, 0.245])
-    space = FiniteProbSpace(p / p.sum(), [[2], [1, 4], [3, 5, 6]])
-    user = user_entropic(space, 1.3)
-    x = RandomVariable([1.09, -2.9, 0.6, 1.99, 0.94, 0.52])
-    with _no_difference_duals():
-        result = dual_representation(user, x)
-    assert result.converged == [True, True, True] and result.warnings == []
-    gap = user.evaluate(x).values - result.value.values
-    assert np.all(gap >= -1e-9) and np.all(gap <= 1e-7)
-
-
-def test_ascent_warning_names_a_stalled_step_search(space8):
-    # a closed-form penalty without a gradient hook: with the difference
-    # route off, the ascent climbs the linear part alone, and its step search
-    # stalls well before max_iters
-    ent = cond_entropic(space8, 2.0)
-    user = CondRiskMeasure(
-        space8, ent.evaluate_fn, "user_entropic", closed_form_penalty=ent.closed_form_penalty
-    )
-    x = RandomVariable(np.random.default_rng(5).normal(0.0, 2.0, 8))
-    cfg = DualSearchConfig(max_iters=400)
-    with _no_difference_duals():
-        result = dual_representation(user, x, cfg)
-    assert result.warnings and len(result.warnings) == result.converged.count(False)
-    for warning in result.warnings:
-        assert "step search stalled after" in warning and " with gap " in warning
-        assert int(warning.split("stalled after ")[1].split()[0]) < cfg.max_iters
 
 
 def _message(call):
@@ -845,7 +797,8 @@ def user_dual_cases(draw):
     linear pieces whose first one, two or three pieces tie for the maximum
     on every block, at scale 1.  Payoffs on a grid of halves tie at the
     minimum and at AVaR's boundary often.  At scale 1e5 rounding leaves
-    some copies' difference duals short, and the ascent takes them."""
+    some copies' difference duals short, and the fallback candidates take
+    them."""
     space = _drawn_space(draw)
     n = space.n_atoms
     point = st.one_of(st.integers(-8, 8).map(lambda k: k / 2), st.floats(-4.0, 4.0))
@@ -870,13 +823,59 @@ def user_dual_cases(draw):
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(user_dual_cases())
-def test_user_measures_converge_by_differences_or_the_ascent(case):
+def test_user_measures_converge_on_a_candidate_dual(case):
     measure, x = case
     rho = measure.evaluate(RandomVariable(x)).values
     result = dual_representation(measure, RandomVariable(x))
     assert all(result.converged) and result.warnings == []
     assert np.all(result.value.values <= rho + duality.ASCENT_GAP_TOL)
     assert result.maximizer.is_admissible(measure.space)
+
+
+def test_coherent_copies_at_payoff_scale_1e5_converge_on_exact_candidates():
+    # at payoff scale 1e5 rounding leaves a difference density off the cap
+    # or off the barycenter by more than ADMISSIBLE_TOL, where a coherent
+    # penalty is +inf.  Of these 400 blocks, copies of AVaR(0.4) take the
+    # fill to their cap on 37, and copies of the negated mean take the
+    # barycenter on 251
+    space = FiniteProbSpace(np.full(10, 0.1), [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
+    xs = np.random.default_rng(0).normal(0.0, 1e5, (200, 10))
+    for builtin in (cond_avar(space, 0.4), neg_cond_expectation(space)):
+        copy = dataclasses.replace(builtin)
+        for x in xs:
+            rho = copy.evaluate(RandomVariable(x)).values
+            result = dual_representation(copy, RandomVariable(x))
+            assert all(result.converged) and result.warnings == [], builtin.label
+            assert np.all(result.value.values <= rho + duality.ASCENT_GAP_TOL)
+
+
+def test_a_smooth_copy_with_tied_minima_at_scale_1e5_takes_the_finer_differences():
+    # the Gibbs density of block 1 is 1.25 on its two tied minima; steps of
+    # 2^(e - 20) stretch the tilt too far for a central difference to find
+    # it, the generic points near x untie the minima, and neither the
+    # barycenter nor the vertex is it.  Steps of 2^(e - 36) find it
+    space = FiniteProbSpace([0.15, 0.25, 0.1, 0.3, 0.2], [[1, 2, 3], [4, 5]])
+    copy = dataclasses.replace(cond_entropic(space, 2.0))
+    x = RandomVariable(np.array([-4.0, -4.0, 1.0, 0.5, 2.5]) * 1e5)
+    rho = copy.evaluate(x).values
+    result = dual_representation(copy, x)
+    assert result.converged == [True, True] and result.warnings == []
+    assert np.all(np.abs(result.value.values - rho) <= duality.ASCENT_GAP_TOL)
+    assert -result.maximizer.values[:3] == pytest.approx([1.25, 1.25, 0.0], abs=1e-4)
+
+
+def test_an_infeasible_density_cap_is_refused_by_name(s4):
+    # a cap below 1 leaves no density on its block; the capped fill, asked
+    # once the moved penalty leaves every earlier candidate short, refuses it
+    ent = cond_entropic(s4, 0.2)
+    pen = ent.closed_form_penalty
+    moved = dataclasses.replace(
+        ent,
+        closed_form_penalty=lambda ys: pen(ys) + 1.0,
+        dual_density_cap=lambda j: [2.0, 0.5][j - 1],
+    )
+    with pytest.raises(DualityError, match=r"^block 2: density cap 0\.5 is infeasible, below 1$"):
+        dual_representation(moved, RandomVariable([1, 3, 2, 6]))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -14,18 +14,11 @@ from .boolalg import (
     partition_validate,
 )
 from .bvm import (
-    L1Name,
-    NatName,
     Name,
-    RealName,
     Universe,
     atom_collapse,
     canonical_name,
     extensional_lift,
-    iota,
-    iota_inv,
-    jmath,
-    jmath_inv,
     maximum_witness,
     mix_names,
     name_to_literal,

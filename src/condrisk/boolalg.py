@@ -240,6 +240,18 @@ class PartitionOfUnity:
     def __len__(self):
         return len(self.parts)
 
+    def part_index(self) -> np.ndarray:
+        """For each atom, ascending, the index of the part that holds it.
+
+        The one mixing rule: a value pasted along the partition from a stack
+        of rows takes atom ``i + 1`` from row ``part_index()[i]``.
+        """
+        m = self.algebra.atom_count
+        out = np.empty(m, dtype=np.intp)
+        for k, part in enumerate(self.parts):
+            out[mask_array(part.mask, m)] = k
+        return out
+
     def __repr__(self):
         return f"PartitionOfUnity({list(self.parts)!r})"
 

@@ -331,18 +331,12 @@ class FiniteProbSpace:
         return ConditionalValue(self.block_min(self._check_rv(x)))
 
     def part_index(self, partition: PartitionOfUnity) -> np.ndarray:
-        """For each sample atom, the index of the part that holds its block.
-
-        The one mixing rule: a payoff pasted along ``partition`` from a stack
-        of payoffs takes atom ``i`` from row ``part_index(partition)[i]``.
-        """
+        """For each sample atom, the index of the part that holds its block:
+        ``PartitionOfUnity.part_index`` carried from the blocks to the atoms."""
         if not isinstance(partition, PartitionOfUnity):
             raise TypeError("expected a PartitionOfUnity")
         self._check_elem(partition.parts[0])
-        part_of = np.empty(self.n_blocks, dtype=np.intp)
-        for k, part in enumerate(partition):
-            part_of[mask_array(part.mask, self.n_blocks)] = k
-        return self.broadcast(part_of)
+        return self.broadcast(partition.part_index())
 
     def indicator_mix(self, partition: PartitionOfUnity, xs: Sequence[RandomVariable]) -> RandomVariable:
         """Paste one payoff per part: the result agrees with ``xs[k]`` on part k."""

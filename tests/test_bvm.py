@@ -14,16 +14,11 @@ from condrisk import (
     BooleanAlgebra,
     ConditionalValue,
     FiniteProbSpace,
-    NatName,
     PartitionOfUnity,
     RandomVariable,
     Universe,
     atom_collapse,
     extensional_lift,
-    iota,
-    iota_inv,
-    jmath,
-    jmath_inv,
     maximum_witness,
     mix_names,
     name_to_literal,
@@ -36,15 +31,14 @@ from condrisk.boolalg import AlgebraMismatchError
 from condrisk.bvm import (
     ExtensionalityError,
     UniverseError,
-    expect_q,
     l1_eq_truth,
     l1_le_truth,
-    mix_nats,
     mix_reals,
     real_eq_truth,
     real_le_truth,
 )
 from condrisk.errors import ParseError
+from condrisk.probspace import SpaceError
 
 EMPTY_HF = frozenset()
 SINGLE_HF = frozenset({EMPTY_HF})
@@ -227,50 +221,70 @@ def test_extensional_lift_examples(u2, a2):
     assert err.value.pair is not None
 
 
-def test_iota_jmath_examples(s4, a2):
+def test_truth_map_examples(s4, a2):
     eta = ConditionalValue([2.0, 5.0])
     xi = ConditionalValue([2.0, 7.0])
-    assert real_eq_truth(a2, iota(eta), iota(xi)) == a2.atom(1)
-    assert real_eq_truth(a2, iota(eta), iota(eta)) == a2.one
-    assert real_le_truth(a2, iota(eta), iota(xi)) == a2.one
-    assert iota_inv(iota(eta)) == eta
-    with pytest.raises(ValueError):
-        iota(ConditionalValue([np.inf, 0.0]))
+    assert real_eq_truth(a2, eta, xi) == a2.atom(1)
+    assert real_eq_truth(a2, eta, eta) == a2.one
+    assert real_le_truth(a2, eta, xi) == a2.one
+    for truth in (real_eq_truth, real_le_truth):
+        with pytest.raises(ValueError, match="finite"):
+            truth(a2, ConditionalValue([np.inf, 0.0]), eta)
 
     x = RandomVariable([1, 3, 2, 6])
-    assert jmath_inv(jmath(x)) == x
-    lhs = iota(s4.cond_expect(x))
-    rhs = expect_q(s4, jmath(x))
-    assert np.array_equal(lhs.blockwise, [2, 4])
-    assert np.max(np.abs(lhs.blockwise - rhs.blockwise)) <= 1e-12
-
     y = RandomVariable([1, 3, 0, 0])
-    assert l1_eq_truth(s4, jmath(x), jmath(y)) == a2.atom(1)
-    assert l1_le_truth(s4, jmath(y), jmath(x)) == a2.one
+    assert l1_eq_truth(s4, x, y) == a2.atom(1)
+    assert l1_le_truth(s4, y, x) == a2.one
 
 
-def test_mix_carriers(a2, s4):
+def test_truth_maps_name_length_mismatches(s4, a2):
+    short = RandomVariable([1.0, 2.0, 3.0])
+    x = RandomVariable([1.0, 2.0, 3.0, 4.0])
+    for truth in (l1_eq_truth, l1_le_truth):
+        with pytest.raises(SpaceError, match="length 3, space has 4 atoms"):
+            truth(s4, x, short)
+    for truth in (real_eq_truth, real_le_truth):
+        with pytest.raises(ValueError, match="length 3, algebra has 2 atoms"):
+            truth(a2, ConditionalValue([1.0, 2.0]), ConditionalValue([1.0, 2.0, 3.0]))
+
+
+def test_mix_reals_examples(a2):
     parts = PartitionOfUnity([a2.atom(1), a2.atom(2)])
-    r = mix_reals(parts, [iota(ConditionalValue([1, 2])), iota(ConditionalValue([3, 4]))])
-    assert np.array_equal(r.blockwise, [1, 4])
-    n = mix_nats(parts, [NatName([1, 1]), NatName([2, 2])])
-    assert np.array_equal(n.blockwise, [1, 2])
+    r = mix_reals(parts, [ConditionalValue([1, 2]), ConditionalValue([3, 4])])
+    assert r == ConditionalValue([1, 4])
+    n = mix_reals(parts, [ConditionalValue([1, 1]), ConditionalValue([2, 2])])
+    assert n == ConditionalValue([1, 2])
+    with pytest.raises(ValueError, match="length 1, algebra has 2 atoms"):
+        mix_reals(parts, [ConditionalValue([1.0]), ConditionalValue([2.0, 3.0])])
+    with pytest.raises(ValueError, match="finite"):
+        mix_reals(parts, [ConditionalValue([np.inf, 1.0]), ConditionalValue([2.0, 3.0])])
+    with pytest.raises(ValueError, match="2 parts but 1 reals"):
+        mix_reals(parts, [ConditionalValue([1.0, 2.0])])
 
 
-def test_nat_name_guards():
-    with pytest.raises(ValueError):
-        NatName([1.5])
-    with pytest.raises(ValueError):
-        NatName([-1])
+def test_mixing_shares_the_part_index_with_the_space(s4, a2):
+    parts = PartitionOfUnity([a2.atom(2), a2.atom(1)])
+    assert parts.part_index().tolist() == [1, 0]
+    assert s4.part_index(parts).tolist() == [1, 1, 0, 0]
+
+
+def test_seq_index_guards(s4):
+    xs = [RandomVariable([1, 1, 1, 1]), RandomVariable([5, 5, 5, 5])]
+    with pytest.raises(ValueError, match="block 2 index 1.5 is not an integer"):
+        seq_index(xs, ConditionalValue([1, 1.5]), s4)
+    with pytest.raises(IndexError, match=r"block 1 index -1 outside 1\.\.2"):
+        seq_index(xs, ConditionalValue([-1, 1]), s4)
+    with pytest.raises(SpaceError, match="length 3, space has 2 blocks"):
+        seq_index(xs, ConditionalValue([1, 1, 1]), s4)
 
 
 def test_seq_index_examples(s4):
     xs = [RandomVariable([1, 1, 1, 1]), RandomVariable([5, 5, 5, 5])]
-    assert seq_index(xs, NatName([2, 2]), s4) == xs[1]
-    out = seq_index(xs, NatName([1, 2]), s4)
+    assert seq_index(xs, ConditionalValue([2, 2]), s4) == xs[1]
+    out = seq_index(xs, ConditionalValue([1, 2]), s4)
     assert np.array_equal(out.values, [1, 1, 5, 5])
-    with pytest.raises(IndexError):
-        seq_index(xs, NatName([1, 3]), s4)
+    with pytest.raises(IndexError, match=r"block 2 index 3 outside 1\.\.2"):
+        seq_index(xs, ConditionalValue([1, 3]), s4)
 
 
 def test_eventually_constant_blockwise_liminf(s4):
@@ -306,8 +320,33 @@ def test_concurrent_construction_is_consistent(a2):
 def test_verify_interp_props(s4):
     report = verify_interp_props(s4, samples=100, seed=0)
     assert report.passed, [c.name for c in report.checks if not c.passed]
-    arithmetic = {c.name: c.max_deviation for c in report.checks}
-    assert arithmetic["cond_expect_transfer"] <= 1e-12
+    assert [c.name for c in report.checks] == ["real_truth_joins", "mixing", "l1_truth_joins"]
+
+
+@pytest.mark.parametrize(
+    "name, target, broken",
+    [
+        ("real_truth_joins", "real_le_truth", lambda algebra, u, v: algebra.one),
+        ("mixing", "mix_reals", lambda partition, reals: reals[0]),
+        ("l1_truth_joins", "l1_eq_truth", lambda space, x, y: space.algebra.zero),
+    ],
+)
+def test_verify_interp_props_catches_a_broken_map(monkeypatch, s4, name, target, broken):
+    monkeypatch.setattr(bvm, target, broken)
+    report = verify_interp_props(s4, samples=20, seed=0)
+    assert [c.name for c in report.checks if not c.passed] == [name]
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_interp_props_refuses_no_samples(s4, samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_interp_props(s4, samples=samples)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_verify_interp_props_refuses_a_bad_seed(s4, seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        verify_interp_props(s4, seed=seed)
 
 
 def test_verify_interp_props_three_blocks(space8):

@@ -142,6 +142,24 @@ def test_grid_conjugate_is_infinite_a_hair_off_the_density_simplex(kind):
         assert np.allclose(ray, math.copysign(1.0, gap) / math.sqrt(3.0))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the grid conjugate stops short of the sup of a polyhedral user "
+    "measure: it gives 5/36 where LP duality gives 1/6",
+)
+def test_grid_conjugate_reaches_a_polyhedral_sup():
+    # the objective E[xy] - rho(x) is 1/6 at x = (0, -3.75, -3), and no x
+    # does better: 1/6 is the LP value of the conjugate of this max of pieces
+    space = FiniteProbSpace(np.full(3, 1.0 / 3.0), [[1, 2, 3]])
+    d = np.array([[1.0, 1.0, 1.0], [0.5, 0.0, 2.5], [1.0, 2.0, 0.0]])
+    measure = max_of_linear(space, d, [[0.0], [0.25], [0.25]])
+    y = DualVariable([-5.0 / 6.0, -1.0, -7.0 / 6.0])
+    x = RandomVariable([0.0, -3.75, -3.0])
+    attained = space.cond_expect(x * y.values).values - measure.evaluate(x).values
+    assert attained == pytest.approx([1.0 / 6.0], abs=1e-12)
+    assert fenchel(measure, y, "grid_refine").values == pytest.approx([1.0 / 6.0], abs=1e-9)
+
+
 def test_dual_representation_examples(s4):
     ent = cond_entropic(s4, 1.0)
     xe = RandomVariable([-LOG2, -LOG2, 0, 0])

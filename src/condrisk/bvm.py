@@ -243,24 +243,19 @@ class Universe:
                 raise UniverseError("mixing produced a name violating its defining bound")
         return mixed
 
-    def maximum_witness(
-        self,
-        phi: Callable[[Name], BoolElem],
-        v: Name,
-        default: Optional[Name] = None,
-    ) -> Name:
+    def maximum_witness(self, phi: Callable[[Name], BoolElem], v: Name) -> Name:
         """A name u with [[phi(u)]] equal to [[exists x in v . phi(x)]].
 
         Atomwise: below the existence value pick the smallest-id member of
         dom(v) whose formula value covers the atom; elsewhere pick any member
         (still smallest id), since membership already forces the formula false
-        there.  Where v has no member at all, try ``default`` (the empty name)
-        and then small canonical fallbacks until one falsifies the formula at
-        that atom.  The guarantee is verified; it is unachievable only when v
-        is empty at an atom where the formula holds of every candidate.
+        there.  Where v has no member at all, try the first four von Neumann
+        ordinals, the empty name first, until one falsifies the formula at
+        that atom, else take the empty name.  The guarantee is verified; it is
+        unachievable only when v is empty at an atom where the formula holds
+        of every candidate.
         """
         self._check(v)
-        default = default if default is not None else self.empty
         truths = [(child, value.mask, phi(child).mask) for child, value in v.entries]
         exists = 0
         for child, value, t in truths:
@@ -270,8 +265,8 @@ class Universe:
         fallbacks = None
         for a in range(1, self.algebra.atom_count + 1):
             bit = 1 << (a - 1)
+            # v.entries are ordered by child id, so local is too
             local = [(c, val, t) for c, val, t in truths if val & bit]
-            local.sort(key=lambda cvt: cvt[0].canonical_id)
             if exists & bit:
                 chosen = next(c for c, val, t in local if t & bit)
             elif local:
@@ -279,13 +274,12 @@ class Universe:
             else:
                 if fallbacks is None:
                     ordinal: frozenset = frozenset()
-                    pool = [default]
+                    fallbacks = []
                     for _ in range(4):
-                        pool.append(self._canonical_from_hf(ordinal))
+                        fallbacks.append(self._canonical_from_hf(ordinal))
                         ordinal = ordinal | frozenset([ordinal])
-                    fallbacks = pool
                 chosen = next(
-                    (c for c in fallbacks if not phi(c).mask & bit), default
+                    (c for c in fallbacks if not phi(c).mask & bit), self.empty
                 )
             picks.append(chosen)
             parts.append(self.algebra.from_mask(bit))
@@ -491,8 +485,8 @@ def atom_collapse(u: Name, atom) -> frozenset:
     return u.collapse_at(operator.index(atom))
 
 
-def maximum_witness(phi: Callable[[Name], BoolElem], v: Name, default: Optional[Name] = None) -> Name:
-    return v.universe.maximum_witness(phi, v, default)
+def maximum_witness(phi: Callable[[Name], BoolElem], v: Name) -> Name:
+    return v.universe.maximum_witness(phi, v)
 
 
 def extensional_lift(mapping: Mapping[Name, Name]) -> Name:

@@ -81,6 +81,13 @@ def _emit(payload) -> None:
     print(json.dumps(_fmt(payload), indent=None, separators=(",", ":")))
 
 
+def _refuse_bools(name: str, value) -> None:
+    """JSON true/false load as Python bools, which numpy takes as 1 and 0:
+    refuse them, alone or as array entries, where a number is expected."""
+    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+        raise ScenarioError(f"{name}: expected numbers, not JSON booleans")
+
+
 def ingest(path: str) -> Scenario:
     """Load and validate a scenario file; errors name the offending field."""
     try:
@@ -96,7 +103,7 @@ def ingest(path: str) -> Scenario:
     probs = raw.get("probs")
     if not isinstance(probs, list) or not probs:
         raise ScenarioError("probs: expected a nonempty array")
-    if any(not isinstance(p, (int, float)) or p <= 0 for p in probs):
+    if any(isinstance(p, bool) or not isinstance(p, (int, float)) or p <= 0 for p in probs):
         raise ScenarioError("probs: entries must be positive numbers")
     total = float(sum(probs))
     if abs(total - 1.0) > 1e-9:
@@ -124,10 +131,12 @@ def ingest(path: str) -> Scenario:
         if kind == "entropic":
             if "gamma" not in desc:
                 raise ScenarioError(f"measures[{k}]: entropic needs 'gamma'")
+            _refuse_bools(f"measures[{k}].gamma", desc["gamma"])
             kwargs["gamma"] = desc["gamma"]
         if kind == "avar":
             if "lambda" not in desc:
                 raise ScenarioError(f"measures[{k}]: avar needs 'lambda'")
+            _refuse_bools(f"measures[{k}].lambda", desc["lambda"])
             kwargs["lambda"] = desc["lambda"]
         try:
             measures.append(BUILTIN_FACTORIES[kind](space, **kwargs))
@@ -140,6 +149,7 @@ def ingest(path: str) -> Scenario:
             raise ScenarioError(
                 f"payoffs[{k}]: expected an array of {space.n_atoms} numbers"
             )
+        _refuse_bools(f"payoffs[{k}]", arr)
         try:
             payoffs.append(RandomVariable(arr))
         except ValueError as exc:
@@ -204,6 +214,7 @@ def _cmd_dual_penalty(args) -> int:
     measure = _pick_measure(scenario, args.measure)
     try:
         values = json.loads(args.y)
+        _refuse_bools("--y", values)
         y = DualVariable(values)
     except (json.JSONDecodeError, ValueError) as exc:
         raise ScenarioError(f"--y: {exc}") from None

@@ -22,6 +22,7 @@ from .riskcore import (
     ADMISSIBLE_TOL,
     CHUNK_ELEMENTS,
     CondRiskMeasure,
+    _admissible_mask,
     _row_batches,
     cond_avar,
     cond_worst_case,
@@ -55,20 +56,25 @@ class DualVariable:
     def __len__(self):
         return self.values.size
 
-    def admissibility_gap(self, space: FiniteProbSpace) -> float:
-        """max_j |E[y | block j] + 1|; zero means -y is a conditional density."""
-        return float(np.max(np.abs(space.block_mean(self.values) + 1.0)))
-
-    def is_admissible(self, space: FiniteProbSpace, tol: float = ADMISSIBLE_TOL) -> bool:
-        return self.admissibility_gap(space) <= tol
+    def is_admissible(self, space: FiniteProbSpace) -> bool:
+        """Whether -y is a conditional density on every block, within ADMISSIBLE_TOL."""
+        _check_length(space, self.values)
+        return bool(_admissible_mask(space, self.values).all())
 
     def __repr__(self):
         return f"DualVariable({self.values.tolist()!r})"
 
 
+def _check_length(space: FiniteProbSpace, values: np.ndarray) -> None:
+    """Refuse dual values (or rows of them) whose length is not the space's."""
+    if np.shape(values)[-1:] != (space.n_atoms,):
+        raise DualityError("dual variable length does not match the space")
+
+
 def admissible_dual(space: FiniteProbSpace, densities) -> DualVariable:
     """Build y = -d from per-atom densities, renormalized blockwise to mean 1."""
     d = np.asarray(densities, dtype=float)
+    _check_length(space, d)
     if np.any(d < 0):
         raise ValueError("densities must be nonnegative")
     mass = space.block_mean(d)
@@ -189,36 +195,36 @@ def _block_conjugate_grid(measure: CondRiskMeasure, y_block: np.ndarray):
     return best, point, None
 
 
-def fenchel(
-    measure: CondRiskMeasure, y: DualVariable, method: str = "closed_form"
-) -> ConditionalValue:
-    """Blockwise penalty rho#(y) = esssup_x (E[x y | F] - rho(x)).
-
-    ``closed_form`` uses the measure's declared penalty; ``grid_refine`` runs
-    the numeric sup on each block's restriction.  +inf entries signal that -y
-    is not an admissible density for the measure on that block.
-    """
+def _penalty_rows(measure: CondRiskMeasure, ys: np.ndarray, closed_form=True, blocks=None) -> np.ndarray:
+    """Penalties of the rows of ``ys`` as ``(rows, n_blocks)``: the closed form,
+    one call for every row, if ``closed_form`` is set and the measure has one;
+    else the grid conjugate of each row on each block that the mask ``blocks``
+    marks (all by default), restricted once, and +inf on the others.  A wrong
+    row length and a NaN penalty are refused by name."""
     space = measure.space
-    if len(y) != space.n_atoms:
-        raise DualityError("dual variable length does not match the space")
-    if method == "closed_form":
-        if measure.closed_form_penalty is None:
-            raise DualityError(f"{measure.label} declares no closed-form penalty")
-        pen = measure._rows(measure.closed_form_penalty, y.values[None], "penalties")
-        return ConditionalValue(pen[0])
-    if method != "grid_refine":
-        raise ValueError("method must be 'closed_form' or 'grid_refine'")
-    return ConditionalValue(
-        [
-            _block_conjugate_grid(measure.restrict(j), y.values[space.block_index_array(j)])[0]
-            for j in range(1, space.n_blocks + 1)
-        ]
-    )
+    _check_length(space, ys)
+    if closed_form and measure.closed_form_penalty is not None:
+        pen = measure._rows(measure.closed_form_penalty, ys, "penalties")
+    else:
+        pen = np.full((len(ys), space.n_blocks), math.inf)
+        for j in range(space.n_blocks) if blocks is None else np.flatnonzero(blocks):
+            block, cut = measure.restrict(j + 1), ys[:, space.block_index_array(j + 1)]
+            pen[:, j] = [_block_conjugate_grid(block, y)[0] for y in cut]
+    if np.any(np.isnan(pen)):
+        raise ValueError("conditional value entries must not be NaN")
+    return pen
+
+
+def fenchel(measure: CondRiskMeasure, y: DualVariable) -> ConditionalValue:
+    """Blockwise conjugate rho#(y) = esssup_x (E[x y | F] - rho(x)) by the grid
+    on each block's restriction; it never reads a closed form.  +inf entries
+    signal that -y is not an admissible density for the measure there."""
+    return ConditionalValue(_penalty_rows(measure, y.values[None], closed_form=False)[0])
 
 
 def penalty_of(measure: CondRiskMeasure, y: DualVariable) -> ConditionalValue:
-    method = "closed_form" if measure.closed_form_penalty is not None else "grid_refine"
-    return fenchel(measure, y, method)
+    """The measure's closed-form penalty at y where it declares one, else ``fenchel``."""
+    return ConditionalValue(_penalty_rows(measure, y.values[None])[0])
 
 
 def penalty_map(measure: CondRiskMeasure) -> Callable[[RandomVariable], ConditionalValue]:
@@ -228,24 +234,15 @@ def penalty_map(measure: CondRiskMeasure) -> Callable[[RandomVariable], Conditio
     positive entry on a block are outside the density cone there.  Every
     map has a row form ``f.rows``: it takes a ``(rows, n_atoms)`` array to
     ``(rows, n_blocks)`` penalties, with the checks of ``DualVariable``,
-    ``fenchel`` and ``ConditionalValue`` on each row, in one call of the
-    closed form or, without one, one ``grid_refine`` conjugate per row.
-    ``f`` is its one-row case.
+    ``penalty_of`` and ``ConditionalValue`` on each row, in one call of
+    ``_penalty_rows``.  ``f`` is its one-row case.
     """
     space = measure.space
 
     def rows(vs: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(vs)):
             raise ValueError("dual variable entries must be finite")
-        if vs.shape[-1] != space.n_atoms:
-            raise DualityError("dual variable length does not match the space")
-        clipped = np.minimum(vs, 0.0)
-        if measure.closed_form_penalty is not None:
-            pen = measure._rows(measure.closed_form_penalty, clipped, "penalties")
-        else:
-            pen = np.stack([fenchel(measure, DualVariable(y), "grid_refine").values for y in clipped])
-        if np.any(np.isnan(pen)):
-            raise ValueError("conditional value entries must not be NaN")
+        pen = _penalty_rows(measure, np.minimum(vs, 0.0))
         return np.where(space.block_max(vs) > 0, math.inf, pen)
 
     def f(v: RandomVariable) -> ConditionalValue:
@@ -288,10 +285,11 @@ class DualResult:
     warnings: List[str] = field(default_factory=list)
 
 
-def _graded(measure: CondRiskMeasure, xv: np.ndarray, y: DualVariable) -> np.ndarray:
-    """E[x y | block] - penalty(y) on every block, from the measure's own
-    penalty route: the closed form, else one grid conjugate per block."""
-    return measure.space.block_mean(xv * y.values) - penalty_of(measure, y).values
+def _graded(measure: CondRiskMeasure, xv: np.ndarray, y: DualVariable, blocks=None) -> np.ndarray:
+    """E[x y | block] - penalty(y) by the measure's own route, ``_penalty_rows``;
+    -inf on the blocks that a measure without a closed form leaves unmarked."""
+    pen = _penalty_rows(measure, y.values[None], blocks=blocks)[0]
+    return measure.space.block_mean(xv * y.values) - pen
 
 
 def _exact_duals(measure: CondRiskMeasure, xv: np.ndarray) -> Optional[DualVariable]:
@@ -438,7 +436,7 @@ def _represent(measure: CondRiskMeasure, x: RandomVariable, targets: np.ndarray)
     for y in _candidate_duals(measure, xv):
         if y is None:
             continue
-        graded = _graded(measure, xv, y)
+        graded = _graded(measure, xv, y, ~accepted)
         # a value above rho(x) leans on a penalty's slack: never kept.  The
         # gap is compared, not rho(x) + ASCENT_GAP_TOL, which rounds upward
         # at large payoffs
@@ -470,9 +468,9 @@ def dual_representation(
     ASCENT_GAP_TOL short of rho(x) is reported unconverged, with a warning
     that names the shortfall.  A user measure, a ``dataclasses.replace``
     copy of a built-in included, grades candidate duals in turn
-    (``_candidate_duals``), each on every block from its own penalty route
-    (the closed form, else one grid conjugate per block), until every block
-    has one: -grad rho(x) / q from central differences at x, then at two
+    (``_candidate_duals``) from its own penalty route (the closed form, else
+    one grid conjugate on each block still short), until every block has
+    one: -grad rho(x) / q from central differences at x, then at two
     generic points near x (a subgradient at a kink of a max of linear
     pieces), the barycenter, the vertex of the atom where x is least, the
     fill to the declared ``dual_density_cap`` and finer differences at x.  A block takes

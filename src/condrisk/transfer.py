@@ -116,9 +116,9 @@ def fenchel_consistency(
     """Conditional penalty vs per-block classical conjugate, dual by dual.
 
     The conditional side uses the measure's own penalty route; the classical
-    side always recomputes by the numeric grid on each block restriction
-    (``fenchel(..., "grid_refine")``), so the two columns are independent.
-    +inf verdicts must agree exactly.
+    side is ``fenchel``, the grid on each block restriction, so the two are
+    independent; without a closed form both are that grid, run once.  +inf
+    verdicts must agree exactly.
     """
     _check_tol(tol)
     duals = list(duals)
@@ -130,7 +130,7 @@ def fenchel_consistency(
     infs_ok = True
     for i, y in enumerate(duals):
         cond = penalty_of(measure, y).values
-        classical = fenchel(measure, y, "grid_refine").values
+        classical = cond if measure.closed_form_penalty is None else fenchel(measure, y).values
         c_inf, k_inf = np.isinf(cond), np.isinf(classical)
         # deviations of the blocks where both sides are finite, 0 elsewhere
         dev = np.abs(np.subtract(cond, classical, out=np.zeros(len(cond)), where=~(c_inf | k_inf)))

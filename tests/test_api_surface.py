@@ -9,7 +9,7 @@ import condrisk
 
 # Raising this bound needs a CHANGES.md line naming the two callers that need
 # different values of the new option; a value only one caller uses is a constant.
-MAX_DEFAULTED_PARAMETERS = 35
+MAX_DEFAULTED_PARAMETERS = 31
 
 
 def _public_callables():

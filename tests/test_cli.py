@@ -290,6 +290,45 @@ def test_non_finite_measure_parameter_named_at_ingest(capsys, tmp_path):
     assert out["error"].startswith("measures[0]: gamma must be finite")
 
 
+def _two_atoms(**change):
+    raw = {
+        "probs": [0.5, 0.5],
+        "blocks": [[1], [2]],
+        "measures": [{"kind": "avar", "lambda": 0.5}, {"kind": "entropic", "gamma": 1.0}],
+        "payoffs": [[1.0, 0.0]],
+    }
+    return {**raw, **change}
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        (_two_atoms(probs=[True, 1e-13]), "probs"),
+        (_two_atoms(payoffs=[[True, False]]), "payoffs[0]"),
+        (_two_atoms(measures=[{"kind": "avar", "lambda": True}]), "measures[0].lambda"),
+        (_two_atoms(measures=[{"kind": "entropic", "gamma": [1.0, True]}]), "measures[0].gamma"),
+    ],
+    ids=["probs", "payoff", "lambda", "gamma"],
+)
+def test_json_booleans_are_refused_where_numbers_are_expected(capsys, tmp_path, raw, field):
+    # Python's bool is an int, and numpy reads true and false as 1 and 0
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(raw))
+    code, out = run(capsys, ["space", "validate", "--scenario", str(path)])
+    assert code == 2
+    assert out["error"].startswith(f"{field}: ")
+
+
+def test_dual_penalty_refuses_a_json_boolean(capsys, s4_path):
+    code, out = run(
+        capsys,
+        ["dual", "penalty", "--scenario", s4_path, "--measure", "worst_case",
+         "--y", "[false, -1, -1, -1]"],
+    )
+    assert code == 2
+    assert out["error"].startswith("--y: ")
+
+
 def test_ingest_roundtrip_structure(s4_path):
     scenario = ingest(s4_path)
     assert scenario.space.n_atoms == 4

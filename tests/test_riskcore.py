@@ -279,7 +279,7 @@ def test_batch_of_wrong_shape_refused_for_every_caller(s4, shape):
     )
     named = re.escape(f"returned risks of shape {shape(2)}")
     with pytest.raises(SpaceError, match=named):
-        fenchel(m, DualVariable([-1.0] * 4), "grid_refine")
+        fenchel(m, DualVariable([-1.0] * 4))
     with pytest.raises(SpaceError, match=named):
         m.restrict(2).evaluate_batch(np.zeros((2, 2)))
 

@@ -75,13 +75,23 @@ class BooleanAlgebra:
         return f"BooleanAlgebra(atoms={self.atom_count})"
 
 
+# _BYTE_ATOMS[k][b]: the atoms, ascending, of byte value b at byte k of a mask
+# (k < 8, so up to 64 atoms); _BYTE_SETS: byte 0's as shared frozensets
+_BYTE_ATOMS = tuple(
+    tuple(tuple(8 * k + i + 1 for i in range(8) if b >> i & 1) for b in range(256)) for k in range(8)
+)
+_BYTE_SETS = tuple(map(frozenset, _BYTE_ATOMS[0]))
+
+
 def mask_atoms(mask: int) -> list:
-    """The atoms of a mask, ascending: atom ``a`` for each set bit ``a - 1``."""
+    """The atoms of a mask, ascending: atom ``a`` for each set bit ``a - 1``,
+    read one byte at a time from a table of bit positions."""
+    if mask < 256:
+        return list(_BYTE_ATOMS[0][mask])
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
+    for k, b in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if b:
+            out += _BYTE_ATOMS[k][b] if k < 8 else [8 * k + a for a in _BYTE_ATOMS[0][b]]
     return out
 
 
@@ -112,15 +122,18 @@ class BoolElem:
             if not isinstance(a, int) or not 1 <= a <= algebra.atom_count:
                 raise ValueError(f"atom index {a!r} outside 1..{algebra.atom_count}")
             mask |= 1 << (a - 1)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "mask", mask)
+        _set_algebra(self, algebra)
+        _set_mask(self, mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("BoolElem is immutable")
 
     @property
     def atoms(self) -> frozenset:
-        return frozenset(mask_atoms(self.mask))
+        mask = self.mask
+        if mask < 256:
+            return _BYTE_SETS[mask]
+        return frozenset(mask_atoms(mask))
 
     def _same(self, other: "BoolElem") -> None:
         if not isinstance(other, BoolElem):
@@ -182,11 +195,16 @@ class BoolElem:
         return "{" + ",".join(map(str, mask_atoms(self.mask))) + "}"
 
 
+# the slot descriptors' setters: BoolElem.__setattr__ refuses every assignment
+_set_algebra = BoolElem.algebra.__set__
+_set_mask = BoolElem.mask.__set__
+
+
 def _elem(algebra: BooleanAlgebra, mask: int) -> BoolElem:
     """Unvalidated constructor, for masks already known to lie in the algebra."""
     e = object.__new__(BoolElem)
-    object.__setattr__(e, "algebra", algebra)
-    object.__setattr__(e, "mask", mask)
+    _set_algebra(e, algebra)
+    _set_mask(e, mask)
     return e
 
 

@@ -24,6 +24,7 @@ from .boolalg import (
     BooleanAlgebra,
     BoolElem,
     PartitionOfUnity,
+    _elem,
     array_mask,
     mask_atoms,
 )
@@ -85,9 +86,11 @@ class Universe:
     Names are registered, and truth tables grown, under one lock; a reader
     takes one reference to the current table and reads only slots it holds,
     and a table cleared at its cap is swapped for a new one, so no slot a
-    reader holds is ever rewritten.  The literal memo
-    maps the exact source text of a ``name{...}``, ``check(...)`` or
-    ``mix[...]`` literal to its name, so a spelling is parsed once here.
+    reader holds is ever rewritten.  A warm truth read is one lookup of both
+    slots in that table; a miss checks the names and grows the table.  The
+    literal memo maps the exact source text of a ``name{...}``, ``check(...)``
+    or ``mix[...]`` literal to its name, so a spelling is lexed and parsed
+    once here: ``scan`` passes a remembered spelling over as one token.
     """
 
     def __init__(self, algebra: BooleanAlgebra):
@@ -150,17 +153,34 @@ class Universe:
 
     def truth_in(self, u: Name, v: Name) -> BoolElem:
         """[[u in v]] by the membership equation, read from the truth table."""
+        table = self._table
+        if table is not None:
+            try:
+                s, t = table.slot[v], table.slot[u]
+            except (KeyError, TypeError):
+                pass
+            else:
+                return _elem(self.algebra, table.inn.item(s, t))
         self._check(u, v)
-        return self.algebra.from_mask(self._in(u, v))
+        return _elem(self.algebra, self._in(u, v))
 
     def truth_eq(self, u: Name, v: Name) -> BoolElem:
         """[[u = v]] by the double-inclusion equation, read from the truth table."""
+        table = self._table
+        if table is not None:
+            try:
+                s, t = table.slot[u], table.slot[v]
+            except (KeyError, TypeError):
+                pass
+            else:
+                return _elem(self.algebra, table.eq.item(s, t))
         self._check(u, v)
-        return self.algebra.from_mask(self._eq(u, v))
+        return _elem(self.algebra, self._eq(u, v))
 
-    # Both read the truth tables; no name checks are needed past _check:
-    # make_name refuses children from another universe, so every name reached
-    # belongs to self.
+    # A slotted name belongs to self, so a pair found in the table needs no
+    # check, and an unhashable or foreign name misses and meets _check.  No
+    # name checks are needed past _check either: make_name refuses children
+    # from another universe, so every name reached belongs to self.
 
     def _in(self, u: Name, v: Name) -> int:
         table, s, t = self._slots(v, u)
@@ -351,10 +371,12 @@ class _TruthTable:
     its children, each at a lower slot.  The child edges of slot ``s`` are
     entries ``start[s]`` to ``start[s + 1]`` of ``child`` and ``mask``, so
     they are sorted by parent; the empty name gets one edge to itself with
-    mask 0, which no reduction can tell from none.
+    mask 0, which no reduction can tell from none.  The first ``edges``
+    entries of ``child`` and ``mask`` are in use; like the square tables,
+    the three edge arrays grow by doubling.
     """
 
-    __slots__ = ("full", "slot", "eq", "inn", "child", "mask", "start")
+    __slots__ = ("full", "slot", "eq", "inn", "child", "mask", "start", "edges")
 
     def __init__(self, algebra: BooleanAlgebra):
         dtype = _mask_dtype(algebra.atom_count)
@@ -364,6 +386,7 @@ class _TruthTable:
         self.child = np.zeros(0, np.intp)
         self.mask = np.zeros(0, dtype)
         self.start = np.zeros(1, np.intp)
+        self.edges = 0
 
     def add(self, batch: Sequence[Name]) -> None:
         """Slot ``batch``, whose unslotted children are all in it, level by level.
@@ -388,14 +411,16 @@ class _TruthTable:
                 child.append(new[c] if c in new else self.slot[c])
                 mask.append(value)
             counts.append(len(u.masks) or 1)
-        self.child = np.concatenate([self.child, np.array(child, np.intp)])
-        self.mask = np.concatenate([self.mask, np.array(mask, self.mask.dtype)])
-        self.start = np.concatenate([self.start, self.start[-1] + np.cumsum(counts, dtype=np.intp)])
         end = n + len(order)
-        self._reserve(end)
+        a = self.edges
+        edges = self.edges = a + len(child)
+        self._reserve(end, edges)
+        self.child[a:edges] = child
+        self.mask[a:edges] = mask
+        self.start[n + 1 : end + 1] = a + np.cumsum(counts, dtype=np.intp)
         # a chunk's intermediates hold at most its names times all edges, or
         # its edges times all slots
-        edges, lo = len(self.child), n
+        lo = n
         for k in range(n + 1, end + 1):
             if (
                 k == end
@@ -406,7 +431,8 @@ class _TruthTable:
                 lo = k
         self.slot.update(new)
 
-    def _reserve(self, size: int) -> None:
+    def _reserve(self, size: int, edges: int) -> None:
+        """Room for ``size`` slots and ``edges`` edges."""
         old = len(self.eq)
         if size > old:
             size = max(size, min(TRUTH_TABLE_CAP, max(64, 2 * old)))
@@ -414,6 +440,9 @@ class _TruthTable:
                 grown = np.zeros((size, size), self.mask.dtype)
                 grown[:old, :old] = getattr(self, key)
                 setattr(self, key, grown)
+        self.start = _room(self.start, size + 1)
+        self.child = _room(self.child, edges)
+        self.mask = _room(self.mask, edges)
 
     def _fill(self, lo: int, hi: int) -> None:
         """Rows and columns of slots lo..hi, whose children are all below lo."""
@@ -433,6 +462,16 @@ class _TruthTable:
         eq[lo:hi, :hi] = rows
         eq[:hi, lo:hi] = rows.T
         inn[:hi, lo:hi] = np.bitwise_or.reduceat(mask[:, None] & eq[child, lo:hi], every, axis=0)
+
+
+def _room(array: np.ndarray, need: int) -> np.ndarray:
+    """``array``, or a copy of it with room for ``need`` entries, at least
+    twice as long."""
+    if len(array) >= need:
+        return array
+    grown = np.zeros(max(need, 2 * len(array)), array.dtype)
+    grown[: len(array)] = array
+    return grown
 
 
 def _to_hf(obj) -> frozenset:
@@ -696,40 +735,72 @@ LITERAL_MEMO_CAP = 1 << 12
 # the longest text name_to_literal spells
 LITERAL_CHAR_CAP = 1 << 20
 _WORD_REST = re.compile(r"\w*")
+_SPACE = re.compile(r"\s*")
 # a non-empty atom set; \d and \s are exactly str.isdecimal and str.isspace
 _ATOMS = re.compile(r"\{\s*\d+\s*(?:,\s*\d+\s*)*\}")
 _DIGITS = re.compile(r"\d+")
 # the token kinds after which either grammar takes an atom set
 _ATOMS_AFTER = frozenset(":[;")
-_OPEN = frozenset("{([")
-_CLOSE = frozenset("})]")
 _HEAD_OPEN = {"name": "{", "check": "(", "mix": "["}
 # builds a Token without the Python-level __new__ of a namedtuple
 _token = tuple.__new__
 
 
+class _Known(Token):
+    """A literal whose text was read before: the IDENT token of its head,
+    carrying the ``key`` of its name in ``Tokens.known``.  Every parse step
+    but ``parse_name_tokens`` reads it as the head."""
+
+
 class Tokens(list):
-    """The tokens of ``source``; ``close[k]`` is the index of the token that
-    closes the opening bracket at index ``k`` (one stack over all kinds)."""
+    """The tokens of ``source``.  ``known`` maps the text of each literal
+    that ``scan`` met, from its head to its close, to its name: from the
+    memo, or None until the parse of its first occurrence fills it in."""
 
-    __slots__ = ("source", "close")
+    __slots__ = ("source", "known")
 
 
-def scan(text: str, punct: Mapping[str, str]) -> List[Token]:
+def _group_pattern(depth: int) -> str:
+    """A regex for a bracket group nested at most ``depth`` deep, atom sets
+    included, in which any closing bracket closes the innermost open one, as
+    the parser pairs them.  A run of text between brackets is one repeat of
+    one character class, and a bracket can start only one branch, so a match
+    that succeeds never backtracks."""
+    gap = r"[^{}()\[\]]*"
+    group = r"[{(\[]" + gap + r"[})\]]"
+    for _ in range(depth - 1):
+        group = r"[{(\[]" + gap + "(?:" + group + gap + r")*[})\]]"
+    return group
+
+
+# The extent of the literal whose bracket opens at a position is one match, from
+# that bracket to its close; a literal nested deeper is lexed and parsed in full.
+_GROUP_DEPTH = 16
+_GROUP = re.compile(_group_pattern(_GROUP_DEPTH))
+
+
+def scan(text: str, punct: Mapping[str, str], memo: Optional[Mapping] = None) -> List[Token]:
     """Split text into INT, IDENT, ATOMS and punctuation tokens, ending with EOF.
 
     ``punct`` maps each one- or two-character punctuation string to its token
     kind; a two-character entry wins over a one-character one.  Right after a
     ``:``, ``[`` or ``;`` token a well-formed non-empty atom set ``{1, 2}`` is
     one ATOMS token; any other text there is lexed character by character.
-    Any other character is a ParseError at its position.  The result is a
-    ``Tokens`` list, which also holds the text and each bracket's close.
+    Where a ``name``, ``check`` or ``mix`` head is followed by its opening
+    bracket, the text from the head to that bracket's close (one match of
+    ``_GROUP``) is looked up in ``memo``, a universe's literal memo, and
+    among the literals met earlier in ``text``.  A text found either way is
+    one ``_Known`` token: the parser has read it before, or reads its first
+    occurrence before this one.  Any other text is lexed character by
+    character, and any other character is a ParseError at its position.
+    The result is a ``Tokens`` list, which also holds the text and the
+    names of the literals met.
     """
     pairs = {p[0] for p in punct if len(p) == 2}
+    memo = memo or {}
     tokens = Tokens()
     tokens.source = text
-    tokens.close = close = {}
-    opens = []
+    tokens.known = known = {}
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -746,10 +817,6 @@ def scan(text: str, punct: Mapping[str, str]) -> List[Token]:
         if ch in pairs and text[i : i + 2] in punct:
             ch = text[i : i + 2]
         if ch in punct:
-            if ch in _OPEN:
-                opens.append(len(tokens))
-            elif ch in _CLOSE and opens:
-                close[opens.pop()] = len(tokens)
             tokens.append(_token(Token, (punct[ch], ch, i)))
             i += len(ch)
             continue
@@ -762,6 +829,21 @@ def scan(text: str, punct: Mapping[str, str]) -> List[Token]:
             # \w is exactly str.isalnum() or "_"
             j = _WORD_REST.match(text, i + 1).end()
             kind = "IDENT"
+            opener = _HEAD_OPEN.get(text[i:j])
+            if opener is not None:
+                k = _SPACE.match(text, j).end()
+                group = _GROUP.match(text, k) if text.startswith(opener, k) else None
+                if group is not None:
+                    key = text[i : group.end()]
+                    met = key in known
+                    if not met:
+                        known[key] = memo.get(key)
+                    if met or known[key] is not None:
+                        tok = _token(_Known, (kind, text[i:j], i))
+                        tok.key = key
+                        tokens.append(tok)
+                        i = group.end()
+                        continue
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
         tokens.append(_token(Token, (kind, text[i:j], i)))
@@ -770,9 +852,9 @@ def scan(text: str, punct: Mapping[str, str]) -> List[Token]:
     return tokens
 
 
-def tokenize_literal(text: str) -> List[Token]:
-    """Tokens of the name-literal grammar."""
-    return scan(text, LITERAL_PUNCT)
+def tokenize_literal(text: str, memo: Optional[Mapping] = None) -> List[Token]:
+    """Tokens of the name-literal grammar; a literal in ``memo`` is one token."""
+    return scan(text, LITERAL_PUNCT, memo)
 
 
 def _expect(tokens: List[Token], i: int, kind: str) -> int:
@@ -827,28 +909,27 @@ def _parse_hf_tokens(tokens: List[Token], i: int):
 def parse_name_tokens(tokens: List[Token], i: int, universe: Universe):
     """The name whose literal starts at token ``i``, and the index after it.
 
-    A ``name{...}``, ``check(...)`` or ``mix[...]`` literal is looked up by
-    its exact source text in the universe's literal memo, and stored there
-    after a parse that ends at its closing bracket.
+    A literal that ``scan`` met before, in the universe's literal memo or
+    earlier in the text, is one token, and its name is looked up.  Any other
+    ``name{...}``, ``check(...)`` or ``mix[...]`` literal is parsed, and its
+    name stored under its exact source text, from the head to the close of
+    its bracket, for the repeats that follow and in the memo.
     """
     tok = tokens[i]
     if tok.kind != "IDENT":
         raise ParseError("expected a name literal", tok.pos)
+    if type(tok) is _Known:
+        return tokens.known[tok.key], i + 1
     if tok.text == "empty":
         return universe.empty, i + 1
-    j = tokens.close.get(i + 1)
-    if j is None or tokens[i + 1].kind != _HEAD_OPEN.get(tok.text):
-        return _parse_compound(tokens, i, universe)
-    key = tokens.source[tok.pos : tokens[j].pos + 1]
-    memo = universe._literal_memo
-    name = memo.get(key)
-    if name is not None:
-        return name, j + 1
     name, end = _parse_compound(tokens, i, universe)
-    if end == j + 1:
-        if len(memo) >= LITERAL_MEMO_CAP:
-            memo.clear()
-        memo.setdefault(key, name)
+    # a literal that parses ends at the close of its head's bracket
+    key = tokens.source[tok.pos : tokens[end - 1].pos + 1]
+    tokens.known[key] = name
+    memo = universe._literal_memo
+    if len(memo) >= LITERAL_MEMO_CAP:
+        memo.clear()
+    memo.setdefault(key, name)
     return name, end
 
 
@@ -899,7 +980,7 @@ def _parse_compound(tokens: List[Token], i: int, universe: Universe):
 
 
 def parse_name_literal(text: str, universe: Universe) -> Name:
-    tokens = tokenize_literal(text)
+    tokens = tokenize_literal(text, universe._literal_memo)
     name, i = parse_name_tokens(tokens, 0, universe)
     if tokens[i].kind != "EOF":
         raise ParseError("trailing input after name literal", tokens[i].pos)

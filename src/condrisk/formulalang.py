@@ -214,7 +214,7 @@ class _Parser:
 
 def parse(text: str, universe: Universe, free_names: Iterable[str] = ()) -> Formula:
     """Parse a formula; identifiers must be quantifier-bound or in free_names."""
-    parser = _Parser(scan(text, _PUNCT), universe, free_names)
+    parser = _Parser(scan(text, _PUNCT, universe._literal_memo), universe, free_names)
     node = parser.formula()
     parser.take("EOF")
     return node

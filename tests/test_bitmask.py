@@ -19,6 +19,7 @@ from condrisk import (
     collapse_eval,
     evaluate,
 )
+from condrisk.boolalg import mask_atoms
 
 # 70 atoms puts masks past one 64-bit word
 ATOM_COUNTS = (1, 5, 8, 16, 70)
@@ -81,6 +82,27 @@ def test_validation_matches_reference(m, data):
         alg.from_mask(data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << m))))
     with pytest.raises(ValueError):
         alg.from_mask(float(alg.full))
+
+
+def _bit_loop(mask):
+    """The atoms of a mask, one lowest set bit at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**70))
+def test_atoms_from_the_byte_table_match_the_bit_loop(mask):
+    algebra = BooleanAlgebra(71)
+    atoms = _bit_loop(mask)
+    assert mask_atoms(mask) == atoms
+    assert algebra.from_mask(mask).atoms == frozenset(atoms)
+    if mask < 256:
+        assert algebra.from_mask(mask).atoms is algebra.from_mask(mask).atoms
 
 
 def test_elements_in_mask_order():

@@ -533,6 +533,62 @@ def test_truth_table_grows_then_clears_at_its_cap(monkeypatch):
     assert uni._table is held and len(held.slot) == 3
 
 
+def test_warm_truth_reads_build_no_checked_element(monkeypatch):
+    uni = Universe(BooleanAlgebra(8))
+    ref = reference_truth(uni)
+    rng = np.random.default_rng(5)
+    names = [random_name(uni, rng, 3) for _ in range(10)]
+    uni.truth_eq(names[0], names[1])  # slots every registered name
+    calls = []
+    checked = BooleanAlgebra.from_mask
+    monkeypatch.setattr(BooleanAlgebra, "from_mask", lambda self, mask: calls.append(mask) or checked(self, mask))
+    for u in names:
+        for v in names:
+            assert uni.truth_eq(u, v).mask == ref.truth_eq(u, v)
+            assert uni.truth_in(u, v).mask == ref.truth_in(u, v)
+    assert calls == []
+    # a name the table does not hold still meets the universe check
+    other = Universe(uni.algebra)
+    for bad in (other.empty, "empty", [names[0]]):
+        for read in (uni.truth_eq, uni.truth_in):
+            with pytest.raises(UniverseError, match="different universe"):
+                read(names[0], bad)
+            with pytest.raises(UniverseError, match="different universe"):
+                read(bad, names[0])
+
+
+def test_one_name_grows_reallocate_the_edge_arrays_by_doubling():
+    alg = BooleanAlgebra(6)
+    uni = Universe(alg)
+    rng = np.random.default_rng(3)
+    base = [random_name(uni, rng, 2) for _ in range(6)]
+    uni.truth_eq(base[0], base[1])
+    table = uni._table
+    arrays = {key: getattr(table, key) for key in ("child", "mask", "start")}
+    reallocations = dict.fromkeys(arrays, 0)
+    partition = PartitionOfUnity([alg.atom(1), ~alg.atom(1)])
+    chain = uni.empty
+    grows = 0
+    for k in range(300):
+        # a new one-child name, then the mix, each slotted by a grow of one name
+        chain = uni.make_name({chain: alg.one})
+        before = len(table.slot)
+        mixed = uni.mix(partition, [chain, base[k % len(base)]])
+        grows += len(table.slot) - before
+        assert table.slot[mixed] == len(table.slot) - 1
+        for key, array in arrays.items():
+            if getattr(table, key) is not array:
+                reallocations[key] += 1
+                arrays[key] = getattr(table, key)
+    assert uni._table is table and grows == 600
+    # about log2(600) + 2; a copy on every grow would make 600
+    assert max(reallocations.values()) <= 11, reallocations
+    ref = reference_truth(uni)
+    for u in (chain, mixed, base[0]):
+        assert uni.truth_eq(mixed, u).mask == ref.truth_eq(mixed, u)
+        assert uni.truth_in(u, mixed).mask == ref.truth_in(u, mixed)
+
+
 def test_concurrent_truth_queries_across_clears(monkeypatch):
     # rank-2, width-2 names have closures of at most 7 names, so every pair
     # fits under the cap while the registry outgrows it and tables clear

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +19,11 @@ from condrisk import (
     print_formula,
     witness,
 )
-from condrisk.bvm import LITERAL_MEMO_CAP, name_to_literal, parse_name_literal
+from condrisk import bvm
+from condrisk.bvm import LITERAL_MEMO_CAP, name_to_literal, parse_name_literal, scan
 from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
+    _PUNCT,
     And,
     Eq,
     ForallIn,
@@ -256,44 +262,51 @@ def _build(universe, recipe):
     return universe.make_name(entries)
 
 
+def _gap(draw):
+    return draw(st.sampled_from(_GAPS))
+
+
+def _recipe(draw, m, rank):
+    """A random name as nested (child, atoms) pairs; None is the empty name."""
+    if rank == 0 or draw(st.integers(0, 3)) == 0:
+        return None
+    n = draw(st.integers(1, 3))
+    return tuple(
+        (_recipe(draw, m, rank - 1), tuple(draw(st.lists(st.integers(1, m), max_size=4))))
+        for _ in range(n)
+    )
+
+
+def _spell(draw, r):
+    """A literal of the recipe ``r`` with random blanks between tokens."""
+    if r is None:
+        return "empty"
+    items = [
+        _spell(draw, child) + _gap(draw) + ":" + _gap(draw) + "{" + _gap(draw)
+        + (_gap(draw) + "," + _gap(draw)).join(map(str, atoms)) + _gap(draw) + "}"
+        for child, atoms in r
+    ]
+    return "name" + _gap(draw) + "{" + _gap(draw) + (_gap(draw) + "," + _gap(draw)).join(items) + _gap(draw) + "}"
+
+
+def _corrupt(draw, clean, corruptions):
+    """``clean`` with one character replaced, deleted or inserted."""
+    at = draw(st.integers(0, len(clean)))
+    op = draw(st.sampled_from(("replace", "delete", "insert")))
+    ch = draw(st.sampled_from(corruptions))
+    if op == "insert":
+        return clean[:at] + ch + clean[at:]
+    return clean[:at] + ("" if op == "delete" else ch) + clean[at + 1 :]
+
+
 @st.composite
 def spelled_literals(draw):
     """A random name (rank <= 3, up to 16 atoms), a literal of it with random
     blanks between tokens, and that literal with one character corrupted."""
     m = draw(st.integers(min_value=1, max_value=16))
-
-    def gap():
-        return draw(st.sampled_from(_GAPS))
-
-    def recipe(rank):
-        if rank == 0 or draw(st.integers(0, 3)) == 0:
-            return None
-        n = draw(st.integers(1, 3))
-        return tuple(
-            (recipe(rank - 1), tuple(draw(st.lists(st.integers(1, m), max_size=4))))
-            for _ in range(n)
-        )
-
-    def spell(r):
-        if r is None:
-            return "empty"
-        items = [
-            spell(child) + gap() + ":" + gap() + "{" + gap()
-            + (gap() + "," + gap()).join(map(str, atoms)) + gap() + "}"
-            for child, atoms in r
-        ]
-        return "name" + gap() + "{" + gap() + (gap() + "," + gap()).join(items) + gap() + "}"
-
-    r = recipe(3)
-    clean = gap() + spell(r) + gap()
-    at = draw(st.integers(0, len(clean)))
-    op = draw(st.sampled_from(("replace", "delete", "insert")))
-    ch = draw(st.sampled_from(_CORRUPTIONS))
-    if op == "insert":
-        corrupt = clean[:at] + ch + clean[at:]
-    else:
-        corrupt = clean[:at] + ("" if op == "delete" else ch) + clean[at + 1 :]
-    return m, r, clean, corrupt
+    r = _recipe(draw, m, 3)
+    clean = _gap(draw) + _spell(draw, r) + _gap(draw)
+    return m, r, clean, _corrupt(draw, clean, _CORRUPTIONS)
 
 
 def _outcome(text, universe):
@@ -301,6 +314,13 @@ def _outcome(text, universe):
         return parse_name_literal(text, universe).collapses
     except ParseError as exc:
         return str(exc), exc.pos
+
+
+def _lexed_in_full(outcome, text, algebra):
+    """``outcome`` in a fresh universe whose scan finds no literal's close, so
+    that it lexes every character and the parser reads every literal."""
+    with mock.patch.object(bvm, "_GROUP", re.compile(r"(?!)")):
+        return outcome(text, Universe(algebra))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -312,7 +332,89 @@ def test_literal_memo_agrees_with_a_fresh_parse(case):
     name = _build(warm, recipe)
     assert parse_name_literal(clean, warm) is name
     assert parse_name_literal(name_to_literal(name), warm) is name
-    assert _outcome(corrupt, Universe(algebra)) == _outcome(corrupt, warm)
+    reference = _lexed_in_full(_outcome, corrupt, algebra)
+    assert _outcome(corrupt, Universe(algebra)) == _outcome(corrupt, warm) == reference
+
+
+@st.composite
+def spelled_formulas(draw):
+    """Up to three random names (rank <= 3, up to 16 atoms) with a spelling
+    each, a formula over those spellings, ``empty`` and the free variable
+    ``x``, with random blanks, and that formula with one character corrupted."""
+    m = draw(st.integers(min_value=1, max_value=16))
+    spellings = [_spell(draw, _recipe(draw, m, 3)) for _ in range(draw(st.integers(1, 3)))]
+
+    def term(scope):
+        return draw(st.sampled_from(spellings + ["empty", "x", *scope]))
+
+    def formula(depth, scope):
+        kind = draw(st.integers(0, 4 if depth else 1))
+        if kind == 0:
+            return term(scope) + _gap(draw) + "=" + _gap(draw) + term(scope)
+        if kind == 1:
+            return term(scope) + " in " + term(scope)
+        if kind == 2:
+            return "!" + _gap(draw) + "(" + formula(depth - 1, scope) + ")"
+        if kind == 3:
+            op = draw(st.sampled_from(("&", "|", "->")))
+            return f"({formula(depth - 1, scope)}{_gap(draw)}{op}{_gap(draw)}{formula(depth - 1, scope)})"
+        var = f"v{len(scope)}"
+        quant = draw(st.sampled_from(("forall", "exists")))
+        return f"({quant} {var} in {term(scope)} . {formula(depth - 1, scope + (var,))})"
+
+    clean = _gap(draw) + formula(3, ()) + _gap(draw)
+    return m, spellings, clean, _corrupt(draw, clean, _CORRUPTIONS + "|&!.=->")
+
+
+def _shape(node):
+    """A formula with each literal replaced by its name's collapses, so that
+    formulas over two universes compare."""
+    if isinstance(node, Lit):
+        return node.name.collapses
+    if isinstance(node, str):
+        return node
+    return (type(node).__name__, *(_shape(getattr(node, f.name)) for f in dataclasses.fields(node)))
+
+
+def _formula_outcome(text, universe):
+    try:
+        return _shape(parse(text, universe, free_names={"x"}))
+    except ParseError as exc:
+        return type(exc).__name__, str(exc), exc.pos
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spelled_formulas())
+def test_formula_literal_memo_agrees_with_a_fresh_parse(case):
+    # the warm universe's memo holds every spelling, so its scan passes over
+    # them; the cold one passes over repeats only, and the reference over none
+    m, spellings, clean, corrupt = case
+    algebra = BooleanAlgebra(m)
+    warm = Universe(algebra)
+    for text in spellings:
+        parse_name_literal(text, warm)
+    for text in (clean, corrupt):
+        outcome = _formula_outcome(text, warm)
+        assert outcome == _formula_outcome(text, Universe(algebra))
+        assert outcome == _lexed_in_full(_formula_outcome, text, algebra)
+    assert _formula_outcome(clean, warm)[0] not in ("ParseError", "UnboundVariableError")
+
+
+def test_a_formula_of_remembered_literals_scans_to_its_skeleton():
+    uni = Universe(BooleanAlgebra(6))
+    rng = np.random.default_rng(11)
+    names = [u for u in (random_name(uni, rng, 3, 3) for _ in range(40)) if u.rank >= 2][:4]
+    assert len(names) == 4
+    literals = [name_to_literal(u) for u in names]
+    for text in literals:
+        parse_name_literal(text, uni)
+    skeleton = "(forall v0 in {0} . v0 in {1}) & !({2} = {3} | {1} in {0}) -> exists v1 in {3} . {2} = v1"
+    text = skeleton.format(*literals)
+    tokens = scan(text, _PUNCT, uni._literal_memo)
+    assert len(tokens) == len(scan(skeleton.format("a", "b", "c", "d"), _PUNCT))
+    assert len(tokens) < len(scan(text, _PUNCT))
+    f = parse(text, uni)
+    assert f.left.left.domain.name is names[0] and f.right.body.left.name is names[2]
 
 
 def test_literal_memo_stays_within_its_cap():

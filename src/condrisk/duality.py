@@ -23,6 +23,7 @@ from .riskcore import (
     CHUNK_ELEMENTS,
     CondRiskMeasure,
     _admissible_mask,
+    _check_tol,
     _row_batches,
     cond_avar,
     cond_worst_case,
@@ -481,12 +482,6 @@ def dual_representation(
     effect.
     """
     return _represent(measure, x, measure.evaluate(x).values)
-
-
-def _check_tol(tol: float) -> None:
-    """Refuse a tolerance that no comparison can use: NaN, negative or infinite."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 @dataclass

@@ -538,46 +538,82 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _equal_mass_groups(space: FiniteProbSpace) -> list:
-    """Atoms of equal conditional mass in each block, as index arrays.
+def _check_trials(trials) -> None:
+    """Refuse a trial count that is not a positive integer, by name."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that no comparison can use: NaN, negative or infinite."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def _equal_mass_groups(space: FiniteProbSpace) -> tuple:
+    """Groups of atoms of one block whose conditional masses agree to 12
+    decimals: the atoms of every group, group after group and in block
+    order inside each, and the group label of each.
 
     A conditional law survives any shuffle inside a group.  One-atom groups
-    are left out: their shuffle is the identity and draws nothing.
+    are left out: their shuffle is the identity.
     """
-    groups = []
-    for j in range(1, space.n_blocks + 1):
-        idx = space.block_index_array(j)
-        q = space.cond_probs(j)
-        for mass in np.unique(np.round(q, 12)):
-            group = idx[np.abs(q - mass) <= 1e-12]
-            if group.size > 1:
-                groups.append(group)
-    return groups
+    mass = np.round(space._cond_in_order, 12)
+    # stable: a group's atoms stay in block order
+    s = np.lexsort((mass, space._block_in_order))
+    block, mass = space._block_in_order[s], mass[s]
+    label = np.cumsum(np.r_[True, (block[1:] != block[:-1]) | (mass[1:] != mass[:-1])]) - 1
+    shared = np.bincount(label)[label] > 1
+    return space.order[s][shared], label[shared]
 
 
-def _draw_trials(axiom: str, space: FiniteProbSpace, groups: list, rng, size: int) -> list:
-    """Inputs of ``size`` trials, drawn trial after trial and stacked: the
-    payoffs x, then what the axiom needs."""
+# the inputs a trial may draw, each from its own child stream of the seed, in
+# the order of ``SeedSequence(seed).spawn``; trial t is row t of each stream
+TRIAL_INPUTS = ("x", "y", "eta", "up", "on", "keys")
+# what a trial of each axiom draws: the payoffs x, then what the axiom needs
+_AXIOM_INPUTS = {
+    "convexity": ("x", "y", "eta"),
+    "monotonicity": ("x", "up"),
+    "cash_invariance": ("x", "eta"),
+    "local_property": ("x", "on"),
+    "conditional_law_invariance": ("x", "keys"),
+}
+
+
+def _trial_streams(axiom: str, seed: int) -> list:
+    """One generator for each input of ``axiom``, on that input's child stream."""
+    children = np.random.SeedSequence(seed).spawn(len(TRIAL_INPUTS))
+    return [np.random.default_rng(children[TRIAL_INPUTS.index(name)]) for name in _AXIOM_INPUTS[axiom]]
+
+
+def _draw_trials(axiom: str, space: FiniteProbSpace, streams: list, groups: tuple, size: int) -> list:
+    """Inputs of the next ``size`` trials, one generator call per input array.
+
+    Trial t is row t of each input's stream, wherever the batches are cut.
+    A law-preserving permutation sorts each equal-mass group (``groups``, as
+    ``_equal_mass_groups`` gives it) by the trial's keys, one random key per
+    atom: the group's i-th slot takes the atom with the group's i-th
+    smallest key.  Atoms outside every group keep their place.
+    """
     n, m = space.n_atoms, space.n_blocks
-
-    def trial() -> tuple:
-        x = rng.normal(0.0, 2.0, n)
-        if axiom == "convexity":
-            return x, rng.normal(0.0, 2.0, n), rng.uniform(0.0, 1.0, m)
-        if axiom == "monotonicity":
-            return x, np.abs(rng.normal(0.0, 1.0, n))
-        if axiom == "cash_invariance":
-            return x, rng.normal(0.0, 2.0, m)
-        if axiom == "local_property":
-            # a uniform element of the block algebra: each block in with chance 1/2
-            return x, rng.random(m) < 0.5
-        # conditional_law_invariance: a law-preserving permutation of the atoms
-        perm = np.arange(n)
-        for group in groups:
-            perm[group] = rng.permutation(perm[group])
-        return x, perm
-
-    return [np.stack(col) for col in zip(*(trial() for _ in range(size)))]
+    x, rng = streams[0].normal(0.0, 2.0, (size, n)), streams[1]
+    if axiom == "convexity":
+        return [x, rng.normal(0.0, 2.0, (size, n)), streams[2].uniform(0.0, 1.0, (size, m))]
+    if axiom == "monotonicity":
+        return [x, np.abs(rng.normal(0.0, 1.0, (size, n)))]
+    if axiom == "cash_invariance":
+        return [x, rng.normal(0.0, 2.0, (size, m))]
+    if axiom == "local_property":
+        # a uniform element of the block algebra: each block in with chance 1/2
+        return [x, rng.random((size, m)) < 0.5]
+    members, labels = groups
+    perm = np.arange(n)[None].repeat(size, axis=0)
+    if members.size:
+        # one stable sort by (group label, key): numpy orders complex numbers
+        # by their real parts, then by their imaginary parts
+        keys = rng.random((size, n))[:, members]
+        perm[:, members] = members[np.argsort(labels + 1j * keys, axis=-1, kind="stable")]
+    return [x, perm]
 
 
 def _axiom_sides(axiom: str, space: FiniteProbSpace, risk, x: np.ndarray, *drawn):
@@ -601,7 +637,7 @@ def _axiom_sides(axiom: str, space: FiniteProbSpace, risk, x: np.ndarray, *drawn
         lhs, rhs = risk(x), risk(x * space.broadcast(on))
         return lhs, rhs, on & (np.abs(lhs - rhs) > AXIOM_TOL)
     (perm,) = drawn
-    lhs, rhs = risk(x), risk(np.take_along_axis(x, perm, axis=-1))
+    lhs, rhs = risk(x), risk(x[np.arange(len(x))[:, None], perm])
     return lhs, rhs, np.abs(lhs - rhs) > AXIOM_TOL
 
 
@@ -644,23 +680,23 @@ def check_axiom(
 ) -> AxiomReport:
     """Sampled check of one defining axiom; violations become report content.
 
-    Trials are drawn one after another from one generator and evaluated in
-    row batches.  The batches double in size up to about CHUNK_ELEMENTS
-    payoff entries, so an early failure costs few evaluations and memory
-    does not grow with ``trials``.  The first failing trial is reported; a
-    non-finite risk in that trial or an earlier one raises RiskMeasureError,
-    and an error the measure raises there is raised.
+    Each input of a trial (``TRIAL_INPUTS``) has its own child stream of
+    ``SeedSequence(seed)``, and trial t is row t of each stream.  Trials are
+    drawn and evaluated in row batches that double in size up to about
+    CHUNK_ELEMENTS payoff entries, so an early failure costs few evaluations
+    and memory does not grow with ``trials``.  The first failing trial is
+    reported; a non-finite risk in that trial or an earlier one raises
+    RiskMeasureError, and an error the measure raises there is raised.
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     _check_seed(seed)
     space = measure.space
-    rng = np.random.default_rng(seed)
-    groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else []
+    streams = _trial_streams(axiom, seed)
+    groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else None
     for done, size in _row_batches(space.n_atoms, trials):
-        inputs = _draw_trials(axiom, space, groups, rng, size)
+        inputs = _draw_trials(axiom, space, streams, groups, size)
         found = _first_failure(measure, axiom, inputs)
         if found is not None:
             first, block, lhs, rhs = found
@@ -766,6 +802,7 @@ def check_convergence_property(
     """
     if prop not in ("fatou", "lebesgue"):
         raise ValueError("property must be 'fatou' or 'lebesgue'")
+    _check_tol(tol)
     sequence.check_dominated()
 
     if isinstance(sequence, EventuallyConstantSeq):
@@ -775,20 +812,25 @@ def check_convergence_property(
     if not isinstance(sequence, ShrinkingPerturbationSeq):
         raise TypeError("unsupported sequence spec")
 
+    space = measure.space
     ns = sorted({min(2**k, sequence.n_max) for k in range(0, 64) if 2**k <= sequence.n_max} | {sequence.n_max})
-    limit = measure.space._check_rv(sequence.limit())
-    risks = measure.evaluate_batch(np.stack([limit] + [sequence.term(n).values for n in ns]))
+    limit = space._check_rv(sequence.limit())
+    # x + d / n for every sampled n, as ``term`` builds each
+    terms = limit + space._check_rv(sequence.d) / np.array(ns)[:, None]
+    if not np.all(np.isfinite(terms)):
+        raise ValueError("random variable entries must be finite")
+    risks = measure.evaluate_batch(np.concatenate([limit[None], terms]))
     if not np.all(np.isfinite(risks)):
         raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
     limit_vals, values = risks[0], risks[1:]
-    devs = [float(np.max(np.abs(v - limit_vals))) for v in values]
+    devs = np.max(np.abs(values - limit_vals), axis=1).tolist()
     order = None
     if len(ns) >= 2 and devs[-1] > 0 and devs[-2] > 0:
         order = math.log(devs[-2] / devs[-1]) / math.log(ns[-1] / ns[-2])
     if prop == "fatou":
         # liminf estimated from the last sampled indices; the truncation error
         # there is O(1/n_max), which the caller's tolerance must absorb
-        tail = np.min(np.stack(values[-2:]), axis=0)
+        tail = np.min(values[-2:], axis=0)
         passed = bool(np.all(tail >= limit_vals - tol))
     else:
         passed = devs[-1] <= tol

@@ -16,7 +16,6 @@ import numpy as np
 
 from .duality import (
     DualVariable,
-    _check_tol,
     admissible_dual,
     fenchel,
     penalty_map,
@@ -31,6 +30,7 @@ from .riskcore import (
     ScalarizeError,
     ShrinkingPerturbationSeq,
     _check_seed,
+    _check_tol,
     check_axiom,
     check_convergence_property,
 )

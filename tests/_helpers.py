@@ -237,7 +237,29 @@ def reference_elements(m: int):
 
 # -- one-trial-at-a-time reference for the axiom checker ----------------------------
 # Each trial is drawn and judged on its own with ``evaluate``, which raises on a
-# non-finite risk; the batched checker must agree report for report.
+# non-finite risk; the batched checker must agree report for report.  Every input
+# of a trial has its own child stream of ``SeedSequence(seed)``, and trial t is
+# row t of each stream: here one row is drawn per trial.
+
+
+def reference_trial_streams(seed):
+    """One generator per trial input, on that input's child stream."""
+    children = np.random.SeedSequence(seed).spawn(6)
+    return dict(zip(("x", "y", "eta", "up", "on", "keys"), map(np.random.default_rng, children)))
+
+
+def reference_law_permutation(space, keys):
+    """One trial's law-preserving permutation from its key row: the atoms of
+    a block whose conditional masses agree to 12 decimals, sorted by their
+    keys."""
+    perm = np.arange(space.n_atoms)
+    for j in range(1, space.n_blocks + 1):
+        idx = space.block_index_array(j)
+        q = np.round(space.cond_probs(j), 12)
+        for mass in np.unique(q):
+            group = idx[q == mass]
+            perm[group] = group[np.argsort(keys[group], kind="stable")]
+    return perm
 
 
 def reference_check_axiom(measure, axiom, trials, seed):
@@ -246,13 +268,14 @@ def reference_check_axiom(measure, axiom, trials, seed):
     from condrisk.riskcore import AXIOM_TOL, AxiomReport
 
     space = measure.space
-    rng = np.random.default_rng(seed)
+    n, m = space.n_atoms, space.n_blocks
+    streams = reference_trial_streams(seed)
     for trial in range(trials):
-        xv = rng.normal(0.0, 2.0, space.n_atoms)
+        xv = streams["x"].normal(0.0, 2.0, n)
         x = RandomVariable(xv)
         if axiom == "convexity":
-            y = RandomVariable(rng.normal(0.0, 2.0, space.n_atoms))
-            eta = ConditionalValue(rng.uniform(0.0, 1.0, space.n_blocks))
+            y = RandomVariable(streams["y"].normal(0.0, 2.0, n))
+            eta = ConditionalValue(streams["eta"].uniform(0.0, 1.0, m))
             weight = space.lift(eta).values
             mix = RandomVariable(weight * x.values + (1.0 - weight) * y.values)
             lhs = measure.evaluate(mix).values
@@ -261,29 +284,23 @@ def reference_check_axiom(measure, axiom, trials, seed):
             ) * measure.evaluate(y).values
             bad = lhs > rhs + AXIOM_TOL
         elif axiom == "monotonicity":
-            y = RandomVariable(xv + np.abs(rng.normal(0.0, 1.0, space.n_atoms)))
+            y = RandomVariable(xv + np.abs(streams["up"].normal(0.0, 1.0, n)))
             lhs = measure.evaluate(y).values
             rhs = measure.evaluate(x).values
             bad = lhs > rhs + AXIOM_TOL
         elif axiom == "cash_invariance":
-            eta = ConditionalValue(rng.normal(0.0, 2.0, space.n_blocks))
+            eta = ConditionalValue(streams["eta"].normal(0.0, 2.0, m))
             lhs = measure.evaluate(x + space.lift(eta)).values
             rhs = measure.evaluate(x).values - eta.values
             bad = np.abs(lhs - rhs) > AXIOM_TOL
         elif axiom == "local_property":
-            on = rng.random(space.n_blocks) < 0.5
+            on = streams["on"].random(m) < 0.5
             cut = RandomVariable(x.values * space.broadcast(on))
             lhs = measure.evaluate(x).values
             rhs = measure.evaluate(cut).values
             bad = on & (np.abs(lhs - rhs) > AXIOM_TOL)
         else:  # conditional_law_invariance
-            perm = np.arange(space.n_atoms)
-            for j in range(1, space.n_blocks + 1):
-                idx = space.block_index_array(j)
-                q = space.cond_probs(j)
-                for mass in np.unique(np.round(q, 12)):
-                    group = idx[np.abs(q - mass) <= 1e-12]
-                    perm[group] = rng.permutation(perm[group])
+            perm = reference_law_permutation(space, streams["keys"].random(n))
             lhs = measure.evaluate(x).values
             rhs = measure.evaluate(RandomVariable(xv[perm])).values
             bad = np.abs(lhs - rhs) > AXIOM_TOL

@@ -15,8 +15,10 @@ from _helpers import (
     reference_admissible_dual,
     reference_check_axiom,
     reference_cond_ops,
+    reference_law_permutation,
     reference_penalty,
     reference_risk,
+    reference_trial_streams,
 )
 from condrisk import (
     CondRiskMeasure,
@@ -310,6 +312,33 @@ def test_check_axiom_matches_one_trial_at_a_time(case, seed):
                     got = check_axiom(measure, axiom, 25, seed)
                 assert (got.passed, got.trials) == (want.passed, want.trials)
                 assert repr(got.counterexample) == repr(want.counterexample)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(cases(), st.integers(0, 2**16))
+def test_law_permutations_shuffle_equal_mass_groups_only(case, seed):
+    space, _, gamma, lam, _, _, _ = case
+    axiom = "conditional_law_invariance"
+    # batches of 1, 2 and 4 trials: trial t is row t of the key stream
+    streams = riskcore._trial_streams(axiom, seed)
+    groups = riskcore._equal_mass_groups(space)
+    perms = np.concatenate(
+        [riskcore._draw_trials(axiom, space, streams, groups, size)[1] for size in (1, 2, 4)]
+    )
+    keys = reference_trial_streams(seed)["keys"]
+    for perm in perms:
+        # a permutation inside each block that keeps every conditional mass:
+        # each equal-mass group onto itself, every other atom fixed
+        assert np.array_equal(np.sort(perm), np.arange(space.n_atoms))
+        assert np.array_equal(space.block_of[perm], space.block_of)
+        assert np.array_equal(space.cond[perm], space.cond)
+        assert np.array_equal(perm, reference_law_permutation(space, keys.random(space.n_atoms)))
+    # one trial per batch and the default batches give the same reports
+    for measure in _axiom_measures(space, gamma, lam):
+        for axiom in AXIOMS:
+            with mock.patch.object(riskcore, "CHUNK_ELEMENTS", space.n_atoms):
+                one = check_axiom(measure, axiom, 25, seed)
+            assert repr(one.to_dict()) == repr(check_axiom(measure, axiom, 25, seed).to_dict())
 
 
 # -- the packed-key sort of long AVaR rows -----------------------------------------

@@ -635,9 +635,10 @@ def stable_sublevel_check(
 
     ``f`` is called through its row form ``f.rows`` where it has one (every
     ``penalty_map`` has), else on one payoff at a time, in order.  The probe
-    is screened in one call.  The walk pastes its choices in row batches that
-    double up to about CHUNK_ELEMENTS payoff entries and stops after the
-    batch that holds the first violation, which it reports.  The rays are
+    is screened in one call.  The walk pastes its choices in row batches
+    (``_row_batches``) of about CHUNK_ELEMENTS >> 5 payoff entries at first,
+    doubling up to about CHUNK_ELEMENTS, and stops after the batch that holds
+    the first violation, which it reports.  The rays are
     taken step by step, t = 1, 2, 4, ..., SUBLEVEL_RAY_BOUND: each step is
     one call on the directions that are still inside the set on some block,
     and a step of such a direction past float range raises the payoff's

@@ -1,8 +1,11 @@
 """Model-space gauges: Lp and Orlicz style block norms, Young conjugation.
 
 Young functions are represented by an evaluator plus a sample grid.  The
-conjugate is computed variationally (grid scan, range doubling, golden-section
-polish); closed forms exist only case by case, so none are assumed.
+conjugate is computed variationally (range doubling, then Brent's bounded
+search for the maximum); closed forms exist only case by case, so none are
+assumed.  A Luxemburg gauge is the root of a decreasing function of the
+scale, bracketed by doubling and halving and then shrunk by the Illinois
+regula falsi.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ import numpy as np
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the golden-section step of Brent's search, as a share of the longer side
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
 
 LUXEMBURG_TOL = 1e-10
 # values a Young function keeps memoised; the memo is cleared when it is full
@@ -144,22 +150,65 @@ def young_power(p: float) -> YoungFunction:
     return YoungFunction(lambda t: t**p / p, grid, finite_valued=True, name=f"t^{p:g}/{p:g}")
 
 
-def _golden_max(g: Callable[[float], float], lo: float, hi: float, iters: int = 80):
-    """Maximum of a unimodal function on [lo, hi]; returns (argmax, value)."""
+def _brent_max(g: Callable[[float], float], lo: float, hi: float):
+    """Maximum of a unimodal function on [lo, hi]; returns (argmax, value).
+
+    Brent's bounded search (Algorithms for Minimization without Derivatives,
+    1973): parabolic steps through the three best points, golden sections
+    where a parabola would not shrink the bracket.  It stops when the
+    bracket around the best point is within float resolution of it, sqrt(eps)
+    relative (a smooth maximum's value no longer moves in float) plus eps of
+    [lo, hi].  Both endpoints are compared at the end, so a maximum at an end
+    of [lo, hi] is exact.
+    """
     a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = g(x2)
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = -g(x)
+    d = e = 0.0
+    floor = _EPS * (hi - lo)
+    while True:
+        mid = 0.5 * (a + b)
+        tol = _SQRT_EPS * abs(x) + floor
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol:
+            # the vertex x + p / q of the parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # taken only inside the bracket and shorter than half the step
+            # before last, so the steps shrink
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if x + d - a < 2.0 * tol or b - (x + d) < 2.0 * tol:
+                    d = tol if x < mid else -tol
+        if not parabolic:
+            e = (b if x < mid else a) - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = -g(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = g(x1)
-    pts = [(lo, g(lo)), (x1, f1), (x2, f2), (hi, g(hi))]
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    pts = [(lo, g(lo)), (x, -fx), (hi, g(hi))]
     return max(pts, key=lambda p: p[1])
 
 
@@ -176,7 +225,7 @@ def _conjugate_value(phi: YoungFunction, r: float, *, tol: float = 1e-11) -> flo
 
     bound = phi.finite_domain_bound()
     if math.isfinite(bound):
-        _, val = _golden_max(g, 0.0, bound)
+        _, val = _brent_max(g, 0.0, bound)
         return max(val, 0.0)
 
     # phi finite everywhere: expand until the slope of phi overtakes r,
@@ -187,7 +236,7 @@ def _conjugate_value(phi: YoungFunction, r: float, *, tol: float = 1e-11) -> flo
     for _ in range(90):
         slope = (phi(s_hi) - phi(0.5 * s_hi)) / (0.5 * s_hi)
         if not math.isfinite(slope) or slope > r:
-            _, val = _golden_max(g, 0.0, s_hi)
+            _, val = _brent_max(g, 0.0, s_hi)
             return max(val, 0.0)
         new_best = max(best, g(2.0 * s_hi))
         streak = streak + 1 if new_best > best + tol else 0
@@ -255,7 +304,16 @@ class ModuleSpec:
 
 
 def _luxemburg_block(phi: YoungFunction, q: np.ndarray, absvals: np.ndarray) -> float:
-    """inf{lam > 0 : E[phi(|x|/lam)] <= 1} on one block, by bisection."""
+    """inf{lam > 0 : E[phi(|x|/lam)] <= 1} on one block.
+
+    h(lam) = E[phi(|x|/lam)] decreases in lam.  A bracket h(hi) <= 1 < h(lo)
+    is found by doubling and halving from max |x|, then shrunk by the
+    Illinois regula falsi (Dowell and Jarratt, BIT 1971) on log h against
+    log lam, a straight line for a power Young function, until
+    hi - lo <= LUXEMBURG_TOL or no float lies between them; hi is returned.
+    Each step lands at least LUXEMBURG_TOL / 2 inside the bracket, and a
+    bracket end where log h is not finite takes the midpoint instead.
+    """
     top = float(absvals.max())
     if top == 0.0:
         return 0.0
@@ -269,24 +327,49 @@ def _luxemburg_block(phi: YoungFunction, q: np.ndarray, absvals: np.ndarray) -> 
             total += w * val
         return total
 
-    hi = top if top > 0 else 1.0
+    hi = top
     for _ in range(200):
-        if h(hi) <= 1.0:
+        h_hi = h(hi)
+        if h_hi <= 1.0:
             break
         hi *= 2.0
     lo = hi
     for _ in range(200):
         lo *= 0.5
-        if h(lo) > 1.0:
+        h_lo = h(lo)
+        if h_lo > 1.0:
             break
         if lo < 1e-300:
             return 0.0
+        hi, h_hi = lo, h_lo
+
+    def log(v: float) -> float:
+        return math.log(v) if 0.0 < v < math.inf else math.nan
+
+    f_lo, f_hi = log(h_lo), log(h_hi)
+    side = 0  # the end the last step moved: -1 lo, +1 hi
+    half = 0.5 * LUXEMBURG_TOL
     while hi - lo > LUXEMBURG_TOL:
         mid = 0.5 * (lo + hi)
-        if h(mid) <= 1.0:
-            hi = mid
+        if math.isfinite(f_lo) and math.isfinite(f_hi):
+            u_lo, u_hi = math.log(lo), math.log(hi)
+            cut = math.exp(u_hi - f_hi * (u_hi - u_lo) / (f_hi - f_lo))
+            cut = min(max(cut, lo + half), hi - half)
+            if lo < cut < hi:
+                mid = cut
+        if not lo < mid < hi:
+            break
+        h_mid = h(mid)
+        if h_mid <= 1.0:
+            hi, f_hi = mid, log(h_mid)
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
         else:
-            lo = mid
+            lo, f_lo = mid, log(h_mid)
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
     return hi
 
 
@@ -330,9 +413,8 @@ def _assert_conjugate_pair(first: ModuleSpec, second: ModuleSpec) -> None:
             raise ConjugacyError(f"L{first.p:g} and L{second.p:g} are not Holder conjugate")
         return
     if first.kind != "lp" and second.kind != "lp":
-        psi = young_conjugate(first.phi)
         for t in np.geomspace(0.05, 4.0, 9):
-            a, b = psi(t), second.phi(t)
+            a, b = _conjugate_value(first.phi, t), second.phi(t)
             both_inf = math.isinf(a) and math.isinf(b)
             if not both_inf and abs(a - b) > 1e-5 * max(1.0, abs(a)):
                 raise ConjugacyError(

@@ -189,9 +189,14 @@ class CondRiskMeasure:
 
 
 def _row_batches(n_atoms: int, total: int):
-    """``(start, size)`` of row batches that cover ``total`` rows, the sizes
-    doubling from 1 up to about CHUNK_ELEMENTS payoff entries."""
-    start, size, cap = 0, 1, max(1, CHUNK_ELEMENTS // n_atoms)
+    """``(start, size)`` of row batches that cover ``total`` rows.
+
+    The first batch holds about CHUNK_ELEMENTS >> 5 payoff entries (at least
+    one row), so a small space starts with as many rows as a call can take
+    for about its fixed cost; the sizes then double up to about
+    CHUNK_ELEMENTS entries."""
+    cap = max(1, CHUNK_ELEMENTS // n_atoms)
+    start, size = 0, max(1, (CHUNK_ELEMENTS >> 5) // n_atoms)
     while start < total:
         size = min(size, cap, total - start)
         yield start, size
@@ -533,8 +538,8 @@ AXIOM_TOL = 1e-9
 
 
 def _check_seed(seed) -> None:
-    """Refuse a seed that numpy's generators cannot take, by name."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """Refuse a seed that numpy's generators cannot take, or a bool, by name."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -682,9 +687,10 @@ def check_axiom(
 
     Each input of a trial (``TRIAL_INPUTS``) has its own child stream of
     ``SeedSequence(seed)``, and trial t is row t of each stream.  Trials are
-    drawn and evaluated in row batches that double in size up to about
-    CHUNK_ELEMENTS payoff entries, so an early failure costs few evaluations
-    and memory does not grow with ``trials``.  The first failing trial is
+    drawn and evaluated in row batches (``_row_batches``) of about
+    CHUNK_ELEMENTS >> 5 payoff entries at first, doubling up to about
+    CHUNK_ELEMENTS, so an early failure costs few evaluations and memory does
+    not grow with ``trials``.  The first failing trial is
     reported; a non-finite risk in that trial or an earlier one raises
     RiskMeasureError, and an error the measure raises there is raised.
     """

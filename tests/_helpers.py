@@ -51,6 +51,21 @@ def random_formula(universe: Universe, rng, depth: int, scope=()):
     return cls(var, term(), random_formula(universe, rng, depth - 1, scope + (var,)))
 
 
+def spy_calls(monkeypatch, owner, name: str) -> list:
+    """Route ``owner.name`` through a wrapper that records the positional
+    arguments of each call, in order; the returned list grows as it runs.
+    Work pins count these calls instead of timing them."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 # -- plain per-block reference for the blockwise layer ------------------------------
 # Built from the wire description (probs and blocks) only, one Python loop per
 # block, so it shares no code with the block layout of FiniteProbSpace.

@@ -343,7 +343,7 @@ def test_verify_interp_props_refuses_no_samples(s4, samples):
         verify_interp_props(s4, samples=samples)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_verify_interp_props_refuses_a_bad_seed(s4, seed):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         verify_interp_props(s4, seed=seed)

@@ -38,7 +38,7 @@ from _helpers import (
     reference_sublevel_walk,
     user_entropic,
 )
-from condrisk import duality
+from condrisk import duality, riskcore
 from condrisk.duality import SUBLEVEL_MAX_COMBOS, DualityError
 from condrisk.riskcore import BUILTIN_FACTORIES
 
@@ -772,10 +772,12 @@ def test_row_form_walk_reports_the_first_violation_in_product_order():
         assert rep.mixing_violation["choice"] == [probes[k].values.tolist() for k in choices[first]]
         # one call screens the probe and one takes every ray at its first
         # step, where all 8 leave the set; the walk between them pastes
-        # batches of 1, 2, 4, ... rows and stops with the batch that holds the
-        # first violation
+        # batches of about CHUNK_ELEMENTS >> 5 payoff entries, 227 rows of 9
+        # atoms, then 29 rows, and stops with the batch that holds the first
+        # violation
         assert seen[0] == 4 and seen[-1] == 8
-        assert sum(seen[1:-1]) == 2 ** (first + 1).bit_length() - 1
+        head = (riskcore.CHUNK_ELEMENTS >> 5) // space.n_atoms
+        assert seen[1:-1] == ([head] if first < head else [head, 256 - head])
 
 
 def _hook_variant(hook, variant):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _helpers import spy_calls
 from condrisk import (
     ModuleSpec,
     RandomVariable,
@@ -13,7 +16,8 @@ from condrisk import (
     young_conjugate,
     young_power,
 )
-from condrisk.modelspaces import YOUNG_MEMO_CAP, ConjugacyError, YoungFunctionError
+from condrisk import FiniteProbSpace, modelspaces
+from condrisk.modelspaces import LUXEMBURG_TOL, YOUNG_MEMO_CAP, ConjugacyError, YoungFunctionError
 
 
 def indicator_young():
@@ -162,15 +166,93 @@ def test_holder_seeded(s4):
             assert inequality_check(x, y, pair, s4).holds
 
 
-def test_young_memo_stays_under_its_cap(space8):
+def test_young_memo_stays_under_its_cap():
+    # the gauge of a double conjugate over 1,536 atoms asks the base
+    # function for more distinct values than its memo holds
+    space = FiniteProbSpace(np.full(1536, 1 / 1536), np.arange(1, 1537).reshape(8, 192).tolist())
     phi = young_power(2)
     calls = []
     evaluator = phi._fn
     phi._fn = lambda t: calls.append(t) or evaluator(t)
     psi = young_conjugate(phi)
     phi2 = young_conjugate(psi)
-    x = RandomVariable(np.random.default_rng(2024).normal(0.0, 2.0, 8))
-    module_gauge(ModuleSpec.orlicz(phi2), x, space8)
+    x = RandomVariable(np.random.default_rng(2024).normal(0.0, 2.0, space.n_atoms))
+    module_gauge(ModuleSpec.orlicz(phi2), x, space)
     assert len(calls) > YOUNG_MEMO_CAP  # the cap was reached
     for f in (phi, psi, phi2):
         assert len(f._memo) <= YOUNG_MEMO_CAP
+
+
+# -- work pins: evaluator calls, counted -----------------------------------------------
+
+
+@pytest.mark.parametrize("r", [0.5, 3.0, 17.0])
+def test_conjugate_value_of_square_takes_few_evaluations(monkeypatch, r):
+    # a fixed 80-step golden section took 79 to 84 evaluations here
+    phi = young_power(2)
+    calls = spy_calls(monkeypatch, phi, "_fn")
+    assert modelspaces._conjugate_value(phi, r) == pytest.approx(r * r / 2.0, abs=1e-12)
+    assert len(calls) <= 25, len(calls)
+
+
+def test_orlicz_gauge_of_a_conjugate_takes_few_evaluations(monkeypatch, space8):
+    # each evaluation of psi is a search over phi: 88 evaluations of phi
+    # here, where bisecting the gauge over golden sections for psi took 12,709
+    phi = young_power(2)
+    psi = young_conjugate(phi)
+    calls = spy_calls(monkeypatch, phi, "_fn")
+    x = RandomVariable(np.random.default_rng(2024).normal(0.0, 2.0, 8))
+    g = module_gauge(ModuleSpec.orlicz(psi), x, space8).values
+    # psi is t^2/2, so the gauge is sqrt(E[x^2 | block] / 2)
+    want = np.sqrt(space8.cond_expect(RandomVariable(x.values**2)).values / 2.0)
+    assert np.allclose(g, want, rtol=0, atol=1e-9)
+    assert len(calls) <= 300, len(calls)
+
+
+def test_orlicz_pairing_builds_no_young_function(monkeypatch, s4):
+    # the conjugacy check reads the conjugate at its 9 points; it built a
+    # whole conjugate Young function (64 grid points) only to compare them
+    phi = young_power(2)
+    pair = (ModuleSpec.orlicz(phi), ModuleSpec.orlicz(young_conjugate(phi)))
+    built = spy_calls(monkeypatch, YoungFunction, "__init__")
+    x, y = RandomVariable([1, 3, 2, 6]), RandomVariable([0.5, -1, 2, 1])
+    assert inequality_check(x, y, pair, s4).holds
+    assert built == []
+
+
+def test_gauge_of_large_payoffs_terminates(s4):
+    # at |x| near 1e7 adjacent floats are more than LUXEMBURG_TOL apart, and
+    # halving a bracket of two of them never ends; the search stops there
+    x = RandomVariable([1e7, 3e6, 2e7, 5e6])
+    g = module_gauge(ModuleSpec.orlicz(young_power(2)), x, s4).values
+    want = np.sqrt(s4.cond_expect(RandomVariable(x.values**2)).values / 2.0)
+    assert np.allclose(g, want, rtol=1e-15, atol=0)
+
+
+# -- accuracy of the searches against closed forms -------------------------------------
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.floats(1.2, 4.0), st.floats(0.0, 2.0))
+def test_conjugate_of_power_matches_its_closed_form(p, t):
+    # (t^p/p)* = t^q/q with 1/p + 1/q = 1.  Kept to t <= 2: for p near 1.2
+    # and larger t the range doubling declares +inf before the slope of phi
+    # overtakes t
+    q = holder_conjugate(p)
+    want = t**q / q
+    assert young_conjugate(young_power(p))(t) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.floats(1.0, 4.0),
+    st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8),
+    st.floats(1e-3, 1.0),
+)
+def test_orlicz_gauge_of_power_matches_its_closed_form(p, xs, scale):
+    # E[(|x|/lam)^p / p | block] = 1 at lam = (E[|x|^p | block] / p)^(1/p)
+    space = FiniteProbSpace(np.arange(1, 9) / 36, [[1, 2, 3], [4, 5, 6], [7, 8]])
+    x = RandomVariable(np.array(xs) * scale)
+    g = module_gauge(ModuleSpec.orlicz(young_power(p)), x, space).values
+    want = (space.cond_expect(RandomVariable(np.abs(x.values) ** p)).values / p) ** (1.0 / p)
+    assert np.all(np.abs(g - want) <= 3 * LUXEMBURG_TOL), (g, want)

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from _helpers import reference_check_axiom, reference_trial_streams
+from _helpers import reference_check_axiom, reference_trial_streams, spy_calls
 from condrisk import (
     AXIOMS,
     CondRiskMeasure,
@@ -275,8 +275,9 @@ def test_batch_of_wrong_shape_refused_for_every_caller(s4, shape):
 
 
 def test_early_failure_among_many_trials_is_cheap(s4):
-    # 10**9 trials: the batches grow from one trial, so the failure at trial 3
-    # is found after a few small batches, not after 10**9 x 4 drawn entries
+    # 10**9 trials: the first batch holds about CHUNK_ELEMENTS >> 5 payoff
+    # entries (512 trials of 4 atoms), so the failure at trial 3 is found in
+    # that one small batch, not after 10**9 x 4 drawn entries
     tracemalloc.start()
     try:
         report = check_axiom(broken_measure(s4), "convexity", trials=10**9, seed=11)
@@ -334,6 +335,15 @@ def test_law_trials_draw_one_array_per_input_and_batch(monkeypatch):
     assert _CountingGenerator.calls <= 2 * batches, (_CountingGenerator.calls, batches)
 
 
+def test_small_space_checks_its_trials_in_one_batch(monkeypatch, space8):
+    # the first batch holds about CHUNK_ELEMENTS >> 5 payoff entries: 256
+    # trials of 8 atoms.  Batches of 1, 2, 4, ... trials took 8 here
+    batches = spy_calls(monkeypatch, riskcore, "_first_failure")
+    report = check_axiom(neg_cond_expectation(space8), "conditional_law_invariance", 200)
+    assert report.passed
+    assert [len(inputs[0]) for _, _, inputs in batches] == [200]
+
+
 def test_near_equal_masses_fall_in_one_group_each():
     # conditional masses 4e-13 apart round to two 12-decimal values; grouping
     # each rounded value with every atom within 1e-12 of it put the middle
@@ -355,7 +365,7 @@ def test_bad_trials_refused_by_name(s4, trials):
     assert check_axiom(neg_cond_expectation(s4), "convexity", trials=np.int64(3)).trials == 3
 
 
-@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3"])
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", True, False])
 def test_bad_seed_refused_by_name(s4, seed):
     message = f"seed must be a non-negative integer, got {seed!r}"
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -254,8 +254,10 @@ def test_transfer_verify_refuses_an_empty_item_list(s4):
 @pytest.mark.parametrize("items", [[1], [5], [7]])
 def test_transfer_verify_refuses_a_bad_seed_by_name(s4, items):
     m, x = neg_cond_expectation(s4), RandomVariable([1, 3, 2, 6])
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        transfer_verify(m, items, [x], seed=-1)
+    # a bool is an int to Python, but True is no seed the caller meant
+    for seed in (-1, True, False):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            transfer_verify(m, items, [x], seed=seed)
 
 
 def test_builtin_cuts_run_no_full_space_evaluation():

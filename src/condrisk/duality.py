@@ -94,24 +94,6 @@ def _grid_points(k: int, radius: float, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _compass_refine(obj_batch, start: np.ndarray, step: float, best: float, *, min_step=1e-5):
-    point = start.copy()
-    k = point.size
-    directions = np.vstack([np.eye(k), -np.eye(k)])
-    for _ in range(600):
-        if step <= min_step:
-            break
-        cand = point[None, :] + step * directions
-        vals = obj_batch(cand)
-        i = int(np.argmax(vals))
-        if vals[i] > best + 1e-15:
-            best = float(vals[i])
-            point = cand[i]
-        else:
-            step *= 0.5
-    return point, best
-
-
 # grid conjugate: the radius starts at GRID_RADIUS and doubles until the best
 # value gains less than GRID_TOL, at most GRID_MAX_DOUBLINGS times; three
 # gains in a row that each grow by GRID_GROWTH_RATIO certify divergence
@@ -122,78 +104,145 @@ GRID_MAX_DOUBLINGS = 48
 GRID_GROWTH_RATIO = 1.3
 
 
-def _doubling_search(obj_batch, points_at, best: float, k: int):
-    """Best value of ``obj_batch`` over ``points_at(radius)`` as the radius
-    doubles from GRID_RADIUS, against a start value ``best`` at 0.
+def _doubling_search(measure: CondRiskMeasure, weights: np.ndarray, start: np.ndarray, points_at):
+    """Best value of E[x y] - rho(x) for each row of ``weights`` (q y of its
+    dual) as the radius doubles from GRID_RADIUS, all rows in lockstep,
+    against its value ``start`` at 0.
 
-    Stops once the best value gains less than GRID_TOL; three consecutive
-    growing gains, or GRID_MAX_DOUBLINGS doublings, certify divergence.
-    Returns the best value (+inf when divergent), its point, the last radius
-    and the certified ray (None unless divergent).
+    ``points_at(radius, live)`` gives one batch for the rows ``live`` still
+    searching and, for each of them, the slice of the batch that holds its
+    points: rho is evaluated once per doubling for all of them.  A row stops
+    once its best value gains less than GRID_TOL; three consecutive growing
+    gains, or GRID_MAX_DOUBLINGS doublings, certify divergence.  Returns
+    each row's best value (+inf when divergent), its point, its last radius
+    and its certified ray (None unless divergent).
     """
-    best_point = np.zeros(k)
-    radius = GRID_RADIUS
-    prev_inc = None
-    streak = 0
+    rows, k = weights.shape
+    best = [float(s) for s in start]
+    points = np.zeros((rows, k))
+    radius = np.full(rows, GRID_RADIUS)
+    prev_inc, streak = [None] * rows, [0] * rows
+    live, diverged = list(range(rows)), []
+    r = GRID_RADIUS
     for _ in range(GRID_MAX_DOUBLINGS):
-        pts = points_at(radius)
-        vals = obj_batch(pts)
-        i = int(np.argmax(vals))
-        inc = float(vals[i]) - best
-        if vals[i] > best:
-            best = float(vals[i])
-            best_point = pts[i]
-        if inc < GRID_TOL:
-            return best, best_point, radius, None
-        if prev_inc is not None and inc >= GRID_GROWTH_RATIO * prev_inc:
-            streak += 1
-            if streak >= 3:
-                break
-        else:
-            streak = 0
-        prev_inc = inc
-        radius *= 2.0
+        if not live:
+            break
+        batch, spans = points_at(r, live)
+        risk = measure.evaluate_batch(batch)[:, 0]
+        searching = []
+        for i, span in zip(live, spans):
+            pts = batch[span]
+            vals = pts @ weights[i] - risk[span]
+            a = int(np.argmax(vals))
+            inc = float(vals[a]) - best[i]
+            if vals[a] > best[i]:
+                best[i] = float(vals[a])
+                points[i] = pts[a]
+            radius[i] = r
+            if inc < GRID_TOL:
+                continue
+            if prev_inc[i] is not None and inc >= GRID_GROWTH_RATIO * prev_inc[i]:
+                streak[i] += 1
+                if streak[i] >= 3:
+                    diverged.append(i)
+                    continue
+            else:
+                streak[i] = 0
+            prev_inc[i] = inc
+            searching.append(i)
+        live = searching
+        r *= 2.0
     # three growing gains, or the radius exhausted while still improving:
     # unbounded for all practical radii
-    ray = best_point / max(np.linalg.norm(best_point), 1e-30)
-    return math.inf, best_point, radius, ray
+    rays = [None] * rows
+    for i in diverged + live:
+        best[i] = math.inf
+        rays[i] = points[i] / max(np.linalg.norm(points[i]), 1e-30)
+    return np.array(best), points, radius, rays
 
 
-def _block_conjugate_grid(measure: CondRiskMeasure, y_block: np.ndarray):
-    """Numeric sup of E[x y] - rho(x) for a measure on one block.
+def _compass_refine(
+    measure: CondRiskMeasure, weights: np.ndarray, points: np.ndarray, steps: np.ndarray, best: np.ndarray
+) -> None:
+    """Compass search from each row's point, all rows in lockstep: a step
+    evaluates rho once on the 2k candidates of every row still refining.  A
+    row moves to its best candidate if that gains more than 1e-15 and halves
+    its step otherwise; it stops once the step is at most 1e-5, or after
+    600 steps.  ``points``, ``steps`` and ``best`` are updated in place."""
+    rows, k = points.shape
+    directions = np.vstack([np.eye(k), -np.eye(k)])
+    live = np.arange(rows)
+    for _ in range(600):
+        live = live[steps[live] > 1e-5]
+        if not live.size:
+            break
+        cand = points[live, None, :] + steps[live, None, None] * directions
+        vals = np.stack([c @ weights[i] for c, i in zip(cand, live)])
+        vals -= measure.evaluate_batch(cand.reshape(-1, k))[:, 0].reshape(vals.shape)
+        b = vals.argmax(axis=1)
+        top = vals[np.arange(live.size), b]
+        gain = top > best[live] + 1e-15
+        best[live[gain]] = top[gain]
+        points[live[gain]] = cand[gain, b[gain]]
+        steps[live[~gain]] *= 0.5
 
-    Doubles the search radius until the increment falls under GRID_TOL and
-    the interior max is polished by compass search, or until three
-    consecutive growing increments certify divergence; the certified ray is
-    returned.  A dual off the density simplex (|E[y] + 1| > ADMISSIBLE_TOL)
-    first walks the constant ray x = c sign(E[y] + 1), along which a
-    cash-invariant measure's objective grows like c |E[y] + 1|: a grid whose
-    gains shrink faster than that would stop at a finite value.  The ray's
-    unit is stretched so that its first gain is at least 2 GRID_TOL.
+
+def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
+    """Numeric sup of E[x y] - rho(x) for a measure on one block, for each
+    row y of the ``(rows, k)`` duals ``ys``, every row's search in lockstep.
+
+    A row doubles its search radius until its increment falls under
+    GRID_TOL and its interior max is polished by compass search, or until
+    three consecutive growing increments certify divergence; the certified
+    ray is returned.  A row off the density simplex (|E[y] + 1| >
+    ADMISSIBLE_TOL) first walks the constant ray x = c sign(E[y] + 1), along
+    which a cash-invariant measure's objective grows like c |E[y] + 1|: a
+    grid whose gains shrink faster than that would stop at a finite value.
+    The ray's unit is stretched so that its first gain is at least 2 GRID_TOL.
+
+    Each step evaluates rho once for every row still at it: the rays' points
+    in one batch, the grid r U once for all rows (U the unit grid, built
+    once per call), the compass candidates of all rows in one batch.  Each
+    row keeps its own objective, ``pts @ (q y)``, one matrix-vector product
+    per row, so a row's value, point and ray are those of a one-row call,
+    bit for bit.  Returns the values, the points ``(rows, k)`` and the
+    rays, None for each row without one.
     """
-    k = y_block.size
-    weights = measure.space.cond_probs(1) * y_block
+    rows, k = ys.shape
+    weights = measure.space.cond_probs(1) * ys
+    zero = np.zeros((1, k))
+    start = np.array([(zero @ w)[0] for w in weights]) - measure.evaluate_batch(zero)[0, 0]
+    values, points, rays = np.empty(rows), np.zeros((rows, k)), [None] * rows
 
-    def obj_batch(points):
-        return points @ weights - measure.evaluate_batch(points)[:, 0]
+    gap = measure.space.block_mean(ys)[:, 0] + 1.0
+    off = np.flatnonzero(np.abs(gap) > ADMISSIBLE_TOL)
+    if off.size:
+        stretch = np.maximum(1.0, 2.0 * GRID_TOL / (GRID_RADIUS * np.abs(gap[off])))
+        units = np.repeat(np.copysign(stretch, gap[off])[:, None], k, axis=1)
 
-    start = float(obj_batch(np.zeros((1, k)))[0])
-    gap = float(measure.space.block_mean(y_block)[0]) + 1.0
-    if abs(gap) > ADMISSIBLE_TOL:
-        stretch = max(1.0, 2.0 * GRID_TOL / (GRID_RADIUS * abs(gap)))
-        unit = np.full((1, k), math.copysign(stretch, gap))
-        best, point, _, ray = _doubling_search(obj_batch, lambda r: r * unit, start, k)
-        if ray is not None:
-            return best, point, ray
+        def ray_points(r, live):
+            return r * units[live], [slice(a, a + 1) for a in range(len(live))]
+
+        best, point, _, ray = _doubling_search(measure, weights[off], start[off], ray_points)
+        for a, i in enumerate(off):
+            if ray[a] is not None:
+                values[i], points[i], rays[i] = best[a], point[a], ray[a]
+    on = np.flatnonzero([ray is None for ray in rays])
+    if not on.size:
+        return values, points, rays
+
     per_axis = GRID_PER_AXIS if k <= 3 else 5
+    unit = _grid_points(k, 1.0, per_axis)
     best, point, radius, ray = _doubling_search(
-        obj_batch, lambda r: _grid_points(k, r, per_axis), start, k
+        measure, weights[on], start[on], lambda r, live: (r * unit, [slice(None)] * len(live))
     )
-    if ray is not None:
-        return best, point, ray
-    spacing = 2.0 * radius / (per_axis - 1)
-    point, best = _compass_refine(obj_batch, point, spacing, best)
-    return best, point, None
+    # a divergent row does not refine
+    steps = np.where([r is None for r in ray], 2.0 * radius / (per_axis - 1), 0.0)
+    _compass_refine(measure, weights[on], point, steps, best)
+    values[on], points[on] = best, point
+    for a, i in enumerate(on):
+        rays[i] = ray[a]
+    return values, points, rays
 
 
 def _penalty_rows(measure: CondRiskMeasure, ys: np.ndarray, closed_form=True, blocks=None) -> np.ndarray:
@@ -210,7 +259,7 @@ def _penalty_rows(measure: CondRiskMeasure, ys: np.ndarray, closed_form=True, bl
         pen = np.full((len(ys), space.n_blocks), math.inf)
         for j in range(space.n_blocks) if blocks is None else np.flatnonzero(blocks):
             block, cut = measure.restrict(j + 1), ys[:, space.block_index_array(j + 1)]
-            pen[:, j] = [_block_conjugate_grid(block, y)[0] for y in cut]
+            pen[:, j] = _block_conjugate_grid(block, cut)[0]
     if np.any(np.isnan(pen)):
         raise ValueError("conditional value entries must not be NaN")
     return pen

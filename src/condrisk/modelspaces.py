@@ -29,6 +29,9 @@ LUXEMBURG_TOL = 1e-10
 YOUNG_MEMO_CAP = 1 << 16
 # slack of the blockwise pairing inequality in ``inequality_check``
 PAIRING_TOL = 1e-9
+# a chord slope of a Young function has stopped growing once it gains at
+# most this share of itself over a doubling
+SLOPE_SETTLED = 1e-9
 
 
 class YoungFunctionError(CondriskError):
@@ -228,26 +231,33 @@ def _conjugate_value(phi: YoungFunction, r: float, *, tol: float = 1e-11) -> flo
         _, val = _brent_max(g, 0.0, bound)
         return max(val, 0.0)
 
-    # phi finite everywhere: expand until the slope of phi overtakes r,
-    # declaring +inf when the supremum keeps climbing with stabilized slope
+    # phi finite everywhere: expand until the chord slope of phi overtakes r.
+    # +inf only once the supremum has climbed on three doublings in a row
+    # while the chord slope stopped growing (phi has turned linear, with a
+    # slope below r); a slope that still grows, as s^(p-1) does, may yet
+    # overtake r
     s_hi = float(phi.sample_grid[-1])
     best = max(0.0, g(s_hi))
     streak = 0
+    prev_slope = climbing = None
     for _ in range(90):
         slope = (phi(s_hi) - phi(0.5 * s_hi)) / (0.5 * s_hi)
         if not math.isfinite(slope) or slope > r:
             _, val = _brent_max(g, 0.0, s_hi)
             return max(val, 0.0)
         new_best = max(best, g(2.0 * s_hi))
-        streak = streak + 1 if new_best > best + tol else 0
+        climbing = new_best > best + tol
+        settled = prev_slope is not None and slope <= prev_slope + SLOPE_SETTLED * abs(prev_slope)
+        streak = streak + 1 if climbing and settled else 0
         if streak >= 3:
             return math.inf
-        best = new_best
+        best, prev_slope = new_best, slope
         s_hi *= 2.0
         if not math.isfinite(s_hi):
             break
-    # slope never overtook r and the value stopped climbing: flat supremum
-    return max(best, 0.0) if streak == 0 else math.inf
+    # slope never overtook r: a value that stopped climbing is a flat
+    # supremum, one still climbing is unbounded at every float scale
+    return math.inf if climbing else max(best, 0.0)
 
 
 def young_conjugate(phi: YoungFunction, r_grid: Optional[Sequence[float]] = None) -> YoungFunction:

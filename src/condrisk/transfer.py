@@ -16,10 +16,10 @@ import numpy as np
 
 from .duality import (
     DualVariable,
+    _check_length,
+    _penalty_rows,
     admissible_dual,
-    fenchel,
     penalty_map,
-    penalty_of,
     stable_sublevel_check,
     verify_representation,
 )
@@ -116,33 +116,34 @@ def fenchel_consistency(
     """Conditional penalty vs per-block classical conjugate, dual by dual.
 
     The conditional side uses the measure's own penalty route; the classical
-    side is ``fenchel``, the grid on each block restriction, so the two are
-    independent; without a closed form both are that grid, run once.  +inf
-    verdicts must agree exactly.
+    side is the grid on each block restriction, as ``fenchel`` gives it, so
+    the two are independent; without a closed form both are that grid, run
+    once.  Each column is one ``_penalty_rows`` call for every dual, so each
+    block is restricted once per call and its grid searches run in lockstep.
+    A dual of the wrong length is refused by name before the duals are
+    stacked.  +inf verdicts must agree exactly.
     """
     _check_tol(tol)
     duals = list(duals)
     if not duals:
         raise ValueError("fenchel_consistency needs at least one dual")
     _certify_local(measure, trials=32, seed=11)
-    comparisons = []
-    max_dev = 0.0
-    infs_ok = True
-    for i, y in enumerate(duals):
-        cond = penalty_of(measure, y).values
-        classical = cond if measure.closed_form_penalty is None else fenchel(measure, y).values
-        c_inf, k_inf = np.isinf(cond), np.isinf(classical)
-        # deviations of the blocks where both sides are finite, 0 elsewhere
-        dev = np.abs(np.subtract(cond, classical, out=np.zeros(len(cond)), where=~(c_inf | k_inf)))
-        agrees = (c_inf == k_inf) & (dev <= tol)
-        infs_ok = infs_ok and bool(np.all(c_inf == k_inf))
-        max_dev = max(max_dev, float(dev.max()))
-        comparisons += [
-            FenchelComparison(i, j, float(c), float(k), bool(ok))
-            for j, (c, k, ok) in enumerate(zip(cond, classical, agrees), start=1)
-        ]
-    passed = infs_ok and all(c.agrees for c in comparisons)
-    return FenchelConsistencyReport(comparisons, max_dev, infs_ok, passed)
+    for y in duals:
+        _check_length(measure.space, y.values)
+    ys = np.stack([y.values for y in duals])
+    cond = _penalty_rows(measure, ys)
+    classical = cond if measure.closed_form_penalty is None else _penalty_rows(measure, ys, closed_form=False)
+    c_inf, k_inf = np.isinf(cond), np.isinf(classical)
+    # deviations of the blocks where both sides are finite, 0 elsewhere
+    dev = np.abs(np.subtract(cond, classical, out=np.zeros(cond.shape), where=~(c_inf | k_inf)))
+    agrees = (c_inf == k_inf) & (dev <= tol)
+    comparisons = [
+        FenchelComparison(i, j, float(c), float(k), bool(ok))
+        for i, row in enumerate(zip(cond, classical, agrees))
+        for j, (c, k, ok) in enumerate(zip(*row), start=1)
+    ]
+    infs_ok = bool(np.all(c_inf == k_inf))
+    return FenchelConsistencyReport(comparisons, float(dev.max()), infs_ok, infs_ok and bool(agrees.all()))
 
 
 # -- the equivalence suite -----------------------------------------------------------

@@ -36,6 +36,7 @@ from _helpers import (
     reference_risk,
     reference_sublevel_rays,
     reference_sublevel_walk,
+    spy_calls,
     user_entropic,
 )
 from condrisk import duality, riskcore
@@ -137,17 +138,18 @@ def test_grid_conjugate_is_infinite_just_off_the_density_simplex():
     space = FiniteProbSpace([0.178, 0.623, 0.199], [[1, 2, 3]])
     ent = cond_entropic(space, 1.3)
     y = admissible_dual(space, [2.13, 0.94, 0.19]).values
-    value, _, ray = duality._block_conjugate_grid(ent, y)
-    assert ray is None
-    assert abs(value - ent.closed_form_penalty(y[None])[0, 0]) <= 1e-6
-    for i in range(3):
-        for shift in (1e-7, -1e-7, 1e-4, -1e-4):
-            z = y.copy()
-            z[i] += shift
-            assert math.isinf(ent.closed_form_penalty(z[None])[0, 0])
-            value, _, ray = duality._block_conjugate_grid(ent, z)
-            assert math.isinf(value)
-            assert np.allclose(ray, math.copysign(1.0, shift) / math.sqrt(3.0))
+    shifts = [(i, shift) for i in range(3) for shift in (1e-7, -1e-7, 1e-4, -1e-4)]
+    zs = np.tile(y, (len(shifts) + 1, 1))
+    for row, (i, shift) in enumerate(shifts, start=1):
+        zs[row, i] += shift
+    # the admissible row and the twelve shifted ones in one lockstep call
+    values, _, rays = duality._block_conjugate_grid(ent, zs)
+    assert rays[0] is None
+    assert abs(values[0] - ent.closed_form_penalty(y[None])[0, 0]) <= 1e-6
+    for row, (i, shift) in enumerate(shifts, start=1):
+        assert math.isinf(ent.closed_form_penalty(zs[row][None])[0, 0])
+        assert math.isinf(values[row])
+        assert np.allclose(rays[row], math.copysign(1.0, shift) / math.sqrt(3.0))
 
 
 @pytest.mark.parametrize("kind", sorted(BUILTIN_FACTORIES))
@@ -157,12 +159,85 @@ def test_grid_conjugate_is_infinite_a_hair_off_the_density_simplex(kind):
     space = FiniteProbSpace([0.178, 0.623, 0.199], [[1, 2, 3]])
     measure = BUILTIN_FACTORIES[kind](space, gamma=1.3, **{"lambda": 0.4})
     y = admissible_dual(space, [2.13, 0.94, 0.19]).values
-    for gap in (2e-10, -2e-10, 1.01e-10):
-        z = y * (1.0 - gap)  # E[z] + 1 = gap
-        assert math.isinf(measure.closed_form_penalty(z[None])[0, 0])
-        value, _, ray = duality._block_conjugate_grid(measure, z)
+    gaps = np.array([2e-10, -2e-10, 1.01e-10])
+    zs = y * (1.0 - gaps[:, None])  # E[z] + 1 = gap on each row
+    assert np.isinf(measure.closed_form_penalty(zs)).all()
+    values, _, rays = duality._block_conjugate_grid(measure, zs)
+    for gap, value, ray in zip(gaps, values, rays):
         assert math.isinf(value), (gap, value)
         assert np.allclose(ray, math.copysign(1.0, gap) / math.sqrt(3.0))
+
+
+@st.composite
+def lockstep_cases(draw):
+    """A measure on one block of 1-5 atoms, one of the four built-ins or a
+    padded restriction of a copy without closed form, and 1-4 rows of duals:
+    admissible, off the density simplex by 1e-7 either way, or with one
+    positive entry."""
+    k = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=k + 2, max_size=k + 2)), float)
+    kind = draw(st.sampled_from(sorted(BUILTIN_FACTORIES) + ["hookless"]))
+    params = {"gamma": draw(st.sampled_from([0.4, 1.3, 3.0])), "lambda": draw(st.sampled_from([0.2, 0.5, 1.0]))}
+    if kind == "hookless":
+        # block 1 of two, through the padded restriction of a user copy
+        space = FiniteProbSpace(weights / weights.sum(), [list(range(1, k + 1)), [k + 1, k + 2]])
+        measure = _hookless(BUILTIN_FACTORIES["entropic"](space, **params)).restrict(1)
+    else:
+        space = FiniteProbSpace(weights[:k] / weights[:k].sum(), [list(range(1, k + 1))])
+        measure = BUILTIN_FACTORIES[kind](space, **params)
+    ys = []
+    for _ in range(draw(st.integers(1, 4))):
+        dens = np.array(draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)), float)
+        dens[draw(st.integers(0, k - 1))] += 1.0
+        y = admissible_dual(measure.space, dens).values.copy()
+        shape = draw(st.sampled_from(["admissible", "off", "positive"]))
+        if shape == "off":
+            y = y * (1.0 + draw(st.sampled_from([1e-7, -1e-7])))
+        elif shape == "positive":
+            y[draw(st.integers(0, k - 1))] = draw(st.sampled_from([0.25, 1.0]))
+        ys.append(y)
+    return measure, np.array(ys)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(lockstep_cases())
+def test_lockstep_grid_rows_are_one_row_calls(case):
+    # every row's value, point and ray are those of a one-row call, bit for bit
+    measure, ys = case
+    values, points, rays = duality._block_conjugate_grid(measure, ys)
+    assert values.shape == (len(ys),) and points.shape == ys.shape and len(rays) == len(ys)
+    for y, value, point, ray in zip(ys, values, points, rays):
+        alone = duality._block_conjugate_grid(measure, y[None])
+        assert value == alone[0][0] or (math.isnan(value) and math.isnan(alone[0][0]))
+        assert np.array_equal(point, alone[1][0]) and np.array_equal(np.signbit(point), np.signbit(alone[1][0]))
+        assert (ray is None) == (alone[2][0] is None)
+        assert ray is None or np.array_equal(ray, alone[2][0])
+        assert (ray is None) == math.isfinite(value)
+
+
+def test_a_grid_step_evaluates_all_rows_of_a_block_at_once(monkeypatch):
+    # three rows of one block searched in lockstep: one call for the start,
+    # one per grid doubling and one per compass step, each for every row
+    # still at it, so as many doublings and steps as the slowest row takes
+    # alone, where one search per row made the sum
+    space = FiniteProbSpace([0.178, 0.623, 0.199], [[1, 2, 3]])
+    copy = _hookless(cond_entropic(space, 1.3))
+    ys = np.stack([admissible_dual(space, d).values for d in ([2.13, 0.94, 0.19], [1, 1, 1], [0.3, 2.0, 1.1])])
+    calls = spy_calls(monkeypatch, CondRiskMeasure, "evaluate_batch")
+    grid = duality.GRID_PER_AXIS**3
+
+    def counts(rows):
+        del calls[:]
+        pen = penalty_map(copy).rows(rows)
+        sizes = [len(xs) for _, xs in calls]
+        return pen, sizes.count(1), sizes.count(grid), sum(n % 6 == 0 for n in sizes), len(sizes)
+
+    alone = [counts(y[None]) for y in ys]
+    pen, start, doublings, steps, total = counts(ys)
+    assert np.array_equal(pen, np.concatenate([a[0] for a in alone]))
+    assert sum(a[2] for a in alone) > max(a[2] for a in alone) and sum(a[3] for a in alone) > max(a[3] for a in alone)
+    assert start == 1 and doublings == max(a[2] for a in alone) and steps == max(a[3] for a in alone)
+    assert total == start + doublings + steps
 
 
 @pytest.mark.xfail(
@@ -587,9 +662,9 @@ def test_user_ascent_stays_on_the_density_simplex():
     gaps = []
     grid = duality._block_conjugate_grid
 
-    def spy(measure, y_block):
-        gaps.append(abs(float(np.dot(measure.space.cond_probs(1), y_block)) + 1.0))
-        return grid(measure, y_block)
+    def spy(measure, ys):
+        gaps.extend(np.abs(ys @ measure.space.cond_probs(1) + 1.0))
+        return grid(measure, ys)
 
     x = RandomVariable([0.5, -1.0, 2.0, 0.0, 1.0])
     with mock.patch.object(duality, "_block_conjugate_grid", spy), _no_difference_duals():

@@ -232,12 +232,36 @@ def test_gauge_of_large_payoffs_terminates(s4):
 # -- accuracy of the searches against closed forms -------------------------------------
 
 
+@pytest.mark.parametrize("p", [1.2, 1.25, 1.3, 1.5, 2.0, 3.0])
+def test_conjugate_of_power_is_finite_while_the_slope_still_grows(p):
+    # for p near 1 the chord slope of t^p/p grows slowly, and the sup climbs
+    # on many doublings before the slope overtakes r: no +inf there.  For
+    # p = 1.2 the range doubling gave +inf from r = 2.6 on (121.5 at r = 3)
+    q = holder_conjugate(p)
+    phi = young_power(p)
+    for r in np.geomspace(0.1, 20.0, 40):
+        want = r**q / q
+        assert modelspaces._conjugate_value(phi, r) == pytest.approx(want, rel=1e-9, abs=0.0), r
+
+
+def test_conjugate_of_power_near_one_at_moderate_r():
+    assert young_conjugate(young_power(1.2))(3.0) == pytest.approx(121.5, rel=1e-9)
+    assert young_conjugate(young_power(1.5))(12.0) == pytest.approx(576.0, rel=1e-9)
+
+
+def test_conjugate_of_linear_stays_infinite_past_its_slope():
+    # the chord slope of t is 1 on every doubling: settled, below r > 1
+    phi = young_power(1)
+    for r in (1.0 + 1e-7, 1.01, 2.0, 7.5, 20.0, 1e6):
+        assert math.isinf(modelspaces._conjugate_value(phi, r)), r
+    for r in (0.0, 0.5, 1.0):
+        assert modelspaces._conjugate_value(phi, r) == 0.0
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.floats(1.2, 4.0), st.floats(0.0, 2.0))
+@given(st.floats(1.2, 4.0), st.floats(0.0, 20.0))
 def test_conjugate_of_power_matches_its_closed_form(p, t):
-    # (t^p/p)* = t^q/q with 1/p + 1/q = 1.  Kept to t <= 2: for p near 1.2
-    # and larger t the range doubling declares +inf before the slope of phi
-    # overtakes t
+    # (t^p/p)* = t^q/q with 1/p + 1/q = 1
     q = holder_conjugate(p)
     want = t**q / q
     assert young_conjugate(young_power(p))(t) == pytest.approx(want, rel=1e-9, abs=1e-12)

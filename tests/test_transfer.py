@@ -27,7 +27,9 @@ from condrisk import (
     verify_representation,
     young_power,
 )
+from condrisk.duality import DualityError
 from condrisk.transfer import ScalarizeError
+from _helpers import spy_calls
 
 LOG2 = math.log(2.0)
 
@@ -189,6 +191,24 @@ def test_fenchel_consistency_seeded(s4):
 def test_fenchel_consistency_needs_a_dual(s4):
     with pytest.raises(ValueError):
         fenchel_consistency(neg_cond_expectation(s4), [])
+
+
+def test_fenchel_consistency_refuses_a_dual_of_the_wrong_length(s4):
+    # named before the duals are stacked, wherever the short one stands
+    ok, short = DualVariable([-1, -1, -1, -1]), DualVariable([-1, -1, -1])
+    for duals in ([ok, short], [short, ok], [short]):
+        with pytest.raises(DualityError, match="^dual variable length does not match the space$"):
+            fenchel_consistency(cond_entropic(s4, 1.0), duals)
+
+
+def test_fenchel_consistency_restricts_each_block_once(monkeypatch, space8):
+    # the classical column is one row call for all five duals: three
+    # restrictions, one per block, where one grid call per dual made fifteen
+    rng = np.random.default_rng(8)
+    duals = [admissible_dual(space8, rng.uniform(0.2, 1.8, 8)) for _ in range(5)]
+    calls = spy_calls(monkeypatch, CondRiskMeasure, "restrict")
+    assert fenchel_consistency(cond_avar(space8, 0.4), duals).passed
+    assert [j for _, j in calls] == [1, 2, 3]
 
 
 def test_transfer_verify_builtins(s4):

@@ -104,15 +104,27 @@ GRID_MAX_DOUBLINGS = 48
 GRID_GROWTH_RATIO = 1.3
 
 
-def _doubling_search(measure: CondRiskMeasure, weights: np.ndarray, start: np.ndarray, points_at):
+def _risks(measure: CondRiskMeasure, batch: np.ndarray, span: int) -> np.ndarray:
+    """rho at each point of ``batch``, whose rows come in spans of ``span``
+    points, one span per dual.  A built-in's batch gives a row the same bits
+    whatever rows share it, so it takes one call; a user batch function may
+    round a row by its neighbours (one matrix product over the batch), so it
+    takes one call per span, as a one-row search would make."""
+    if measure._cut is not None or len(batch) == span:
+        return measure.evaluate_batch(batch)[:, 0]
+    return np.concatenate([measure.evaluate_batch(batch[a : a + span])[:, 0] for a in range(0, len(batch), span)])
+
+
+def _doubling_search(measure: CondRiskMeasure, weights: np.ndarray, start: np.ndarray, points_at, span=None):
     """Best value of E[x y] - rho(x) for each row of ``weights`` (q y of its
     dual) as the radius doubles from GRID_RADIUS, all rows in lockstep,
     against its value ``start`` at 0.
 
     ``points_at(radius, live)`` gives one batch for the rows ``live`` still
-    searching and, for each of them, the slice of the batch that holds its
-    points: rho is evaluated once per doubling for all of them.  A row stops
-    once its best value gains less than GRID_TOL; three consecutive growing
+    searching: with ``span`` None a batch that every row searches, whose rho
+    is evaluated once per doubling for all of them, else ``span`` points per
+    row, one row after another, evaluated by ``_risks``.  A row stops once
+    its best value gains less than GRID_TOL; three consecutive growing
     gains, or GRID_MAX_DOUBLINGS doublings, certify divergence.  Returns
     each row's best value (+inf when divergent), its point, its last radius
     and its certified ray (None unless divergent).
@@ -127,12 +139,15 @@ def _doubling_search(measure: CondRiskMeasure, weights: np.ndarray, start: np.nd
     for _ in range(GRID_MAX_DOUBLINGS):
         if not live:
             break
-        batch, spans = points_at(r, live)
-        risk = measure.evaluate_batch(batch)[:, 0]
+        batch = points_at(r, live)
+        if span is None:
+            parts, risk = [slice(None)] * len(live), measure.evaluate_batch(batch)[:, 0]
+        else:
+            parts, risk = [slice(a, a + span) for a in range(0, len(batch), span)], _risks(measure, batch, span)
         searching = []
-        for i, span in zip(live, spans):
-            pts = batch[span]
-            vals = pts @ weights[i] - risk[span]
+        for i, part in zip(live, parts):
+            pts = batch[part]
+            vals = pts @ weights[i] - risk[part]
             a = int(np.argmax(vals))
             inc = float(vals[a]) - best[i]
             if vals[a] > best[i]:
@@ -165,10 +180,10 @@ def _compass_refine(
     measure: CondRiskMeasure, weights: np.ndarray, points: np.ndarray, steps: np.ndarray, best: np.ndarray
 ) -> None:
     """Compass search from each row's point, all rows in lockstep: a step
-    evaluates rho once on the 2k candidates of every row still refining.  A
-    row moves to its best candidate if that gains more than 1e-15 and halves
-    its step otherwise; it stops once the step is at most 1e-5, or after
-    600 steps.  ``points``, ``steps`` and ``best`` are updated in place."""
+    evaluates rho on the 2k candidates of every row still refining, by
+    ``_risks``.  A row moves to its best candidate if that gains more than
+    1e-15 and halves its step otherwise; it stops once the step is at most
+    1e-5, or after 600 steps.  ``points``, ``steps`` and ``best`` are updated in place."""
     rows, k = points.shape
     directions = np.vstack([np.eye(k), -np.eye(k)])
     live = np.arange(rows)
@@ -177,8 +192,9 @@ def _compass_refine(
         if not live.size:
             break
         cand = points[live, None, :] + steps[live, None, None] * directions
-        vals = np.stack([c @ weights[i] for c, i in zip(cand, live)])
-        vals -= measure.evaluate_batch(cand.reshape(-1, k))[:, 0].reshape(vals.shape)
+        # one matrix-vector product per row, stacked: the bits of c @ weights[i]
+        vals = np.matmul(cand, weights[live, :, None])[..., 0]
+        vals -= _risks(measure, cand.reshape(-1, k), 2 * k).reshape(vals.shape)
         b = vals.argmax(axis=1)
         top = vals[np.arange(live.size), b]
         gain = top > best[live] + 1e-15
@@ -200,12 +216,13 @@ def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
     grid whose gains shrink faster than that would stop at a finite value.
     The ray's unit is stretched so that its first gain is at least 2 GRID_TOL.
 
-    Each step evaluates rho once for every row still at it: the rays' points
-    in one batch, the grid r U once for all rows (U the unit grid, built
-    once per call), the compass candidates of all rows in one batch.  Each
-    row keeps its own objective, ``pts @ (q y)``, one matrix-vector product
-    per row, so a row's value, point and ray are those of a one-row call,
-    bit for bit.  Returns the values, the points ``(rows, k)`` and the
+    Each step evaluates rho once for every row still at it: the grid r U
+    once for all rows (U the unit grid, built once per call), and the rays'
+    points and the compass candidates of all rows in one batch for a
+    built-in, or row by row for a user measure (``_risks``), whose batch
+    function may round a row by the rows beside it.  Each row keeps its own
+    objective, ``pts @ (q y)``, one matrix-vector product per row, so a
+    row's value, point and ray are those of a one-row call, bit for bit.  Returns the values, the points ``(rows, k)`` and the
     rays, None for each row without one.
     """
     rows, k = ys.shape
@@ -220,10 +237,9 @@ def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
         stretch = np.maximum(1.0, 2.0 * GRID_TOL / (GRID_RADIUS * np.abs(gap[off])))
         units = np.repeat(np.copysign(stretch, gap[off])[:, None], k, axis=1)
 
-        def ray_points(r, live):
-            return r * units[live], [slice(a, a + 1) for a in range(len(live))]
-
-        best, point, _, ray = _doubling_search(measure, weights[off], start[off], ray_points)
+        best, point, _, ray = _doubling_search(
+            measure, weights[off], start[off], lambda r, live: r * units[live], span=1
+        )
         for a, i in enumerate(off):
             if ray[a] is not None:
                 values[i], points[i], rays[i] = best[a], point[a], ray[a]
@@ -233,9 +249,7 @@ def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
 
     per_axis = GRID_PER_AXIS if k <= 3 else 5
     unit = _grid_points(k, 1.0, per_axis)
-    best, point, radius, ray = _doubling_search(
-        measure, weights[on], start[on], lambda r, live: (r * unit, [slice(None)] * len(live))
-    )
+    best, point, radius, ray = _doubling_search(measure, weights[on], start[on], lambda r, live: r * unit)
     # a divergent row does not refine
     steps = np.where([r is None for r in ray], 2.0 * radius / (per_axis - 1), 0.0)
     _compass_refine(measure, weights[on], point, steps, best)

@@ -24,14 +24,10 @@ ADMISSIBLE_TOL = 1e-10
 CHUNK_ELEMENTS = 1 << 16
 # off-block value of the second extension that a padded restriction is probed with
 EXTENSION_FILL = 17.5
-# cond_avar sorts a chunk of rows on one packed key when its rows hold at
-# least PACKED_SORT_MIN_ROW atoms and the chunk at least PACKED_SORT_MIN_ENTRIES
-# payoff entries.  Against numpy's default sort of each row, on a 2-vCPU Xeon
-# with AVX-512, the key gained 1.15-1.65x on 4-8 rows of 512-2,047 atoms and
-# on 2 rows of 1,024 or more, and 1.1-1.3x on single rows of 1,536 or more;
-# it lost up to 0.75x on 1-2 rows of 256-768 atoms and on 16 rows of 4-36
-PACKED_SORT_MIN_ROW = 512
-PACKED_SORT_MIN_ENTRIES = 1024
+# cond_avar sorts rows at least this long on one packed key; below it the
+# key's fixed cost outweighs the sort it saves (single rows broke even at
+# 1,024-2,048 atoms on a 2-vCPU Xeon with AVX-512)
+PACKED_SORT_MIN_ATOMS = 2048
 
 
 class RiskMeasureError(CondriskError):
@@ -350,19 +346,13 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
     )
 
 
-def _two_sorts(space: FiniteProbSpace, mass_fixed: np.ndarray, xs: np.ndarray, listed: bool = True):
+def _two_sorts(space: FiniteProbSpace, mass_fixed: np.ndarray, xs: np.ndarray):
     """Fixed-point masses and payoffs of each row, grouped by block in block
     order with each block's payoffs ascending, and the atom at each place: a
     sort of each row by payoff, then a stable sort of the block ids (a radix
-    sort for small integer ids).  With ``listed`` the payoff sort is stable
-    on the rows gathered into block order, so tied payoffs of a block keep
-    the order its atoms are listed in, as on the packed key; without it,
-    numpy's default sort of the rows orders them."""
+    sort for small integer ids)."""
     rows = np.arange(len(xs))[:, None]
-    if listed:
-        order = space.order.take(xs.take(space.order, axis=-1).argsort(axis=-1, kind="stable"))
-    else:
-        order = xs.argsort(axis=-1)
+    order = xs.argsort(axis=-1)
     order = order[rows, space.block_of[order].argsort(axis=-1, kind="stable")]
     return mass_fixed[order], xs[rows, order], order
 
@@ -374,20 +364,15 @@ def _packed_sort(
     the atoms are None unless ``atoms`` asks for them.
 
     The rows are gathered into block order and keyed (``layout`` is built by
-    ``cond_avar``), so tied payoffs keep the listed order of their block's
-    atoms, as in ``_two_sorts``.  A row whose sorted payoffs decrease inside
-    a block, as two payoffs cut to one bucket may, goes through
-    ``_two_sorts`` instead.
+    ``cond_avar``).  A row whose sorted payoffs decrease inside a block, as
+    two payoffs cut to one bucket may, goes through ``_two_sorts`` instead.
     """
     mass, base, frame, block_bits, value_mask, pos_mask, first = layout
     v = xs.take(space.order, axis=-1)
-    # order-preserving bits: flip every bit of a negative, set the sign bit of
-    # a positive.  For the atoms, adding 0.0 makes -0.0 the tie of 0.0 that it
-    # is in a sort; a risk does not depend on which of the two comes first
-    z = v + 0.0 if atoms else v
-    key = (z.view(np.int64) >> 63).view(np.uint64)
+    # order-preserving bits: flip every bit of a negative, set the sign bit of a positive
+    key = (v.view(np.int64) >> 63).view(np.uint64)
     key |= np.uint64(1 << 63)
-    key ^= z.view(np.uint64)
+    key ^= v.view(np.uint64)
     key >>= block_bits
     key &= value_mask
     key |= frame
@@ -413,21 +398,14 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
 
     Per block: sort the losses -x, take conditional mass until lambda is
     filled, splitting the boundary atom fractionally, and average.  All blocks
-    are sorted at once, grouped by block with the largest losses first.  The
-    sort is picked per chunk of a batch.  A chunk whose rows hold at least
-    PACKED_SORT_MIN_ROW atoms, and which holds at least
-    PACKED_SORT_MIN_ENTRIES payoff entries, sorts each row once, on a 64-bit
+    are sorted at once, grouped by block with the largest losses first.  A
+    row of at least PACKED_SORT_MIN_ATOMS atoms is sorted once, on a 64-bit
     key that packs, high to low, the block id, the top bits of the payoff's
     order-preserving bit pattern and the atom's position in its block.
     Cutting the payoff's bits can put two distinct payoffs of one block in
     one bucket, so a row whose sorted payoffs decrease inside a block is
-    sorted again the exact way.  Other chunks take that way at once: a sort
-    by payoff, then a stable sort of the block ids.  For rows of at least
-    PACKED_SORT_MIN_ROW atoms the payoff sort is stable in block order, so
-    tied payoffs fall in the listed order of their block on both ways, and
-    a row's risk and dual do not depend on the rows that share its chunk;
-    shorter rows, which never take the key, use numpy's default sort.
-    Blocks at lambda = 1
+    sorted again the exact way.  Shorter rows take that way at once: a sort
+    by payoff, then a stable sort of the block ids.  Blocks at lambda = 1
     take the plain conditional mean of the loss.
 
     The dual oracle reads the same sort and the same fixed-point tail: each
@@ -441,8 +419,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
     full = lam_arr >= 1.0
     any_full = bool(full.any())
     starts = space.starts
-    long_rows = space.n_atoms >= PACKED_SORT_MIN_ROW
-    min_entries = PACKED_SORT_MIN_ENTRIES
+    packed = space.n_atoms >= PACKED_SORT_MIN_ATOMS
 
     @functools.cache
     def fill_tables():
@@ -457,7 +434,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         # once grouped, position i of a row lies in block _block_in_order[i]
         ids = space._block_in_order
         layout = None
-        if long_rows:
+        if packed:
             # key fields, high to low: block id, payoff bits, position in block
             block_bits = (space.n_blocks - 1).bit_length()
             base = starts[ids]
@@ -480,9 +457,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         each atom gives its block's tail, and the atom at each place (None
         unless ``atoms`` asks for them)."""
         mass_fixed, limit, _, layout = fill_tables()
-        if not long_rows:
-            fixed, vals, where = _two_sorts(space, mass_fixed, xs, listed=False)
-        elif xs.size >= min_entries:
+        if packed:
             fixed, vals, where = _packed_sort(space, mass_fixed, layout, xs, atoms)
         else:
             fixed, vals, where = _two_sorts(space, mass_fixed, xs)

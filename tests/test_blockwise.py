@@ -344,25 +344,22 @@ def test_law_permutations_shuffle_equal_mass_groups_only(case, seed):
 # -- the packed-key sort of long AVaR rows -----------------------------------------
 
 
-def _long_space(rng, max_size, atoms=None):
-    """Uneven shuffled blocks of 1..max_size atoms: as many atoms as one row
-    needs to take the packed-key sort of cond_avar, or ``atoms``."""
-    if atoms is None:
-        atoms = max(riskcore.PACKED_SORT_MIN_ROW, riskcore.PACKED_SORT_MIN_ENTRIES)
+def _long_space(rng, max_size):
+    """Uneven shuffled blocks of 1..max_size atoms, long enough for the
+    packed-key sort of cond_avar."""
     sizes = []
-    while sum(sizes) < atoms:
+    while sum(sizes) < riskcore.PACKED_SORT_MIN_ATOMS:
         sizes.append(int(rng.integers(1, max_size + 1)))
-    sizes[-1] -= sum(sizes) - atoms
     return _shuffled_space(rng, sizes)
 
 
 def _routes(space, lam, xs):
-    """The risks of the packed-key route, the rows it sorted again the exact
-    way, and the risks of the exact way alone."""
+    """The risks of the long-row route, the rows it sorted again the exact
+    way, and the risks of the short-row route."""
     with mock.patch.object(riskcore, "_two_sorts", wraps=riskcore._two_sorts) as spy:
         packed = cond_avar(space, lam).evaluate_batch(xs)
     again = [call.args[2] for call in spy.call_args_list]
-    with mock.patch.object(riskcore, "PACKED_SORT_MIN_ENTRIES", xs.size + 1):
+    with mock.patch.object(riskcore, "PACKED_SORT_MIN_ATOMS", space.n_atoms + 1):
         exact = cond_avar(space, lam).evaluate_batch(xs)
     return packed, again, exact
 
@@ -434,59 +431,3 @@ def test_avar_route_follows_the_row_length():
             cond_avar(space, 0.3).evaluate_batch(xs)
         assert packed.called == long_rows
         assert exact.called != long_rows
-
-
-def _same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-@settings(max_examples=12, derandomize=True, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 4, 40, 300]),
-    st.integers(riskcore.PACKED_SORT_MIN_ROW, 2047),
-    st.sampled_from([4, 8, 16]),
-    st.sampled_from(["halves", "tenths", "normal"]),
-)
-def test_avar_routes_agree_bit_for_bit_on_multi_row_batches(seed, max_size, atoms, rows, payoffs):
-    # a multi-row chunk of such rows takes the packed key and one row alone
-    # the exact way: risks and dual weights must not depend on the route,
-    # tied payoffs and signed zeros included
-    rng = np.random.default_rng(seed)
-    space = _long_space(rng, max_size, atoms)
-    lam = rng.choice([0.1, 0.25, 0.5, 0.7, 1.0], space.n_blocks)
-    n = space.n_atoms
-    if payoffs == "halves":
-        xs = rng.integers(-4, 5, (rows, n)) / 2.0
-    elif payoffs == "tenths":
-        xs = np.round(rng.normal(0.0, 1.0, (rows, n)), 1)  # -0.0 among them
-    else:
-        xs = rng.normal(0.0, 2.0, (rows, n))
-    xs[0, ::3] = -0.0
-    measure = cond_avar(space, lam)
-    with mock.patch.object(riskcore, "_packed_sort", wraps=riskcore._packed_sort) as packed:
-        risk, weights = measure.evaluate_batch(xs), measure._dual_oracle(xs)
-    assert packed.call_count == 2
-    with mock.patch.object(riskcore, "_packed_sort", wraps=riskcore._packed_sort) as packed:
-        one = np.concatenate([measure.evaluate_batch(x[None]) for x in xs])
-        one_weights = np.concatenate([measure._dual_oracle(x[None]) for x in xs])
-    assert packed.called == (n >= riskcore.PACKED_SORT_MIN_ENTRIES)
-    assert _same_bits(risk, one) and _same_bits(weights, one_weights)
-    _close(risk, np.stack([reference_risk(space, "avar", lam, row) for row in xs]))
-
-
-def test_avar_route_follows_the_chunk():
-    # short rows stay on the two sorts in batches of any size; a row of
-    # PACKED_SORT_MIN_ROW atoms takes the packed key once its chunk holds
-    # PACKED_SORT_MIN_ENTRIES payoff entries
-    rng = np.random.default_rng(75)
-    short = riskcore.PACKED_SORT_MIN_ROW
-    cases = [(4, 16, False), (36, 16, False), (36, 3000, False), (short - 1, 64, False)]
-    cases += [(short, 1, short >= riskcore.PACKED_SORT_MIN_ENTRIES), (short, 16, True), (2047, 2, True)]
-    for atoms, rows, keyed in cases:
-        space = _long_space(rng, 6, atoms)
-        xs = rng.normal(0.0, 2.0, (rows, space.n_atoms))
-        with mock.patch.object(riskcore, "_packed_sort", wraps=riskcore._packed_sort) as packed:
-            cond_avar(space, 0.3).evaluate_batch(xs)
-        assert packed.called == keyed, (atoms, rows)
-

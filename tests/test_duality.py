@@ -24,6 +24,7 @@ from condrisk import (
     cond_worst_case,
     dual_representation,
     fenchel,
+    fenchel_consistency,
     neg_cond_expectation,
     penalty_map,
     penalty_of,
@@ -171,17 +172,21 @@ def test_grid_conjugate_is_infinite_a_hair_off_the_density_simplex(kind):
 @st.composite
 def lockstep_cases(draw):
     """A measure on one block of 1-5 atoms, one of the four built-ins or a
-    padded restriction of a copy without closed form, and 1-4 rows of duals:
-    admissible, off the density simplex by 1e-7 either way, or with one
-    positive entry."""
+    padded restriction of a copy without closed form or of ``user_entropic``,
+    and 1-4 rows of duals: admissible, off the density simplex by 1e-7
+    either way, or with one positive entry."""
     k = draw(st.sampled_from([1, 2, 3, 4, 5]))
     weights = np.array(draw(st.lists(st.integers(1, 9), min_size=k + 2, max_size=k + 2)), float)
-    kind = draw(st.sampled_from(sorted(BUILTIN_FACTORIES) + ["hookless"]))
+    kind = draw(st.sampled_from(sorted(BUILTIN_FACTORIES) + ["hookless", "user"]))
     params = {"gamma": draw(st.sampled_from([0.4, 1.3, 3.0])), "lambda": draw(st.sampled_from([0.2, 0.5, 1.0]))}
-    if kind == "hookless":
-        # block 1 of two, through the padded restriction of a user copy
+    if kind in ("hookless", "user"):
+        # block 1 of two, through the padded restriction of a user copy or
+        # of a user batch function that rounds by batch size
         space = FiniteProbSpace(weights / weights.sum(), [list(range(1, k + 1)), [k + 1, k + 2]])
-        measure = _hookless(BUILTIN_FACTORIES["entropic"](space, **params)).restrict(1)
+        if kind == "user":
+            measure = user_entropic(space, params["gamma"]).restrict(1)
+        else:
+            measure = _hookless(BUILTIN_FACTORIES["entropic"](space, **params)).restrict(1)
     else:
         space = FiniteProbSpace(weights[:k] / weights[:k].sum(), [list(range(1, k + 1))])
         measure = BUILTIN_FACTORIES[kind](space, **params)
@@ -215,20 +220,24 @@ def test_lockstep_grid_rows_are_one_row_calls(case):
         assert (ray is None) == math.isfinite(value)
 
 
-def test_a_grid_step_evaluates_all_rows_of_a_block_at_once(monkeypatch):
-    # three rows of one block searched in lockstep: one call for the start,
-    # one per grid doubling and one per compass step, each for every row
-    # still at it, so as many doublings and steps as the slowest row takes
-    # alone, where one search per row made the sum
+@pytest.mark.parametrize("user", [False, True])
+def test_a_grid_step_evaluates_all_rows_of_a_block_at_once(monkeypatch, user):
+    # three rows of one block searched in lockstep: one call for the start
+    # and one per grid doubling for every row still at it, so as many
+    # doublings as the slowest row takes alone, where one search per row
+    # made the sum.  A compass step is one call for every row of a built-in,
+    # and one call per row of a user measure, whose batch function may round
+    # a row by the rows beside it
     space = FiniteProbSpace([0.178, 0.623, 0.199], [[1, 2, 3]])
-    copy = _hookless(cond_entropic(space, 1.3))
+    ent = cond_entropic(space, 1.3)
+    measure = _hookless(ent) if user else ent
     ys = np.stack([admissible_dual(space, d).values for d in ([2.13, 0.94, 0.19], [1, 1, 1], [0.3, 2.0, 1.1])])
     calls = spy_calls(monkeypatch, CondRiskMeasure, "evaluate_batch")
     grid = duality.GRID_PER_AXIS**3
 
     def counts(rows):
         del calls[:]
-        pen = penalty_map(copy).rows(rows)
+        pen = duality._penalty_rows(measure, rows, closed_form=False)
         sizes = [len(xs) for _, xs in calls]
         return pen, sizes.count(1), sizes.count(grid), sum(n % 6 == 0 for n in sizes), len(sizes)
 
@@ -236,8 +245,31 @@ def test_a_grid_step_evaluates_all_rows_of_a_block_at_once(monkeypatch):
     pen, start, doublings, steps, total = counts(ys)
     assert np.array_equal(pen, np.concatenate([a[0] for a in alone]))
     assert sum(a[2] for a in alone) > max(a[2] for a in alone) and sum(a[3] for a in alone) > max(a[3] for a in alone)
-    assert start == 1 and doublings == max(a[2] for a in alone) and steps == max(a[3] for a in alone)
+    assert start == 1 and doublings == max(a[2] for a in alone)
+    assert steps == (sum if user else max)(a[3] for a in alone)
     assert total == start + doublings + steps
+
+
+def test_user_measure_rows_do_not_depend_on_their_batch():
+    # user_entropic takes one matrix-vector product over its whole batch, so
+    # it can round a row by the rows beside it; its penalty rows,
+    # fenchel_consistency and sublevel walk are still those of one-row calls
+    space = FiniteProbSpace(np.array([3.0, 9.0, 5.0, 2.0, 2.0]) / 21.0, [[1, 2, 3], [4, 5]])
+    user = user_entropic(space, 1.3)
+    rng = np.random.default_rng(12)
+    duals = [admissible_dual(space, rng.uniform(0.2, 1.8, 5)) for _ in range(6)]
+    vs = np.stack([y.values for y in duals])
+    f = penalty_map(user)
+    assert np.array_equal(f.rows(vs), np.stack([f(RandomVariable(v)).values for v in vs]))
+    rep = fenchel_consistency(user, duals)
+    alone = [c for y in duals for c in fenchel_consistency(user, [y]).comparisons]
+    assert [(c.conditional, c.classical) for c in rep.comparisons] == [(c.conditional, c.classical) for c in alone]
+    probes = [RandomVariable(v) for v in vs]
+    eta = ConditionalValue(np.median(f.rows(vs), axis=0))
+    walk = stable_sublevel_check(space, f, eta, probes)
+    one_by_one = stable_sublevel_check(space, lambda v: f(v), eta, probes)
+    assert 0 < walk.members < len(probes)
+    assert (walk.to_dict(), walk.mixing_violation) == (one_by_one.to_dict(), one_by_one.mixing_violation)
 
 
 @pytest.mark.xfail(

@@ -20,7 +20,6 @@ from .bvm import (
     canonical_name,
     extensional_lift,
     maximum_witness,
-    mix_names,
     name_to_literal,
     parse_name_literal,
     seq_index,
@@ -36,7 +35,6 @@ from .duality import (
     fenchel,
     penalty_map,
     penalty_of,
-    sigma_s_membership,
     stable_sublevel_check,
     verify_representation,
 )
@@ -65,12 +63,10 @@ from .probspace import (
     FiniteProbSpace,
     RandomVariable,
     SpaceError,
-    esssup_family,
 )
 from .riskcore import (
     AXIOMS,
     CondRiskMeasure,
-    EventuallyConstantSeq,
     ShrinkingPerturbationSeq,
     check_all_axioms,
     check_axiom,

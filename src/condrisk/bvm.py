@@ -30,7 +30,7 @@ from .boolalg import (
 )
 from .errors import CondriskError, ParseError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
-from .riskcore import _check_seed
+from .riskcore import _check_count, _check_seed
 
 
 class UniverseError(CondriskError):
@@ -496,12 +496,6 @@ def truth_atomic(u: Name, v: Name, kind: str) -> BoolElem:
     raise ValueError("kind must be 'elem' or 'eq'")
 
 
-def mix_names(partition: PartitionOfUnity, names: Sequence[Name]) -> Name:
-    if not names:
-        raise UniverseError("mixing needs at least one name")
-    return names[0].universe.mix(partition, names)
-
-
 def canonical_name(universe: Universe, h) -> Name:
     return universe.canonical_name(h)
 
@@ -632,12 +626,10 @@ def _agreement_join_exhaustive(algebra: BooleanAlgebra, agrees_on) -> BoolElem:
 
 @dataclass
 class InterpCheck:
-    """One check of ``verify_interp_props``; each is an exact comparison, so
-    ``max_deviation`` stays 0."""
+    """One check of ``verify_interp_props``, an exact comparison."""
 
     name: str
     passed: bool
-    max_deviation: float = 0.0
 
 
 @dataclass
@@ -657,8 +649,7 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
     joins, and mixing of reals and of naturals against a per-atom paste along
     a random labelling of the atoms.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count(samples, "samples")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     algebra = space.algebra

@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     transfer_cmds = transfer_p.add_subparsers(dest="command", required=True)
     p = transfer_cmds.add_parser("verify", parents=[common])
     p.add_argument("--measure", required=True)
-    p.add_argument("--items", default="1,2,3,4,5,6,7")
+    p.add_argument("--items", default="1,2,3,4,5,7")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(handler=_cmd_transfer_verify)
 

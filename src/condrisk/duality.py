@@ -15,7 +15,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .boolalg import PartitionOfUnity, mask_array
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 from .riskcore import (
@@ -617,36 +616,6 @@ def verify_representation(
 
 
 # -- stable-topology diagnostics --------------------------------------------------
-
-
-def sigma_s_membership(
-    space: FiniteProbSpace,
-    x: RandomVariable,
-    families: Sequence[Sequence[RandomVariable]],
-    parts: PartitionOfUnity,
-    eps: ConditionalValue,
-) -> bool:
-    """Whether x lies in the stable weak-neighborhood of 0 given by the data.
-
-    True iff, blockwise, the largest |E[x y | F]| over the family attached to
-    the covering part stays strictly below eps.  The comparison is exact;
-    tolerance would change the topology.
-    """
-    if len(families) != len(parts):
-        raise ValueError("one family of duals per part is required")
-    for fam in families:
-        if not fam:
-            raise ValueError("families must be nonempty")
-    ev = space._check_cv(eps)
-    if np.any(ev <= 0):
-        raise ValueError("eps must be strictly positive blockwise")
-    xv = space._check_rv(x)
-    for part, fam in zip(parts, families):
-        worst = np.abs(space.block_mean(np.stack([y.values for y in fam]) * xv)).max(axis=0)
-        on = mask_array(part.mask, space.n_blocks)
-        if not np.all(worst[on] < ev[on]):
-            return False
-    return True
 
 
 @dataclass

@@ -8,7 +8,7 @@ blocks are addressed with 1-based indices to match the wire formats.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -308,9 +308,6 @@ class FiniteProbSpace:
     def sample_mask(self, a: BoolElem) -> np.ndarray:
         return self.broadcast(mask_array(self._check_elem(a).mask, self.n_blocks))
 
-    def indicator(self, a: BoolElem) -> RandomVariable:
-        return RandomVariable(self.sample_mask(a).astype(float))
-
     def lift(self, eta: ConditionalValue) -> RandomVariable:
         """Blockwise-constant payoff with the given finite block values."""
         vals = self._check_cv(eta)
@@ -372,10 +369,3 @@ class FiniteProbSpace:
             laws.append((block[first], value[first], np.add.reduceat(self.cond[at], first)))
         return all(np.array_equal(a, b) for a, b in zip(*laws))
 
-
-def esssup_family(values: Iterable[ConditionalValue]) -> ConditionalValue:
-    """Componentwise supremum of a nonempty family of conditional values."""
-    vals = [v.values for v in values]
-    if not vals:
-        raise ValueError("esssup of an empty family")
-    return ConditionalValue(np.max(np.stack(vals), axis=0))

@@ -348,13 +348,16 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
 
 def _two_sorts(space: FiniteProbSpace, mass_fixed: np.ndarray, xs: np.ndarray):
     """Fixed-point masses and payoffs of each row, grouped by block in block
-    order with each block's payoffs ascending, and the atom at each place: a
-    sort of each row by payoff, then a stable sort of the block ids (a radix
-    sort for small integer ids)."""
+    order with each block's payoffs ascending, and the atom at each place:
+    each row gathered into block order, then a stable sort by payoff and a
+    stable sort of the block ids (a radix sort for small integer ids).  Tied
+    payoffs keep their block order, as in the packed key."""
     rows = np.arange(len(xs))[:, None]
-    order = xs.argsort(axis=-1)
-    order = order[rows, space.block_of[order].argsort(axis=-1, kind="stable")]
-    return mass_fixed[order], xs[rows, order], order
+    v = xs.take(space.order, axis=-1)
+    at = v.argsort(axis=-1, kind="stable")
+    at = at[rows, space._block_in_order[at].argsort(axis=-1, kind="stable")]
+    order = space.order[at]
+    return mass_fixed[order], v[rows, at], order
 
 
 def _packed_sort(
@@ -404,9 +407,10 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
     order-preserving bit pattern and the atom's position in its block.
     Cutting the payoff's bits can put two distinct payoffs of one block in
     one bucket, so a row whose sorted payoffs decrease inside a block is
-    sorted again the exact way.  Shorter rows take that way at once: a sort
-    by payoff, then a stable sort of the block ids.  Blocks at lambda = 1
-    take the plain conditional mean of the loss.
+    sorted again the exact way.  Shorter rows take that way at once: a stable
+    sort by payoff in block order, then a stable sort of the block ids, so
+    both ways order tied payoffs by block order.  Blocks at lambda = 1 take
+    the plain conditional mean of the loss.
 
     The dual oracle reads the same sort and the same fixed-point tail: each
     atom's density is the mass it gives the tail over lambda times its own
@@ -543,10 +547,10 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def _check_trials(trials) -> None:
-    """Refuse a trial count that is not a positive integer, by name."""
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+def _check_count(count, name: str) -> None:
+    """Refuse a count that is not a positive integer, or a bool, by name."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {count!r}")
 
 
 def _check_tol(tol: float) -> None:
@@ -696,7 +700,7 @@ def check_axiom(
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
-    _check_trials(trials)
+    _check_count(trials, "trials")
     _check_seed(seed)
     space = measure.space
     streams = _trial_streams(axiom, seed)
@@ -729,21 +733,6 @@ def check_all_axioms(measure: CondRiskMeasure, trials: int = 100, seed: int = 0)
 
 
 @dataclass(frozen=True)
-class EventuallyConstantSeq:
-    """x_n given explicitly for n < switch, constant equal to ``tail`` after."""
-
-    terms: tuple
-    tail: RandomVariable
-    dominator: RandomVariable
-
-    def check_dominated(self) -> None:
-        bound = self.dominator.values
-        for t in tuple(self.terms) + (self.tail,):
-            if np.any(np.abs(t.values) > bound + 1e-12):
-                raise UndominatedSequenceError("a sequence term exceeds the dominator")
-
-
-@dataclass(frozen=True)
 class ShrinkingPerturbationSeq:
     """x_n = x + (1/n) d, truncated at n_max >= 1; converges to x."""
 
@@ -753,8 +742,7 @@ class ShrinkingPerturbationSeq:
     dominator: Optional[RandomVariable] = None
 
     def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        _check_count(self.n_max, "n_max")
 
     def limit(self) -> RandomVariable:
         return self.x
@@ -776,7 +764,6 @@ class ShrinkingPerturbationSeq:
 class ConvergenceReport:
     property: str
     passed: bool
-    exact: bool
     max_deviation: float
     observed_order: Optional[float] = None
 
@@ -784,7 +771,6 @@ class ConvergenceReport:
         out = {
             "property": self.property,
             "passed": self.passed,
-            "exact": self.exact,
             "max_deviation": self.max_deviation,
         }
         if self.observed_order is not None:
@@ -800,23 +786,18 @@ def check_convergence_property(
 ) -> ConvergenceReport:
     """Fatou / Lebesgue verdict for a finitely described dominated sequence.
 
-    Eventually-constant sequences give exact verdicts; shrinking-perturbation
-    sequences are sampled at geometrically spaced indices up to n_max and the
-    convergence order is estimated from the two largest sampled indices.
+    The sequence is a shrinking perturbation, sampled at geometrically spaced
+    indices up to n_max; the convergence order is estimated from the two
+    largest sampled indices.
     The limit and the sampled terms are evaluated in one batch; a non-finite
     risk among them raises RiskMeasureError, as ``evaluate`` does.
     """
     if prop not in ("fatou", "lebesgue"):
         raise ValueError("property must be 'fatou' or 'lebesgue'")
     _check_tol(tol)
-    sequence.check_dominated()
-
-    if isinstance(sequence, EventuallyConstantSeq):
-        # lim and liminf of rho(x_n) are rho(tail), and the a.s. limit is tail
-        return ConvergenceReport(prop, True, True, 0.0)
-
     if not isinstance(sequence, ShrinkingPerturbationSeq):
         raise TypeError("unsupported sequence spec")
+    sequence.check_dominated()
 
     space = measure.space
     ns = sorted({min(2**k, sequence.n_max) for k in range(0, 64) if 2**k <= sequence.n_max} | {sequence.n_max})
@@ -840,4 +821,4 @@ def check_convergence_property(
         passed = bool(np.all(tail >= limit_vals - tol))
     else:
         passed = devs[-1] <= tol
-    return ConvergenceReport(prop, passed, False, devs[-1], order)
+    return ConvergenceReport(prop, passed, devs[-1], order)

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .duality import (
+    DualityError,
     DualVariable,
     _check_length,
     _penalty_rows,
@@ -26,7 +27,6 @@ from .duality import (
 from .probspace import ConditionalValue, RandomVariable
 from .riskcore import (
     CondRiskMeasure,
-    EventuallyConstantSeq,
     ScalarizeError,
     ShrinkingPerturbationSeq,
     _check_seed,
@@ -42,7 +42,6 @@ ITEM_NAMES = {
     3: "fatou",
     4: "lebesgue",
     5: "law_invariant",
-    6: "lower_semicontinuous",
     7: "penalty_inf_compact",
 }
 
@@ -115,15 +114,20 @@ def fenchel_consistency(
 ) -> FenchelConsistencyReport:
     """Conditional penalty vs per-block classical conjugate, dual by dual.
 
-    The conditional side uses the measure's own penalty route; the classical
+    The conditional side is the measure's closed-form penalty; the classical
     side is the grid on each block restriction, as ``fenchel`` gives it, so
-    the two are independent; without a closed form both are that grid, run
-    once.  Each column is one ``_penalty_rows`` call for every dual, so each
-    block is restricted once per call and its grid searches run in lockstep.
-    A dual of the wrong length is refused by name before the duals are
-    stacked.  +inf verdicts must agree exactly.
+    the two are independent.  A measure without a closed form would compare
+    the grid with itself, so it is refused with a DualityError.  Each column
+    is one ``_penalty_rows`` call for every dual, so each block is restricted
+    once per call and its grid searches run in lockstep.  A dual of the
+    wrong length is refused by name before the duals are stacked.  +inf
+    verdicts must agree exactly.
     """
     _check_tol(tol)
+    if measure.closed_form_penalty is None:
+        raise DualityError(
+            f"fenchel_consistency needs a closed-form penalty; {measure.label} has none"
+        )
     duals = list(duals)
     if not duals:
         raise ValueError("fenchel_consistency needs at least one dual")
@@ -132,7 +136,7 @@ def fenchel_consistency(
         _check_length(measure.space, y.values)
     ys = np.stack([y.values for y in duals])
     cond = _penalty_rows(measure, ys)
-    classical = cond if measure.closed_form_penalty is None else _penalty_rows(measure, ys, closed_form=False)
+    classical = _penalty_rows(measure, ys, closed_form=False)
     c_inf, k_inf = np.isinf(cond), np.isinf(classical)
     # deviations of the blocks where both sides are finite, 0 elsewhere
     dev = np.abs(np.subtract(cond, classical, out=np.zeros(cond.shape), where=~(c_inf | k_inf)))
@@ -190,13 +194,10 @@ class TransferReport:
         }
 
 
-def _default_sequences(x: RandomVariable, n_max: int):
-    ones = RandomVariable(np.ones(len(x)))
-    dominator = RandomVariable(np.abs(x.values) + 1.0)
-    return [
-        ShrinkingPerturbationSeq(x, ones, n_max, dominator),
-        EventuallyConstantSeq((x + 1.0, x + 0.5), x, dominator),
-    ]
+def _default_sequence(x: RandomVariable, n_max: int) -> ShrinkingPerturbationSeq:
+    return ShrinkingPerturbationSeq(
+        x, RandomVariable(np.ones(len(x))), n_max, RandomVariable(np.abs(x.values) + 1.0)
+    )
 
 
 def _probe_duals(measure: CondRiskMeasure, seed: int, count: int = 5) -> List[RandomVariable]:
@@ -224,9 +225,6 @@ CONV_N_MAX = 10_000
 LAW_TRIALS = 200
 
 ITEM_QUALIFIERS = {
-    # every finite convex map on a finite space is continuous: both sides
-    # always pass, and reports must say so rather than claim evidence
-    6: "vacuous at finite scale",
     7: "at probe resolution",
 }
 
@@ -254,15 +252,13 @@ def _verdicts(
         out[2] = out[1] and all(e.maximizer.is_admissible(space) for e in rep.entries)
     for number, prop in ((3, "fatou"), (4, "lebesgue")):
         if number in items:
-            out[number] = all(
-                check_convergence_property(measure, prop, s, CONV_TOL).passed
-                for s in _default_sequences(payoffs[0], CONV_N_MAX)
-            )
+            out[number] = check_convergence_property(
+                measure, prop, _default_sequence(payoffs[0], CONV_N_MAX), CONV_TOL
+            ).passed
     if 5 in items:
         out[5] = check_axiom(
             measure, "conditional_law_invariance", trials=LAW_TRIALS, seed=seed
         ).passed
-    out[6] = True
     if 7 in items:
         r = stable_sublevel_check(space, penalty_map(measure), eta, probes)
         out[7] = r.mixing_closure_passed and all(r.inf_compact_per_block)

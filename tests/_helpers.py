@@ -1,5 +1,6 @@
 """Seeded generators shared between the unit tests and the acceptance suite."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,6 +153,18 @@ def max_of_linear(space, densities, alphas):
     return CondRiskMeasure(
         space, lambda x: ConditionalValue(batch(x.values[None])[0]), "max_of_linear", evaluate_batch_fn=batch
     )
+
+
+def ceil_measure(space):
+    """Local: -E[x | block 1] on block 1, -ceil(E[x | block 2]) on block 2.
+    Not lower semicontinuous on block 2, where the mean is an integer."""
+
+    def ev(x):
+        vals = -space.cond_expect(x).values
+        vals[1] = -math.ceil(-vals[1])
+        return ConditionalValue(vals)
+
+    return CondRiskMeasure(space, ev, "ceil")
 
 
 def reference_penalty(space, kind, param, y):

@@ -1,7 +1,11 @@
-"""A guard against new settable options in the public API."""
+"""Guards on the public API: no new settable options, no exported name
+without a job."""
 
+import ast
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +82,52 @@ def test_values_refuse_attribute_assignment(value):
     for name in names + ["not_an_attribute"]:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name, None))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "condrisk"
+
+
+def _exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
+
+
+def _package_lines():
+    """Each package line that is not an import line, with the name it
+    defines when it is a ``def`` or ``class`` line."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        imports = {
+            i
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+            for i in range(n.lineno, n.end_lineno + 1)
+        }
+        defines = {
+            n.lineno: n.name
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+        }
+        for i, line in enumerate(text.splitlines(), start=1):
+            if i not in imports:
+                yield line, defines.get(i)
+
+
+def test_every_exported_name_is_reached():
+    """Every name ``condrisk`` exports is referenced in the package outside
+    its own ``def``/``class`` line and the import lines, or in the README,
+    the acceptance suite or the benchmark: a name only its own unit tests
+    reach has no job."""
+    lines = list(_package_lines())
+    outside = "\n".join(
+        p.read_text()
+        for p in [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    )
+    unreached = []
+    for name in _exported_names():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not (word.search(outside) or any(word.search(line) and own != name for line, own in lines)):
+            unreached.append(name)
+    assert unreached == []

@@ -422,6 +422,23 @@ def test_packed_avar_non_finite_rows_match_the_exact_route():
         assert np.isfinite(packed[0]).all()
 
 
+def test_avar_routes_give_tied_atoms_one_oracle_weight():
+    # both sorts order tied payoffs by position in block order, so where the
+    # tail's boundary falls among ties the two routes weight the same atom
+    rng = np.random.default_rng(75)
+    space = _shuffled_space(rng, [3, 5, 4])
+    lam = np.array([0.3, 0.5, 0.7])
+    xs = rng.integers(0, 3, (200, space.n_atoms)).astype(float)
+    short = cond_avar(space, lam)
+    with mock.patch.object(riskcore, "PACKED_SORT_MIN_ATOMS", 1), \
+            mock.patch.object(riskcore, "_packed_sort", wraps=riskcore._packed_sort) as packed:
+        long = cond_avar(space, lam)
+        weights = long._dual_oracle(xs)
+    assert packed.called
+    assert np.array_equal(weights, short._dual_oracle(xs))
+    assert np.array_equal(long.evaluate_batch(xs), short.evaluate_batch(xs))
+
+
 def test_avar_route_follows_the_row_length():
     rng = np.random.default_rng(74)
     for space, long_rows in ((_uneven_space(rng, 9, 4), False), (_long_space(rng, 30), True)):

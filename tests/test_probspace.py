@@ -9,7 +9,6 @@ from condrisk import (
     PartitionOfUnity,
     RandomVariable,
     SpaceError,
-    esssup_family,
 )
 
 
@@ -47,11 +46,6 @@ def test_indicator_mix_count_mismatch(s4, a2):
 
 def test_esssup_examples(s4):
     assert np.array_equal(s4.esssup_cond(RandomVariable([1, 3, 2, 6])).values, [3, 6])
-    fam = [ConditionalValue([1, 4]), ConditionalValue([2, 3])]
-    assert np.array_equal(esssup_family(fam).values, [2, 4])
-    assert np.array_equal(esssup_family([ConditionalValue([0, 0])]).values, [0, 0])
-    with pytest.raises(ValueError):
-        esssup_family([])
 
 
 def test_conditional_law_examples(s4):
@@ -155,8 +149,7 @@ def test_value_type_guards():
 def test_lift_and_indicator(s4, a2):
     lifted = s4.lift(ConditionalValue([2.0, -1.0]))
     assert np.array_equal(lifted.values, [2, 2, -1, -1])
-    ind = s4.indicator(a2.atom(2))
-    assert np.array_equal(ind.values, [0, 0, 1, 1])
+    assert np.array_equal(s4.sample_mask(a2.atom(2)), [0, 0, 1, 1])
     with pytest.raises(SpaceError):
         s4.lift(ConditionalValue([np.inf, 0.0]))
 

@@ -29,7 +29,7 @@ from condrisk import (
 )
 from condrisk.duality import DualityError
 from condrisk.transfer import ScalarizeError
-from _helpers import spy_calls
+from _helpers import ceil_measure, spy_calls
 
 LOG2 = math.log(2.0)
 
@@ -215,11 +215,11 @@ def test_transfer_verify_builtins(s4):
     rng = np.random.default_rng(54)
     payoffs = [RandomVariable(rng.normal(0, 2, 4)) for _ in range(8)]
     for m in builtins(s4):
-        rep = transfer_verify(m, [1, 2, 3, 4, 5, 6, 7], payoffs)
+        rep = transfer_verify(m, [1, 2, 3, 4, 5, 7], payoffs)
         assert rep.all_equivalences_hold, m.label
+        assert sorted(rep.items) == [1, 2, 3, 4, 5, 7]
         for item in rep.items.values():
             assert item.conditional and all(item.per_atom)
-        assert rep.items[6].qualifier == "vacuous at finite scale"
         assert rep.items[7].qualifier == "at probe resolution"
 
 
@@ -231,17 +231,6 @@ def test_transfer_tilt_localizes(s4):
     assert not item.conditional
     assert item.per_atom == [False, True]
     assert item.equivalence  # both sides fail together
-
-
-def ceil_measure(space):
-    """Local: -E[x | block 1] on block 1, -ceil(E[x | block 2]) on block 2."""
-
-    def ev(x):
-        vals = -space.cond_expect(x).values
-        vals[1] = -math.ceil(-vals[1])
-        return ConditionalValue(vals)
-
-    return CondRiskMeasure(space, ev, "ceil")
 
 
 def test_transfer_convergence_localizes(s4):
@@ -257,8 +246,9 @@ def test_transfer_convergence_localizes(s4):
 
 def test_transfer_verify_guards(s4):
     payoffs = [RandomVariable([1, 3, 2, 6])]
-    with pytest.raises(ValueError):
-        transfer_verify(neg_cond_expectation(s4), [8], payoffs)
+    for item in (6, 8):
+        with pytest.raises(ValueError, match=rf"unknown item numbers \[{item}\]"):
+            transfer_verify(neg_cond_expectation(s4), [item], payoffs)
     with pytest.raises(ValueError):
         transfer_verify(neg_cond_expectation(s4), [1], [])
     with pytest.raises(ScalarizeError):
@@ -333,18 +323,18 @@ def test_uneven_blocks_and_singletons():
     for m in builtins(space):
         assert verify_representation(m, [x], tol=1e-6).attained_all
         assert fenchel_consistency(m, [dual], tol=1e-6).passed
-    rep = transfer_verify(cond_entropic(space, 1.0), [1, 2, 3, 4, 5, 6, 7], [x])
+    rep = transfer_verify(cond_entropic(space, 1.0), [1, 2, 3, 4, 5, 7], [x])
     assert rep.all_equivalences_hold
 
 
 def test_transfer_verify_on_20_blocks_in_time():
-    # AVaR on 20 blocks of 2 atoms, items 1-7; item 7's walk stops at its cap
+    # AVaR on 20 blocks of 2 atoms, every item; item 7's walk stops at its cap
     rng = np.random.default_rng(71)
     probs = rng.uniform(0.5, 2.0, 40)
     space = FiniteProbSpace(probs / probs.sum(), [[2 * j + 1, 2 * j + 2] for j in range(20)])
     payoffs = [RandomVariable(rng.normal(0, 2, 40)) for _ in range(3)]
     start = time.perf_counter()
-    rep = transfer_verify(cond_avar(space, 0.5), [1, 2, 3, 4, 5, 6, 7], payoffs)
+    rep = transfer_verify(cond_avar(space, 0.5), [1, 2, 3, 4, 5, 7], payoffs)
     elapsed = time.perf_counter() - start
     assert rep.all_equivalences_hold
     assert "the walk stops at its cap" in rep.items[7].notes[0]
@@ -353,9 +343,9 @@ def test_transfer_verify_on_20_blocks_in_time():
 
 def test_transfer_report_shape(s4):
     payoffs = [RandomVariable([1, 3, 2, 6])]
-    rep = transfer_verify(neg_cond_expectation(s4), [1, 6], payoffs)
+    rep = transfer_verify(neg_cond_expectation(s4), [1, 7], payoffs)
     d = rep.to_dict()
     assert set(d) == {"measure", "items", "all_equivalences_hold"}
-    assert set(d["items"]) == {"1", "6"}
+    assert set(d["items"]) == {"1", "7"}
     assert set(d["items"]["1"]) == {"name", "conditional", "per_atom", "equivalence"}
-    assert d["items"]["6"]["qualifier"] == "vacuous at finite scale"
+    assert d["items"]["7"]["qualifier"] == "at probe resolution"

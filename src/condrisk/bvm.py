@@ -595,33 +595,9 @@ def seq_index(xs: Sequence[RandomVariable], n: ConditionalValue, space: FinitePr
 # -- interpretation property suite --------------------------------------------------
 
 
-AGREEMENT_ATOM_CAP = 16
-
-
-class ExhaustiveCapError(CondriskError):
-    """An exhaustive walk over the algebra was asked for past its atom cap."""
-
-
-def _agreement_join_exhaustive(algebra: BooleanAlgebra, agrees_on) -> BoolElem:
-    """Independent oracle: join of all elements a with agreement on every atom of a.
-
-    Walks all ``2^m`` masks, so it refuses past ``AGREEMENT_ATOM_CAP`` atoms.
-    """
-    m = algebra.atom_count
-    if m > AGREEMENT_ATOM_CAP:
-        raise ExhaustiveCapError(
-            f"the exhaustive agreement join walks 2^m elements; {m} atoms exceed "
-            f"the cap of {AGREEMENT_ATOM_CAP}"
-        )
-    agree = 0
-    for i in range(m):
-        if agrees_on(i + 1):
-            agree |= 1 << i
-    best = 0
-    for mask in range(1 << m):
-        if mask & agree == mask:
-            best |= mask
-    return algebra.from_mask(best)
+def _agreement_set(algebra: BooleanAlgebra, agrees_on) -> BoolElem:
+    """Independent oracle: the atoms on which ``agrees_on`` holds, asked one atom at a time."""
+    return algebra.element([i for i in range(1, algebra.atom_count + 1) if agrees_on(i)])
 
 
 @dataclass
@@ -645,9 +621,9 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
     """Exact checks of the interpretation maps over seeded samples.
 
     Each check compares two different computations: the equality and order
-    truth values of reals and of payoffs against the exhaustive agreement
-    joins, and mixing of reals and of naturals against a per-atom paste along
-    a random labelling of the atoms.
+    truth values of reals and of payoffs against the agreement sets asked
+    atom by atom, and mixing of reals and of naturals against a per-atom
+    paste along a random labelling of the atoms.
     """
     _check_count(samples, "samples")
     _check_seed(seed)
@@ -670,10 +646,10 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
         eta, xi = ConditionalValue(ev), ConditionalValue(xv)
 
         direct = real_eq_truth(algebra, eta, xi)
-        oracle = _agreement_join_exhaustive(algebra, lambda i: ev[i - 1] == xv[i - 1])
+        oracle = _agreement_set(algebra, lambda i: ev[i - 1] == xv[i - 1])
         mark("real_truth_joins", direct == oracle)
         direct = real_le_truth(algebra, eta, xi)
-        oracle = _agreement_join_exhaustive(algebra, lambda i: ev[i - 1] <= xv[i - 1])
+        oracle = _agreement_set(algebra, lambda i: ev[i - 1] <= xv[i - 1])
         mark("real_truth_joins", direct == oracle)
 
         # a random labelling of the atoms: atom i + 1 lies in part part_of[i]
@@ -698,12 +674,12 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
         y[jdup] = x[jdup]
         payoffs = RandomVariable(x), RandomVariable(y)
         direct = l1_eq_truth(space, *payoffs)
-        oracle = _agreement_join_exhaustive(
+        oracle = _agreement_set(
             algebra, lambda i: bool(np.array_equal(x[blocks[i - 1]], y[blocks[i - 1]]))
         )
         mark("l1_truth_joins", direct == oracle)
         direct = l1_le_truth(space, *payoffs)
-        oracle = _agreement_join_exhaustive(
+        oracle = _agreement_set(
             algebra, lambda i: bool(np.all(x[blocks[i - 1]] <= y[blocks[i - 1]]))
         )
         mark("l1_truth_joins", direct == oracle)

@@ -667,14 +667,15 @@ def stable_sublevel_check(
 
     ``f`` is called through its row form ``f.rows`` where it has one (every
     ``penalty_map`` has), else on one payoff at a time, in order.  The probe
-    is screened in one call.  The walk pastes its choices in row batches
-    (``_row_batches``) of about CHUNK_ELEMENTS >> 5 payoff entries at first,
-    doubling up to about CHUNK_ELEMENTS, and stops after the batch that holds
-    the first violation, which it reports.  The rays are
-    taken step by step, t = 1, 2, 4, ..., SUBLEVEL_RAY_BOUND: each step is
-    one call on the directions that are still inside the set on some block,
-    and a step of such a direction past float range raises the payoff's
-    ValueError.
+    is screened in one call.  With one block or at most one member every
+    choice is a member, so nothing is walked.  Else the walk pastes its
+    choices in row batches (``_row_batches``) of about CHUNK_ELEMENTS >> 5
+    payoff entries at first, doubling up to about CHUNK_ELEMENTS, and stops
+    after the batch that holds the first violation, which it reports.  The
+    rays are taken step by step, t = 1, 2, 4, ..., SUBLEVEL_RAY_BOUND: each
+    step is one call on the directions that are still inside the set on
+    some block, and a step of such a direction past float range raises the
+    payoff's ValueError.
     """
     if not probe:
         raise ValueError("probe must be nonempty")
@@ -693,7 +694,9 @@ def stable_sublevel_check(
     # the most significant
     stack = np.stack([v.values for v in members]) if members else None
     cols = np.arange(n)
-    total = len(members) ** m
+    # with one block or at most one member, every choice is a member the
+    # screening already evaluated: there is nothing to walk
+    total = 0 if m == 1 or len(members) <= 1 else len(members) ** m
     end = min(total, SUBLEVEL_MAX_COMBOS + 1)
     violation = None
     for done, size in _row_batches(n, end):

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, mask_array
+from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity
 from .errors import CondriskError
 
 PROB_SUM_TOL = 1e-12
@@ -304,9 +304,6 @@ class FiniteProbSpace:
                 q, [tuple(range(1, q.size + 1))], _normalized=True
             )
         return self._block_spaces[j]
-
-    def sample_mask(self, a: BoolElem) -> np.ndarray:
-        return self.broadcast(mask_array(self._check_elem(a).mask, self.n_blocks))
 
     def lift(self, eta: ConditionalValue) -> RandomVariable:
         """Blockwise-constant payoff with the given finite block values."""

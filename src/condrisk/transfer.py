@@ -38,7 +38,6 @@ from .riskcore import (
 
 ITEM_NAMES = {
     1: "representable",
-    2: "attains_representation",
     3: "fatou",
     4: "lebesgue",
     5: "law_invariant",
@@ -246,10 +245,8 @@ def _verdicts(
     space = measure.space
     out: Dict[int, bool] = {}
     notes: List[str] = []
-    if 1 in items or 2 in items:
-        rep = verify_representation(measure, payoffs, tol)
-        out[1] = rep.attained_all
-        out[2] = out[1] and all(e.maximizer.is_admissible(space) for e in rep.entries)
+    if 1 in items:
+        out[1] = verify_representation(measure, payoffs, tol).attained_all
     for number, prop in ((3, "fatou"), (4, "lebesgue")):
         if number in items:
             out[number] = check_convergence_property(

@@ -368,6 +368,9 @@ def reference_sublevel_walk(space, f, eta, probe, max_combos):
     members = [v for v in probe if inside(v)]
     notes = [] if members else ["no probe member lies in the sublevel set; verdicts vacuous"]
     finest = PartitionOfUnity(space.algebra.atom_elements())
+    if len(finest) == 1 or len(members) <= 1:
+        # every mix is then a member, which the screening above judged
+        return len(members), None, notes
     walk = itertools.product(members, repeat=len(finest))
     for combos, choice in enumerate(walk, start=1):
         if not inside(space.indicator_mix(finest, choice)):

@@ -131,3 +131,23 @@ def test_every_exported_name_is_reached():
         if not (word.search(outside) or any(word.search(line) and own != name for line, own in lines)):
             unreached.append(name)
     assert unreached == []
+
+
+def _unread_imports(path):
+    """Names a module imports (``__future__`` features aside) that it never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (a.asname or a.name).split(".")[0]
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", None) != "__future__"
+        for a in n.names
+    }
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    """A module of the package reads every name it imports; ``__init__``
+    imports to export, which the test above checks."""
+    found = {p.name: _unread_imports(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    assert {name: unread for name, unread in found.items() if unread} == {}

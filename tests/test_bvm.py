@@ -430,18 +430,12 @@ def test_interp_props_never_list_partitions(monkeypatch):
     assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
-def test_agreement_join_refuses_past_its_cap():
-    from condrisk.bvm import AGREEMENT_ATOM_CAP, ExhaustiveCapError, _agreement_join_exhaustive
-
-    alg = BooleanAlgebra(5)
-    assert _agreement_join_exhaustive(alg, lambda i: i % 2 == 1) == alg.element({1, 3, 5})
-    big = BooleanAlgebra(AGREEMENT_ATOM_CAP + 1)
-    with pytest.raises(ExhaustiveCapError, match=f"cap of {AGREEMENT_ATOM_CAP}"):
-        _agreement_join_exhaustive(big, lambda i: True)
-    n = AGREEMENT_ATOM_CAP + 1
+def test_verify_interp_props_runs_past_16_blocks():
+    # 20 singleton blocks: the oracle asks each atom, it walks no subsets
+    n = 20
     space = FiniteProbSpace(np.full(n, 1.0 / n), [[j] for j in range(1, n + 1)])
-    with pytest.raises(ExhaustiveCapError):
-        verify_interp_props(space, samples=1)
+    report = verify_interp_props(space, samples=5, seed=3)
+    assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
 # -- truth tables --------------------------------------------------------------------

@@ -625,6 +625,28 @@ def test_mixing_walk_runs_to_its_end_under_the_cap():
     assert len(walked) == 3125 and set(walked) == set(itertools.product(range(5), repeat=5))
 
 
+def test_one_block_walks_nothing_past_the_screening():
+    # on one block every choice is a member, which the screening judged: f.rows
+    # sees the probe once, then only the ray steps.  Rays start at (1, 0)
+    # along +-(1, 0) and +-(0, 1) with level 1.5: step t = 1 takes all 4 and
+    # (2, 0) leaves, t = 2 takes 3 and (1, 2), (1, -2) leave, t = 4 takes
+    # the last, (-3, 0)
+    space = FiniteProbSpace([0.5, 0.5], [[1, 2]])
+    seen = []
+
+    def rows(vs):
+        seen.append(vs.tolist())
+        return np.abs(vs).max(axis=1, keepdims=True)
+
+    f = _with_rows(lambda v: ConditionalValue(rows(v.values[None])[0]), rows)
+    probes = [RandomVariable([1.0, 0.0]), RandomVariable([0.0, 1.0])]
+    rep = stable_sublevel_check(space, f, ConditionalValue([1.5]), probes)
+    assert rep.members == 2 and rep.mixing_closure_passed
+    assert rep.bounded_per_block == [True]
+    assert [len(batch) for batch in seen] == [2, 4, 3, 1]
+    assert seen[0] == [[1.0, 0.0], [0.0, 1.0]] and seen[-1] == [[-3.0, 0.0]]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
 def test_any_partition_mix_is_a_mix_along_the_blocks(data):

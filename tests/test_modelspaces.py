@@ -17,6 +17,7 @@ from condrisk import (
     young_power,
 )
 from condrisk import FiniteProbSpace, modelspaces
+from condrisk.boolalg import mask_array
 from condrisk.modelspaces import LUXEMBURG_TOL, YOUNG_MEMO_CAP, ConjugacyError, YoungFunctionError
 
 
@@ -117,7 +118,7 @@ def test_gauge_finite_for_all_specs(s4):
 def test_gauge_locality(s4, a2):
     rng = np.random.default_rng(9)
     x = RandomVariable(rng.normal(0, 2, 4))
-    cut = RandomVariable(x.values * s4.sample_mask(a2.atom(1)))
+    cut = RandomVariable(x.values * s4.broadcast(mask_array(a2.atom(1).mask, 2)))
     full = module_gauge(ModuleSpec.lp(2), x, s4).values
     masked = module_gauge(ModuleSpec.lp(2), cut, s4).values
     assert masked[0] == full[0] and masked[1] == 0.0

@@ -10,6 +10,7 @@ from condrisk import (
     RandomVariable,
     SpaceError,
 )
+from condrisk.boolalg import mask_array
 
 
 def test_cond_expect_examples(s4):
@@ -149,7 +150,7 @@ def test_value_type_guards():
 def test_lift_and_indicator(s4, a2):
     lifted = s4.lift(ConditionalValue([2.0, -1.0]))
     assert np.array_equal(lifted.values, [2, 2, -1, -1])
-    assert np.array_equal(s4.sample_mask(a2.atom(2)), [0, 0, 1, 1])
+    assert np.array_equal(s4.broadcast(mask_array(a2.atom(2).mask, 2)), [0, 0, 1, 1])
     with pytest.raises(SpaceError):
         s4.lift(ConditionalValue([np.inf, 0.0]))
 

@@ -27,6 +27,7 @@ from condrisk import (
     neg_cond_expectation,
 )
 from condrisk import riskcore
+from condrisk.boolalg import mask_array
 from condrisk.riskcore import RiskMeasureError, UndominatedSequenceError
 
 
@@ -98,7 +99,7 @@ def test_worst_case_local_exact(s4, a2):
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = RandomVariable(rng.normal(0, 2, 4))
-        cut = RandomVariable(x.values * s4.sample_mask(a2.atom(1)))
+        cut = RandomVariable(x.values * s4.broadcast(mask_array(a2.atom(1).mask, 2)))
         assert m.evaluate(x).values[0] == m.evaluate(cut).values[0]
 
 

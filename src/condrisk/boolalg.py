@@ -33,19 +33,14 @@ class NotCoveringError(PartitionError):
 class BooleanAlgebra:
     """Powerset algebra on atoms ``1..m``; ``full`` is the mask of the unity."""
 
-    __slots__ = ("atom_count", "full", "_zero", "_one")
+    __slots__ = ("atom_count", "full", "_one")
 
     def __init__(self, atom_count: int):
         if not isinstance(atom_count, int) or atom_count < 1:
             raise ValueError("atom_count must be a positive integer")
         self.atom_count = atom_count
         self.full = (1 << atom_count) - 1
-        self._zero = _elem(self, 0)
         self._one = _elem(self, self.full)
-
-    @property
-    def zero(self) -> "BoolElem":
-        return self._zero
 
     @property
     def one(self) -> "BoolElem":
@@ -169,10 +164,6 @@ class BoolElem:
     def __ge__(self, other: "BoolElem") -> bool:
         self._same(other)
         return (self.mask & other.mask) == other.mask
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.mask
 
     @property
     def is_one(self) -> bool:

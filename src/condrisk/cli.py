@@ -37,23 +37,6 @@ class Scenario:
     measures: List[CondRiskMeasure]
     payoffs: List[RandomVariable]
 
-    def to_dict(self) -> dict:
-        """Canonical JSON form; ingest(dump(to_dict())) is structurally equal."""
-        measures = []
-        for m in self.measures:
-            desc = {"kind": m.label}
-            if "gamma" in m.params:
-                desc["gamma"] = [float(g) for g in m.params["gamma"]]
-            if "lambda" in m.params:
-                desc["lambda"] = [float(v) for v in m.params["lambda"]]
-            measures.append(desc)
-        return {
-            "probs": self.space.probs.tolist(),
-            "blocks": [list(b) for b in self.space.blocks],
-            "measures": measures,
-            "payoffs": [x.values.tolist() for x in self.payoffs],
-        }
-
 
 def _fmt(value):
     """Round floats to 12 significant digits; keep JSON strictly valid."""

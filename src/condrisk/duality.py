@@ -345,7 +345,7 @@ class DualResult:
     value: ConditionalValue
     maximizer: DualVariable
     converged: List[bool]
-    warnings: List[str] = field(default_factory=list)
+    warnings: List[str]
 
 
 def _graded(measure: CondRiskMeasure, xv: np.ndarray, y: DualVariable, blocks=None) -> np.ndarray:
@@ -426,18 +426,16 @@ def _capped_fill(measure: CondRiskMeasure, xv: np.ndarray) -> DualVariable:
     """Each block filled to its declared ``dual_density_cap``: the dual
     oracle of ``cond_avar`` at lambda = 1/cap, which gives density cap to the
     atoms where x is least until the block's mass is filled.  A block whose
-    cap is None takes the vertex of the atom where x is least, as does one
-    whose cap is at least 1/q for every atom of it.  A cap below 1 leaves no
-    density on its block and is refused by name."""
+    cap is at least 1/q for every atom of it takes the vertex of the atom
+    where x is least.  A cap below 1 leaves no density on its block; the
+    first such block is refused by name."""
     space = measure.space
-    lam = space.block_min(space.cond)
-    for j in range(1, space.n_blocks + 1):
-        cap = measure.dual_density_cap(j)
-        if cap is None:
-            continue
-        if not cap >= 1.0 - 1e-12:
-            raise DualityError(f"block {j}: density cap {float(cap)!r} is infeasible, below 1")
-        lam[j - 1] = min(1.0, max(lam[j - 1], 1.0 / cap))
+    cap = measure.dual_density_cap
+    low = np.flatnonzero(cap < 1.0 - 1e-12)
+    if low.size:
+        j = int(low[0]) + 1
+        raise DualityError(f"block {j}: density cap {float(cap[j - 1])!r} is infeasible, below 1")
+    lam = np.minimum(1.0, np.maximum(space.block_min(space.cond), 1.0 / cap))
     return admissible_dual(space, cond_avar(space, lam)._dual_oracle(xv[None])[0])
 
 

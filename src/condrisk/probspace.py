@@ -263,15 +263,6 @@ class FiniteProbSpace:
     def restrict(self, x: RandomVariable, j: int) -> np.ndarray:
         return self._check_rv(x)[self.block_index_array(j)]
 
-    def extend(self, block_values, j: int, fill: float = 0.0) -> RandomVariable:
-        idx = self.block_index_array(j)
-        vals = np.asarray(block_values, dtype=float)
-        if vals.shape != idx.shape:
-            raise SpaceError(f"block {j} has {idx.size} atoms, got values of shape {vals.shape}")
-        out = np.full(self.n_atoms, float(fill))
-        out[idx] = vals
-        return RandomVariable(out)
-
     # -- blockwise reductions over the last axis of arrays (payoffs or row
     #    batches); each is one gather into block order and one reduceat
 

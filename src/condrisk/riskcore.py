@@ -58,10 +58,11 @@ class CondRiskMeasure:
     the measure, and a result of another shape is refused by name.  Built-ins
     pass their batched penalty as it is.  A user measure's dual comes from
     candidate duals graded by its own penalty, central differences of its
-    risk first; ``dual_density_cap(j)`` gives block ``j``'s bound on the
-    density, or None, and adds the fill to that cap to the candidates for
-    the blocks the differences leave short.  ``restrict(j)`` cuts block
-    ``j`` out as a classical measure on one block, which is what the dual
+    risk first; ``dual_density_cap`` bounds the density on each block, a
+    scalar or one finite value per block kept as a read-only array, and adds
+    the fill to that cap to the candidates for the blocks the differences
+    leave short.  ``restrict(j)`` cuts block ``j`` out as a classical
+    measure on one block, which is what the dual
     engine works on: a built-in rebuilds itself there natively, a user
     measure is padded back to the whole space and checked for that padding.
     A built-in also carries its exact dual oracle ``_dual_oracle``: it maps a
@@ -81,7 +82,7 @@ class CondRiskMeasure:
     label: str
     closed_form_penalty: Optional[Callable[[np.ndarray], np.ndarray]] = None
     evaluate_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    dual_density_cap: Optional[Callable[[int], Optional[float]]] = None
+    dual_density_cap: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
     # built-ins only: ``cut(block_space, j)`` builds the same built-in on
     # block j's space with block j's parameter
@@ -91,6 +92,11 @@ class CondRiskMeasure:
     _dual_oracle: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        if self.dual_density_cap is not None:
+            cap = _as_block_params(self.space, self.dual_density_cap, "dual_density_cap")
+            object.__setattr__(self, "dual_density_cap", cap)
 
     def evaluate(self, x: RandomVariable) -> ConditionalValue:
         out = self._evaluate_one(x)
@@ -137,9 +143,9 @@ class CondRiskMeasure:
         and its ``params`` are the block's alone.  A user measure, a
         ``dataclasses.replace`` copy of a built-in included, is padded:
         block payoffs are extended by 0 and block duals by -1, the parent's
-        column ``j`` is read back, and the cap hook is the parent's at
-        ``j``.  The padding is checked once, exactly: two probe
-        payoffs, each extended by 0 and by EXTENSION_FILL, must give the same
+        column ``j`` is read back, and the cap is the parent's entry ``j``.
+        The padding is checked once, exactly: two probe payoffs, each
+        extended by 0 and by EXTENSION_FILL, must give the same
         figure on block ``j``, or ScalarizeError is raised.  Block
         coordinates follow ``space.block_index_array(j)``, so a measure on
         one block that lists its atoms in order is its own restriction.
@@ -176,7 +182,7 @@ class CondRiskMeasure:
         if self.closed_form_penalty is not None:
             pen = lambda ys: self._rows(self.closed_form_penalty, pad(ys, -1.0), "penalties")[:, col]
         if self.dual_density_cap is not None:
-            cap = lambda _: self.dual_density_cap(j)
+            cap = self.dual_density_cap[j - 1 : j]
         return CondRiskMeasure(
             space.block_space(j),
             lambda x: _cv(_readonly(ev_batch(x.values[None])[0])),
@@ -499,7 +505,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         penalty,
         lambda block, j: cond_avar(block, lam_arr[j - 1]),
         oracle,
-        dual_density_cap=lambda j: 1.0 / lam_arr[j - 1],
+        dual_density_cap=1.0 / lam_arr,
         params={"lambda": lam_arr},
     )
 
@@ -590,9 +596,12 @@ _AXIOM_INPUTS = {
 
 
 def _trial_streams(axiom: str, seed: int) -> list:
-    """One generator for each input of ``axiom``, on that input's child stream."""
-    children = np.random.SeedSequence(seed).spawn(len(TRIAL_INPUTS))
-    return [np.random.default_rng(children[TRIAL_INPUTS.index(name)]) for name in _AXIOM_INPUTS[axiom]]
+    """One generator for each input of ``axiom``, on that input's child
+    stream, built directly: child i of ``spawn`` is the seed with spawn key (i,)."""
+    return [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(TRIAL_INPUTS.index(name),)))
+        for name in _AXIOM_INPUTS[axiom]
+    ]
 
 
 def _draw_trials(axiom: str, space: FiniteProbSpace, streams: list, groups: tuple, size: int) -> list:
@@ -762,41 +771,29 @@ class ShrinkingPerturbationSeq:
 
 @dataclass
 class ConvergenceReport:
-    property: str
-    passed: bool
+    fatou: bool
+    lebesgue: bool
     max_deviation: float
-    observed_order: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "property": self.property,
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-        }
-        if self.observed_order is not None:
-            out["order"] = self.observed_order
-        return out
+    observed_order: Optional[float]
 
 
 def check_convergence_property(
     measure: CondRiskMeasure,
-    prop: str,
     sequence,
     tol: float = 1e-3,
 ) -> ConvergenceReport:
-    """Fatou / Lebesgue verdict for a finitely described dominated sequence.
+    """Fatou and Lebesgue verdicts for a finitely described dominated sequence.
 
     The sequence is a shrinking perturbation, sampled at geometrically spaced
     indices up to n_max; the convergence order is estimated from the two
     largest sampled indices.
-    The limit and the sampled terms are evaluated in one batch; a non-finite
-    risk among them raises RiskMeasureError, as ``evaluate`` does.
+    The limit and the sampled terms are evaluated in one batch, which gives
+    both verdicts; a non-finite risk among them raises RiskMeasureError, as
+    ``evaluate`` does.
     """
-    if prop not in ("fatou", "lebesgue"):
-        raise ValueError("property must be 'fatou' or 'lebesgue'")
-    _check_tol(tol)
     if not isinstance(sequence, ShrinkingPerturbationSeq):
         raise TypeError("unsupported sequence spec")
+    _check_tol(tol)
     sequence.check_dominated()
 
     space = measure.space
@@ -814,11 +811,7 @@ def check_convergence_property(
     order = None
     if len(ns) >= 2 and devs[-1] > 0 and devs[-2] > 0:
         order = math.log(devs[-2] / devs[-1]) / math.log(ns[-1] / ns[-2])
-    if prop == "fatou":
-        # liminf estimated from the last sampled indices; the truncation error
-        # there is O(1/n_max), which the caller's tolerance must absorb
-        tail = np.min(values[-2:], axis=0)
-        passed = bool(np.all(tail >= limit_vals - tol))
-    else:
-        passed = devs[-1] <= tol
-    return ConvergenceReport(prop, passed, devs[-1], order)
+    # Fatou: the liminf estimated from the last sampled indices; the
+    # truncation error there is O(1/n_max), which the caller's tolerance must absorb
+    fatou = bool(np.all(np.min(values[-2:], axis=0) >= limit_vals - tol))
+    return ConvergenceReport(fatou, devs[-1] <= tol, devs[-1], order)

@@ -154,7 +154,6 @@ def fenchel_consistency(
 
 @dataclass
 class ItemResult:
-    number: int
     name: str
     conditional: bool
     per_atom: List[bool]
@@ -247,11 +246,9 @@ def _verdicts(
     notes: List[str] = []
     if 1 in items:
         out[1] = verify_representation(measure, payoffs, tol).attained_all
-    for number, prop in ((3, "fatou"), (4, "lebesgue")):
-        if number in items:
-            out[number] = check_convergence_property(
-                measure, prop, _default_sequence(payoffs[0], CONV_N_MAX), CONV_TOL
-            ).passed
+    if 3 in items or 4 in items:
+        conv = check_convergence_property(measure, _default_sequence(payoffs[0], CONV_N_MAX), CONV_TOL)
+        out[3], out[4] = conv.fatou, conv.lebesgue
     if 5 in items:
         out[5] = check_axiom(
             measure, "conditional_law_invariance", trials=LAW_TRIALS, seed=seed
@@ -280,7 +277,11 @@ def transfer_verify(
     the model-side truth value is visible atom by atom.
     """
     _check_tol(tol)
-    items = sorted(set(items))
+    items = list(items)
+    for i in items:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"item numbers must be integers, got {i!r}")
+    items = sorted({int(i) for i in items})
     if not items:
         raise ValueError("transfer_verify needs at least one item")
     unknown = [i for i in items if i not in ITEM_NAMES]
@@ -318,7 +319,6 @@ def transfer_verify(
     for i in items:
         ok, per_atom = verdicts[i], [v[i] for v in per_block]
         results[i] = ItemResult(
-            i,
             ITEM_NAMES[i],
             ok,
             per_atom,

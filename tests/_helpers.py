@@ -244,10 +244,6 @@ class RefElem:
         return self.atoms >= other.atoms
 
     @property
-    def is_zero(self):
-        return not self.atoms
-
-    @property
     def is_one(self):
         return len(self.atoms) == self.m
 

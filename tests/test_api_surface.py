@@ -13,7 +13,7 @@ import condrisk
 
 # Raising this bound needs a CHANGES.md line naming the two callers that need
 # different values of the new option; a value only one caller uses is a constant.
-MAX_DEFAULTED_PARAMETERS = 31
+MAX_DEFAULTED_PARAMETERS = 29
 
 
 def _public_callables():
@@ -131,6 +131,76 @@ def test_every_exported_name_is_reached():
         if not (word.search(outside) or any(word.search(line) and own != name for line, own in lines)):
             unreached.append(name)
     assert unreached == []
+
+
+def _exported_members():
+    """``(class name, member name, function)`` of each public method,
+    property and classmethod defined in the body of an exported class."""
+    for name in _exported_names():
+        cls = getattr(condrisk, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, member in vars(cls).items():
+            if attr.startswith("_"):
+                continue
+            if isinstance(member, property):
+                yield name, attr, member.fget
+            elif isinstance(member, (classmethod, staticmethod)):
+                yield name, attr, member.__func__
+            elif inspect.isfunction(member):
+                yield name, attr, member
+
+
+def test_every_public_member_is_reached():
+    """Every public method, property and classmethod of an exported class is
+    read as ``.name`` in the package outside its own ``def``, or in the
+    benchmark, the acceptance suite or the reference helpers, or the README
+    names it in backticks: a member only its own unit tests reach has no job.
+    The match is by name, so a member that shares its name with one of
+    another type (``list.extend``) passes unseen."""
+    package = {path.name: path.read_text().splitlines() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = "\n".join(
+        p.read_text()
+        for p in [
+            *sorted((ROOT / "perfbench").glob("*.py")),
+            ROOT / "tests" / "test_acceptance.py",
+            ROOT / "tests" / "_helpers.py",
+        ]
+    )
+    spans = re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text())
+    unreached = []
+    for owner, attr, fn in _exported_members():
+        source, start = inspect.getsourcelines(fn)
+        own = (Path(inspect.getsourcefile(fn)).name, range(start, start + len(source)))
+        dot = re.compile(rf"\.{re.escape(attr)}\b")
+        in_package = any(
+            dot.search(line)
+            for module, lines in package.items()
+            for i, line in enumerate(lines, start=1)
+            if not (module == own[0] and i in own[1])
+        )
+        named = any(re.search(rf"\b{re.escape(attr)}\b", span) for span in spans)
+        if not (in_package or named or dot.search(outside)):
+            unreached.append(f"{owner}.{attr}")
+    assert unreached == []
+
+
+def test_every_private_helper_is_called():
+    """Every module-level private function or class of the package is read
+    in the package outside its own definition, as a name or as an attribute:
+    a helper that a deletion left without a caller fails here."""
+    defined, read = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and own.startswith("_"):
+                defined[own] = path.name
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id != own:
+                    read.add(n.id)
+                elif isinstance(n, ast.Attribute) and n.attr != own:
+                    read.add(n.attr)
+    assert {name: module for name, module in defined.items() if name not in read} == {}
 
 
 def _unread_imports(path):

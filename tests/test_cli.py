@@ -342,16 +342,5 @@ def test_ingest_roundtrip_structure(s4_path):
     assert len(scenario.payoffs) == 2
 
 
-def test_ingest_print_roundtrip(s4_path, tmp_path):
-    first = ingest(s4_path)
-    echoed = tmp_path / "echo.json"
-    echoed.write_text(json.dumps(first.to_dict()))
-    second = ingest(str(echoed))
-    assert second.to_dict() == first.to_dict()
-    assert second.space.blocks == first.space.blocks
-    assert [m.label for m in second.measures] == [m.label for m in first.measures]
-    assert all(a == b for a, b in zip(second.payoffs, first.payoffs))
-
-
 def test_unknown_command_exits_2():
     assert main(["bogus"]) == 2

@@ -1064,16 +1064,20 @@ def test_a_smooth_copy_with_tied_minima_at_scale_1e5_takes_the_finer_differences
 
 def test_an_infeasible_density_cap_is_refused_by_name(s4):
     # a cap below 1 leaves no density on its block; the capped fill, asked
-    # once the moved penalty leaves every earlier candidate short, refuses it
+    # once the moved penalty leaves every earlier candidate short, refuses
+    # the first such block
     ent = cond_entropic(s4, 0.2)
     pen = ent.closed_form_penalty
-    moved = dataclasses.replace(
-        ent,
-        closed_form_penalty=lambda ys: pen(ys) + 1.0,
-        dual_density_cap=lambda j: [2.0, 0.5][j - 1],
-    )
+    caps = [2.0, 0.5]
+    moved = dataclasses.replace(ent, closed_form_penalty=lambda ys: pen(ys) + 1.0, dual_density_cap=caps)
     with pytest.raises(DualityError, match=r"^block 2: density cap 0\.5 is infeasible, below 1$"):
         dual_representation(moved, RandomVariable([1, 3, 2, 6]))
+    # the cap is data: a read-only copy of one finite value per block
+    caps[1] = 3.0
+    assert moved.dual_density_cap.tolist() == [2.0, 0.5] and not moved.dual_density_cap.flags.writeable
+    assert dataclasses.replace(ent, dual_density_cap=2.0).dual_density_cap.tolist() == [2.0, 2.0]
+    with pytest.raises(ValueError, match="dual_density_cap must be finite"):
+        dataclasses.replace(ent, dual_density_cap=[2.0, math.inf])
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

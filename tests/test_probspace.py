@@ -171,16 +171,7 @@ def test_block_index_out_of_range_refused(space8, j):
         lambda: space8.cond_probs(j),
         lambda: space8.restrict(x, j),
         lambda: space8.block_space(j),
-        lambda: space8.extend([1.0, 2.0], j),
     )
     for call in calls:
         with pytest.raises(ValueError, match=f"block {j} outside 1..3"):
             call()
-
-
-def test_extend_refuses_a_mismatched_block_shape(s4):
-    with pytest.raises(SpaceError):
-        s4.extend([5.0], 1)
-    with pytest.raises(SpaceError):
-        s4.extend(5.0, 1)
-    assert np.array_equal(s4.extend([5.0, 6.0], 2, fill=1.0).values, [1, 1, 5, 6])

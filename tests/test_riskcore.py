@@ -239,7 +239,8 @@ def test_non_finite_risk_against_first_failure(s4, batched, fault):
     assert want.counterexample["trial"] == first_fail
     xs = _trial_payoffs(block.space, 10, seed)
     for k in (0, 3, 4, 5, 6, 9):
-        x_bad = space.extend(xs[k], 2).values
+        x_bad = np.zeros(space.n_atoms)
+        x_bad[space.block_index_array(2)] = xs[k]
         measure = _infinite_at(space, rows, x_bad, batched, fault).restrict(2)
         if k <= first_fail:
             with _raised(fault):
@@ -342,6 +343,17 @@ def test_small_space_checks_its_trials_in_one_batch(monkeypatch, space8):
     report = check_axiom(neg_cond_expectation(space8), "conditional_law_invariance", 200)
     assert report.passed
     assert [len(inputs[0]) for _, _, inputs in batches] == [200]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 28, 2**40 + 3])
+def test_trial_streams_are_the_spawned_children(seed):
+    # each input's stream is built from its spawn key alone, bit for bit
+    # child i of spawn(6), so the pinned counterexamples keep their trials
+    children = np.random.SeedSequence(seed).spawn(len(riskcore.TRIAL_INPUTS))
+    for axiom, names in riskcore._AXIOM_INPUTS.items():
+        for name, rng in zip(names, riskcore._trial_streams(axiom, seed), strict=True):
+            want = np.random.default_rng(children[riskcore.TRIAL_INPUTS.index(name)])
+            assert np.array_equal(rng.random(16), want.random(16))
 
 
 def test_near_equal_masses_fall_in_one_group_each():
@@ -448,8 +460,8 @@ def test_worst_case_perturbation_rate(s4):
     x = RandomVariable([1, 3, 2, 6])
     d = RandomVariable([1, 0, 0, 0])
     seq = ShrinkingPerturbationSeq(x, d, 10_000, RandomVariable(np.abs(x.values) + 1))
-    rep = check_convergence_property(cond_worst_case(s4), "lebesgue", seq, tol=2e-4)
-    assert rep.passed
+    rep = check_convergence_property(cond_worst_case(s4), seq, tol=2e-4)
+    assert rep.lebesgue and rep.fatou
     assert rep.max_deviation <= 2e-4
     assert rep.observed_order == pytest.approx(1.0, abs=0.2)
 
@@ -458,7 +470,7 @@ def test_fatou_perturbation(s4):
     x = RandomVariable([0, 1, -1, 2])
     seq = ShrinkingPerturbationSeq(x, RandomVariable([1, 1, 1, 1]), 4096)
     for m in (cond_entropic(s4, 1.0), cond_avar(s4, 0.5)):
-        assert check_convergence_property(m, "fatou", seq, tol=1e-3).passed
+        assert check_convergence_property(m, seq, tol=1e-3).fatou
 
 
 def test_non_finite_term_of_a_sequence_raises(s4):
@@ -477,7 +489,7 @@ def test_non_finite_term_of_a_sequence_raises(s4):
     for batch_fn in (None, batch):
         m = CondRiskMeasure(s4, ev, "blowup", evaluate_batch_fn=batch_fn)
         with pytest.raises(RiskMeasureError, match="non-finite"):
-            check_convergence_property(m, "lebesgue", seq)
+            check_convergence_property(m, seq)
 
 
 def test_sampled_terms_are_one_array(s4):
@@ -490,7 +502,7 @@ def test_sampled_terms_are_one_array(s4):
         risks = m.evaluate_batch(np.stack([x.values] + [seq.term(n).values for n in ns]))
         devs = [float(np.max(np.abs(r - risks[0]))) for r in risks[1:]]
         with mock.patch.object(riskcore, "RandomVariable", wraps=RandomVariable) as built:
-            rep = check_convergence_property(m, "lebesgue", seq)
+            rep = check_convergence_property(m, seq)
         assert built.call_count == 0
         assert rep.max_deviation == devs[-1]
         assert rep.observed_order == math.log(devs[-2] / devs[-1]) / math.log(ns[-1] / ns[-2])
@@ -501,7 +513,7 @@ def test_convergence_refuses_an_unusable_tolerance(s4, tol):
     seq = ShrinkingPerturbationSeq(RandomVariable([1, 3, 2, 6]), RandomVariable([1, 1, 1, 1]), 64)
     message = f"tol must be a finite number >= 0, got {tol!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        check_convergence_property(neg_cond_expectation(s4), "fatou", seq, tol=tol)
+        check_convergence_property(neg_cond_expectation(s4), seq, tol=tol)
 
 
 @pytest.mark.parametrize("n_max", [0, -3, 2.5, math.nan, True, "3"])
@@ -519,16 +531,17 @@ def test_undominated_sequence_rejected(s4):
     with pytest.raises(UndominatedSequenceError):
         check_convergence_property(
             neg_cond_expectation(s4),
-            "lebesgue",
             ShrinkingPerturbationSeq(x, RandomVariable([1, 1, 1, 1]), 100, small),
         )
 
 
 def test_bad_property_name(s4):
+    # one call gives both verdicts, so no property is named: a call that
+    # still names one passes it as the sequence, and is refused as such
     x = RandomVariable([1, 3, 2, 6])
     seq = ShrinkingPerturbationSeq(x, RandomVariable([1, 1, 1, 1]), 64)
-    with pytest.raises(ValueError):
-        check_convergence_property(neg_cond_expectation(s4), "dominated", seq)
+    with pytest.raises(TypeError, match="^unsupported sequence spec$"):
+        check_convergence_property(neg_cond_expectation(s4), "fatou", seq)
     # a shrinking perturbation is the one sequence the check takes
     with pytest.raises(TypeError, match="^unsupported sequence spec$"):
-        check_convergence_property(neg_cond_expectation(s4), "fatou", [x, x])
+        check_convergence_property(neg_cond_expectation(s4), [x, x])

@@ -27,6 +27,7 @@ from condrisk import (
     verify_representation,
     young_power,
 )
+from condrisk import transfer
 from condrisk.duality import DualityError
 from condrisk.transfer import ScalarizeError
 from _helpers import ceil_measure, spy_calls
@@ -244,11 +245,27 @@ def test_transfer_convergence_localizes(s4):
         assert item.equivalence
 
 
+def test_items_3_and_4_share_one_convergence_check_per_side(monkeypatch, s4):
+    # one batch gives both verdicts: one check of the whole measure and one
+    # of each block, and each item reads as it does when asked alone
+    m, x = ceil_measure(s4), RandomVariable([0.3, -1.2, 1.0, 3.0])
+    alone = {i: transfer_verify(m, [i], [x]).items[i].to_dict() for i in (3, 4)}
+    calls = spy_calls(monkeypatch, transfer, "check_convergence_property")
+    rep = transfer_verify(m, [3, 4], [x])
+    assert len(calls) == 3
+    assert {i: rep.items[i].to_dict() for i in (3, 4)} == alone
+
+
 def test_transfer_verify_guards(s4):
     payoffs = [RandomVariable([1, 3, 2, 6])]
     for item in (2, 6, 8):
         with pytest.raises(ValueError, match=rf"unknown item numbers \[{item}\]"):
             transfer_verify(neg_cond_expectation(s4), [item], payoffs)
+    # True == 1 and 1.0 == 1 as keys, but neither is an item number: each
+    # would be reported under "True" or "1.0"
+    for item in (True, 1.0):
+        with pytest.raises(ValueError, match=rf"item numbers must be integers, got {item}$"):
+            transfer_verify(neg_cond_expectation(s4), [3, item], payoffs)
     with pytest.raises(ValueError):
         transfer_verify(neg_cond_expectation(s4), [1], [])
     with pytest.raises(ScalarizeError):

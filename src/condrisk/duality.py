@@ -109,7 +109,7 @@ def _risks(measure: CondRiskMeasure, batch: np.ndarray, span: int) -> np.ndarray
     whatever rows share it, so it takes one call; a user batch function may
     round a row by its neighbours (one matrix product over the batch), so it
     takes one call per span, as a one-row search would make."""
-    if measure._cut is not None or len(batch) == span:
+    if measure._kernel is not None or len(batch) == span:
         return measure.evaluate_batch(batch)[:, 0]
     return np.concatenate([measure.evaluate_batch(batch[a : a + span])[:, 0] for a in range(0, len(batch), span)])
 
@@ -639,10 +639,62 @@ class SublevelReport:
         }
 
 
-# sublevel check: the mixing walk stops after SUBLEVEL_MAX_COMBOS choices;
-# boundedness rays double their step up to SUBLEVEL_RAY_BOUND
+# sublevel check: past SUBLEVEL_MAX_COMBOS choices the mixing walk takes a
+# covering array; boundedness rays double their step up to SUBLEVEL_RAY_BOUND
 SUBLEVEL_MAX_COMBOS = 4096
 SUBLEVEL_RAY_BOUND = 2.0**40
+
+
+def _walk_rows(members: int, m: int):
+    """How many choices of one member per block the mixing walk takes, a map
+    from an array of their indices to those choices ``(rows, m)``, and a note
+    for the choices it leaves out (None when it leaves none).
+
+    Up to SUBLEVEL_MAX_COMBOS choices, all ``members ** m`` of them in
+    ``itertools.product`` order, block 1 the most significant digit.  Past
+    it, a strength-2 covering array (Colbourn, *Combinatorial aspects of
+    covering arrays*, Le Matematiche 2004): for each bit b of the block
+    index and each ordered pair (s, t) of members, the blocks whose bit b is
+    0 take s and the others take t.  Two blocks differ in some bit, so every
+    pair of blocks takes every pair of members, in members^2 * ceil(log2 m)
+    rows."""
+    blocks = np.arange(m)
+    if members**m <= SUBLEVEL_MAX_COMBOS:
+        digits = members ** blocks[::-1]
+        return members**m, lambda rows: rows[:, None] // digits % members, None
+    pairs = members**2
+    total = pairs * (m - 1).bit_length()
+
+    def choices(rows: np.ndarray) -> np.ndarray:
+        b, pair = np.divmod(rows, pairs)
+        s, t = np.divmod(pair, members)
+        return np.where((blocks >> b[:, None]) & 1 == 1, t[:, None], s[:, None])
+
+    note = (
+        f"mixing closure checked on a covering array of {total} of the {members}^{m} "
+        "choices of members: every pair of blocks took every pair of members; "
+        "couplings of three or more blocks are unchecked"
+    )
+    return total, choices, note
+
+
+def _escapes(f, base: np.ndarray, dirs: np.ndarray, judged: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Where each ray base + t dir leaves the set {f <= level}, ``(dirs,
+    n_blocks)``, for t = 1, 2, 4, ..., SUBLEVEL_RAY_BOUND, counting a block
+    a direction is not ``judged`` on as left: each step is one call on the
+    directions still inside on some block, and a step of such a direction
+    past float range raises the payoff's ValueError."""
+    escaped = ~judged
+    live, t = np.flatnonzero(~escaped.all(axis=1)), 1.0
+    while live.size and t <= SUBLEVEL_RAY_BOUND:
+        with np.errstate(over="ignore"):
+            rays = base + t * dirs[live]
+        if not np.isfinite(rays).all():
+            raise ValueError("random variable entries must be finite")
+        escaped[live] |= _values_of_rows(f, rays) > level
+        live = live[~escaped[live].all(axis=1)]
+        t *= 2.0
+    return escaped
 
 
 def stable_sublevel_check(
@@ -653,15 +705,16 @@ def stable_sublevel_check(
 ) -> SublevelReport:
     """Stability and boundedness of the sublevel set {v : f(v) <= eta}.
 
-    Mixing closure walks every choice of one member (a probe payoff inside
-    the set) per block: M^m choices for M members and m blocks.  A mix along
-    any partition of unity is the mix along the blocks that gives each block
-    its part's member, so coarser partitions add nothing.  Closure follows
-    from locality: a violation means the caller's local-property certificate
-    was wrong.  The walk stops after SUBLEVEL_MAX_COMBOS choices; a walk cut
-    short there says so in ``notes``.  Boundedness is probed by step-doubling
-    rays along +/- each probe member; the verdict is only complete up to the
-    span of the probe.
+    Mixing closure walks choices of one member (a probe payoff inside the
+    set) per block: all M^m of them for M members and m blocks, up to
+    SUBLEVEL_MAX_COMBOS, and past it a covering array in which every pair of
+    blocks takes every pair of members (``_walk_rows``), which says so in
+    ``notes``.  A mix along any partition of unity is the mix along the
+    blocks that gives each block its part's member, so coarser partitions
+    add nothing.  Closure follows from locality: a violation means the
+    caller's local-property certificate was wrong.  Boundedness is probed by
+    step-doubling rays along +/- each probe member; the verdict is only
+    complete up to the span of the probe.
 
     ``f`` is called through its row form ``f.rows`` where it has one (every
     ``penalty_map`` has), else on one payoff at a time, in order.  The probe
@@ -670,10 +723,8 @@ def stable_sublevel_check(
     choices in row batches (``_row_batches``) of about CHUNK_ELEMENTS >> 5
     payoff entries at first, doubling up to about CHUNK_ELEMENTS, and stops
     after the batch that holds the first violation, which it reports.  The
-    rays are taken step by step, t = 1, 2, 4, ..., SUBLEVEL_RAY_BOUND: each
-    step is one call on the directions that are still inside the set on
-    some block, and a step of such a direction past float range raises the
-    payoff's ValueError.
+    rays are taken step by step (``_escapes``) from the first member, along
+    each probe direction that is not 0.
     """
     if not probe:
         raise ValueError("probe must be nonempty")
@@ -687,52 +738,33 @@ def stable_sublevel_check(
         notes.append("no probe member lies in the sublevel set; verdicts vacuous")
 
     # mixed payoffs are pasted from one stack of the members: a choice picks
-    # a member (a row) per block, broadcast to one row index per atom.  The
-    # c-th choice of itertools.product has the base-M digits of c, block 1
-    # the most significant
-    stack = np.stack([v.values for v in members]) if members else None
-    cols = np.arange(n)
-    # with one block or at most one member, every choice is a member the
+    # a member (a row) per block, broadcast to one row index per atom.  With
+    # one block or at most one member, every choice is a member the
     # screening already evaluated: there is nothing to walk
-    total = 0 if m == 1 or len(members) <= 1 else len(members) ** m
-    end = min(total, SUBLEVEL_MAX_COMBOS + 1)
     violation = None
-    for done, size in _row_batches(n, end):
-        rest = np.arange(done, done + size)
-        choices = np.zeros((rest.size, m), dtype=np.intp)
-        for j in range(m - 1, -1, -1):
-            if not rest.any():
+    if m > 1 and len(members) > 1:
+        stack = np.stack([v.values for v in members])
+        cols = np.arange(n)
+        total, choices, note = _walk_rows(len(members), m)
+        for done, size in _row_batches(n, total):
+            batch = choices(np.arange(done, done + size))
+            vals = _values_of_rows(f, stack[space.broadcast(batch), cols])
+            outside = ~np.all(vals <= level, axis=1)
+            if outside.any():
+                choice = batch[int(np.argmax(outside))].tolist()
+                violation = {
+                    "partition": [[j] for j in range(1, m + 1)],
+                    "choice": [members[k].values.tolist() for k in choice],
+                }
                 break
-            rest, choices[:, j] = np.divmod(rest, len(members))
-        vals = _values_of_rows(f, stack[space.broadcast(choices), cols])
-        outside = ~np.all(vals <= level, axis=1)
-        if outside.any():
-            choice = choices[int(np.argmax(outside))].tolist()
-            violation = {
-                "partition": [[j] for j in range(1, m + 1)],
-                "choice": [members[k].values.tolist() for k in choice],
-            }
-            break
-    if violation is None and end < total:
-        notes.append(
-            f"mixing closure checked on the first {end} combinations of a "
-            "partition and a choice of members only: the walk stops at its cap"
-        )
+        if violation is None and note is not None:
+            notes.append(note)
     mixing_ok = violation is None
 
     dirs = [d for v in probe for d in (v.values, -v.values) if np.any(d)] if members else []
     dirs = np.reshape(dirs, (-1, n))
-    escaped = np.zeros((len(dirs), m), dtype=bool)
-    live, t = np.arange(len(dirs)), 1.0
-    while live.size and t <= SUBLEVEL_RAY_BOUND:
-        with np.errstate(over="ignore"):
-            rays = members[0].values + t * dirs[live]
-        if not np.isfinite(rays).all():
-            raise ValueError("random variable entries must be finite")
-        escaped[live] |= _values_of_rows(f, rays) > level
-        live = live[~escaped[live].all(axis=1)]
-        t *= 2.0
-    bounded = escaped.all(axis=0).tolist()
+    base = members[0].values if members else None
+    bounded = _escapes(f, base, dirs, np.ones((len(dirs), m), dtype=bool), level).all(axis=0).tolist()
 
     inf_compact = [mixing_ok and b for b in bounded]
     return SublevelReport(
@@ -743,3 +775,22 @@ def stable_sublevel_check(
         inf_compact_per_block=inf_compact,
         notes=notes,
     )
+
+
+def _bounded_blocks(space: FiniteProbSpace, f, eta: ConditionalValue, probe: Sequence[RandomVariable]) -> np.ndarray:
+    """What ``stable_sublevel_check`` gives each block of ``space`` when run
+    on that block alone, with the probe cut to it: whether the block's
+    sublevel set is bounded and mixing-closed.  On one block every choice is
+    a member, so no mix is walked.  The members of a block are the probes
+    inside the set there; its rays start at its first member and run along
+    each probe direction that is not 0 on it.  A block without a member is
+    vacuously bounded."""
+    level = space._check_cv(eta)
+    vs = np.stack([v.values for v in probe])
+    inside = _values_of_rows(f, vs) <= level
+    base = vs[space.broadcast(inside.argmax(axis=0)), np.arange(space.n_atoms)]
+    dirs = np.stack([vs, -vs], axis=1).reshape(-1, space.n_atoms)
+    judged = (space.block_max(np.abs(dirs)) > 0) & inside.any(axis=0)
+    # a direction is 0 on the blocks it is not judged on, so its rays stay finite there
+    dirs = dirs * space.broadcast(judged)
+    return _escapes(f, base, dirs, judged, level).all(axis=0)

@@ -63,8 +63,9 @@ class CondRiskMeasure:
     the fill to that cap to the candidates for the blocks the differences
     leave short.  ``restrict(j)`` cuts block ``j`` out as a classical
     measure on one block, which is what the dual
-    engine works on: a built-in rebuilds itself there natively, a user
-    measure is padded back to the whole space and checked for that padding.
+    engine works on: a built-in becomes its dense classical kernel there
+    (``_kernel``), a user measure is padded back to the whole space and
+    checked for that padding.
     A built-in also carries its exact dual oracle ``_dual_oracle``: it maps a
     ``(rows, n_atoms)`` array of payoffs to nonnegative weights of that shape
     whose normalization on each block is the density that attains the
@@ -72,7 +73,7 @@ class CondRiskMeasure:
 
     A measure is immutable, so its hooks, its restriction and its oracle
     cannot drift apart.  A measure with another hook is a new measure, made
-    with ``dataclasses.replace``; that leaves ``_cut`` and ``_dual_oracle``
+    with ``dataclasses.replace``; that leaves ``_kernel`` and ``_dual_oracle``
     unset, so the copy is a user measure: a padded restriction, and duals
     from the candidates graded by the hooks it holds.
     """
@@ -84,11 +85,10 @@ class CondRiskMeasure:
     evaluate_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dual_density_cap: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
-    # built-ins only: ``cut(block_space, j)`` builds the same built-in on
-    # block j's space with block j's parameter
-    _cut: Optional[Callable[[FiniteProbSpace, int], "CondRiskMeasure"]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # built-ins only: the kind of ``_KERNELS`` and the parameter of each
+    # block (None for a kind without one); it marks a built-in, whose rows
+    # do not depend on the rows beside them
+    _kernel: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _dual_oracle: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -138,9 +138,11 @@ class CondRiskMeasure:
     def restrict(self, j: int) -> "CondRiskMeasure":
         """Block ``j`` as a measure on ``space.block_space(j)``.
 
-        The one place a block is cut out of the space.  A built-in is built
-        anew on the block's space with block ``j``'s parameter, so its work
-        and its ``params`` are the block's alone.  A user measure, a
+        The one place a block is cut out of the space.  A built-in becomes
+        its dense classical kernel (``_kernel_measure``) on the block's space
+        with block ``j``'s parameter, so its work and its ``params`` are the
+        block's alone, and it shares no code with the built-in's whole-space
+        batch, penalty and oracle.  A user measure, a
         ``dataclasses.replace`` copy of a built-in included, is padded:
         block payoffs are extended by 0 and block duals by -1, the parent's
         column ``j`` is read back, and the cap is the parent's entry ``j``.
@@ -155,10 +157,10 @@ class CondRiskMeasure:
         n = space.n_atoms
         if space.n_blocks == 1 and space.blocks[0] == tuple(range(1, n + 1)):
             return self
-        if self._cut is not None:
-            block = self._cut(space.block_space(j), j)
-            object.__setattr__(block, "label", f"{self.label}@block{j}")
-            return block
+        if self._kernel is not None:
+            kind, param = self._kernel
+            cut = None if param is None else param[j - 1 : j]
+            return _kernel_measure(space.block_space(j), kind, cut, f"{self.label}@block{j}")
         col = slice(j - 1, j)
 
         def pad(rows: np.ndarray, fill: float) -> np.ndarray:
@@ -210,10 +212,10 @@ def _row_batches(n_atoms: int, total: int):
         size *= 2
 
 
-def _builtin(space, label, batch, penalty, cut, oracle, **dual) -> CondRiskMeasure:
+def _builtin(space, label, batch, penalty, oracle, kernel, **dual) -> CondRiskMeasure:
     """A built-in from its batched risk (rows of payoffs), its batched penalty
-    (rows of duals), ``cut(block_space, j)``, which builds it on one block
-    for ``restrict``, and its dual oracle (rows of payoffs to weights).
+    (rows of duals), its dual oracle (rows of payoffs to weights) and its
+    ``kernel``: the kind of ``_KERNELS`` and the parameter of each block.
 
     Batches run in chunks of rows of about CHUNK_ELEMENTS payoff entries, so a
     batch's full-size temporaries stay that small however many rows it has.
@@ -233,7 +235,7 @@ def _builtin(space, label, batch, penalty, cut, oracle, **dual) -> CondRiskMeasu
         evaluate_batch_fn=batch_fn,
         **dual,
     )
-    object.__setattr__(measure, "_cut", cut)
+    object.__setattr__(measure, "_kernel", kernel)
     object.__setattr__(measure, "_dual_oracle", oracle)
     return measure
 
@@ -256,8 +258,8 @@ def neg_cond_expectation(space: FiniteProbSpace) -> CondRiskMeasure:
         "neg_expectation",
         lambda xs: -space.block_mean(xs),
         lambda y: _zero_where(space.block_max(np.abs(y + 1.0)) <= ADMISSIBLE_TOL),
-        lambda block, j: neg_cond_expectation(block),
         lambda xs: np.ones(xs.shape),
+        ("neg_expectation", None),
     )
 
 
@@ -283,8 +285,8 @@ def cond_worst_case(space: FiniteProbSpace) -> CondRiskMeasure:
         "worst_case",
         lambda xs: -space.block_min(xs),
         lambda y: _zero_where(_admissible_mask(space, y)),
-        lambda block, j: cond_worst_case(block),
         oracle,
+        ("worst_case", None),
     )
 
 
@@ -346,8 +348,8 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
         "entropic",
         batch,
         penalty,
-        lambda block, j: cond_entropic(block, g[j - 1]),
         oracle,
+        ("entropic", g),
         params={"gamma": g},
     )
 
@@ -503,11 +505,154 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         "avar",
         batch,
         penalty,
-        lambda block, j: cond_avar(block, lam_arr[j - 1]),
         oracle,
+        ("avar", lam_arr),
         dual_density_cap=1.0 / lam_arr,
         params={"lambda": lam_arr},
     )
+
+
+# -- dense classical kernels ------------------------------------------------------
+# Each built-in's textbook formula, written once on a dense ``(rows, B, k)``
+# array of B blocks of k atoms with the ``(B, k)`` conditional masses q and
+# one parameter per block, reducing along the last axis.  They share no code
+# with the block layout that the whole-space built-ins above run on:
+# ``restrict(j)`` of a built-in is its kernel at B = 1, and the transfer suite
+# judges the blocks of each size with one stacked run of the kernel, so its
+# classical side is a second implementation (Foellmer and Schied, *Stochastic
+# Finance*, ch. 4, for the penalties and densities).
+
+
+def _dense_admissible(q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Blocks on which -y is a conditional density (within ADMISSIBLE_TOL)."""
+    return (y.max(axis=-1) <= ADMISSIBLE_TOL) & (np.abs((q * y).sum(axis=-1) + 1.0) <= ADMISSIBLE_TOL)
+
+
+def _mean_risk(x, q, _):
+    return -(q * x).sum(axis=-1)
+
+
+def _mean_penalty(y, q, _):
+    return _zero_where(np.abs(y + 1.0).max(axis=-1) <= ADMISSIBLE_TOL)
+
+
+def _mean_oracle(x, q, _):
+    return np.ones(x.shape)
+
+
+def _worst_risk(x, q, _):
+    return -x.min(axis=-1)
+
+
+def _worst_penalty(y, q, _):
+    return _zero_where(_dense_admissible(q, y))
+
+
+def _worst_oracle(x, q, _):
+    """1 on the first atom of each block, in block order, where x is least."""
+    w = np.zeros(x.shape)
+    np.put_along_axis(w, x.argmin(axis=-1)[..., None], 1.0, axis=-1)
+    return w
+
+
+def _gibbs(x, g):
+    """exp(-gamma x - top), with top the block's largest -gamma x, and top."""
+    a = x * -g[:, None]
+    top = a.max(axis=-1)
+    return np.exp(a - top[..., None]), top
+
+
+def _entropic_risk(x, q, g):
+    w, top = _gibbs(x, g)
+    return (top + np.log((q * w).sum(axis=-1))) / g
+
+
+def _entropic_penalty(y, q, g):
+    d = np.maximum(-y, 0.0)
+    ent = np.where(d > 0, d * np.log(np.maximum(d, 1e-300)), 0.0)
+    return np.where(_dense_admissible(q, y), (q * ent).sum(axis=-1) / g, math.inf)
+
+
+def _entropic_oracle(x, q, g):
+    return _gibbs(x, g)[0]
+
+
+def _avar_tail(x, q, lam):
+    """One stable sort of each block by payoff, largest loss first (Acerbi
+    and Tasche, *On the coherence of expected shortfall*, J. Banking &
+    Finance 2002): the atom at each place, its mass, and the mass it gives
+    the tail, what is left of lambda after the atoms ahead."""
+    at = x.argsort(axis=-1, kind="stable")
+    mass = np.take_along_axis(np.broadcast_to(q, x.shape), at, axis=-1)
+    ahead = np.cumsum(mass, axis=-1) - mass
+    return at, mass, np.clip(lam[:, None] - ahead, 0.0, mass)
+
+
+def _avar_risk(x, q, lam):
+    at, _, take = _avar_tail(x, q, lam)
+    tail = -(take * np.take_along_axis(x, at, axis=-1)).sum(axis=-1) / lam
+    return np.where(lam >= 1.0, _mean_risk(x, q, lam), tail)
+
+
+def _avar_penalty(y, q, lam):
+    capped = (-y).max(axis=-1) <= 1.0 / lam + ADMISSIBLE_TOL
+    return _zero_where(_dense_admissible(q, y) & capped)
+
+
+def _avar_oracle(x, q, lam):
+    """The tail mass over its own mass on each atom; 1 on blocks at lambda = 1."""
+    at, mass, take = _avar_tail(x, q, lam)
+    w = np.empty(x.shape)
+    np.put_along_axis(w, at, take / mass, axis=-1)
+    return np.where((lam >= 1.0)[:, None], 1.0, w)
+
+
+# kind: risk, penalty, dual oracle and the name of the block parameter
+_KERNELS = {
+    "neg_expectation": (_mean_risk, _mean_penalty, _mean_oracle, None),
+    "worst_case": (_worst_risk, _worst_penalty, _worst_oracle, None),
+    "entropic": (_entropic_risk, _entropic_penalty, _entropic_oracle, "gamma"),
+    "avar": (_avar_risk, _avar_penalty, _avar_oracle, "lambda"),
+}
+
+
+def _kernel_measure(space: FiniteProbSpace, kind: str, param, label: str) -> CondRiskMeasure:
+    """The dense kernel of ``kind`` as a built-in on ``space``, whose blocks
+    are contiguous and of one size (a block space, or a stack of
+    ``_stacked``), with ``param`` (one value per block, or None)."""
+    shape = (space.n_blocks, space.n_atoms // space.n_blocks)
+    q = space.cond.reshape(shape)
+    risk, penalty, oracle, name = _KERNELS[kind]
+
+    def dense(fn):
+        return lambda a: fn(a.reshape(a.shape[:-1] + shape), q, param)
+
+    weights = dense(oracle)
+    dual = {}
+    if name is not None:
+        dual["params"] = {name: param}
+    if kind == "avar":
+        dual["dual_density_cap"] = 1.0 / param
+    return _builtin(
+        space, label, dense(risk), dense(penalty), lambda xs: weights(xs).reshape(xs.shape), (kind, param), **dual
+    )
+
+
+def _stacked(measure: CondRiskMeasure, blocks: np.ndarray):
+    """A built-in's blocks ``blocks`` (0-based, all of one size k) as its
+    dense kernel on one space of contiguous k-atom blocks that carries their
+    conditional masses bit for bit, and the atoms of the measure's space in
+    the stack's order: block a of the stack is ``blocks[a]``, and a payoff
+    indexed by those atoms is the stack's."""
+    space = measure.space
+    kind, param = measure._kernel
+    k = space._bounds[blocks[0] + 1] - space._bounds[blocks[0]]
+    at = (space.starts[blocks][:, None] + np.arange(k)).ravel()  # places in block order
+    stack = FiniteProbSpace(
+        space._cond_in_order[at], np.arange(1, at.size + 1).reshape(-1, k), _normalized=True
+    )
+    cut = None if param is None else _readonly(param[blocks])
+    return _kernel_measure(stack, kind, cut, f"{measure.label}@{k}-atom blocks"), space.order[at]
 
 
 BUILTIN_FACTORIES = {
@@ -604,32 +749,39 @@ def _trial_streams(axiom: str, seed: int) -> list:
     ]
 
 
-def _draw_trials(axiom: str, space: FiniteProbSpace, streams: list, groups: tuple, size: int) -> list:
+def _draw_trials(axiom: str, space: FiniteProbSpace, streams: list, groups: tuple, size: int, tile: int = 1) -> list:
     """Inputs of the next ``size`` trials, one generator call per input array.
 
     Trial t is row t of each input's stream, wherever the batches are cut.
     A law-preserving permutation sorts each equal-mass group (``groups``, as
     ``_equal_mass_groups`` gives it) by the trial's keys, one random key per
     atom: the group's i-th slot takes the atom with the group's i-th
-    smallest key.  Atoms outside every group keep their place.
+    smallest key.  Atoms outside every group keep their place.  A space of
+    ``tile`` equal copies of one block layout side by side (a stack of
+    ``_stacked``; 1 for any other space) draws each input for one copy and
+    repeats it on every copy, so each copy sees the trials of its own check.
     """
-    n, m = space.n_atoms, space.n_blocks
-    x, rng = streams[0].normal(0.0, 2.0, (size, n)), streams[1]
+    n, m = space.n_atoms // tile, space.n_blocks // tile
+
+    def draw(a: np.ndarray) -> np.ndarray:
+        return np.tile(a, tile) if tile > 1 else a
+
+    x, rng = draw(streams[0].normal(0.0, 2.0, (size, n))), streams[1]
     if axiom == "convexity":
-        return [x, rng.normal(0.0, 2.0, (size, n)), streams[2].uniform(0.0, 1.0, (size, m))]
+        return [x, draw(rng.normal(0.0, 2.0, (size, n))), draw(streams[2].uniform(0.0, 1.0, (size, m)))]
     if axiom == "monotonicity":
-        return [x, np.abs(rng.normal(0.0, 1.0, (size, n)))]
+        return [x, draw(np.abs(rng.normal(0.0, 1.0, (size, n))))]
     if axiom == "cash_invariance":
-        return [x, rng.normal(0.0, 2.0, (size, m))]
+        return [x, draw(rng.normal(0.0, 2.0, (size, m)))]
     if axiom == "local_property":
         # a uniform element of the block algebra: each block in with chance 1/2
-        return [x, rng.random((size, m)) < 0.5]
+        return [x, draw(rng.random((size, m)) < 0.5)]
     members, labels = groups
-    perm = np.arange(n)[None].repeat(size, axis=0)
+    perm = np.arange(space.n_atoms)[None].repeat(size, axis=0)
     if members.size:
         # one stable sort by (group label, key): numpy orders complex numbers
         # by their real parts, then by their imaginary parts
-        keys = rng.random((size, n))[:, members]
+        keys = draw(rng.random((size, n)))[:, members]
         perm[:, members] = members[np.argsort(labels + 1j * keys, axis=-1, kind="stable")]
     return [x, perm]
 
@@ -734,6 +886,28 @@ def check_axiom(
     return AxiomReport(axiom, trials, True)
 
 
+def _failing_blocks(measure: CondRiskMeasure, axiom: str, trials: int, seed: int, tile: int) -> np.ndarray:
+    """Every block on which a trial of ``check_axiom(measure, axiom, trials,
+    seed)`` fails, where that check reports the first failure only: the
+    same trials, drawn with ``tile`` as ``_draw_trials`` takes it, in row
+    batches that stop once every block has failed or the trials are done.
+    A non-finite risk in a trial run raises RiskMeasureError."""
+    space = measure.space
+    streams = _trial_streams(axiom, seed)
+    groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else None
+    failed = np.zeros(space.n_blocks, dtype=bool)
+    for _, size in _row_batches(space.n_atoms, trials):
+        inputs = _draw_trials(axiom, space, streams, groups, size, tile)
+        with np.errstate(invalid="ignore"):
+            lhs, rhs, bad = _axiom_sides(axiom, space, measure.evaluate_batch, *inputs)
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
+        failed |= bad.any(axis=0)
+        if failed.all():
+            break
+    return failed
+
+
 def check_all_axioms(measure: CondRiskMeasure, trials: int = 100, seed: int = 0):
     return {axiom: check_axiom(measure, axiom, trials, seed) for axiom in AXIOMS}
 
@@ -794,8 +968,21 @@ def check_convergence_property(
     if not isinstance(sequence, ShrinkingPerturbationSeq):
         raise TypeError("unsupported sequence spec")
     _check_tol(tol)
-    sequence.check_dominated()
 
+    ns, fatou, dev = _convergence_blocks(measure, sequence, tol)
+    devs = np.max(dev, axis=1).tolist()
+    order = None
+    if len(ns) >= 2 and devs[-1] > 0 and devs[-2] > 0:
+        order = math.log(devs[-2] / devs[-1]) / math.log(ns[-1] / ns[-2])
+    return ConvergenceReport(bool(fatou.all()), devs[-1] <= tol, devs[-1], order)
+
+
+def _convergence_blocks(measure: CondRiskMeasure, sequence: ShrinkingPerturbationSeq, tol: float):
+    """The sampled indices, the Fatou verdict of each block and the
+    deviation |rho(x_n) - rho(x)| of each sampled n on each block, from one
+    batch of risks; a block's Lebesgue verdict is its last deviation within
+    ``tol``."""
+    sequence.check_dominated()
     space = measure.space
     ns = sorted({min(2**k, sequence.n_max) for k in range(0, 64) if 2**k <= sequence.n_max} | {sequence.n_max})
     limit = space._check_rv(sequence.limit())
@@ -807,11 +994,6 @@ def check_convergence_property(
     if not np.all(np.isfinite(risks)):
         raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
     limit_vals, values = risks[0], risks[1:]
-    devs = np.max(np.abs(values - limit_vals), axis=1).tolist()
-    order = None
-    if len(ns) >= 2 and devs[-1] > 0 and devs[-2] > 0:
-        order = math.log(devs[-2] / devs[-1]) / math.log(ns[-1] / ns[-2])
     # Fatou: the liminf estimated from the last sampled indices; the
     # truncation error there is O(1/n_max), which the caller's tolerance must absorb
-    fatou = bool(np.all(np.min(values[-2:], axis=0) >= limit_vals - tol))
-    return ConvergenceReport(fatou, devs[-1] <= tol, devs[-1], order)
+    return ns, np.min(values[-2:], axis=0) >= limit_vals - tol, np.abs(values - limit_vals)

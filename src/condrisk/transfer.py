@@ -10,13 +10,14 @@ conditional penalty matches the per-block classical conjugates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .duality import (
     DualityError,
     DualVariable,
+    _bounded_blocks,
     _check_length,
     _penalty_rows,
     admissible_dual,
@@ -31,8 +32,10 @@ from .riskcore import (
     ShrinkingPerturbationSeq,
     _check_seed,
     _check_tol,
+    _convergence_blocks,
+    _failing_blocks,
+    _stacked,
     check_axiom,
-    check_convergence_property,
 )
 
 
@@ -235,29 +238,65 @@ def _verdicts(
     eta: Optional[ConditionalValue],
     tol: float,
     seed: int,
-) -> Tuple[Dict[int, bool], List[str]]:
-    """Verdict of each requested item for one measure, and the notes of item 7.
+    tile: int,
+) -> Dict[int, np.ndarray]:
+    """Verdict of each requested item on each block of ``measure``, read from
+    the per-block arrays of the checks.
 
-    The same checks judge the conditional measure and each block
-    restriction; only the inputs differ (whole or cut to the block).
+    Item 1 is each block's attainment over every payoff, items 3 and 4 its
+    Fatou and Lebesgue verdicts on the first payoff's sequence, item 5
+    whether no law-invariance trial fails there (``tile`` as
+    ``riskcore._draw_trials`` takes it) and item 7 the block's own sublevel
+    check, which walks no mix across blocks.
+    """
+    out: Dict[int, np.ndarray] = {}
+    if 1 in items:
+        entries = verify_representation(measure, payoffs, tol).entries
+        out[1] = np.all([np.abs(e.gap) <= tol for e in entries], axis=0)
+    if 3 in items or 4 in items:
+        _, out[3], dev = _convergence_blocks(measure, _default_sequence(payoffs[0], CONV_N_MAX), CONV_TOL)
+        out[4] = dev[-1] <= CONV_TOL
+    if 5 in items:
+        out[5] = ~_failing_blocks(measure, "conditional_law_invariance", LAW_TRIALS, seed, tile)
+    if 7 in items:
+        out[7] = _bounded_blocks(measure.space, penalty_map(measure), eta, probes)
+    return {i: out[i] for i in items}
+
+
+def _classical_verdicts(
+    measure: CondRiskMeasure,
+    items: Sequence[int],
+    payoffs: List[RandomVariable],
+    probes: List[RandomVariable],
+    eta: Optional[ConditionalValue],
+    tol: float,
+    seed: int,
+) -> Dict[int, List[bool]]:
+    """Each block's verdict on each requested item, on the inputs cut to it.
+
+    A built-in's blocks of each size take one ``_verdicts`` run of its
+    dense kernel on a stack of them (``riskcore._stacked``), whose item 5
+    draws the trials of one block and repeats them on every block, so each
+    block's verdict is that of its own restriction.  A user measure takes
+    one run on each block's padded restriction.
     """
     space = measure.space
-    out: Dict[int, bool] = {}
-    notes: List[str] = []
-    if 1 in items:
-        out[1] = verify_representation(measure, payoffs, tol).attained_all
-    if 3 in items or 4 in items:
-        conv = check_convergence_property(measure, _default_sequence(payoffs[0], CONV_N_MAX), CONV_TOL)
-        out[3], out[4] = conv.fatou, conv.lebesgue
-    if 5 in items:
-        out[5] = check_axiom(
-            measure, "conditional_law_invariance", trials=LAW_TRIALS, seed=seed
-        ).passed
-    if 7 in items:
-        r = stable_sublevel_check(space, penalty_map(measure), eta, probes)
-        out[7] = r.mixing_closure_passed and all(r.inf_compact_per_block)
-        notes = r.notes
-    return {i: out[i] for i in items}, notes
+    if measure._kernel is None:
+        parts = [
+            (measure.restrict(j), space.block_index_array(j), np.array([j - 1]))
+            for j in range(1, space.n_blocks + 1)
+        ]
+    else:
+        sizes = np.diff(space._bounds)
+        groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes)]
+        parts = [(*_stacked(measure, blocks), blocks) for blocks in groups]
+    out = {i: np.zeros(space.n_blocks, dtype=bool) for i in items}
+    for part, atoms, blocks in parts:
+        cut = [[RandomVariable(v.values[atoms]) for v in vs] for vs in (payoffs, probes)]
+        level = None if eta is None else ConditionalValue(eta.values[blocks])
+        for i, verdict in _verdicts(part, items, *cut, level, tol, seed, part.space.n_blocks).items():
+            out[i][blocks] = verdict
+    return {i: v.tolist() for i, v in out.items()}
 
 
 def transfer_verify(
@@ -272,9 +311,13 @@ def transfer_verify(
     its per-block scalarizations on shared payoffs, sequences, and probes.
 
     One set of item checks judges the conditional measure on the whole
-    inputs, then each block restriction on the inputs cut to its block.  The
-    per-block verdicts refine the single conditional verdict: at this scale
-    the model-side truth value is visible atom by atom.
+    inputs.  The classical side judges each block on the inputs cut to it:
+    a built-in's blocks of each size in one run of its dense classical
+    kernel on a stack of them, which shares no code with the built-in's
+    whole-space batch, penalty and oracle, and a user measure's blocks one
+    padded restriction at a time.  The per-block verdicts refine the single
+    conditional verdict: at this scale the model-side truth value is
+    visible atom by atom.
     """
     _check_tol(tol)
     items = list(items)
@@ -292,7 +335,6 @@ def transfer_verify(
         raise ValueError("transfer_verify needs at least one payoff")
 
     _check_seed(seed)
-    space = measure.space
     _certify_local(measure, trials=64, seed=seed + 13)
     probes: List[RandomVariable] = []
     eta = None
@@ -300,24 +342,18 @@ def transfer_verify(
         probes = _probe_duals(measure, seed)
         eta = _probe_level(measure, probes)
 
-    verdicts, notes = _verdicts(measure, items, payoffs, probes, eta, tol, seed)
-    per_block = []
-    for j in range(1, space.n_blocks + 1):
-        per_block.append(
-            _verdicts(
-                measure.restrict(j),
-                items,
-                [RandomVariable(space.restrict(x, j)) for x in payoffs],
-                [RandomVariable(space.restrict(p, j)) for p in probes],
-                None if eta is None else ConditionalValue(eta.values[j - 1 : j]),
-                tol,
-                seed,
-            )[0]
-        )
+    whole = [i for i in items if i != 7]
+    verdicts = {i: bool(v.all()) for i, v in _verdicts(measure, whole, payoffs, probes, eta, tol, seed, 1).items()}
+    notes: List[str] = []
+    if 7 in items:
+        r = stable_sublevel_check(measure.space, penalty_map(measure), eta, probes)
+        verdicts[7] = r.mixing_closure_passed and all(r.inf_compact_per_block)
+        notes = r.notes
+    per_block = _classical_verdicts(measure, items, payoffs, probes, eta, tol, seed)
 
     results = {}
     for i in items:
-        ok, per_atom = verdicts[i], [v[i] for v in per_block]
+        ok, per_atom = verdicts[i], per_block[i]
         results[i] = ItemResult(
             ITEM_NAMES[i],
             ok,

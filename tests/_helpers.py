@@ -352,7 +352,11 @@ def reference_check_axiom(measure, axiom, trials, seed):
 
 
 def reference_sublevel_walk(space, f, eta, probe, max_combos):
-    """(members, violation, notes) of the mixing walk over ``probe``."""
+    """(members, violation, notes) of the mixing walk over ``probe``: every
+    choice of one member per block in product order up to ``max_combos``
+    choices, else the covering array that gives, for each bit b of the block
+    index and each ordered pair (s, t) of members, s to the blocks whose bit
+    b is 0 and t to the others."""
     import itertools
 
     from condrisk import PartitionOfUnity
@@ -364,25 +368,68 @@ def reference_sublevel_walk(space, f, eta, probe, max_combos):
     members = [v for v in probe if inside(v)]
     notes = [] if members else ["no probe member lies in the sublevel set; verdicts vacuous"]
     finest = PartitionOfUnity(space.algebra.atom_elements())
-    if len(finest) == 1 or len(members) <= 1:
+    m, k = len(finest), len(members)
+    if m == 1 or k <= 1:
         # every mix is then a member, which the screening above judged
-        return len(members), None, notes
-    walk = itertools.product(members, repeat=len(finest))
-    for combos, choice in enumerate(walk, start=1):
+        return k, None, notes
+    if k**m <= max_combos:
+        walk, note = list(itertools.product(members, repeat=m)), []
+    else:
+        walk = [
+            tuple(t if (j >> b) & 1 else s for j in range(m))
+            for b in range(math.ceil(math.log2(m)))
+            for s in members
+            for t in members
+        ]
+        note = [
+            f"mixing closure checked on a covering array of {len(walk)} of the {k}^{m} "
+            "choices of members: every pair of blocks took every pair of members; "
+            "couplings of three or more blocks are unchecked"
+        ]
+    for choice in walk:
         if not inside(space.indicator_mix(finest, choice)):
             violation = {
                 "partition": [mask_atoms(p.mask) for p in finest],
                 "choice": [v.values.tolist() for v in choice],
             }
-            return len(members), violation, notes
-        if combos > max_combos:
-            if next(walk, None) is not None:
-                notes.append(
-                    f"mixing closure checked on the first {combos} combinations of a "
-                    "partition and a choice of members only: the walk stops at its cap"
-                )
-            break
-    return len(members), None, notes
+            return k, violation, notes
+    return k, None, notes + note
+
+
+def reference_block_verdicts(measure, items, payoffs, seed=0):
+    """Each block's verdict on the transfer items, by the loop the suite ran
+    before its stacked runs: every check of the item, through the public
+    checkers, on ``measure.restrict(j)`` with the payoffs, probes and level
+    cut to block j."""
+    from condrisk import ConditionalValue, RandomVariable, transfer
+    from condrisk.duality import penalty_map, stable_sublevel_check, verify_representation
+    from condrisk.riskcore import check_axiom, check_convergence_property
+
+    space = measure.space
+    probes = transfer._probe_duals(measure, seed) if 7 in items else []
+    eta = transfer._probe_level(measure, probes) if 7 in items else None
+    out = {i: [] for i in items}
+    for j in range(1, space.n_blocks + 1):
+        block = measure.restrict(j)
+        cut = [RandomVariable(space.restrict(x, j)) for x in payoffs]
+        verdicts = {}
+        if 1 in items:
+            verdicts[1] = verify_representation(block, cut).attained_all
+        if 3 in items or 4 in items:
+            seq = transfer._default_sequence(cut[0], transfer.CONV_N_MAX)
+            conv = check_convergence_property(block, seq, transfer.CONV_TOL)
+            verdicts[3], verdicts[4] = conv.fatou, conv.lebesgue
+        if 5 in items:
+            law = check_axiom(block, "conditional_law_invariance", trials=transfer.LAW_TRIALS, seed=seed)
+            verdicts[5] = law.passed
+        if 7 in items:
+            level = ConditionalValue(eta.values[j - 1 : j])
+            cut_probes = [RandomVariable(space.restrict(p, j)) for p in probes]
+            rep = stable_sublevel_check(block.space, penalty_map(block), level, cut_probes)
+            verdicts[7] = rep.mixing_closure_passed and all(rep.inf_compact_per_block)
+        for i in items:
+            out[i].append(verdicts[i])
+    return out
 
 
 def reference_sublevel_rays(space, f, eta, probe, members):

@@ -163,8 +163,8 @@ def test_avar_batch_budget_on_a_large_space():
 
 def test_sublevel_check_budget_at_its_cap():
     # runtime gate in the style of criterion 6: 12 shuffled blocks of 3 atoms
-    # and 5 members, so the mixing walk stops at its cap (4,097 of 5^12
-    # choices), with the penalty map of a built-in as f
+    # and 5 members, so the mixing walk passes its cap and takes a covering
+    # array (100 of 5^12 choices), with the penalty map of a built-in as f
     rng = np.random.default_rng(109)
     blocks = np.split(rng.permutation(36) + 1, 12)
     probs = rng.uniform(0.5, 2.0, 36)
@@ -181,8 +181,27 @@ def test_sublevel_check_budget_at_its_cap():
         elapsed = time.perf_counter() - start
         assert report.members == 5 and report.mixing_closure_passed, measure.label
         assert all(report.inf_compact_per_block), measure.label
-        assert any("first 4097 combinations" in note for note in report.notes)
+        assert any("covering array of 100 of the 5^12 choices" in note for note in report.notes)
         assert elapsed < 0.15, f"sublevel check of {measure.label} took {elapsed:.2f}s"
+
+
+def test_transfer_suite_budget_on_1000_blocks():
+    # runtime gate in the style of criterion 6: 1,000 shuffled blocks of 3
+    # atoms, three payoffs, items 1, 3-5 and 7; the classical side is one
+    # stacked run of the built-in's dense kernel for the one block size
+    rng = np.random.default_rng(112)
+    blocks = np.split(rng.permutation(3000) + 1, 1000)
+    probs = rng.uniform(0.5, 2.0, 3000)
+    space = cr.FiniteProbSpace(probs / probs.sum(), [b.tolist() for b in blocks])
+    payoffs = [cr.RandomVariable(rng.normal(0.0, 2.0, 3000)) for _ in range(3)]
+    for measure in _builtins(space):
+        start = time.perf_counter()
+        report = cr.transfer_verify(measure, [1, 3, 4, 5, 7], payoffs)
+        elapsed = time.perf_counter() - start
+        assert report.all_equivalences_hold, measure.label
+        for item in report.items.values():
+            assert item.conditional and all(item.per_atom), (measure.label, item.name)
+        assert elapsed < 1.0, f"transfer_verify of {measure.label} on 1,000 blocks took {elapsed:.2f}s"
 
 
 def test_exact_dual_budget_on_many_blocks():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     reference_admissible_dual,
+    reference_block_verdicts,
     reference_check_axiom,
     reference_cond_ops,
     reference_law_permutation,
@@ -32,6 +33,7 @@ from condrisk import (
     cond_worst_case,
     dual_representation,
     neg_cond_expectation,
+    transfer_verify,
 )
 from condrisk import duality, riskcore
 from condrisk.riskcore import AXIOMS, BUILTIN_FACTORIES
@@ -235,6 +237,107 @@ def test_avar_restrictions_past_1023_blocks():
     for j in range(1, space.n_blocks + 1):
         block = measure.restrict(j).evaluate_batch(xs[:, space.block_index_array(j)])
         _close(block, whole[:, j - 1 : j])
+
+
+# -- the dense classical kernels, stacked by block size --------------------------------
+
+
+def _size_groups(space):
+    """The blocks of each size, 0-based, smallest size first."""
+    sizes = np.array([len(b) for b in space.blocks])
+    return [np.flatnonzero(sizes == k) for k in np.unique(sizes)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cases())
+def test_dense_kernels_match_the_per_block_reference(case):
+    # the blocks of each size stacked on one space: the kernel's risk and
+    # penalty against the per-block reference, and the oracle's dual attains
+    # the kernel's own risk
+    space, xs, gamma, lam, dens, _, stretch = case
+    y = reference_admissible_dual(space, dens)
+    off = y.copy()
+    if stretch < space.n_blocks:
+        off[np.array(space.blocks[stretch]) - 1] *= 1.5
+    for kind, factory in BUILTIN_FACTORIES.items():
+        param = {"entropic": gamma, "avar": lam}.get(kind)
+        measure = factory(space, gamma=gamma, **{"lambda": lam})
+        risk = np.stack([reference_risk(space, kind, param, row) for row in xs])
+        for blocks in _size_groups(space):
+            stack, atoms = riskcore._stacked(measure, blocks)
+            _close(stack.evaluate_batch(xs[:, atoms]), risk[:, blocks])
+            for dual in (y, -np.ones(space.n_atoms), off):
+                _close(
+                    stack.closed_form_penalty(dual[None, atoms])[0],
+                    reference_penalty(space, kind, param, dual)[blocks],
+                )
+            for row in xs[:, atoms]:
+                dual = admissible_dual(stack.space, stack._dual_oracle(row[None])[0]).values
+                value = stack.space.block_mean(row * dual) - stack.closed_form_penalty(dual[None])[0]
+                rho = stack.evaluate_batch(row[None])[0]
+                assert np.all(np.abs(value - rho) <= 1e-12 * np.maximum(1.0, np.abs(rho))), kind
+
+
+def _tilted(kernels):
+    """Each kernel's risk plus 0.1 max(x_first - x_last, 0), and plus 1 where
+    the block's first payoff is an integer; its penalty 0 in place of +inf on
+    the blocks whose first atom outweighs their last.  The dual oracle then
+    falls short where the risk's tilt is positive, law invariance fails
+    where the first and last atoms share a mass, Fatou and Lebesgue fail
+    where the first payoff sits on an integer, and the sublevel set is
+    unbounded where the penalty is tilted.  The risk's tilt is never
+    negative and the penalty's is 0 on densities, so weak duality holds."""
+
+    def tilted(risk, penalty):
+        def tilted_risk(x, q, p):
+            first = x[..., 0]
+            return risk(x, q, p) + 0.1 * np.maximum(first - x[..., -1], 0.0) + (first == np.floor(first))
+
+        def tilted_penalty(y, q, p):
+            pen = penalty(y, q, p)
+            return np.where((q[:, 0] > q[:, -1]) & np.isinf(pen), 0.0, pen)
+
+        return tilted_risk, tilted_penalty
+
+    return {kind: (*tilted(risk, pen), *rest) for kind, (risk, pen, *rest) in kernels.items()}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(cases(), st.booleans(), st.integers(0, 3), st.sets(st.sampled_from([1, 3, 4, 5, 7]), min_size=1))
+def test_stacked_verdicts_match_the_per_block_loop(case, tilt, seed, items):
+    # the classical side of transfer_verify, one stacked run per block size,
+    # against the public checks run on each block's restriction; a tilted
+    # kernel makes the verdicts differ from block to block (a space of one
+    # block may be its own restriction, which the kernel does not reach)
+    space, xs, gamma, lam, *_ = case
+    payoffs = [RandomVariable(row) for row in xs]
+    items = sorted(items)
+    kernels = _tilted(riskcore._KERNELS) if tilt and space.n_blocks > 1 else riskcore._KERNELS
+    with mock.patch.dict(riskcore._KERNELS, kernels):
+        for factory in BUILTIN_FACTORIES.values():
+            measure = factory(space, gamma=gamma, **{"lambda": lam})
+            report = transfer_verify(measure, items, payoffs, seed=seed)
+            want = reference_block_verdicts(measure, items, payoffs, seed)
+            assert {i: report.items[i].per_atom for i in items} == want, measure.label
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cases(), st.sampled_from(AXIOMS), st.sampled_from([1, 2, 3, 6, 500]), st.integers(0, 3))
+def test_failing_blocks_of_a_stack_are_each_blocks_own_check(case, axiom, trials, seed):
+    # a few trials of a tilted kernel, so which blocks fail depends on the
+    # draws: the stack repeats one block's trials on every block, and each
+    # block fails exactly when check_axiom on its restriction does
+    space, _, gamma, lam, *_ = case
+    if space.n_blocks == 1:
+        return  # a space of one block may be its own restriction
+    with mock.patch.dict(riskcore._KERNELS, _tilted(riskcore._KERNELS)):
+        for factory in BUILTIN_FACTORIES.values():
+            measure = factory(space, gamma=gamma, **{"lambda": lam})
+            for blocks in _size_groups(space):
+                stack, _ = riskcore._stacked(measure, blocks)
+                got = riskcore._failing_blocks(stack, axiom, trials, seed, len(blocks))
+                want = [not check_axiom(measure.restrict(j + 1), axiom, trials, seed).passed for j in blocks]
+                assert got.tolist() == want, (measure.label, blocks)
 
 
 # -- exact dual oracles against evaluate and the user route's candidates -------------

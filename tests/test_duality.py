@@ -448,7 +448,7 @@ def test_a_replaced_penalty_takes_the_user_route(s4):
     ent = cond_entropic(s4, 0.2)
     pen = ent.closed_form_penalty
     moved = dataclasses.replace(ent, closed_form_penalty=lambda ys: pen(ys) + 1.0)
-    assert moved._dual_oracle is None and moved._cut is None
+    assert moved._dual_oracle is None and moved._kernel is None
     assert moved.restrict(1).closed_form_penalty(-np.ones((1, 2))).tolist() == [[1.0]]
     rho = ent.evaluate(x).values
     result = dual_representation(moved, x)
@@ -542,8 +542,8 @@ def _dual_probes(space, rng):
 
 def test_sublevel_walk_cap_is_reported(s4):
     # 12 singleton blocks and 5 members: 5^12 choices, one member per block;
-    # the walk stops at its cap and says how far it got, in the words of the
-    # walk through indicator_mix
+    # past its cap the walk takes a covering array of 5^2 * 4 = 100 choices
+    # and says so, in the words of the walk through indicator_mix
     rng = np.random.default_rng(0)
     wide = FiniteProbSpace([1 / 12] * 12, [[j] for j in range(1, 13)])
     for space, capped in ((wide, True), (s4, False)):
@@ -556,14 +556,15 @@ def test_sublevel_walk_cap_is_reported(s4):
         assert (rep.members, rep.mixing_violation, rep.notes) == reference_sublevel_walk(
             space, f, eta, probes, SUBLEVEL_MAX_COMBOS
         )
-        cap_notes = [n for n in rep.notes if "cap" in n]
         if capped:
-            assert len(cap_notes) == 1 and "first 4097 combinations" in cap_notes[0]
+            assert len(rep.notes) == 1 and "covering array of 100 of the 5^12 choices" in rep.notes[0]
+            assert "every pair of blocks" in rep.notes[0] and "three or more blocks" in rep.notes[0]
         else:
-            assert cap_notes == []
-    # s4's whole walk is 5^2 = 25 choices: a cap one below stops on the last
-    # of them, with none left and no note; a cap two below leaves one
-    for cap, noted in ((24, False), (23, True)):
+            assert rep.notes == []
+    # s4's whole walk is 5^2 = 25 choices: a cap of 25 walks them all with no
+    # note; a cap one below takes the covering array, here the same 25
+    # choices, and says so
+    for cap, noted in ((25, False), (24, True)):
         with mock.patch.object(duality, "SUBLEVEL_MAX_COMBOS", cap):
             rep = stable_sublevel_check(s4, f, eta, probes)
         assert (rep.members, rep.mixing_violation, rep.notes) == reference_sublevel_walk(
@@ -839,6 +840,21 @@ def test_batched_walk_and_rays_match_the_row_by_row_references(case, on_risk):
         walk = reference_sublevel_walk(space, f, eta, probes, max_combos)
         assert (rep.members, rep.mixing_violation, rep.notes) == walk
         assert rep.bounded_per_block == rays
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(sublevel_cases())
+def test_bounded_blocks_are_each_blocks_own_sublevel_check(case):
+    # the per-block route of the transfer suite's item 7: each block's
+    # verdict is what stable_sublevel_check gives that block alone, on the
+    # probe cut to it, with zero directions and blocks without a member
+    space, measure, probes, eta, _ = case
+    got = duality._bounded_blocks(space, penalty_map(measure), eta, probes)
+    for j in range(1, space.n_blocks + 1):
+        block = measure.restrict(j)
+        cut = [RandomVariable(space.restrict(p, j)) for p in probes]
+        rep = stable_sublevel_check(block.space, penalty_map(block), ConditionalValue(eta.values[j - 1 : j]), cut)
+        assert bool(got[j - 1]) == (rep.mixing_closure_passed and rep.inf_compact_per_block[0]), j
 
 
 def test_row_form_walk_reports_the_first_violation_in_product_order():

@@ -250,7 +250,7 @@ def test_items_3_and_4_share_one_convergence_check_per_side(monkeypatch, s4):
     # of each block, and each item reads as it does when asked alone
     m, x = ceil_measure(s4), RandomVariable([0.3, -1.2, 1.0, 3.0])
     alone = {i: transfer_verify(m, [i], [x]).items[i].to_dict() for i in (3, 4)}
-    calls = spy_calls(monkeypatch, transfer, "check_convergence_property")
+    calls = spy_calls(monkeypatch, transfer, "_convergence_blocks")
     rep = transfer_verify(m, [3, 4], [x])
     assert len(calls) == 3
     assert {i: rep.items[i].to_dict() for i in (3, 4)} == alone
@@ -310,12 +310,12 @@ def test_builtin_cuts_run_no_full_space_evaluation():
 
 
 def test_item_7_carries_the_sublevel_cap_note(s4):
-    # 12 singleton blocks: the mixing walk over Bell(12) partitions stops at its cap
+    # 12 singleton blocks: the mixing walk passes its cap and takes a covering array
     space = FiniteProbSpace([1 / 12] * 12, [[a] for a in range(1, 13)])
     x = RandomVariable(np.linspace(-1.0, 1.0, 12))
     item = transfer_verify(neg_cond_expectation(space), [7], [x]).to_dict()["items"]["7"]
     assert len(item["notes"]) == 1
-    assert "the walk stops at its cap" in item["notes"][0]
+    assert "every pair of blocks took every pair of members" in item["notes"][0]
     # no cap hit on s4: the key is absent, as before
     item = transfer_verify(neg_cond_expectation(s4), [7], [RandomVariable([1, 3, 2, 6])])
     assert "notes" not in item.to_dict()["items"]["7"]
@@ -345,7 +345,7 @@ def test_uneven_blocks_and_singletons():
 
 
 def test_transfer_verify_on_20_blocks_in_time():
-    # AVaR on 20 blocks of 2 atoms, every item; item 7's walk stops at its cap
+    # AVaR on 20 blocks of 2 atoms, every item; item 7's walk passes its cap
     rng = np.random.default_rng(71)
     probs = rng.uniform(0.5, 2.0, 40)
     space = FiniteProbSpace(probs / probs.sum(), [[2 * j + 1, 2 * j + 2] for j in range(20)])
@@ -354,7 +354,7 @@ def test_transfer_verify_on_20_blocks_in_time():
     rep = transfer_verify(cond_avar(space, 0.5), [1, 3, 4, 5, 7], payoffs)
     elapsed = time.perf_counter() - start
     assert rep.all_equivalences_hold
-    assert "the walk stops at its cap" in rep.items[7].notes[0]
+    assert "every pair of blocks took every pair of members" in rep.items[7].notes[0]
     assert elapsed < 2.0, f"transfer_verify on 20 blocks took {elapsed:.2f}s"
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -67,7 +68,7 @@ def _emit(payload) -> None:
 def _refuse_bools(name: str, value) -> None:
     """JSON true/false load as Python bools, which numpy takes as 1 and 0:
     refuse them, alone or as array entries, where a number is expected."""
-    if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+    if bool in map(type, value if isinstance(value, list) else [value]):
         raise ScenarioError(f"{name}: expected numbers, not JSON booleans")
 
 
@@ -86,16 +87,23 @@ def ingest(path: str) -> Scenario:
     probs = raw.get("probs")
     if not isinstance(probs, list) or not probs:
         raise ScenarioError("probs: expected a nonempty array")
-    if any(isinstance(p, bool) or not isinstance(p, (int, float)) or p <= 0 for p in probs):
+    # JSON numbers load as int or float; a bool, string, null or array is
+    # refused here, a NaN by the space
+    if not set(map(type, probs)) <= {int, float}:
         raise ScenarioError("probs: entries must be positive numbers")
+    p = np.array(probs, dtype=float)
+    if np.any(p <= 0):
+        raise ScenarioError("probs: entries must be positive numbers")
+    # the builtin sum, not numpy's pairwise one, so the masses divide as before
     total = float(sum(probs))
     if abs(total - 1.0) > 1e-9:
         raise ScenarioError(f"probs sum {total:.12g}")
-    probs = [p / total for p in probs]
+    probs = p / total
 
     blocks = raw.get("blocks")
-    if not isinstance(blocks, list) or not blocks:
+    if not isinstance(blocks, list) or not blocks or not all(isinstance(b, list) for b in blocks):
         raise ScenarioError("blocks: expected a nonempty array of index arrays")
+    _refuse_bools("blocks", list(chain.from_iterable(blocks)))
     try:
         space = FiniteProbSpace(probs, blocks)
     except SpaceError as exc:

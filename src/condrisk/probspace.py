@@ -7,7 +7,9 @@ blocks are addressed with 1-based indices to match the wire formats.
 
 from __future__ import annotations
 
-from itertools import accumulate
+import operator
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -140,6 +142,27 @@ class ConditionalValue:
         return f"ConditionalValue({self.values.tolist()!r})"
 
 
+def _partition_error(blocks, n: int) -> str:
+    """The first fault of ``blocks`` as a partition of atoms 1..n, in scan
+    order: an empty block, an index that is not an integer or not an atom,
+    an atom in a second block; then the atoms no block covers."""
+    seen = set()
+    for j, b in enumerate(blocks, start=1):
+        if len(b) == 0:
+            return f"block {j} is empty"
+        for i in b:
+            try:
+                i = operator.index(i)
+            except TypeError:
+                return f"block {j} holds {i!r}, not an integer atom index"
+            if not 1 <= i <= n:
+                return f"block {j} references atom {i} of {n}"
+            if i in seen:
+                return f"atom {i} appears in more than one block"
+            seen.add(i)
+    return f"blocks do not cover atoms {sorted(set(range(1, n + 1)) - seen)}"
+
+
 def _cv(values: np.ndarray) -> ConditionalValue:
     """Unvalidated constructor, for read-only slices of a validated value."""
     out = object.__new__(ConditionalValue)
@@ -160,34 +183,30 @@ class FiniteProbSpace:
             raise SpaceError(f"probs sum {p.sum():.12g}, expected 1")
         n = p.size
 
-        blocks = tuple(tuple(int(i) for i in b) for b in blocks)
-        if not blocks:
+        if len(blocks) == 0:
             raise SpaceError("blocks must be nonempty")
-        seen = set()
-        for j, b in enumerate(blocks, start=1):
-            if not b:
-                raise SpaceError(f"block {j} is empty")
-            for i in b:
-                if not 1 <= i <= n:
-                    raise SpaceError(f"block {j} references atom {i} of {n}")
-                if i in seen:
-                    raise SpaceError(f"atom {i} appears in more than one block")
-                seen.add(i)
-        if len(seen) != n:
-            missing = sorted(set(range(1, n + 1)) - seen)
-            raise SpaceError(f"blocks do not cover atoms {missing}")
+        # read every atom index once, into one array; ``operator.index``
+        # takes Python and numpy integers and refuses a float or a string
+        sizes = list(map(len, blocks))
+        bounds = tuple(accumulate(sizes, initial=0))
+        try:
+            atoms = np.fromiter(map(operator.index, chain.from_iterable(blocks)), np.intp, bounds[-1])
+        except (TypeError, ValueError, OverflowError):
+            atoms = None
+        # a partition: no empty block, and the atoms sorted are 1..n, which
+        # covers range, duplicates and coverage in one test
+        if atoms is None or 0 in sizes or bounds[-1] != n or not (np.sort(atoms) == np.arange(1, n + 1)).all():
+            raise SpaceError(_partition_error(blocks, n))
 
         probs = _readonly(p)
         # block layout, built once: atoms in block order, cut at ``starts``
         # (kept as Python ints in ``_bounds`` too, for cheap per-block slices)
-        sizes = [len(b) for b in blocks]
-        bounds = tuple(accumulate(sizes, initial=0))
-        order = np.array([i - 1 for b in blocks for i in b], dtype=np.intp)
+        order = atoms - 1
         starts = np.array(bounds[:-1], dtype=np.intp)
         # the smallest integer type that holds a block id keeps the stable
         # sort of block ids in cond_avar a radix sort
-        block_of = np.empty(n, dtype=np.min_scalar_type(len(blocks) - 1))
-        in_order = np.arange(len(blocks), dtype=block_of.dtype).repeat(sizes)
+        block_of = np.empty(n, dtype=np.min_scalar_type(len(sizes) - 1))
+        in_order = np.arange(len(sizes), dtype=block_of.dtype).repeat(sizes)
         block_of[order] = in_order
         block_mass = np.add.reduceat(probs.take(order), starts)
         cond = probs if _normalized else probs / block_mass[block_of]
@@ -199,8 +218,7 @@ class FiniteProbSpace:
         # that changes
         vars(self).update(
             probs=probs,
-            blocks=blocks,
-            algebra=BooleanAlgebra(len(blocks)),
+            algebra=BooleanAlgebra(len(sizes)),
             _bounds=bounds,
             order=order,
             starts=starts,
@@ -221,7 +239,14 @@ class FiniteProbSpace:
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self._bounds) - 1
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The blocks as tuples of 1-based atom indices, as Python ints, in
+        the order given; built from the layout on first read."""
+        atoms, b = (self.order + 1).tolist(), self._bounds
+        return tuple(tuple(atoms[b[j] : b[j + 1]]) for j in range(len(b) - 1))
 
     def __repr__(self):
         return f"FiniteProbSpace(n={self.n_atoms}, blocks={self.n_blocks})"
@@ -249,8 +274,8 @@ class FiniteProbSpace:
 
     def _block_slice(self, j: int) -> slice:
         """Atoms of block ``j`` in block order; the one range check of a block index."""
-        if not 1 <= j <= len(self.blocks):
-            raise ValueError(f"block {j} outside 1..{len(self.blocks)}")
+        if not 1 <= j <= self.n_blocks:
+            raise ValueError(f"block {j} outside 1..{self.n_blocks}")
         return slice(self._bounds[j - 1], self._bounds[j])
 
     def cond_probs(self, j: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Seeded generators shared between the unit tests and the acceptance suite."""
 
 import math
+import operator
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,6 +82,57 @@ def reference_blocks(space):
         p = space.probs[idx]
         out.append((idx, p / p.sum()))
     return out
+
+
+def reference_layout(probs, blocks, normalized=False):
+    """The block layout of ``FiniteProbSpace(probs, blocks)`` from one Python
+    step per atom: the validation loop and layout of the constructor as it
+    was before it read the blocks as one array, with an integer check
+    (``operator.index``) in place of ``int``.  Returns the layout's
+    attributes, or the SpaceError message of the first fault in scan order;
+    ``probs`` is taken as valid."""
+    p = np.asarray(probs, dtype=float)
+    n = p.size
+    if len(blocks) == 0:
+        return "blocks must be nonempty"
+    seen, ints = set(), []
+    for j, b in enumerate(blocks, start=1):
+        if not len(b):
+            return f"block {j} is empty"
+        ints.append([])
+        for i in b:
+            try:
+                i = operator.index(i)
+            except TypeError:
+                return f"block {j} holds {i!r}, not an integer atom index"
+            if not 1 <= i <= n:
+                return f"block {j} references atom {i} of {n}"
+            if i in seen:
+                return f"atom {i} appears in more than one block"
+            seen.add(i)
+            ints[-1].append(i)
+    if len(seen) != n:
+        return f"blocks do not cover atoms {sorted(set(range(1, n + 1)) - seen)}"
+    sizes = [len(b) for b in ints]
+    bounds = tuple(accumulate(sizes, initial=0))
+    order = np.array([i - 1 for b in ints for i in b], dtype=np.intp)
+    starts = np.array(bounds[:-1], dtype=np.intp)
+    block_of = np.empty(n, dtype=np.min_scalar_type(len(ints) - 1))
+    in_order = np.arange(len(ints), dtype=block_of.dtype).repeat(sizes)
+    block_of[order] = in_order
+    block_mass = np.add.reduceat(p.take(order), starts)
+    cond = p if normalized else p / block_mass[block_of]
+    return {
+        "blocks": tuple(tuple(b) for b in ints),
+        "_bounds": bounds,
+        "order": order,
+        "starts": starts,
+        "block_of": block_of,
+        "_block_in_order": in_order,
+        "block_mass": block_mass,
+        "cond": cond,
+        "_cond_in_order": cond[order],
+    }
 
 
 def reference_avar_block(q, xb, lam):

@@ -161,6 +161,25 @@ def test_avar_batch_budget_on_a_large_space():
     assert elapsed < 1.0, f"avar batch took {elapsed:.2f}s"
 
 
+def test_space_build_budget_on_a_large_space():
+    # runtime gate in the style of criterion 6: 1e5 atoms in 1e3 uneven,
+    # shuffled blocks given as lists of Python ints, as the benchmark's
+    # eval_large set-up passes them; the best of three builds
+    rng = np.random.default_rng(113)
+    weights = rng.uniform(0.0, 1.0, 1000) ** 1.5
+    sizes = 1 + rng.multinomial(100_000 - 1000, weights / weights.sum())
+    blocks = [b.tolist() for b in np.split(rng.permutation(100_000) + 1, np.cumsum(sizes)[:-1])]
+    probs = rng.uniform(0.5, 2.0, 100_000)
+    probs /= probs.sum()
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        space = cr.FiniteProbSpace(probs, blocks)
+        times.append(time.perf_counter() - start)
+    assert space.n_blocks == 1000 and np.array_equal(np.sort(space.order), np.arange(100_000))
+    assert min(times) < 0.02, f"building the space took {min(times):.4f}s"
+
+
 def test_sublevel_check_budget_at_its_cap():
     # runtime gate in the style of criterion 6: 12 shuffled blocks of 3 atoms
     # and 5 members, so the mixing walk passes its cap and takes a covering

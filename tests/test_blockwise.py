@@ -340,6 +340,25 @@ def test_failing_blocks_of_a_stack_are_each_blocks_own_check(case, axiom, trials
                 assert got.tolist() == want, (measure.label, blocks)
 
 
+def test_failing_blocks_runs_on_until_every_block_has_failed(s4):
+    # block 1 fails monotonicity on every trial; block 2 jumps by 10 where
+    # x at atom 3 passes c, so it fails on the trials whose step from x to
+    # x + up crosses c, and c is a point no trial of the first row batch
+    # crosses: a check that stopped at the first failing block misses block 2
+    trials, seed = 2000, 0
+    first = next(riskcore._row_batches(s4.n_atoms, trials))[1]
+    x, up = riskcore._draw_trials("monotonicity", s4, riskcore._trial_streams("monotonicity", seed), None, trials)
+    lo, hi = x[:, 2], x[:, 2] + up[:, 2]
+    c = next(c for c in np.nextafter(hi[first:], -np.inf) if not ((lo[:first] <= c) & (c < hi[:first])).any())
+
+    def batch(xs):
+        return np.stack([xs[:, :2].mean(axis=1), -xs[:, 2:].mean(axis=1) + 10.0 * (xs[:, 2] > c)], axis=1)
+
+    measure = CondRiskMeasure(s4, lambda v: ConditionalValue(batch(v.values[None])[0]), "late", evaluate_batch_fn=batch)
+    assert riskcore._failing_blocks(measure, "monotonicity", first, seed, 1).tolist() == [True, False]
+    assert riskcore._failing_blocks(measure, "monotonicity", trials, seed, 1).tolist() == [True, True]
+
+
 # -- exact dual oracles against evaluate and the user route's candidates -------------
 
 

@@ -307,8 +307,9 @@ def _two_atoms(**change):
         (_two_atoms(payoffs=[[True, False]]), "payoffs[0]"),
         (_two_atoms(measures=[{"kind": "avar", "lambda": True}]), "measures[0].lambda"),
         (_two_atoms(measures=[{"kind": "entropic", "gamma": [1.0, True]}]), "measures[0].gamma"),
+        (_two_atoms(blocks=[[True], [2]]), "blocks"),
     ],
-    ids=["probs", "payoff", "lambda", "gamma"],
+    ids=["probs", "payoff", "lambda", "gamma", "blocks"],
 )
 def test_json_booleans_are_refused_where_numbers_are_expected(capsys, tmp_path, raw, field):
     # Python's bool is an int, and numpy reads true and false as 1 and 0
@@ -344,3 +345,22 @@ def test_ingest_roundtrip_structure(s4_path):
 
 def test_unknown_command_exits_2():
     assert main(["bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "blocks, error",
+    [
+        ([[1.9], [2]], "blocks: block 1 holds 1.9, not an integer atom index"),
+        ([["1"], [2]], "blocks: block 1 holds '1', not an integer atom index"),
+        ([1, 2], "blocks: expected a nonempty array of index arrays"),
+        (["12"], "blocks: expected a nonempty array of index arrays"),
+    ],
+    ids=["float", "string", "bare-index", "string-block"],
+)
+def test_atom_indices_must_be_json_integers(capsys, tmp_path, blocks, error):
+    # int() reads 1.9 and "1" as atom 1; a bare index or a string is not an index array
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(_two_atoms(blocks=blocks)))
+    code, out = run(capsys, ["space", "validate", "--scenario", str(path)])
+    assert code == 2
+    assert out == {"error": error}

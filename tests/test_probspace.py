@@ -12,6 +12,8 @@ from condrisk import (
 )
 from condrisk.boolalg import mask_array
 
+from _helpers import reference_layout
+
 
 def test_cond_expect_examples(s4):
     assert np.array_equal(s4.cond_expect(RandomVariable([5, 5, 5, 5])).values, [5, 5])
@@ -175,3 +177,98 @@ def test_block_index_out_of_range_refused(space8, j):
     for call in calls:
         with pytest.raises(ValueError, match=f"block {j} outside 1..3"):
             call()
+
+
+# -- construction against the per-atom reference --------------------------------------
+
+# malformations of a block list on atoms 1..n; each may come alone or with others
+FAULTS = ("empty", "range", "duplicate", "missing", "float", "string")
+
+
+@st.composite
+def block_lists(draw):
+    """(probs, blocks, normalized): a ragged shuffled partition of the atoms,
+    its indices as Python or numpy integers, with up to three malformations."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    n = sum(sizes)
+    atoms = draw(st.permutations(range(1, n + 1)))
+    cuts = np.cumsum([0] + sizes)
+    wrap = draw(st.sampled_from([int, np.int64, np.uint16, np.intp]))
+    blocks = [[wrap(i) for i in atoms[a:b]] for a, b in zip(cuts[:-1], cuts[1:])]
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=3))
+    for fault in faults:
+        j = draw(st.integers(0, len(blocks) - 1))
+        k = draw(st.integers(0, max(0, len(blocks[j]) - 1)))
+        if fault == "empty":
+            blocks.insert(j, [])
+        elif fault == "duplicate":
+            blocks[j].append(draw(st.sampled_from(atoms)))
+        elif not blocks[j]:
+            continue
+        elif fault == "range":
+            blocks[j][k] = draw(st.sampled_from([0, -1, n + 1, n + 7, 2**70]))
+        elif fault == "missing":
+            del blocks[j][k]
+        elif fault == "float":
+            i = draw(st.sampled_from(atoms))
+            blocks[j][k] = draw(st.sampled_from([float(i), i + 0.5, np.float64(i)]))
+        else:
+            blocks[j][k] = str(draw(st.sampled_from(atoms)))
+    if not faults and len(set(sizes)) == 1 and draw(st.booleans()):
+        blocks = np.array(blocks, dtype=np.intp)  # as the transfer stacks pass them
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), float)
+    normalized = draw(st.booleans())
+    return (weights if normalized else weights / weights.sum()), blocks, normalized
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(block_lists())
+def test_construction_matches_the_per_atom_reference(case):
+    # the constructor reads the blocks as one array and scans them only to
+    # word an error: it raises the reference's message, or builds its layout
+    # bit for bit, blocks included
+    probs, blocks, normalized = case
+    want = reference_layout(probs, blocks, normalized)
+    if isinstance(want, str):
+        with pytest.raises(SpaceError) as err:
+            FiniteProbSpace(probs, blocks, _normalized=normalized)
+        assert str(err.value) == want
+        return
+    space = FiniteProbSpace(probs, blocks, _normalized=normalized)
+    assert "blocks" not in vars(space)
+    for name, arr in want.items():
+        got = getattr(space, name)
+        if isinstance(arr, np.ndarray):
+            assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), name
+        else:
+            assert got == arr, name
+    assert all(type(i) is int for b in space.blocks for i in b)
+    assert space.n_blocks == len(want["blocks"])
+
+
+@pytest.mark.parametrize(
+    "blocks, error",
+    [
+        ([[1.7], [2]], "block 1 holds 1.7, not an integer atom index"),
+        ([[1], [2.0]], "block 2 holds 2.0, not an integer atom index"),
+        ([["1"], [2]], "block 1 holds '1', not an integer atom index"),
+        ([[1], [np.float64(2)]], "block 2 holds np.float64(2.0), not an integer atom index"),
+        (["12"], "block 1 holds '1', not an integer atom index"),
+    ],
+)
+def test_non_integer_atom_indices_are_refused_by_block(blocks, error):
+    # int() would truncate 1.7 to atom 1 and read "1" as atom 1
+    with pytest.raises(SpaceError) as err:
+        FiniteProbSpace([0.5, 0.5], blocks)
+    assert str(err.value) == error
+
+
+def test_blocks_are_built_on_first_read(space8):
+    # the layout serves every block query; the tuples are built when read
+    space = FiniteProbSpace(space8.probs, [[3, 1, 2], [6, 4, 5], [8, 7]])
+    space.cond_probs(2), space.block_index_array(3), space.block_space(1)
+    assert space.n_blocks == 3 and "blocks" not in vars(space)
+    assert space.blocks == ((3, 1, 2), (6, 4, 5), (8, 7))
+    assert space.blocks is space.blocks
+    with pytest.raises(AttributeError):
+        space.blocks = ((1, 2, 3, 4, 5, 6, 7, 8),)

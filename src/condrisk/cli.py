@@ -72,6 +72,14 @@ def _refuse_bools(name: str, value) -> None:
         raise ScenarioError(f"{name}: expected numbers, not JSON booleans")
 
 
+def _array(raw: dict, name: str) -> list:
+    """The optional array field ``name`` of a scenario; empty when absent."""
+    value = raw.get(name, [])
+    if not isinstance(value, list):
+        raise ScenarioError(f"{name}: expected an array")
+    return value
+
+
 def ingest(path: str) -> Scenario:
     """Load and validate a scenario file; errors name the offending field."""
     try:
@@ -91,7 +99,10 @@ def ingest(path: str) -> Scenario:
     # refused here, a NaN by the space
     if not set(map(type, probs)) <= {int, float}:
         raise ScenarioError("probs: entries must be positive numbers")
-    p = np.array(probs, dtype=float)
+    try:
+        p = np.array(probs, dtype=float)
+    except OverflowError as exc:  # a JSON integer past the float range
+        raise ScenarioError(f"probs: {exc}") from None
     if np.any(p <= 0):
         raise ScenarioError("probs: entries must be positive numbers")
     # the builtin sum, not numpy's pairwise one, so the masses divide as before
@@ -110,11 +121,11 @@ def ingest(path: str) -> Scenario:
         raise ScenarioError(f"blocks: {exc}") from None
 
     measures = []
-    for k, desc in enumerate(raw.get("measures", [])):
+    for k, desc in enumerate(_array(raw, "measures")):
         if not isinstance(desc, dict) or "kind" not in desc:
             raise ScenarioError(f"measures[{k}]: expected an object with a 'kind'")
         kind = desc["kind"]
-        if kind not in BUILTIN_FACTORIES:
+        if not isinstance(kind, str) or kind not in BUILTIN_FACTORIES:
             raise ScenarioError(
                 f"measures[{k}].kind: {kind!r} is not one of {sorted(BUILTIN_FACTORIES)}"
             )
@@ -135,7 +146,7 @@ def ingest(path: str) -> Scenario:
             raise ScenarioError(f"measures[{k}]: {exc}") from None
 
     payoffs = []
-    for k, arr in enumerate(raw.get("payoffs", [])):
+    for k, arr in enumerate(_array(raw, "payoffs")):
         if not isinstance(arr, list) or len(arr) != space.n_atoms:
             raise ScenarioError(
                 f"payoffs[{k}]: expected an array of {space.n_atoms} numbers"
@@ -143,7 +154,7 @@ def ingest(path: str) -> Scenario:
         _refuse_bools(f"payoffs[{k}]", arr)
         try:
             payoffs.append(RandomVariable(arr))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ScenarioError(f"payoffs[{k}]: {exc}") from None
 
     return Scenario(space, measures, payoffs)
@@ -207,7 +218,7 @@ def _cmd_dual_penalty(args) -> int:
         values = json.loads(args.y)
         _refuse_bools("--y", values)
         y = DualVariable(values)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (json.JSONDecodeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"--y: {exc}") from None
     if len(y) != scenario.space.n_atoms:
         raise ScenarioError(f"--y: expected {scenario.space.n_atoms} entries")

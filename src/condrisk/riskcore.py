@@ -8,8 +8,11 @@ carries its closed-form dual penalty for cross-checks.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,6 +25,8 @@ from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, SpaceE
 ADMISSIBLE_TOL = 1e-10
 # payoff entries per chunk of a built-in's batch: bounds its temporaries
 CHUNK_ELEMENTS = 1 << 16
+# the CPUs this process may run on; the chunks of a built-in's batch are shared among them
+_CPUS = tuple(sorted(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else tuple(range(os.cpu_count() or 1))
 # off-block value of the second extension that a padded restriction is probed with
 EXTENSION_FILL = 17.5
 # cond_avar sorts rows at least this long on one packed key; below it the
@@ -212,20 +217,86 @@ def _row_batches(n_atoms: int, total: int):
         size *= 2
 
 
-def _builtin(space, label, batch, penalty, oracle, kernel, **dual) -> CondRiskMeasure:
+def _other_cpus() -> tuple:
+    """``_CPUS`` but the CPU this thread runs on; empty where the OS does not
+    say which that is."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            here = int(fh.read().rsplit(b")", 1)[1].split()[36])  # field 39
+    except (OSError, IndexError, ValueError):
+        return ()
+    return tuple(c for c in _CPUS if c != here)
+
+
+def _map_chunks(batch, chunks: list) -> list:
+    """``[batch(c) for c in chunks]``, shared among k = min(CPUs, chunks)
+    threads: the caller's, which takes chunks 0, k, 2k, ..., and k - 1
+    helpers started for this call, helper w taking chunks w, w + k, ...
+
+    ``batch`` must be a built-in's numpy-only closure over immutable layout
+    arrays; numpy releases the GIL inside its large calls, so the chunks run
+    side by side.  A kernel that does not balance load between CPUs (a
+    cpuset with ``sched_load_balance`` off) leaves a new thread on the CPU it
+    was started from, so each helper may run only on its own share of the
+    CPUs but the caller's, where the OS says which CPU that is.  Each helper
+    runs in a copy of the caller's context, so the caller's ``np.errstate``
+    holds there.  The helpers are joined before the call returns, so no
+    thread outlives it, and the error of the first failing chunk, the one
+    the serial loop would raise, is raised here.
+    """
+    k = min(len(_CPUS), len(chunks))
+    if k < 2:
+        return [batch(c) for c in chunks]
+    out = [None] * len(chunks)
+    failed = []
+
+    def work(w: int, cpus: tuple = ()) -> None:
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)  # 0: this thread
+            except OSError:
+                pass
+        for i in range(w, len(chunks), k):
+            try:
+                out[i] = batch(chunks[i])
+            except BaseException as exc:
+                failed.append((i, exc))
+                return
+
+    others = _other_cpus()
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, w, others[w - 1 :: k - 1]))
+        for w in range(1, k)
+    ]
+    for t in helpers:
+        t.start()
+    work(0)
+    for t in helpers:
+        t.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return out
+
+
+def _builtin(space, label, batch, penalty, oracle, kernel, prepare=None, **dual) -> CondRiskMeasure:
     """A built-in from its batched risk (rows of payoffs), its batched penalty
     (rows of duals), its dual oracle (rows of payoffs to weights) and its
     ``kernel``: the kind of ``_KERNELS`` and the parameter of each block.
 
     Batches run in chunks of rows of about CHUNK_ELEMENTS payoff entries, so a
-    batch's full-size temporaries stay that small however many rows it has.
+    batch's full-size temporaries stay that small however many rows it has;
+    a batch of several chunks shares them among the process's CPUs
+    (``_map_chunks``).  ``prepare``, if given, builds the lazy tables that
+    ``batch`` reads; it runs before any helper thread starts.
     """
     step = max(1, CHUNK_ELEMENTS // space.n_atoms)
 
     def batch_fn(xs: np.ndarray) -> np.ndarray:
         if len(xs) <= step:
             return batch(xs)
-        return np.concatenate([batch(xs[i : i + step]) for i in range(0, len(xs), step)])
+        if prepare is not None:
+            prepare()
+        return np.concatenate(_map_chunks(batch, [xs[i : i + step] for i in range(0, len(xs), step)]))
 
     measure = CondRiskMeasure(
         space,
@@ -295,6 +366,8 @@ def _as_block_params(space: FiniteProbSpace, value, name: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number or one number per block") from None
+    except OverflowError as exc:  # an integer past the float range
+        raise ValueError(f"{name} must be finite: {exc}") from None
     if arr.ndim == 0:
         arr = np.full(space.n_blocks, float(arr))
     if arr.shape != (space.n_blocks,):
@@ -438,7 +511,8 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         # Conditional masses in fixed point, so running sums over a row are
         # exact whatever order the atoms took.  Block j's tail is filled up to
         # ``limit``: lambda plus the mass of all blocks before j.  Built on the
-        # first evaluation: a scenario builds every measure it lists.
+        # first evaluation: a scenario builds every measure it lists.  A batch
+        # of several chunks builds it (``prepare``) before its helpers start.
         scale = 2.0 ** min(52, 62 - space.n_blocks.bit_length())
         mass_fixed = (space.cond * scale).astype(np.int64)
         block_fixed = space.block_sum(mass_fixed)
@@ -507,6 +581,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         penalty,
         oracle,
         ("avar", lam_arr),
+        prepare=fill_tables,
         dual_density_cap=1.0 / lam_arr,
         params={"lambda": lam_arr},
     )

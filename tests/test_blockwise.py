@@ -4,6 +4,9 @@ Spaces are uneven, with shuffled atoms and single-atom blocks; payoffs sit on
 a coarse grid, so tied losses are common.
 """
 
+import os
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -20,6 +23,7 @@ from _helpers import (
     reference_penalty,
     reference_risk,
     reference_trial_streams,
+    spy_calls,
 )
 from condrisk import (
     CondRiskMeasure,
@@ -570,3 +574,162 @@ def test_avar_route_follows_the_row_length():
             cond_avar(space, 0.3).evaluate_batch(xs)
         assert packed.called == long_rows
         assert exact.called != long_rows
+
+
+# -- the chunks of a built-in's batch, shared among CPUs ---------------------------
+
+
+def _builtins_on(space, rng):
+    m = space.n_blocks
+    return [
+        neg_cond_expectation(space),
+        cond_worst_case(space),
+        cond_entropic(space, rng.choice([0.5, 1.0, 2.5], m)),
+        cond_avar(space, rng.choice([0.1, 0.25, 0.5, 0.7, 1.0], m)),
+    ]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([4, 300]),
+    st.booleans(),
+    st.sampled_from([1, 2, 5]),
+    st.sampled_from([1, 2, 3]),
+)
+def test_chunked_batches_equal_one_row_calls(seed, max_size, long, rows_per_chunk, cpus):
+    """Whatever the chunk size and the number of threads that share the
+    chunks, each row of a batch is its one-row call bit for bit."""
+    rng = np.random.default_rng(seed)
+    space = _long_space(rng, max_size) if long else _uneven_space(rng, 40, max_size)
+    xs = rng.integers(-4, 5, (11, space.n_atoms)) / 2.0  # tied payoffs
+    xs[::2] = rng.normal(0.0, 2.0, xs[::2].shape)
+    with mock.patch.object(riskcore, "CHUNK_ELEMENTS", rows_per_chunk * space.n_atoms), \
+            mock.patch.object(riskcore, "_CPUS", tuple(range(cpus))):
+        for measure in _builtins_on(space, rng):
+            one = np.stack([measure.evaluate(RandomVariable(row)).values for row in xs])
+            assert np.array_equal(measure.evaluate_batch(xs), one), measure.label
+
+
+def test_chunks_survive_more_threads_than_cpus_and_fast_switches(monkeypatch):
+    rng = np.random.default_rng(79)
+    space = _long_space(rng, 20)
+    monkeypatch.setattr(riskcore, "CHUNK_ELEMENTS", space.n_atoms)
+    monkeypatch.setattr(riskcore, "_CPUS", tuple(range(8)))
+    xs = rng.normal(0.0, 2.0, (40, space.n_atoms))
+    measures = _builtins_on(space, rng)
+    expected = [np.stack([m.evaluate(RandomVariable(row)).values for row in xs]) for m in measures]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            for measure, one in zip(measures, expected):
+                assert np.array_equal(measure.evaluate_batch(xs), one), measure.label
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_helper_rows_keep_the_callers_errstate(monkeypatch):
+    # one row per chunk on two CPUs: the caller takes row 0, a helper row 1
+    rng = np.random.default_rng(80)
+    space = _uneven_space(rng, 30, 6)
+    monkeypatch.setattr(riskcore, "CHUNK_ELEMENTS", space.n_atoms)
+    monkeypatch.setattr(riskcore, "_CPUS", (0, 1))
+    measure = cond_entropic(space, 1.0)
+    xs = rng.normal(0.0, 1.0, (2, space.n_atoms))
+    xs[1, 3] = -np.inf  # exp(inf - inf)
+    started = spy_calls(monkeypatch, threading.Thread, "start")
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            measure.evaluate_batch(xs[1:])
+        with pytest.raises(FloatingPointError):
+            measure.evaluate_batch(xs)
+    assert len(started) == 1
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(measure.evaluate_batch(xs)[1]).any()
+
+
+def test_first_failing_chunk_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(riskcore, "_CPUS", (0, 1, 2))
+
+    def batch(chunk):
+        if chunk in (4, 5):
+            raise ValueError(f"chunk {chunk}")
+        return chunk
+
+    # chunk 4 runs in a helper, chunk 5 in another; the serial loop stops at 4
+    with pytest.raises(ValueError, match="chunk 4"):
+        riskcore._map_chunks(batch, list(range(9)))
+    assert riskcore._map_chunks(batch, list(range(4))) == [0, 1, 2, 3]
+
+
+def test_a_batch_leaves_no_thread_behind(monkeypatch):
+    rng = np.random.default_rng(81)
+    space = _long_space(rng, 20)
+    monkeypatch.setattr(riskcore, "CHUNK_ELEMENTS", space.n_atoms)
+    monkeypatch.setattr(riskcore, "_CPUS", (0, 1, 2))
+    measures = _builtins_on(space, rng)
+    before = threading.active_count()
+    started = spy_calls(monkeypatch, threading.Thread, "start")
+    for measure in measures:
+        measure.evaluate_batch(rng.normal(0.0, 1.0, (7, space.n_atoms)))
+    assert len(started) == 2 * len(measures)
+    assert threading.active_count() == before
+
+
+def test_serial_batches_start_no_thread(monkeypatch):
+    rng = np.random.default_rng(82)
+    space = _uneven_space(rng, 30, 6)
+    xs = rng.normal(0.0, 1.0, (9, space.n_atoms))
+    monkeypatch.setattr(riskcore, "_CPUS", (0, 1))
+    started = spy_calls(monkeypatch, threading.Thread, "start")
+    # one chunk: the whole batch fits in CHUNK_ELEMENTS
+    for measure in _builtins_on(space, rng):
+        measure.evaluate_batch(xs)
+    # a user measure's batch hook and its padded restriction, at one row per chunk
+    monkeypatch.setattr(riskcore, "CHUNK_ELEMENTS", space.n_atoms)
+    user = CondRiskMeasure(
+        space,
+        lambda x: ConditionalValue(-space.block_mean(x.values)),
+        "user_mean",
+        evaluate_batch_fn=lambda xs: -space.block_mean(xs),
+    )
+    user.evaluate_batch(xs)
+    user.restrict(1).evaluate_batch(xs[:, space.block_index_array(1) - 1])
+    # one CPU: the serial loop
+    monkeypatch.setattr(riskcore, "_CPUS", (0,))
+    for measure in _builtins_on(space, rng):
+        measure.evaluate_batch(xs)
+    assert started == []
+
+
+def test_helpers_run_on_the_cpus_but_the_callers(monkeypatch):
+    rng = np.random.default_rng(83)
+    space = _uneven_space(rng, 30, 6)
+    monkeypatch.setattr(riskcore, "CHUNK_ELEMENTS", space.n_atoms)
+    monkeypatch.setattr(riskcore, "_CPUS", (0, 1, 2, 3, 4))
+    monkeypatch.setattr(riskcore, "_other_cpus", lambda: (0, 1, 3, 4))
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the OS gives no thread affinity")
+    bound = spy_calls(monkeypatch, os, "sched_setaffinity")
+    # the spy makes the real call too: a mask that meets no CPU of the machine
+    # is refused, and that helper runs unbound
+    cond_worst_case(space).evaluate_batch(rng.normal(0.0, 1.0, (3, space.n_atoms)))
+    assert sorted(cpus for _, cpus in bound) == [(0, 3), (1, 4)]
+
+
+def _fill_tables(measure):
+    """cond_avar's lazily built tables, as its batch function holds them."""
+    cells = [c.cell_contents for c in measure.evaluate_batch_fn.__closure__]
+    return next(f for f in cells if hasattr(f, "cache_info"))
+
+
+def test_avar_tables_are_built_once_before_the_helpers_start(monkeypatch):
+    rng = np.random.default_rng(84)
+    space = _long_space(rng, 20)
+    monkeypatch.setattr(riskcore, "CHUNK_ELEMENTS", space.n_atoms)
+    monkeypatch.setattr(riskcore, "_CPUS", (0, 1, 2))
+    for _ in range(5):
+        measure = cond_avar(space, 0.3)
+        measure.evaluate_batch(rng.normal(0.0, 1.0, (16, space.n_atoms)))
+        assert _fill_tables(measure).cache_info().misses == 1

@@ -364,3 +364,48 @@ def test_atom_indices_must_be_json_integers(capsys, tmp_path, blocks, error):
     code, out = run(capsys, ["space", "validate", "--scenario", str(path)])
     assert code == 2
     assert out == {"error": error}
+
+
+HUGE = 10**400  # a JSON integer past the float range
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        (_two_atoms(payoffs=3), "payoffs: expected an array"),
+        (_two_atoms(measures=3), "measures: expected an array"),
+        (_two_atoms(measures=None), "measures: expected an array"),
+        (_two_atoms(probs=[0.5, HUGE]), "probs: int too large to convert to float"),
+        (_two_atoms(payoffs=[[HUGE, 0.0]]), "payoffs[0]: int too large to convert to float"),
+        (
+            _two_atoms(measures=[{"kind": "entropic", "gamma": HUGE}]),
+            "measures[0]: gamma must be finite: int too large to convert to float",
+        ),
+        (
+            _two_atoms(measures=[{"kind": "avar", "lambda": [0.5, HUGE]}]),
+            "measures[0]: lambda must be finite: int too large to convert to float",
+        ),
+        (
+            _two_atoms(measures=[{"kind": ["avar"]}]),
+            "measures[0].kind: ['avar'] is not one of ['avar', 'entropic', 'neg_expectation', 'worst_case']",
+        ),
+    ],
+    ids=["payoffs", "measures", "measures-null", "probs", "payoff", "gamma", "lambda", "kind"],
+)
+def test_malformed_fields_are_input_errors(capsys, tmp_path, raw, error):
+    # each of these raised TypeError or OverflowError: a traceback and exit code 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, out = run(capsys, ["space", "validate", "--scenario", str(path)])
+    assert code == 2
+    assert out == {"error": error}
+
+
+def test_dual_penalty_refuses_an_entry_past_the_float_range(capsys, s4_path):
+    code, out = run(
+        capsys,
+        ["dual", "penalty", "--scenario", s4_path, "--measure", "worst_case",
+         "--y", f"[-{HUGE}, -1, -1, -1]"],
+    )
+    assert code == 2
+    assert out == {"error": "--y: int too large to convert to float"}

@@ -18,7 +18,6 @@ from .bvm import (
     Universe,
     atom_collapse,
     canonical_name,
-    extensional_lift,
     maximum_witness,
     name_to_literal,
     parse_name_literal,

@@ -165,10 +165,6 @@ class BoolElem:
         self._same(other)
         return (self.mask & other.mask) == other.mask
 
-    @property
-    def is_one(self) -> bool:
-        return self.mask == self.algebra.full
-
     def __eq__(self, other):
         return (
             isinstance(other, BoolElem)

@@ -37,14 +37,6 @@ class UniverseError(CondriskError):
     pass
 
 
-class ExtensionalityError(CondriskError):
-    """A candidate function map fails the extensionality inequality."""
-
-    def __init__(self, w, t):
-        super().__init__("map is not extensional on the reported pair")
-        self.pair = (w, t)
-
-
 class WitnessError(CondriskError):
     pass
 
@@ -311,32 +303,6 @@ class Universe:
             )
         return witness
 
-    def kuratowski_pair(self, a: Name, b: Name) -> Name:
-        one = self.algebra.one
-        left = self.make_name({a: one})
-        right = self.make_name({a: one, b: one})
-        return self.make_name({left: one, right: one})
-
-    def extensional_lift(self, mapping: Mapping[Name, Name]) -> Name:
-        """Name for the graph of an extensional map, as Kuratowski pairs.
-
-        Rejects the map (reporting the offending pair) unless
-        [[w = t]] <= [[f(w) = f(t)]] for all given argument pairs.
-        """
-        items = list(mapping.items())
-        for w, fw in items:
-            self._check(w, fw)
-        for i, (w, fw) in enumerate(items):
-            for t, ft in items[i + 1 :]:
-                if not self.truth_eq(w, t) <= self.truth_eq(fw, ft):
-                    raise ExtensionalityError(w, t)
-        one = self.algebra.one
-        graph = self.make_name({self.kuratowski_pair(w, fw): one for w, fw in items})
-        for w, fw in items:
-            if not self.truth_in(self.kuratowski_pair(w, fw), graph).is_one:
-                raise UniverseError("graph name lost one of its own pairs")
-        return graph
-
 
 # slots a universe's truth tables hold; a miss that cannot fit clears them
 TRUTH_TABLE_CAP = 1 << 11
@@ -520,13 +486,6 @@ def atom_collapse(u: Name, atom) -> frozenset:
 
 def maximum_witness(phi: Callable[[Name], BoolElem], v: Name) -> Name:
     return v.universe.maximum_witness(phi, v)
-
-
-def extensional_lift(mapping: Mapping[Name, Name]) -> Name:
-    items = list(mapping.items())
-    if not items:
-        raise UniverseError("extensional lift of an empty map")
-    return items[0][0].universe.extensional_lift(mapping)
 
 
 # -- interpretation maps -----------------------------------------------------------

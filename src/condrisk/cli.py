@@ -23,8 +23,8 @@ from . import bvm, formulalang
 from .boolalg import BoolElem, PartitionOfUnity, mask_atoms
 from .duality import DualVariable, penalty_of, verify_representation
 from .errors import CondriskError, ParseError
-from .probspace import FiniteProbSpace, RandomVariable, SpaceError
-from .riskcore import BUILTIN_FACTORIES, CondRiskMeasure, check_all_axioms
+from .probspace import FiniteProbSpace, RandomVariable
+from .riskcore import _KERNELS, BUILTIN_FACTORIES, CondRiskMeasure, check_all_axioms
 from .transfer import transfer_verify
 
 
@@ -65,98 +65,105 @@ def _emit(payload) -> None:
     print(json.dumps(_fmt(payload), indent=None, separators=(",", ":")))
 
 
-def _refuse_bools(name: str, value) -> None:
-    """JSON true/false load as Python bools, which numpy takes as 1 and 0:
-    refuse them, alone or as array entries, where a number is expected."""
-    if bool in map(type, value if isinstance(value, list) else [value]):
-        raise ScenarioError(f"{name}: expected numbers, not JSON booleans")
+# the Python types json.load gives each JSON type, matched exactly: numpy
+# reads a JSON true as 1 and a string as the number it spells
+_JSON = {"number": {int, float}, "integer": {int}, "array": {list}, "object": {dict}}
+
+# field: (JSON type of its entries, depths of the arrays around them, 0 for
+# a bare entry, and its value when absent: None refuses a required field)
+_SCENARIO = {
+    "probs": ("number", (1,), None),
+    "blocks": ("integer", (2,), None),
+    "measures": ("object", (1,), []),
+    "payoffs": ("number", (2,), []),
+}
+# a measure object: its kind (None: checked first, as it picks the table) and parameter
+_MEASURES = {
+    kind: {"kind": None, **({param: ("number", (0, 1), None)} if param else {})}
+    for kind, (*_, param) in _KERNELS.items()
+}
 
 
-def _array(raw: dict, name: str) -> list:
-    """The optional array field ``name`` of a scenario; empty when absent."""
-    value = raw.get(name, [])
-    if not isinstance(value, list):
-        raise ScenarioError(f"{name}: expected an array")
-    return value
+def _check(name: str, value, spec):
+    """``value``, refused unless it has the type ``spec`` declares for the field
+    ``name``; the refusal of an array of arrays names the row at fault."""
+    noun, depths, _ = spec
+    entries, types, depth = (value,), {type(value)}, 0
+    while types <= _JSON["array"] and depth < depths[-1]:
+        entries = list(chain.from_iterable(entries)) if depth else value
+        types, depth = set(map(type, entries)), depth + 1
+    if depth in depths and types <= _JSON[noun]:
+        # int and float compare exactly; a float past the range loads as inf, refused later
+        if noun != "number" or int not in types or not any(map(sys.float_info.max.__lt__, map(abs, entries))):
+            return value
+        fault = "an integer past the float range"
+    else:
+        forms = (f"a JSON {noun}", f"an array of JSON {noun}s", f"an array of arrays of JSON {noun}s")
+        fault = f"expected {' or '.join(forms[d] for d in depths)}"
+    if depths == (2,) and type(value) is list:
+        for k, row in enumerate(value):
+            _check(f"{name}[{k}]", row, (noun, (1,), None))
+    raise ScenarioError(f"{name}: {fault}")
+
+
+def _fields(prefix: str, obj: dict, table: dict) -> dict:
+    """The fields of ``obj`` checked as ``table`` declares and named with ``prefix``; no other keys."""
+    if not obj.keys() <= table.keys():
+        key = min(obj.keys() - table.keys())
+        raise ScenarioError(f"{prefix}{key}: not one of the fields {sorted(table)}")
+    out = {}
+    for key, spec in table.items():
+        if spec:
+            out[key] = _check(prefix + key, obj.get(key, spec[2]), spec)
+    return out
+
+
+def _named(name: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a refusal by the library names the field ``name``."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, CondriskError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
+
+
+def _per_atom(name: str, values: list, n: int, build):
+    """``build(values)`` for the field ``name``, one number for each of ``n`` atoms."""
+    if len(values) != n:
+        raise ScenarioError(f"{name}: expected an array of {n} numbers")
+    return _named(name, build, values)
 
 
 def ingest(path: str) -> Scenario:
     """Load and validate a scenario file; errors name the offending field."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        # JSON text is UTF-8; a text-mode file costs more to open than to parse
+        with open(path, "rb", buffering=0) as fh:
+            raw = json.loads(fh.read().decode())
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    fields = _fields("", _check("scenario", raw, ("object", (0,), None)), _SCENARIO)
 
-    probs = raw.get("probs")
-    if not isinstance(probs, list) or not probs:
-        raise ScenarioError("probs: expected a nonempty array")
-    # JSON numbers load as int or float; a bool, string, null or array is
-    # refused here, a NaN by the space
-    if not set(map(type, probs)) <= {int, float}:
-        raise ScenarioError("probs: entries must be positive numbers")
-    try:
-        p = np.array(probs, dtype=float)
-    except OverflowError as exc:  # a JSON integer past the float range
-        raise ScenarioError(f"probs: {exc}") from None
-    if np.any(p <= 0):
+    probs = fields["probs"]
+    if not min(probs, default=0) > 0:
         raise ScenarioError("probs: entries must be positive numbers")
     # the builtin sum, not numpy's pairwise one, so the masses divide as before
     total = float(sum(probs))
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # a NaN too
         raise ScenarioError(f"probs sum {total:.12g}")
-    probs = p / total
-
-    blocks = raw.get("blocks")
-    if not isinstance(blocks, list) or not blocks or not all(isinstance(b, list) for b in blocks):
-        raise ScenarioError("blocks: expected a nonempty array of index arrays")
-    _refuse_bools("blocks", list(chain.from_iterable(blocks)))
-    try:
-        space = FiniteProbSpace(probs, blocks)
-    except SpaceError as exc:
-        raise ScenarioError(f"blocks: {exc}") from None
+    space = _named("blocks", FiniteProbSpace, np.array(probs, dtype=float) / total, fields["blocks"])
 
     measures = []
-    for k, desc in enumerate(_array(raw, "measures")):
-        if not isinstance(desc, dict) or "kind" not in desc:
-            raise ScenarioError(f"measures[{k}]: expected an object with a 'kind'")
-        kind = desc["kind"]
-        if not isinstance(kind, str) or kind not in BUILTIN_FACTORIES:
-            raise ScenarioError(
-                f"measures[{k}].kind: {kind!r} is not one of {sorted(BUILTIN_FACTORIES)}"
-            )
-        kwargs = {}
-        if kind == "entropic":
-            if "gamma" not in desc:
-                raise ScenarioError(f"measures[{k}]: entropic needs 'gamma'")
-            _refuse_bools(f"measures[{k}].gamma", desc["gamma"])
-            kwargs["gamma"] = desc["gamma"]
-        if kind == "avar":
-            if "lambda" not in desc:
-                raise ScenarioError(f"measures[{k}]: avar needs 'lambda'")
-            _refuse_bools(f"measures[{k}].lambda", desc["lambda"])
-            kwargs["lambda"] = desc["lambda"]
-        try:
-            measures.append(BUILTIN_FACTORIES[kind](space, **kwargs))
-        except (ValueError, CondriskError) as exc:
-            raise ScenarioError(f"measures[{k}]: {exc}") from None
+    for k, desc in enumerate(fields["measures"]):
+        name, kind = f"measures[{k}]", desc.get("kind")
+        if type(kind) is not str or kind not in _MEASURES:
+            raise ScenarioError(f"{name}.kind: {kind!r} is not one of {sorted(_MEASURES)}")
+        params = _fields(f"{name}.", desc, _MEASURES[kind])
+        measures.append(_named(name, BUILTIN_FACTORIES[kind], space, **params))
 
-    payoffs = []
-    for k, arr in enumerate(_array(raw, "payoffs")):
-        if not isinstance(arr, list) or len(arr) != space.n_atoms:
-            raise ScenarioError(
-                f"payoffs[{k}]: expected an array of {space.n_atoms} numbers"
-            )
-        _refuse_bools(f"payoffs[{k}]", arr)
-        try:
-            payoffs.append(RandomVariable(arr))
-        except (ValueError, OverflowError) as exc:
-            raise ScenarioError(f"payoffs[{k}]: {exc}") from None
-
+    n = space.n_atoms
+    payoffs = [_per_atom(f"payoffs[{k}]", v, n, RandomVariable) for k, v in enumerate(fields["payoffs"])]
     return Scenario(space, measures, payoffs)
 
 
@@ -214,14 +221,8 @@ def _cmd_risk_check_axioms(args) -> int:
 def _cmd_dual_penalty(args) -> int:
     scenario = _need_scenario(args)
     measure = _pick_measure(scenario, args.measure)
-    try:
-        values = json.loads(args.y)
-        _refuse_bools("--y", values)
-        y = DualVariable(values)
-    except (json.JSONDecodeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"--y: {exc}") from None
-    if len(y) != scenario.space.n_atoms:
-        raise ScenarioError(f"--y: expected {scenario.space.n_atoms} entries")
+    values = _check("--y", _named("--y", json.loads, args.y), ("number", (1,), None))
+    y = _per_atom("--y", values, scenario.space.n_atoms, DualVariable)
     _emit({"measure": measure.label, "y": y.values, "penalty": penalty_of(measure, y).values})
     return 0
 
@@ -249,10 +250,7 @@ def _cmd_transfer_verify(args) -> int:
         items = [int(s) for s in args.items.split(",") if s]
     except ValueError:
         raise ScenarioError(f"--items: cannot parse {args.items!r}") from None
-    try:
-        report = transfer_verify(measure, items, scenario.payoffs, tol=args.tol)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    report = transfer_verify(measure, items, scenario.payoffs, tol=args.tol)
     payload = {**report.to_dict(), "passed": report.all_equivalences_hold}
     _emit(payload)
     return 0 if report.all_equivalences_hold else 1

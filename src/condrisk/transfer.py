@@ -315,9 +315,10 @@ def transfer_verify(
     a built-in's blocks of each size in one run of its dense classical
     kernel on a stack of them, which shares no code with the built-in's
     whole-space batch, penalty and oracle, and a user measure's blocks one
-    padded restriction at a time.  The per-block verdicts refine the single
-    conditional verdict: at this scale the model-side truth value is
-    visible atom by atom.
+    padded restriction at a time.  An item's equivalence holds when the two
+    sides agree on every block, so defects on different blocks cannot
+    cancel out; item 7 compares its one whole-space verdict with all of the
+    per-block ones.
     """
     _check_tol(tol)
     items = list(items)
@@ -343,22 +344,26 @@ def transfer_verify(
         eta = _probe_level(measure, probes)
 
     whole = [i for i in items if i != 7]
-    verdicts = {i: bool(v.all()) for i, v in _verdicts(measure, whole, payoffs, probes, eta, tol, seed, 1).items()}
+    conditional = {i: v.tolist() for i, v in _verdicts(measure, whole, payoffs, probes, eta, tol, seed, 1).items()}
     notes: List[str] = []
     if 7 in items:
         r = stable_sublevel_check(measure.space, penalty_map(measure), eta, probes)
-        verdicts[7] = r.mixing_closure_passed and all(r.inf_compact_per_block)
+        conditional[7] = r.mixing_closure_passed and all(r.inf_compact_per_block)
         notes = r.notes
     per_block = _classical_verdicts(measure, items, payoffs, probes, eta, tol, seed)
 
     results = {}
     for i in items:
-        ok, per_atom = verdicts[i], per_block[i]
+        cond, per_atom = conditional[i], per_block[i]
+        if i == 7:  # the mixing closure is a whole-space verdict with no per-block counterpart
+            ok, equivalence = cond, cond == all(per_atom)
+        else:
+            ok, equivalence = all(cond), cond == per_atom
         results[i] = ItemResult(
             ITEM_NAMES[i],
             ok,
             per_atom,
-            ok == all(per_atom),
+            equivalence,
             ITEM_QUALIFIERS.get(i),
             notes if i == 7 else [],
         )

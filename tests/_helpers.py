@@ -296,10 +296,6 @@ class RefElem:
     def __ge__(self, other):
         return self.atoms >= other.atoms
 
-    @property
-    def is_one(self):
-        return len(self.atoms) == self.m
-
     def __repr__(self):
         return "{" + ",".join(str(a) for a in sorted(self.atoms)) + "}"
 

@@ -94,8 +94,8 @@ def _exported_names():
 
 
 def _package_lines():
-    """Each package line that is not an import line, with the name it
-    defines when it is a ``def`` or ``class`` line."""
+    """Each package line that is not an import line, with the names of the
+    ``def`` and ``class`` blocks it lies in."""
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
@@ -105,21 +105,22 @@ def _package_lines():
             if isinstance(n, (ast.Import, ast.ImportFrom))
             for i in range(n.lineno, n.end_lineno + 1)
         }
-        defines = {
-            n.lineno: n.name
-            for n in ast.walk(tree)
-            if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-        }
+        owners = {}
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                for i in range(n.lineno, n.end_lineno + 1):
+                    owners.setdefault(i, set()).add(n.name)
         for i, line in enumerate(text.splitlines(), start=1):
             if i not in imports:
-                yield line, defines.get(i)
+                yield line, owners.get(i, set())
 
 
 def test_every_exported_name_is_reached():
     """Every name ``condrisk`` exports is referenced in the package outside
-    its own ``def``/``class`` line and the import lines, or in the README,
-    the acceptance suite or the benchmark: a name only its own unit tests
-    reach has no job."""
+    the ``def``/``class`` blocks of that name and the import lines, or in the
+    README, the acceptance suite or the benchmark: a name only its own unit
+    tests reach has no job, and neither has a wrapper that only calls a
+    method of its own name."""
     lines = list(_package_lines())
     outside = "\n".join(
         p.read_text()
@@ -128,7 +129,7 @@ def test_every_exported_name_is_reached():
     unreached = []
     for name in _exported_names():
         word = re.compile(rf"\b{re.escape(name)}\b")
-        if not (word.search(outside) or any(word.search(line) and own != name for line, own in lines)):
+        if not (word.search(outside) or any(word.search(line) and name not in own for line, own in lines)):
             unreached.append(name)
     assert unreached == []
 

@@ -46,7 +46,6 @@ def test_operations_match_reference(case):
     assert (~a).atoms == a.complement().atoms == ra.complement().atoms
     assert a.implies(b).atoms == ra.implies(rb).atoms
     assert (a <= b) == (ra <= rb) and (a >= b) == (ra >= rb)
-    assert a.is_one == ra.is_one
     assert repr(a) == repr(ra)
     assert (a == b) == (sa == sb) and (a != b) == (sa != sb)
     if sa == sb:

@@ -95,7 +95,7 @@ def test_algebra_laws(ma, mb, mc):
     assert (a | (b & c)) == ((a | b) & (a | c))
     assert ~~a == a
     assert a.implies(b) == (~a | b)
-    assert (a & ~a).mask == 0 and (a | ~a).is_one
+    assert (a & ~a).mask == 0 and (a | ~a) == alg.one
 
 
 def test_exhaustive_laws_small():

@@ -19,7 +19,6 @@ from condrisk import (
     RandomVariable,
     Universe,
     atom_collapse,
-    extensional_lift,
     maximum_witness,
     name_to_literal,
     parse_name_literal,
@@ -29,7 +28,6 @@ from condrisk import (
 )
 from condrisk.boolalg import AlgebraMismatchError
 from condrisk.bvm import (
-    ExtensionalityError,
     UniverseError,
     l1_eq_truth,
     l1_le_truth,
@@ -202,23 +200,6 @@ def test_maximum_witness_examples(u2, a2):
     phi3 = lambda t: u2.truth_in(t, e)  # nothing belongs to the empty name
     wit3 = maximum_witness(phi3, v2)
     assert phi3(wit3) == a2.from_mask(0)
-
-
-def test_extensional_lift_examples(u2, a2):
-    e, single = u2.empty, u2.canonical_name([[]])
-    graph = extensional_lift({e: e})
-    assert graph.rank >= 3  # kuratowski pair nesting
-
-    mixpoint = u2.mix(PartitionOfUnity([a2.atom(1), a2.atom(2)]), [e, single])
-    # consistent: [[e = mixpoint]] = {1} and both map into names equal on {1}
-    ok = extensional_lift({e: single, mixpoint: u2.mix(
-        PartitionOfUnity([a2.atom(1), a2.atom(2)]), [single, u2.canonical_name([[], [[]]])]
-    )})
-    assert ok is not None
-
-    with pytest.raises(ExtensionalityError) as err:
-        extensional_lift({e: e, mixpoint: single})
-    assert err.value.pair is not None
 
 
 def test_truth_map_examples(s4, a2):

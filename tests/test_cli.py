@@ -1,33 +1,36 @@
+import copy
+import functools
 import json
 import math
+import operator
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from condrisk import duality
 from condrisk.cli import ingest, main
 from condrisk.cli import ScenarioError
 
 LOG2 = math.log(2.0)
+S4 = {
+    "probs": [0.25, 0.25, 0.25, 0.25],
+    "blocks": [[1, 2], [3, 4]],
+    "measures": [
+        {"kind": "entropic", "gamma": [1.0, 1.0]},
+        {"kind": "avar", "lambda": [0.5, 0.5]},
+        {"kind": "worst_case"},
+        {"kind": "neg_expectation"},
+    ],
+    "payoffs": [[-LOG2, -LOG2, 0.0, 0.0], [1, 3, 2, 6]],
+}
 
 
 @pytest.fixture
 def s4_path(tmp_path):
     path = tmp_path / "s4.json"
-    path.write_text(
-        json.dumps(
-            {
-                "probs": [0.25, 0.25, 0.25, 0.25],
-                "blocks": [[1, 2], [3, 4]],
-                "measures": [
-                    {"kind": "entropic", "gamma": [1.0, 1.0]},
-                    {"kind": "avar", "lambda": [0.5, 0.5]},
-                    {"kind": "worst_case"},
-                    {"kind": "neg_expectation"},
-                ],
-                "payoffs": [[-LOG2, -LOG2, 0.0, 0.0], [1, 3, 2, 6]],
-            }
-        )
-    )
+    path.write_text(json.dumps(S4))
     return str(path)
 
 
@@ -262,32 +265,27 @@ def test_ingest_field_errors(tmp_path):
 
 def test_non_finite_measure_parameter_named_at_ingest(capsys, tmp_path):
     path = tmp_path / "nan.json"
-    path.write_text(
-        json.dumps(
-            {
-                "probs": [0.25, 0.25, 0.25, 0.25],
-                "blocks": [[1, 2], [3, 4]],
-                "measures": [{"kind": "entropic", "gamma": None}],
-                "payoffs": [[1, 3, 2, 6]],
-            }
-        )
-    )
+    raw = {
+        "probs": [0.25, 0.25, 0.25, 0.25],
+        "blocks": [[1, 2], [3, 4]],
+        "measures": [{"kind": "entropic", "gamma": math.nan}],
+        "payoffs": [[1, 3, 2, 6]],
+    }
+    # a NaN is a JSON number to the table and is refused by the measure
+    path.write_text(json.dumps(raw))
     with pytest.raises(ScenarioError, match=r"measures\[0\]: gamma must be finite"):
         ingest(str(path))
-    raw = json.loads(path.read_text())
-    for bad in ({}, "abc", [1.0, None]):
+    for bad in (None, {}, "abc", [1.0, None]):
         raw["measures"][0]["gamma"] = bad
         path.write_text(json.dumps(raw))
-        with pytest.raises(ScenarioError, match=r"measures\[0\]: gamma must be"):
+        with pytest.raises(ScenarioError, match=r"measures\[0\]\.gamma: expected a JSON number or an array"):
             ingest(str(path))
-    raw["measures"][0]["gamma"] = None
-    path.write_text(json.dumps(raw))
     code, out = run(
         capsys,
         ["risk", "eval", "--scenario", str(path), "--measure", "entropic", "--payoff", "0"],
     )
     assert code == 2
-    assert out["error"].startswith("measures[0]: gamma must be finite")
+    assert out["error"].startswith("measures[0].gamma: expected a JSON number")
 
 
 def _two_atoms(**change):
@@ -307,7 +305,7 @@ def _two_atoms(**change):
         (_two_atoms(payoffs=[[True, False]]), "payoffs[0]"),
         (_two_atoms(measures=[{"kind": "avar", "lambda": True}]), "measures[0].lambda"),
         (_two_atoms(measures=[{"kind": "entropic", "gamma": [1.0, True]}]), "measures[0].gamma"),
-        (_two_atoms(blocks=[[True], [2]]), "blocks"),
+        (_two_atoms(blocks=[[True], [2]]), "blocks[0]"),
     ],
     ids=["probs", "payoff", "lambda", "gamma", "blocks"],
 )
@@ -348,55 +346,73 @@ def test_unknown_command_exits_2():
 
 
 @pytest.mark.parametrize(
-    "blocks, error",
-    [
-        ([[1.9], [2]], "blocks: block 1 holds 1.9, not an integer atom index"),
-        ([["1"], [2]], "blocks: block 1 holds '1', not an integer atom index"),
-        ([1, 2], "blocks: expected a nonempty array of index arrays"),
-        (["12"], "blocks: expected a nonempty array of index arrays"),
-    ],
+    "blocks",
+    [[[1.9], [2]], [["1"], [2]], [1, 2], ["12"]],
     ids=["float", "string", "bare-index", "string-block"],
 )
-def test_atom_indices_must_be_json_integers(capsys, tmp_path, blocks, error):
+def test_atom_indices_must_be_json_integers(capsys, tmp_path, blocks):
     # int() reads 1.9 and "1" as atom 1; a bare index or a string is not an index array
     path = tmp_path / "blocks.json"
     path.write_text(json.dumps(_two_atoms(blocks=blocks)))
     code, out = run(capsys, ["space", "validate", "--scenario", str(path)])
     assert code == 2
-    assert out == {"error": error}
+    assert out == {"error": "blocks[0]: expected an array of JSON integers"}
 
 
 HUGE = 10**400  # a JSON integer past the float range
+NUMBER_OR_ARRAY = "expected a JSON number or an array of JSON numbers"
 
 
 @pytest.mark.parametrize(
     "raw, error",
     [
-        (_two_atoms(payoffs=3), "payoffs: expected an array"),
-        (_two_atoms(measures=3), "measures: expected an array"),
-        (_two_atoms(measures=None), "measures: expected an array"),
-        (_two_atoms(probs=[0.5, HUGE]), "probs: int too large to convert to float"),
-        (_two_atoms(payoffs=[[HUGE, 0.0]]), "payoffs[0]: int too large to convert to float"),
+        (_two_atoms(payoffs=3), "payoffs: expected an array of arrays of JSON numbers"),
+        (_two_atoms(measures=3), "measures: expected an array of JSON objects"),
+        (_two_atoms(measures=None), "measures: expected an array of JSON objects"),
+        (_two_atoms(probs=[0.5, HUGE]), "probs: an integer past the float range"),
+        (_two_atoms(payoffs=[[HUGE, 0.0]]), "payoffs[0]: an integer past the float range"),
         (
             _two_atoms(measures=[{"kind": "entropic", "gamma": HUGE}]),
-            "measures[0]: gamma must be finite: int too large to convert to float",
+            "measures[0].gamma: an integer past the float range",
         ),
         (
             _two_atoms(measures=[{"kind": "avar", "lambda": [0.5, HUGE]}]),
-            "measures[0]: lambda must be finite: int too large to convert to float",
+            "measures[0].lambda: an integer past the float range",
         ),
         (
             _two_atoms(measures=[{"kind": ["avar"]}]),
             "measures[0].kind: ['avar'] is not one of ['avar', 'entropic', 'neg_expectation', 'worst_case']",
         ),
+        (
+            _two_atoms(measures=[{"kind": "avar", "lambda": 0.5}, {"kind": "entropic", "gamma": "1.5"}]),
+            f"measures[1].gamma: {NUMBER_OR_ARRAY}",
+        ),
+        (_two_atoms(measures=[{"kind": "avar", "lambda": ["0.5", "1"]}]), f"measures[0].lambda: {NUMBER_OR_ARRAY}"),
+        (_two_atoms(payoffs=[["1", 0.5]]), "payoffs[0]: expected an array of JSON numbers"),
+        (_two_atoms(payoffs=[[[1], 0.5]]), "payoffs[0]: expected an array of JSON numbers"),
+        ('["-1", "-1"]', "--y: expected an array of JSON numbers"),
+        ("[[-1], -1]", "--y: expected an array of JSON numbers"),
+        ({**_two_atoms(), "typo": 1}, "typo: not one of the fields ['blocks', 'measures', 'payoffs', 'probs']"),
+        (
+            _two_atoms(measures=[{"kind": "avar", "lambda": 0.5, "gamma": 1.0}]),
+            "measures[0].gamma: not one of the fields ['kind', 'lambda']",
+        ),
     ],
-    ids=["payoffs", "measures", "measures-null", "probs", "payoff", "gamma", "lambda", "kind"],
+    ids=[
+        "payoffs", "measures", "measures-null", "probs", "payoff", "gamma", "lambda", "kind",
+        "gamma-string", "lambda-strings", "payoff-string", "payoff-nested", "y-strings", "y-nested",
+        "unknown-key", "gamma-on-avar",
+    ],
 )
 def test_malformed_fields_are_input_errors(capsys, tmp_path, raw, error):
-    # each of these raised TypeError or OverflowError: a traceback and exit code 1
+    # a scenario, or the --y of dual penalty (a string) on a valid one; each
+    # of these crashed, was read as numbers, or gave numpy's own wording
     path = tmp_path / "bad.json"
+    argv = ["space", "validate"]
+    if isinstance(raw, str):
+        argv, raw = ["dual", "penalty", "--measure", "avar", "--y", raw], _two_atoms()
     path.write_text(json.dumps(raw))
-    code, out = run(capsys, ["space", "validate", "--scenario", str(path)])
+    code, out = run(capsys, argv + ["--scenario", str(path)])
     assert code == 2
     assert out == {"error": error}
 
@@ -408,4 +424,94 @@ def test_dual_penalty_refuses_an_entry_past_the_float_range(capsys, s4_path):
          "--y", f"[-{HUGE}, -1, -1, -1]"],
     )
     assert code == 2
-    assert out == {"error": "--y: int too large to convert to float"}
+    assert out == {"error": "--y: an integer past the float range"}
+
+
+# -- the field table under mutation -------------------------------------------------
+
+PARAMS = {"avar": "lambda", "entropic": "gamma", "neg_expectation": None, "worst_case": None}
+# stand-ins of each JSON type, integers past the float range, and numbers
+JUNK = ["1.5", "x", True, False, None, HUGE, -HUGE, {}, [], 0, -1, 2.5]
+
+
+def well_typed(raw):
+    """The field table written out by hand: every field has its declared JSON
+    type, and no key is outside it."""
+
+    def number(v):
+        return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+
+    def numbers(v):
+        return type(v) is list and all(map(number, v))
+
+    def measure(m):
+        if type(m) is not dict or type(m.get("kind")) is not str or m["kind"] not in PARAMS:
+            return False
+        param = PARAMS[m["kind"]]
+        return m.keys() == {"kind", param} - {None} and (param is None or number(m[param]) or numbers(m[param]))
+
+    return (
+        raw.keys() <= {"probs", "blocks", "measures", "payoffs"}
+        and numbers(raw.get("probs"))
+        and type(raw.get("blocks")) is list
+        and all(type(b) is list and all(type(i) is int for i in b) for b in raw["blocks"])
+        and type(raw.get("measures", [])) is list
+        and all(map(measure, raw.get("measures", [])))
+        and type(raw.get("payoffs", [])) is list
+        and all(map(numbers, raw.get("payoffs", [])))
+    )
+
+
+def _paths(node, path=()):
+    """The path to each value inside a JSON value, the value itself first."""
+    yield path
+    children = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    raw = copy.deepcopy(draw(st.sampled_from([S4, _two_atoms()])))
+    for _ in range(draw(st.integers(1, 3))):
+        *at, key = draw(st.sampled_from(list(_paths(raw))[1:]))
+        parent = functools.reduce(operator.getitem, at, raw)
+        change = draw(st.sampled_from(["swap", "nest", "string", "drop", "add"]))
+        if change == "swap":
+            parent[key] = draw(st.sampled_from(JUNK))
+        elif change == "nest":
+            parent[key] = [parent[key]]
+        elif change == "string":
+            parent[key] = json.dumps(parent[key])
+        elif change == "drop" and type(parent) is dict:
+            del parent[key]
+        elif change == "add" and type(parent) is dict:
+            parent[draw(st.sampled_from(["extra", "gamma", "lambda", "kind"]))] = draw(st.sampled_from(JUNK))
+    return raw
+
+
+COMMANDS = [
+    ["space", "validate"],
+    ["risk", "eval", "--measure", "0", "--payoff", "0"],
+    ["risk", "check-axioms", "--measure", "1", "--trials", "2"],
+    ["dual", "represent", "--measure", "0", "--payoff", "0"],
+    ["transfer", "verify", "--measure", "1", "--items", "1,5"],
+    ["bvm", "eval", "forall x in u . x = empty", "--bind", "u=name{empty:{1}}"],
+    ["bvm", "mix", "--parts", "{1};{2}", "--names", "empty;empty"],
+]
+Y_VALUES = ["[-1, -1, -1, -1]", "[-1, -1]", '["-1", -1]', "[[-1], -1]", "[true, -1]", "null", f"[-{HUGE}, -1]"]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=mutated_scenarios(), y=st.sampled_from(Y_VALUES))
+def test_every_command_refuses_a_mutated_scenario_by_its_table(capsys, tmp_path, raw, y):
+    # a crash would raise out of main(); exit 0 needs every field's declared type
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(raw))
+    for command in COMMANDS + [["dual", "penalty", "--measure", "0", "--y", y]]:
+        code = main(command + ["--scenario", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), (command, out)
+        assert "Traceback" not in out + err
+        assert code == 2 or well_typed(raw), (command, raw)
+        assert code == 0 or "error" in json.loads(out)

@@ -3,7 +3,8 @@ of check_axiom, of verify_interp_props and of the sublevel walk is shown one
 seeded defect on block 2 of s4, and must say no there.  The transfer rows
 must also say yes on block 1, with the conditional verdict still matching
 the per-block ones.  A defect in the conditional batch code alone must fail
-the conditional side only.  A strict xfail at the end records a defect that
+the conditional side only, and defects on different blocks of the two sides
+must not cancel out.  A strict xfail at the end records a defect that
 the checks do not see yet."""
 
 import dataclasses
@@ -130,6 +131,43 @@ def test_a_defect_in_the_conditional_batch_code_fails_that_side_alone(monkeypatc
     assert np.array_equal(cond_avar(s4, 0.5).evaluate(X).values, rho)
     r = transfer_verify(cond_avar(s4, 0.5), [1], [X]).items[1]
     assert (r.conditional, r.per_atom, r.equivalence) == (False, [True, True], False)
+
+
+def reverse_block_1(oracle):
+    """A dense kernel oracle whose weights on the stack's first block come in
+    reverse order: on s4 the classical side then misses rho(x) on block 1."""
+
+    def broken(x, q, lam):
+        w = oracle(x, q, lam)
+        w[..., 0, :] = w[..., 0, ::-1].copy()
+        return w
+
+    return broken
+
+
+# payoffs whose block 2 fails item 1 under swap_last_two: X does, and Y,
+# tied on block 2, does not
+Y = RandomVariable([0.3, -1.2, 2.0, 2.0])
+# row: (swap_last_two on, reverse_block_1 on, payoffs, verdicts of item 1)
+DEFECT_ROWS = {
+    "conditional block 2, classical block 1": (True, True, [X], (False, [False, True], False)),
+    "conditional block 2 on the second payoff": (True, False, [Y, X], (False, [True, True], False)),
+    "classical block 1 alone": (False, True, [X], (True, [False, True], False)),
+}
+
+
+@pytest.mark.parametrize("row", DEFECT_ROWS)
+def test_item_1_compares_the_two_sides_block_by_block(monkeypatch, s4, row):
+    # defects on different blocks must not cancel out, and item 1 reads
+    # every payoff on the conditional side
+    conditional_defect, classical_defect, payoffs, verdicts = DEFECT_ROWS[row]
+    if conditional_defect:
+        monkeypatch.setattr(riskcore, "_two_sorts", swap_last_two(riskcore._two_sorts))
+    if classical_defect:
+        risk, penalty, oracle, name = riskcore._KERNELS["avar"]
+        monkeypatch.setitem(riskcore._KERNELS, "avar", (risk, penalty, reverse_block_1(oracle), name))
+    r = transfer_verify(cond_avar(s4, 0.5), [1], payoffs).items[1]
+    assert (r.conditional, r.per_atom, r.equivalence) == verdicts
 
 
 @pytest.mark.parametrize("axiom", AXIOMS)

@@ -172,9 +172,6 @@ class BoolElem:
             and other.mask == self.mask
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((id(self.algebra), self.mask))
 

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .errors import CondriskError
-from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
+from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, _Values
 from .riskcore import (
     ADMISSIBLE_TOL,
     CHUNK_ELEMENTS,
@@ -33,36 +33,23 @@ class DualityError(CondriskError):
     pass
 
 
-class DualVariable:
+class DualVariable(_Values):
     """Dual vector: one value <= 0 per sample atom; -y acts as a density."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
+    _noun = "a dual variable"
 
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("a dual variable is a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        if not np.isfinite(arr).all():
             raise ValueError("dual variable entries must be finite")
-        if np.any(arr > 0):
+        if (arr > 0).any():
             raise ValueError("dual variable entries must be <= 0")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualVariable is immutable")
-
-    def __len__(self):
-        return self.values.size
 
     def is_admissible(self, space: FiniteProbSpace) -> bool:
         """Whether -y is a conditional density on every block, within ADMISSIBLE_TOL."""
         _check_length(space, self.values)
         return bool(_admissible_mask(space, self.values).all())
-
-    def __repr__(self):
-        return f"DualVariable({self.values.tolist()!r})"
 
 
 def _check_length(space: FiniteProbSpace, values: np.ndarray) -> None:
@@ -273,8 +260,7 @@ def _penalty_rows(measure: CondRiskMeasure, ys: np.ndarray, closed_form=True, bl
         for j in range(space.n_blocks) if blocks is None else np.flatnonzero(blocks):
             block, cut = measure.restrict(j + 1), ys[:, space.block_index_array(j + 1)]
             pen[:, j] = _block_conjugate_grid(block, cut)[0]
-    if np.any(np.isnan(pen)):
-        raise ValueError("conditional value entries must not be NaN")
+    ConditionalValue._check(pen)
     return pen
 
 
@@ -296,15 +282,14 @@ def penalty_map(measure: CondRiskMeasure) -> Callable[[RandomVariable], Conditio
     Lets the sublevel-set machinery walk the dual space: vectors with a
     positive entry on a block are outside the density cone there.  Every
     map has a row form ``f.rows``: it takes a ``(rows, n_atoms)`` array to
-    ``(rows, n_blocks)`` penalties, with the checks of ``DualVariable``,
+    ``(rows, n_blocks)`` penalties, with the checks of ``RandomVariable``,
     ``penalty_of`` and ``ConditionalValue`` on each row, in one call of
     ``_penalty_rows``.  ``f`` is its one-row case.
     """
     space = measure.space
 
     def rows(vs: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(vs)):
-            raise ValueError("dual variable entries must be finite")
+        RandomVariable._check(vs)
         pen = _penalty_rows(measure, np.minimum(vs, 0.0))
         return np.where(space.block_max(vs) > 0, math.inf, pen)
 
@@ -628,16 +613,6 @@ class SublevelReport:
     qualifier: str = "at probe resolution"
     notes: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "mixing_closure_passed": self.mixing_closure_passed,
-            "members": self.members,
-            "bounded_per_block": self.bounded_per_block,
-            "inf_compact_per_block": self.inf_compact_per_block,
-            "qualifier": self.qualifier,
-            "notes": self.notes,
-        }
-
 
 # sublevel check: past SUBLEVEL_MAX_COMBOS choices the mixing walk takes a
 # covering array; boundedness rays double their step up to SUBLEVEL_RAY_BOUND
@@ -689,8 +664,7 @@ def _escapes(f, base: np.ndarray, dirs: np.ndarray, judged: np.ndarray, level: n
     while live.size and t <= SUBLEVEL_RAY_BOUND:
         with np.errstate(over="ignore"):
             rays = base + t * dirs[live]
-        if not np.isfinite(rays).all():
-            raise ValueError("random variable entries must be finite")
+        RandomVariable._check(rays)
         escaped[live] |= _values_of_rows(f, rays) > level
         live = live[~escaped[live].all(axis=1)]
         t *= 2.0

@@ -30,116 +30,101 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class RandomVariable:
-    """Payoff: one finite real value per sample atom."""
+class _Values:
+    """A checked, read-only vector of floats: the base of payoffs, values
+    per block and dual variables.  Built from one ``np.array`` copy, which
+    must be nonempty and 1-d (refused by the type's ``_noun``) and pass the
+    type's ``_check``; compared by type and values."""
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("a random variable is a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("random variable entries must be finite")
-        object.__setattr__(self, "values", _readonly(arr))
+            raise ValueError(f"{self._noun} is a nonempty 1-d array")
+        self._check(arr)
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        """The type's rule on the entries of an array of any shape, so row
+        batches are checked by the rule of the value their rows stand for."""
 
     def __setattr__(self, name, value):
-        raise AttributeError("RandomVariable is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
         return self.values.size
 
     def __eq__(self, other):
-        return isinstance(other, RandomVariable) and np.array_equal(
-            self.values, other.values
-        )
+        return type(other) is type(self) and np.array_equal(self.values, other.values)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    def __repr__(self):
+        return f"{type(self).__name__}({self.values.tolist()!r})"
+
+
+class _Arithmetic(_Values):
+    """Entrywise +, - and * with a number, an array or a value of the same type."""
+
+    __slots__ = ()
+
+    def _apply(self, fn, other) -> np.ndarray:
+        return fn(self.values, other.values if isinstance(other, type(self)) else other)
 
     def __add__(self, other):
-        other = other.values if isinstance(other, RandomVariable) else other
-        return RandomVariable(self.values + other)
+        return type(self)(self._apply(np.add, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = other.values if isinstance(other, RandomVariable) else other
-        return RandomVariable(self.values - other)
+        return type(self)(self._apply(np.subtract, other))
 
     def __neg__(self):
-        return RandomVariable(-self.values)
+        return type(self)(-self.values)
 
     def __mul__(self, other):
-        other = other.values if isinstance(other, RandomVariable) else other
-        return RandomVariable(self.values * other)
+        return type(self)(self._apply(np.multiply, other))
 
     __rmul__ = __mul__
+
+
+class RandomVariable(_Arithmetic):
+    """Payoff: one finite real value per sample atom."""
+
+    __slots__ = ()
+    _noun = "a random variable"
+
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        if not np.isfinite(arr).all():
+            raise ValueError("random variable entries must be finite")
 
     def __abs__(self):
         return RandomVariable(np.abs(self.values))
 
-    def __repr__(self):
-        return f"RandomVariable({self.values.tolist()!r})"
 
-
-class ConditionalValue:
+class ConditionalValue(_Arithmetic):
     """One extended-real value per block; finite entries mean a plain value."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
+    _noun = "a conditional value"
 
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("a conditional value is a nonempty 1-d array")
-        if np.any(np.isnan(arr)):
+    @staticmethod
+    def _check(arr: np.ndarray) -> None:
+        if np.isnan(arr).any():
             raise ValueError("conditional value entries must not be NaN")
-        object.__setattr__(self, "values", _readonly(arr))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConditionalValue is immutable")
 
     @property
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
 
-    def __len__(self):
-        return self.values.size
-
-    def __eq__(self, other):
-        return isinstance(other, ConditionalValue) and np.array_equal(
-            self.values, other.values
-        )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def _combine(self, other, fn):
-        other = other.values if isinstance(other, ConditionalValue) else other
+    def _apply(self, fn, other) -> np.ndarray:
         with np.errstate(invalid="ignore"):
-            out = fn(self.values, other)
-        if np.any(np.isnan(np.atleast_1d(out))):
+            out = super()._apply(fn, other)
+        if np.isnan(out).any():
             raise CondriskError("indeterminate extended-real arithmetic (inf - inf)")
-        return ConditionalValue(out)
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
-
-    def __neg__(self):
-        return ConditionalValue(-self.values)
-
-    def __mul__(self, other):
-        return self._combine(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"ConditionalValue({self.values.tolist()!r})"
+        return out
 
 
 def _partition_error(blocks, n: int) -> str:

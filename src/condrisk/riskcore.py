@@ -89,7 +89,6 @@ class CondRiskMeasure:
     closed_form_penalty: Optional[Callable[[np.ndarray], np.ndarray]] = None
     evaluate_batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dual_density_cap: Optional[np.ndarray] = None
-    params: dict = field(default_factory=dict)
     # built-ins only: the kind of ``_KERNELS`` and the parameter of each
     # block (None for a kind without one); it marks a built-in, whose rows
     # do not depend on the rows beside them
@@ -105,8 +104,7 @@ class CondRiskMeasure:
 
     def evaluate(self, x: RandomVariable) -> ConditionalValue:
         out = self._evaluate_one(x)
-        if not np.all(np.isfinite(out.values)):
-            raise RiskMeasureError(f"{self.label} produced a non-finite risk value")
+        _check_finite_risks(self, out.values)
         return out
 
     def _evaluate_one(self, x: RandomVariable) -> ConditionalValue:
@@ -145,7 +143,7 @@ class CondRiskMeasure:
 
         The one place a block is cut out of the space.  A built-in becomes
         its dense classical kernel (``_kernel_measure``) on the block's space
-        with block ``j``'s parameter, so its work and its ``params`` are the
+        with block ``j``'s parameter, so its work and its ``_kernel`` are the
         block's alone, and it shares no code with the built-in's whole-space
         batch, penalty and oracle.  A user measure, a
         ``dataclasses.replace`` copy of a built-in included, is padded:
@@ -197,7 +195,6 @@ class CondRiskMeasure:
             closed_form_penalty=pen,
             evaluate_batch_fn=ev_batch,
             dual_density_cap=cap,
-            params=dict(self.params),
         )
 
 
@@ -374,7 +371,7 @@ def _as_block_params(space: FiniteProbSpace, value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a scalar or one value per block")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    # a copy, read-only: the measure's closures and its params share it
+    # a copy, read-only: the measure's closures and its kernel share it
     return _readonly(arr)
 
 
@@ -423,7 +420,6 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
         penalty,
         oracle,
         ("entropic", g),
-        params={"gamma": g},
     )
 
 
@@ -583,7 +579,6 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         ("avar", lam_arr),
         prepare=fill_tables,
         dual_density_cap=1.0 / lam_arr,
-        params={"lambda": lam_arr},
     )
 
 
@@ -697,17 +692,13 @@ def _kernel_measure(space: FiniteProbSpace, kind: str, param, label: str) -> Con
     ``_stacked``), with ``param`` (one value per block, or None)."""
     shape = (space.n_blocks, space.n_atoms // space.n_blocks)
     q = space.cond.reshape(shape)
-    risk, penalty, oracle, name = _KERNELS[kind]
+    risk, penalty, oracle, _ = _KERNELS[kind]
 
     def dense(fn):
         return lambda a: fn(a.reshape(a.shape[:-1] + shape), q, param)
 
     weights = dense(oracle)
-    dual = {}
-    if name is not None:
-        dual["params"] = {name: param}
-    if kind == "avar":
-        dual["dual_density_cap"] = 1.0 / param
+    dual = {"dual_density_cap": 1.0 / param} if kind == "avar" else {}
     return _builtin(
         space, label, dense(risk), dense(penalty), lambda xs: weights(xs).reshape(xs.shape), (kind, param), **dual
     )
@@ -783,6 +774,12 @@ def _check_tol(tol: float) -> None:
     """Refuse a tolerance that no comparison can use: NaN, negative or infinite."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def _check_finite_risks(measure: CondRiskMeasure, *risks: np.ndarray) -> None:
+    """Refuse, by the measure's label, risks with an entry that is not finite."""
+    if not all(np.isfinite(r).all() for r in risks):
+        raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
 
 
 def _equal_mass_groups(space: FiniteProbSpace) -> tuple:
@@ -908,9 +905,7 @@ def _first_failure(measure: CondRiskMeasure, axiom: str, inputs: list) -> Option
         raise
     failing = bad.any(axis=-1)
     first = int(np.argmax(failing)) if failing.any() else len(failing)
-    finite = np.isfinite(lhs).all(axis=-1) & np.isfinite(rhs).all(axis=-1)
-    if not finite[: first + 1].all():
-        raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
+    _check_finite_risks(measure, lhs[: first + 1], rhs[: first + 1])
     if first == len(failing):
         return None
     block = int(np.argmax(bad[first])) + 1
@@ -975,8 +970,7 @@ def _failing_blocks(measure: CondRiskMeasure, axiom: str, trials: int, seed: int
         inputs = _draw_trials(axiom, space, streams, groups, size, tile)
         with np.errstate(invalid="ignore"):
             lhs, rhs, bad = _axiom_sides(axiom, space, measure.evaluate_batch, *inputs)
-        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
-            raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
+        _check_finite_risks(measure, lhs, rhs)
         failed |= bad.any(axis=0)
         if failed.all():
             break
@@ -1063,11 +1057,9 @@ def _convergence_blocks(measure: CondRiskMeasure, sequence: ShrinkingPerturbatio
     limit = space._check_rv(sequence.limit())
     # x + d / n for every sampled n, as ``term`` builds each
     terms = limit + space._check_rv(sequence.d) / np.array(ns)[:, None]
-    if not np.all(np.isfinite(terms)):
-        raise ValueError("random variable entries must be finite")
+    RandomVariable._check(terms)
     risks = measure.evaluate_batch(np.concatenate([limit[None], terms]))
-    if not np.all(np.isfinite(risks)):
-        raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
+    _check_finite_risks(measure, risks)
     limit_vals, values = risks[0], risks[1:]
     # Fatou: the liminf estimated from the last sampled indices; the
     # truncation error there is O(1/n_max), which the caller's tolerance must absorb

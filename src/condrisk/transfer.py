@@ -91,23 +91,6 @@ class FenchelConsistencyReport:
     infinities_agree: bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "max_deviation": self.max_deviation,
-            "infinities_agree": self.infinities_agree,
-            "passed": self.passed,
-            "comparisons": [
-                {
-                    "dual": c.dual_index,
-                    "atom": c.atom,
-                    "conditional": c.conditional,
-                    "classical": c.classical,
-                    "agrees": c.agrees,
-                }
-                for c in self.comparisons
-            ],
-        }
-
 
 def fenchel_consistency(
     measure: CondRiskMeasure,

@@ -13,7 +13,7 @@ import condrisk
 
 # Raising this bound needs a CHANGES.md line naming the two callers that need
 # different values of the new option; a value only one caller uses is a constant.
-MAX_DEFAULTED_PARAMETERS = 29
+MAX_DEFAULTED_PARAMETERS = 28
 
 
 def _public_callables():
@@ -76,7 +76,7 @@ def test_values_refuse_attribute_assignment(value):
     if dataclasses.is_dataclass(value):
         names = [f.name for f in dataclasses.fields(value)]
     elif hasattr(type(value), "__slots__"):
-        names = list(type(value).__slots__)
+        names = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
     else:
         names = list(vars(value))
     for name in names + ["not_an_attribute"]:
@@ -222,3 +222,20 @@ def test_every_imported_name_is_read():
     imports to export, which the test above checks."""
     found = {p.name: _unread_imports(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
     assert {name: unread for name, unread in found.items() if unread} == {}
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        "random variable entries must be finite",
+        "conditional value entries must not be NaN",
+        "dual variable entries must be finite",
+        "dual variable entries must be <= 0",
+        "produced a non-finite risk value",
+    ],
+)
+def test_each_value_rule_is_written_once(message):
+    """A value rule lives with its type (or its one helper), and a row
+    check calls it rather than restating it, so the two cannot drift."""
+    found = {p.name: p.read_text().count(message) for p in sorted(PACKAGE.glob("*.py"))}
+    assert sum(found.values()) == 1, {name: n for name, n in found.items() if n}

@@ -218,9 +218,12 @@ def test_builtins_restrict_natively():
             block = parent.restrict(j)
             assert np.array_equal(block.evaluate_batch(xs[:, idx]), before[j - 1][0]), kind
             assert np.array_equal(block.closed_form_penalty(y[None, idx])[0], before[j - 1][1])
-            assert block.params.keys() == parent.params.keys()
-            for name, value in block.params.items():
-                assert np.array_equal(value, params[name][j - 1 : j]), (kind, name)
+            name = riskcore._KERNELS[kind][3]
+            assert block._kernel[0] == parent._kernel[0] == kind
+            if name is None:
+                assert block._kernel[1] is None, kind
+            else:
+                assert np.array_equal(block._kernel[1], params[name][j - 1 : j]), (kind, name)
 
     # a user measure has no other route than padding to the parent's width
     user = _user_entropic(space, params["gamma"])

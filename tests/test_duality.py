@@ -268,7 +268,7 @@ def test_user_measure_rows_do_not_depend_on_their_batch():
     walk = stable_sublevel_check(space, f, eta, probes)
     one_by_one = stable_sublevel_check(space, lambda v: f(v), eta, probes)
     assert 0 < walk.members < len(probes)
-    assert (walk.to_dict(), walk.mixing_violation) == (one_by_one.to_dict(), one_by_one.mixing_violation)
+    assert walk == one_by_one
 
 
 @pytest.mark.xfail(
@@ -715,7 +715,7 @@ def test_penalty_map_row_form_keeps_the_row_checks(s4, space8):
         assert np.array_equal(f.rows(vs), np.stack([f(RandomVariable(v)).values for v in vs]))
         bad = vs.copy()
         bad[3, 0] = -np.inf
-        assert _message(lambda: f.rows(bad)) == _message(lambda: DualVariable(bad[3]))
+        assert _message(lambda: f.rows(bad)) == _message(lambda: RandomVariable(bad[3]))
     f = penalty_map(cond_worst_case(s4))
     wrong = -np.ones(5)
     assert _message(lambda: f.rows(wrong[None])) == _message(lambda: f(RandomVariable(wrong)))
@@ -935,7 +935,7 @@ def test_user_row_form_is_the_stack_of_its_rows(case, variant):
         assert np.allclose(rows[~np.isinf(rows)], native[~np.isinf(native)], rtol=0, atol=1e-12)
         bad = vs.copy()
         bad[2, 0] = math.nan
-        assert _message(lambda: f.rows(bad)) == _message(lambda: DualVariable(bad[2]))
+        assert _message(lambda: f.rows(bad)) == _message(lambda: RandomVariable(bad[2]))
         wrong = -np.ones(n + 1)
         assert _message(lambda: f.rows(wrong[None])) == _message(lambda: f(RandomVariable(wrong)))
 

@@ -149,9 +149,9 @@ def test_builtin_params_are_read_only_copies(s4):
     gamma = np.array([0.5, 0.5])
     m = cond_entropic(s4, gamma)
     with pytest.raises(ValueError, match="read-only"):
-        m.params["gamma"][0] = 2.0
+        m._kernel[1][0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
-        cond_avar(s4, 0.5).params["lambda"][0] = 1.0
+        cond_avar(s4, 0.5)._kernel[1][0] = 1.0
     gamma[0] = 2.0  # the caller's array stays the caller's
     x = RandomVariable([1, 3, 2, 6])
     assert m.evaluate(x).values[0] == m.restrict(1).evaluate(RandomVariable([1, 3])).values[0]

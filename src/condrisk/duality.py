@@ -88,6 +88,13 @@ GRID_RADIUS = 4.0
 GRID_PER_AXIS = 9  # points per axis for blocks of up to 3 atoms, 5 above
 GRID_MAX_DOUBLINGS = 48
 GRID_GROWTH_RATIO = 1.3
+# the most points a unit grid may hold: 5^7, the slice grid of 8 atoms, whose
+# conjugate takes about 0.1 s and 20 MB
+GRID_MAX_POINTS = 5**7
+# a compass step tries each direction at COMPASS_SCALES step sizes s, s/2,
+# ..., s/2^(COMPASS_SCALES - 1), and a step that gains nothing divides s by
+# 2^COMPASS_SCALES
+COMPASS_SCALES = 4
 
 
 def _risks(measure: CondRiskMeasure, batch: np.ndarray, span: int) -> np.ndarray:
@@ -166,56 +173,65 @@ def _compass_refine(
     measure: CondRiskMeasure, weights: np.ndarray, points: np.ndarray, steps: np.ndarray, best: np.ndarray
 ) -> None:
     """Compass search from each row's point, all rows in lockstep: a step
-    evaluates rho on the 2k candidates of every row still refining, by
-    ``_risks``.  A row moves to its best candidate if that gains more than
-    1e-15 and halves its step otherwise; it stops once the step is at most
-    1e-5, or after 600 steps.  ``points``, ``steps`` and ``best`` are updated in place."""
+    evaluates rho on the 2k compass candidates at COMPASS_SCALES step sizes
+    s, s/2, ... of every row still refining, by ``_risks``.  A row moves to
+    its best candidate if that gains more than 1e-15 and divides its step by
+    2^COMPASS_SCALES otherwise; it stops once the step is at most 1e-5, or
+    after 600 steps.  ``points``, ``steps`` and ``best`` are updated in place."""
     rows, k = points.shape
     directions = np.vstack([np.eye(k), -np.eye(k)])
+    moves = (0.5 ** np.arange(COMPASS_SCALES)[:, None, None] * directions).reshape(-1, k)
     live = np.arange(rows)
     for _ in range(600):
         live = live[steps[live] > 1e-5]
         if not live.size:
             break
-        cand = points[live, None, :] + steps[live, None, None] * directions
+        cand = points[live, None, :] + steps[live, None, None] * moves
         # one matrix-vector product per row, stacked: the bits of c @ weights[i]
         vals = np.matmul(cand, weights[live, :, None])[..., 0]
-        vals -= _risks(measure, cand.reshape(-1, k), 2 * k).reshape(vals.shape)
+        vals -= _risks(measure, cand.reshape(-1, k), len(moves)).reshape(vals.shape)
         b = vals.argmax(axis=1)
         top = vals[np.arange(live.size), b]
         gain = top > best[live] + 1e-15
         best[live[gain]] = top[gain]
         points[live[gain]] = cand[gain, b[gain]]
-        steps[live[~gain]] *= 0.5
+        steps[live[~gain]] *= 0.5**COMPASS_SCALES
 
 
 def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
     """Numeric sup of E[x y] - rho(x) for a measure on one block, for each
     row y of the ``(rows, k)`` duals ``ys``, every row's search in lockstep.
 
+    The search leans on cash invariance, rho(x + c) = rho(x) - c, by which
+    the objective moves by c (E[y] + 1) when a constant c is added to x.  A
+    row off the density simplex (|E[y] + 1| > ADMISSIBLE_TOL) first walks
+    the constant ray x = c sign(E[y] + 1), along which the objective grows
+    like c |E[y] + 1|: a grid whose gains shrink faster than that would stop
+    at a finite value.  The ray's unit is stretched so that its first gain
+    is at least 2 GRID_TOL.  Along constants the objective of a row on the
+    simplex is flat, so its grid covers only the slice E[x] = 0: the unit
+    grid U is ``_grid_points(k - 1, ...)`` mapped through the basis e_j -
+    q_j 1, j < k, and a 1-atom block's value is that at 0.  A grid of more
+    than GRID_MAX_POINTS points is refused by name.
+
     A row doubles its search radius until its increment falls under
     GRID_TOL and its interior max is polished by compass search, or until
     three consecutive growing increments certify divergence; the certified
-    ray is returned.  A row off the density simplex (|E[y] + 1| >
-    ADMISSIBLE_TOL) first walks the constant ray x = c sign(E[y] + 1), along
-    which a cash-invariant measure's objective grows like c |E[y] + 1|: a
-    grid whose gains shrink faster than that would stop at a finite value.
-    The ray's unit is stretched so that its first gain is at least 2 GRID_TOL.
-
-    Each step evaluates rho once for every row still at it: the grid r U
-    once for all rows (U the unit grid, built once per call), and the rays'
-    points and the compass candidates of all rows in one batch for a
-    built-in, or row by row for a user measure (``_risks``), whose batch
-    function may round a row by the rows beside it.  Each row keeps its own
-    objective, ``pts @ (q y)``, one matrix-vector product per row, so a
-    row's value, point and ray are those of a one-row call, bit for bit.  Returns the values, the points ``(rows, k)`` and the
-    rays, None for each row without one.
+    ray is returned.  Each step evaluates rho once for every row still at
+    it: the grid r U once for all rows, and the rays' points and the compass
+    candidates of all rows in one batch for a built-in, or row by row for a
+    user measure (``_risks``), whose batch function may round a row by the
+    rows beside it.  Each row keeps its own objective, ``pts @ (q y)``, one
+    matrix-vector product per row, so a row's value, point and ray are
+    those of a one-row call, bit for bit.  Returns the values, the points
+    ``(rows, k)`` and the rays, None for each row without one.
     """
     rows, k = ys.shape
-    weights = measure.space.cond_probs(1) * ys
+    q = measure.space.cond_probs(1)
+    weights = q * ys
     zero = np.zeros((1, k))
     start = np.array([(zero @ w)[0] for w in weights]) - measure.evaluate_batch(zero)[0, 0]
-    values, points, rays = np.empty(rows), np.zeros((rows, k)), [None] * rows
+    values, points, rays = start.copy(), np.zeros((rows, k)), [None] * rows
 
     gap = measure.space.block_mean(ys)[:, 0] + 1.0
     off = np.flatnonzero(np.abs(gap) > ADMISSIBLE_TOL)
@@ -230,11 +246,16 @@ def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
             if ray[a] is not None:
                 values[i], points[i], rays[i] = best[a], point[a], ray[a]
     on = np.flatnonzero([ray is None for ray in rays])
-    if not on.size:
+    if not on.size or k == 1:
         return values, points, rays
 
     per_axis = GRID_PER_AXIS if k <= 3 else 5
-    unit = _grid_points(k, 1.0, per_axis)
+    if per_axis ** (k - 1) > GRID_MAX_POINTS:
+        raise DualityError(
+            f"a block of {k} atoms needs a grid of {per_axis}^{k - 1} points, "
+            f"over GRID_MAX_POINTS = {GRID_MAX_POINTS}"
+        )
+    unit = _grid_points(k - 1, 1.0, per_axis) @ (np.eye(k)[:-1] - q[:-1, None])
     best, point, radius, ray = _doubling_search(measure, weights[on], start[on], lambda r, live: r * unit)
     # a divergent row does not refine
     steps = np.where([r is None for r in ray], 2.0 * radius / (per_axis - 1), 0.0)

@@ -120,10 +120,16 @@ class ConditionalValue(_Arithmetic):
         return bool(np.all(np.isfinite(self.values)))
 
     def _apply(self, fn, other) -> np.ndarray:
+        # a NaN operand is refused as a NaN entry is; a NaN left in the
+        # result is then inf * 0 from a product, else inf - inf
+        if not isinstance(other, type(self)):
+            other = np.asarray(other, dtype=float)
+            self._check(other)
         with np.errstate(invalid="ignore"):
             out = super()._apply(fn, other)
         if np.isnan(out).any():
-            raise CondriskError("indeterminate extended-real arithmetic (inf - inf)")
+            form = "inf * 0" if fn is np.multiply else "inf - inf"
+            raise CondriskError(f"indeterminate extended-real arithmetic ({form})")
         return out
 
 

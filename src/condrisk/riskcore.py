@@ -172,7 +172,11 @@ class CondRiskMeasure:
             return full
 
         def ev_batch(xs: np.ndarray, fill: float = 0.0) -> np.ndarray:
-            return self.evaluate_batch(pad(xs, fill))[:, col]
+            # padded in row batches of at most CHUNK_ELEMENTS entries, so a
+            # grid of many rows never holds rows x n floats at once
+            rows = max(1, CHUNK_ELEMENTS // n)
+            parts = np.split(xs, range(rows, len(xs), rows))
+            return np.concatenate([self.evaluate_batch(pad(part, fill))[:, col] for part in parts])
 
         probes = np.stack([np.zeros(idx.size), np.linspace(-1.0, 1.0, idx.size)])
         lo, hi = ev_batch(probes)[:, 0], ev_batch(probes, EXTENSION_FILL)[:, 0]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,84 @@ def test_grid_matches_closed_form_entropic(s4):
         assert np.max(np.abs(a - b)) <= 1e-5
 
 
+@st.composite
+def one_block_builtins(draw):
+    """One of the four built-ins on one block of 1-5 atoms, and an admissible dual."""
+    k = draw(st.integers(1, 5))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)), float)
+    space = FiniteProbSpace(weights / weights.sum(), [list(range(1, k + 1))])
+    kind = draw(st.sampled_from(sorted(BUILTIN_FACTORIES)))
+    params = {"gamma": draw(st.sampled_from([0.4, 1.3, 3.0])), "lambda": draw(st.sampled_from([0.2, 0.5, 1.0]))}
+    dens = np.array(draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)), float)
+    dens[draw(st.integers(0, k - 1))] += 1.0
+    return BUILTIN_FACTORIES[kind](space, **params), admissible_dual(space, dens)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(one_block_builtins())
+def test_grid_matches_every_closed_form_on_one_block(case):
+    # the slice grid and its compass polish reach each built-in's closed-form
+    # penalty; +inf verdicts agree exactly
+    measure, y = case
+    closed, grid = penalty_of(measure, y).values[0], fenchel(measure, y).values[0]
+    assert math.isinf(closed) == math.isinf(grid)
+    if math.isfinite(closed):
+        assert abs(closed - grid) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["worst_case", "avar"])
+def test_a_polish_that_never_moves_divides_its_step_by_two_to_the_scales(monkeypatch, s4, kind):
+    # at an admissible dual under the cap the best point of these measures is
+    # x = 0, so no compass candidate gains and each lockstep step divides the
+    # step by 2^COMPASS_SCALES until it is at most 1e-5
+    measure = BUILTIN_FACTORIES[kind](s4, **{"lambda": 0.5})
+    calls = spy_calls(monkeypatch, duality, "_risks")
+    refine, polishes = duality._compass_refine, []
+
+    def counted(measure, weights, points, steps, best):
+        first, before = float(steps[0]), len(calls)
+        refine(measure, weights, points, steps, best)
+        polishes.append((first, len(calls) - before, points.copy()))
+
+    monkeypatch.setattr(duality, "_compass_refine", counted)
+    fenchel(measure, DualVariable([-1.5, -0.5, -1.0, -1.0]))
+    assert len(polishes) == 2
+    for first, steps, points in polishes:
+        bound = math.ceil(math.log2(first / 1e-5) / duality.COMPASS_SCALES) + 1
+        assert 0 < steps <= bound and not points.any()
+
+
+def test_a_padded_restriction_grid_holds_no_rows_by_atoms_array():
+    # a user copy's block restriction pads grid rows to the whole space in
+    # row batches of at most CHUNK_ELEMENTS entries, so one grid conjugate on
+    # a 5-atom block of a 2,000-atom space never holds grid rows x 2,000 floats
+    n = 2000
+    probs = np.random.default_rng(5).uniform(0.5, 2.0, n)
+    space = FiniteProbSpace(probs / probs.sum(), [list(range(1, 6)), list(range(6, n + 1))])
+    block = _hookless(cond_entropic(space, 1.3)).restrict(1)
+    y = admissible_dual(block.space, [1.0, 2.0, 3.0, 1.0, 0.5]).values[None]
+    tracemalloc.start()
+    try:
+        duality._block_conjugate_grid(block, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_a_grid_over_its_cap_is_refused_before_it_is_built(monkeypatch):
+    # the smallest block whose slice grid holds more than GRID_MAX_POINTS
+    # points, on a user copy without a closed form: refused by name, and
+    # _grid_points never runs
+    k = next(k for k in itertools.count(4) if 5 ** (k - 1) > duality.GRID_MAX_POINTS)
+    space = FiniteProbSpace(np.full(k, 1.0 / k), [list(range(1, k + 1))])
+    measure = _hookless(cond_entropic(space, 1.0))
+    monkeypatch.setattr(duality, "_grid_points", mock.Mock(side_effect=AssertionError("grid built")))
+    message = f"a block of {k} atoms needs a grid of 5^{k - 1} points, over GRID_MAX_POINTS = {duality.GRID_MAX_POINTS}"
+    with pytest.raises(DualityError, match=f"^{re.escape(message)}$"):
+        fenchel(measure, DualVariable(-np.ones(k)))
+
+
 def test_grid_conjugate_is_infinite_just_off_the_density_simplex():
     # on this block the grid's gains stop under GRID_TOL before they show the
     # slope |E[y] + 1| of a dual moved off the simplex by 1e-7 or 1e-4, so
@@ -224,21 +303,23 @@ def test_a_grid_step_evaluates_all_rows_of_a_block_at_once(monkeypatch, user):
     # three rows of one block searched in lockstep: one call for the start
     # and one per grid doubling for every row still at it, so as many
     # doublings as the slowest row takes alone, where one search per row
-    # made the sum.  A compass step is one call for every row of a built-in,
-    # and one call per row of a user measure, whose batch function may round
-    # a row by the rows beside it
+    # made the sum.  The grid covers the slice E[x] = 0 alone, per_axis^2
+    # points on 3 atoms.  A compass step of 2k candidates at COMPASS_SCALES
+    # step sizes is one call for every row of a built-in, and one call per
+    # row of a user measure, whose batch function may round a row by the
+    # rows beside it
     space = FiniteProbSpace([0.178, 0.623, 0.199], [[1, 2, 3]])
     ent = cond_entropic(space, 1.3)
     measure = _hookless(ent) if user else ent
     ys = np.stack([admissible_dual(space, d).values for d in ([2.13, 0.94, 0.19], [1, 1, 1], [0.3, 2.0, 1.1])])
     calls = spy_calls(monkeypatch, CondRiskMeasure, "evaluate_batch")
-    grid = duality.GRID_PER_AXIS**3
+    grid, candidates = duality.GRID_PER_AXIS**2, 6 * duality.COMPASS_SCALES
 
     def counts(rows):
         del calls[:]
         pen = duality._penalty_rows(measure, rows, closed_form=False)
         sizes = [len(xs) for _, xs in calls]
-        return pen, sizes.count(1), sizes.count(grid), sum(n % 6 == 0 for n in sizes), len(sizes)
+        return pen, sizes.count(1), sizes.count(grid), sum(n % candidates == 0 for n in sizes), len(sizes)
 
     alone = [counts(y[None]) for y in ys]
     pen, start, doublings, steps, total = counts(ys)

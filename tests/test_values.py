@@ -102,3 +102,22 @@ def test_conditional_values_refuse_inf_minus_inf():
     assert 2 * eta - ConditionalValue([0.0, 2.0]) == ConditionalValue([np.inf, 0.0])
     with pytest.raises(CondriskError, match=re.escape("indeterminate extended-real arithmetic (inf - inf)")):
         eta - eta
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda v: v + np.nan, lambda v: v * [np.nan, 1.0], lambda v: v - np.array([1.0, np.nan])],
+    ids=["add_nan", "mul_nan_list", "sub_nan_array"],
+)
+def test_conditional_values_refuse_a_nan_operand_as_a_nan_entry(call):
+    # no infinity is involved: the operand is refused by the rule a NaN entry meets
+    with pytest.raises(ValueError, match="^conditional value entries must not be NaN$"):
+        call(ConditionalValue([1.0, 2.0]))
+
+
+def test_conditional_values_word_inf_times_zero_as_such():
+    eta = ConditionalValue([np.inf, 2.0])
+    assert eta * 2 == ConditionalValue([np.inf, 4.0])
+    for call in (lambda: eta * 0, lambda: [0.0, 1.0] * eta, lambda: eta * ConditionalValue([0.0, 1.0])):
+        with pytest.raises(CondriskError, match=re.escape("indeterminate extended-real arithmetic (inf * 0)")):
+            call()

@@ -67,10 +67,10 @@ class CondRiskMeasure:
     scalar or one finite value per block kept as a read-only array, and adds
     the fill to that cap to the candidates for the blocks the differences
     leave short.  ``restrict(j)`` cuts block ``j`` out as a classical
-    measure on one block, which is what the dual
-    engine works on: a built-in becomes its dense classical kernel there
-    (``_kernel``), a user measure is padded back to the whole space and
-    checked for that padding.
+    measure on one block, which is what the dual engine works on: the
+    one-block case of ``_stacked``, where a built-in becomes its dense
+    classical kernel (``_kernel``) and any other measure is padded back to
+    the whole space and checked for that padding.
     A built-in also carries its exact dual oracle ``_dual_oracle``: it maps a
     ``(rows, n_atoms)`` array of payoffs to nonnegative weights of that shape
     whose normalization on each block is the density that attains the
@@ -79,8 +79,8 @@ class CondRiskMeasure:
     A measure is immutable, so its hooks, its restriction and its oracle
     cannot drift apart.  A measure with another hook is a new measure, made
     with ``dataclasses.replace``; that leaves ``_kernel`` and ``_dual_oracle``
-    unset, so the copy is a user measure: a padded restriction, and duals
-    from the candidates graded by the hooks it holds.
+    unset, so the copy is a user measure: a padded cut, and duals from the
+    candidates graded by the hooks it holds.
     """
 
     space: FiniteProbSpace
@@ -139,67 +139,17 @@ class CondRiskMeasure:
         return out
 
     def restrict(self, j: int) -> "CondRiskMeasure":
-        """Block ``j`` as a measure on ``space.block_space(j)``.
-
-        The one place a block is cut out of the space.  A built-in becomes
-        its dense classical kernel (``_kernel_measure``) on the block's space
-        with block ``j``'s parameter, so its work and its ``_kernel`` are the
-        block's alone, and it shares no code with the built-in's whole-space
-        batch, penalty and oracle.  A user measure, a
-        ``dataclasses.replace`` copy of a built-in included, is padded:
-        block payoffs are extended by 0 and block duals by -1, the parent's
-        column ``j`` is read back, and the cap is the parent's entry ``j``.
-        The padding is checked once, exactly: two probe payoffs, each
-        extended by 0 and by EXTENSION_FILL, must give the same
-        figure on block ``j``, or ScalarizeError is raised.  Block
-        coordinates follow ``space.block_index_array(j)``, so a measure on
-        one block that lists its atoms in order is its own restriction.
+        """Block ``j`` as a measure on ``space.block_space(j)``, labelled
+        ``{label}@block{j}``: the stack of block ``j`` alone (``_stacked``),
+        so a built-in is its dense classical kernel there and any other
+        measure is padded and checked.  Block coordinates follow
+        ``space.block_index_array(j)``, so a measure on one block that lists
+        its atoms in order is its own restriction.
         """
-        space = self.space
-        idx = space.block_index_array(j)
-        n = space.n_atoms
-        if space.n_blocks == 1 and space.blocks[0] == tuple(range(1, n + 1)):
+        idx = self.space.block_index_array(j)  # refuses a j outside 1..n_blocks
+        if self.space.n_blocks == 1 and (idx == np.arange(idx.size)).all():
             return self
-        if self._kernel is not None:
-            kind, param = self._kernel
-            cut = None if param is None else param[j - 1 : j]
-            return _kernel_measure(space.block_space(j), kind, cut, f"{self.label}@block{j}")
-        col = slice(j - 1, j)
-
-        def pad(rows: np.ndarray, fill: float) -> np.ndarray:
-            full = np.full((rows.shape[0], n), fill)
-            full[:, idx] = rows
-            return full
-
-        def ev_batch(xs: np.ndarray, fill: float = 0.0) -> np.ndarray:
-            # padded in row batches of at most CHUNK_ELEMENTS entries, so a
-            # grid of many rows never holds rows x n floats at once
-            rows = max(1, CHUNK_ELEMENTS // n)
-            parts = np.split(xs, range(rows, len(xs), rows))
-            return np.concatenate([self.evaluate_batch(pad(part, fill))[:, col] for part in parts])
-
-        probes = np.stack([np.zeros(idx.size), np.linspace(-1.0, 1.0, idx.size)])
-        lo, hi = ev_batch(probes)[:, 0], ev_batch(probes, EXTENSION_FILL)[:, 0]
-        if np.any(lo != hi):
-            p = int(np.argmax(lo != hi))
-            raise ScalarizeError(
-                f"block {j} restriction depends on the extension: "
-                f"{float(lo[p])!r} vs {float(hi[p])!r}"
-            )
-
-        pen = cap = None
-        if self.closed_form_penalty is not None:
-            pen = lambda ys: self._rows(self.closed_form_penalty, pad(ys, -1.0), "penalties")[:, col]
-        if self.dual_density_cap is not None:
-            cap = self.dual_density_cap[j - 1 : j]
-        return CondRiskMeasure(
-            space.block_space(j),
-            lambda x: _cv(_readonly(ev_batch(x.values[None])[0])),
-            f"{self.label}@block{j}",
-            closed_form_penalty=pen,
-            evaluate_batch_fn=ev_batch,
-            dual_density_cap=cap,
-        )
+        return _stacked(self, np.array([j - 1]))[0]
 
 
 def _row_batches(n_atoms: int, total: int):
@@ -373,7 +323,7 @@ def _as_block_params(space: FiniteProbSpace, value, name: str) -> np.ndarray:
         arr = np.full(space.n_blocks, float(arr))
     if arr.shape != (space.n_blocks,):
         raise ValueError(f"{name} must be a scalar or one value per block")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
     # a copy, read-only: the measure's closures and its kernel share it
     return _readonly(arr)
@@ -386,7 +336,7 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
     block.
     """
     g = _as_block_params(space, gamma, "gamma")
-    if np.any(g <= 0):
+    if (g <= 0).any():
         raise ValueError("gamma must be strictly positive")
     ids, starts = space._block_in_order, space.starts
     neg_g = -g.take(ids)
@@ -499,7 +449,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
     1/lambda; blocks at lambda = 1 take the density 1.
     """
     lam_arr = _as_block_params(space, lam, "lambda")
-    if np.any(lam_arr <= 0) or np.any(lam_arr > 1):
+    if (lam_arr <= 0).any() or (lam_arr > 1).any():
         raise ValueError("lambda must lie in (0, 1]")
     full = lam_arr >= 1.0
     any_full = bool(full.any())
@@ -709,20 +659,72 @@ def _kernel_measure(space: FiniteProbSpace, kind: str, param, label: str) -> Con
 
 
 def _stacked(measure: CondRiskMeasure, blocks: np.ndarray):
-    """A built-in's blocks ``blocks`` (0-based, all of one size k) as its
-    dense kernel on one space of contiguous k-atom blocks that carries their
+    """The measure's blocks ``blocks`` (0-based, all of one size k) as one
+    measure on a space of contiguous k-atom blocks that carries their
     conditional masses bit for bit, and the atoms of the measure's space in
     the stack's order: block a of the stack is ``blocks[a]``, and a payoff
-    indexed by those atoms is the stack's."""
-    space = measure.space
-    kind, param = measure._kernel
-    k = space._bounds[blocks[0] + 1] - space._bounds[blocks[0]]
+    indexed by those atoms is the stack's.  The one cut of blocks out of a
+    measure: ``restrict(j)`` is the stack of block j alone, on
+    ``space.block_space(j)``.
+
+    A built-in becomes its dense classical kernel (``_kernel_measure``), so
+    it shares no code with its whole-space batch, penalty and oracle.  Any
+    other measure is padded: each stack row goes into the parent's atoms
+    with 0 elsewhere (-1 for dual rows), the parent evaluates each row once,
+    in row batches of at most CHUNK_ELEMENTS entries, and the stacked
+    blocks' columns are read back; the cap is the parent's entries.  The
+    padding is checked once, exactly: on two probe payoffs, no block's
+    figure may move when every atom outside it, stack-mates included, takes
+    EXTENSION_FILL, or ScalarizeError is raised.  For each bit b of the
+    stack index and each side s, a row keeps the probes on the blocks whose
+    bit b is s and fills every other atom, and a last row keeps them on
+    every block: two blocks differ in some bit, so in 2 ceil(log2 B) + 1
+    rows each of B blocks sees every other at the fill.
+    """
+    space, size = measure.space, len(blocks)
+    j = int(blocks[0]) + 1
+    k = space._bounds[j] - space._bounds[j - 1]
     at = (space.starts[blocks][:, None] + np.arange(k)).ravel()  # places in block order
-    stack = FiniteProbSpace(
-        space._cond_in_order[at], np.arange(1, at.size + 1).reshape(-1, k), _normalized=True
-    )
-    cut = None if param is None else _readonly(param[blocks])
-    return _kernel_measure(stack, kind, cut, f"{measure.label}@{k}-atom blocks"), space.order[at]
+    atoms, n = space.order[at], space.n_atoms
+    if size == 1:
+        stack, label = space.block_space(j), f"{measure.label}@block{j}"
+    else:
+        q, layout = space._cond_in_order[at], np.arange(1, at.size + 1).reshape(-1, k)
+        stack, label = FiniteProbSpace(q, layout, _normalized=True), f"{measure.label}@{k}-atom blocks"
+    if measure._kernel is not None:
+        kind, param = measure._kernel
+        cut = None if param is None else _readonly(param[blocks])
+        return _kernel_measure(stack, kind, cut, label), atoms
+
+    def padded(xs: np.ndarray, fill: float = 0.0, fn=measure.evaluate_batch) -> np.ndarray:
+        # in row batches of at most CHUNK_ELEMENTS entries, so a grid of
+        # many rows never holds rows x n floats at once
+        out, step = [], max(1, CHUNK_ELEMENTS // n)
+        for part in np.split(xs, range(step, len(xs), step)):
+            full = np.full((len(part), n), fill)
+            full[:, atoms] = part
+            out.append(fn(full)[:, blocks])
+        return np.concatenate(out)
+
+    b, s = np.divmod(np.arange(2 * (size - 1).bit_length() + 1), 2)
+    keep = (np.arange(size) >> b[:, None]) & 1 == s[:, None]
+    probes = np.stack([np.zeros(at.size), np.tile(np.linspace(-1.0, 1.0, k), size)])
+    lo = padded(probes)
+    mixed = np.where(keep.repeat(k, axis=1), probes[:, None], EXTENSION_FILL).reshape(-1, at.size)
+    hi = padded(mixed, EXTENSION_FILL).reshape(2, len(keep), size)
+    bad = keep & (hi != lo[:, None])
+    if bad.any():
+        p, r, a = np.argwhere(bad)[0]
+        raise ScalarizeError(
+            f"block {blocks[a] + 1} restriction depends on the extension: "
+            f"{float(lo[p, a])!r} vs {float(hi[p, r, a])!r}"
+        )
+    pen = None
+    if measure.closed_form_penalty is not None:
+        pen = lambda ys: padded(ys, -1.0, lambda full: measure._rows(measure.closed_form_penalty, full, "penalties"))
+    cap = None if measure.dual_density_cap is None else measure.dual_density_cap[blocks]
+    ev = lambda x: _cv(_readonly(padded(x.values[None])[0]))
+    return CondRiskMeasure(stack, ev, label, closed_form_penalty=pen, evaluate_batch_fn=padded, dual_density_cap=cap), atoms
 
 
 BUILTIN_FACTORIES = {

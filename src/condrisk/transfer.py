@@ -66,7 +66,7 @@ def scalarize(measure: CondRiskMeasure, block: int) -> CondRiskMeasure:
 
     The local-property certificate runs first; the result is
     ``measure.restrict(block)``, a measure on ``space.block_space(block)``,
-    whose padding (user measures only) is checked by ``restrict`` itself.
+    whose padding (user measures only) is checked as it is cut.
     """
     _certify_local(measure, SCALARIZE_TRIALS, SCALARIZE_SEED)
     return measure.restrict(block)
@@ -257,27 +257,21 @@ def _classical_verdicts(
 ) -> Dict[int, List[bool]]:
     """Each block's verdict on each requested item, on the inputs cut to it.
 
-    A built-in's blocks of each size take one ``_verdicts`` run of its
-    dense kernel on a stack of them (``riskcore._stacked``), whose item 5
-    draws the trials of one block and repeats them on every block, so each
-    block's verdict is that of its own restriction.  A user measure takes
-    one run on each block's padded restriction.
+    The blocks of each size take one ``_verdicts`` run on a stack of them
+    (``riskcore._stacked``): a built-in's dense kernel, any other measure
+    padded into its own space.  Item 5 there draws the trials of one block
+    and repeats them on every block, so each block's verdict is that of its
+    own restriction.
     """
     space = measure.space
-    if measure._kernel is None:
-        parts = [
-            (measure.restrict(j), space.block_index_array(j), np.array([j - 1]))
-            for j in range(1, space.n_blocks + 1)
-        ]
-    else:
-        sizes = np.diff(space._bounds)
-        groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes)]
-        parts = [(*_stacked(measure, blocks), blocks) for blocks in groups]
+    sizes = np.diff(space._bounds)
     out = {i: np.zeros(space.n_blocks, dtype=bool) for i in items}
-    for part, atoms, blocks in parts:
+    for k in np.unique(sizes):
+        blocks = np.flatnonzero(sizes == k)
+        part, atoms = _stacked(measure, blocks)
         cut = [[RandomVariable(v.values[atoms]) for v in vs] for vs in (payoffs, probes)]
         level = None if eta is None else ConditionalValue(eta.values[blocks])
-        for i, verdict in _verdicts(part, items, *cut, level, tol, seed, part.space.n_blocks).items():
+        for i, verdict in _verdicts(part, items, *cut, level, tol, seed, len(blocks)).items():
             out[i][blocks] = verdict
     return {i: v.tolist() for i, v in out.items()}
 
@@ -294,11 +288,12 @@ def transfer_verify(
     its per-block scalarizations on shared payoffs, sequences, and probes.
 
     One set of item checks judges the conditional measure on the whole
-    inputs.  The classical side judges each block on the inputs cut to it:
-    a built-in's blocks of each size in one run of its dense classical
-    kernel on a stack of them, which shares no code with the built-in's
-    whole-space batch, penalty and oracle, and a user measure's blocks one
-    padded restriction at a time.  An item's equivalence holds when the two
+    inputs.  The classical side judges each block on the inputs cut to it,
+    the blocks of each size in one run on a stack of them: a built-in's
+    dense classical kernel, which shares no code with the built-in's
+    whole-space batch, penalty and oracle, and any other measure padded
+    into its own space, with the padding checked against a fill on every
+    atom outside each block.  An item's equivalence holds when the two
     sides agree on every block, so defects on different blocks cannot
     cancel out; item 7 compares its one whole-space verdict with all of the
     per-block ones.

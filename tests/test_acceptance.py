@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they pass.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -207,13 +208,15 @@ def test_sublevel_check_budget_at_its_cap():
 def test_transfer_suite_budget_on_1000_blocks():
     # runtime gate in the style of criterion 6: 1,000 shuffled blocks of 3
     # atoms, three payoffs, items 1, 3-5 and 7; the classical side is one
-    # stacked run of the built-in's dense kernel for the one block size
+    # stacked run for the one block size: the built-in's dense kernel, and
+    # for a user copy of it the copy padded into the whole space
     rng = np.random.default_rng(112)
     blocks = np.split(rng.permutation(3000) + 1, 1000)
     probs = rng.uniform(0.5, 2.0, 3000)
     space = cr.FiniteProbSpace(probs / probs.sum(), [b.tolist() for b in blocks])
     payoffs = [cr.RandomVariable(rng.normal(0.0, 2.0, 3000)) for _ in range(3)]
-    for measure in _builtins(space):
+    builtins = _builtins(space)
+    for measure in builtins + tuple(dataclasses.replace(m) for m in builtins):
         start = time.perf_counter()
         report = cr.transfer_verify(measure, [1, 3, 4, 5, 7], payoffs)
         elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ Spaces are uneven, with shuffled atoms and single-atom blocks; payoffs sit on
 a coarse grid, so tied losses are common.
 """
 
+import dataclasses
 import os
 import sys
 import threading
@@ -309,23 +310,52 @@ def _tilted(kernels):
     return {kind: (*tilted(risk, pen), *rest) for kind, (risk, pen, *rest) in kernels.items()}
 
 
+def _tilted_copy(measure):
+    """A user copy of a built-in with the tilt of ``_tilted`` on each block,
+    read from the block's first and last atoms in block order: its risk
+    through the built-in's whole-space batch, which the ``_KERNELS`` patch
+    does not reach, and its penalty through the built-in's closed form."""
+    space = measure.space
+    first = space.order[space.starts]
+    last = space.order[np.append(space.starts[1:], space.n_atoms) - 1]
+    heavier = space.cond[first] > space.cond[last]
+
+    def batch(xs):
+        a = xs[..., first]
+        return measure.evaluate_batch(xs) + 0.1 * np.maximum(a - xs[..., last], 0.0) + (a == np.floor(a))
+
+    def penalty(ys):
+        pen = measure.closed_form_penalty(ys)
+        return np.where(heavier & np.isinf(pen), 0.0, pen)
+
+    return dataclasses.replace(
+        measure,
+        evaluate_fn=lambda x: ConditionalValue(batch(x.values[None])[0]),
+        evaluate_batch_fn=batch,
+        closed_form_penalty=penalty,
+    )
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(cases(), st.booleans(), st.integers(0, 3), st.sets(st.sampled_from([1, 3, 4, 5, 7]), min_size=1))
 def test_stacked_verdicts_match_the_per_block_loop(case, tilt, seed, items):
     # the classical side of transfer_verify, one stacked run per block size,
-    # against the public checks run on each block's restriction; a tilted
-    # kernel makes the verdicts differ from block to block (a space of one
-    # block may be its own restriction, which the kernel does not reach)
+    # against the public checks run on each block's restriction, for each
+    # built-in and a user copy of it; a tilted kernel, and a tilted copy,
+    # make the verdicts differ from block to block (a space of one block may
+    # be its own restriction, which the kernel does not reach)
     space, xs, gamma, lam, *_ = case
     payoffs = [RandomVariable(row) for row in xs]
     items = sorted(items)
     kernels = _tilted(riskcore._KERNELS) if tilt and space.n_blocks > 1 else riskcore._KERNELS
     with mock.patch.dict(riskcore._KERNELS, kernels):
         for factory in BUILTIN_FACTORIES.values():
-            measure = factory(space, gamma=gamma, **{"lambda": lam})
-            report = transfer_verify(measure, items, payoffs, seed=seed)
-            want = reference_block_verdicts(measure, items, payoffs, seed)
-            assert {i: report.items[i].per_atom for i in items} == want, measure.label
+            builtin = factory(space, gamma=gamma, **{"lambda": lam})
+            copy = _tilted_copy(builtin) if tilt else dataclasses.replace(builtin)
+            for measure in (builtin, copy):
+                report = transfer_verify(measure, items, payoffs, seed=seed)
+                want = reference_block_verdicts(measure, items, payoffs, seed)
+                assert {i: report.items[i].per_atom for i in items} == want, (measure.label, measure is copy)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

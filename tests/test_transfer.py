@@ -111,7 +111,27 @@ def test_padded_restriction_refuses_an_off_block_dependence(s4):
         m.restrict(1)
     with pytest.raises(ScalarizeError):
         dual_representation(m, RandomVariable([1, 3, 2, 6]))
+    # the suite cuts both blocks in one stack, where block 2 is block 1's
+    # stack-mate: the probe still fills it
+    for items in ([3], [5]):
+        with pytest.raises(ScalarizeError, match="block 1 restriction depends on the extension"):
+            transfer_verify(m, items, [RandomVariable([1, 3, 2, 6])])
     assert m.restrict(2).evaluate(RandomVariable([2.0, 6.0])).values[0] == -4.0
+
+    # four blocks of two atoms, block 1 reading block 3: their stack indices
+    # 0 and 2 agree in bit 0, so only the rows of bit 1 fill block 3 while
+    # block 1 keeps its probe
+    space = FiniteProbSpace(np.full(8, 0.125), [[1, 2], [3, 4], [5, 6], [7, 8]])
+
+    def ev_far(x):
+        vals = -space.cond_expect(x).values
+        vals[0] += 1e-12 * x.values[4]
+        return ConditionalValue(vals)
+
+    m = CondRiskMeasure(space, ev_far, "leaky")
+    assert check_axiom(m, "local_property", trials=64, seed=13).passed
+    with pytest.raises(ScalarizeError, match=r"^block 1 restriction depends on the extension: 0\.0 vs 1\.75e-11$"):
+        transfer_verify(m, [3], [RandomVariable(np.arange(8.0))])
 
 
 def test_scalarize_range_check(s4):
@@ -247,13 +267,25 @@ def test_transfer_convergence_localizes(s4):
 
 def test_items_3_and_4_share_one_convergence_check_per_side(monkeypatch, s4):
     # one batch gives both verdicts: one check of the whole measure and one
-    # of each block, and each item reads as it does when asked alone
+    # of the stack of its two blocks (one block size), and each item reads
+    # as it does when asked alone
     m, x = ceil_measure(s4), RandomVariable([0.3, -1.2, 1.0, 3.0])
     alone = {i: transfer_verify(m, [i], [x]).items[i].to_dict() for i in (3, 4)}
     calls = spy_calls(monkeypatch, transfer, "_convergence_blocks")
     rep = transfer_verify(m, [3, 4], [x])
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert {i: rep.items[i].to_dict() for i in (3, 4)} == alone
+
+
+def test_a_user_measure_takes_one_run_per_block_size(monkeypatch):
+    # blocks of sizes 2, 2, 3, 3, 3: one run of the whole measure and one of
+    # each size's stack, where one run per block made six
+    space = FiniteProbSpace(np.full(13, 1 / 13), [[1, 2], [3, 4], [5, 6, 7], [8, 9, 10], [11, 12, 13]])
+    m = CondRiskMeasure(space, lambda x: -space.cond_expect(x), "user_mean")
+    calls = spy_calls(monkeypatch, transfer, "_verdicts")
+    rep = transfer_verify(m, [1, 3, 4, 5, 7], [RandomVariable(np.linspace(-2.0, 2.0, 13))])
+    assert rep.all_equivalences_hold
+    assert [c[0].space.n_blocks for c in calls] == [5, 2, 3]
 
 
 def test_transfer_verify_guards(s4):

@@ -176,93 +176,63 @@ def _pick_measure(scenario: Scenario, key: str) -> CondRiskMeasure:
     raise ScenarioError(f"no measure {key!r} in the scenario")
 
 
-def _pick_payoff(scenario: Scenario, index: int) -> RandomVariable:
-    if not 0 <= index < len(scenario.payoffs):
-        raise ScenarioError(f"payoff index {index} outside 0..{len(scenario.payoffs) - 1}")
-    return scenario.payoffs[index]
+def _pick_payoff(scenario: Scenario, index: Optional[int]) -> List[RandomVariable]:
+    """The payoff at ``index``, or every payoff when ``index`` is None."""
+    payoffs = scenario.payoffs
+    if not payoffs:
+        raise ScenarioError("the scenario has no payoffs")
+    if index is None:
+        return payoffs
+    if not 0 <= index < len(payoffs):
+        raise ScenarioError(f"payoff index {index} outside 0..{len(payoffs) - 1}")
+    return [payoffs[index]]
 
 
-def _need_scenario(args) -> Scenario:
-    if not args.scenario:
-        raise ScenarioError("this command needs --scenario")
-    return ingest(args.scenario)
+# -- command handlers: each takes the parsed arguments, the scenario and the
+# measure (None when the command has no --measure), and returns its report
 
 
-# -- command handlers ---------------------------------------------------------------
+def _cmd_space_validate(args, scenario, _):
+    return {"atoms": scenario.space.n_atoms, "blocks": scenario.space.n_blocks}
 
 
-def _cmd_space_validate(args) -> int:
-    scenario = _need_scenario(args)
-    _emit({"atoms": scenario.space.n_atoms, "blocks": scenario.space.n_blocks})
-    return 0
+def _cmd_risk_eval(args, scenario, measure):
+    (payoff,) = _pick_payoff(scenario, args.payoff)
+    return measure.evaluate(payoff).values
 
 
-def _cmd_risk_eval(args) -> int:
-    scenario = _need_scenario(args)
-    measure = _pick_measure(scenario, args.measure)
-    payoff = _pick_payoff(scenario, args.payoff)
-    _emit(measure.evaluate(payoff).values)
-    return 0
-
-
-def _cmd_risk_check_axioms(args) -> int:
-    scenario = _need_scenario(args)
-    measure = _pick_measure(scenario, args.measure)
+def _cmd_risk_check_axioms(args, scenario, measure):
     reports = check_all_axioms(measure, trials=args.trials, seed=args.seed)
-    payload = {
+    return {
         "measure": measure.label,
         "axioms": {name: r.to_dict() for name, r in reports.items()},
         "passed": all(r.passed for r in reports.values()),
     }
-    _emit(payload)
-    return 0 if payload["passed"] else 1
 
 
-def _cmd_dual_penalty(args) -> int:
-    scenario = _need_scenario(args)
-    measure = _pick_measure(scenario, args.measure)
+def _cmd_dual_penalty(args, scenario, measure):
     values = _check("--y", _named("--y", json.loads, args.y), ("number", (1,), None))
     y = _per_atom("--y", values, scenario.space.n_atoms, DualVariable)
-    _emit({"measure": measure.label, "y": y.values, "penalty": penalty_of(measure, y).values})
-    return 0
+    return {"measure": measure.label, "y": y.values, "penalty": penalty_of(measure, y).values}
 
 
-def _cmd_dual_represent(args) -> int:
-    scenario = _need_scenario(args)
-    measure = _pick_measure(scenario, args.measure)
-    payoffs = (
-        [_pick_payoff(scenario, args.payoff)] if args.payoff is not None else scenario.payoffs
-    )
-    if not payoffs:
-        raise ScenarioError("the scenario has no payoffs")
-    report = verify_representation(measure, payoffs, tol=args.tol)
-    payload = {"measure": measure.label, **report.to_dict(), "passed": report.attained_all}
-    _emit(payload)
-    return 0 if report.attained_all else 1
+def _cmd_dual_represent(args, scenario, measure):
+    report = verify_representation(measure, _pick_payoff(scenario, args.payoff), tol=args.tol)
+    return {"measure": measure.label, **report.to_dict(), "passed": report.attained_all}
 
 
-def _cmd_transfer_verify(args) -> int:
-    scenario = _need_scenario(args)
-    measure = _pick_measure(scenario, args.measure)
-    if not scenario.payoffs:
-        raise ScenarioError("the scenario has no payoffs")
+def _cmd_transfer_verify(args, scenario, measure):
+    payoffs = _pick_payoff(scenario, None)
     try:
         items = [int(s) for s in args.items.split(",") if s]
     except ValueError:
         raise ScenarioError(f"--items: cannot parse {args.items!r}") from None
-    report = transfer_verify(measure, items, scenario.payoffs, tol=args.tol)
-    payload = {**report.to_dict(), "passed": report.all_equivalences_hold}
-    _emit(payload)
-    return 0 if report.all_equivalences_hold else 1
+    report = transfer_verify(measure, items, payoffs, tol=args.tol)
+    return {**report.to_dict(), "passed": report.all_equivalences_hold}
 
 
-def _universe_for(args) -> bvm.Universe:
-    scenario = _need_scenario(args)
-    return bvm.Universe(scenario.space.algebra)
-
-
-def _cmd_bvm_eval(args) -> int:
-    universe = _universe_for(args)
+def _cmd_bvm_eval(args, scenario, _):
+    universe = bvm.Universe(scenario.space.algebra)
     env = {}
     for binding in args.bind or []:
         if "=" not in binding:
@@ -270,90 +240,64 @@ def _cmd_bvm_eval(args) -> int:
         key, literal = binding.split("=", 1)
         env[key.strip()] = bvm.parse_name_literal(literal.strip(), universe)
     formula = formulalang.parse(args.formula, universe, free_names=env.keys())
-    truth = formulalang.evaluate(formula, env)
-    _emit({"truth": truth})
-    return 0
+    return {"truth": formulalang.evaluate(formula, env)}
 
 
-def _cmd_bvm_mix(args) -> int:
-    universe = _universe_for(args)
-    parts = [
-        bvm.parse_atom_set(part.strip(), universe.algebra)
-        for part in args.parts.split(";")
-    ]
-    names = [
-        bvm.parse_name_literal(lit.strip(), universe) for lit in args.names.split(";")
-    ]
-    partition = PartitionOfUnity(parts)
-    mixed = universe.mix(partition, names)
-    _emit(
-        {
-            "name": bvm.name_to_literal(mixed),
-            "rank": mixed.rank,
-            "canonical_id": mixed.canonical_id,
-        }
-    )
-    return 0
+def _cmd_bvm_mix(args, scenario, _):
+    universe = bvm.Universe(scenario.space.algebra)
+    parts = [bvm.parse_atom_set(part.strip(), universe.algebra) for part in args.parts.split(";")]
+    names = [bvm.parse_name_literal(lit.strip(), universe) for lit in args.names.split(";")]
+    mixed = universe.mix(PartitionOfUnity(parts), names)
+    return {"name": bvm.name_to_literal(mixed), "rank": mixed.rank, "canonical_id": mixed.canonical_id}
+
+
+_MEASURE = ("--measure", {"required": True})
+_TOL = ("--tol", {"type": float, "default": 1e-6})
+
+# group: (its help, {command: (its handler, its arguments after --scenario,
+# each a name and the keywords of add_argument)})
+_COMMANDS = {
+    "space": ("scenario inspection", {"validate": (_cmd_space_validate, [])}),
+    "risk": ("risk evaluation and axiom checks", {
+        "eval": (_cmd_risk_eval, [_MEASURE, ("--payoff", {"type": int, "required": True})]),
+        "check-axioms": (_cmd_risk_check_axioms, [
+            _MEASURE, ("--trials", {"type": int, "default": 100}), ("--seed", {"type": int, "default": 0}),
+        ]),
+    }),
+    "dual": ("penalties and dual representations", {
+        "penalty": (_cmd_dual_penalty, [
+            _MEASURE, ("--y", {"required": True, "help": "JSON array, one value per sample atom"}),
+        ]),
+        "represent": (_cmd_dual_represent, [_MEASURE, ("--payoff", {"type": int}), _TOL]),
+    }),
+    "transfer": ("conditional vs per-block equivalences", {
+        "verify": (_cmd_transfer_verify, [_MEASURE, ("--items", {"default": "1,3,4,5,7"}), _TOL]),
+    }),
+    "bvm": ("Boolean-valued model operations", {
+        "eval": (_cmd_bvm_eval, [("formula", {}), ("--bind", {"action": "append", "metavar": "NAME=<literal>"})]),
+        "mix": (_cmd_bvm_mix, [
+            ("--parts", {"required": True, "help": "atom sets separated by ';'"}),
+            ("--names", {"required": True, "help": "name literals separated by ';'"}),
+        ]),
+    }),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, and building it costs far more than a parse."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="path to a scenario JSON file")
-
+    """The command-line parser of ``_COMMANDS``, built once per process:
+    parsing leaves it unchanged, and building it costs far more than a parse."""
     top = argparse.ArgumentParser(prog="condrisk", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
-
-    space = groups.add_parser("space", help="scenario inspection")
-    space_cmds = space.add_subparsers(dest="command", required=True)
-    p = space_cmds.add_parser("validate", parents=[common])
-    p.set_defaults(handler=_cmd_space_validate)
-
-    risk = groups.add_parser("risk", help="risk evaluation and axiom checks")
-    risk_cmds = risk.add_subparsers(dest="command", required=True)
-    p = risk_cmds.add_parser("eval", parents=[common])
-    p.add_argument("--measure", required=True)
-    p.add_argument("--payoff", type=int, required=True)
-    p.set_defaults(handler=_cmd_risk_eval)
-    p = risk_cmds.add_parser("check-axioms", parents=[common])
-    p.add_argument("--measure", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_risk_check_axioms)
-
-    dual = groups.add_parser("dual", help="penalties and dual representations")
-    dual_cmds = dual.add_subparsers(dest="command", required=True)
-    p = dual_cmds.add_parser("penalty", parents=[common])
-    p.add_argument("--measure", required=True)
-    p.add_argument("--y", required=True, help="JSON array, one value per sample atom")
-    p.set_defaults(handler=_cmd_dual_penalty)
-    p = dual_cmds.add_parser("represent", parents=[common])
-    p.add_argument("--measure", required=True)
-    p.add_argument("--payoff", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(handler=_cmd_dual_represent)
-
-    transfer_p = groups.add_parser("transfer", help="conditional vs per-block equivalences")
-    transfer_cmds = transfer_p.add_subparsers(dest="command", required=True)
-    p = transfer_cmds.add_parser("verify", parents=[common])
-    p.add_argument("--measure", required=True)
-    p.add_argument("--items", default="1,3,4,5,7")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(handler=_cmd_transfer_verify)
-
-    bvm_p = groups.add_parser("bvm", help="Boolean-valued model operations")
-    bvm_cmds = bvm_p.add_subparsers(dest="command", required=True)
-    p = bvm_cmds.add_parser("eval", parents=[common])
-    p.add_argument("formula")
-    p.add_argument("--bind", action="append", metavar="NAME=<literal>")
-    p.set_defaults(handler=_cmd_bvm_eval)
-    p = bvm_cmds.add_parser("mix", parents=[common])
-    p.add_argument("--parts", required=True, help="atom sets separated by ';'")
-    p.add_argument("--names", required=True, help="name literals separated by ';'")
-    p.set_defaults(handler=_cmd_bvm_mix)
-
+    for group, (help_text, commands) in _COMMANDS.items():
+        subparsers = groups.add_parser(group, help=help_text).add_subparsers(dest="command", required=True)
+        for command, (handler, arguments) in commands.items():
+            p = subparsers.add_parser(command)
+            # optional to argparse, so that its absence gets a JSON refusal
+            p.add_argument("--scenario", help="path to a scenario JSON file")
+            for name, keywords in arguments:
+                p.add_argument(name, **keywords)
+            p.set_defaults(handler=handler)
     return top
 
 
@@ -364,13 +308,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.handler(args)
+        if not args.scenario:
+            raise ScenarioError("this command needs --scenario")
+        scenario = ingest(args.scenario)
+        measure = _pick_measure(scenario, args.measure) if "measure" in vars(args) else None
+        report = args.handler(args, scenario, measure)
     except ParseError as exc:
         _emit({"error": str(exc), "position": exc.pos})
         return 2
-    except (ScenarioError, CondriskError, ValueError) as exc:
+    except (CondriskError, ValueError) as exc:
         _emit({"error": str(exc)})
         return 2
+    _emit(report)
+    return 1 if isinstance(report, dict) and not report.get("passed", True) else 0
 
 
 def script_entry() -> None:

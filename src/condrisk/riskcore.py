@@ -113,9 +113,6 @@ class CondRiskMeasure:
         self.space._check_cv(out)
         return out
 
-    def __call__(self, x: RandomVariable) -> ConditionalValue:
-        return self.evaluate(x)
-
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Risk of each row of ``xs``; falls back to looping over evaluate_fn.
 

@@ -295,8 +295,7 @@ def transfer_verify(
     into its own space, with the padding checked against a fill on every
     atom outside each block.  An item's equivalence holds when the two
     sides agree on every block, so defects on different blocks cannot
-    cancel out; item 7 compares its one whole-space verdict with all of the
-    per-block ones.
+    cancel out.
     """
     _check_tol(tol)
     items = list(items)
@@ -326,22 +325,18 @@ def transfer_verify(
     notes: List[str] = []
     if 7 in items:
         r = stable_sublevel_check(measure.space, penalty_map(measure), eta, probes)
-        conditional[7] = r.mixing_closure_passed and all(r.inf_compact_per_block)
+        conditional[7] = r.inf_compact_per_block
         notes = r.notes
     per_block = _classical_verdicts(measure, items, payoffs, probes, eta, tol, seed)
 
     results = {}
     for i in items:
         cond, per_atom = conditional[i], per_block[i]
-        if i == 7:  # the mixing closure is a whole-space verdict with no per-block counterpart
-            ok, equivalence = cond, cond == all(per_atom)
-        else:
-            ok, equivalence = all(cond), cond == per_atom
         results[i] = ItemResult(
             ITEM_NAMES[i],
-            ok,
+            all(cond),
             per_atom,
-            equivalence,
+            cond == per_atom,
             ITEM_QUALIFIERS.get(i),
             notes if i == 7 else [],
         )

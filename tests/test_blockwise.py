@@ -554,6 +554,23 @@ def test_packed_avar_collision_falls_back_to_the_exact_sort():
     _close(packed, np.stack([reference_risk(space, "avar", lam, row) for row in xs]))
 
 
+def test_packed_avar_collision_keeps_the_oracle_weights_of_the_exact_sort():
+    # the fallback also sorts the row's atoms again, for the dual oracle
+    rng = np.random.default_rng(71)
+    space = _long_space(rng, 8)
+    xs = rng.normal(0.0, 2.0, (3, space.n_atoms))
+    j = next(j for j, b in enumerate(space.blocks, start=1) if len(b) > 1)
+    first, second = space.block_index_array(j)[:2]
+    xs[1, first], xs[1, second] = 1.0 + 5 * 2.0**-52, 1.0 + 3 * 2.0**-52  # one key bucket, descending
+    lam = np.full(space.n_blocks, 0.3)
+    with mock.patch.object(riskcore, "_two_sorts", wraps=riskcore._two_sorts) as spy:
+        weights = cond_avar(space, lam)._dual_oracle(xs)
+    assert [call.args[2].tolist() for call in spy.call_args_list] == [xs[1:2].tolist()]
+    with mock.patch.object(riskcore, "PACKED_SORT_MIN_ATOMS", space.n_atoms + 1):
+        exact = cond_avar(space, lam)._dual_oracle(xs)
+    assert np.array_equal(weights, exact)
+
+
 def test_packed_avar_signed_zeros():
     rng = np.random.default_rng(72)
     space = _long_space(rng, 12)

@@ -515,3 +515,34 @@ def test_every_command_refuses_a_mutated_scenario_by_its_table(capsys, tmp_path,
         assert "Traceback" not in out + err
         assert code == 2 or well_typed(raw), (command, raw)
         assert code == 0 or "error" in json.loads(out)
+
+
+# -- refusals made before a command's own work -------------------------------------
+
+ALL_COMMANDS = COMMANDS + [["dual", "penalty", "--measure", "0", "--y", "[-1, -1, -1, -1]"]]
+NO_PAYOFFS = "the scenario has no payoffs"
+# argv (with S4, MISSING and BARE, a scenario without payoffs, put in) and its error
+REFUSALS = {
+    **{f"no-scenario-{c[0]}-{c[1]}": (c, "this command needs --scenario") for c in ALL_COMMANDS},
+    "missing-file": (["space", "validate", "--scenario", "MISSING"], "scenario file not found: MISSING"),
+    # whatever --payoff says
+    "no-payoffs-risk-eval": (["risk", "eval", "--scenario", "BARE", "--measure", "0", "--payoff", "0"], NO_PAYOFFS),
+    "no-payoffs-dual-represent": (["dual", "represent", "--scenario", "BARE", "--measure", "0"], NO_PAYOFFS),
+    "no-payoffs-dual-represent-payoff": (
+        ["dual", "represent", "--scenario", "BARE", "--measure", "0", "--payoff", "3"], NO_PAYOFFS
+    ),
+    "no-payoffs-transfer-verify": (["transfer", "verify", "--scenario", "BARE", "--measure", "0"], NO_PAYOFFS),
+    "items": (["transfer", "verify", "--scenario", "S4", "--measure", "0", "--items", "1,x"], "--items: cannot parse '1,x'"),
+    "bind": (["bvm", "eval", "x = empty", "--scenario", "S4", "--bind", "u"], "--bind needs NAME=<literal>, got 'u'"),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_refusals_exit_2_with_a_json_error(capsys, tmp_path, s4_path, refusal):
+    argv, error = REFUSALS[refusal]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({**S4, "payoffs": []}))
+    paths = {"S4": s4_path, "MISSING": str(tmp_path / "missing.json"), "BARE": str(bare)}
+    code, out = run(capsys, [paths.get(a, a) for a in argv])
+    assert code == 2
+    assert out == {"error": error.replace("MISSING", paths["MISSING"])}

@@ -23,6 +23,7 @@ from condrisk import (
     check_axiom,
     cond_avar,
     cond_entropic,
+    cond_worst_case,
     fenchel_consistency,
     neg_cond_expectation,
     stable_sublevel_check,
@@ -168,6 +169,34 @@ def test_item_1_compares_the_two_sides_block_by_block(monkeypatch, s4, row):
         monkeypatch.setitem(riskcore._KERNELS, "avar", (risk, penalty, reverse_block_1(oracle), name))
     r = transfer_verify(cond_avar(s4, 0.5), [1], payoffs).items[1]
     assert (r.conditional, r.per_atom, r.equivalence) == verdicts
+
+
+def admit_nonpositive(admissible, block, top):
+    """``admissible`` that also admits every dual <= 0 on ``block`` (0-based),
+    with ``top(*args)`` each block's largest dual entry: the worst case's
+    penalty is then 0 on duals that are not densities there, and its
+    sublevel set is unbounded."""
+
+    def broken(*args):
+        ok = admissible(*args)
+        ok[..., block] |= top(*args)[..., block] <= riskcore.ADMISSIBLE_TOL
+        return ok
+
+    return broken
+
+
+def test_item_7_compares_the_two_sides_block_by_block(monkeypatch, s4):
+    # the conditional penalty admits too much on block 2, the classical
+    # kernel on block 1 of the stack: each side fails one block, and the
+    # two verdicts must not cancel out into an equivalence
+    monkeypatch.setattr(
+        riskcore, "_admissible_mask", admit_nonpositive(riskcore._admissible_mask, 1, lambda s, y: s.block_max(y))
+    )
+    monkeypatch.setattr(
+        riskcore, "_dense_admissible", admit_nonpositive(riskcore._dense_admissible, 0, lambda q, y: y.max(axis=-1))
+    )
+    r = transfer_verify(cond_worst_case(s4), [7], [X]).items[7]
+    assert (r.conditional, r.per_atom, r.equivalence) == (False, [False, True], False)
 
 
 @pytest.mark.parametrize("axiom", AXIOMS)

@@ -438,3 +438,16 @@ def test_literal_memo_belongs_to_one_universe():
     with pytest.raises(ParseError) as err:
         parse_name_literal(text, two)
     assert (str(err.value), err.value.pos) == ("atom index 3 outside 1..2 (at position 14)", 14)
+
+
+def test_witness_on_a_bound_with_an_empty_atom(u2):
+    # name{empty: {1}} has no member at atom 2: there the witness is the
+    # first ordinal that falsifies the formula, and none falsifies x = x
+    v = parse_name_literal("name{empty: {1}}", u2)
+    f = parse("x = empty", u2, free_names={"x"})
+    exists = parse("exists y in v . y = empty", u2, free_names={"v"})
+    wit = witness(f, "x", v)
+    for atom in (1, 2):
+        assert collapse_eval(f, atom, {"x": wit}) == collapse_eval(exists, atom, {"v": v}), atom
+    with pytest.raises(bvm.WitnessError):
+        witness(parse("x = x", u2, free_names={"x"}), "x", v)

@@ -291,3 +291,32 @@ def test_orlicz_gauge_of_power_matches_its_closed_form(p, xs, scale):
     g = module_gauge(ModuleSpec.orlicz(young_power(p)), x, space).values
     want = (space.cond_expect(RandomVariable(np.abs(x.values) ** p)).values / p) ** (1.0 / p)
     assert np.all(np.abs(g - want) <= 3 * LUXEMBURG_TOL), (g, want)
+
+
+def _bisected_gauge(phi, q, absvals):
+    """inf{lam > 0 : E[phi(|x|/lam)] <= 1} by plain bisection on a wide bracket."""
+    lo, hi = 1e-9, 1e9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sum(w * phi(v / mid) for w, v in zip(q, absvals)) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_luxemburg_gauge_doubles_its_bracket_and_halves_a_stale_end(s4):
+    grid = np.geomspace(0.01, 4.0, 48)
+    x = RandomVariable([1.0, 1.0, 0.5, 2.0])
+    # E[(2|x|/max|x|)^2] > 1 on every block, so the bracket doubles up from max |x|
+    square = module_gauge(ModuleSpec.orlicz(YoungFunction(lambda t: 4.0 * t * t, grid)), x, s4).values
+    want = 2.0 * np.sqrt(s4.cond_expect(RandomVariable(x.values**2)).values)
+    assert np.all(np.abs(square - want) <= LUXEMBURG_TOL), (square, want)
+    # here the regula falsi lands on the side h <= 1 twice in a row, and the
+    # Illinois step halves the value at the other end
+    phi = YoungFunction(lambda t: math.cosh(t) - 1.0, grid)
+    gauge = module_gauge(ModuleSpec.orlicz(phi), x, s4).values
+    for j in (1, 2):
+        at = s4.block_index_array(j)
+        ref = _bisected_gauge(phi, s4.cond_probs(j), np.abs(x.values[at]))
+        assert abs(gauge[j - 1] - ref) <= LUXEMBURG_TOL, (j, gauge, ref)

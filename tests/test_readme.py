@@ -1,10 +1,15 @@
-"""The README's Python examples run, and produce the values their comments state."""
+"""The README's Python examples run, and produce the values their comments
+state; its CLI lines run on its scenario."""
 
+import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from condrisk import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,3 +49,18 @@ def test_readme_examples_run_and_match_their_comments():
         assert comment in lines[expr], (expr, comment)
         assert holds(eval(expr, ns)), expr
     assert sorted(ns["report"].items) == [1, 5]
+
+
+def test_readme_cli_lines_run_on_its_scenario(capsys, monkeypatch, tmp_path):
+    section = README.read_text().split("## CLI", 1)[1]
+    scenario = re.search(r"```json\n(.*?)```", section, flags=re.S).group(1)
+    (tmp_path / "s4.json").write_text(scenario)
+    monkeypatch.chdir(tmp_path)
+    lines = re.search(r"```sh\n(.*?)```", section, flags=re.S).group(1).splitlines()
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1, line
+        json.loads(out[0])
+    shown = {tuple(shlex.split(line)[1:3]) for line in lines}
+    assert shown == {(group, command) for group, (_, commands) in cli._COMMANDS.items() for command in commands}

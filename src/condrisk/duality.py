@@ -24,6 +24,7 @@ from .riskcore import (
     _admissible_mask,
     _check_tol,
     _row_batches,
+    _stacks,
     cond_avar,
     cond_worst_case,
 )
@@ -75,9 +76,7 @@ def admissible_dual(space: FiniteProbSpace, densities) -> DualVariable:
 
 
 def _grid_points(k: int, radius: float, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(-radius, radius, per_axis)] * k
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return np.stack(np.meshgrid(*[np.linspace(-radius, radius, per_axis)] * k, indexing="ij"), axis=-1).reshape(-1, k)
 
 
 # grid conjugate: the radius starts at GRID_RADIUS and doubles until the best
@@ -97,197 +96,183 @@ GRID_MAX_POINTS = 5**7
 COMPASS_SCALES = 4
 
 
-def _risks(measure: CondRiskMeasure, batch: np.ndarray, span: int) -> np.ndarray:
-    """rho at each point of ``batch``, whose rows come in spans of ``span``
-    points, one span per dual.  A built-in's batch gives a row the same bits
-    whatever rows share it, so it takes one call; a user batch function may
-    round a row by its neighbours (one matrix product over the batch), so it
-    takes one call per span, as a one-row search would make."""
-    if measure._kernel is not None or len(batch) == span:
-        return measure.evaluate_batch(batch)[:, 0]
-    return np.concatenate([measure.evaluate_batch(batch[a : a + span])[:, 0] for a in range(0, len(batch), span)])
-
-
-def _doubling_search(measure: CondRiskMeasure, weights: np.ndarray, start: np.ndarray, points_at, span=None):
-    """Best value of E[x y] - rho(x) for each row of ``weights`` (q y of its
-    dual) as the radius doubles from GRID_RADIUS, all rows in lockstep,
-    against its value ``start`` at 0.
-
-    ``points_at(radius, live)`` gives one batch for the rows ``live`` still
-    searching: with ``span`` None a batch that every row searches, whose rho
-    is evaluated once per doubling for all of them, else ``span`` points per
-    row, one row after another, evaluated by ``_risks``.  A row stops once
-    its best value gains less than GRID_TOL; three consecutive growing
-    gains, or GRID_MAX_DOUBLINGS doublings, certify divergence.  Returns
-    each row's best value (+inf when divergent), its point, its last radius
-    and its certified ray (None unless divergent).
-    """
-    rows, k = weights.shape
-    best = [float(s) for s in start]
-    points = np.zeros((rows, k))
-    radius = np.full(rows, GRID_RADIUS)
-    prev_inc, streak = [None] * rows, [0] * rows
-    live, diverged = list(range(rows)), []
-    r = GRID_RADIUS
-    for _ in range(GRID_MAX_DOUBLINGS):
-        if not live:
+def _doubling_search(start: np.ndarray, best_at, k: int):
+    """Best value of E[x y] - rho(x) of each (dual row, block) pair, from its
+    value ``start`` at 0, as the radius doubles from GRID_RADIUS, all pairs in
+    lockstep; ``best_at(radius, live)`` gives the best value and point of the
+    pairs ``live``.  A pair stops once its best value gains less than
+    GRID_TOL; three consecutive growing gains, or GRID_MAX_DOUBLINGS
+    doublings, certify divergence.  Returns the best values (+inf when
+    divergent), points, last radii and certified rays (NaN unless divergent)."""
+    pairs = len(start)
+    best, points = start.copy(), np.zeros((pairs, k))
+    radius, prev, streak = np.full(pairs, GRID_RADIUS), np.full(pairs, math.nan), np.zeros(pairs, dtype=int)
+    live, diverged = np.arange(pairs), np.zeros(pairs, dtype=bool)
+    for r in GRID_RADIUS * 2.0 ** np.arange(GRID_MAX_DOUBLINGS):
+        if not live.size:
             break
-        batch = points_at(r, live)
-        if span is None:
-            parts, risk = [slice(None)] * len(live), measure.evaluate_batch(batch)[:, 0]
-        else:
-            parts, risk = [slice(a, a + span) for a in range(0, len(batch), span)], _risks(measure, batch, span)
-        searching = []
-        for i, part in zip(live, parts):
-            pts = batch[part]
-            vals = pts @ weights[i] - risk[part]
-            a = int(np.argmax(vals))
-            inc = float(vals[a]) - best[i]
-            if vals[a] > best[i]:
-                best[i] = float(vals[a])
-                points[i] = pts[a]
-            radius[i] = r
-            if inc < GRID_TOL:
-                continue
-            if prev_inc[i] is not None and inc >= GRID_GROWTH_RATIO * prev_inc[i]:
-                streak[i] += 1
-                if streak[i] >= 3:
-                    diverged.append(i)
-                    continue
-            else:
-                streak[i] = 0
-            prev_inc[i] = inc
-            searching.append(i)
-        live = searching
-        r *= 2.0
+        top, at = best_at(r, live)
+        inc = top - best[live]
+        up = top > best[live]
+        best[live[up]], points[live[up]] = top[up], at[up]
+        radius[live] = r
+        # a NaN gain searches on; the first gain, after a NaN one, never grows
+        moving = ~(inc < GRID_TOL)
+        grows = moving & (inc >= GRID_GROWTH_RATIO * prev[live])
+        streak[live] = np.where(grows, streak[live] + 1, 0)
+        diverged[live[grows & (streak[live] >= 3)]] = True
+        searching = moving & ~diverged[live]
+        prev[live[searching]] = inc[searching]
+        live = live[searching]
     # three growing gains, or the radius exhausted while still improving:
     # unbounded for all practical radii
-    rays = [None] * rows
-    for i in diverged + live:
-        best[i] = math.inf
-        rays[i] = points[i] / max(np.linalg.norm(points[i]), 1e-30)
-    return np.array(best), points, radius, rays
+    diverged[live] = True
+    best[diverged] = math.inf
+    rays = np.where(diverged[:, None], points / np.linalg.norm(points, axis=1, keepdims=True).clip(1e-30), math.nan)
+    return best, points, radius, rays
 
 
-def _compass_refine(
-    measure: CondRiskMeasure, weights: np.ndarray, points: np.ndarray, steps: np.ndarray, best: np.ndarray
-) -> None:
-    """Compass search from each row's point, all rows in lockstep: a step
-    evaluates rho on the 2k compass candidates at COMPASS_SCALES step sizes
-    s, s/2, ... of every row still refining, by ``_risks``.  A row moves to
-    its best candidate if that gains more than 1e-15 and divides its step by
-    2^COMPASS_SCALES otherwise; it stops once the step is at most 1e-5, or
-    after 600 steps.  ``points``, ``steps`` and ``best`` are updated in place."""
-    rows, k = points.shape
-    directions = np.vstack([np.eye(k), -np.eye(k)])
-    moves = (0.5 ** np.arange(COMPASS_SCALES)[:, None, None] * directions).reshape(-1, k)
-    live = np.arange(rows)
+def _compass_refine(objective, rows: np.ndarray, per: int, points: np.ndarray, steps: np.ndarray, best: np.ndarray):
+    """Compass search from each pair's point, all pairs in lockstep, dual rows
+    ``rows // per`` alike at a time: ``objective`` of the 2k compass candidates
+    at COMPASS_SCALES step sizes s, s/2, ...  A pair moves to its best one if
+    that gains more than 1e-15, else divides s by 2^COMPASS_SCALES, and stops
+    at s <= 1e-5 or after 600 steps; ``points``, ``steps`` and ``best`` change in place."""
+    k = points.shape[1]
+    moves = (0.5 ** np.arange(COMPASS_SCALES)[:, None, None] * np.vstack([np.eye(k), -np.eye(k)])).reshape(-1, k)
+    live = np.arange(len(points))
     for _ in range(600):
         live = live[steps[live] > 1e-5]
         if not live.size:
             break
-        cand = points[live, None, :] + steps[live, None, None] * moves
-        # one matrix-vector product per row, stacked: the bits of c @ weights[i]
-        vals = np.matmul(cand, weights[live, :, None])[..., 0]
-        vals -= _risks(measure, cand.reshape(-1, k), len(moves)).reshape(vals.shape)
-        b = vals.argmax(axis=1)
-        top = vals[np.arange(live.size), b]
-        gain = top > best[live] + 1e-15
-        best[live[gain]] = top[gain]
-        points[live[gain]] = cand[gain, b[gain]]
-        steps[live[~gain]] *= 0.5**COMPASS_SCALES
+        r = rows[live] // per
+        for part in (live,) if r[0] == r[-1] else np.split(live, np.flatnonzero(r[1:] != r[:-1]) + 1):
+            cand = points[part, None, :] + steps[part, None, None] * moves
+            vals = objective(part, cand)
+            b = vals.argmax(axis=1)
+            top = vals[np.arange(part.size), b]
+            gain = top > best[part] + 1e-15
+            best[part[gain]] = top[gain]
+            points[part[gain]] = cand[gain, b[gain]]
+            steps[part[~gain]] *= 0.5**COMPASS_SCALES
 
 
 def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
-    """Numeric sup of E[x y] - rho(x) for a measure on one block, for each
-    row y of the ``(rows, k)`` duals ``ys``, every row's search in lockstep.
+    """Numeric sup of E[x y | block] - rho(x) for a measure on B contiguous
+    blocks of k atoms (a stack of ``riskcore._stacked``) for each row y of the
+    ``(rows, B k)`` duals ``ys`` on each block, all (row, block) pairs in lockstep.
 
     The search leans on cash invariance, rho(x + c) = rho(x) - c, by which
     the objective moves by c (E[y] + 1) when a constant c is added to x.  A
-    row off the density simplex (|E[y] + 1| > ADMISSIBLE_TOL) first walks
+    pair off the density simplex (|E[y] + 1| > ADMISSIBLE_TOL) first walks
     the constant ray x = c sign(E[y] + 1), along which the objective grows
     like c |E[y] + 1|: a grid whose gains shrink faster than that would stop
     at a finite value.  The ray's unit is stretched so that its first gain
-    is at least 2 GRID_TOL.  Along constants the objective of a row on the
+    is at least 2 GRID_TOL.  Along constants the objective of a pair on the
     simplex is flat, so its grid covers only the slice E[x] = 0: the unit
-    grid U is ``_grid_points(k - 1, ...)`` mapped through the basis e_j -
-    q_j 1, j < k, and a 1-atom block's value is that at 0.  A grid of more
-    than GRID_MAX_POINTS points is refused by name.
+    grid U is ``_grid_points(k - 1, ...)`` mapped through each block's basis
+    e_j - q_j 1, j < k, and a 1-atom block's value is that at 0.  A grid of
+    more than GRID_MAX_POINTS points is refused by name.  A pair doubles its
+    radius until its gain falls under GRID_TOL and its interior max is
+    polished by compass search, or until three consecutive growing gains
+    certify divergence; the certified ray is returned.
 
-    A row doubles its search radius until its increment falls under
-    GRID_TOL and its interior max is polished by compass search, or until
-    three consecutive growing increments certify divergence; the certified
-    ray is returned.  Each step evaluates rho once for every row still at
-    it: the grid r U once for all rows, and the rays' points and the compass
-    candidates of all rows in one batch for a built-in, or row by row for a
-    user measure (``_risks``), whose batch function may round a row by the
-    rows beside it.  Each row keeps its own objective, ``pts @ (q y)``, one
-    matrix-vector product per row, so a row's value, point and ray are
-    those of a one-row call, bit for bit.  Returns the values, the points
-    ``(rows, k)`` and the rays, None for each row without one.
-    """
-    rows, k = ys.shape
-    q = measure.space.cond_probs(1)
-    weights = q * ys
-    zero = np.zeros((1, k))
-    start = np.array([(zero @ w)[0] for w in weights]) - measure.evaluate_batch(zero)[0, 0]
-    values, points, rays = start.copy(), np.zeros((rows, k)), [None] * rows
+    Each step evaluates rho on stack rows that carry one point per block, as
+    locality allows, about CHUNK_ELEMENTS entries at a time: r U once for all
+    pairs, and the rays' points and compass candidates in one call for a
+    built-in, whose rows do not depend on the rows beside them, or per dual
+    row for a user measure, whose batch function may round a row by its
+    neighbours.  Each pair's E[x y] is its own matrix-vector product, so its
+    value, point and ray are a one-row call's on its block's restriction, bit
+    for bit.  Returns the values ``(rows, B)``, and the points and rays laid
+    out as ``ys`` (NaN on each pair without a ray)."""
+    space, n_rows, n_blocks = measure.space, len(ys), measure.space.n_blocks
+    k = space.n_atoms // n_blocks
+    q = space.cond.reshape(n_blocks, k)
+    weights = (q * ys.reshape(n_rows, n_blocks, k)).reshape(-1, k)
+    row, block = np.divmod(np.arange(len(weights)), n_blocks)
 
-    gap = measure.space.block_mean(ys)[:, 0] + 1.0
+    def objective(p, cand):
+        # E[x y] - rho(x) at the candidates (pairs, S, k) of the pairs p, in row order
+        r = row[p]
+        at = r - r[0] if r[0] == r[-1] else np.concatenate(([0], np.cumsum(r[1:] != r[:-1])))
+        stack = np.zeros((at[-1] + 1, cand.shape[1], n_blocks, k))
+        stack[at, :, block[p]] = cand
+        stack = stack.reshape(at[-1] + 1, cand.shape[1], space.n_atoms)
+        parts = stack if measure._kernel is None else [stack.reshape(-1, space.n_atoms)]
+        risk = np.concatenate([measure.evaluate_batch(s) for s in parts]).reshape(at[-1] + 1, -1, n_blocks)
+        return np.matmul(cand, weights[p, :, None])[..., 0] - risk[at, :, block[p]]
+
+    start = np.zeros(len(weights)) - np.tile(measure.evaluate_batch(np.zeros((1, space.n_atoms)))[0], n_rows)
+    values, points, rays = start.copy(), np.zeros(weights.shape), np.full(weights.shape, math.nan)
+    gap = (space.block_mean(ys) + 1.0).ravel()
     off = np.flatnonzero(np.abs(gap) > ADMISSIBLE_TOL)
     if off.size:
         stretch = np.maximum(1.0, 2.0 * GRID_TOL / (GRID_RADIUS * np.abs(gap[off])))
         units = np.repeat(np.copysign(stretch, gap[off])[:, None], k, axis=1)
-
         best, point, _, ray = _doubling_search(
-            measure, weights[off], start[off], lambda r, live: r * units[live], span=1
+            start[off], lambda r, live: (objective(off[live], r * units[live, None])[:, 0], r * units[live]), k
         )
-        for a, i in enumerate(off):
-            if ray[a] is not None:
-                values[i], points[i], rays[i] = best[a], point[a], ray[a]
-    on = np.flatnonzero([ray is None for ray in rays])
-    if not on.size or k == 1:
-        return values, points, rays
+        hit = ~np.isnan(ray[:, 0])
+        values[off[hit]], points[off[hit]], rays[off[hit]] = best[hit], point[hit], ray[hit]
+    on = np.flatnonzero(np.isnan(rays[:, 0]))
+    if on.size and k > 1:
+        per_axis = GRID_PER_AXIS if k <= 3 else 5
+        if per_axis ** (k - 1) > GRID_MAX_POINTS:
+            raise DualityError(
+                f"a block of {k} atoms needs a grid of {per_axis}^{k - 1} points, "
+                f"over GRID_MAX_POINTS = {GRID_MAX_POINTS}"
+            )
+        unit = _grid_points(k - 1, 1.0, per_axis)
+        basis = np.eye(k)[:-1] - q[:, :-1, None]
 
-    per_axis = GRID_PER_AXIS if k <= 3 else 5
-    if per_axis ** (k - 1) > GRID_MAX_POINTS:
-        raise DualityError(
-            f"a block of {k} atoms needs a grid of {per_axis}^{k - 1} points, "
-            f"over GRID_MAX_POINTS = {GRID_MAX_POINTS}"
-        )
-    unit = _grid_points(k - 1, 1.0, per_axis) @ (np.eye(k)[:-1] - q[:-1, None])
-    best, point, radius, ray = _doubling_search(measure, weights[on], start[on], lambda r, live: r * unit)
-    # a divergent row does not refine
-    steps = np.where([r is None for r in ray], 2.0 * radius / (per_axis - 1), 0.0)
-    _compass_refine(measure, weights[on], point, steps, best)
-    values[on], points[on] = best, point
-    for a, i in enumerate(on):
-        rays[i] = ray[a]
-    return values, points, rays
+        def grid_best(r, live):
+            b, w = block[on[live]], weights[on[live], :, None]
+            top, at = np.full(live.size, -math.inf), np.zeros((live.size, k))
+            # chunks of a multiple of 8 points, the last of at least 2: BLAS
+            # then takes each point in the kernel the whole grid would
+            step = max(8, CHUNK_ELEMENTS // (k * max(n_blocks, live.size)) // 8 * 8)
+            for chunk in (unit,) if len(unit) <= step + 1 else np.split(unit, range(step, len(unit) - 1, step)):
+                pts = r * np.matmul(chunk, basis)
+                risk = measure.evaluate_batch(pts.transpose(1, 0, 2).reshape(len(chunk), -1))
+                vals = np.matmul(pts[b], w)[..., 0] - risk.T[b]
+                a = vals.argmax(axis=1)
+                v = vals[np.arange(live.size), a]
+                # the first max of the whole grid, NaN first, as one argmax
+                new = (v > top) | (np.isnan(v) & ~np.isnan(top))
+                top[new], at[new] = v[new], pts[b[new], a[new]]
+            return top, at
+
+        values[on], points[on], radius, rays[on] = _doubling_search(start[on], grid_best, k)
+        # a divergent pair does not refine
+        steps = np.zeros(len(weights))
+        steps[on] = np.where(np.isnan(rays[on, 0]), 2.0 * radius / (per_axis - 1), 0.0)
+        per = max(1, CHUNK_ELEMENTS // (2 * k * COMPASS_SCALES * space.n_atoms))
+        _compass_refine(objective, row, per, points, steps, values)
+    return values.reshape(n_rows, n_blocks), points.reshape(ys.shape), rays.reshape(ys.shape)
 
 
 def _penalty_rows(measure: CondRiskMeasure, ys: np.ndarray, closed_form=True, blocks=None) -> np.ndarray:
     """Penalties of the rows of ``ys`` as ``(rows, n_blocks)``: the closed form,
     one call for every row, if ``closed_form`` is set and the measure has one;
-    else the grid conjugate of each row on each block that the mask ``blocks``
-    marks (all by default), restricted once, and +inf on the others.  A wrong
-    row length and a NaN penalty are refused by name."""
+    else the grid conjugate of every row on the stack of the blocks of each
+    size (``riskcore._stacks``) that the mask ``blocks`` marks (all by
+    default), +inf on the others.  A wrong row length and a NaN penalty are refused by name."""
     space = measure.space
     _check_length(space, ys)
     if closed_form and measure.closed_form_penalty is not None:
         pen = measure._rows(measure.closed_form_penalty, ys, "penalties")
     else:
         pen = np.full((len(ys), space.n_blocks), math.inf)
-        for j in range(space.n_blocks) if blocks is None else np.flatnonzero(blocks):
-            block, cut = measure.restrict(j + 1), ys[:, space.block_index_array(j + 1)]
-            pen[:, j] = _block_conjugate_grid(block, cut)[0]
+        for cut, stack, atoms in _stacks(measure, blocks):
+            pen[:, cut] = _block_conjugate_grid(stack, ys[:, atoms])[0]
     ConditionalValue._check(pen)
     return pen
 
 
 def fenchel(measure: CondRiskMeasure, y: DualVariable) -> ConditionalValue:
-    """Blockwise conjugate rho#(y) = esssup_x (E[x y | F] - rho(x)) by the grid
-    on each block's restriction; it never reads a closed form.  +inf entries
+    """Blockwise conjugate rho#(y) = esssup_x (E[x y | F] - rho(x)) by the grid,
+    one search per block size; it never reads a closed form.  +inf entries
     signal that -y is not an admissible density for the measure there."""
     return ConditionalValue(_penalty_rows(measure, y.values[None], closed_form=False)[0])
 
@@ -339,9 +324,8 @@ ASCENT_GAP_TOL = 1e-8
 
 @dataclass
 class DualSearchConfig:
-    """Accepted by ``dual_representation`` and ``verify_representation`` so
-    that callers passing one still run; it has no effect.  Every dual comes
-    from a fixed list of candidates, and there is no search to configure."""
+    """Accepted by ``dual_representation`` and ``verify_representation`` so that callers
+    passing one still run; it has no effect: every dual comes from a fixed list of candidates."""
 
     max_iters: int = 400
 
@@ -536,7 +520,7 @@ def dual_representation(
     that names the shortfall.  A user measure, a ``dataclasses.replace``
     copy of a built-in included, grades candidate duals in turn
     (``_candidate_duals``) from its own penalty route (the closed form, else
-    one grid conjugate on each block still short), until every block has
+    one grid search of the blocks still short), until every block has
     one: -grad rho(x) / q from central differences at x, then at two
     generic points near x (a subgradient at a kink of a max of linear
     pieces), the barycenter, the vertex of the atom where x is least, the

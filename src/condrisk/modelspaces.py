@@ -32,6 +32,8 @@ PAIRING_TOL = 1e-9
 # a chord slope of a Young function has stopped growing once it gains at
 # most this share of itself over a doubling
 SLOPE_SETTLED = 1e-9
+# the supremum of a conjugate still climbs while a doubling gains more than this
+CLIMB_TOL = 1e-11
 
 
 class YoungFunctionError(CondriskError):
@@ -215,10 +217,8 @@ def _brent_max(g: Callable[[float], float], lo: float, hi: float):
     return max(pts, key=lambda p: p[1])
 
 
-def _conjugate_value(phi: YoungFunction, r: float, *, tol: float = 1e-11) -> float:
-    """sup_{s >= 0} (r s - phi(s)), computed on the finite domain of phi."""
-    if r < 0:
-        raise ValueError("the conjugate is evaluated on [0, inf)")
+def _conjugate_value(phi: YoungFunction, r: float) -> float:
+    """sup_{s >= 0} (r s - phi(s)) for r >= 0, computed on the finite domain of phi."""
     if r == 0.0:
         return 0.0
 
@@ -246,7 +246,7 @@ def _conjugate_value(phi: YoungFunction, r: float, *, tol: float = 1e-11) -> flo
             _, val = _brent_max(g, 0.0, s_hi)
             return max(val, 0.0)
         new_best = max(best, g(2.0 * s_hi))
-        climbing = new_best > best + tol
+        climbing = new_best > best + CLIMB_TOL
         settled = prev_slope is not None and slope <= prev_slope + SLOPE_SETTLED * abs(prev_slope)
         streak = streak + 1 if climbing and settled else 0
         if streak >= 3:

@@ -67,10 +67,10 @@ class CondRiskMeasure:
     scalar or one finite value per block kept as a read-only array, and adds
     the fill to that cap to the candidates for the blocks the differences
     leave short.  ``restrict(j)`` cuts block ``j`` out as a classical
-    measure on one block, which is what the dual engine works on: the
-    one-block case of ``_stacked``, where a built-in becomes its dense
-    classical kernel (``_kernel``) and any other measure is padded back to
-    the whole space and checked for that padding.
+    measure on one block: the one-block case of ``_stacked``, the cut the
+    dual engine and the transfer suite work on, where a built-in becomes its
+    dense classical kernel (``_kernel``) and any other measure is padded
+    back to the whole space and checked for that padding.
     A built-in also carries its exact dual oracle ``_dual_oracle``: it maps a
     ``(rows, n_atoms)`` array of payoffs to nonnegative weights of that shape
     whose normalization on each block is the density that attains the
@@ -137,15 +137,12 @@ class CondRiskMeasure:
 
     def restrict(self, j: int) -> "CondRiskMeasure":
         """Block ``j`` as a measure on ``space.block_space(j)``, labelled
-        ``{label}@block{j}``: the stack of block ``j`` alone (``_stacked``),
-        so a built-in is its dense classical kernel there and any other
-        measure is padded and checked.  Block coordinates follow
-        ``space.block_index_array(j)``, so a measure on one block that lists
-        its atoms in order is its own restriction.
+        ``{label}@block{j}``, in the coordinates of ``space.block_index_array(j)``:
+        the stack of block ``j`` alone (``_stacked``), so a built-in is its
+        dense classical kernel there, any other measure is padded and
+        checked, and a measure on one block in order is its own restriction.
         """
-        idx = self.space.block_index_array(j)  # refuses a j outside 1..n_blocks
-        if self.space.n_blocks == 1 and (idx == np.arange(idx.size)).all():
-            return self
+        self.space.block_index_array(j)  # refuses a j outside 1..n_blocks
         return _stacked(self, np.array([j - 1]))[0]
 
 
@@ -539,7 +536,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
 # one parameter per block, reducing along the last axis.  They share no code
 # with the block layout that the whole-space built-ins above run on:
 # ``restrict(j)`` of a built-in is its kernel at B = 1, and the transfer suite
-# judges the blocks of each size with one stacked run of the kernel, so its
+# and the grid conjugate run it on stacks of same-size blocks, so their
 # classical side is a second implementation (Foellmer and Schied, *Stochastic
 # Finance*, ch. 4, for the penalties and densities).
 
@@ -662,7 +659,8 @@ def _stacked(measure: CondRiskMeasure, blocks: np.ndarray):
     the stack's order: block a of the stack is ``blocks[a]``, and a payoff
     indexed by those atoms is the stack's.  The one cut of blocks out of a
     measure: ``restrict(j)`` is the stack of block j alone, on
-    ``space.block_space(j)``.
+    ``space.block_space(j)``, and a measure on one block that lists its
+    atoms in order is its own stack.
 
     A built-in becomes its dense classical kernel (``_kernel_measure``), so
     it shares no code with its whole-space batch, penalty and oracle.  Any
@@ -676,9 +674,13 @@ def _stacked(measure: CondRiskMeasure, blocks: np.ndarray):
     stack index and each side s, a row keeps the probes on the blocks whose
     bit b is s and fills every other atom, and a last row keeps them on
     every block: two blocks differ in some bit, so in 2 ceil(log2 B) + 1
-    rows each of B blocks sees every other at the fill.
+    rows each of B blocks sees every other at the fill.  Each such row is
+    one call, with the two probes in their places in the call of ``lo``: a
+    batch function may round a row by its place in the batch.
     """
     space, size = measure.space, len(blocks)
+    if space.n_blocks == 1 and (space.order == np.arange(space.n_atoms)).all():
+        return measure, space.order
     j = int(blocks[0]) + 1
     k = space._bounds[j] - space._bounds[j - 1]
     at = (space.starts[blocks][:, None] + np.arange(k)).ravel()  # places in block order
@@ -707,8 +709,8 @@ def _stacked(measure: CondRiskMeasure, blocks: np.ndarray):
     keep = (np.arange(size) >> b[:, None]) & 1 == s[:, None]
     probes = np.stack([np.zeros(at.size), np.tile(np.linspace(-1.0, 1.0, k), size)])
     lo = padded(probes)
-    mixed = np.where(keep.repeat(k, axis=1), probes[:, None], EXTENSION_FILL).reshape(-1, at.size)
-    hi = padded(mixed, EXTENSION_FILL).reshape(2, len(keep), size)
+    mixed = np.where(keep.repeat(k, axis=1), probes[:, None], EXTENSION_FILL)
+    hi = np.stack([padded(mixed[:, r], EXTENSION_FILL) for r in range(len(keep))], axis=1)
     bad = keep & (hi != lo[:, None])
     if bad.any():
         p, r, a = np.argwhere(bad)[0]
@@ -722,6 +724,15 @@ def _stacked(measure: CondRiskMeasure, blocks: np.ndarray):
     cap = None if measure.dual_density_cap is None else measure.dual_density_cap[blocks]
     ev = lambda x: _cv(_readonly(padded(x.values[None])[0]))
     return CondRiskMeasure(stack, ev, label, closed_form_penalty=pen, evaluate_batch_fn=padded, dual_density_cap=cap), atoms
+
+
+def _stacks(measure: CondRiskMeasure, marked: Optional[np.ndarray] = None):
+    """``(blocks, stack, atoms)`` of ``_stacked`` for the blocks of each size
+    that the mask ``marked`` marks (all by default), smallest size first."""
+    sizes = np.where(True if marked is None else marked, np.diff(measure.space._bounds), 0)
+    for k in np.unique(sizes[sizes > 0]):
+        blocks = np.flatnonzero(sizes == k)
+        yield (blocks, *_stacked(measure, blocks))
 
 
 BUILTIN_FACTORIES = {

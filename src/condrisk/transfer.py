@@ -34,7 +34,7 @@ from .riskcore import (
     _check_tol,
     _convergence_blocks,
     _failing_blocks,
-    _stacked,
+    _stacks,
     check_axiom,
 )
 
@@ -93,26 +93,22 @@ class FenchelConsistencyReport:
 
 
 def fenchel_consistency(
-    measure: CondRiskMeasure,
-    duals: Sequence[DualVariable],
-    tol: float = 1e-6,
+    measure: CondRiskMeasure, duals: Sequence[DualVariable], tol: float = 1e-6
 ) -> FenchelConsistencyReport:
     """Conditional penalty vs per-block classical conjugate, dual by dual.
 
     The conditional side is the measure's closed-form penalty; the classical
-    side is the grid on each block restriction, as ``fenchel`` gives it, so
-    the two are independent.  A measure without a closed form would compare
-    the grid with itself, so it is refused with a DualityError.  Each column
-    is one ``_penalty_rows`` call for every dual, so each block is restricted
-    once per call and its grid searches run in lockstep.  A dual of the
-    wrong length is refused by name before the duals are stacked.  +inf
-    verdicts must agree exactly.
+    side is the grid of ``fenchel``, which never reads it, so the two are
+    independent.  A measure without a closed form would compare the grid
+    with itself, so it is refused with a DualityError.  Each column is one
+    ``_penalty_rows`` call for every dual: the classical one cuts the blocks
+    of each size once and searches all their (dual, block) pairs in
+    lockstep.  A dual of the wrong length is refused by name before the
+    duals are stacked.  +inf verdicts must agree exactly.
     """
     _check_tol(tol)
     if measure.closed_form_penalty is None:
-        raise DualityError(
-            f"fenchel_consistency needs a closed-form penalty; {measure.label} has none"
-        )
+        raise DualityError(f"fenchel_consistency needs a closed-form penalty; {measure.label} has none")
     duals = list(duals)
     if not duals:
         raise ValueError("fenchel_consistency needs at least one dual")
@@ -263,12 +259,8 @@ def _classical_verdicts(
     and repeats them on every block, so each block's verdict is that of its
     own restriction.
     """
-    space = measure.space
-    sizes = np.diff(space._bounds)
-    out = {i: np.zeros(space.n_blocks, dtype=bool) for i in items}
-    for k in np.unique(sizes):
-        blocks = np.flatnonzero(sizes == k)
-        part, atoms = _stacked(measure, blocks)
+    out = {i: np.zeros(measure.space.n_blocks, dtype=bool) for i in items}
+    for blocks, part, atoms in _stacks(measure):
         cut = [[RandomVariable(v.values[atoms]) for v in vs] for vs in (payoffs, probes)]
         level = None if eta is None else ConditionalValue(eta.values[blocks])
         for i, verdict in _verdicts(part, items, *cut, level, tol, seed, len(blocks)).items():

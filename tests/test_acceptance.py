@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -240,6 +241,58 @@ def test_exact_dual_budget_on_many_blocks():
         elapsed = time.perf_counter() - start
         assert all(result.converged), measure.label
         assert elapsed < 0.1, f"dual representation of {measure.label} took {elapsed:.3f}s"
+
+
+def _shuffled_blocks(seed: int, blocks: int, k: int):
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.5, 2.0, blocks * k)
+    order = np.split(rng.permutation(blocks * k) + 1, blocks)
+    return rng, cr.FiniteProbSpace(probs / probs.sum(), [b.tolist() for b in order])
+
+
+def test_fenchel_consistency_budget_on_1000_blocks():
+    # runtime gate in the style of criterion 6: 1,000 shuffled blocks of 3
+    # atoms, three admissible duals; the classical column is one grid search
+    # on the stack of the one block size, its 3,000 pairs in lockstep
+    rng, space = _shuffled_blocks(113, 1000, 3)
+    duals = [cr.admissible_dual(space, rng.uniform(0.2, 1.8, 3000)) for _ in range(3)]
+    start = time.perf_counter()
+    report = cr.fenchel_consistency(cr.cond_entropic(space, 1.3), duals)
+    elapsed = time.perf_counter() - start
+    assert report.passed and len(report.comparisons) == 3000
+    assert elapsed < 2.0, f"fenchel_consistency on 1,000 blocks took {elapsed:.2f}s"
+
+
+def test_fenchel_consistency_memory_on_1000_five_atom_blocks():
+    # the stacked search maps the unit grid onto the blocks a chunk of points
+    # at a time and polishes a chunk of dual rows at a time, so the 625-point
+    # grid on 1,000 blocks of 5 atoms (25 MB at once) is never held whole
+    rng, space = _shuffled_blocks(114, 1000, 5)
+    duals = [cr.admissible_dual(space, rng.uniform(0.2, 1.8, 5000)) for _ in range(3)]
+    measure = cr.cond_entropic(space, 1.3)
+    tracemalloc.start()
+    try:
+        report = cr.fenchel_consistency(measure, duals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16e6, f"fenchel_consistency on 1,000 blocks of 5 atoms peaked at {peak / 1e6:.1f} MB"
+
+
+def test_user_dual_budget_on_300_blocks():
+    # runtime gate in the style of criterion 6: a copy of the entropic
+    # measure without its closed form on 300 shuffled blocks of 3 atoms; each
+    # candidate dual is graded by one grid search on the stack of the blocks
+    # still short
+    rng, space = _shuffled_blocks(115, 300, 3)
+    copy = dataclasses.replace(cr.cond_entropic(space, 1.3), closed_form_penalty=None)
+    x = cr.RandomVariable(rng.normal(0.0, 2.0, 900))
+    start = time.perf_counter()
+    result = cr.dual_representation(copy, x)
+    elapsed = time.perf_counter() - start
+    assert all(result.converged) and result.warnings == []
+    assert elapsed < 1.0, f"user dual representation on 300 blocks took {elapsed:.2f}s"
 
 
 def test_user_dual_budget_on_two_five_atom_blocks():

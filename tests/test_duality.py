@@ -84,6 +84,44 @@ def test_length_mismatches_are_named(s4, call):
         call(s4)
 
 
+def test_admissible_dual_refuses_a_negative_or_massless_density(s4):
+    with pytest.raises(ValueError, match="^densities must be nonnegative$"):
+        admissible_dual(s4, [1, -1, 1, 1])
+    with pytest.raises(ValueError, match="^density has zero conditional mass on block 1$"):
+        admissible_dual(s4, [0, 0, 1, 1])
+
+
+def test_empty_payoffs_and_probes_are_refused(s4):
+    m = cond_entropic(s4, 1.0)
+    with pytest.raises(ValueError, match="^verify_representation needs at least one payoff$"):
+        verify_representation(m, [])
+    with pytest.raises(ValueError, match="^probe must be nonempty$"):
+        stable_sublevel_check(s4, penalty_map(m), ConditionalValue([1.0, 1.0]), [])
+
+
+def test_a_closed_form_below_the_conjugate_trips_the_weak_duality_guard(s4):
+    # the negated mean with its closed form lowered by 1 on block 2 keeps its
+    # exact dual oracle, whose value there is then rho(x) + 1
+    m = neg_cond_expectation(s4)
+    closed = m.closed_form_penalty
+    object.__setattr__(m, "closed_form_penalty", lambda ys: closed(ys) - np.array([0.0, 1.0]))
+    with pytest.raises(DualityError, match=r"^weak duality violated by 1\.000e\+00 for neg_expectation$"):
+        verify_representation(m, [RandomVariable([1.0, -2.0, 0.5, 3.0])])
+
+
+def test_an_anti_monotone_user_measure_gets_no_difference_dual(s4):
+    # rho(x) = E[x | F] rises with x: its differences give no density, and no
+    # fallback candidate reaches rho(x) on a block where E[x | F] is not 0
+    user = CondRiskMeasure(s4, lambda x: s4.cond_expect(x), "anti_monotone")
+    x = RandomVariable([1.0, 3.0, 2.0, 6.0])
+    assert duality._difference_duals(user, x.values) is None
+    result = dual_representation(user, x)
+    assert result.converged == [False, False]
+    assert [w.split(",")[0] for w in result.warnings] == [
+        f"block {j}: no candidate dual within {duality.ASCENT_GAP_TOL:g}" for j in (1, 2)
+    ]
+
+
 def test_fenchel_examples_neg_expectation(s4):
     ne = neg_cond_expectation(s4)
     assert np.array_equal(
@@ -161,22 +199,28 @@ def test_grid_matches_every_closed_form_on_one_block(case):
 def test_a_polish_that_never_moves_divides_its_step_by_two_to_the_scales(monkeypatch, s4, kind):
     # at an admissible dual under the cap the best point of these measures is
     # x = 0, so no compass candidate gains and each lockstep step divides the
-    # step by 2^COMPASS_SCALES until it is at most 1e-5
+    # step by 2^COMPASS_SCALES until it is at most 1e-5.  Both blocks of s4
+    # hold 2 atoms: one stack, whose two pairs are polished in one lockstep
     measure = BUILTIN_FACTORIES[kind](s4, **{"lambda": 0.5})
-    calls = spy_calls(monkeypatch, duality, "_risks")
     refine, polishes = duality._compass_refine, []
 
-    def counted(measure, weights, points, steps, best):
-        first, before = float(steps[0]), len(calls)
-        refine(measure, weights, points, steps, best)
-        polishes.append((first, len(calls) - before, points.copy()))
+    def counted(objective, rows, per, points, steps, best):
+        first, calls = steps.copy(), []
+
+        def step(pairs, cand):
+            calls.append(pairs)
+            return objective(pairs, cand)
+
+        refine(step, rows, per, points, steps, best)
+        polishes.append((first, len(calls), points.copy()))
 
     monkeypatch.setattr(duality, "_compass_refine", counted)
     fenchel(measure, DualVariable([-1.5, -0.5, -1.0, -1.0]))
-    assert len(polishes) == 2
-    for first, steps, points in polishes:
-        bound = math.ceil(math.log2(first / 1e-5) / duality.COMPASS_SCALES) + 1
-        assert 0 < steps <= bound and not points.any()
+    assert len(polishes) == 1
+    first, steps, points = polishes[0]
+    assert first.shape == (2,) and (first > 0).all()
+    bound = math.ceil(math.log2(first.max() / 1e-5) / duality.COMPASS_SCALES) + 1
+    assert 0 < steps <= bound and not points.any()
 
 
 def test_a_padded_restriction_grid_holds_no_rows_by_atoms_array():
@@ -223,11 +267,11 @@ def test_grid_conjugate_is_infinite_just_off_the_density_simplex():
         zs[row, i] += shift
     # the admissible row and the twelve shifted ones in one lockstep call
     values, _, rays = duality._block_conjugate_grid(ent, zs)
-    assert rays[0] is None
-    assert abs(values[0] - ent.closed_form_penalty(y[None])[0, 0]) <= 1e-6
+    assert values.shape == (len(zs), 1) and np.isnan(rays[0]).all()
+    assert abs(values[0, 0] - ent.closed_form_penalty(y[None])[0, 0]) <= 1e-6
     for row, (i, shift) in enumerate(shifts, start=1):
         assert math.isinf(ent.closed_form_penalty(zs[row][None])[0, 0])
-        assert math.isinf(values[row])
+        assert math.isinf(values[row, 0])
         assert np.allclose(rays[row], math.copysign(1.0, shift) / math.sqrt(3.0))
 
 
@@ -242,60 +286,70 @@ def test_grid_conjugate_is_infinite_a_hair_off_the_density_simplex(kind):
     zs = y * (1.0 - gaps[:, None])  # E[z] + 1 = gap on each row
     assert np.isinf(measure.closed_form_penalty(zs)).all()
     values, _, rays = duality._block_conjugate_grid(measure, zs)
-    for gap, value, ray in zip(gaps, values, rays):
+    for gap, value, ray in zip(gaps, values[:, 0], rays):
         assert math.isinf(value), (gap, value)
         assert np.allclose(ray, math.copysign(1.0, gap) / math.sqrt(3.0))
 
 
 @st.composite
 def lockstep_cases(draw):
-    """A measure on one block of 1-5 atoms, one of the four built-ins or a
-    padded restriction of a copy without closed form or of ``user_entropic``,
-    and 1-4 rows of duals: admissible, off the density simplex by 1e-7
-    either way, or with one positive entry."""
+    """A stack of 1-4 shuffled blocks of 1-5 atoms (``riskcore._stacked``) of
+    one of the four built-ins, a copy without closed form or
+    ``user_entropic``, with a block of 2 atoms outside it, or a measure on
+    one block in order, which is its own stack; the measure it is cut from,
+    its blocks, and 1-4 rows of duals on the stack whose part on each block
+    is admissible, off the density simplex by 1e-7 either way, or has one
+    positive entry."""
     k = draw(st.sampled_from([1, 2, 3, 4, 5]))
-    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=k + 2, max_size=k + 2)), float)
+    size = draw(st.integers(1, 4))
+    alone = size == 1 and draw(st.booleans())
+    n = size * k + (0 if alone else 2)
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), float)
+    atoms = list(range(1, n + 1)) if alone else draw(st.permutations(range(1, n + 1)))
+    cuts = [atoms[a : a + k] for a in range(0, size * k, k)] + [atoms[size * k :]] * (not alone)
+    space = FiniteProbSpace(weights / weights.sum(), cuts)
     kind = draw(st.sampled_from(sorted(BUILTIN_FACTORIES) + ["hookless", "user"]))
     params = {"gamma": draw(st.sampled_from([0.4, 1.3, 3.0])), "lambda": draw(st.sampled_from([0.2, 0.5, 1.0]))}
-    if kind in ("hookless", "user"):
-        # block 1 of two, through the padded restriction of a user copy or
-        # of a user batch function that rounds by batch size
-        space = FiniteProbSpace(weights / weights.sum(), [list(range(1, k + 1)), [k + 1, k + 2]])
-        if kind == "user":
-            measure = user_entropic(space, params["gamma"]).restrict(1)
-        else:
-            measure = _hookless(BUILTIN_FACTORIES["entropic"](space, **params)).restrict(1)
+    if kind == "user":
+        measure = user_entropic(space, params["gamma"])
+    elif kind == "hookless":
+        measure = _hookless(BUILTIN_FACTORIES["entropic"](space, **params))
     else:
-        space = FiniteProbSpace(weights[:k] / weights[:k].sum(), [list(range(1, k + 1))])
         measure = BUILTIN_FACTORIES[kind](space, **params)
+    blocks = np.arange(size)
+    stack = riskcore._stacked(measure, blocks)[0]
     ys = []
     for _ in range(draw(st.integers(1, 4))):
-        dens = np.array(draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)), float)
-        dens[draw(st.integers(0, k - 1))] += 1.0
-        y = admissible_dual(measure.space, dens).values.copy()
-        shape = draw(st.sampled_from(["admissible", "off", "positive"]))
-        if shape == "off":
-            y = y * (1.0 + draw(st.sampled_from([1e-7, -1e-7])))
-        elif shape == "positive":
-            y[draw(st.integers(0, k - 1))] = draw(st.sampled_from([0.25, 1.0]))
-        ys.append(y)
-    return measure, np.array(ys)
+        dens = np.array(draw(st.lists(st.integers(0, 6), min_size=size * k, max_size=size * k)), float).reshape(size, k)
+        dens[blocks, draw(st.lists(st.integers(0, k - 1), min_size=size, max_size=size))] += 1.0
+        y = admissible_dual(stack.space, dens.ravel()).values.reshape(size, k).copy()
+        for a in blocks:
+            shape = draw(st.sampled_from(["admissible", "off", "positive"]))
+            if shape == "off":
+                y[a] *= 1.0 + draw(st.sampled_from([1e-7, -1e-7]))
+            elif shape == "positive":
+                y[a, draw(st.integers(0, k - 1))] = draw(st.sampled_from([0.25, 1.0]))
+        ys.append(y.ravel())
+    return measure, blocks, stack, np.array(ys)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(lockstep_cases())
 def test_lockstep_grid_rows_are_one_row_calls(case):
-    # every row's value, point and ray are those of a one-row call, bit for bit
-    measure, ys = case
-    values, points, rays = duality._block_conjugate_grid(measure, ys)
-    assert values.shape == (len(ys),) and points.shape == ys.shape and len(rays) == len(ys)
-    for y, value, point, ray in zip(ys, values, points, rays):
-        alone = duality._block_conjugate_grid(measure, y[None])
-        assert value == alone[0][0] or (math.isnan(value) and math.isnan(alone[0][0]))
+    # every (row, block) pair's value, point and ray are those of a one-row
+    # call on its block's restriction, bit for bit
+    measure, blocks, stack, ys = case
+    values, points, rays = duality._block_conjugate_grid(stack, ys)
+    k = ys.shape[1] // len(blocks)
+    assert values.shape == (len(ys), len(blocks)) and points.shape == ys.shape and rays.shape == ys.shape
+    for i, a in itertools.product(range(len(ys)), blocks):
+        cut = slice(a * k, (a + 1) * k)
+        value, point, ray = values[i, a], points[i, cut], rays[i, cut]
+        alone = duality._block_conjugate_grid(measure.restrict(a + 1), ys[None, i, cut])
+        assert value == alone[0][0, 0] or (math.isnan(value) and math.isnan(alone[0][0, 0]))
         assert np.array_equal(point, alone[1][0]) and np.array_equal(np.signbit(point), np.signbit(alone[1][0]))
-        assert (ray is None) == (alone[2][0] is None)
-        assert ray is None or np.array_equal(ray, alone[2][0])
-        assert (ray is None) == math.isfinite(value)
+        assert np.array_equal(ray, alone[2][0], equal_nan=True)
+        assert np.isnan(ray).all() == math.isfinite(value)
 
 
 @pytest.mark.parametrize("user", [False, True])
@@ -1117,14 +1171,28 @@ def test_a_hookless_user_grades_only_the_blocks_still_short():
     assert -result.maximizer.values[:3] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
 
-def test_a_hookless_row_form_restricts_each_block_once(space8):
+def test_a_hookless_row_form_cuts_each_block_size_once(monkeypatch, space8):
+    # space8 holds two blocks of 3 atoms and one of 2: one cut per size
     copy = _hookless(cond_entropic(space8, 1.5))
     vs = np.vstack([-np.ones(8), admissible_dual(space8, np.arange(1.0, 9.0)).values, -np.ones(8)])
-    restrict = CondRiskMeasure.restrict
-    with mock.patch.object(CondRiskMeasure, "restrict", autospec=True, side_effect=restrict) as spy:
-        rows = penalty_map(copy).rows(vs)
-    assert spy.call_count == space8.n_blocks
+    calls = spy_calls(monkeypatch, riskcore, "_stacked")
+    rows = penalty_map(copy).rows(vs)
+    assert [blocks.tolist() for _, blocks in calls] == [[2], [0, 1]]
     assert rows.shape == (3, space8.n_blocks) and np.array_equal(rows[0], rows[2])
+
+
+@pytest.mark.parametrize("marked", [[True, True, True], [True, False, True], [False, False, True], [False, False, False]])
+def test_penalty_rows_cut_each_marked_block_size_once(monkeypatch, space8, marked):
+    # one stack per size among the marked blocks, and +inf on the others
+    copy = _hookless(cond_entropic(space8, 1.5))
+    ys = np.stack([admissible_dual(space8, d).values for d in (np.ones(8), np.arange(1.0, 9.0))])
+    calls = spy_calls(monkeypatch, riskcore, "_stacked")
+    pen = duality._penalty_rows(copy, ys, blocks=np.array(marked))
+    sizes = np.diff(space8._bounds)
+    assert len(calls) == len(set(sizes[marked].tolist()))
+    assert sorted(j for _, blocks in calls for j in blocks.tolist()) == np.flatnonzero(marked).tolist()
+    assert np.isinf(pen[:, ~np.array(marked)]).all() and np.isfinite(pen[:, marked]).all()
+    assert np.array_equal(pen[:, marked], duality._penalty_rows(copy, ys)[:, marked])
 
 
 def test_coherent_copies_at_payoff_scale_1e5_converge_on_exact_candidates():

@@ -27,10 +27,10 @@ from condrisk import (
     verify_representation,
     young_power,
 )
-from condrisk import transfer
+from condrisk import riskcore, transfer
 from condrisk.duality import DualityError
 from condrisk.transfer import ScalarizeError
-from _helpers import ceil_measure, spy_calls
+from _helpers import ceil_measure, spy_calls, user_entropic
 
 LOG2 = math.log(2.0)
 
@@ -222,14 +222,14 @@ def test_fenchel_consistency_refuses_a_dual_of_the_wrong_length(s4):
             fenchel_consistency(cond_entropic(s4, 1.0), duals)
 
 
-def test_fenchel_consistency_restricts_each_block_once(monkeypatch, space8):
-    # the classical column is one row call for all five duals: three
-    # restrictions, one per block, where one grid call per dual made fifteen
+def test_fenchel_consistency_cuts_each_block_size_once(monkeypatch, space8):
+    # the classical column is one row call for all five duals: one stack per
+    # block size, two on space8
     rng = np.random.default_rng(8)
     duals = [admissible_dual(space8, rng.uniform(0.2, 1.8, 8)) for _ in range(5)]
-    calls = spy_calls(monkeypatch, CondRiskMeasure, "restrict")
+    calls = spy_calls(monkeypatch, riskcore, "_stacked")
     assert fenchel_consistency(cond_avar(space8, 0.4), duals).passed
-    assert [j for _, j in calls] == [1, 2, 3]
+    assert [blocks.tolist() for _, blocks in calls] == [[2], [0, 1]]
 
 
 def test_transfer_verify_builtins(s4):
@@ -398,3 +398,16 @@ def test_transfer_report_shape(s4):
     assert set(d["items"]) == {"1", "7"}
     assert set(d["items"]["1"]) == {"name", "conditional", "per_atom", "equivalence"}
     assert d["items"]["7"]["qualifier"] == "at probe resolution"
+
+
+def test_a_batch_that_rounds_a_row_by_its_place_passes_the_padding_check():
+    # user_entropic's batch is one matrix-vector product over its rows, so a
+    # row's last bit may depend on its place in the batch; each filled probe
+    # row is evaluated in the place its probe holds alone, so a stack of two
+    # 5-atom blocks is not refused for that rounding
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.2, 2.0, 10)
+        space = FiniteProbSpace(p / p.sum(), [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
+        report = transfer_verify(user_entropic(space, 1.3), [3], [RandomVariable(rng.normal(0.0, 1.0, 10))])
+        assert report.all_equivalences_hold

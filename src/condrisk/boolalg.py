@@ -71,11 +71,13 @@ class BooleanAlgebra:
 
 
 # _BYTE_ATOMS[k][b]: the atoms, ascending, of byte value b at byte k of a mask
-# (k < 8, so up to 64 atoms); _BYTE_SETS: byte 0's as shared frozensets
+# (k < 8, so up to 64 atoms); _BYTE_SETS and _BYTE1_SETS: bytes 0's and 1's
+# as shared frozensets
 _BYTE_ATOMS = tuple(
     tuple(tuple(8 * k + i + 1 for i in range(8) if b >> i & 1) for b in range(256)) for k in range(8)
 )
 _BYTE_SETS = tuple(map(frozenset, _BYTE_ATOMS[0]))
+_BYTE1_SETS = tuple(map(frozenset, _BYTE_ATOMS[1]))
 
 
 def mask_atoms(mask: int) -> list:
@@ -128,6 +130,8 @@ class BoolElem:
         mask = self.mask
         if mask < 256:
             return _BYTE_SETS[mask]
+        if mask < 65536:
+            return _BYTE_SETS[mask & 255] | _BYTE1_SETS[mask >> 8]
         return frozenset(mask_atoms(mask))
 
     def _same(self, other: "BoolElem") -> None:

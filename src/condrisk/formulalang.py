@@ -9,8 +9,11 @@ oracle for the Boolean-valued route.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Union
+
+import numpy as np
 
 from .boolalg import BoolElem
 from .bvm import (
@@ -344,38 +347,170 @@ def evaluate(f: Formula, env: Optional[Mapping[str, Name]] = None) -> BoolElem:
     return uni.algebra.from_mask(rec(f, dict(env)))
 
 
-def collapse_eval(f: Formula, atom: int, env: Optional[Mapping[str, Name]] = None) -> bool:
-    """Two-valued evaluation at one atom, over collapsed hereditary finite sets."""
-    env = dict(env or {})
+# -- two-valued evaluation at one atom -------------------------------------------
+# collapse_eval stages a formula once as closures run(at, env, m): ``at`` is
+# the atom's 0-based index, ``env`` maps the free variables to names and
+# ``m[d]`` holds the member bound at quantifier depth d.  A literal reads its
+# name's collapses at ``at``.  None of it reads the truth tables.
 
-    def term(t: Term, scope) -> frozenset:
+# the closure of each node type, built from its subformulas' closures, or for
+# an atomic formula from its two terms' readers
+_NODE = {
+    Eq: lambda left, right: lambda at, env, m: left(at, env, m) == right(at, env, m),
+    In: lambda left, right: lambda at, env, m: left(at, env, m) in right(at, env, m),
+    Not: lambda body: lambda at, env, m: not body(at, env, m),
+    And: lambda left, right: lambda at, env, m: left(at, env, m) and right(at, env, m),
+    Or: lambda left, right: lambda at, env, m: left(at, env, m) or right(at, env, m),
+    Implies: lambda left, right: lambda at, env, m: (not left(at, env, m)) or right(at, env, m),
+}
+
+# atomic formulas whose terms are read in place: a literal's collapses ``a``
+# at ``at``, or the member bound at depth ``k``
+_READ_BOTH = {
+    (Eq, "lit", "lit"): lambda a, b: lambda at, env, m: a[at] == b[at],
+    (Eq, "lit", "bound"): lambda a, k: lambda at, env, m: a[at] == m[k],
+    (Eq, "bound", "lit"): lambda j, b: lambda at, env, m: m[j] == b[at],
+    (Eq, "bound", "bound"): lambda j, k: lambda at, env, m: m[j] == m[k],
+    (In, "lit", "lit"): lambda a, b: lambda at, env, m: a[at] in b[at],
+    (In, "lit", "bound"): lambda a, k: lambda at, env, m: a[at] in m[k],
+    (In, "bound", "lit"): lambda j, b: lambda at, env, m: m[j] in b[at],
+    (In, "bound", "bound"): lambda j, k: lambda at, env, m: m[j] in m[k],
+}
+
+
+def _reader(kind, x):
+    """The closure that reads a staged term."""
+    if kind == "lit":
+        return lambda at, env, m: x[at]
+    if kind == "bound":
+        return lambda at, env, m: m[x]
+    return x
+
+
+def _read_by_collapse(name):
+    return lambda at, env, m: atom_collapse(name, at)
+
+
+def _read_free(var, by_collapse):
+    """A free variable's reader: it looks the name up in ``env`` each time."""
+
+    def read(at, env, m):
+        if var not in env:
+            raise FormulaError(f"no binding for {var!r}")
+        return atom_collapse(env[var], at) if by_collapse else env[var].collapses[at]
+
+    return read
+
+
+def _quantifier(forall, domain, d, body):
+    # every closure returns a bool, so one member whose body is not ``forall``
+    # decides the quantifier
+    def run(at, env, m):
+        for s in domain(at, env, m):
+            m[d] = s
+            if body(at, env, m) is not forall:
+                return not forall
+        return forall
+
+    return run
+
+
+def _stage(f: Formula, by_collapse: bool = False) -> tuple:
+    """``f`` as closures ``run(at, env, m)``, with the algebra of its
+    literals (None if it has none, False if they have several), its free
+    variables and its quantifier depth.
+
+    With ``by_collapse``, ``at`` is the atom itself, and each literal and
+    free variable reads it through ``atom_collapse`` when the walk gets there.
+    """
+    algebras: set = set()
+    free: set = set()
+    depth = 0
+
+    def term(t: Term, bound: dict) -> tuple:
         if isinstance(t, Lit):
-            return atom_collapse(t.name, atom)
-        if t.name in scope:
-            return scope[t.name]
-        if t.name in env:
-            return atom_collapse(env[t.name], atom)
-        raise FormulaError(f"no binding for {t.name!r}")
+            algebras.add(t.name.universe.algebra)
+            if by_collapse:
+                return "read", _read_by_collapse(t.name)
+            return "lit", t.name.collapses
+        if t.name in bound:
+            return "bound", bound[t.name]
+        free.add(t.name)
+        return "read", _read_free(t.name, by_collapse)
 
-    def rec(node: Formula, scope) -> bool:
-        if isinstance(node, Eq):
-            return term(node.left, scope) == term(node.right, scope)
-        if isinstance(node, In):
-            return term(node.left, scope) in term(node.right, scope)
-        if isinstance(node, Not):
-            return not rec(node.body, scope)
-        if isinstance(node, And):
-            return rec(node.left, scope) and rec(node.right, scope)
-        if isinstance(node, Or):
-            return rec(node.left, scope) or rec(node.right, scope)
-        if isinstance(node, Implies):
-            return (not rec(node.left, scope)) or rec(node.right, scope)
-        domain = term(node.domain, scope)
-        if isinstance(node, ForallIn):
-            return all(rec(node.body, {**scope, node.var: s}) for s in domain)
-        return any(rec(node.body, {**scope, node.var: s}) for s in domain)
+    def rec(node: Formula, bound: dict):
+        nonlocal depth
+        kind = type(node)
+        if kind is Eq or kind is In:
+            lk, lx = term(node.left, bound)
+            rk, rx = term(node.right, bound)
+            both = _READ_BOTH.get((kind, lk, rk))
+            if both is not None:
+                return both(lx, rx)
+            return _NODE[kind](_reader(lk, lx), _reader(rk, rx))
+        if kind is Not:
+            return _NODE[Not](rec(node.body, bound))
+        if kind is ForallIn or kind is ExistsIn:
+            domain = _reader(*term(node.domain, bound))
+            d = len(bound)
+            if d == depth:
+                depth += 1
+            return _quantifier(kind is ForallIn, domain, d, rec(node.body, {**bound, node.var: d}))
+        return _NODE[kind](rec(node.left, bound), rec(node.right, bound))
 
-    return rec(f, {})
+    run = rec(f, {})
+    algebra = False if len(algebras) > 1 else algebras.pop() if algebras else None
+    return run, algebra, tuple(free), depth
+
+
+def _atom_index(atom, algebra, free, env) -> Optional[int]:
+    """The 0-based index of ``atom`` if every name the walk may reach, the
+    literals' and the bound free variables', has one algebra and ``atom`` is
+    one of its atoms; otherwise None."""
+    for var in free:
+        if var in env:
+            u = env[var]
+            if not isinstance(u, Name) or algebra is not None and u.universe.algebra is not algebra:
+                return None
+            algebra = u.universe.algebra
+    if not algebra:
+        return None
+    if isinstance(atom, BoolElem):
+        mask = atom.mask
+        if atom.algebra is algebra and mask and not mask & (mask - 1):
+            return mask.bit_length() - 1
+        return None
+    if isinstance(atom, (bool, np.bool_)):
+        return None
+    try:
+        index = operator.index(atom)
+    except TypeError:
+        return None
+    return index - 1 if 1 <= index <= algebra.atom_count else None
+
+
+def collapse_eval(f: Formula, atom: int, env: Optional[Mapping[str, Name]] = None) -> bool:
+    """Two-valued evaluation at one atom, over collapsed hereditary finite sets.
+
+    The first call on a formula object stages it and keeps the closures on
+    it, in an attribute that nodes neither compare nor print.
+    """
+    try:
+        stage = f._collapse_stage
+    except AttributeError:
+        stage = _stage(f)
+        object.__setattr__(f, "_collapse_stage", stage)
+    run, algebra, free, depth = stage
+    if type(atom) is int and not free and algebra and 0 < atom <= algebra.atom_count:
+        at = atom - 1
+    else:
+        env = env or {}
+        at = _atom_index(atom, algebra, free, env)
+        if at is None:
+            # some name the walk may reach reads the atom otherwise or refuses
+            # it: each reads it through atom_collapse, when the walk gets there
+            run, at = _stage(f, by_collapse=True)[0], atom
+    return run(at, env, [None] * depth)
 
 
 def witness(f: Formula, var: str, bound: Name, env: Optional[Mapping[str, Name]] = None) -> Name:

@@ -7,8 +7,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from condrisk import ConditionalValue, CondRiskMeasure, Universe
-from condrisk.formulalang import And, Eq, ExistsIn, ForallIn, Implies, In, Lit, Not, Or, Var
+from condrisk import ConditionalValue, CondRiskMeasure, Universe, atom_collapse
+from condrisk.formulalang import (
+    And,
+    Eq,
+    ExistsIn,
+    ForallIn,
+    FormulaError,
+    Implies,
+    In,
+    Lit,
+    Not,
+    Or,
+    Var,
+)
 
 
 def random_name(universe: Universe, rng, max_rank: int, max_width: int = 3):
@@ -549,3 +561,42 @@ def reference_truth(universe: Universe) -> SimpleNamespace:
         return eq_memo.setdefault(key, acc)
 
     return SimpleNamespace(truth_eq=truth_eq, truth_in=truth_in)
+
+
+# -- per-call reference for collapse_eval -----------------------------------------
+# The two-valued evaluation as it ran before formulas were staged: one walk of
+# the syntax tree per call, each literal read through atom_collapse.
+
+
+def reference_collapse_eval(f, atom, env=None) -> bool:
+    """Two-valued evaluation at one atom, over collapsed hereditary finite sets."""
+    env = dict(env or {})
+
+    def term(t, scope) -> frozenset:
+        if isinstance(t, Lit):
+            return atom_collapse(t.name, atom)
+        if t.name in scope:
+            return scope[t.name]
+        if t.name in env:
+            return atom_collapse(env[t.name], atom)
+        raise FormulaError(f"no binding for {t.name!r}")
+
+    def rec(node, scope) -> bool:
+        if isinstance(node, Eq):
+            return term(node.left, scope) == term(node.right, scope)
+        if isinstance(node, In):
+            return term(node.left, scope) in term(node.right, scope)
+        if isinstance(node, Not):
+            return not rec(node.body, scope)
+        if isinstance(node, And):
+            return rec(node.left, scope) and rec(node.right, scope)
+        if isinstance(node, Or):
+            return rec(node.left, scope) or rec(node.right, scope)
+        if isinstance(node, Implies):
+            return (not rec(node.left, scope)) or rec(node.right, scope)
+        domain = term(node.domain, scope)
+        if isinstance(node, ForallIn):
+            return all(rec(node.body, {**scope, node.var: s}) for s in domain)
+        return any(rec(node.body, {**scope, node.var: s}) for s in domain)
+
+    return rec(f, {})

@@ -104,6 +104,16 @@ def test_atoms_from_the_byte_table_match_the_bit_loop(mask):
         assert algebra.from_mask(mask).atoms is algebra.from_mask(mask).atoms
 
 
+def test_atoms_of_every_mask_of_16_atoms_match_the_byte_table():
+    # below 2^16 .atoms is the union of one shared set per byte
+    algebra = BooleanAlgebra(16)
+    for mask in range(1 << 16):
+        assert algebra.from_mask(mask).atoms == frozenset(mask_atoms(mask)), mask
+    assert algebra.from_mask(0x2305).atoms == {1, 3, 9, 10, 14}
+    assert algebra.from_mask(0x2300).atoms == {9, 10, 14}
+    assert BooleanAlgebra(17).from_mask(1 << 16).atoms == {17}
+
+
 def test_elements_in_mask_order():
     for m in (1, 2, 3, 4, 5):
         alg = BooleanAlgebra(m)

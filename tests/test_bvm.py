@@ -75,6 +75,17 @@ def test_atom_collapse_example(u2, a2):
         atom_collapse(u, a2.one)
 
 
+def test_make_name_refuses_foreign_children_and_values(u2, a2):
+    other = Universe(BooleanAlgebra(2))
+    for child in (other.empty, "empty", None):
+        with pytest.raises(UniverseError, match=r"^child names must belong to this universe$"):
+            u2.make_name({child: a2.one})
+    with pytest.raises(AlgebraMismatchError, match=r"^entry value from a different algebra$"):
+        u2.make_name({u2.empty: other.algebra.one})
+    # a refused entry leaves the registry as it was
+    assert len(u2._registry) == 1
+
+
 def test_atom_collapse_refuses_foreign_atoms_and_non_integral_indices(u2, a2):
     from condrisk import collapse_eval
     from condrisk.formulalang import In, Lit

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_formula, random_name
+from _helpers import random_formula, random_name, reference_collapse_eval, spy_calls
 from condrisk import (
     BooleanAlgebra,
     PartitionOfUnity,
@@ -19,15 +19,19 @@ from condrisk import (
     print_formula,
     witness,
 )
-from condrisk import bvm
+from condrisk import bvm, formulalang
+from condrisk.boolalg import AlgebraMismatchError
 from condrisk.bvm import LITERAL_MEMO_CAP, name_to_literal, parse_name_literal, scan
 from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
     _PUNCT,
     And,
     Eq,
+    ExistsIn,
     ForallIn,
     FormulaError,
+    Implies,
+    In,
     Lit,
     Not,
     Or,
@@ -228,6 +232,26 @@ def test_parse_error_messages_and_positions(u2, grammar, text, message, pos):
             parse(text, u2, free_names={"x"})
     assert err.value.pos == pos
     assert str(err.value) == f"{message} (at position {pos})"
+
+
+def test_print_formula_refuses_what_is_not_a_formula(u2):
+    with pytest.raises(TypeError, match=r"^not a formula node: Lit\("):
+        print_formula(Lit(u2.empty))
+    with pytest.raises(TypeError, match=r"^not a formula node: Var\(name='x'\)$"):
+        print_formula(Not(Var("x")))
+
+
+def test_evaluate_infers_the_universe_past_terms_without_names(u2):
+    # the universe comes from the first literal in the walk, past an atomic
+    # formula of variables and a quantifier bounded by a variable; the
+    # variables are then refused as unbound
+    lit = Eq(Lit(u2.empty), Lit(u2.empty))
+    with pytest.raises(FormulaError, match=r"^no binding for 'x'$"):
+        evaluate(Or(Eq(Var("x"), Var("x")), lit))
+    with pytest.raises(FormulaError, match=r"^no binding for 'w'$"):
+        evaluate(ForallIn("y", Var("w"), lit))
+    with pytest.raises(FormulaError, match=r"^cannot infer the universe: no name appears in the formula$"):
+        evaluate(ExistsIn("y", Var("w"), Eq(Var("y"), Var("w"))))
 
 
 def test_evaluate_refuses_a_bound_from_another_universe(u2):
@@ -451,3 +475,132 @@ def test_witness_on_a_bound_with_an_empty_atom(u2):
         assert collapse_eval(f, atom, {"x": wit}) == collapse_eval(exists, atom, {"v": v}), atom
     with pytest.raises(bvm.WitnessError):
         witness(parse("x = x", u2, free_names={"x"}), "x", v)
+
+
+# -- the staged collapse_eval against the per-call walk ----------------------------
+
+
+def _eval_outcome(evaluate_at, f, atom, env):
+    try:
+        return evaluate_at(f, atom, env)
+    except Exception as exc:  # the refusal must match in type and message
+        return type(exc), str(exc)
+
+
+@st.composite
+def collapse_cases(draw):
+    """A random formula (depth <= 3) over up to four names of 8 or 16 atoms,
+    the free variables x and y and bound ones, an environment binding some
+    of x and y, and, if ``mixed``, literals of a second, 4-atom universe."""
+    m = draw(st.sampled_from((8, 16)))
+    recipes = [_recipe(draw, m, 3) for _ in range(draw(st.integers(1, 4)))]
+    mixed = draw(st.integers(0, 3)) == 0
+
+    def term(scope):
+        kind = draw(st.integers(0, 3 if mixed else 2))
+        if kind == 0:
+            return Lit, draw(st.integers(0, len(recipes) - 1))
+        if kind == 3:
+            return "other", draw(st.integers(0, len(recipes) - 1))
+        return Var, draw(st.sampled_from(scope + ("x", "y")))
+
+    def formula(depth, scope):
+        kind = draw(st.integers(0, 7 if depth else 1))
+        if kind < 2:
+            return (Eq, In)[kind], term(scope), term(scope)
+        if kind == 2:
+            return Not, formula(depth - 1, scope)
+        if kind < 6:
+            return (And, Or, Implies)[kind - 3], formula(depth - 1, scope), formula(depth - 1, scope)
+        # a binder may shadow a free variable or an outer binder
+        var = draw(st.sampled_from((f"v{len(scope)}", "v0", "x")))
+        return (ForallIn, ExistsIn)[kind - 6], var, term(scope), formula(depth - 1, scope + (var,))
+
+    env = {v: _recipe(draw, m, 3) for v in draw(st.lists(st.sampled_from("xy"), unique=True))}
+    return m, recipes, formula(3, ()), env
+
+
+def _collapse_case(m, recipes, skeleton, env_recipes):
+    uni, other = Universe(BooleanAlgebra(m)), Universe(BooleanAlgebra(4))
+    names = [_build(uni, r) for r in recipes]
+    others = [other.canonical_name(h) for h in ([], [[]], [[[]]], [[], [[]]])]
+
+    def build(node):
+        head, *rest = node
+        if head is Lit:
+            return Lit(names[rest[0]])
+        if head == "other":
+            return Lit(others[rest[0]])
+        if head is Var:
+            return Var(rest[0])
+        return head(*(r if isinstance(r, str) else build(r) for r in rest))
+
+    env = {v: _build(uni, r) for v, r in env_recipes.items()}
+    return uni, other, build(skeleton), env
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(collapse_cases())
+def test_staged_collapse_eval_matches_the_walk_at_every_atom(case):
+    uni, other, f, env = _collapse_case(*case)
+    alg = uni.algebra
+    m = alg.atom_count
+    atoms = [a for i in range(1, m + 1) for a in (i, np.int64(i), np.uint8(i), alg.atom(i))]
+    # refusals: a bool, indices out of range, elements that are no atom or
+    # come from another algebra, a non-integral index
+    atoms += [True, np.bool_(False), 0, -1, m + 1, 2.0, alg.from_mask(0), alg.from_mask(3),
+              other.algebra.atom(1)]
+    for atom in atoms:
+        expected = _eval_outcome(reference_collapse_eval, f, atom, env)
+        assert _eval_outcome(collapse_eval, f, atom, env) == expected, (atom, print_formula(f))
+
+
+def test_collapse_eval_refuses_as_the_walk_does_and_where_it_does():
+    uni, other = Universe(BooleanAlgebra(8)), Universe(BooleanAlgebra(4))
+    u, w = uni.canonical_name([[]]), other.canonical_name([[]])
+    same, later = Eq(Lit(u), Lit(u)), Eq(Var("x"), Lit(u))
+    cases = [
+        (same, True, TypeError, "an atom index must be an integer, not a bool"),
+        (same, 0, ValueError, "atom 0 outside 1..8"),
+        (same, np.int16(9), ValueError, "atom 9 outside 1..8"),
+        (same, uni.algebra.from_mask(6), ValueError, "collapse needs a single atom"),
+        (same, other.algebra.atom(1), AlgebraMismatchError, "atom from a different algebra"),
+        (later, 1, FormulaError, "no binding for 'x'"),
+        # the walk reaches the 4-atom literal only after the 8-atom one fails
+        (Or(Not(same), Eq(Lit(w), Lit(w))), 6, ValueError, "atom 6 outside 1..4"),
+        (Or(Not(same), Eq(Lit(w), Lit(w))), uni.algebra.atom(2), AlgebraMismatchError,
+         "atom from a different algebra"),
+    ]
+    for f, atom, kind, message in cases:
+        for evaluate_at in (collapse_eval, reference_collapse_eval):
+            with pytest.raises(kind) as err:
+                evaluate_at(f, atom)
+            assert str(err.value) == message
+    # a fault the walk never reaches raises nothing
+    assert collapse_eval(Or(same, later), 3) is True
+    assert collapse_eval(Or(same, Eq(Lit(w), Lit(w))), 6) is True
+    assert collapse_eval(And(Not(same), Eq(Lit(w), Lit(w))), uni.algebra.atom(7)) is False
+
+
+def test_collapse_eval_stages_each_formula_once(monkeypatch):
+    uni = Universe(BooleanAlgebra(16))
+    rng = np.random.default_rng(37)
+    f = random_formula(uni, rng, 3)
+    staged = spy_calls(monkeypatch, formulalang, "_stage")
+    truth = evaluate(f)
+    assert [a in truth.atoms for a in range(1, 17)] == [collapse_eval(f, a) for a in range(1, 17)]
+    assert len(staged) == 1
+    again = dataclasses.replace(f)
+    assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
+    collapse_eval(again, 1)
+    assert len(staged) == 2  # a new object is staged anew; no cache outside it
+
+
+def test_a_closed_formula_reads_no_collapse_through_atom_collapse(monkeypatch):
+    uni = Universe(BooleanAlgebra(8))
+    rng = np.random.default_rng(38)
+    formulas = [random_formula(uni, rng, 3) for _ in range(20)]
+    expected = [[reference_collapse_eval(f, a) for a in range(1, 9)] for f in formulas]
+    reads = spy_calls(monkeypatch, formulalang, "atom_collapse")
+    assert [[collapse_eval(f, a) for a in range(1, 9)] for f in formulas] == expected
+    assert reads == []

@@ -59,10 +59,7 @@ class Name:
         self.collapses = collapses
 
     def collapse_at(self, atom: int) -> frozenset:
-        m = len(self.collapses)
-        if not 1 <= atom <= m:
-            raise ValueError(f"atom {atom} outside 1..{m}")
-        return self.collapses[atom - 1]
+        return self.collapses[atom_position(self.universe.algebra, atom) - 1]
 
     def __repr__(self):
         try:
@@ -466,22 +463,32 @@ def canonical_name(universe: Universe, h) -> Name:
     return universe.canonical_name(h)
 
 
-def atom_collapse(u: Name, atom) -> frozenset:
-    """Two-valued evaluation of a name at an atom (1-based index or atom element).
+def atom_position(algebra: BooleanAlgebra, atom) -> int:
+    """The 1-based index of an atom of ``algebra``, given as an index or as
+    an atom element.
 
-    An index is any integer but a bool; an element must be one atom of the
-    name's algebra.
+    An index is any integer but a bool; an element must be one atom of
+    ``algebra``.
     """
     if isinstance(atom, BoolElem):
-        if atom.algebra is not u.universe.algebra:
+        if atom.algebra is not algebra:
             raise AlgebraMismatchError("atom from a different algebra")
         mask = atom.mask
         if not mask or mask & (mask - 1):
             raise ValueError("collapse needs a single atom")
-        return u.collapse_at(mask.bit_length())
+        return mask.bit_length()
     if isinstance(atom, (bool, np.bool_)):
         raise TypeError("an atom index must be an integer, not a bool")
-    return u.collapse_at(operator.index(atom))
+    index = operator.index(atom)
+    if not 1 <= index <= algebra.atom_count:
+        raise ValueError(f"atom {index} outside 1..{algebra.atom_count}")
+    return index
+
+
+def atom_collapse(u: Name, atom) -> frozenset:
+    """Two-valued evaluation of a name at an atom (1-based index or atom
+    element, as ``atom_position`` takes it)."""
+    return u.collapse_at(atom)
 
 
 def maximum_witness(phi: Callable[[Name], BoolElem], v: Name) -> Name:

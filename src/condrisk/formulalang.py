@@ -9,13 +9,10 @@ oracle for the Boolean-valued route.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
-import numpy as np
-
-from .boolalg import BoolElem
+from .boolalg import AlgebraMismatchError, BoolElem
 from .bvm import (
     LITERAL_PUNCT,
     Name,
@@ -23,6 +20,7 @@ from .bvm import (
     Universe,
     UniverseError,
     atom_collapse,
+    atom_position,
     maximum_witness,
     name_to_literal,
     parse_name_tokens,
@@ -364,20 +362,6 @@ _NODE = {
     Implies: lambda left, right: lambda at, env, m: (not left(at, env, m)) or right(at, env, m),
 }
 
-# atomic formulas whose terms are read in place: a literal's collapses ``a``
-# at ``at``, or the member bound at depth ``k``
-_READ_BOTH = {
-    (Eq, "lit", "lit"): lambda a, b: lambda at, env, m: a[at] == b[at],
-    (Eq, "lit", "bound"): lambda a, k: lambda at, env, m: a[at] == m[k],
-    (Eq, "bound", "lit"): lambda j, b: lambda at, env, m: m[j] == b[at],
-    (Eq, "bound", "bound"): lambda j, k: lambda at, env, m: m[j] == m[k],
-    (In, "lit", "lit"): lambda a, b: lambda at, env, m: a[at] in b[at],
-    (In, "lit", "bound"): lambda a, k: lambda at, env, m: a[at] in m[k],
-    (In, "bound", "lit"): lambda j, b: lambda at, env, m: m[j] in b[at],
-    (In, "bound", "bound"): lambda j, k: lambda at, env, m: m[j] in m[k],
-}
-
-
 def _reader(kind, x):
     """The closure that reads a staged term."""
     if kind == "lit":
@@ -438,55 +422,37 @@ def _stage(f: Formula, by_collapse: bool = False) -> tuple:
         free.add(t.name)
         return "read", _read_free(t.name, by_collapse)
 
-    def rec(node: Formula, bound: dict):
+    def rec(node: Formula, bound: dict, level: int):
         nonlocal depth
         kind = type(node)
         if kind is Eq or kind is In:
-            lk, lx = term(node.left, bound)
-            rk, rx = term(node.right, bound)
-            both = _READ_BOTH.get((kind, lk, rk))
-            if both is not None:
-                return both(lx, rx)
-            return _NODE[kind](_reader(lk, lx), _reader(rk, rx))
+            return _NODE[kind](_reader(*term(node.left, bound)), _reader(*term(node.right, bound)))
         if kind is Not:
-            return _NODE[Not](rec(node.body, bound))
+            return _NODE[Not](rec(node.body, bound, level))
         if kind is ForallIn or kind is ExistsIn:
+            # the slot is the nesting level: a binder that shadows another
+            # leaves ``bound`` no larger, yet needs a slot of its own
             domain = _reader(*term(node.domain, bound))
-            d = len(bound)
-            if d == depth:
-                depth += 1
-            return _quantifier(kind is ForallIn, domain, d, rec(node.body, {**bound, node.var: d}))
-        return _NODE[kind](rec(node.left, bound), rec(node.right, bound))
+            depth = max(depth, level + 1)
+            body = rec(node.body, {**bound, node.var: level}, level + 1)
+            return _quantifier(kind is ForallIn, domain, level, body)
+        return _NODE[kind](rec(node.left, bound, level), rec(node.right, bound, level))
 
-    run = rec(f, {})
+    run = rec(f, {}, 0)
     algebra = False if len(algebras) > 1 else algebras.pop() if algebras else None
     return run, algebra, tuple(free), depth
 
 
-def _atom_index(atom, algebra, free, env) -> Optional[int]:
-    """The 0-based index of ``atom`` if every name the walk may reach, the
-    literals' and the bound free variables', has one algebra and ``atom`` is
-    one of its atoms; otherwise None."""
+def _one_algebra(algebra, free, env):
+    """The one algebra of every name the walk may reach, the literals' and
+    the bound free variables', or None."""
     for var in free:
         if var in env:
             u = env[var]
             if not isinstance(u, Name) or algebra is not None and u.universe.algebra is not algebra:
                 return None
             algebra = u.universe.algebra
-    if not algebra:
-        return None
-    if isinstance(atom, BoolElem):
-        mask = atom.mask
-        if atom.algebra is algebra and mask and not mask & (mask - 1):
-            return mask.bit_length() - 1
-        return None
-    if isinstance(atom, (bool, np.bool_)):
-        return None
-    try:
-        index = operator.index(atom)
-    except TypeError:
-        return None
-    return index - 1 if 1 <= index <= algebra.atom_count else None
+    return algebra or None
 
 
 def collapse_eval(f: Formula, atom: int, env: Optional[Mapping[str, Name]] = None) -> bool:
@@ -501,15 +467,18 @@ def collapse_eval(f: Formula, atom: int, env: Optional[Mapping[str, Name]] = Non
         stage = _stage(f)
         object.__setattr__(f, "_collapse_stage", stage)
     run, algebra, free, depth = stage
-    if type(atom) is int and not free and algebra and 0 < atom <= algebra.atom_count:
-        at = atom - 1
-    else:
-        env = env or {}
-        at = _atom_index(atom, algebra, free, env)
-        if at is None:
-            # some name the walk may reach reads the atom otherwise or refuses
-            # it: each reads it through atom_collapse, when the walk gets there
-            run, at = _stage(f, by_collapse=True)[0], atom
+    env = env or {}
+    algebra = _one_algebra(algebra, free, env)
+    at = None
+    if algebra is not None:
+        try:
+            at = atom_position(algebra, atom) - 1
+        except (TypeError, ValueError, AlgebraMismatchError):
+            pass
+    if at is None:
+        # some name the walk may reach reads the atom otherwise or refuses
+        # it: each reads it through atom_collapse, when the walk gets there
+        run, at = _stage(f, by_collapse=True)[0], atom
     return run(at, env, [None] * depth)
 
 

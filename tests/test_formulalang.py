@@ -555,6 +555,17 @@ def test_staged_collapse_eval_matches_the_walk_at_every_atom(case):
         assert _eval_outcome(collapse_eval, f, atom, env) == expected, (atom, print_formula(f))
 
 
+def test_a_binder_inside_a_shadowing_binder_reads_a_slot_of_its_own():
+    # x is bound twice, so the scope does not grow at the inner x; y must
+    # still get a slot apart from it, or x = y compares y with itself
+    uni = Universe(BooleanAlgebra(4))
+    a, b, c = (uni.canonical_name(h) for h in ([[]], [[]], [[[]]]))
+    for quantifier in (ForallIn, ExistsIn):
+        f = quantifier("x", Lit(a), quantifier("x", Lit(b), quantifier("y", Lit(c), Eq(Var("x"), Var("y")))))
+        for atom in range(1, 5):
+            assert collapse_eval(f, atom) is reference_collapse_eval(f, atom) is False
+
+
 def test_collapse_eval_refuses_as_the_walk_does_and_where_it_does():
     uni, other = Universe(BooleanAlgebra(8)), Universe(BooleanAlgebra(4))
     u, w = uni.canonical_name([[]]), other.canonical_name([[]])

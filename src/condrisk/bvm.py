@@ -58,9 +58,6 @@ class Name:
         self.canonical_id = canonical_id
         self.collapses = collapses
 
-    def collapse_at(self, atom: int) -> frozenset:
-        return self.collapses[atom_position(self.universe.algebra, atom) - 1]
-
     def __repr__(self):
         try:
             return name_to_literal(self)
@@ -226,9 +223,10 @@ class Universe:
     def mix(self, partition: PartitionOfUnity, names: Sequence[Name]) -> Name:
         """The unique name equal to names[k] on part k.
 
-        Assembled from the candidate children of all inputs, each child valued
-        by the join over parts of (part AND membership there); the result is
-        verified against the defining inequality.
+        Each child c of an input is valued by the join over parts k of
+        (part k AND names[k](c)), read from the inputs' entries (the mixing
+        lemma's construction).  The result is verified against the defining
+        inequality, the one truth value mix reads.
         """
         names = list(names)
         if len(names) != len(partition):
@@ -236,17 +234,11 @@ class Universe:
         if partition.algebra is not self.algebra:
             raise AlgebraMismatchError("partition over a different algebra")
         self._check(*names)
-        candidates: dict = {}
-        for u in names:
-            for child, _ in u.entries:
-                candidates[child] = None
-        entries = {}
-        for child in candidates:
-            value = 0
-            for part, u in zip(partition, names):
-                value |= part.mask & self._in(child, u)
-            entries[child] = self.algebra.from_mask(value)
-        mixed = self.make_name(entries)
+        values: dict = {}
+        for part, u in zip(partition, names):
+            for child, mask in u.masks:
+                values[child] = values.get(child, 0) | (part.mask & mask)
+        mixed = self.make_name({c: _elem(self.algebra, v) for c, v in values.items()})
         for part, u in zip(partition, names):
             if part.mask & ~self._eq(mixed, u):
                 raise UniverseError("mixing produced a name violating its defining bound")
@@ -488,7 +480,7 @@ def atom_position(algebra: BooleanAlgebra, atom) -> int:
 def atom_collapse(u: Name, atom) -> frozenset:
     """Two-valued evaluation of a name at an atom (1-based index or atom
     element, as ``atom_position`` takes it)."""
-    return u.collapse_at(atom)
+    return u.collapses[atom_position(u.universe.algebra, atom) - 1]
 
 
 def maximum_witness(phi: Callable[[Name], BoolElem], v: Name) -> Name:

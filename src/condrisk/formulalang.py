@@ -19,7 +19,6 @@ from .bvm import (
     Token,
     Universe,
     UniverseError,
-    atom_collapse,
     atom_position,
     maximum_witness,
     name_to_literal,
@@ -251,60 +250,127 @@ def print_formula(f: Formula) -> str:
 
 
 def free_variables(f: Formula) -> set:
-    out: set = set()
+    return set(_staged(f)[2])
 
-    def term(t: Term, bound: frozenset):
-        if isinstance(t, Var) and t.name not in bound:
-            out.add(t.name)
 
-    def rec(node: Formula, bound: frozenset):
-        if isinstance(node, (Eq, In)):
-            term(node.left, bound)
-            term(node.right, bound)
-        elif isinstance(node, Not):
-            rec(node.body, bound)
-        elif isinstance(node, (And, Or, Implies)):
-            rec(node.left, bound)
-            rec(node.right, bound)
-        else:
-            term(node.domain, bound)
-            rec(node.body, bound | {node.var})
+# -- the one syntactic pass ---------------------------------------------------------
+# _stage reads a formula once, as closures run(at, env, m) for collapse_eval:
+# ``at`` is the atom's 0-based index, ``env`` maps the free variables to
+# names and ``m[d]`` holds the member bound at quantifier depth d.  A literal
+# reads its name's collapses at ``at``.  None of it reads the truth tables.
+# The same pass finds the universes of the literals and the free variables,
+# which both evaluators check before they walk.
 
-    rec(f, frozenset())
-    return out
+# the closure of each node type, built from its subformulas' closures, or for
+# an atomic formula from its two terms' readers
+_NODE = {
+    Eq: lambda left, right: lambda at, env, m: left(at, env, m) == right(at, env, m),
+    In: lambda left, right: lambda at, env, m: left(at, env, m) in right(at, env, m),
+    Not: lambda body: lambda at, env, m: not body(at, env, m),
+    And: lambda left, right: lambda at, env, m: left(at, env, m) and right(at, env, m),
+    Or: lambda left, right: lambda at, env, m: left(at, env, m) or right(at, env, m),
+    Implies: lambda left, right: lambda at, env, m: (not left(at, env, m)) or right(at, env, m),
+}
+
+
+def _read_free(var):
+    """A free variable's reader: it looks the name up in ``env`` each time."""
+
+    def read(at, env, m):
+        if var not in env:
+            raise FormulaError(f"no binding for {var!r}")
+        return env[var].collapses[at]
+
+    return read
+
+
+def _quantifier(forall, domain, d, body):
+    # every closure returns a bool, so one member whose body is not ``forall``
+    # decides the quantifier
+    def run(at, env, m):
+        for s in domain(at, env, m):
+            m[d] = s
+            if body(at, env, m) is not forall:
+                return not forall
+        return forall
+
+    return run
+
+
+def _stage(f: Formula) -> tuple:
+    """``f`` as closures ``run(at, env, m)``, with the universes of its
+    literals, its free variables and its quantifier depth."""
+    universes: set = set()
+    free: set = set()
+    depth = 0
+
+    def term(t: Term, bound: dict):
+        if isinstance(t, Lit):
+            universes.add(t.name.universe)
+            collapses = t.name.collapses
+            return lambda at, env, m: collapses[at]
+        if t.name in bound:
+            slot = bound[t.name]
+            return lambda at, env, m: m[slot]
+        free.add(t.name)
+        return _read_free(t.name)
+
+    def rec(node: Formula, bound: dict, level: int):
+        nonlocal depth
+        kind = type(node)
+        if kind is Eq or kind is In:
+            return _NODE[kind](term(node.left, bound), term(node.right, bound))
+        if kind is Not:
+            return _NODE[Not](rec(node.body, bound, level))
+        if kind is ForallIn or kind is ExistsIn:
+            # the slot is the nesting level: a binder that shadows another
+            # leaves ``bound`` no larger, yet needs a slot of its own
+            domain = term(node.domain, bound)
+            depth = max(depth, level + 1)
+            body = rec(node.body, {**bound, node.var: level}, level + 1)
+            return _quantifier(kind is ForallIn, domain, level, body)
+        if kind not in _NODE:
+            raise TypeError(f"not a formula node: {node!r}")
+        return _NODE[kind](rec(node.left, bound, level), rec(node.right, bound, level))
+
+    run = rec(f, {}, 0)
+    return run, frozenset(universes), tuple(free), depth
+
+
+def _staged(f: Formula) -> tuple:
+    """``_stage(f)``, run on the first call for a formula object and kept on
+    it, in an attribute that nodes neither compare nor print."""
+    try:
+        return f._staged
+    except AttributeError:
+        stage = _stage(f)
+        object.__setattr__(f, "_staged", stage)
+        return stage
+
+
+def _universe(stage: tuple, env: Mapping[str, Name]) -> Optional[Universe]:
+    """The one universe of a staged formula's literals and of the names
+    ``env`` binds to its free variables, or None if there is none."""
+    _, literals, free, _ = stage
+    universes = set(literals)
+    for var in free:
+        if var in env:
+            u = env[var]
+            universes.add(u.universe if isinstance(u, Name) else None)
+    if len(universes) > 1 or None in universes:
+        raise UniverseError("name belongs to a different universe")
+    return next(iter(universes), None)
 
 
 # -- Boolean-valued evaluation -------------------------------------------------------
 
 
-def _find_universe(f: Formula, env: Mapping[str, Name]) -> Universe:
-    for name in env.values():
-        return name.universe
-
-    def scan(node):
-        if isinstance(node, (Eq, In)):
-            for t in (node.left, node.right):
-                if isinstance(t, Lit):
-                    return t.name.universe
-            return None
-        if isinstance(node, Not):
-            return scan(node.body)
-        if isinstance(node, (And, Or, Implies)):
-            return scan(node.left) or scan(node.right)
-        if isinstance(node.domain, Lit):
-            return node.domain.name.universe
-        return scan(node.body)
-
-    uni = scan(f)
-    if uni is None:
-        raise FormulaError("cannot infer the universe: no name appears in the formula")
-    return uni
-
-
 def evaluate(f: Formula, env: Optional[Mapping[str, Name]] = None) -> BoolElem:
     """Boolean truth value; quantifiers range over dom of the bound's value."""
     env = dict(env or {})
-    uni = _find_universe(f, env)
+    uni = _universe(_staged(f), env)
+    if uni is None:
+        raise FormulaError("cannot infer the universe: no name appears in the formula")
     full = uni.algebra.full
 
     def term(t: Term, scope: Dict[str, Name]) -> Name:
@@ -330,8 +396,6 @@ def evaluate(f: Formula, env: Optional[Mapping[str, Name]] = None) -> BoolElem:
         if isinstance(node, Implies):
             return (rec(node.left, scope) ^ full) | rec(node.right, scope)
         domain = term(node.domain, scope)
-        if domain.universe is not uni:
-            raise UniverseError("name belongs to a different universe")
         if isinstance(node, ForallIn):
             acc = full
             for child, mask in domain.masks:
@@ -342,143 +406,38 @@ def evaluate(f: Formula, env: Optional[Mapping[str, Name]] = None) -> BoolElem:
             acc |= mask & rec(node.body, {**scope, node.var: child})
         return acc
 
-    return uni.algebra.from_mask(rec(f, dict(env)))
+    return uni.algebra.from_mask(rec(f, env))
 
 
 # -- two-valued evaluation at one atom -------------------------------------------
-# collapse_eval stages a formula once as closures run(at, env, m): ``at`` is
-# the atom's 0-based index, ``env`` maps the free variables to names and
-# ``m[d]`` holds the member bound at quantifier depth d.  A literal reads its
-# name's collapses at ``at``.  None of it reads the truth tables.
-
-# the closure of each node type, built from its subformulas' closures, or for
-# an atomic formula from its two terms' readers
-_NODE = {
-    Eq: lambda left, right: lambda at, env, m: left(at, env, m) == right(at, env, m),
-    In: lambda left, right: lambda at, env, m: left(at, env, m) in right(at, env, m),
-    Not: lambda body: lambda at, env, m: not body(at, env, m),
-    And: lambda left, right: lambda at, env, m: left(at, env, m) and right(at, env, m),
-    Or: lambda left, right: lambda at, env, m: left(at, env, m) or right(at, env, m),
-    Implies: lambda left, right: lambda at, env, m: (not left(at, env, m)) or right(at, env, m),
-}
-
-def _reader(kind, x):
-    """The closure that reads a staged term."""
-    if kind == "lit":
-        return lambda at, env, m: x[at]
-    if kind == "bound":
-        return lambda at, env, m: m[x]
-    return x
 
 
-def _read_by_collapse(name):
-    return lambda at, env, m: atom_collapse(name, at)
+class _RefusedAtom:
+    """An atom ``atom_position`` refused, in place of its index: reading a
+    collapse at it raises that refusal, so the walk raises it where it first
+    reads a name, after any unbound variable it reaches before."""
 
+    __slots__ = ("error",)
 
-def _read_free(var, by_collapse):
-    """A free variable's reader: it looks the name up in ``env`` each time."""
+    def __init__(self, error: Exception):
+        self.error = error
 
-    def read(at, env, m):
-        if var not in env:
-            raise FormulaError(f"no binding for {var!r}")
-        return atom_collapse(env[var], at) if by_collapse else env[var].collapses[at]
-
-    return read
-
-
-def _quantifier(forall, domain, d, body):
-    # every closure returns a bool, so one member whose body is not ``forall``
-    # decides the quantifier
-    def run(at, env, m):
-        for s in domain(at, env, m):
-            m[d] = s
-            if body(at, env, m) is not forall:
-                return not forall
-        return forall
-
-    return run
-
-
-def _stage(f: Formula, by_collapse: bool = False) -> tuple:
-    """``f`` as closures ``run(at, env, m)``, with the algebra of its
-    literals (None if it has none, False if they have several), its free
-    variables and its quantifier depth.
-
-    With ``by_collapse``, ``at`` is the atom itself, and each literal and
-    free variable reads it through ``atom_collapse`` when the walk gets there.
-    """
-    algebras: set = set()
-    free: set = set()
-    depth = 0
-
-    def term(t: Term, bound: dict) -> tuple:
-        if isinstance(t, Lit):
-            algebras.add(t.name.universe.algebra)
-            if by_collapse:
-                return "read", _read_by_collapse(t.name)
-            return "lit", t.name.collapses
-        if t.name in bound:
-            return "bound", bound[t.name]
-        free.add(t.name)
-        return "read", _read_free(t.name, by_collapse)
-
-    def rec(node: Formula, bound: dict, level: int):
-        nonlocal depth
-        kind = type(node)
-        if kind is Eq or kind is In:
-            return _NODE[kind](_reader(*term(node.left, bound)), _reader(*term(node.right, bound)))
-        if kind is Not:
-            return _NODE[Not](rec(node.body, bound, level))
-        if kind is ForallIn or kind is ExistsIn:
-            # the slot is the nesting level: a binder that shadows another
-            # leaves ``bound`` no larger, yet needs a slot of its own
-            domain = _reader(*term(node.domain, bound))
-            depth = max(depth, level + 1)
-            body = rec(node.body, {**bound, node.var: level}, level + 1)
-            return _quantifier(kind is ForallIn, domain, level, body)
-        return _NODE[kind](rec(node.left, bound, level), rec(node.right, bound, level))
-
-    run = rec(f, {}, 0)
-    algebra = False if len(algebras) > 1 else algebras.pop() if algebras else None
-    return run, algebra, tuple(free), depth
-
-
-def _one_algebra(algebra, free, env):
-    """The one algebra of every name the walk may reach, the literals' and
-    the bound free variables', or None."""
-    for var in free:
-        if var in env:
-            u = env[var]
-            if not isinstance(u, Name) or algebra is not None and u.universe.algebra is not algebra:
-                return None
-            algebra = u.universe.algebra
-    return algebra or None
+    def __index__(self):
+        raise self.error
 
 
 def collapse_eval(f: Formula, atom: int, env: Optional[Mapping[str, Name]] = None) -> bool:
-    """Two-valued evaluation at one atom, over collapsed hereditary finite sets.
-
-    The first call on a formula object stages it and keeps the closures on
-    it, in an attribute that nodes neither compare nor print.
-    """
-    try:
-        stage = f._collapse_stage
-    except AttributeError:
-        stage = _stage(f)
-        object.__setattr__(f, "_collapse_stage", stage)
-    run, algebra, free, depth = stage
+    """Two-valued evaluation at one atom, over collapsed hereditary finite sets."""
+    stage = _staged(f)
+    run, _, _, depth = stage
     env = env or {}
-    algebra = _one_algebra(algebra, free, env)
-    at = None
-    if algebra is not None:
+    uni = _universe(stage, env)
+    at = None  # with no universe, the walk refuses an unbound variable first
+    if uni is not None:
         try:
-            at = atom_position(algebra, atom) - 1
-        except (TypeError, ValueError, AlgebraMismatchError):
-            pass
-    if at is None:
-        # some name the walk may reach reads the atom otherwise or refuses
-        # it: each reads it through atom_collapse, when the walk gets there
-        run, at = _stage(f, by_collapse=True)[0], atom
+            at = atom_position(uni.algebra, atom) - 1
+        except (TypeError, ValueError, AlgebraMismatchError) as error:
+            at = _RefusedAtom(error)
     return run(at, env, [None] * depth)
 
 

@@ -563,6 +563,27 @@ def reference_truth(universe: Universe) -> SimpleNamespace:
     return SimpleNamespace(truth_eq=truth_eq, truth_in=truth_in)
 
 
+# -- reference for Universe.mix ------------------------------------------------------
+# The mix as it was built before it read the inputs' entries: every candidate
+# child valued from the truth tables.
+
+
+def reference_mix(universe: Universe, partition, names):
+    """The name equal to names[k] on part k, each child of an input valued by
+    the join over parts of (part AND [[child in names[k]]])."""
+    candidates: dict = {}
+    for u in names:
+        for child, _ in u.entries:
+            candidates[child] = None
+    entries = {}
+    for child in candidates:
+        value = 0
+        for part, u in zip(partition, names):
+            value |= part.mask & universe._in(child, u)
+        entries[child] = universe.algebra.from_mask(value)
+    return universe.make_name(entries)
+
+
 # -- per-call reference for collapse_eval -----------------------------------------
 # The two-valued evaluation as it ran before formulas were staged: one walk of
 # the syntax tree per call, each literal read through atom_collapse.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_name, reference_truth
+from _helpers import random_name, reference_mix, reference_truth, spy_calls
 from condrisk import bvm
 from condrisk import (
     BooleanAlgebra,
@@ -19,6 +19,7 @@ from condrisk import (
     RandomVariable,
     Universe,
     atom_collapse,
+    canonical_name,
     maximum_witness,
     name_to_literal,
     parse_name_literal,
@@ -56,6 +57,13 @@ def test_truth_atomic_guards(u2, a2):
         truth_atomic(u2.empty, other.empty, "eq")
     with pytest.raises(ValueError):
         truth_atomic(u2.empty, u2.empty, "subset")
+
+
+def test_canonical_name_refuses_what_is_not_a_hereditary_finite_set(u2):
+    assert canonical_name(u2, [[], [[]]]) is u2.canonical_name(([], ([],)))
+    for h in ("ab", [[], 1], [{2}]):
+        with pytest.raises(TypeError, match="^hereditary finite sets are nested lists/tuples/sets$"):
+            canonical_name(u2, h)
 
 
 def test_canonical_name_examples(u2):
@@ -123,6 +131,64 @@ def test_mix_count_mismatch(u2, a2):
     parts = PartitionOfUnity([a2.atom(1), a2.atom(2)])
     with pytest.raises(UniverseError):
         u2.mix(parts, [u2.empty])
+
+
+def test_mix_refuses_a_partition_of_another_algebra(u2):
+    parts = PartitionOfUnity([BooleanAlgebra(2).one])
+    with pytest.raises(AlgebraMismatchError, match="^partition over a different algebra$"):
+        u2.mix(parts, [u2.empty])
+
+
+def test_mix_refuses_a_result_that_breaks_the_defining_bound(u2, a2, monkeypatch):
+    # a make_name that loses the entries: the bound check is what sees it
+    single = u2.canonical_name([[]])
+    monkeypatch.setattr(u2, "make_name", lambda entries: u2.empty)
+    with pytest.raises(UniverseError, match="^mixing produced a name violating its defining bound$"):
+        u2.mix(PartitionOfUnity([a2.atom(1), a2.atom(2)]), [u2.empty, single])
+
+
+def test_mix_reads_one_truth_value_per_part(monkeypatch):
+    uni = Universe(BooleanAlgebra(8))
+    rng = np.random.default_rng(38)
+    names = [random_name(uni, rng, 3) for _ in range(3)]
+    parts = PartitionOfUnity([uni.algebra.element(p) for p in ((1, 4), (2, 3, 8), (5, 6, 7))])
+    memberships = spy_calls(monkeypatch, Universe, "_in")
+    equalities = spy_calls(monkeypatch, Universe, "_eq")
+    mixed = uni.mix(parts, names)
+    assert memberships == []
+    assert [call[1:] for call in equalities] == [(mixed, u) for u in names]
+
+
+@st.composite
+def mix_cases(draw):
+    """A universe of 8 or 16 atoms, a partition of its unity into up to four
+    parts and one random name per part."""
+    m = draw(st.sampled_from((8, 16)))
+    labels = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    parts = [[a + 1 for a in range(m) if labels[a] == k] for k in sorted(set(labels))]
+    return m, parts, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(mix_cases())
+def test_mix_of_the_entries_is_the_mix_of_the_truth_tables(case):
+    m, parts, seed = case
+    uni = Universe(BooleanAlgebra(m))
+    rng = np.random.default_rng(seed)
+    names = [random_name(uni, rng, 3) for _ in parts]
+    partition = PartitionOfUnity([uni.algebra.element(p) for p in parts])
+    # the reference goes first in half the draws, so each construction is,
+    # in some draws, the one that registers the result
+    if seed % 2:
+        expected = reference_mix(uni, partition, names)
+        mixed = uni.mix(partition, names)
+    else:
+        mixed = uni.mix(partition, names)
+        expected = reference_mix(uni, partition, names)
+    assert mixed is expected
+    for part, atoms, u in zip(partition, parts, names):
+        assert part <= uni.truth_eq(mixed, u)
+        assert all(atom_collapse(mixed, a) == atom_collapse(u, a) for a in atoms)
 
 
 def test_mixing_principle_random():
@@ -227,6 +293,16 @@ def test_truth_map_examples(s4, a2):
     y = RandomVariable([1, 3, 0, 0])
     assert l1_eq_truth(s4, x, y) == a2.atom(1)
     assert l1_le_truth(s4, y, x) == a2.one
+
+
+def test_real_truth_maps_refuse_what_is_not_a_conditional_value(a2):
+    eta = ConditionalValue([2.0, 5.0])
+    for truth in (real_eq_truth, real_le_truth):
+        for bad in (np.array([2.0, 5.0]), [2.0, 5.0], RandomVariable([2.0, 5.0])):
+            with pytest.raises(TypeError, match="^expected a ConditionalValue$"):
+                truth(a2, eta, bad)
+    with pytest.raises(TypeError, match="^expected a ConditionalValue$"):
+        mix_reals(PartitionOfUnity([a2.one]), [np.array([1.0, 2.0])])
 
 
 def test_truth_maps_name_length_mismatches(s4, a2):
@@ -395,13 +471,13 @@ def test_literal_of_a_shared_dag_is_refused_past_its_cap(u2, a2):
 def test_atom_collapse_rejects_atoms_outside_the_algebra(u2, a2):
     from condrisk import collapse_eval, parse
 
+    assert not hasattr(u2.empty, "collapse_at")  # atom_collapse is the one reader
+
     u = u2.make_name({u2.empty: a2.atom(1)})
     formula = parse("empty in u", u2, free_names={"u"})
     for atom in (0, -1, 3):
         with pytest.raises(ValueError, match=r"outside 1\.\.2"):
             atom_collapse(u, atom)
-        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
-            u.collapse_at(atom)
         with pytest.raises(ValueError, match=r"outside 1\.\.2"):
             collapse_eval(formula, atom, {"u": u})
 

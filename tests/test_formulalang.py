@@ -21,7 +21,7 @@ from condrisk import (
 )
 from condrisk import bvm, formulalang
 from condrisk.boolalg import AlgebraMismatchError
-from condrisk.bvm import LITERAL_MEMO_CAP, name_to_literal, parse_name_literal, scan
+from condrisk.bvm import LITERAL_MEMO_CAP, UniverseError, name_to_literal, parse_name_literal, scan
 from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
     _PUNCT,
@@ -241,10 +241,20 @@ def test_print_formula_refuses_what_is_not_a_formula(u2):
         print_formula(Not(Var("x")))
 
 
+def test_the_one_pass_refuses_what_is_not_a_formula(u2):
+    # evaluate, collapse_eval, free_variables and witness read one pass,
+    # which refuses a term where a formula belongs as print_formula does
+    for f, shown in ((Lit(u2.empty), r"Lit\("), (Not(Var("x")), r"Var\(name='x'\)$")):
+        for call in (lambda: evaluate(f), lambda: collapse_eval(f, 1), lambda: free_variables(f),
+                     lambda: witness(f, "x", u2.empty)):
+            with pytest.raises(TypeError, match=rf"^not a formula node: {shown}"):
+                call()
+
+
 def test_evaluate_infers_the_universe_past_terms_without_names(u2):
-    # the universe comes from the first literal in the walk, past an atomic
-    # formula of variables and a quantifier bounded by a variable; the
-    # variables are then refused as unbound
+    # the universe comes from the literals, found past an atomic formula of
+    # variables and a quantifier bounded by a variable; the variables are
+    # then refused as unbound where the walk reaches them
     lit = Eq(Lit(u2.empty), Lit(u2.empty))
     with pytest.raises(FormulaError, match=r"^no binding for 'x'$"):
         evaluate(Or(Eq(Var("x"), Var("x")), lit))
@@ -539,6 +549,34 @@ def _collapse_case(m, recipes, skeleton, env_recipes):
     return uni, other, build(skeleton), env
 
 
+def _universes_reached(f, env):
+    """The universes of the literals of ``f`` and of the names ``env`` binds
+    to its free variables, by a walk of the tree."""
+    out = set()
+
+    def term(t, bound):
+        if isinstance(t, Lit):
+            out.add(t.name.universe)
+        elif t.name not in bound and t.name in env:
+            out.add(env[t.name].universe)
+
+    def rec(node, bound):
+        if isinstance(node, (Eq, In)):
+            term(node.left, bound)
+            term(node.right, bound)
+        elif isinstance(node, Not):
+            rec(node.body, bound)
+        elif isinstance(node, (And, Or, Implies)):
+            rec(node.left, bound)
+            rec(node.right, bound)
+        else:
+            term(node.domain, bound)
+            rec(node.body, bound | {node.var})
+
+    rec(f, frozenset())
+    return out
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(collapse_cases())
 def test_staged_collapse_eval_matches_the_walk_at_every_atom(case):
@@ -550,6 +588,13 @@ def test_staged_collapse_eval_matches_the_walk_at_every_atom(case):
     # come from another algebra, a non-integral index
     atoms += [True, np.bool_(False), 0, -1, m + 1, 2.0, alg.from_mask(0), alg.from_mask(3),
               other.algebra.atom(1)]
+    if len(_universes_reached(f, env)) > 1:
+        # names of two universes: both evaluators refuse before any walk
+        refused = (UniverseError, "name belongs to a different universe")
+        assert _eval_outcome(lambda f, atom, env: evaluate(f, env), f, None, env) == refused
+        for atom in atoms:
+            assert _eval_outcome(collapse_eval, f, atom, env) == refused, (atom, print_formula(f))
+        return
     for atom in atoms:
         expected = _eval_outcome(reference_collapse_eval, f, atom, env)
         assert _eval_outcome(collapse_eval, f, atom, env) == expected, (atom, print_formula(f))
@@ -577,10 +622,9 @@ def test_collapse_eval_refuses_as_the_walk_does_and_where_it_does():
         (same, uni.algebra.from_mask(6), ValueError, "collapse needs a single atom"),
         (same, other.algebra.atom(1), AlgebraMismatchError, "atom from a different algebra"),
         (later, 1, FormulaError, "no binding for 'x'"),
-        # the walk reaches the 4-atom literal only after the 8-atom one fails
-        (Or(Not(same), Eq(Lit(w), Lit(w))), 6, ValueError, "atom 6 outside 1..4"),
-        (Or(Not(same), Eq(Lit(w), Lit(w))), uni.algebra.atom(2), AlgebraMismatchError,
-         "atom from a different algebra"),
+        # the walk reaches the unbound x before it reads a name at the atom
+        (later, 0, FormulaError, "no binding for 'x'"),
+        (later, True, FormulaError, "no binding for 'x'"),
     ]
     for f, atom, kind, message in cases:
         for evaluate_at in (collapse_eval, reference_collapse_eval):
@@ -589,8 +633,13 @@ def test_collapse_eval_refuses_as_the_walk_does_and_where_it_does():
             assert str(err.value) == message
     # a fault the walk never reaches raises nothing
     assert collapse_eval(Or(same, later), 3) is True
-    assert collapse_eval(Or(same, Eq(Lit(w), Lit(w))), 6) is True
-    assert collapse_eval(And(Not(same), Eq(Lit(w), Lit(w))), uni.algebra.atom(7)) is False
+    assert collapse_eval(Or(same, later), uni.algebra.atom(7)) is True
+    # names of two universes are refused before any walk, as evaluate refuses
+    # them, even where the walk would never reach the second universe's name
+    for f in (Or(Not(same), Eq(Lit(w), Lit(w))), Or(same, Eq(Lit(w), Lit(w)))):
+        for call in (lambda: evaluate(f), lambda: collapse_eval(f, 6), lambda: collapse_eval(f, 3)):
+            with pytest.raises(UniverseError, match="^name belongs to a different universe$"):
+                call()
 
 
 def test_collapse_eval_stages_each_formula_once(monkeypatch):
@@ -608,10 +657,35 @@ def test_collapse_eval_stages_each_formula_once(monkeypatch):
 
 
 def test_a_closed_formula_reads_no_collapse_through_atom_collapse(monkeypatch):
+    # formulalang reads collapses by index only; it does not import atom_collapse
+    assert not hasattr(formulalang, "atom_collapse")
     uni = Universe(BooleanAlgebra(8))
     rng = np.random.default_rng(38)
     formulas = [random_formula(uni, rng, 3) for _ in range(20)]
     expected = [[reference_collapse_eval(f, a) for a in range(1, 9)] for f in formulas]
-    reads = spy_calls(monkeypatch, formulalang, "atom_collapse")
+    reads = spy_calls(monkeypatch, bvm, "atom_collapse")
     assert [[collapse_eval(f, a) for a in range(1, 9)] for f in formulas] == expected
     assert reads == []
+
+
+def test_both_evaluators_refuse_names_of_two_universes():
+    a, b = Universe(BooleanAlgebra(2)), Universe(BooleanAlgebra(4))
+    twin = Universe(a.algebra)  # a second universe over the same algebra
+    refusals = [
+        (Eq(Lit(a.empty), Lit(b.empty)), {}),
+        (Eq(Lit(a.empty), Lit(twin.empty)), {}),
+        (Eq(Var("x"), Lit(a.empty)), {"x": b.empty}),
+        (ForallIn("y", Var("x"), Eq(Var("y"), Lit(a.empty))), {"x": twin.empty}),
+        (Eq(Var("x"), Lit(a.empty)), {"x": frozenset()}),  # not a name
+    ]
+    for f, env in refusals:
+        with pytest.raises(UniverseError, match="^name belongs to a different universe$"):
+            evaluate(f, env)
+        for atom in (1, 2, a.algebra.atom(1)):
+            with pytest.raises(UniverseError, match="^name belongs to a different universe$"):
+                collapse_eval(f, atom, env)
+    # an env entry for a variable the formula does not use is ignored, and a
+    # bound variable is not free, whatever env binds to its name
+    f = ForallIn("x", Lit(a.empty), Eq(Var("x"), Lit(a.empty)))
+    assert evaluate(f, {"x": b.empty, "z": 3}) == a.algebra.one
+    assert collapse_eval(f, 2, {"x": b.empty, "z": 3}) is True

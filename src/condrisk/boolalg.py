@@ -30,33 +30,40 @@ class NotCoveringError(PartitionError):
     pass
 
 
-class BooleanAlgebra:
-    """Powerset algebra on atoms ``1..m``; ``full`` is the mask of the unity."""
+# elements an algebra keeps, one per mask; a full table is cleared before the next insert
+ELEMENT_MEMO_CAP = 1 << 12
 
-    __slots__ = ("atom_count", "full", "_one")
+
+class BooleanAlgebra:
+    """Powerset algebra on atoms ``1..m``; ``full`` is the mask of the unity.
+
+    Every element it hands out, and every result of a lattice operation on
+    them, is the one element it keeps for that mask (``ELEMENT_MEMO_CAP``)."""
+
+    __slots__ = ("atom_count", "full", "_interned")
 
     def __init__(self, atom_count: int):
         if not isinstance(atom_count, int) or atom_count < 1:
             raise ValueError("atom_count must be a positive integer")
         self.atom_count = atom_count
         self.full = (1 << atom_count) - 1
-        self._one = _elem(self, self.full)
+        self._interned = _Interned(self)
 
     @property
     def one(self) -> "BoolElem":
-        return self._one
+        return self._interned[self.full]
 
     def element(self, atoms: Iterable[int]) -> "BoolElem":
-        return BoolElem(self, atoms)
+        return self._interned[_atoms_mask(self, atoms)]
 
     def atom(self, index: int) -> "BoolElem":
-        return BoolElem(self, (index,))
+        return self.element((index,))
 
     def from_mask(self, mask: int) -> "BoolElem":
         """The element whose atom ``a`` is bit ``a - 1`` of ``mask``."""
         if not isinstance(mask, int) or not 0 <= mask <= self.full:
             raise ValueError(f"mask {mask!r} outside 0..{self.full}")
-        return _elem(self, mask)
+        return self._interned[mask]
 
     def atom_elements(self) -> tuple:
         return tuple(self.atom(i) for i in range(1, self.atom_count + 1))
@@ -64,7 +71,7 @@ class BooleanAlgebra:
     def elements(self) -> Iterator["BoolElem"]:
         """All ``2^m`` elements, in mask order.  Intended for small ``m``."""
         for mask in range(1 << self.atom_count):
-            yield _elem(self, mask)
+            yield self._interned[mask]
 
     def __repr__(self):
         return f"BooleanAlgebra(atoms={self.atom_count})"
@@ -107,32 +114,36 @@ class BoolElem:
     """Element of a finite Boolean algebra: a subset of the atom indices.
 
     Held as one int ``mask`` in which bit ``a - 1`` stands for atom ``a``.
-    The constructor validates the atoms; the lattice operations combine
-    valid masks, so their results skip that check.
+    The constructor validates the atoms and makes a fresh element; the
+    algebra's readers and the lattice operations hand out the element the
+    algebra keeps for the mask, and combine valid masks without that check.
     """
 
-    __slots__ = ("algebra", "mask")
+    __slots__ = ("algebra", "mask", "_atom_set")
 
     def __init__(self, algebra: BooleanAlgebra, atoms: Iterable[int]):
-        mask = 0
-        for a in atoms:
-            if not isinstance(a, int) or not 1 <= a <= algebra.atom_count:
-                raise ValueError(f"atom index {a!r} outside 1..{algebra.atom_count}")
-            mask |= 1 << (a - 1)
         _set_algebra(self, algebra)
-        _set_mask(self, mask)
+        _set_mask(self, _atoms_mask(algebra, atoms))
+        _set_atom_set(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BoolElem is immutable")
 
     @property
     def atoms(self) -> frozenset:
-        mask = self.mask
-        if mask < 256:
-            return _BYTE_SETS[mask]
-        if mask < 65536:
-            return _BYTE_SETS[mask & 255] | _BYTE1_SETS[mask >> 8]
-        return frozenset(mask_atoms(mask))
+        """Built on the first read and kept for masks below 2^16; a larger
+        mask builds its set on each read, so a large algebra keeps none."""
+        atom_set = self._atom_set
+        if atom_set is None:
+            mask = self.mask
+            if mask < 256:
+                atom_set = _BYTE_SETS[mask]
+            elif mask < 65536:
+                atom_set = _BYTE_SETS[mask & 255] | _BYTE1_SETS[mask >> 8]
+            else:
+                return frozenset(mask_atoms(mask))
+            _set_atom_set(self, atom_set)
+        return atom_set
 
     def _same(self, other: "BoolElem") -> None:
         if not isinstance(other, BoolElem):
@@ -143,19 +154,21 @@ class BoolElem:
     # lattice operations
     def meet(self, other: "BoolElem") -> "BoolElem":
         self._same(other)
-        return _elem(self.algebra, self.mask & other.mask)
+        return self.algebra._interned[self.mask & other.mask]
 
     def join(self, other: "BoolElem") -> "BoolElem":
         self._same(other)
-        return _elem(self.algebra, self.mask | other.mask)
+        return self.algebra._interned[self.mask | other.mask]
 
     def complement(self) -> "BoolElem":
-        return _elem(self.algebra, self.mask ^ self.algebra.full)
+        algebra = self.algebra
+        return algebra._interned[self.mask ^ algebra.full]
 
     def implies(self, other: "BoolElem") -> "BoolElem":
         # a => b is a^c v b
         self._same(other)
-        return _elem(self.algebra, (self.mask ^ self.algebra.full) | other.mask)
+        algebra = self.algebra
+        return algebra._interned[(self.mask ^ algebra.full) | other.mask]
 
     __and__ = meet
     __or__ = join
@@ -186,14 +199,43 @@ class BoolElem:
 # the slot descriptors' setters: BoolElem.__setattr__ refuses every assignment
 _set_algebra = BoolElem.algebra.__set__
 _set_mask = BoolElem.mask.__set__
+_set_atom_set = BoolElem._atom_set.__set__
+
+
+def _atoms_mask(algebra: BooleanAlgebra, atoms: Iterable[int]) -> int:
+    """The mask of a list of atoms, each checked to lie in ``1..m``."""
+    m = algebra.atom_count
+    mask = 0
+    for a in atoms:
+        if not isinstance(a, int) or not 1 <= a <= m:
+            raise ValueError(f"atom index {a!r} outside 1..{m}")
+        mask |= 1 << (a - 1)
+    return mask
+
+
+class _Interned(dict):
+    """An algebra's elements by mask: a missing mask gets a new element,
+    kept until the table reaches ``ELEMENT_MEMO_CAP`` and is cleared."""
+
+    __slots__ = ("algebra",)
+
+    def __init__(self, algebra: BooleanAlgebra):
+        self.algebra = algebra
+
+    def __missing__(self, mask: int) -> BoolElem:
+        if len(self) >= ELEMENT_MEMO_CAP:
+            self.clear()
+        e = object.__new__(BoolElem)
+        _set_algebra(e, self.algebra)
+        _set_mask(e, mask)
+        _set_atom_set(e, None)
+        # two threads that miss at once keep the first element stored
+        return self.setdefault(mask, e)
 
 
 def _elem(algebra: BooleanAlgebra, mask: int) -> BoolElem:
-    """Unvalidated constructor, for masks already known to lie in the algebra."""
-    e = object.__new__(BoolElem)
-    _set_algebra(e, algebra)
-    _set_mask(e, mask)
-    return e
+    """The algebra's element for a mask already known to lie in it."""
+    return algebra._interned[mask]
 
 
 def lattice_ops(a: BoolElem, b: BoolElem | None, op: str) -> BoolElem:

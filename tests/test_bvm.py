@@ -1,3 +1,4 @@
+import gc
 import re
 import sys
 import threading
@@ -13,6 +14,7 @@ from _helpers import random_name, reference_mix, reference_truth, spy_calls
 from condrisk import bvm
 from condrisk import (
     BooleanAlgebra,
+    BoolElem,
     ConditionalValue,
     FiniteProbSpace,
     PartitionOfUnity,
@@ -617,6 +619,30 @@ def test_warm_truth_reads_build_no_checked_element(monkeypatch):
                 read(names[0], bad)
             with pytest.raises(UniverseError, match="different universe"):
                 read(bad, names[0])
+
+
+def test_warm_truth_reads_return_one_object():
+    uni = Universe(BooleanAlgebra(8))
+    rng = np.random.default_rng(11)
+    names = [random_name(uni, rng, 3) for _ in range(8)]
+    for u in names:
+        for v in names:
+            assert uni.truth_eq(u, v) is uni.truth_eq(u, v)
+            assert uni.truth_in(u, v) is uni.truth_in(u, v)
+
+
+def test_all_pairs_truth_reads_keep_one_element_per_mask():
+    alg = BooleanAlgebra(16)
+    uni = Universe(alg)
+    rng = np.random.default_rng(12)
+    names = [random_name(uni, rng, 3) for _ in range(30)]
+    reads = [read(u, v) for read in (uni.truth_eq, uni.truth_in) for u in names for v in names]
+    masks = {e.mask for e in reads}
+    assert len(masks) < len(reads) / 2  # repeats for the pin to see
+    assert len({id(e) for e in reads}) == len(masks)
+    gc.collect()
+    live = [o for o in gc.get_objects() if type(o) is BoolElem and o.algebra is alg]
+    assert len(live) == len({e.mask for e in live})  # the entries of the names included
 
 
 def test_one_name_grows_reallocate_the_edge_arrays_by_doubling():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condrisk import (
+    BooleanAlgebra,
     ConditionalValue,
     FiniteProbSpace,
     PartitionOfUnity,
@@ -137,6 +138,22 @@ def test_space_validation_errors():
         FiniteProbSpace([0.5, 0.5], [[1]])  # not covering
     with pytest.raises(SpaceError):
         FiniteProbSpace([0.5, -0.5], [[1], [2]])
+
+
+def test_the_space_refuses_inputs_of_the_wrong_kind(s4, a2):
+    for probs in ([], [[0.5, 0.5]]):
+        with pytest.raises(SpaceError, match="probs must be a nonempty 1-d array"):
+            FiniteProbSpace(probs, [[1], [2]])
+    x = RandomVariable([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(TypeError, match="expected a RandomVariable"):
+        s4.cond_expect([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(TypeError, match="expected a ConditionalValue"):
+        s4.lift([1.0, 2.0])
+    with pytest.raises(TypeError, match="expected a PartitionOfUnity"):
+        s4.indicator_mix([a2.atom(1), a2.atom(2)], [x, x])
+    other = BooleanAlgebra(2)
+    with pytest.raises(SpaceError, match="element does not belong to this space's block algebra"):
+        s4.indicator_mix(PartitionOfUnity([other.atom(1), other.atom(2)]), [x, x])
 
 
 def test_value_type_guards():

@@ -135,6 +135,21 @@ def test_block_params_refuse_non_finite(s4, factory, value):
         factory(s4, value)
 
 
+@pytest.mark.parametrize(
+    "factory, value, message",
+    [
+        (cond_entropic, "abc", "gamma must be a number or one number per block"),
+        (cond_entropic, [1.0, "x"], "gamma must be a number or one number per block"),
+        (cond_avar, object(), "lambda must be a number or one number per block"),
+        (cond_entropic, 10**400, "gamma must be finite: int too large to convert to float"),
+        (cond_avar, [0.5, -(10**400)], "lambda must be finite: int too large to convert to float"),
+    ],
+)
+def test_block_params_refuse_what_is_not_a_float(s4, factory, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        factory(s4, value)
+
+
 def test_measures_refuse_field_assignment(s4):
     user = CondRiskMeasure(s4, lambda x: s4.esssup_cond(-x), "user_worst")
     for m in (cond_entropic(s4, 0.5), cond_avar(s4, 0.5).restrict(1), user):

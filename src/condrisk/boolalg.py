@@ -7,7 +7,7 @@ objects, so they can serve as memoization keys elsewhere.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,24 +30,52 @@ class NotCoveringError(PartitionError):
     pass
 
 
-# elements an algebra keeps, one per mask; a full table is cleared before the next insert
-ELEMENT_MEMO_CAP = 1 << 12
+MEMO_CAP = 1 << 12
+
+
+class _Memo(dict):
+    """A table filled on a miss, by ``build(key)`` through ``memo[key]`` or by
+    ``keep(key, value)`` after a ``get``; a builder bound to the table's owner
+    keeps the owner in a reference cycle.  A memo of ``MEMO_CAP`` entries is
+    cleared before its next insert, and an insert is a ``setdefault``, so of
+    two threads that miss at once the first value stored is kept (each may
+    pass the cap by one entry)."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable | None = None):
+        self.build = build
+
+    def __missing__(self, key):
+        return self.keep(key, self.build(key))
+
+    def keep(self, key, value):
+        if len(self) >= MEMO_CAP:
+            self.clear()
+        return self.setdefault(key, value)
 
 
 class BooleanAlgebra:
     """Powerset algebra on atoms ``1..m``; ``full`` is the mask of the unity.
 
     Every element it hands out, and every result of a lattice operation on
-    them, is the one element it keeps for that mask (``ELEMENT_MEMO_CAP``)."""
+    them, is the one element it keeps for that mask, in a ``_Memo``."""
 
     __slots__ = ("atom_count", "full", "_interned")
 
     def __init__(self, atom_count: int):
-        if not isinstance(atom_count, int) or atom_count < 1:
-            raise ValueError("atom_count must be a positive integer")
+        if type(atom_count) is not int or atom_count < 1:
+            raise ValueError(_int_error("atom_count", atom_count, 1, ""))
         self.atom_count = atom_count
         self.full = (1 << atom_count) - 1
-        self._interned = _Interned(self)
+        self._interned = _Memo(self._fresh)
+
+    def _fresh(self, mask: int) -> "BoolElem":
+        e = object.__new__(BoolElem)
+        _set_algebra(e, self)
+        _set_mask(e, mask)
+        _set_atom_set(e, None)
+        return e
 
     @property
     def one(self) -> "BoolElem":
@@ -61,8 +89,8 @@ class BooleanAlgebra:
 
     def from_mask(self, mask: int) -> "BoolElem":
         """The element whose atom ``a`` is bit ``a - 1`` of ``mask``."""
-        if not isinstance(mask, int) or not 0 <= mask <= self.full:
-            raise ValueError(f"mask {mask!r} outside 0..{self.full}")
+        if type(mask) is not int or not 0 <= mask <= self.full:
+            raise ValueError(_int_error("mask", mask, 0, self.full))
         return self._interned[mask]
 
     def atom_elements(self) -> tuple:
@@ -207,35 +235,16 @@ def _atoms_mask(algebra: BooleanAlgebra, atoms: Iterable[int]) -> int:
     m = algebra.atom_count
     mask = 0
     for a in atoms:
-        if not isinstance(a, int) or not 1 <= a <= m:
-            raise ValueError(f"atom index {a!r} outside 1..{m}")
+        if type(a) is not int or not 1 <= a <= m:
+            raise ValueError(_int_error("atom index", a, 1, m))
         mask |= 1 << (a - 1)
     return mask
 
 
-class _Interned(dict):
-    """An algebra's elements by mask: a missing mask gets a new element,
-    kept until the table reaches ``ELEMENT_MEMO_CAP`` and is cleared."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra: BooleanAlgebra):
-        self.algebra = algebra
-
-    def __missing__(self, mask: int) -> BoolElem:
-        if len(self) >= ELEMENT_MEMO_CAP:
-            self.clear()
-        e = object.__new__(BoolElem)
-        _set_algebra(e, self.algebra)
-        _set_mask(e, mask)
-        _set_atom_set(e, None)
-        # two threads that miss at once keep the first element stored
-        return self.setdefault(mask, e)
-
-
-def _elem(algebra: BooleanAlgebra, mask: int) -> BoolElem:
-    """The algebra's element for a mask already known to lie in it."""
-    return algebra._interned[mask]
+def _int_error(what: str, value, lo: int, hi) -> str:
+    """The message that refuses ``value`` as an int in ``lo..hi``, naming a bool,
+    which is an int to ``isinstance`` but not to ``type(value) is int``."""
+    return f"{what} must be an int, not a bool" if isinstance(value, bool) else f"{what} {value!r} outside {lo}..{hi}"
 
 
 def lattice_ops(a: BoolElem, b: BoolElem | None, op: str) -> BoolElem:
@@ -326,4 +335,4 @@ def iter_partitions(algebra: BooleanAlgebra) -> Iterator[PartitionOfUnity]:
                 yield sub[:i] + [bit | sub[i]] + sub[i + 1 :]
 
     for masks in rec(1):
-        yield PartitionOfUnity([_elem(algebra, mask) for mask in masks])
+        yield PartitionOfUnity([algebra._interned[mask] for mask in masks])

@@ -24,7 +24,7 @@ from .boolalg import (
     BooleanAlgebra,
     BoolElem,
     PartitionOfUnity,
-    _elem,
+    _Memo,
     array_mask,
     mask_atoms,
 )
@@ -85,7 +85,7 @@ class Universe:
         # names by canonical id; the truth tables are built on the first query
         self._names: list = []
         self._table: Optional[_TruthTable] = None
-        self._literal_memo: dict = {}
+        self._literal_memo = _Memo()
         self._lock = threading.Lock()
         self.empty = self.make_name({})
 
@@ -146,9 +146,9 @@ class Universe:
             except (KeyError, TypeError):
                 pass
             else:
-                return _elem(self.algebra, table.inn.item(s, t))
+                return self.algebra._interned[table.inn.item(s, t)]
         self._check(u, v)
-        return _elem(self.algebra, self._in(u, v))
+        return self.algebra._interned[self._in(u, v)]
 
     def truth_eq(self, u: Name, v: Name) -> BoolElem:
         """[[u = v]] by the double-inclusion equation, read from the truth table."""
@@ -159,9 +159,9 @@ class Universe:
             except (KeyError, TypeError):
                 pass
             else:
-                return _elem(self.algebra, table.eq.item(s, t))
+                return self.algebra._interned[table.eq.item(s, t)]
         self._check(u, v)
-        return _elem(self.algebra, self._eq(u, v))
+        return self.algebra._interned[self._eq(u, v)]
 
     # A slotted name belongs to self, so a pair found in the table needs no
     # check, and an unhashable or foreign name misses and meets _check.  No
@@ -238,7 +238,7 @@ class Universe:
         for part, u in zip(partition, names):
             for child, mask in u.masks:
                 values[child] = values.get(child, 0) | (part.mask & mask)
-        mixed = self.make_name({c: _elem(self.algebra, v) for c, v in values.items()})
+        mixed = self.make_name({c: self.algebra._interned[v] for c, v in values.items()})
         for part, u in zip(partition, names):
             if part.mask & ~self._eq(mixed, u):
                 raise UniverseError("mixing produced a name violating its defining bound")
@@ -655,8 +655,6 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
 Token = namedtuple("Token", ["kind", "text", "pos"])
 
 LITERAL_PUNCT = {ch: ch for ch in "{}()[],:;"}
-# literal spellings a universe remembers; a full memo is cleared before the next insert
-LITERAL_MEMO_CAP = 1 << 12
 # the longest text name_to_literal spells
 LITERAL_CHAR_CAP = 1 << 20
 _WORD_REST = re.compile(r"\w*")
@@ -851,10 +849,7 @@ def parse_name_tokens(tokens: List[Token], i: int, universe: Universe):
     # a literal that parses ends at the close of its head's bracket
     key = tokens.source[tok.pos : tokens[end - 1].pos + 1]
     tokens.known[key] = name
-    memo = universe._literal_memo
-    if len(memo) >= LITERAL_MEMO_CAP:
-        memo.clear()
-    memo.setdefault(key, name)
+    universe._literal_memo.keep(key, name)
     return name, end
 
 

@@ -16,6 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .boolalg import _Memo
 from .errors import CondriskError
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
 
@@ -25,8 +26,6 @@ _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
 
 LUXEMBURG_TOL = 1e-10
-# values a Young function keeps memoised; the memo is cleared when it is full
-YOUNG_MEMO_CAP = 1 << 16
 # slack of the blockwise pairing inequality in ``inequality_check``
 PAIRING_TOL = 1e-9
 # a chord slope of a Young function has stopped growing once it gains at
@@ -72,12 +71,14 @@ class YoungFunction:
         grid = np.asarray(sample_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 3:
             raise YoungFunctionError("sample_grid needs at least three points")
+        if not np.isfinite(grid).all():
+            raise YoungFunctionError("sample_grid must be finite")
         if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
             raise YoungFunctionError("sample_grid must be increasing and positive")
         self._fn = evaluator
         self.sample_grid = grid
         self.name = name
-        self._memo: dict = {}
+        self._memo = _Memo()
 
         if _safe_eval(evaluator, 0.0) != 0.0:
             raise YoungFunctionError("a Young function must vanish at 0")
@@ -106,15 +107,10 @@ class YoungFunction:
 
     def __call__(self, t: float) -> float:
         t = float(t)
-        if t < 0:
-            raise ValueError("Young functions are defined on [0, inf)")
+        if not t >= 0:
+            raise ValueError(f"Young functions are defined on [0, inf), not at {t!r}")
         v = self._memo.get(t)
-        if v is None:
-            v = _safe_eval(self._fn, t)
-            if len(self._memo) >= YOUNG_MEMO_CAP:
-                self._memo.clear()
-            self._memo[t] = v
-        return v
+        return self._memo.keep(t, _safe_eval(self._fn, t)) if v is None else v
 
     def finite_domain_bound(self) -> float:
         """Supremum of the finite domain, +inf when finite everywhere.

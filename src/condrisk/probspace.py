@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity
+from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, _Memo
 from .errors import CondriskError
 
 PROB_SUM_TOL = 1e-12
@@ -218,7 +218,7 @@ class FiniteProbSpace:
             block_mass=block_mass,
             cond=cond,
             _cond_in_order=cond_in_order,
-            _block_spaces={},
+            _block_spaces=_Memo(),
         )
 
     def __setattr__(self, name, value):
@@ -305,12 +305,11 @@ class FiniteProbSpace:
         The probability array is reused bit-for-bit, so blockwise quantities on
         this space agree exactly with the parent's block-``j`` quantities.
         """
-        if j not in self._block_spaces:
+        space = self._block_spaces.get(j)
+        if space is None:
             q = self.cond_probs(j)
-            self._block_spaces[j] = FiniteProbSpace(
-                q, [tuple(range(1, q.size + 1))], _normalized=True
-            )
-        return self._block_spaces[j]
+            space = self._block_spaces.keep(j, FiniteProbSpace(q, [range(1, q.size + 1)], _normalized=True))
+        return space
 
     def lift(self, eta: ConditionalValue) -> RandomVariable:
         """Blockwise-constant payoff with the given finite block values."""

@@ -204,6 +204,25 @@ def test_every_private_helper_is_called():
     assert {name: module for name, module in defined.items() if name not in read} == {}
 
 
+def test_one_memo_rule():
+    """A table filled on a miss is a ``boolalg._Memo``: ``MEMO_CAP`` is the
+    one memo cap, and the memo type is the one code that clears a table, so
+    a cap and a clear written by hand elsewhere fail here."""
+    caps, clears = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                caps += [t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("MEMO_CAP")]
+            if not (path.name == "boolalg.py" and isinstance(top, ast.ClassDef) and top.name == "_Memo"):
+                clears += [
+                    f"{path.name}:{n.lineno}"
+                    for n in ast.walk(top)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "clear"
+                ]
+    assert (caps, clears) == (["MEMO_CAP"], [])
+
+
 def _unread_imports(path):
     """Names a module imports (``__future__`` features aside) that it never reads."""
     tree = ast.parse(path.read_text())

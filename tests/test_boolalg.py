@@ -21,7 +21,7 @@ from condrisk import (
     partition_validate,
 )
 from condrisk import boolalg
-from condrisk.boolalg import ELEMENT_MEMO_CAP, mask_atoms
+from condrisk.boolalg import MEMO_CAP, mask_atoms
 
 
 @pytest.fixture
@@ -59,6 +59,27 @@ def test_element_validation(alg):
         alg.element({3})
     with pytest.raises(ValueError):
         BooleanAlgebra(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda alg: BooleanAlgebra(True),
+        lambda alg: alg.from_mask(True),
+        lambda alg: alg.from_mask(False),
+        lambda alg: alg.atom(True),
+        lambda alg: alg.element([True]),
+        lambda alg: alg.element([2, False]),
+        lambda alg: BoolElem(alg, [True]),
+    ],
+    ids=["atom_count", "mask_true", "mask_false", "atom", "element", "element_false", "constructor"],
+)
+def test_a_bool_is_refused_where_the_algebra_takes_an_integer(alg, make):
+    with pytest.raises(ValueError, match="must be an int, not a bool"):
+        make(alg)
+    # the refusal stores nothing: the table still hands out int masks
+    assert type(alg.atom(1).mask) is int and type(alg.from_mask(1).mask) is int
+    assert all(type(e.mask) is int for e in alg._interned.values())
 
 
 def test_partition_examples(alg):
@@ -138,10 +159,10 @@ def _assert_equals_a_fresh_element(e):
 def _read_past_a_clear(alg):
     """Read new masks from the top until the element table is cleared."""
     table = alg._interned
-    for k in range(2 * ELEMENT_MEMO_CAP):
+    for k in range(2 * MEMO_CAP):
         size = len(table)
         alg.from_mask(alg.full - k)
-        assert len(table) <= ELEMENT_MEMO_CAP
+        assert len(table) <= MEMO_CAP
         if len(table) < size:
             return
     raise AssertionError("the element table was never cleared")
@@ -167,7 +188,7 @@ def test_interned_results_equal_fresh_elements(data):
     for e in held:
         _assert_equals_a_fresh_element(e)
         assert alg.from_mask(e.mask) is e  # below the cap: one element per mask
-    if 1 << m > ELEMENT_MEMO_CAP and data.draw(st.booleans()):
+    if 1 << m > MEMO_CAP and data.draw(st.booleans()):
         _read_past_a_clear(alg)
         for e in held + reads():
             _assert_equals_a_fresh_element(e)
@@ -177,18 +198,18 @@ def test_interned_results_equal_fresh_elements(data):
 def test_the_element_table_is_cleared_at_its_cap():
     alg = BooleanAlgebra(16)
     sizes = []
-    for mask in range(ELEMENT_MEMO_CAP + 10):
+    for mask in range(MEMO_CAP + 10):
         assert alg.from_mask(mask).mask == mask
         sizes.append(len(alg._interned))
-    assert max(sizes) == ELEMENT_MEMO_CAP
-    assert sizes[-1] < ELEMENT_MEMO_CAP  # cleared
+    assert max(sizes) == MEMO_CAP
+    assert sizes[-1] < MEMO_CAP  # cleared
     one = alg.one
     assert one is alg.one and ~alg.from_mask(0) is one
 
 
 def test_concurrent_reads_across_clears(monkeypatch):
     # a small cap clears the table often while six threads read overlapping masks
-    monkeypatch.setattr(boolalg, "ELEMENT_MEMO_CAP", 32)
+    monkeypatch.setattr(boolalg, "MEMO_CAP", 32)
     alg = BooleanAlgebra(16)
     sizes, wrong = [], []
 
@@ -228,9 +249,9 @@ def test_a_full_element_table_stays_within_its_memory_bound(m):
     tracemalloc.start()
     try:
         alg = BooleanAlgebra(m)
-        for k in range(ELEMENT_MEMO_CAP):
+        for k in range(MEMO_CAP):
             alg.from_mask(alg.full - k if m == 16 else 1 << 999 | k << 16)
-        assert len(alg._interned) == ELEMENT_MEMO_CAP
+        assert len(alg._interned) == MEMO_CAP
         for e in list(alg._interned.values()):
             assert len(e.atoms) == e.mask.bit_count()
             assert (e.atoms is e.atoms) == (m == 16)  # kept below 2^16 only

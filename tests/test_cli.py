@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from condrisk import duality
-from condrisk.cli import ingest, main
+from condrisk.cli import ingest, main, script_entry
 from condrisk.cli import ScenarioError
 
 LOG2 = math.log(2.0)
@@ -546,3 +546,10 @@ def test_refusals_exit_2_with_a_json_error(capsys, tmp_path, s4_path, refusal):
     code, out = run(capsys, [paths.get(a, a) for a in argv])
     assert code == 2
     assert out == {"error": error.replace("MISSING", paths["MISSING"])}
+
+
+def test_script_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["condrisk", "bogus"])
+    with pytest.raises(SystemExit) as stop:
+        script_entry()
+    assert stop.value.code == 2

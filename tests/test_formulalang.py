@@ -20,8 +20,8 @@ from condrisk import (
     witness,
 )
 from condrisk import bvm, formulalang
-from condrisk.boolalg import AlgebraMismatchError
-from condrisk.bvm import LITERAL_MEMO_CAP, UniverseError, name_to_literal, parse_name_literal, scan
+from condrisk.boolalg import MEMO_CAP, AlgebraMismatchError
+from condrisk.bvm import UniverseError, name_to_literal, parse_name_literal, scan
 from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
     _PUNCT,
@@ -460,7 +460,7 @@ def test_literal_memo_stays_within_its_cap():
                 for c in range(1, 17):
                     parse_name_literal(f"name{{empty: {{{a}{sep}{b}{sep}{c}}}}}", uni)
                     sizes.append(len(uni._literal_memo))
-    assert max(sizes) == LITERAL_MEMO_CAP
+    assert max(sizes) == MEMO_CAP
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # cleared
 
 

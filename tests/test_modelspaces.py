@@ -17,8 +17,8 @@ from condrisk import (
     young_power,
 )
 from condrisk import FiniteProbSpace, modelspaces
-from condrisk.boolalg import mask_array
-from condrisk.modelspaces import LUXEMBURG_TOL, YOUNG_MEMO_CAP, ConjugacyError, YoungFunctionError
+from condrisk.boolalg import MEMO_CAP, mask_array
+from condrisk.modelspaces import LUXEMBURG_TOL, ConjugacyError, YoungFunctionError
 
 
 def indicator_young():
@@ -80,6 +80,51 @@ def test_young_validation():
         YoungFunction(lambda t: math.sqrt(t), grid)  # concave
     with pytest.raises(YoungFunctionError):
         YoungFunction(lambda t: math.inf if t > 0 else 0.0, grid)  # not finite near 0
+
+
+@pytest.mark.parametrize(
+    "evaluator, grid, message",
+    [
+        (lambda t: t * t, [0.1, 0.2], "at least three points"),
+        (lambda t: t * t, [0.1, 0.3, 0.2], "increasing and positive"),
+        (lambda t: t * t, [0.0, 0.1, 0.2], "increasing and positive"),
+        (lambda t: t * t / 2, [0.1, 0.5, math.inf], "sample_grid must be finite"),
+        (lambda t: t * t / 2, [0.1, math.nan, 0.5], "sample_grid must be finite"),
+        (lambda t: t * t if t < 3.0 else math.nan, np.geomspace(0.01, 5.0, 32), "evaluator returned NaN"),
+        (lambda t: math.inf if 1.0 < t < 2.0 else t * t, np.geomspace(0.01, 5.0, 32), "after \\+inf"),
+    ],
+    ids=["short", "unsorted", "zero", "inf_point", "nan_point", "nan_value", "finite_after_inf"],
+)
+def test_young_refusals_name_their_rule(evaluator, grid, message):
+    with pytest.raises(YoungFunctionError, match=message):
+        YoungFunction(evaluator, grid)
+
+
+def test_conjugate_refuses_a_non_finite_r_grid():
+    # a point at +inf had made the conjugate a cutoff at 0.5: 1.375 at 3, not 4.5
+    with pytest.raises(YoungFunctionError, match="sample_grid must be finite"):
+        young_conjugate(young_power(2), r_grid=[0.1, 0.5, math.inf])
+
+
+def test_young_arguments_outside_the_domain_are_refused():
+    phi = YoungFunction(lambda t: t * t / 2 if t <= 10.0 else math.inf, np.geomspace(0.01, 5.0, 32))
+    for t in (-1.0, -1e-300, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="defined on \\[0, inf\\)"):
+            phi(t)
+    assert phi(0.0) == 0.0 and phi(2.0) == 2.0 and math.isinf(phi(11.0))
+
+
+def test_an_overflowing_evaluator_reads_infinite():
+    phi = YoungFunction(lambda t: math.exp(t) - 1.0, np.geomspace(0.01, 5.0, 32))
+    assert phi.finite_valued and phi(1.0) == pytest.approx(math.e - 1.0)
+    assert phi(1e3) == math.inf  # math.exp raises OverflowError there
+
+
+def test_young_reprs():
+    assert repr(young_power(2)) == "YoungFunction(t^2/2, finite_valued=True)"
+    assert repr(indicator_young()) == "YoungFunction(cutoff, finite_valued=False)"
+    unnamed = YoungFunction(lambda t: t * t, np.geomspace(0.01, 5.0, 32))
+    assert repr(unnamed) == "YoungFunction(custom, finite_valued=True)"
 
 
 def test_holder_conjugate():
@@ -189,9 +234,9 @@ def test_young_memo_stays_under_its_cap():
     phi2 = young_conjugate(psi)
     x = RandomVariable(np.random.default_rng(2024).normal(0.0, 2.0, space.n_atoms))
     module_gauge(ModuleSpec.orlicz(phi2), x, space)
-    assert len(calls) > YOUNG_MEMO_CAP  # the cap was reached
+    assert len(calls) > MEMO_CAP  # the cap was reached
     for f in (phi, psi, phi2):
-        assert len(f._memo) <= YOUNG_MEMO_CAP
+        assert len(f._memo) <= MEMO_CAP
 
 
 # -- work pins: evaluator calls, counted -----------------------------------------------

@@ -560,3 +560,32 @@ def test_bad_property_name(s4):
     # a shrinking perturbation is the one sequence the check takes
     with pytest.raises(TypeError, match="^unsupported sequence spec$"):
         check_convergence_property(neg_cond_expectation(s4), [x, x])
+
+
+def test_other_cpus_is_empty_where_the_thread_stat_cannot_be_read(monkeypatch):
+    monkeypatch.setattr(riskcore, "_CPUS", (0, 1, 2))
+    here = riskcore._other_cpus()
+    assert here == () or (len(here) == 2 and set(here) < {0, 1, 2})
+
+    def refuse(*args, **kwargs):
+        raise OSError("no stat file")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    assert riskcore._other_cpus() == ()
+
+
+def test_a_batch_error_that_no_single_trial_repeats_is_raised(s4):
+    # the batch raises only on several rows at once, so run a trial at a
+    # time to place the error, none raises and none fails: the batch's own
+    # error is raised, not a pass
+    def rows(vals):
+        if vals.shape[0] > 1:
+            raise ZeroDivisionError("only in a batch")
+        return -s4.block_mean(vals)
+
+    measure = CondRiskMeasure(
+        s4, lambda x: ConditionalValue(rows(x.values[None])[0]), "batch_only", evaluate_batch_fn=rows
+    )
+    assert check_axiom(measure, "monotonicity", 1).passed
+    with pytest.raises(ZeroDivisionError, match="only in a batch"):
+        check_axiom(measure, "monotonicity", 10)

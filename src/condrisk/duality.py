@@ -50,7 +50,7 @@ class DualVariable(_Values):
     def is_admissible(self, space: FiniteProbSpace) -> bool:
         """Whether -y is a conditional density on every block, within ADMISSIBLE_TOL."""
         _check_length(space, self.values)
-        return bool(_admissible_mask(space, self.values).all())
+        return bool(_admissible_mask(space, space._in_order(self)).all())
 
 
 def _check_length(space: FiniteProbSpace, values: np.ndarray) -> None:
@@ -60,16 +60,22 @@ def _check_length(space: FiniteProbSpace, values: np.ndarray) -> None:
 
 
 def admissible_dual(space: FiniteProbSpace, densities) -> DualVariable:
-    """Build y = -d from per-atom densities, renormalized blockwise to mean 1."""
+    """Build y = -d from per-atom densities, renormalized blockwise to mean 1;
+    the one gather of d gives the masses, then y's copy in block order."""
     d = np.asarray(densities, dtype=float)
     _check_length(space, d)
     if np.any(d < 0):
         raise ValueError("densities must be nonnegative")
-    mass = space.block_mean(d)
+    a = space._in_order(d)
+    mass = space._mean(a)
     if np.any(mass <= 0):
         j = int(np.argmax(mass <= 0)) + 1
         raise ValueError(f"density has zero conditional mass on block {j}")
-    return DualVariable(-d / space.broadcast(mass))
+    y = DualVariable(-d / space.broadcast(mass))
+    np.negative(a, out=a)
+    a /= mass.take(space._block_in_order)
+    space._in_order(y, a)
+    return y
 
 
 # -- numeric Fenchel transform --------------------------------------------------
@@ -252,20 +258,22 @@ def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
     return values.reshape(n_rows, n_blocks), points.reshape(ys.shape), rays.reshape(ys.shape)
 
 
-def _penalty_rows(measure: CondRiskMeasure, ys: np.ndarray, closed_form=True, blocks=None) -> np.ndarray:
-    """Penalties of the rows of ``ys`` as ``(rows, n_blocks)``: the closed form,
-    one call for every row, if ``closed_form`` is set and the measure has one;
-    else the grid conjugate of every row on the stack of the blocks of each
-    size (``riskcore._stacks``) that the mask ``blocks`` marks (all by
-    default), +inf on the others.  A wrong row length and a NaN penalty are refused by name."""
+def _penalty_rows(measure: CondRiskMeasure, ys, closed_form=True, blocks=None) -> np.ndarray:
+    """Penalties of the rows of ``ys`` (a dual value is one row) as ``(rows,
+    n_blocks)``: the closed form, one call for every row, if ``closed_form``
+    is set and the measure has one (a built-in's reads a value's copy in
+    block order); else the grid conjugate of every row on the stack of the
+    blocks of each size (``riskcore._stacks``) that the mask ``blocks`` marks
+    (all by default), +inf on the others.  A wrong row length and a NaN penalty are refused by name."""
     space = measure.space
-    _check_length(space, ys)
+    rows = ys.values[None] if isinstance(ys, _Values) else ys
+    _check_length(space, rows)
     if closed_form and measure.closed_form_penalty is not None:
-        pen = measure._rows(measure.closed_form_penalty, ys, "penalties")
+        pen = measure._rows(measure.closed_form_penalty, rows if measure._kernel is None else ys, "penalties")
     else:
-        pen = np.full((len(ys), space.n_blocks), math.inf)
+        pen = np.full((len(rows), space.n_blocks), math.inf)
         for cut, stack, atoms in _stacks(measure, blocks):
-            pen[:, cut] = _block_conjugate_grid(stack, ys[:, atoms])[0]
+            pen[:, cut] = _block_conjugate_grid(stack, rows[:, atoms])[0]
     ConditionalValue._check(pen)
     return pen
 
@@ -274,12 +282,12 @@ def fenchel(measure: CondRiskMeasure, y: DualVariable) -> ConditionalValue:
     """Blockwise conjugate rho#(y) = esssup_x (E[x y | F] - rho(x)) by the grid,
     one search per block size; it never reads a closed form.  +inf entries
     signal that -y is not an admissible density for the measure there."""
-    return ConditionalValue(_penalty_rows(measure, y.values[None], closed_form=False)[0])
+    return ConditionalValue(_penalty_rows(measure, y, closed_form=False)[0])
 
 
 def penalty_of(measure: CondRiskMeasure, y: DualVariable) -> ConditionalValue:
     """The measure's closed-form penalty at y where it declares one, else ``fenchel``."""
-    return ConditionalValue(_penalty_rows(measure, y.values[None])[0])
+    return ConditionalValue(_penalty_rows(measure, y)[0])
 
 
 def penalty_map(measure: CondRiskMeasure) -> Callable[[RandomVariable], ConditionalValue]:
@@ -341,7 +349,7 @@ class DualResult:
 def _graded(measure: CondRiskMeasure, xv: np.ndarray, y: DualVariable, blocks=None) -> np.ndarray:
     """E[x y | block] - penalty(y) by the measure's own route, ``_penalty_rows``;
     -inf on the blocks that a measure without a closed form leaves unmarked."""
-    pen = _penalty_rows(measure, y.values[None], blocks=blocks)[0]
+    pen = _penalty_rows(measure, y, blocks=blocks)[0]
     return measure.space.block_mean(xv * y.values) - pen
 
 

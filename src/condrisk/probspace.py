@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, _Memo
+from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, _int_error, _Memo
 from .errors import CondriskError
 
 PROB_SUM_TOL = 1e-12
@@ -34,9 +34,10 @@ class _Values:
     """A checked, read-only vector of floats: the base of payoffs, values
     per block and dual variables.  Built from one ``np.array`` copy, which
     must be nonempty and 1-d (refused by the type's ``_noun``) and pass the
-    type's ``_check``; compared by type and values."""
+    type's ``_check``; compared by type and values.  ``_gathered`` is the
+    slot of ``FiniteProbSpace._in_order``, unset until a space reads it."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_gathered")
 
     def __init__(self, values):
         arr = np.array(values, dtype=float)
@@ -192,16 +193,16 @@ class FiniteProbSpace:
         probs = _readonly(p)
         # block layout, built once: atoms in block order, cut at ``starts``
         # (kept as Python ints in ``_bounds`` too, for cheap per-block slices)
-        order = atoms - 1
+        order = vars(self)["order"] = atoms - 1
         starts = np.array(bounds[:-1], dtype=np.intp)
         # the smallest integer type that holds a block id keeps the stable
         # sort of block ids in cond_avar a radix sort
         block_of = np.empty(n, dtype=np.min_scalar_type(len(sizes) - 1))
         in_order = np.arange(len(sizes), dtype=block_of.dtype).repeat(sizes)
         block_of[order] = in_order
-        block_mass = np.add.reduceat(probs.take(order), starts)
+        block_mass = np.add.reduceat(self._in_order(probs), starts)
         cond = probs if _normalized else probs / block_mass[block_of]
-        cond_in_order = cond[order]
+        cond_in_order = self._in_order(cond)
         for arr in (order, starts, block_of, block_mass, cond, cond_in_order, in_order):
             arr.setflags(write=False)
         # set once, here: every measure on the space reads this layout, so
@@ -211,7 +212,6 @@ class FiniteProbSpace:
             probs=probs,
             algebra=BooleanAlgebra(len(sizes)),
             _bounds=bounds,
-            order=order,
             starts=starts,
             block_of=block_of,
             _block_in_order=in_order,
@@ -264,10 +264,15 @@ class FiniteProbSpace:
         return a
 
     def _block_slice(self, j: int) -> slice:
-        """Atoms of block ``j`` in block order; the one range check of a block index."""
-        if not 1 <= j <= self.n_blocks:
-            raise ValueError(f"block {j} outside 1..{self.n_blocks}")
-        return slice(self._bounds[j - 1], self._bounds[j])
+        """Atoms of block ``j`` in block order; the one check of a block
+        index: an int or a numpy integer in 1..n_blocks, not a bool."""
+        try:
+            i = j if isinstance(j, bool) else operator.index(j)
+        except TypeError:
+            raise TypeError(f"block must be an int, got {j!r}") from None
+        if isinstance(i, bool) or not 1 <= i <= self.n_blocks:
+            raise ValueError(_int_error("block", i, 1, self.n_blocks))
+        return slice(self._bounds[i - 1], self._bounds[i])
 
     def cond_probs(self, j: int) -> np.ndarray:
         """Conditional atom probabilities inside block ``j`` (1-based)."""
@@ -279,21 +284,40 @@ class FiniteProbSpace:
     def restrict(self, x: RandomVariable, j: int) -> np.ndarray:
         return self._check_rv(x)[self.block_index_array(j)]
 
+    def _in_order(self, v, gathered: np.ndarray = None) -> np.ndarray:
+        """``v`` gathered into block order, the one gather of the space: rows
+        of an array (its last axis) get a fresh gather, which the caller may
+        write.  A value (a payoff or a dual) keeps its copy, read-only, in
+        its one slot, keyed by the ``order`` array it was gathered for, so a
+        read through another layout replaces it; ``gathered``, a gather the
+        caller made already, seeds an empty or stale slot."""
+        if not isinstance(v, _Values):
+            return v.take(self.order, axis=-1)
+        slot = getattr(v, "_gathered", None)
+        if slot is None or slot[0] is not self.order:
+            if gathered is None:
+                gathered = v.values.take(self.order)
+            gathered.setflags(write=False)
+            slot = (self.order, gathered)
+            object.__setattr__(v, "_gathered", slot)
+        return slot[1]
+
+    def _mean(self, a: np.ndarray) -> np.ndarray:
+        """Conditional expectation of each block of ``a``, rows already in block order."""
+        return np.add.reduceat(self._cond_in_order * a, self.starts, axis=-1)
+
     # -- blockwise reductions over the last axis of arrays (payoffs or row
-    #    batches); each is one gather into block order and one reduceat
+    #    batches) or of a value; each reads ``_in_order`` and cuts at ``starts``
 
-    def block_sum(self, v: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(v.take(self.order, axis=-1), self.starts, axis=-1)
+    def block_max(self, v) -> np.ndarray:
+        return np.maximum.reduceat(self._in_order(v), self.starts, axis=-1)
 
-    def block_max(self, v: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(v.take(self.order, axis=-1), self.starts, axis=-1)
+    def block_min(self, v) -> np.ndarray:
+        return np.minimum.reduceat(self._in_order(v), self.starts, axis=-1)
 
-    def block_min(self, v: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(v.take(self.order, axis=-1), self.starts, axis=-1)
-
-    def block_mean(self, v: np.ndarray) -> np.ndarray:
+    def block_mean(self, v) -> np.ndarray:
         """Conditional expectation of each block under the conditional probabilities."""
-        return self.block_sum(self.cond * v)
+        return self._mean(self._in_order(v))
 
     def broadcast(self, per_block: np.ndarray) -> np.ndarray:
         """Per-block values (last axis) repeated onto the atoms of each block."""
@@ -305,9 +329,9 @@ class FiniteProbSpace:
         The probability array is reused bit-for-bit, so blockwise quantities on
         this space agree exactly with the parent's block-``j`` quantities.
         """
+        q = self.cond_probs(j)  # refuses a bad j before the memo sees it
         space = self._block_spaces.get(j)
         if space is None:
-            q = self.cond_probs(j)
             space = self._block_spaces.keep(j, FiniteProbSpace(q, [range(1, q.size + 1)], _normalized=True))
         return space
 
@@ -322,13 +346,16 @@ class FiniteProbSpace:
 
     def cond_expect(self, x: RandomVariable) -> ConditionalValue:
         """Conditional expectation: per block the conditional weighted average."""
-        return ConditionalValue(self.block_mean(self._check_rv(x)))
+        self._check_rv(x)
+        return ConditionalValue(self.block_mean(x))
 
     def esssup_cond(self, x: RandomVariable) -> ConditionalValue:
-        return ConditionalValue(self.block_max(self._check_rv(x)))
+        self._check_rv(x)
+        return ConditionalValue(self.block_max(x))
 
     def essinf_cond(self, x: RandomVariable) -> ConditionalValue:
-        return ConditionalValue(self.block_min(self._check_rv(x)))
+        self._check_rv(x)
+        return ConditionalValue(self.block_min(x))
 
     def part_index(self, partition: PartitionOfUnity) -> np.ndarray:
         """For each sample atom, the index of the part that holds its block:
@@ -350,10 +377,10 @@ class FiniteProbSpace:
         return RandomVariable(stacked[part, np.arange(self.n_atoms)])
 
     def cond_cdf(self, x: RandomVariable, eta: ConditionalValue) -> ConditionalValue:
-        """P(x <= eta | block) per block."""
-        xv = self._check_rv(x)
+        """P(x <= eta | block) per block, in block order against eta repeated by block size."""
+        self._check_rv(x)
         ev = self._check_cv(eta)
-        return ConditionalValue(self.block_mean(xv <= self.broadcast(ev)))
+        return ConditionalValue(self._mean(self._in_order(x) <= ev.take(self._block_in_order)))
 
     def same_conditional_law(self, x: RandomVariable, y: RandomVariable) -> bool:
         """Whether every block gives x and y the same law: the same values,

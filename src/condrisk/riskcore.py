@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CondriskError
-from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, SpaceError, _cv, _readonly
+from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, SpaceError, _cv, _readonly, _Values
 
 # a dual variable y is an admissible density when y <= 0 and E[y | block] = -1
 ADMISSIBLE_TOL = 1e-10
@@ -60,8 +60,9 @@ class CondRiskMeasure:
     ``closed_form_penalty`` has the contract of ``evaluate_batch_fn``: it maps
     a ``(rows, n_atoms)`` array of raw dual vectors (all <= 0) to ``(rows,
     n_blocks)`` penalties, +inf where a row is not an admissible density for
-    the measure, and a result of another shape is refused by name.  Built-ins
-    pass their batched penalty as it is.  A user measure's dual comes from
+    the measure, and a result of another shape is refused by name; a
+    built-in's also takes a dual value as one row, read from its copy in
+    block order.  A user measure's dual comes from
     candidate duals graded by its own penalty, central differences of its
     risk first; ``dual_density_cap`` bounds the density on each block, a
     scalar or one finite value per block kept as a read-only array, and adds
@@ -125,14 +126,13 @@ class CondRiskMeasure:
             return np.stack([self._evaluate_one(RandomVariable(row)).values for row in xs])
         return self._rows(self.evaluate_batch_fn, xs, "risks")
 
-    def _rows(self, fn, xs: np.ndarray, what: str) -> np.ndarray:
-        """``fn(xs)`` of a row hook, refused by name unless ``(rows, n_blocks)``."""
+    def _rows(self, fn, xs, what: str) -> np.ndarray:
+        """``fn(xs)`` of a row hook, refused by name unless ``(rows, n_blocks)``;
+        a value ``xs`` is one row."""
         out = np.asarray(fn(xs), dtype=float)
-        if out.shape != (len(xs), self.space.n_blocks):
-            raise SpaceError(
-                f"{self.label} returned {what} of shape {out.shape}, "
-                f"expected {(len(xs), self.space.n_blocks)}"
-            )
+        shape = (1 if isinstance(xs, _Values) else len(xs), self.space.n_blocks)
+        if out.shape != shape:
+            raise SpaceError(f"{self.label} returned {what} of shape {out.shape}, expected {shape}")
         return out
 
     def restrict(self, j: int) -> "CondRiskMeasure":
@@ -223,18 +223,25 @@ def _map_chunks(batch, chunks: list) -> list:
     return out
 
 
-def _builtin(space, label, batch, penalty, oracle, kernel, prepare=None, **dual) -> CondRiskMeasure:
-    """A built-in from its batched risk (rows of payoffs), its batched penalty
-    (rows of duals), its dual oracle (rows of payoffs to weights) and its
-    ``kernel``: the kind of ``_KERNELS`` and the parameter of each block.
+def _builtin(space, label, risk, penalty, oracle, kernel, prepare=None, **dual) -> CondRiskMeasure:
+    """A built-in from kernels on rows in block order, its risk (rows of
+    payoffs), penalty (rows of duals) and dual oracle (rows of payoffs to
+    weights in atom order), and its ``kernel``: the kind of ``_KERNELS`` and
+    the parameter of each block.  Each hook gathers through
+    ``space._in_order``: a value (``evaluate``, or the closed form given a
+    dual) hands its kernel its read-only copy, rows of an array a fresh
+    gather, which a kernel may write where it is writeable.
 
     Batches run in chunks of rows of about CHUNK_ELEMENTS payoff entries, so a
     batch's full-size temporaries stay that small however many rows it has;
     a batch of several chunks shares them among the process's CPUs
     (``_map_chunks``).  ``prepare``, if given, builds the lazy tables that
-    ``batch`` reads; it runs before any helper thread starts.
+    ``risk`` reads; it runs before any helper thread starts.
     """
     step = max(1, CHUNK_ELEMENTS // space.n_atoms)
+
+    def batch(xs: np.ndarray) -> np.ndarray:
+        return risk(space._in_order(xs))
 
     def batch_fn(xs: np.ndarray) -> np.ndarray:
         if len(xs) <= step:
@@ -245,21 +252,21 @@ def _builtin(space, label, batch, penalty, oracle, kernel, prepare=None, **dual)
 
     measure = CondRiskMeasure(
         space,
-        lambda x: ConditionalValue(batch(x.values[None])[0]),
+        lambda x: ConditionalValue(risk(space._in_order(x)[None])[0]),
         label,
-        closed_form_penalty=penalty,
+        closed_form_penalty=lambda ys: penalty(np.atleast_2d(space._in_order(ys))),
         evaluate_batch_fn=batch_fn,
         **dual,
     )
     object.__setattr__(measure, "_kernel", kernel)
-    object.__setattr__(measure, "_dual_oracle", oracle)
+    object.__setattr__(measure, "_dual_oracle", lambda xs: oracle(space._in_order(xs)))
     return measure
 
 
-def _admissible_mask(space: FiniteProbSpace, y: np.ndarray) -> np.ndarray:
-    """Blocks on which -y is a conditional density (within ADMISSIBLE_TOL)."""
-    return (space.block_max(y) <= ADMISSIBLE_TOL) & (
-        np.abs(space.block_mean(y) + 1.0) <= ADMISSIBLE_TOL
+def _admissible_mask(space: FiniteProbSpace, b: np.ndarray) -> np.ndarray:
+    """Blocks on which -y, rows ``b`` in block order, is a conditional density (within ADMISSIBLE_TOL)."""
+    return (np.maximum.reduceat(b, space.starts, axis=-1) <= ADMISSIBLE_TOL) & (
+        np.abs(space._mean(b) + 1.0) <= ADMISSIBLE_TOL
     )
 
 
@@ -272,9 +279,9 @@ def neg_cond_expectation(space: FiniteProbSpace) -> CondRiskMeasure:
     return _builtin(
         space,
         "neg_expectation",
-        lambda xs: -space.block_mean(xs),
-        lambda y: _zero_where(space.block_max(np.abs(y + 1.0)) <= ADMISSIBLE_TOL),
-        lambda xs: np.ones(xs.shape),
+        lambda a: -space._mean(a),
+        lambda b: _zero_where(np.maximum.reduceat(np.abs(b + 1.0), space.starts, axis=-1) <= ADMISSIBLE_TOL),
+        lambda a: np.ones(a.shape),
         ("neg_expectation", None),
     )
 
@@ -287,20 +294,19 @@ def cond_worst_case(space: FiniteProbSpace) -> CondRiskMeasure:
     """
     ids, starts = space._block_in_order, space.starts
 
-    def oracle(xs: np.ndarray) -> np.ndarray:
-        a = xs.take(space.order, axis=-1)
+    def oracle(a: np.ndarray) -> np.ndarray:
         least = a == np.minimum.reduceat(a, starts, axis=-1).take(ids, axis=-1)
         place = np.where(least, np.arange(a.shape[-1]), a.shape[-1])
         first = np.minimum.reduceat(place, starts, axis=-1)
-        w = np.zeros(xs.shape)
+        w = np.zeros(a.shape)
         np.put_along_axis(w, space.order.take(first), 1.0, axis=-1)
         return w
 
     return _builtin(
         space,
         "worst_case",
-        lambda xs: -space.block_min(xs),
-        lambda y: _zero_where(_admissible_mask(space, y)),
+        lambda a: -np.minimum.reduceat(a, starts, axis=-1),
+        lambda b: _zero_where(_admissible_mask(space, b)),
         oracle,
         ("worst_case", None),
     )
@@ -335,50 +341,48 @@ def cond_entropic(space: FiniteProbSpace, gamma) -> CondRiskMeasure:
     ids, starts = space._block_in_order, space.starts
     neg_g = -g.take(ids)
 
-    def tilt(xs: np.ndarray):
-        """exp(-gamma x - top) in block order, with top the block's largest
-        -gamma x: one gather into block order, and every later step stays
-        there."""
-        a = xs.take(space.order, axis=-1)
-        a *= neg_g
+    def tilt(a: np.ndarray):
+        """exp(-gamma x - top) of rows in block order, with top the block's
+        largest -gamma x; written into ``a`` where it is writeable (a fresh
+        gather), so every step stays in the one gather."""
+        a = np.multiply(a, neg_g, out=a if a.flags.writeable else None)
         top = np.maximum.reduceat(a, starts, axis=-1)
         a -= top.take(ids, axis=-1)
         np.exp(a, out=a)
         return a, top
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        a, top = tilt(xs)
+    def risk(a: np.ndarray) -> np.ndarray:
+        a, top = tilt(a)
         a *= space._cond_in_order
         return (top + np.log(np.add.reduceat(a, starts, axis=-1))) / g
 
-    def oracle(xs: np.ndarray) -> np.ndarray:
-        w = np.empty(xs.shape)
-        w[..., space.order] = tilt(xs)[0]
+    def oracle(a: np.ndarray) -> np.ndarray:
+        w = np.empty(a.shape)
+        w[..., space.order] = tilt(a)[0]
         return w
 
-    def penalty(y: np.ndarray) -> np.ndarray:
-        d = np.maximum(-y, 0.0)
+    def penalty(b: np.ndarray) -> np.ndarray:
+        d = np.maximum(-b, 0.0)
         ent = np.where(d > 0, d * np.log(np.maximum(d, 1e-300)), 0.0)
-        return np.where(_admissible_mask(space, y), space.block_mean(ent) / g, math.inf)
+        return np.where(_admissible_mask(space, b), space._mean(ent) / g, math.inf)
 
     return _builtin(
         space,
         "entropic",
-        batch,
+        risk,
         penalty,
         oracle,
         ("entropic", g),
     )
 
 
-def _two_sorts(space: FiniteProbSpace, mass_fixed: np.ndarray, xs: np.ndarray):
-    """Fixed-point masses and payoffs of each row, grouped by block in block
-    order with each block's payoffs ascending, and the atom at each place:
-    each row gathered into block order, then a stable sort by payoff and a
-    stable sort of the block ids (a radix sort for small integer ids).  Tied
-    payoffs keep their block order, as in the packed key."""
-    rows = np.arange(len(xs))[:, None]
-    v = xs.take(space.order, axis=-1)
+def _two_sorts(space: FiniteProbSpace, mass_fixed: np.ndarray, v: np.ndarray):
+    """Fixed-point masses and payoffs of each row of ``v`` (in block order),
+    grouped by block in block order with each block's payoffs ascending, and
+    the atom at each place: a stable sort by payoff, then a stable sort of
+    the block ids (a radix sort for small integer ids).  Tied payoffs keep
+    their block order, as in the packed key."""
+    rows = np.arange(len(v))[:, None]
     at = v.argsort(axis=-1, kind="stable")
     at = at[rows, space._block_in_order[at].argsort(axis=-1, kind="stable")]
     order = space.order[at]
@@ -386,17 +390,16 @@ def _two_sorts(space: FiniteProbSpace, mass_fixed: np.ndarray, xs: np.ndarray):
 
 
 def _packed_sort(
-    space: FiniteProbSpace, mass_fixed: np.ndarray, layout: tuple, xs: np.ndarray, atoms: bool
+    space: FiniteProbSpace, mass_fixed: np.ndarray, layout: tuple, v: np.ndarray, atoms: bool
 ):
     """What ``_two_sorts`` returns, from one sort of a packed key per row;
     the atoms are None unless ``atoms`` asks for them.
 
-    The rows are gathered into block order and keyed (``layout`` is built by
+    The rows ``v``, in block order, are keyed (``layout`` is built by
     ``cond_avar``).  A row whose sorted payoffs decrease inside a block, as
     two payoffs cut to one bucket may, goes through ``_two_sorts`` instead.
     """
     mass, base, frame, block_bits, value_mask, pos_mask, first = layout
-    v = xs.take(space.order, axis=-1)
     # order-preserving bits: flip every bit of a negative, set the sign bit of a positive
     key = (v.view(np.int64) >> 63).view(np.uint64)
     key |= np.uint64(1 << 63)
@@ -415,7 +418,7 @@ def _packed_sort(
     # NaN compares false, so a block holding one is sorted again too
     bad = ~np.all((vals[:, 1:] >= vals[:, :-1]) | first, axis=-1)
     if bad.any():
-        fixed[bad], vals[bad], redone = _two_sorts(space, mass_fixed, xs[bad])
+        fixed[bad], vals[bad], redone = _two_sorts(space, mass_fixed, v[bad])
         if atoms:
             where[bad] = redone
     return fixed, vals, where
@@ -459,7 +462,8 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         # of several chunks builds it (``prepare``) before its helpers start.
         scale = 2.0 ** min(52, 62 - space.n_blocks.bit_length())
         mass_fixed = (space.cond * scale).astype(np.int64)
-        block_fixed = space.block_sum(mass_fixed)
+        mass_in_order = space._in_order(mass_fixed)
+        block_fixed = np.add.reduceat(mass_in_order, starts)
         before = np.add.accumulate(block_fixed) - block_fixed + (lam_arr * scale).astype(np.int64)
         # once grouped, position i of a row lies in block _block_in_order[i]
         ids = space._block_in_order
@@ -472,7 +476,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
             pos_bits = int(pos.max()).bit_length()
             frame = (ids.astype(np.uint64) << np.uint64(64 - block_bits)) if block_bits else 0
             layout = (
-                mass_fixed[space.order],
+                mass_in_order,
                 base,
                 pos.astype(np.uint64) | frame,
                 np.uint64(block_bits),
@@ -482,15 +486,15 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
             )
         return mass_fixed, before[ids], lam_arr * -scale, layout
 
-    def tail(xs: np.ndarray, atoms: bool = False):
-        """Each row sorted: the fixed-point masses, the payoffs, the mass
-        each atom gives its block's tail, and the atom at each place (None
-        unless ``atoms`` asks for them)."""
+    def tail(a: np.ndarray, atoms: bool = False):
+        """Each row of ``a`` (in block order) sorted: the fixed-point masses,
+        the payoffs, the mass each atom gives its block's tail, and the atom
+        at each place (None unless ``atoms`` asks for them)."""
         mass_fixed, limit, _, layout = fill_tables()
         if packed:
-            fixed, vals, where = _packed_sort(space, mass_fixed, layout, xs, atoms)
+            fixed, vals, where = _packed_sort(space, mass_fixed, layout, a, atoms)
         else:
-            fixed, vals, where = _two_sorts(space, mass_fixed, xs)
+            fixed, vals, where = _two_sorts(space, mass_fixed, a)
         # mass taken from each atom: what is left of limit after the atoms ahead
         take = np.add.accumulate(fixed, axis=-1)
         take -= fixed
@@ -499,29 +503,29 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
         np.minimum(take, fixed, out=take)
         return fixed, vals, take, where
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        _, vals, take, _ = tail(xs)
+    def risk(a: np.ndarray) -> np.ndarray:
+        _, vals, take, _ = tail(a)
         vals *= take
         out = np.add.reduceat(vals, starts, axis=-1) / fill_tables()[2]  # -lambda, fixed point
-        return np.where(full, -space.block_mean(xs), out) if any_full else out
+        return np.where(full, -space._mean(a), out) if any_full else out
 
-    def oracle(xs: np.ndarray) -> np.ndarray:
-        fixed, _, take, where = tail(xs, atoms=True)
+    def oracle(a: np.ndarray) -> np.ndarray:
+        fixed, _, take, where = tail(a, atoms=True)
         dens = np.divide(take, fixed, out=np.zeros(fixed.shape), where=fixed > 0)
         if any_full:
             dens[..., full[space._block_in_order]] = 1.0
-        w = np.empty(xs.shape)
+        w = np.empty(a.shape)
         np.put_along_axis(w, where, dens, axis=-1)
         return w
 
-    def penalty(y: np.ndarray) -> np.ndarray:
-        capped = space.block_max(-y) <= 1.0 / lam_arr + ADMISSIBLE_TOL
-        return _zero_where(_admissible_mask(space, y) & capped)
+    def penalty(b: np.ndarray) -> np.ndarray:
+        capped = np.maximum.reduceat(-b, starts, axis=-1) <= 1.0 / lam_arr + ADMISSIBLE_TOL
+        return _zero_where(_admissible_mask(space, b) & capped)
 
     return _builtin(
         space,
         "avar",
-        batch,
+        risk,
         penalty,
         oracle,
         ("avar", lam_arr),
@@ -648,7 +652,7 @@ def _kernel_measure(space: FiniteProbSpace, kind: str, param, label: str) -> Con
     weights = dense(oracle)
     dual = {"dual_density_cap": 1.0 / param} if kind == "avar" else {}
     return _builtin(
-        space, label, dense(risk), dense(penalty), lambda xs: weights(xs).reshape(xs.shape), (kind, param), **dual
+        space, label, dense(risk), dense(penalty), lambda a: weights(a).reshape(a.shape), (kind, param), **dual
     )
 
 

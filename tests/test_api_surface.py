@@ -223,6 +223,39 @@ def test_one_memo_rule():
     assert (caps, clears) == (["MEMO_CAP"], [])
 
 
+def _gathers_by_order(tree):
+    """Lines of ``v.take(<x>.order, ...)`` and of reads ``v[<x>.order]`` (an
+    index tuple that holds ``<x>.order`` included) in ``tree``."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "take" and n.args:
+            index = n.args[0]
+        elif isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load):
+            index = n.slice
+        else:
+            continue
+        parts = index.elts if isinstance(index, ast.Tuple) else [index]
+        if any(isinstance(a, ast.Attribute) and a.attr == "order" for a in parts):
+            found.append(n.lineno)
+    return found
+
+
+def test_one_gather_rule():
+    """A gather into a space's block order is ``FiniteProbSpace._in_order``,
+    which keeps a value's copy: a ``.take`` or an index read by a space's
+    ``order`` anywhere else in the package fails here, so a gather written
+    by hand cannot bypass the copy."""
+    found, own = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if path.name == "probspace.py" and isinstance(top, ast.ClassDef) and top.name == "FiniteProbSpace":
+                gather = next(f for f in top.body if isinstance(f, ast.FunctionDef) and f.name == "_in_order")
+                own = _gathers_by_order(gather)
+        found += [(path.name, line) for line in _gathers_by_order(tree)]
+    assert own and found == [("probspace.py", line) for line in own]
+
+
 def _unread_imports(path):
     """Names a module imports (``__future__`` features aside) that it never reads."""
     tree = ast.parse(path.read_text())

@@ -38,6 +38,7 @@ from condrisk import (
     cond_worst_case,
     dual_representation,
     neg_cond_expectation,
+    penalty_of,
     transfer_verify,
 )
 from condrisk import duality, riskcore
@@ -119,6 +120,84 @@ def test_batched_forms_match_per_block_reference(case):
         _close(space.cond_cdf(x, ConditionalValue(eta)).values, cdf)
         _close(space.lift(ConditionalValue(eta)).values, lifted)
     _close(admissible_dual(space, dens).values, y)
+
+
+def _relabelled(space, perm):
+    """``space`` with atom i renamed perm[i - 1]: one more layout of the same
+    atom count, so one value can be read through both."""
+    return FiniteProbSpace(space.probs[np.argsort(perm)], [[perm[i - 1] for i in b] for b in space.blocks])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cases(), st.data())
+def test_one_gather_per_value_and_layout(case, data):
+    """A value read through a space keeps its gather into that space's block
+    order, read-only: every single-value route then answers as the rows
+    route, which gathers afresh, bit for bit, and a value read through two
+    layouts in turn gets each layout's answer."""
+    space, xs, gamma, lam, dens, eta, _ = case
+    perm = data.draw(st.permutations(range(1, space.n_atoms + 1)))
+    other = _relabelled(space, perm)
+    x, y = RandomVariable(xs[0]), admissible_dual(space, dens)
+    for sp in (space, other, space):
+        measures = [neg_cond_expectation(sp), cond_worst_case(sp), cond_entropic(sp, gamma), cond_avar(sp, lam)]
+        for m in measures:
+            assert np.array_equal(m.evaluate(x).values, m.evaluate_batch(x.values[None])[0]), m.label
+            assert np.array_equal(penalty_of(m, y).values, m.closed_form_penalty(y.values[None])[0]), m.label
+        mean, top, bottom, cdf, _ = reference_cond_ops(sp, x.values, eta)
+        _close(sp.cond_expect(x).values, mean)
+        assert np.array_equal(sp.esssup_cond(x).values, top)
+        assert np.array_equal(sp.essinf_cond(x).values, bottom)
+        _close(sp.cond_cdf(x, ConditionalValue(eta)).values, cdf)
+        assert y.is_admissible(sp) == bool(np.all(np.abs(reference_cond_ops(sp, y.values, eta)[0] + 1.0) <= 1e-10))
+        for v in (x, y):
+            kept = sp._in_order(v)
+            assert kept is sp._in_order(v) and np.array_equal(kept, v.values[sp.order])
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
+
+
+def test_a_value_is_gathered_once_through_every_single_value_route(monkeypatch):
+    # the single-value section of an eval_large job, on 2e4 shuffled atoms:
+    # each call of the one gather is recorded with what it returned, and a
+    # gather of some entries is a result not seen before for them
+    rng = np.random.default_rng(83)
+    space = _shuffled_space(rng, 1 + rng.multinomial(19_800, np.full(200, 1 / 200)))
+    measures = _builtins_on(space, rng)
+    x = RandomVariable(rng.normal(0.0, 2.0, space.n_atoms))
+    eta = ConditionalValue(rng.normal(0.0, 1.0, space.n_blocks))
+    dens = rng.uniform(0.2, 1.8, space.n_atoms)
+    calls, real = [], FiniteProbSpace._in_order
+
+    def spy(sp, v, *args):
+        out = real(sp, v, *args)
+        calls.append((v, out))
+        return out
+
+    def gathers(*entries):
+        """How many distinct arrays the calls on a value or rows that hold ``entries`` returned."""
+        outs = {id(out) for v, out in calls if any(np.shares_memory(getattr(v, "values", v), e) for e in entries)}
+        assert outs
+        return len(outs)
+
+    monkeypatch.setattr(FiniteProbSpace, "_in_order", spy)
+    risks = [m.evaluate(x).values for m in measures]
+    ops = [space.cond_expect(x), space.esssup_cond(x), space.essinf_cond(x), space.cond_cdf(x, eta)]
+    assert gathers(x.values) == 1
+    # admissible_dual gathers the densities once, and that gather is the
+    # dual's copy, which the four penalties read
+    y = admissible_dual(space, dens)
+    pens = [penalty_of(m, y).values for m in measures]
+    assert gathers(dens, y.values) == 1
+    monkeypatch.undo()
+    # the same figures as the rows route, which gathers afresh
+    for m, risk, pen in zip(measures, risks, pens):
+        assert np.array_equal(risk, m.evaluate_batch(x.values[None])[0]), m.label
+        assert np.array_equal(pen, m.closed_form_penalty(y.values[None])[0]), m.label
+    mean, top, bottom, cdf, _ = reference_cond_ops(space, x.values, eta.values)
+    _close(ops[0].values, mean)
+    assert np.array_equal(ops[1].values, top) and np.array_equal(ops[2].values, bottom)
+    _close(ops[3].values, cdf)
 
 
 def _user_entropic(space, gamma):
@@ -514,7 +593,8 @@ def _long_space(rng, max_size):
 
 def _routes(space, lam, xs):
     """The risks of the long-row route, the rows it sorted again the exact
-    way, and the risks of the short-row route."""
+    way (in block order, as the kernel reads them), and the risks of the
+    short-row route."""
     with mock.patch.object(riskcore, "_two_sorts", wraps=riskcore._two_sorts) as spy:
         packed = cond_avar(space, lam).evaluate_batch(xs)
     again = [call.args[2] for call in spy.call_args_list]
@@ -549,7 +629,7 @@ def test_packed_avar_collision_falls_back_to_the_exact_sort():
     xs[1, first] = np.nextafter(1.5, np.inf)
     lam = np.full(space.n_blocks, 0.3)
     packed, again, exact = _routes(space, lam, xs)
-    assert len(again) == 1 and np.array_equal(again[0], xs[1:2])
+    assert len(again) == 1 and np.array_equal(again[0], xs[1:2, space.order])
     assert np.array_equal(packed, exact)
     _close(packed, np.stack([reference_risk(space, "avar", lam, row) for row in xs]))
 
@@ -561,14 +641,19 @@ def test_packed_avar_collision_keeps_the_oracle_weights_of_the_exact_sort():
     xs = rng.normal(0.0, 2.0, (3, space.n_atoms))
     j = next(j for j, b in enumerate(space.blocks, start=1) if len(b) > 1)
     first, second = space.block_index_array(j)[:2]
+    xs[1, space.block_index_array(j)] = 10.0
     xs[1, first], xs[1, second] = 1.0 + 5 * 2.0**-52, 1.0 + 3 * 2.0**-52  # one key bucket, descending
+    # the two head block j's tail, which ends inside the smaller: each atom's
+    # weight then shows which of them the sort put first
     lam = np.full(space.n_blocks, 0.3)
+    lam[j - 1] = space.cond_probs(j).min() / 2
     with mock.patch.object(riskcore, "_two_sorts", wraps=riskcore._two_sorts) as spy:
         weights = cond_avar(space, lam)._dual_oracle(xs)
-    assert [call.args[2].tolist() for call in spy.call_args_list] == [xs[1:2].tolist()]
+    assert [call.args[2].tolist() for call in spy.call_args_list] == [xs[1:2, space.order].tolist()]
     with mock.patch.object(riskcore, "PACKED_SORT_MIN_ATOMS", space.n_atoms + 1):
         exact = cond_avar(space, lam)._dual_oracle(xs)
     assert np.array_equal(weights, exact)
+    assert weights[1, second] > 0 and weights[1, first] == 0
 
 
 def test_packed_avar_signed_zeros():

@@ -188,10 +188,10 @@ def admit_nonpositive(admissible, block, top):
 def test_item_7_compares_the_two_sides_block_by_block(monkeypatch, s4):
     # the conditional penalty admits too much on block 2, the classical
     # kernel on block 1 of the stack: each side fails one block, and the
-    # two verdicts must not cancel out into an equivalence
-    monkeypatch.setattr(
-        riskcore, "_admissible_mask", admit_nonpositive(riskcore._admissible_mask, 1, lambda s, y: s.block_max(y))
-    )
+    # two verdicts must not cancel out into an equivalence; the conditional
+    # mask reads its duals in block order
+    top = lambda s, b: np.maximum.reduceat(b, s.starts, axis=-1)
+    monkeypatch.setattr(riskcore, "_admissible_mask", admit_nonpositive(riskcore._admissible_mask, 1, top))
     monkeypatch.setattr(
         riskcore, "_dense_admissible", admit_nonpositive(riskcore._dense_admissible, 0, lambda q, y: y.max(axis=-1))
     )

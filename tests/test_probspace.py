@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from condrisk import (
     PartitionOfUnity,
     RandomVariable,
     SpaceError,
+    neg_cond_expectation,
 )
 from condrisk.boolalg import mask_array
 
@@ -194,6 +197,42 @@ def test_block_index_out_of_range_refused(space8, j):
     for call in calls:
         with pytest.raises(ValueError, match=f"block {j} outside 1..3"):
             call()
+
+
+@pytest.mark.parametrize(
+    "j, error, message",
+    [
+        (True, ValueError, "block must be an int, not a bool"),
+        (False, ValueError, "block must be an int, not a bool"),
+        (np.True_, TypeError, "block must be an int, got np.True_"),
+        (1.0, TypeError, "block must be an int, got 1.0"),
+        ("1", TypeError, "block must be an int, got '1'"),
+        (np.int64(4), ValueError, "block 4 outside 1..3"),
+    ],
+)
+def test_block_index_that_is_not_an_int_in_range_refused(space8, j, error, message):
+    # block space 1 is in the memo first, where True would find it
+    assert space8.block_space(1) is space8.block_space(1)
+    x = RandomVariable(np.arange(8.0))
+    calls = (
+        lambda: space8.block_index_array(j),
+        lambda: space8.cond_probs(j),
+        lambda: space8.restrict(x, j),
+        lambda: space8.block_space(j),
+        lambda: neg_cond_expectation(space8).restrict(j),
+    )
+    for call in calls:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_numpy_integer_block_indices_are_kept(space8):
+    x = RandomVariable(np.arange(8.0))
+    for j in (np.int64(2), np.int32(3), np.uint8(1)):
+        assert space8.block_space(j) is space8.block_space(int(j))
+        assert np.array_equal(space8.cond_probs(j), space8.cond_probs(int(j)))
+        assert np.array_equal(space8.restrict(x, j), space8.restrict(x, int(j)))
+        assert neg_cond_expectation(space8).restrict(j).label == f"neg_expectation@block{int(j)}"
 
 
 # -- construction against the per-atom reference --------------------------------------

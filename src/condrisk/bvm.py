@@ -77,6 +77,11 @@ class Universe:
     literal memo maps the exact source text of a ``name{...}``, ``check(...)``
     or ``mix[...]`` literal to its name, so a spelling is lexed and parsed
     once here: ``scan`` passes a remembered spelling over as one token.
+    Two more tables are built on their first read: the entry memo
+    (``_entry_memo``), which maps the ``(child, mask)`` pairs of a
+    ``make_name`` call to its name, and the atom-set memo (``_atom_memo``),
+    which maps the text of an atom set in a literal, such as ``{1, 3}``, to
+    its element.  All three are ``_Memo`` tables.
     """
 
     def __init__(self, algebra: BooleanAlgebra):
@@ -86,8 +91,18 @@ class Universe:
         self._names: list = []
         self._table: Optional[_TruthTable] = None
         self._literal_memo = _Memo()
+        self._entry_memo = self._atom_memo = None
         self._lock = threading.Lock()
-        self.empty = self.make_name({})
+        self.empty = self._register(())
+
+    def _memo(self, table: str) -> _Memo:
+        """The entry memo or the atom-set memo, built on its first read, so
+        a universe that reads no entries or atom sets builds neither."""
+        memo = getattr(self, table)
+        if memo is None:
+            memo = _Memo()
+            setattr(self, table, memo)
+        return memo
 
     def __repr__(self):
         return f"Universe(atoms={self.algebra.atom_count}, names={len(self._registry)})"
@@ -95,21 +110,42 @@ class Universe:
     # -- construction -------------------------------------------------------
 
     def make_name(self, entries: Mapping[Name, BoolElem]) -> Name:
-        """Normalize and hash-cons: drop zero values, merge equivalent children."""
-        merged: dict = {}
+        """Normalize and hash-cons: drop zero values, merge equivalent children.
+
+        Each entry is checked first.  No entries is ``empty``; entries read
+        before, as the same ``(child, mask)`` pairs in the same order, are
+        one lookup in the entry memo.  Otherwise the name is registered
+        (``_register``) and stored there: the registry never forgets a name,
+        so a stored name stays the registered one.
+        """
+        key = []
         for child, value in entries.items():
             if not isinstance(child, Name) or child.universe is not self:
                 raise UniverseError("child names must belong to this universe")
             if value.algebra is not self.algebra:
                 raise AlgebraMismatchError("entry value from a different algebra")
-            if not value.mask:
-                continue
-            prior = merged.get(child)
-            merged[child] = value if prior is None else prior | value
+            key.append((child, value.mask))
+        if not key:
+            return self.empty
+        key = tuple(key)
+        memo = self._memo("_entry_memo")
+        name = memo.get(key)
+        if name is None:
+            name = memo.keep(key, self._register(key))
+        return name
+
+    def _register(self, pairs: Sequence) -> Name:
+        """The registered name of checked ``(child, mask)`` pairs, keyed by
+        its collapses: zero masks are dropped and a repeated child's masks
+        joined."""
+        merged: dict = {}
+        for child, mask in pairs:
+            if mask:
+                merged[child] = merged.get(child, 0) | mask
         # at atom a, the collapse holds the collapses of the children valued there
         cols: list = [[] for _ in range(self.algebra.atom_count)]
-        for c, v in merged.items():
-            for a in mask_atoms(v.mask):
+        for c, mask in merged.items():
+            for a in mask_atoms(mask):
                 cols[a - 1].append(c.collapses[a - 1])
         collapses = tuple(map(frozenset, cols))
         existing = self._registry.get(collapses)
@@ -119,7 +155,10 @@ class Universe:
             existing = self._registry.get(collapses)
             if existing is not None:
                 return existing
-            ordered = tuple(sorted(merged.items(), key=lambda cv: cv[0].canonical_id))
+            element = self.algebra._interned
+            ordered = tuple(
+                sorted(((c, element[mask]) for c, mask in merged.items()), key=lambda cv: cv[0].canonical_id)
+            )
             rank = 1 + max((c.rank for c, _ in ordered), default=-1)
             name = Name(self, ordered, rank, len(self._names), collapses)
             self._registry[collapses] = name
@@ -460,8 +499,10 @@ def atom_position(algebra: BooleanAlgebra, atom) -> int:
     an atom element.
 
     An index is any integer but a bool; an element must be one atom of
-    ``algebra``.
+    ``algebra``.  A plain ``int`` in range is returned as it is.
     """
+    if type(atom) is int and 0 < atom <= algebra.atom_count:
+        return atom
     if isinstance(atom, BoolElem):
         if atom.algebra is not algebra:
             raise AlgebraMismatchError("atom from a different algebra")
@@ -786,9 +827,16 @@ def _expect(tokens: List[Token], i: int, kind: str) -> int:
     return i + 1
 
 
-def parse_atomset_tokens(tokens: List[Token], i: int, algebra: BooleanAlgebra):
+def parse_atomset_tokens(tokens: List[Token], i: int, algebra: BooleanAlgebra, memo: Optional[_Memo] = None):
+    """The atom set at token ``i`` and the index after it.  The text of an
+    ATOMS token is looked up in ``memo``, a universe's atom-set memo, and
+    stored there once it parses, so a set that is refused is read afresh."""
     tok = tokens[i]
     if tok.kind == "ATOMS":
+        if memo is not None:
+            elem = memo.get(tok.text)
+            if elem is not None:
+                return elem, i + 1
         # findall, not split: int() refuses some str.isspace characters
         atoms = list(map(int, _DIGITS.findall(tok.text)))
         pos = tok.pos + len(tok.text) - 1
@@ -809,9 +857,12 @@ def parse_atomset_tokens(tokens: List[Token], i: int, algebra: BooleanAlgebra):
         pos = tokens[i].pos
         i = _expect(tokens, i, "}")
     try:
-        return algebra.element(atoms), i
+        elem = algebra.element(atoms)
     except ValueError as exc:
         raise ParseError(str(exc), pos) from None
+    if memo is not None and tok.kind == "ATOMS":
+        memo.keep(tok.text, elem)
+    return elem, i
 
 
 def _parse_hf_tokens(tokens: List[Token], i: int):
@@ -860,6 +911,7 @@ def _parse_compound(tokens: List[Token], i: int, universe: Universe):
         hf, i = _parse_hf_tokens(tokens, i)
         i = _expect(tokens, i, ")")
         return universe.canonical_name(hf), i
+    algebra, memo = universe.algebra, universe._memo("_atom_memo")
     if tok.text == "name":
         i = _expect(tokens, i + 1, "{")
         entries: dict = {}
@@ -867,7 +919,7 @@ def _parse_compound(tokens: List[Token], i: int, universe: Universe):
             while True:
                 child, i = parse_name_tokens(tokens, i, universe)
                 i = _expect(tokens, i, ":")
-                value, i = parse_atomset_tokens(tokens, i, universe.algebra)
+                value, i = parse_atomset_tokens(tokens, i, algebra, memo)
                 prior = entries.get(child)
                 entries[child] = value if prior is None else prior | value
                 if tokens[i].kind == ",":
@@ -881,7 +933,7 @@ def _parse_compound(tokens: List[Token], i: int, universe: Universe):
         parts = []
         names = []
         while True:
-            part, i = parse_atomset_tokens(tokens, i, universe.algebra)
+            part, i = parse_atomset_tokens(tokens, i, algebra, memo)
             i = _expect(tokens, i, ":")
             child, i = parse_name_tokens(tokens, i, universe)
             parts.append(part)

@@ -352,6 +352,9 @@ def _universe(stage: tuple, env: Mapping[str, Name]) -> Optional[Universe]:
     """The one universe of a staged formula's literals and of the names
     ``env`` binds to its free variables, or None if there is none."""
     _, literals, free, _ = stage
+    if not free and len(literals) == 1:
+        (universe,) = literals
+        return universe
     universes = set(literals)
     for var in free:
         if var in env:

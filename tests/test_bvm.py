@@ -451,6 +451,90 @@ def test_literal_errors(u2):
             parse_name_literal(text, u2)
 
 
+@st.composite
+def _entry_recipes(draw):
+    """An atom count m in 1..16 and recipes of names: recipe k lists
+    ``(j, mask)`` entries, j naming name 0 (empty) or an earlier recipe's
+    name.  The masks come from a pool of at most four, zero included, so
+    children repeat, repeat within one recipe, and agree at some atoms."""
+    m = draw(st.integers(1, 16))
+    pool = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4))
+    return m, [
+        draw(st.lists(st.tuples(st.integers(0, k), st.sampled_from(pool)), max_size=4))
+        for k in range(draw(st.integers(1, 8)))
+    ]
+
+
+def _entries(names, recipe):
+    alg = names[0].universe.algebra
+    entries = {}
+    for j, mask in recipe:
+        child, value = names[j], alg.from_mask(mask)
+        entries[child] = entries[child] | value if child in entries else value
+    return entries
+
+
+def _build(uni, recipes):
+    names = [uni.empty]
+    for recipe in recipes:
+        names.append(uni.make_name(_entries(names, recipe)))
+    return names
+
+
+def _outcome(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_entry_recipes())
+def test_warm_name_builds_agree_with_cold_ones(recipes):
+    m, recipes = recipes
+    cold = Universe(BooleanAlgebra(m))
+    twins = _build(cold, recipes)
+    uni = Universe(BooleanAlgebra(m))
+    alg = uni.algebra
+    foreign_child = (UniverseError, "child names must belong to this universe")
+    foreign_value = (AlgebraMismatchError, "entry value from a different algebra")
+    names = [uni.empty]
+    for recipe in recipes:
+        entries = _entries(names, recipe)
+        # each refusal, with its expected outcome, before and after the key
+        # of ``entries`` is stored: a foreign child of the same canonical id,
+        # a foreign value of the same mask, the child's id for the child, and
+        # the entries as a list of pairs
+        refused = [(list(entries.items()), (AttributeError, "'list' object has no attribute 'items'"))]
+        for p, (child, value) in enumerate(entries.items()):
+            items = list(entries.items())
+            for bad, expected in (
+                ((twins[names.index(child)], value), foreign_child),
+                ((child, cold.algebra.from_mask(value.mask)), foreign_value),
+                ((child.canonical_id, value), foreign_child),
+            ):
+                refused.append((dict(items[:p] + [bad] + items[p + 1 :]), expected))
+        assert [_outcome(uni.make_name, bad) for bad, _ in refused] == [e for _, e in refused]
+        names.append(uni.make_name(entries))
+        assert [_outcome(uni.make_name, bad) for bad, _ in refused] == [e for _, e in refused]
+    assert all(u.universe is uni for u in names)
+    # a second build reads every name from the entry memo, or is empty
+    with mock.patch.object(uni, "_register", side_effect=AssertionError("a memo miss")):
+        warm = _build(uni, recipes)
+    assert all(u is w for u, w in zip(names, warm))
+    assert [(u.collapses, u.rank) for u in warm] == [(t.collapses, t.rank) for t in twins]
+    # an atom set that parses is stored under its text, one that is refused
+    # is not: its second read is refused with the same message
+    for u in names:
+        assert parse_name_literal(name_to_literal(u), uni) is u
+    for bad in (0, m + 1):
+        text = "name{empty: {" + ", ".join(map(str, range(1, m + 1))) + f", {bad}}}}}"
+        first = _outcome(parse_name_literal, text, uni)
+        assert first == (ParseError, f"atom index {bad} outside 1..{m} (at position {len(text) - 2})")
+        assert _outcome(parse_name_literal, text, uni) == first
+
+
 def test_literal_of_a_shared_dag_is_refused_past_its_cap(u2, a2):
     from condrisk.bvm import LITERAL_CHAR_CAP
 
@@ -595,6 +679,18 @@ def test_truth_table_grows_then_clears_at_its_cap(monkeypatch):
     with pytest.raises(UniverseError, match="over TRUTH_TABLE_CAP = 8"):
         uni.truth_eq(o[8], o[0])
     assert uni._table is held and len(held.slot) == 3
+
+
+def test_a_grow_that_finds_its_pair_slotted_adds_nothing(monkeypatch):
+    # a reader missed the pair, and another thread's grow slotted it before
+    # this one took the lock: the grow hands back the table as it is
+    uni = Universe(BooleanAlgebra(3))
+    u = uni.make_name({uni.empty: uni.algebra.atom(1)})
+    uni.truth_in(uni.empty, u)
+    table, slots = uni._table, dict(uni._table.slot)
+    uni.make_name({u: uni.algebra.one})  # an unslotted name the grow must not scan for
+    monkeypatch.setattr(bvm._TruthTable, "add", mock.Mock(side_effect=AssertionError("a grow added names")))
+    assert uni._grow(u, uni.empty) is table and table.slot == slots
 
 
 def test_warm_truth_reads_build_no_checked_element(monkeypatch):

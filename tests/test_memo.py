@@ -12,7 +12,7 @@ import pytest
 
 from condrisk import BooleanAlgebra, FiniteProbSpace, RandomVariable, Universe, YoungFunction, boolalg, young_power
 from condrisk.boolalg import MEMO_CAP, _Memo, mask_atoms
-from condrisk.bvm import parse_name_literal
+from condrisk.bvm import parse_atomset_tokens, parse_name_literal, tokenize_literal
 
 
 def _elements(n):
@@ -44,6 +44,39 @@ def _literals(n):
     return uni._literal_memo, read, check
 
 
+def _entries(n):
+    # key k is the one entry (empty, mask k + 1)
+    uni = Universe(BooleanAlgebra(16))
+    alg = uni.algebra
+
+    def read(k):
+        return uni.make_name({uni.empty: alg.from_mask(k + 1)})
+
+    def check(k, u):
+        return u.universe is uni and u.masks == ((uni.empty, k + 1),)
+
+    return uni._memo("_entry_memo"), read, check
+
+
+def _atom_sets(n):
+    # key k spells the atom set {a,b,c} of _literals' key k, as the literal
+    # grammar reads it after a ":"
+    uni = Universe(BooleanAlgebra(16))
+    alg, memo = uni.algebra, uni._memo("_atom_memo")
+
+    def digits(k):
+        return [(k >> s & 15) + 1 for s in (8, 4, 0)]
+
+    def read(k):
+        sep = "," if k < MEMO_CAP else ", "
+        return parse_atomset_tokens(tokenize_literal(": {" + sep.join(map(str, digits(k))) + "}"), 1, alg, memo)[0]
+
+    def check(k, e):
+        return e == alg.element(digits(k))
+
+    return memo, read, check
+
+
 def _young(n):
     phi = YoungFunction(lambda t: t * t / 2, np.geomspace(0.01, 5.0, 32))
 
@@ -73,11 +106,14 @@ def _block_spaces(n):
 
 # each table with the tracemalloc peak, in bytes, of building its owner and
 # filling the table to MEMO_CAP entries, each read checked.  Measured on
-# Python 3.11: 1.26 MB for the elements (their atom sets included), 3.61 MB
-# for the literals (their names included), 0.36 MB for the Young values and
-# 8.68 MB for the block spaces
+# Python 3.11: 1.26 MB for the elements (their atom sets included), 17.36 MB
+# for the entries (their names included, each with 16 collapses), 0.44 MB
+# for the atom sets, 3.61 MB for the literals (their names included), 0.36 MB
+# for the Young values and 8.68 MB for the block spaces
 TABLES = {
     "elements": (_elements, 1_700_000),
+    "entries": (_entries, 23_000_000),
+    "atom_sets": (_atom_sets, 600_000),
     "literals": (_literals, 4_800_000),
     "young": (_young, 500_000),
     "block_spaces": (_block_spaces, 11_500_000),

@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CondriskError
+from .errors import CondriskError, _as_int
 
 
 class AlgebraMismatchError(CondriskError):
@@ -64,9 +64,7 @@ class BooleanAlgebra:
     __slots__ = ("atom_count", "full", "_interned")
 
     def __init__(self, atom_count: int):
-        if type(atom_count) is not int or atom_count < 1:
-            raise ValueError(_int_error("atom_count", atom_count, 1, ""))
-        self.atom_count = atom_count
+        self.atom_count = atom_count = _as_int(atom_count, "atom_count", 1, None)
         self.full = (1 << atom_count) - 1
         self._interned = _Memo(self._fresh)
 
@@ -90,7 +88,7 @@ class BooleanAlgebra:
     def from_mask(self, mask: int) -> "BoolElem":
         """The element whose atom ``a`` is bit ``a - 1`` of ``mask``."""
         if type(mask) is not int or not 0 <= mask <= self.full:
-            raise ValueError(_int_error("mask", mask, 0, self.full))
+            mask = _as_int(mask, "mask", 0, self.full)
         return self._interned[mask]
 
     def atom_elements(self) -> tuple:
@@ -236,15 +234,9 @@ def _atoms_mask(algebra: BooleanAlgebra, atoms: Iterable[int]) -> int:
     mask = 0
     for a in atoms:
         if type(a) is not int or not 1 <= a <= m:
-            raise ValueError(_int_error("atom index", a, 1, m))
+            a = _as_int(a, "atom index", 1, m)
         mask |= 1 << (a - 1)
     return mask
-
-
-def _int_error(what: str, value, lo: int, hi) -> str:
-    """The message that refuses ``value`` as an int in ``lo..hi``, naming a bool,
-    which is an int to ``isinstance`` but not to ``type(value) is int``."""
-    return f"{what} must be an int, not a bool" if isinstance(value, bool) else f"{what} {value!r} outside {lo}..{hi}"
 
 
 def lattice_ops(a: BoolElem, b: BoolElem | None, op: str) -> BoolElem:

@@ -28,9 +28,11 @@ from .boolalg import (
     array_mask,
     mask_atoms,
 )
-from .errors import CondriskError, ParseError
+from .errors import CondriskError, ParseError, _as_int
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
-from .riskcore import _check_count, _check_seed
+
+# the collapse of a name at an atom where it has no member
+_NO_MEMBERS = frozenset()
 
 
 class UniverseError(CondriskError):
@@ -142,12 +144,13 @@ class Universe:
         for child, mask in pairs:
             if mask:
                 merged[child] = merged.get(child, 0) | mask
-        # at atom a, the collapse holds the collapses of the children valued there
+        # at atom a, the collapse holds the collapses of the children valued
+        # there; every atom with none shares one empty set
         cols: list = [[] for _ in range(self.algebra.atom_count)]
         for c, mask in merged.items():
             for a in mask_atoms(mask):
                 cols[a - 1].append(c.collapses[a - 1])
-        collapses = tuple(map(frozenset, cols))
+        collapses = tuple(frozenset(col) if col else _NO_MEMBERS for col in cols)
         existing = self._registry.get(collapses)
         if existing is not None:
             return existing
@@ -498,8 +501,9 @@ def atom_position(algebra: BooleanAlgebra, atom) -> int:
     """The 1-based index of an atom of ``algebra``, given as an index or as
     an atom element.
 
-    An index is any integer but a bool; an element must be one atom of
-    ``algebra``.  A plain ``int`` in range is returned as it is.
+    An index is read by the integer rule (``errors._as_int``); an element
+    must be one atom of ``algebra``.  A plain ``int`` in range is returned
+    as it is.
     """
     if type(atom) is int and 0 < atom <= algebra.atom_count:
         return atom
@@ -510,12 +514,7 @@ def atom_position(algebra: BooleanAlgebra, atom) -> int:
         if not mask or mask & (mask - 1):
             raise ValueError("collapse needs a single atom")
         return mask.bit_length()
-    if isinstance(atom, (bool, np.bool_)):
-        raise TypeError("an atom index must be an integer, not a bool")
-    index = operator.index(atom)
-    if not 1 <= index <= algebra.atom_count:
-        raise ValueError(f"atom {index} outside 1..{algebra.atom_count}")
-    return index
+    return _as_int(atom, "atom", 1, algebra.atom_count)
 
 
 def atom_collapse(u: Name, atom) -> frozenset:
@@ -624,8 +623,7 @@ def verify_interp_props(space: FiniteProbSpace, samples: int = 100, seed: int = 
     atom by atom, and mixing of reals and of naturals against a per-atom
     paste along a random labelling of the atoms.
     """
-    _check_count(samples, "samples")
-    _check_seed(seed)
+    samples, seed = _as_int(samples, "samples", 1, None), _as_int(seed, "seed", 0, None)
     rng = np.random.default_rng(seed)
     algebra = space.algebra
     m = space.n_blocks

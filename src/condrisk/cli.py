@@ -41,15 +41,14 @@ class Scenario:
 
 def _fmt(value):
     """Round floats to 12 significant digits; keep JSON strictly valid."""
-    if isinstance(value, bool):
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, int):  # a bool included, which JSON spells true or false
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return float(f"{v:.12g}")
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return float(f"{value:.12g}")
     if isinstance(value, BoolElem):
         return mask_atoms(value.mask)
     if isinstance(value, np.ndarray):

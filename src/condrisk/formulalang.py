@@ -439,7 +439,7 @@ def collapse_eval(f: Formula, atom: int, env: Optional[Mapping[str, Name]] = Non
     if uni is not None:
         try:
             at = atom_position(uni.algebra, atom) - 1
-        except (TypeError, ValueError, AlgebraMismatchError) as error:
+        except (ValueError, AlgebraMismatchError) as error:
             at = _RefusedAtom(error)
     return run(at, env, [None] * depth)
 

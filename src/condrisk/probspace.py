@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Sequence
 
 import numpy as np
 
-from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, _int_error, _Memo
-from .errors import CondriskError
+from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, _Memo
+from .errors import CondriskError, _as_int
 
 PROB_SUM_TOL = 1e-12
 
@@ -136,22 +136,24 @@ class ConditionalValue(_Arithmetic):
 
 def _partition_error(blocks, n: int) -> str:
     """The first fault of ``blocks`` as a partition of atoms 1..n, in scan
-    order: an empty block, an index that is not an integer or not an atom,
-    an atom in a second block; then the atoms no block covers."""
+    order: an empty block, an index that is a bool, not an integer or not
+    an atom, an atom in a second block; then the atoms no block covers."""
     seen = set()
     for j, b in enumerate(blocks, start=1):
         if len(b) == 0:
             return f"block {j} is empty"
         for i in b:
             try:
-                i = operator.index(i)
+                k = operator.index(i)
             except TypeError:
+                k = None
+            if k is None or isinstance(i, bool):
                 return f"block {j} holds {i!r}, not an integer atom index"
-            if not 1 <= i <= n:
-                return f"block {j} references atom {i} of {n}"
-            if i in seen:
-                return f"atom {i} appears in more than one block"
-            seen.add(i)
+            if not 1 <= k <= n:
+                return f"block {j} references atom {k} of {n}"
+            if k in seen:
+                return f"atom {k} appears in more than one block"
+            seen.add(k)
     return f"blocks do not cover atoms {sorted(set(range(1, n + 1)) - seen)}"
 
 
@@ -199,6 +201,10 @@ class FiniteProbSpace:
         # sort of block ids in cond_avar a radix sort
         block_of = np.empty(n, dtype=np.min_scalar_type(len(sizes) - 1))
         in_order = np.arange(len(sizes), dtype=block_of.dtype).repeat(sizes)
+        # True reads as atom 1 (False as 0, refused above): refuse a bool at the entry read as 1
+        k = int((atoms == 1).argmax())
+        if isinstance(next(islice(blocks[in_order[k]], k - bounds[in_order[k]], None)), bool):
+            raise SpaceError(_partition_error(blocks, n))
         block_of[order] = in_order
         block_mass = np.add.reduceat(self._in_order(probs), starts)
         cond = probs if _normalized else probs / block_mass[block_of]
@@ -264,15 +270,12 @@ class FiniteProbSpace:
         return a
 
     def _block_slice(self, j: int) -> slice:
-        """Atoms of block ``j`` in block order; the one check of a block
-        index: an int or a numpy integer in 1..n_blocks, not a bool."""
-        try:
-            i = j if isinstance(j, bool) else operator.index(j)
-        except TypeError:
-            raise TypeError(f"block must be an int, got {j!r}") from None
-        if isinstance(i, bool) or not 1 <= i <= self.n_blocks:
-            raise ValueError(_int_error("block", i, 1, self.n_blocks))
-        return slice(self._bounds[i - 1], self._bounds[i])
+        """Atoms of block ``j`` in block order; the one read of a block index,
+        by the integer rule (``errors._as_int``)."""
+        b = self._bounds
+        if type(j) is not int or not 0 < j < len(b):
+            j = _as_int(j, "block", 1, len(b) - 1)
+        return slice(b[j - 1], b[j])
 
     def cond_probs(self, j: int) -> np.ndarray:
         """Conditional atom probabilities inside block ``j`` (1-based)."""

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CondriskError
+from .errors import CondriskError, _as_int
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, SpaceError, _cv, _readonly, _Values
 
 # a dual variable y is an admissible density when y <= 0 and E[y | block] = -1
@@ -787,18 +787,6 @@ class AxiomReport:
 AXIOM_TOL = 1e-9
 
 
-def _check_seed(seed) -> None:
-    """Refuse a seed that numpy's generators cannot take, or a bool, by name."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def _check_count(count, name: str) -> None:
-    """Refuse a count that is not a positive integer, or a bool, by name."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError(f"{name} must be a positive integer, got {count!r}")
-
-
 def _check_tol(tol: float) -> None:
     """Refuse a tolerance that no comparison can use: NaN, negative or infinite."""
     if not (math.isfinite(tol) and tol >= 0):
@@ -960,8 +948,7 @@ def check_axiom(
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
-    _check_count(trials, "trials")
-    _check_seed(seed)
+    trials, seed = _as_int(trials, "trials", 1, None), _as_int(seed, "seed", 0, None)
     space = measure.space
     streams = _trial_streams(axiom, seed)
     groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else None
@@ -1023,7 +1010,7 @@ class ShrinkingPerturbationSeq:
     dominator: Optional[RandomVariable] = None
 
     def __post_init__(self):
-        _check_count(self.n_max, "n_max")
+        object.__setattr__(self, "n_max", _as_int(self.n_max, "n_max", 1, None))
 
     def limit(self) -> RandomVariable:
         return self.x

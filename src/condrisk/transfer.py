@@ -25,12 +25,12 @@ from .duality import (
     stable_sublevel_check,
     verify_representation,
 )
+from .errors import _as_int
 from .probspace import ConditionalValue, RandomVariable
 from .riskcore import (
     CondRiskMeasure,
     ScalarizeError,
     ShrinkingPerturbationSeq,
-    _check_seed,
     _check_tol,
     _convergence_blocks,
     _failing_blocks,
@@ -290,11 +290,7 @@ def transfer_verify(
     cancel out.
     """
     _check_tol(tol)
-    items = list(items)
-    for i in items:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise ValueError(f"item numbers must be integers, got {i!r}")
-    items = sorted({int(i) for i in items})
+    items = sorted({_as_int(i, "item number", 1, None) for i in items})
     if not items:
         raise ValueError("transfer_verify needs at least one item")
     unknown = [i for i in items if i not in ITEM_NAMES]
@@ -304,7 +300,7 @@ def transfer_verify(
     if not payoffs:
         raise ValueError("transfer_verify needs at least one payoff")
 
-    _check_seed(seed)
+    seed = _as_int(seed, "seed", 0, None)
     _certify_local(measure, trials=64, seed=seed + 13)
     probes: List[RandomVariable] = []
     eta = None

@@ -100,7 +100,7 @@ def reference_layout(probs, blocks, normalized=False):
     """The block layout of ``FiniteProbSpace(probs, blocks)`` from one Python
     step per atom: the validation loop and layout of the constructor as it
     was before it read the blocks as one array, with an integer check
-    (``operator.index``) in place of ``int``.  Returns the layout's
+    (``operator.index``, refusing a bool) in place of ``int``.  Returns the layout's
     attributes, or the SpaceError message of the first fault in scan order;
     ``probs`` is taken as valid."""
     p = np.asarray(probs, dtype=float)
@@ -113,6 +113,8 @@ def reference_layout(probs, blocks, normalized=False):
             return f"block {j} is empty"
         ints.append([])
         for i in b:
+            if isinstance(i, bool):
+                return f"block {j} holds {i!r}, not an integer atom index"
             try:
                 i = operator.index(i)
             except TypeError:
@@ -283,12 +285,20 @@ class RefElem:
     """An element of the powerset of atoms ``1..m``, held as a frozenset."""
 
     def __init__(self, m: int, atoms):
-        atoms = frozenset(atoms)
+        # the integer rule, written out: an int or a numpy integer, not a bool
+        checked = set()
         for a in atoms:
-            if not isinstance(a, int) or not 1 <= a <= m:
-                raise ValueError(f"atom index {a!r} outside 1..{m}")
+            if isinstance(a, bool):
+                raise ValueError("atom index must be an int, not a bool")
+            try:
+                i = operator.index(a)
+            except TypeError:
+                raise ValueError(f"atom index must be an int, got {a!r}") from None
+            if not 1 <= i <= m:
+                raise ValueError(f"atom index {i} outside 1..{m}")
+            checked.add(i)
         self.m = m
-        self.atoms = atoms
+        self.atoms = frozenset(checked)
 
     def meet(self, other):
         return RefElem(self.m, self.atoms & other.atoms)

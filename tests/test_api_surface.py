@@ -223,6 +223,67 @@ def test_one_memo_rule():
     assert (caps, clears) == (["MEMO_CAP"], [])
 
 
+def _integer_checks(tree):
+    """Lines of ``tree`` that read an integer by hand: ``isinstance`` or
+    ``issubclass`` against ``bool``, a comparison with ``bool``, ``np.bool_``,
+    ``np.integer`` and its kinds, ``operator.index`` and ``__index__``."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in ("isinstance", "issubclass"):
+            against = n.args[1:]
+        elif isinstance(n, ast.Compare):
+            against = n.comparators
+        elif isinstance(n, ast.Attribute):
+            numpy_kind = isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy")
+            if (
+                numpy_kind and n.attr in ("bool_", "integer", "signedinteger", "unsignedinteger")
+                or isinstance(n.value, ast.Name) and n.value.id == "operator" and n.attr == "index"
+                or n.attr == "__index__" and isinstance(n.ctx, ast.Load)
+            ):
+                found.append(n.lineno)
+            continue
+        else:
+            continue
+        if any(isinstance(a, ast.Name) and a.id == "bool" for arg in against for a in ast.walk(arg)):
+            found.append(n.lineno)
+    return found
+
+
+def _functions(tree):
+    """(qualified name, node) of each module-level function and method."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef))
+
+
+# where an integer may be read by hand: the rule itself, and the space's bulk
+# read of its blocks (one ``operator.index`` pass over every atom, in C) with
+# the scan that words its refusal
+INTEGER_RULE_HOMES = ("errors._as_int", "probspace.FiniteProbSpace.__init__", "probspace._partition_error")
+
+
+def test_one_integer_rule():
+    """Every atom, block, mask, count, seed and item number is read by
+    ``errors._as_int``: a bool, numpy-integer or ``operator.index`` check
+    written by hand anywhere but its homes fails here, and the checks it
+    replaced stay gone."""
+    found, homes, defined = [], {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.stem, line) for line in _integer_checks(tree)]
+        for name, f in _functions(tree):
+            defined.add(name)
+            if f"{path.stem}.{name}" in INTEGER_RULE_HOMES:
+                homes[f"{path.stem}.{name}"] = [(path.stem, line) for line in _integer_checks(f)]
+    assert sorted(homes) == sorted(INTEGER_RULE_HOMES) and all(homes.values())
+    assert sorted(found) == sorted(line for lines in homes.values() for line in lines)
+    assert defined.isdisjoint({"_int_error", "_check_seed", "_check_count"})
+    bvm = ast.parse((PACKAGE / "bvm.py").read_text())
+    assert all(n.module != "riskcore" for n in ast.walk(bvm) if isinstance(n, ast.ImportFrom))
+
+
 def _gathers_by_order(tree):
     """Lines of ``v.take(<x>.order, ...)`` and of reads ``v[<x>.order]`` (an
     index tuple that holds ``<x>.order`` included) in ``tree``."""

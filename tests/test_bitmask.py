@@ -67,6 +67,7 @@ def test_validation_matches_reference(m, data):
             st.integers(min_value=m + 1),
             st.floats(allow_nan=False),
             st.text(max_size=2),
+            st.booleans(),
         )
     )
     with pytest.raises(ValueError) as ref:

@@ -62,20 +62,21 @@ def test_element_validation(alg):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, message",
     [
-        lambda alg: BooleanAlgebra(True),
-        lambda alg: alg.from_mask(True),
-        lambda alg: alg.from_mask(False),
-        lambda alg: alg.atom(True),
-        lambda alg: alg.element([True]),
-        lambda alg: alg.element([2, False]),
-        lambda alg: BoolElem(alg, [True]),
+        # an atom count is a count, refused in the one sentence of a count
+        (lambda alg: BooleanAlgebra(True), "atom_count must be a positive integer, got True"),
+        (lambda alg: alg.from_mask(True), "mask must be an int, not a bool"),
+        (lambda alg: alg.from_mask(False), "mask must be an int, not a bool"),
+        (lambda alg: alg.atom(True), "atom index must be an int, not a bool"),
+        (lambda alg: alg.element([True]), "atom index must be an int, not a bool"),
+        (lambda alg: alg.element([2, False]), "atom index must be an int, not a bool"),
+        (lambda alg: BoolElem(alg, [True]), "atom index must be an int, not a bool"),
     ],
     ids=["atom_count", "mask_true", "mask_false", "atom", "element", "element_false", "constructor"],
 )
-def test_a_bool_is_refused_where_the_algebra_takes_an_integer(alg, make):
-    with pytest.raises(ValueError, match="must be an int, not a bool"):
+def test_a_bool_is_refused_where_the_algebra_takes_an_integer(alg, make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         make(alg)
     # the refusal stores nothing: the table still hands out int masks
     assert type(alg.atom(1).mask) is int and type(alg.from_mask(1).mask) is int

@@ -5,12 +5,13 @@ import math
 import operator
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from condrisk import duality
-from condrisk.cli import ingest, main, script_entry
+from condrisk.cli import _fmt, ingest, main, script_entry
 from condrisk.cli import ScenarioError
 
 LOG2 = math.log(2.0)
@@ -70,6 +71,13 @@ def test_risk_check_axioms(capsys, s4_path):
         "local_property",
         "conditional_law_invariance",
     }
+
+
+def test_numpy_scalars_are_written_as_the_json_of_their_python_values():
+    got = _fmt({"n": np.int64(3), "x": np.float64(0.1), "big": np.float32(np.inf), "ok": np.True_, "yes": True})
+    assert got == {"n": 3, "x": 0.1, "big": "inf", "ok": True, "yes": True}
+    assert [type(v) for v in got.values()] == [int, float, str, bool, bool]
+    assert json.dumps(got) == '{"n": 3, "x": 0.1, "big": "inf", "ok": true, "yes": true}'
 
 
 def test_negative_seed_refused_by_name(capsys, s4_path):

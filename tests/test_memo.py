@@ -106,13 +106,14 @@ def _block_spaces(n):
 
 # each table with the tracemalloc peak, in bytes, of building its owner and
 # filling the table to MEMO_CAP entries, each read checked.  Measured on
-# Python 3.11: 1.26 MB for the elements (their atom sets included), 17.36 MB
-# for the entries (their names included, each with 16 collapses), 0.44 MB
+# Python 3.11: 1.26 MB for the elements (their atom sets included), 8.53 MB
+# for the entries (their names included, each with 16 collapses, every empty
+# one the shared empty set; 17.39 MB with a set of its own each), 0.44 MB
 # for the atom sets, 3.61 MB for the literals (their names included), 0.36 MB
 # for the Young values and 8.68 MB for the block spaces
 TABLES = {
     "elements": (_elements, 1_700_000),
-    "entries": (_entries, 23_000_000),
+    "entries": (_entries, 11_200_000),
     "atom_sets": (_atom_sets, 600_000),
     "literals": (_literals, 4_800_000),
     "young": (_young, 500_000),

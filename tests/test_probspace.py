@@ -204,9 +204,9 @@ def test_block_index_out_of_range_refused(space8, j):
     [
         (True, ValueError, "block must be an int, not a bool"),
         (False, ValueError, "block must be an int, not a bool"),
-        (np.True_, TypeError, "block must be an int, got np.True_"),
-        (1.0, TypeError, "block must be an int, got 1.0"),
-        ("1", TypeError, "block must be an int, got '1'"),
+        (np.True_, ValueError, "block must be an int, got np.True_"),
+        (1.0, ValueError, "block must be an int, got 1.0"),
+        ("1", ValueError, "block must be an int, got '1'"),
         (np.int64(4), ValueError, "block 4 outside 1..3"),
     ],
 )
@@ -238,7 +238,7 @@ def test_numpy_integer_block_indices_are_kept(space8):
 # -- construction against the per-atom reference --------------------------------------
 
 # malformations of a block list on atoms 1..n; each may come alone or with others
-FAULTS = ("empty", "range", "duplicate", "missing", "float", "string")
+FAULTS = ("empty", "range", "duplicate", "missing", "float", "string", "bool")
 
 
 @st.composite
@@ -268,6 +268,8 @@ def block_lists(draw):
         elif fault == "float":
             i = draw(st.sampled_from(atoms))
             blocks[j][k] = draw(st.sampled_from([float(i), i + 0.5, np.float64(i)]))
+        elif fault == "bool":
+            blocks[j][k] = draw(st.booleans())
         else:
             blocks[j][k] = str(draw(st.sampled_from(atoms)))
     if not faults and len(set(sizes)) == 1 and draw(st.booleans()):
@@ -310,10 +312,15 @@ def test_construction_matches_the_per_atom_reference(case):
         ([["1"], [2]], "block 1 holds '1', not an integer atom index"),
         ([[1], [np.float64(2)]], "block 2 holds np.float64(2.0), not an integer atom index"),
         (["12"], "block 1 holds '1', not an integer atom index"),
+        ([[True], [2]], "block 1 holds True, not an integer atom index"),
+        ([[1], [True]], "block 2 holds True, not an integer atom index"),
+        ([[False, 1], [2]], "block 1 holds False, not an integer atom index"),
+        ([{True}, {2}], "block 1 holds True, not an integer atom index"),
     ],
 )
 def test_non_integer_atom_indices_are_refused_by_block(blocks, error):
-    # int() would truncate 1.7 to atom 1 and read "1" as atom 1
+    # int() would truncate 1.7 to atom 1 and read "1" as atom 1; a bool is
+    # an int to Python, and [[True], [2]] is a partition of 1..2 read as one
     with pytest.raises(SpaceError) as err:
         FiniteProbSpace([0.5, 0.5], blocks)
     assert str(err.value) == error

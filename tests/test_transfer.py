@@ -296,7 +296,7 @@ def test_transfer_verify_guards(s4):
     # True == 1 and 1.0 == 1 as keys, but neither is an item number: each
     # would be reported under "True" or "1.0"
     for item in (True, 1.0):
-        with pytest.raises(ValueError, match=rf"item numbers must be integers, got {item}$"):
+        with pytest.raises(ValueError, match=rf"^item number must be a positive integer, got {item}$"):
             transfer_verify(neg_cond_expectation(s4), [3, item], payoffs)
     with pytest.raises(ValueError):
         transfer_verify(neg_cond_expectation(s4), [1], [])

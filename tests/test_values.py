@@ -8,16 +8,26 @@ import numpy as np
 import pytest
 
 from condrisk import (
+    BooleanAlgebra,
+    BoolElem,
     CondriskError,
     ConditionalValue,
     DualVariable,
+    FiniteProbSpace,
     RandomVariable,
     ShrinkingPerturbationSeq,
+    Universe,
+    atom_collapse,
+    check_axiom,
     check_convergence_property,
+    collapse_eval,
     cond_worst_case,
     neg_cond_expectation,
+    parse,
     penalty_map,
     penalty_of,
+    transfer_verify,
+    verify_interp_props,
 )
 from condrisk import duality
 
@@ -121,3 +131,91 @@ def test_conditional_values_word_inf_times_zero_as_such():
     for call in (lambda: eta * 0, lambda: [0.0, 1.0] * eta, lambda: eta * ConditionalValue([0.0, 1.0])):
         with pytest.raises(CondriskError, match=re.escape("indeterminate extended-real arithmetic (inf * 0)")):
             call()
+
+
+# -- the integer rule ----------------------------------------------------------------
+# Every atom, block, mask, count, seed and item number is read by one rule: an int
+# or a numpy integer is taken as a Python int, and everything else is refused with
+# a ValueError.  A bounded argument names its fault; a count or a seed (no upper
+# bound) is refused in one sentence whatever the fault.
+
+_ALG = BooleanAlgebra(4)
+_SPACE = FiniteProbSpace([0.125, 0.375, 0.25, 0.25], [[2, 1], [4, 3]])
+_UNI = Universe(_ALG)
+_NAME = _UNI.make_name({_UNI.empty: _ALG.from_mask(0b1010)})
+_FORMULA = parse("empty in u", _UNI, free_names={"u"})
+_MEASURE = neg_cond_expectation(_SPACE)
+_X = RandomVariable([1.0, 3.0, 2.0, 6.0])
+
+# name: (call of one value, what the refusal names, lo, hi, an int in range, the
+# part of the result an int and its numpy twin must share)
+ENTRY_POINTS = {
+    "atom_count": (BooleanAlgebra, "atom_count", 1, None, 3, lambda a: (a.atom_count, type(a.atom_count), a.full)),
+    "element": (lambda v: _ALG.element([1, v]), "atom index", 1, 4, 3, lambda e: (id(e), type(e.mask))),
+    "atom": (_ALG.atom, "atom index", 1, 4, 3, lambda e: (id(e), type(e.mask))),
+    "constructor": (lambda v: BoolElem(_ALG, [v]), "atom index", 1, 4, 3, lambda e: (e, type(e.mask))),
+    "from_mask": (_ALG.from_mask, "mask", 0, 15, 6, lambda e: (id(e), type(e.mask))),
+    "block_space": (_SPACE.block_space, "block", 1, 2, 2, id),
+    "cond_probs": (_SPACE.cond_probs, "block", 1, 2, 2, lambda q: q.tolist()),
+    "atom_collapse": (lambda v: atom_collapse(_NAME, v), "atom", 1, 4, 2, id),
+    "collapse_eval": (lambda v: collapse_eval(_FORMULA, v, {"u": _NAME}), "atom", 1, 4, 4, bool),
+    "trials": (
+        lambda v: check_axiom(_MEASURE, "convexity", trials=v),
+        "trials", 1, None, 3, lambda r: (r.to_dict(), type(r.trials)),
+    ),
+    "axiom_seed": (
+        lambda v: check_axiom(_MEASURE, "convexity", trials=2, seed=v),
+        "seed", 0, None, 5, lambda r: r.to_dict(),
+    ),
+    "samples": (
+        lambda v: verify_interp_props(_SPACE, samples=v),
+        "samples", 1, None, 2, lambda r: [(c.name, c.passed) for c in r.checks],
+    ),
+    "interp_seed": (
+        lambda v: verify_interp_props(_SPACE, samples=1, seed=v),
+        "seed", 0, None, 5, lambda r: [(c.name, c.passed) for c in r.checks],
+    ),
+    "n_max": (lambda v: ShrinkingPerturbationSeq(_X, _X, v), "n_max", 1, None, 3, lambda q: (q.n_max, type(q.n_max))),
+    "item": (lambda v: transfer_verify(_MEASURE, [v], [_X]), "item number", 1, None, 4, lambda r: r.to_dict()),
+    "transfer_seed": (
+        lambda v: transfer_verify(_MEASURE, [5], [_X], seed=v),
+        "seed", 0, None, 5, lambda r: r.to_dict(),
+    ),
+}
+
+
+def _out_of_range(lo, hi):
+    # a seed takes every np.uint8, so it meets the one negative numpy integer
+    return np.int8(-1) if hi is None and lo == 0 else np.uint8(0 if hi is None else hi + 1)
+
+
+def _refusal(what, lo, hi, value):
+    if hi is None:
+        return f"{what} must be a {'positive' if lo else 'non-negative'} integer, got {value!r}"
+    if isinstance(value, bool):
+        return f"{what} must be an int, not a bool"
+    if isinstance(value, np.integer):
+        return f"{what} {int(value)} outside {lo}..{hi}"
+    return f"{what} must be an int, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, np.True_, 2.0, "2", None, "in_range", "out_of_range"],
+    ids=["True", "False", "np.True_", "2.0", "'2'", "None", "in_range", "out_of_range"],
+)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_one_integer_rule_at_every_entry_point(entry, value):
+    call, what, lo, hi, plain, same = ENTRY_POINTS[entry]
+    if value == "in_range":
+        # a numpy integer gives what its int gives, and no element's mask is
+        # anything but a Python int
+        want = same(call(plain))
+        assert [same(call(wrap(plain))) for wrap in (np.int64, np.uint8)] == [want, want]
+        assert all(type(e.mask) is int for e in _ALG._interned.values())
+        return
+    if value == "out_of_range":
+        value = _out_of_range(lo, hi)
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert type(err.value) is ValueError and str(err.value) == _refusal(what, lo, hi, value)

@@ -77,9 +77,8 @@ class Universe:
     reader holds is ever rewritten.  A warm truth read is one lookup of both
     slots in that table; a miss checks the names and grows the table.  The
     literal memo maps the exact source text of a ``name{...}``, ``check(...)``
-    or ``mix[...]`` literal to its name, so a spelling is lexed and parsed
-    once here: ``scan`` passes a remembered spelling over as one token.
-    Two more tables are built on their first read: the entry memo
+    or ``mix[...]`` literal to its name, so a spelling read before is one
+    lookup as a whole text or as a formula's term.  Two more tables are built on their first read: the entry memo
     (``_entry_memo``), which maps the ``(child, mask)`` pairs of a
     ``make_name`` call to its name, and the atom-set memo (``_atom_memo``),
     which maps the text of an atom set in a literal, such as ``{1, 3}``, to
@@ -696,273 +695,244 @@ Token = namedtuple("Token", ["kind", "text", "pos"])
 LITERAL_PUNCT = {ch: ch for ch in "{}()[],:;"}
 # the longest text name_to_literal spells
 LITERAL_CHAR_CAP = 1 << 20
-_WORD_REST = re.compile(r"\w*")
-_SPACE = re.compile(r"\s*")
-# a non-empty atom set; \d and \s are exactly str.isdecimal and str.isspace
-_ATOMS = re.compile(r"\{\s*\d+\s*(?:,\s*\d+\s*)*\}")
+# one token after blanks: decimal digits, a word, or punctuation; \d, \w and
+# \s are exactly str.isdecimal, str.isalnum() or "_", and str.isspace
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(->|\S))")
+
+# The readers step through a text with one match per grammar item, each
+# after blanks.  A literal's head, with the opening bracket of a compound one
+# (the group of the head matched is ``lastindex``):
+_HEAD = re.compile(r"\s*(?:(empty)\b|(name)\s*\{|(check)\s*\(|(mix)\s*\[)")
+# an atom set: every one the grammar takes but the empty one
+_ATOMS = re.compile(r"\s*(\{\s*\d+\s*(?:,\s*\d+\s*)*\})")
+_NEXT = re.compile(r"\s*[,}]")
+_INT = re.compile(r"\s*\d+")
+_WORD = re.compile(r"\s*(\w+)")
+_END = re.compile(r"\s*\Z")
 _DIGITS = re.compile(r"\d+")
-# the token kinds after which either grammar takes an atom set
-_ATOMS_AFTER = frozenset(":[;")
-_HEAD_OPEN = {"name": "{", "check": "(", "mix": "["}
-# builds a Token without the Python-level __new__ of a namedtuple
-_token = tuple.__new__
+_PUNCT_AT = {ch: re.compile(r"\s*" + re.escape(ch)) for ch in LITERAL_PUNCT}
+_CLOSE, _COMMA, _SEMI = _PUNCT_AT["}"], _PUNCT_AT[","], _PUNCT_AT[";"]
+_OPENERS = {"name": "{", "check": "(", "mix": "["}
 
 
-class _Known(Token):
-    """A literal whose text was read before: the IDENT token of its head,
-    carrying the ``key`` of its name in ``Tokens.known``.  Every parse step
-    but ``parse_name_tokens`` reads it as the head."""
+def tokenize_literal(text: str, i: int, punct: Mapping[str, str]) -> Token:
+    """The first token of ``text`` at or after ``i``, once the rest of the
+    text has lexed: the one lexer of both grammars, which a reader runs when
+    it meets a fault.
 
-
-class Tokens(list):
-    """The tokens of ``source``.  ``known`` maps the text of each literal
-    that ``scan`` met, from its head to its close, to its name: from the
-    memo, or None until the parse of its first occurrence fills it in."""
-
-    __slots__ = ("source", "known")
-
-
-def _group_pattern(depth: int) -> str:
-    """A regex for a bracket group nested at most ``depth`` deep, atom sets
-    included, in which any closing bracket closes the innermost open one, as
-    the parser pairs them.  A run of text between brackets is one repeat of
-    one character class, and a bracket can start only one branch, so a match
-    that succeeds never backtracks."""
-    gap = r"[^{}()\[\]]*"
-    group = r"[{(\[]" + gap + r"[})\]]"
-    for _ in range(depth - 1):
-        group = r"[{(\[]" + gap + "(?:" + group + gap + r")*[})\]]"
-    return group
-
-
-# The extent of the literal whose bracket opens at a position is one match, from
-# that bracket to its close; a literal nested deeper is lexed and parsed in full.
-_GROUP_DEPTH = 16
-_GROUP = re.compile(_group_pattern(_GROUP_DEPTH))
-
-
-def scan(text: str, punct: Mapping[str, str], memo: Optional[Mapping] = None) -> List[Token]:
-    """Split text into INT, IDENT, ATOMS and punctuation tokens, ending with EOF.
-
-    ``punct`` maps each one- or two-character punctuation string to its token
-    kind; a two-character entry wins over a one-character one.  Right after a
-    ``:``, ``[`` or ``;`` token a well-formed non-empty atom set ``{1, 2}`` is
-    one ATOMS token; any other text there is lexed character by character.
-    Where a ``name``, ``check`` or ``mix`` head is followed by its opening
-    bracket, the text from the head to that bracket's close (one match of
-    ``_GROUP``) is looked up in ``memo``, a universe's literal memo, and
-    among the literals met earlier in ``text``.  A text found either way is
-    one ``_Known`` token: the parser has read it before, or reads its first
-    occurrence before this one.  Any other text is lexed character by
-    character, and any other character is a ParseError at its position.
-    The result is a ``Tokens`` list, which also holds the text and the
-    names of the literals met.
+    A token is an INT (decimal digits), an IDENT (a letter or ``_`` and the
+    word characters after it) or punctuation, of the kind ``punct`` gives
+    it (a two-character entry wins over a one-character one), and the text
+    ends with EOF.  Any other character is a ParseError at its position.
     """
-    pairs = {p[0] for p in punct if len(p) == 2}
-    memo = memo or {}
-    tokens = Tokens()
-    tokens.source = text
-    tokens.known = known = {}
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "{" and tokens and tokens[-1].kind in _ATOMS_AFTER:
-            m = _ATOMS.match(text, i)
-            if m is not None:
-                j = m.end()
-                tokens.append(_token(Token, ("ATOMS", text[i:j], i)))
-                i = j
-                continue
-        if ch in pairs and text[i : i + 2] in punct:
-            ch = text[i : i + 2]
-        if ch in punct:
-            tokens.append(_token(Token, (punct[ch], ch, i)))
-            i += len(ch)
-            continue
-        if ch.isdecimal():
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            kind = "INT"
-        elif ch.isalpha() or ch == "_":
-            # \w is exactly str.isalnum() or "_"
-            j = _WORD_REST.match(text, i + 1).end()
-            kind = "IDENT"
-            opener = _HEAD_OPEN.get(text[i:j])
-            if opener is not None:
-                k = _SPACE.match(text, j).end()
-                group = _GROUP.match(text, k) if text.startswith(opener, k) else None
-                if group is not None:
-                    key = text[i : group.end()]
-                    met = key in known
-                    if not met:
-                        known[key] = memo.get(key)
-                    if met or known[key] is not None:
-                        tok = _token(_Known, (kind, text[i:j], i))
-                        tok.key = key
-                        tokens.append(tok)
-                        i = group.end()
-                        continue
+    first = None
+    for m in _TOKEN.finditer(text, i):
+        digits, word, mark = m.groups()
+        if digits is not None:
+            tok = Token("INT", digits, m.start(1))
+        elif word is not None and (word[0].isalpha() or word[0] == "_"):
+            tok = Token("IDENT", word, m.start(2))
+        elif mark in punct:
+            tok = Token(punct[mark], mark, m.start(3))
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        tokens.append(_token(Token, (kind, text[i:j], i)))
-        i = j
-    tokens.append(Token("EOF", "", n))
-    return tokens
+            at = m.start(m.lastindex)
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+        first = first or tok
+    return first or Token("EOF", "", len(text))
 
 
-def tokenize_literal(text: str, memo: Optional[Mapping] = None) -> List[Token]:
-    """Tokens of the name-literal grammar; a literal in ``memo`` is one token."""
-    return scan(text, LITERAL_PUNCT, memo)
+class _Fault(Exception):
+    """A fault a reader met at position ``at`` of a text.  ``error`` lexes
+    the text from ``at`` on first, so an unexpected character there is the
+    error, as if the whole text had been lexed before it was read; the text
+    before ``at`` was read as whole tokens.  ``word`` is the fault's message
+    and position, None for the position of the token at ``at``, or a
+    function of that token giving both."""
+
+    def __init__(self, at: int, word, kind: type = ParseError):
+        self.at, self.word, self.kind = at, word, kind
+
+    def error(self, text: str, punct: Mapping[str, str]) -> ParseError:
+        tok = tokenize_literal(text, self.at, punct)
+        message, pos = self.word(tok) if callable(self.word) else self.word
+        return self.kind(message, tok.pos if pos is None else pos)
 
 
-def _expect(tokens: List[Token], i: int, kind: str) -> int:
-    if tokens[i].kind != kind:
-        raise ParseError(f"expected {kind!r}, found {tokens[i].text!r}", tokens[i].pos)
-    return i + 1
+def _expected(kind: str):
+    return lambda tok: (f"expected {kind!r}, found {tok.text!r}", tok.pos)
 
 
-def parse_atomset_tokens(tokens: List[Token], i: int, algebra: BooleanAlgebra, memo: Optional[_Memo] = None):
-    """The atom set at token ``i`` and the index after it.  The text of an
-    ATOMS token is looked up in ``memo``, a universe's atom-set memo, and
-    stored there once it parses, so a set that is refused is read afresh."""
-    tok = tokens[i]
-    if tok.kind == "ATOMS":
-        if memo is not None:
-            elem = memo.get(tok.text)
-            if elem is not None:
-                return elem, i + 1
-        # findall, not split: int() refuses some str.isspace characters
-        atoms = list(map(int, _DIGITS.findall(tok.text)))
-        pos = tok.pos + len(tok.text) - 1
-        i += 1
-    else:
-        i = _expect(tokens, i, "{")
-        atoms = []
-        if tokens[i].kind != "}":
-            while True:
-                if tokens[i].kind != "INT":
-                    raise ParseError("expected an atom index", tokens[i].pos)
-                atoms.append(int(tokens[i].text))
-                i += 1
-                if tokens[i].kind == ",":
-                    i += 1
-                    continue
-                break
-        pos = tokens[i].pos
-        i = _expect(tokens, i, "}")
-    try:
-        elem = algebra.element(atoms)
-    except ValueError as exc:
-        raise ParseError(str(exc), pos) from None
-    if memo is not None and tok.kind == "ATOMS":
-        memo.keep(tok.text, elem)
-    return elem, i
-
-
-def _parse_hf_tokens(tokens: List[Token], i: int):
-    i = _expect(tokens, i, "{")
-    members = []
-    if tokens[i].kind != "}":
-        while True:
-            hf, i = _parse_hf_tokens(tokens, i)
-            members.append(hf)
-            if tokens[i].kind == ",":
-                i += 1
-                continue
-            break
-    i = _expect(tokens, i, "}")
-    return frozenset(members), i
-
-
-def parse_name_tokens(tokens: List[Token], i: int, universe: Universe):
-    """The name whose literal starts at token ``i``, and the index after it.
-
-    A literal that ``scan`` met before, in the universe's literal memo or
-    earlier in the text, is one token, and its name is looked up.  Any other
-    ``name{...}``, ``check(...)`` or ``mix[...]`` literal is parsed, and its
-    name stored under its exact source text, from the head to the close of
-    its bracket, for the repeats that follow and in the memo.
-    """
-    tok = tokens[i]
+def _not_a_head(tok: Token):
     if tok.kind != "IDENT":
-        raise ParseError("expected a name literal", tok.pos)
-    if type(tok) is _Known:
-        return tokens.known[tok.key], i + 1
-    if tok.text == "empty":
-        return universe.empty, i + 1
-    name, end = _parse_compound(tokens, i, universe)
-    # a literal that parses ends at the close of its head's bracket
-    key = tokens.source[tok.pos : tokens[end - 1].pos + 1]
-    tokens.known[key] = name
-    universe._literal_memo.keep(key, name)
-    return name, end
+        return "expected a name literal", tok.pos
+    return f"unknown name literal {tok.text!r}", tok.pos
 
 
-def _parse_compound(tokens: List[Token], i: int, universe: Universe):
-    tok = tokens[i]
-    if tok.text == "check":
-        i = _expect(tokens, i + 1, "(")
-        hf, i = _parse_hf_tokens(tokens, i)
-        i = _expect(tokens, i, ")")
-        return universe.canonical_name(hf), i
-    algebra, memo = universe.algebra, universe._memo("_atom_memo")
-    if tok.text == "name":
-        i = _expect(tokens, i + 1, "{")
+def _whole(text: str, punct: Mapping[str, str], trailing, read):
+    """The value ``read(0)`` reads from ``text``, which must end after it;
+    a fault there, or after it as ``trailing``, is raised as its ParseError."""
+    try:
+        value, i = read(0)
+        if _END.match(text, i) is None:
+            raise _Fault(i, trailing)
+    except _Fault as fault:
+        raise fault.error(text, punct) from None
+    return value
+
+
+def _take(text: str, i: int, ch: str) -> int:
+    m = _PUNCT_AT[ch].match(text, i)
+    if m is None:
+        raise _Fault(i, _expected(ch))
+    return m.end()
+
+
+def _atom_set(text: str, i: int, algebra: BooleanAlgebra, memo: Optional[_Memo]):
+    """The atom set at ``i`` and the position after it.  A non-empty one is
+    one match, whose text is looked up in ``memo``, a universe's atom-set
+    memo, and stored there once it is taken, so a set that is refused is
+    read afresh.  Past ``{}``, any other text holds a fault, found by
+    stepping through the set an atom index at a time."""
+    m = _ATOMS.match(text, i)
+    if m is not None:
+        key, end = m[1], m.end()
+        elem = None if memo is None else memo.get(key)
+        if elem is None:
+            # findall, not split: int() refuses some str.isspace characters
+            try:
+                elem = algebra.element(list(map(int, _DIGITS.findall(key))))
+            except ValueError as exc:
+                raise _Fault(end, (str(exc), end - 1)) from None
+            if memo is not None:
+                memo.keep(key, elem)
+        return elem, end
+    j = _take(text, i, "{")
+    m = _CLOSE.match(text, j)
+    if m is not None:
+        return algebra.element(()), m.end()
+    while True:
+        m = _INT.match(text, j)
+        if m is None:
+            raise _Fault(j, ("expected an atom index", None))
+        j = m.end()
+        m = _COMMA.match(text, j)
+        if m is None:
+            raise _Fault(j, _expected("}"))
+        j = m.end()
+
+
+def _hf(text: str, i: int):
+    """The hereditarily finite set ``{...}`` at ``i`` and the position after it."""
+    j = _take(text, i, "{")
+    members = []
+    m = _CLOSE.match(text, j)
+    if m is not None:
+        return frozenset(), m.end()
+    while True:
+        hf, j = _hf(text, j)
+        members.append(hf)
+        m = _COMMA.match(text, j)
+        if m is None:
+            return frozenset(members), _take(text, j, "}")
+        j = m.end()
+
+
+def parse_name_tokens(text: str, i: int, universe: Universe):
+    """The name of the literal at ``i`` in ``text`` and the position after it.
+
+    The literal is read item by item, each one regex match: its head with
+    its opening bracket, each ``child: {atoms}`` entry's ``:`` with its atom
+    set, each separator.  Each ``name{...}``, ``check(...)`` or ``mix[...]``
+    literal read, nested ones included, is stored in the universe's literal
+    memo under its exact text, from the head to the close of its bracket.
+    A nested literal is read again where it repeats, and its name is then
+    one lookup in the entry memo of ``make_name``.  A fault raises
+    ``_Fault``, which the caller words for its grammar.
+    """
+    m = _HEAD.match(text, i)
+    if m is None:
+        m = _WORD.match(text, i)
+        opener = m and _OPENERS.get(m[1])
+        raise _Fault(m.end(), _expected(opener)) if opener else _Fault(i, _not_a_head)
+    head = m.lastindex
+    if head == 1:
+        return universe.empty, m.end()
+    h, j = m.start(head), m.end()
+    if head == 2:
         entries: dict = {}
-        if tokens[i].kind != "}":
+        m = _CLOSE.match(text, j)
+        if m is not None:
+            j = m.end()
+        else:
+            algebra, atoms = universe.algebra, universe._memo("_atom_memo")
             while True:
-                child, i = parse_name_tokens(tokens, i, universe)
-                i = _expect(tokens, i, ":")
-                value, i = parse_atomset_tokens(tokens, i, algebra, memo)
+                child, j = parse_name_tokens(text, j, universe)
+                value, j = _atom_set(text, _take(text, j, ":"), algebra, atoms)
                 prior = entries.get(child)
                 entries[child] = value if prior is None else prior | value
-                if tokens[i].kind == ",":
-                    i += 1
-                    continue
-                break
-        i = _expect(tokens, i, "}")
-        return universe.make_name(entries), i
-    if tok.text == "mix":
-        i = _expect(tokens, i + 1, "[")
-        parts = []
-        names = []
+                m = _NEXT.match(text, j)
+                if m is None:
+                    raise _Fault(j, _expected("}"))
+                j = m.end()
+                if text[j - 1] == "}":
+                    break
+        name = universe.make_name(entries)
+    elif head == 3:
+        hf, j = _hf(text, j)
+        j = _take(text, j, ")")
+        name = universe.canonical_name(hf)
+    else:
+        algebra, atoms = universe.algebra, universe._memo("_atom_memo")
+        parts, names = [], []
         while True:
-            part, i = parse_atomset_tokens(tokens, i, algebra, memo)
-            i = _expect(tokens, i, ":")
-            child, i = parse_name_tokens(tokens, i, universe)
+            part, j = _atom_set(text, j, algebra, atoms)
+            child, j = parse_name_tokens(text, _take(text, j, ":"), universe)
             parts.append(part)
             names.append(child)
-            if tokens[i].kind == ";":
-                i += 1
-                continue
-            break
-        i = _expect(tokens, i, "]")
+            m = _SEMI.match(text, j)
+            if m is None:
+                break
+            j = m.end()
+        j = _take(text, j, "]")
         try:
             partition = PartitionOfUnity(parts)
         except CondriskError as exc:
-            raise ParseError(str(exc), tok.pos) from None
-        return universe.mix(partition, names), i
-    raise ParseError(f"unknown name literal {tok.text!r}", tok.pos)
+            raise _Fault(j, (str(exc), h)) from None
+        name = universe.mix(partition, names)
+    universe._literal_memo.keep(text[h:j], name)
+    return name, j
 
 
 def parse_name_literal(text: str, universe: Universe) -> Name:
-    tokens = tokenize_literal(text, universe._literal_memo)
-    name, i = parse_name_tokens(tokens, 0, universe)
-    if tokens[i].kind != "EOF":
-        raise ParseError("trailing input after name literal", tokens[i].pos)
-    return name
+    """The name of the literal ``text``: a text in the universe's literal
+    memo is one lookup, any other is read by ``parse_name_tokens``."""
+    name = universe._literal_memo.get(text)
+    if name is not None:
+        return name
+    trailing = ("trailing input after name literal", None)
+    return _whole(text, LITERAL_PUNCT, trailing, lambda i: parse_name_tokens(text, i, universe))
+
+
+def parse_name_literals(text: str, universe: Universe) -> List[Name]:
+    """The names of the literals in ``text``, read one after another and
+    separated by ``;``, which a ``mix[...]`` literal also holds."""
+
+    def read(i):
+        names = []
+        while True:
+            name, i = parse_name_tokens(text, i, universe)
+            names.append(name)
+            m = _SEMI.match(text, i)
+            if m is None:
+                return names, i
+            i = m.end()
+
+    return _whole(text, LITERAL_PUNCT, ("trailing input after name literal", None), read)
 
 
 def parse_atom_set(text: str, algebra: BooleanAlgebra) -> BoolElem:
-    tokens = tokenize_literal(text)
-    elem, i = parse_atomset_tokens(tokens, 0, algebra)
-    if tokens[i].kind != "EOF":
-        raise ParseError("trailing input after atom set", tokens[i].pos)
-    return elem
+    return _whole(text, LITERAL_PUNCT, ("trailing input after atom set", None),
+                  lambda i: _atom_set(text, i, algebra, None))
 
 
 def _atomset_text(value: BoolElem) -> str:

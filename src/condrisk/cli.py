@@ -245,7 +245,7 @@ def _cmd_bvm_eval(args, scenario, _):
 def _cmd_bvm_mix(args, scenario, _):
     universe = bvm.Universe(scenario.space.algebra)
     parts = [bvm.parse_atom_set(part.strip(), universe.algebra) for part in args.parts.split(";")]
-    names = [bvm.parse_name_literal(lit.strip(), universe) for lit in args.names.split(";")]
+    names = bvm.parse_name_literals(args.names, universe)
     mixed = universe.mix(PartitionOfUnity(parts), names)
     return {"name": bvm.name_to_literal(mixed), "rank": mixed.rank, "canonical_id": mixed.canonical_id}
 

@@ -9,21 +9,23 @@ oracle for the Boolean-valued route.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 from .boolalg import AlgebraMismatchError, BoolElem
 from .bvm import (
+    _WORD,
     LITERAL_PUNCT,
     Name,
-    Token,
     Universe,
     UniverseError,
+    _Fault,
+    _whole,
     atom_position,
     maximum_witness,
     name_to_literal,
     parse_name_tokens,
-    scan,
 )
 from .errors import CondriskError, ParseError
 
@@ -107,8 +109,9 @@ class ExistsIn:
 Formula = Union[Eq, In, Not, And, Or, Implies, ForallIn, ExistsIn]
 
 
-# -- tokenizer --------------------------------------------------------------------
+# -- reader -----------------------------------------------------------------------
 
+# the token kinds of the formula grammar, for the lexer that words a fault
 _PUNCT = {
     **LITERAL_PUNCT,
     "->": "ARROW",
@@ -118,106 +121,150 @@ _PUNCT = {
     ".": "DOT",
     "=": "EQ",
 }
+# one grammar item after blanks each: the start of an atom (a '!', a '('
+# or a word), the relation after its first term, a connective
+_ATOM = re.compile(r"\s*(?:(!)|(\()|(\w+))")
+_RELATION = re.compile(r"\s*(?:(=)|in\b)")
+_CONNECTIVE = re.compile(r"\s*(?:(&)|(\|)|(->))")
+_CLOSE, _DOT = re.compile(r"\s*\)"), re.compile(r"\s*\.")
 
 
-# -- parser -----------------------------------------------------------------------
+def _group_pattern(depth: int) -> str:
+    """A regex for a bracket group nested at most ``depth`` deep, atom sets
+    included, in which any closing bracket closes the innermost open one, as
+    the literal reader pairs them.  A run of text between brackets is one
+    repeat of one character class, and a bracket can start only one branch,
+    so no repeat need give anything back: each is possessive."""
+    gap = r"[^{}()\[\]]*+"
+    group = r"[{(\[]" + gap + r"[})\]]"
+    for _ in range(depth - 1):
+        group = r"[{(\[]" + gap + "(?:" + group + gap + r")*+[})\]]"
+    return group
 
 
-class _Parser:
-    def __init__(self, tokens: List[Token], universe: Universe, free_names: Iterable[str]):
-        self.tokens = tokens
-        self.i = 0
-        self.universe = universe
-        self.free = set(free_names)
-        self.bound: List[str] = []
+# The extent of a literal term, from the blanks after its head to the close
+# of its bracket, in one match; a literal nested deeper is read in full.
+_GROUP_DEPTH = 16
+_GROUP = re.compile(r"\s*" + _group_pattern(_GROUP_DEPTH))
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
 
-    def take(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        self.i += 1
-        return tok
+def _found(kind: str):
+    return lambda tok: (f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
 
-    def formula(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "ARROW":
-            self.i += 1
-            return Implies(left, self.disj())
-        return left
 
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.peek().kind == "OR":
-            self.i += 1
-            node = Or(node, self.conj())
-        return node
+def _take(text: str, i: int, pattern: re.Pattern, kind: str) -> int:
+    m = pattern.match(text, i)
+    if m is None:
+        raise _Fault(i, _found(kind))
+    return m.end()
 
-    def conj(self) -> Formula:
-        node = self.atom()
-        while self.peek().kind == "AND":
-            self.i += 1
-            node = And(node, self.atom())
-        return node
 
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.i += 1
-            return Not(self.atom())
-        if tok.kind == "(":
-            self.i += 1
-            node = self.formula()
-            self.take(")")
-            return node
-        if tok.kind == "IDENT" and tok.text in ("forall", "exists"):
-            self.i += 1
-            var = self.take("IDENT")
-            if var.text in KEYWORDS:
-                raise ParseError(f"{var.text!r} is reserved", var.pos)
-            kw = self.take("IDENT")
-            if kw.text != "in":
-                raise ParseError("expected 'in' after the bound variable", kw.pos)
-            domain = self.term()
-            self.take("DOT")
-            self.bound.append(var.text)
-            body = self.formula()
-            self.bound.pop()
-            cls = ForallIn if tok.text == "forall" else ExistsIn
-            return cls(var.text, domain, body)
-        left = self.term()
-        op = self.peek()
-        if op.kind == "EQ":
-            self.i += 1
-            return Eq(left, self.term())
-        if op.kind == "IDENT" and op.text == "in":
-            self.i += 1
-            return In(left, self.term())
-        raise ParseError("expected '=' or 'in' after a term", op.pos)
-
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise ParseError("expected a term", tok.pos)
-        if tok.text in LITERAL_HEADS:
-            name, self.i = parse_name_tokens(self.tokens, self.i, self.universe)
-            return Lit(name)
-        if tok.text in KEYWORDS:
-            raise ParseError(f"{tok.text!r} is reserved", tok.pos)
-        self.i += 1
-        if tok.text not in self.bound and tok.text not in self.free:
-            raise UnboundVariableError(f"unbound variable {tok.text!r}", tok.pos)
-        return Var(tok.text)
+_TERM = ("expected a term", None)
 
 
 def parse(text: str, universe: Universe, free_names: Iterable[str] = ()) -> Formula:
-    """Parse a formula; identifiers must be quantifier-bound or in free_names."""
-    parser = _Parser(scan(text, _PUNCT, universe._literal_memo), universe, free_names)
-    node = parser.formula()
-    parser.take("EOF")
-    return node
+    """Parse a formula; identifiers must be quantifier-bound or in free_names.
+
+    The text is read item by item, each one regex match.  A literal term
+    whose text is in the universe's literal memo, or was read earlier in
+    the same text, is passed over whole, found by one match of ``_GROUP``;
+    any other is read by ``bvm.parse_name_tokens``.
+    """
+    free = set(free_names)
+    bound: list = []
+    memo = universe._literal_memo
+    known: dict = {}
+
+    def formula(i):
+        left, i, arrow = disj(i)
+        if arrow is None:
+            return left, i
+        right, i, _ = disj(arrow)
+        return Implies(left, right), i
+
+    def disj(i):
+        """The disjunction of conjunctions at ``i``, one connective match
+        after each atom, its end, and the end of an '->' that follows it."""
+        ors = None
+        node, i = atom(i)
+        while (m := _CONNECTIVE.match(text, i)) is not None and m.lastindex != 3:
+            right, i = atom(m.end())
+            if m.lastindex == 1:
+                node = And(node, right)
+            else:
+                ors = node if ors is None else Or(ors, node)
+                node = right
+        return (node if ors is None else Or(ors, node)), i, m and m.end()
+
+    def atom(i):
+        m = _ATOM.match(text, i)
+        if m is None:
+            raise _Fault(i, _TERM)
+        if m.lastindex == 1:
+            body, i = atom(m.end())
+            return Not(body), i
+        if m.lastindex == 2:
+            node, i = formula(m.end())
+            return node, _take(text, i, _CLOSE, ")")
+        word = m[3]
+        if word == "forall" or word == "exists":
+            return quantifier(word == "forall", m.end())
+        left, i = term_at(word, m.start(3), m.end())
+        m = _RELATION.match(text, i)
+        if m is None:
+            raise _Fault(i, ("expected '=' or 'in' after a term", None))
+        right, i = term(m.end())
+        return (Eq if m.lastindex == 1 else In)(left, right), i
+
+    def quantifier(forall, i):
+        var, i = ident(i)
+        if var in KEYWORDS:
+            raise _Fault(i, (f"{var!r} is reserved", i - len(var)))
+        kw, i = ident(i)
+        if kw != "in":
+            raise _Fault(i, ("expected 'in' after the bound variable", i - len(kw)))
+        domain, i = term(i)
+        i = _take(text, i, _DOT, "DOT")
+        bound.append(var)
+        body, i = formula(i)
+        bound.pop()
+        return (ForallIn if forall else ExistsIn)(var, domain, body), i
+
+    def ident(i):
+        m = _WORD.match(text, i)
+        if m is None or not (m[1][0].isalpha() or m[1][0] == "_"):
+            raise _Fault(i, _found("IDENT"))
+        return m[1], m.end()
+
+    def term(i):
+        m = _WORD.match(text, i)
+        if m is None:
+            raise _Fault(i, _TERM)
+        return term_at(m[1], m.start(1), m.end())
+
+    def term_at(word, h, i):
+        """The term whose first word ``word`` spans ``h`` to ``i``."""
+        if word in LITERAL_HEADS:
+            if word == "empty":
+                return Lit(universe.empty), i
+            group = _GROUP.match(text, i)
+            if group is not None:
+                key = text[h : group.end()]
+                name = known.get(key) or memo.get(key)
+                if name is not None:
+                    return Lit(name), group.end()
+            name, i = parse_name_tokens(text, h, universe)
+            known[text[h:i]] = name
+            return Lit(name), i
+        if not (word[0].isalpha() or word[0] == "_"):
+            raise _Fault(h, _TERM)
+        if word in KEYWORDS:
+            raise _Fault(i, (f"{word!r} is reserved", h))
+        if word not in bound and word not in free:
+            raise _Fault(i, (f"unbound variable {word!r}", h), UnboundVariableError)
+        return Var(word), i
+
+    return _whole(text, _PUNCT, _found("EOF"), formula)
 
 
 def print_formula(f: Formula) -> str:

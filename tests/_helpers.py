@@ -2,12 +2,15 @@
 
 import math
 import operator
+import re
+from collections import namedtuple
 from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
 
-from condrisk import ConditionalValue, CondRiskMeasure, Universe, atom_collapse
+from condrisk import ConditionalValue, CondRiskMeasure, PartitionOfUnity, Universe, atom_collapse
+from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
     And,
     Eq,
@@ -19,6 +22,7 @@ from condrisk.formulalang import (
     Lit,
     Not,
     Or,
+    UnboundVariableError,
     Var,
 )
 
@@ -631,3 +635,332 @@ def reference_collapse_eval(f, atom, env=None) -> bool:
         return any(rec(node.body, {**scope, node.var: s}) for s in domain)
 
     return rec(f, {})
+
+
+# -- token reference for the literal and formula readers ------------------------------
+# The front end as it ran before the readers stepped through the text: the
+# whole text is lexed into a token list first, so an unexpected character
+# anywhere is the error, and two parsers then read the tokens.  A literal
+# that the lexer finds in the universe's literal memo, or earlier in the
+# text, is one token.
+
+Token = namedtuple("Token", ["kind", "text", "pos"])
+
+REFERENCE_LITERAL_PUNCT = {ch: ch for ch in "{}()[],:;"}
+REFERENCE_FORMULA_PUNCT = {
+    **REFERENCE_LITERAL_PUNCT, "->": "ARROW", "|": "OR", "&": "AND", "!": "NOT", ".": "DOT", "=": "EQ",
+}
+_REF_WORD_REST = re.compile(r"\w*")
+_REF_SPACE = re.compile(r"\s*")
+_REF_ATOMS = re.compile(r"\{\s*\d+\s*(?:,\s*\d+\s*)*\}")
+_REF_DIGITS = re.compile(r"\d+")
+_REF_ATOMS_AFTER = frozenset(":[;")
+_REF_HEAD_OPEN = {"name": "{", "check": "(", "mix": "["}
+_REF_KEYWORDS = {"forall", "exists", "in", "empty", "check", "name", "mix"}
+_REF_LITERAL_HEADS = {"empty", "check", "name", "mix"}
+
+
+class _Known(Token):
+    """The IDENT token of the head of a literal read before, carrying the
+    ``key`` of its name in ``Tokens.known``."""
+
+
+class Tokens(list):
+    """The tokens of ``source``; ``known`` maps the text of each literal
+    met to its name, or None until its first occurrence is parsed."""
+
+    __slots__ = ("source", "known")
+
+
+def _reference_group_pattern(depth):
+    gap = r"[^{}()\[\]]*"
+    group = r"[{(\[]" + gap + r"[})\]]"
+    for _ in range(depth - 1):
+        group = r"[{(\[]" + gap + "(?:" + group + gap + r")*[})\]]"
+    return group
+
+
+REFERENCE_GROUP = re.compile(_reference_group_pattern(16))
+
+
+def reference_scan(text, punct, memo=None):
+    """Split text into INT, IDENT, ATOMS and punctuation tokens, ending with
+    EOF, character by character; a literal whose text is in ``memo`` or met
+    earlier in ``text`` is one ``_Known`` token."""
+    pairs = {p[0] for p in punct if len(p) == 2}
+    memo = memo or {}
+    tokens = Tokens()
+    tokens.source = text
+    tokens.known = known = {}
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "{" and tokens and tokens[-1].kind in _REF_ATOMS_AFTER:
+            m = _REF_ATOMS.match(text, i)
+            if m is not None:
+                tokens.append(Token("ATOMS", text[i : m.end()], i))
+                i = m.end()
+                continue
+        if ch in pairs and text[i : i + 2] in punct:
+            ch = text[i : i + 2]
+        if ch in punct:
+            tokens.append(Token(punct[ch], ch, i))
+            i += len(ch)
+            continue
+        if ch.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            kind = "INT"
+        elif ch.isalpha() or ch == "_":
+            j = _REF_WORD_REST.match(text, i + 1).end()
+            kind = "IDENT"
+            opener = _REF_HEAD_OPEN.get(text[i:j])
+            if opener is not None:
+                k = _REF_SPACE.match(text, j).end()
+                group = REFERENCE_GROUP.match(text, k) if text.startswith(opener, k) else None
+                if group is not None:
+                    key = text[i : group.end()]
+                    met = key in known
+                    if not met:
+                        known[key] = memo.get(key)
+                    if met or known[key] is not None:
+                        tok = _Known(kind, text[i:j], i)
+                        tok.key = key
+                        tokens.append(tok)
+                        i = group.end()
+                        continue
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        tokens.append(Token(kind, text[i:j], i))
+        i = j
+    tokens.append(Token("EOF", "", n))
+    return tokens
+
+
+def _ref_expect(tokens, i, kind):
+    if tokens[i].kind != kind:
+        raise ParseError(f"expected {kind!r}, found {tokens[i].text!r}", tokens[i].pos)
+    return i + 1
+
+
+def _ref_atomset(tokens, i, algebra, memo=None):
+    tok = tokens[i]
+    if tok.kind == "ATOMS":
+        if memo is not None:
+            elem = memo.get(tok.text)
+            if elem is not None:
+                return elem, i + 1
+        atoms = list(map(int, _REF_DIGITS.findall(tok.text)))
+        pos = tok.pos + len(tok.text) - 1
+        i += 1
+    else:
+        i = _ref_expect(tokens, i, "{")
+        atoms = []
+        if tokens[i].kind != "}":
+            while True:
+                if tokens[i].kind != "INT":
+                    raise ParseError("expected an atom index", tokens[i].pos)
+                atoms.append(int(tokens[i].text))
+                i += 1
+                if tokens[i].kind == ",":
+                    i += 1
+                    continue
+                break
+        pos = tokens[i].pos
+        i = _ref_expect(tokens, i, "}")
+    try:
+        elem = algebra.element(atoms)
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
+    if memo is not None and tok.kind == "ATOMS":
+        memo.keep(tok.text, elem)
+    return elem, i
+
+
+def _ref_hf(tokens, i):
+    i = _ref_expect(tokens, i, "{")
+    members = []
+    if tokens[i].kind != "}":
+        while True:
+            hf, i = _ref_hf(tokens, i)
+            members.append(hf)
+            if tokens[i].kind == ",":
+                i += 1
+                continue
+            break
+    i = _ref_expect(tokens, i, "}")
+    return frozenset(members), i
+
+
+def _ref_name(tokens, i, universe):
+    tok = tokens[i]
+    if tok.kind != "IDENT":
+        raise ParseError("expected a name literal", tok.pos)
+    if type(tok) is _Known:
+        return tokens.known[tok.key], i + 1
+    if tok.text == "empty":
+        return universe.empty, i + 1
+    name, end = _ref_compound(tokens, i, universe)
+    key = tokens.source[tok.pos : tokens[end - 1].pos + 1]
+    tokens.known[key] = name
+    universe._literal_memo.keep(key, name)
+    return name, end
+
+
+def _ref_compound(tokens, i, universe):
+    tok = tokens[i]
+    if tok.text == "check":
+        i = _ref_expect(tokens, i + 1, "(")
+        hf, i = _ref_hf(tokens, i)
+        i = _ref_expect(tokens, i, ")")
+        return universe.canonical_name(hf), i
+    algebra, memo = universe.algebra, universe._memo("_atom_memo")
+    if tok.text == "name":
+        i = _ref_expect(tokens, i + 1, "{")
+        entries = {}
+        if tokens[i].kind != "}":
+            while True:
+                child, i = _ref_name(tokens, i, universe)
+                i = _ref_expect(tokens, i, ":")
+                value, i = _ref_atomset(tokens, i, algebra, memo)
+                prior = entries.get(child)
+                entries[child] = value if prior is None else prior | value
+                if tokens[i].kind == ",":
+                    i += 1
+                    continue
+                break
+        i = _ref_expect(tokens, i, "}")
+        return universe.make_name(entries), i
+    if tok.text == "mix":
+        i = _ref_expect(tokens, i + 1, "[")
+        parts, names = [], []
+        while True:
+            part, i = _ref_atomset(tokens, i, algebra, memo)
+            i = _ref_expect(tokens, i, ":")
+            child, i = _ref_name(tokens, i, universe)
+            parts.append(part)
+            names.append(child)
+            if tokens[i].kind == ";":
+                i += 1
+                continue
+            break
+        i = _ref_expect(tokens, i, "]")
+        try:
+            partition = PartitionOfUnity(parts)
+        except CondriskError as exc:
+            raise ParseError(str(exc), tok.pos) from None
+        return universe.mix(partition, names), i
+    raise ParseError(f"unknown name literal {tok.text!r}", tok.pos)
+
+
+def reference_parse_name_literal(text, universe):
+    tokens = reference_scan(text, REFERENCE_LITERAL_PUNCT, universe._literal_memo)
+    name, i = _ref_name(tokens, 0, universe)
+    if tokens[i].kind != "EOF":
+        raise ParseError("trailing input after name literal", tokens[i].pos)
+    return name
+
+
+def reference_parse_atom_set(text, algebra):
+    tokens = reference_scan(text, REFERENCE_LITERAL_PUNCT)
+    elem, i = _ref_atomset(tokens, 0, algebra)
+    if tokens[i].kind != "EOF":
+        raise ParseError("trailing input after atom set", tokens[i].pos)
+    return elem
+
+
+class _RefParser:
+    def __init__(self, tokens, universe, free_names):
+        self.tokens, self.i, self.universe = tokens, 0, universe
+        self.free = set(free_names)
+        self.bound = []
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self, kind):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        self.i += 1
+        return tok
+
+    def formula(self):
+        left = self.disj()
+        if self.peek().kind == "ARROW":
+            self.i += 1
+            return Implies(left, self.disj())
+        return left
+
+    def disj(self):
+        node = self.conj()
+        while self.peek().kind == "OR":
+            self.i += 1
+            node = Or(node, self.conj())
+        return node
+
+    def conj(self):
+        node = self.atom()
+        while self.peek().kind == "AND":
+            self.i += 1
+            node = And(node, self.atom())
+        return node
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "NOT":
+            self.i += 1
+            return Not(self.atom())
+        if tok.kind == "(":
+            self.i += 1
+            node = self.formula()
+            self.take(")")
+            return node
+        if tok.kind == "IDENT" and tok.text in ("forall", "exists"):
+            self.i += 1
+            var = self.take("IDENT")
+            if var.text in _REF_KEYWORDS:
+                raise ParseError(f"{var.text!r} is reserved", var.pos)
+            kw = self.take("IDENT")
+            if kw.text != "in":
+                raise ParseError("expected 'in' after the bound variable", kw.pos)
+            domain = self.term()
+            self.take("DOT")
+            self.bound.append(var.text)
+            body = self.formula()
+            self.bound.pop()
+            return (ForallIn if tok.text == "forall" else ExistsIn)(var.text, domain, body)
+        left = self.term()
+        op = self.peek()
+        if op.kind == "EQ":
+            self.i += 1
+            return Eq(left, self.term())
+        if op.kind == "IDENT" and op.text == "in":
+            self.i += 1
+            return In(left, self.term())
+        raise ParseError("expected '=' or 'in' after a term", op.pos)
+
+    def term(self):
+        tok = self.peek()
+        if tok.kind != "IDENT":
+            raise ParseError("expected a term", tok.pos)
+        if tok.text in _REF_LITERAL_HEADS:
+            name, self.i = _ref_name(self.tokens, self.i, self.universe)
+            return Lit(name)
+        if tok.text in _REF_KEYWORDS:
+            raise ParseError(f"{tok.text!r} is reserved", tok.pos)
+        self.i += 1
+        if tok.text not in self.bound and tok.text not in self.free:
+            raise UnboundVariableError(f"unbound variable {tok.text!r}", tok.pos)
+        return Var(tok.text)
+
+
+def reference_parse(text, universe, free_names=()):
+    parser = _RefParser(reference_scan(text, REFERENCE_FORMULA_PUNCT, universe._literal_memo), universe, free_names)
+    node = parser.formula()
+    parser.take("EOF")
+    return node

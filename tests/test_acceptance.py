@@ -433,6 +433,27 @@ def test_formula_parse_budget_on_long_literals():
     assert elapsed < 0.12, f"parsing {len(text)} characters took {elapsed:.3f}s"
 
 
+def test_cold_literal_round_trip_budget():
+    # runtime gate in the style of criterion 6: the names of a bvm_model job,
+    # 40 names of rank <= 3 on 16 atoms (4,024 characters of literals), read
+    # back into a fresh universe, the best of three; 1.9-2.2 ms each on the
+    # 2-vCPU host the benchmark runs on, against a budget of 10 ms
+    algebra = cr.BooleanAlgebra(16)
+    source = cr.Universe(algebra)
+    rng = np.random.default_rng(45)
+    names = [random_name(source, rng, 3, 3) for _ in range(40)]
+    literals = [cr.name_to_literal(u) for u in names]
+    assert max(u.rank for u in names) == 3 and sum(map(len, literals)) == 4024
+    times = []
+    for _ in range(3):
+        uni = cr.Universe(algebra)
+        start = time.perf_counter()
+        read = [cr.parse_name_literal(text, uni) for text in literals]
+        times.append(time.perf_counter() - start)
+        assert [u.collapses for u in read] == [u.collapses for u in names]
+    assert min(times) < 0.01, f"reading 40 literals into a fresh universe took {min(times):.4f}s"
+
+
 def test_criterion_10_cli(tmp_path, capsys, monkeypatch):
     with criterion(10, "cli"):
         from condrisk.cli import main

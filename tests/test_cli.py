@@ -160,6 +160,20 @@ def test_bvm_mix(capsys, s4_path):
     assert out["name"] == "name{empty: {2}}"
 
 
+def test_bvm_mix_reads_a_mix_literal_among_the_names(capsys, s4_path):
+    # --names splits only at a ';' between literals, not inside mix[...]
+    argv = ["bvm", "mix", "--scenario", s4_path, "--parts", "{1};{2}"]
+    code, out = run(capsys, argv + ["--names", "mix[{1}: empty; {2}: name{empty: {1,2}}];empty"])
+    assert (code, out) == (0, {"name": "empty", "rank": 0, "canonical_id": 0})
+    code, out = run(capsys, argv + ["--names", " mix[{1}: name{empty: {1,2}}; {2}: empty] ; empty "])
+    assert (code, out["name"], out["rank"]) == (0, "name{empty: {1}}", 1)
+    # a fault keeps its position in the whole --names text
+    code, out = run(capsys, argv + ["--names", "empty;;empty"])
+    assert (code, out) == (2, {"error": "expected a name literal (at position 6)", "position": 6})
+    code, out = run(capsys, argv + ["--names", "empty; empty empty"])
+    assert (code, out) == (2, {"error": "trailing input after name literal (at position 13)", "position": 13})
+
+
 def test_bvm_mix_refuses_a_literal_past_its_cap(capsys, s4_path, monkeypatch):
     monkeypatch.setattr("condrisk.bvm.LITERAL_CHAR_CAP", 10)
     code, out = run(

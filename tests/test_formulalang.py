@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_formula, random_name, reference_collapse_eval, spy_calls
+from _helpers import (
+    random_formula,
+    random_name,
+    reference_collapse_eval,
+    reference_parse,
+    reference_parse_name_literal,
+    spy_calls,
+)
 from condrisk import (
     BooleanAlgebra,
     PartitionOfUnity,
@@ -21,10 +28,9 @@ from condrisk import (
 )
 from condrisk import bvm, formulalang
 from condrisk.boolalg import MEMO_CAP, AlgebraMismatchError
-from condrisk.bvm import UniverseError, name_to_literal, parse_name_literal, scan
+from condrisk.bvm import UniverseError, name_to_literal, parse_name_literal
 from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
-    _PUNCT,
     And,
     Eq,
     ExistsIn,
@@ -351,9 +357,9 @@ def _outcome(text, universe):
 
 
 def _lexed_in_full(outcome, text, algebra):
-    """``outcome`` in a fresh universe whose scan finds no literal's close, so
-    that it lexes every character and the parser reads every literal."""
-    with mock.patch.object(bvm, "_GROUP", re.compile(r"(?!)")):
+    """``outcome`` in a fresh universe whose formula reader finds no literal
+    term's close, so that it passes over no literal and reads every one."""
+    with mock.patch.object(formulalang, "_GROUP", re.compile(r"(?!)")):
         return outcome(text, Universe(algebra))
 
 
@@ -434,7 +440,59 @@ def test_formula_literal_memo_agrees_with_a_fresh_parse(case):
     assert _formula_outcome(clean, warm)[0] not in ("ParseError", "UnboundVariableError")
 
 
-def test_a_formula_of_remembered_literals_scans_to_its_skeleton():
+# characters neither grammar lexes, for a second fault after the first
+_STRAYS = "²$#<"
+
+
+def _with_a_stray(draw, text):
+    """``text`` with one character that neither grammar lexes inserted."""
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(_STRAYS)) + text[at:]
+
+
+def _read_outcome(read, text, universe):
+    """What ``read(text, universe)`` gives: the shape of its value, or the
+    class, message and position of its refusal."""
+    try:
+        value = read(text, universe)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc), exc.pos
+    return value.collapses if isinstance(value, bvm.Name) else _shape(value)
+
+
+def _formula_reader(text, universe):
+    return parse(text, universe, free_names={"x"})
+
+
+def _formula_reference(text, universe):
+    return reference_parse(text, universe, free_names={"x"})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spelled_literals(), spelled_formulas(), st.data())
+def test_the_readers_match_the_token_reference(literal_case, formula_case, data):
+    # the token reference lexes the whole text before it parses, so an
+    # unexpected character anywhere wins over an earlier parse fault; the
+    # readers must give the same name or formula, or the same refusal, for
+    # clean texts, corrupted ones and corrupted ones with a stray character,
+    # in a warm universe (each spelling read before) and in a cold one
+    for (m, _, clean, corrupt), spellings, read, reference in (
+        (literal_case, None, parse_name_literal, reference_parse_name_literal),
+        (formula_case, formula_case[1], _formula_reader, _formula_reference),
+    ):
+        algebra = BooleanAlgebra(m)
+        warm, warm_reference = Universe(algebra), Universe(algebra)
+        for text in spellings or [clean]:
+            parse_name_literal(text, warm)
+            reference_parse_name_literal(text, warm_reference)
+        for text in (clean, corrupt, _with_a_stray(data.draw, corrupt)):
+            expected = _read_outcome(reference, text, warm_reference)
+            assert _read_outcome(read, text, warm) == expected, text
+            assert _read_outcome(read, text, Universe(algebra)) == expected, text
+            assert _read_outcome(reference, text, Universe(algebra)) == expected, text
+
+
+def test_a_formula_of_remembered_literals_scans_to_its_skeleton(monkeypatch):
     uni = Universe(BooleanAlgebra(6))
     rng = np.random.default_rng(11)
     names = [u for u in (random_name(uni, rng, 3, 3) for _ in range(40)) if u.rank >= 2][:4]
@@ -444,11 +502,18 @@ def test_a_formula_of_remembered_literals_scans_to_its_skeleton():
         parse_name_literal(text, uni)
     skeleton = "(forall v0 in {0} . v0 in {1}) & !({2} = {3} | {1} in {0}) -> exists v1 in {3} . {2} = v1"
     text = skeleton.format(*literals)
-    tokens = scan(text, _PUNCT, uni._literal_memo)
-    assert len(tokens) == len(scan(skeleton.format("a", "b", "c", "d"), _PUNCT))
-    assert len(tokens) < len(scan(text, _PUNCT))
+    # the reader steps over each remembered literal term whole, as over a
+    # variable of the skeleton: it reads none of them
+    reads = spy_calls(monkeypatch, formulalang, "parse_name_tokens")
     f = parse(text, uni)
+    assert reads == []
     assert f.left.left.domain.name is names[0] and f.right.body.left.name is names[2]
+    # a fresh universe reads the first occurrence of each literal and passes
+    # over its repeats; with no pass-over, each of the 8 terms is read
+    parse(text, Universe(uni.algebra))
+    assert len(reads) == 4
+    _lexed_in_full(parse, text, uni.algebra)
+    assert len(reads) == 4 + 8
 
 
 def test_literal_memo_stays_within_its_cap():

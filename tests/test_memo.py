@@ -12,7 +12,7 @@ import pytest
 
 from condrisk import BooleanAlgebra, FiniteProbSpace, RandomVariable, Universe, YoungFunction, boolalg, young_power
 from condrisk.boolalg import MEMO_CAP, _Memo, mask_atoms
-from condrisk.bvm import parse_atomset_tokens, parse_name_literal, tokenize_literal
+from condrisk.bvm import _atom_set, parse_name_literal
 
 
 def _elements(n):
@@ -60,7 +60,7 @@ def _entries(n):
 
 def _atom_sets(n):
     # key k spells the atom set {a,b,c} of _literals' key k, as the literal
-    # grammar reads it after a ":"
+    # reader reads a mix[...] part
     uni = Universe(BooleanAlgebra(16))
     alg, memo = uni.algebra, uni._memo("_atom_memo")
 
@@ -69,7 +69,7 @@ def _atom_sets(n):
 
     def read(k):
         sep = "," if k < MEMO_CAP else ", "
-        return parse_atomset_tokens(tokenize_literal(": {" + sep.join(map(str, digits(k))) + "}"), 1, alg, memo)[0]
+        return _atom_set("{" + sep.join(map(str, digits(k))) + "}", 0, alg, memo)[0]
 
     def check(k, e):
         return e == alg.element(digits(k))

@@ -903,14 +903,16 @@ def parse_name_tokens(text: str, i: int, universe: Universe):
     return name, j
 
 
+_TRAILING = ("trailing input after name literal", None)
+
+
 def parse_name_literal(text: str, universe: Universe) -> Name:
     """The name of the literal ``text``: a text in the universe's literal
     memo is one lookup, any other is read by ``parse_name_tokens``."""
     name = universe._literal_memo.get(text)
     if name is not None:
         return name
-    trailing = ("trailing input after name literal", None)
-    return _whole(text, LITERAL_PUNCT, trailing, lambda i: parse_name_tokens(text, i, universe))
+    return _whole(text, LITERAL_PUNCT, _TRAILING, lambda i: parse_name_tokens(text, i, universe))
 
 
 def parse_name_literals(text: str, universe: Universe) -> List[Name]:
@@ -927,12 +929,12 @@ def parse_name_literals(text: str, universe: Universe) -> List[Name]:
                 return names, i
             i = m.end()
 
-    return _whole(text, LITERAL_PUNCT, ("trailing input after name literal", None), read)
+    return _whole(text, LITERAL_PUNCT, _TRAILING, read)
 
 
 def parse_atom_set(text: str, algebra: BooleanAlgebra) -> BoolElem:
-    return _whole(text, LITERAL_PUNCT, ("trailing input after atom set", None),
-                  lambda i: _atom_set(text, i, algebra, None))
+    trailing = ("trailing input after atom set", None)
+    return _whole(text, LITERAL_PUNCT, trailing, lambda i: _atom_set(text, i, algebra, None))
 
 
 def _atomset_text(value: BoolElem) -> str:

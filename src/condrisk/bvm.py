@@ -78,11 +78,12 @@ class Universe:
     slots in that table; a miss checks the names and grows the table.  The
     literal memo maps the exact source text of a ``name{...}``, ``check(...)``
     or ``mix[...]`` literal to its name, so a spelling read before is one
-    lookup as a whole text or as a formula's term.  Two more tables are built on their first read: the entry memo
-    (``_entry_memo``), which maps the ``(child, mask)`` pairs of a
-    ``make_name`` call to its name, and the atom-set memo (``_atom_memo``),
-    which maps the text of an atom set in a literal, such as ``{1, 3}``, to
-    its element.  All three are ``_Memo`` tables.
+    lookup as a whole text or as a formula's term.  Two more tables are
+    built on their first read: the entry memo (``_entry_memo``), which maps
+    the ``(child, mask)`` pairs of a ``make_name`` call to its name, and the
+    atom-set memo (``_atom_memo``), which maps the text of an atom set in a
+    literal, such as ``{1, 3}``, to its element.  All three are ``_Memo``
+    tables.
     """
 
     def __init__(self, algebra: BooleanAlgebra):

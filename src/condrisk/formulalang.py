@@ -15,8 +15,8 @@ from typing import Dict, Iterable, Mapping, Optional, Union
 
 from .boolalg import AlgebraMismatchError, BoolElem
 from .bvm import (
-    _WORD,
     LITERAL_PUNCT,
+    _WORD,
     Name,
     Universe,
     UniverseError,

@@ -6,7 +6,7 @@ It loads only when asked, outside tier-1:
 
 It traces every thread from its import on (so conftest imports and the
 helper threads of ``riskcore._map_chunks`` count) and, when the session
-ends, writes COVERAGE_44.json at the repository root: for each module of
+ends, writes COVERAGE_45.json at the repository root: for each module of
 ``src/condrisk``, the statements of function bodies (found with ``ast``,
 docstrings left out) that never ran, by line, and their total.  Runtime
 gates may fail under the tracer; the report does not depend on them.
@@ -23,7 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "condrisk").glob("*.py"))
 # read now, before the package is imported, so an edit during the run cannot shift the lines
 _TEXTS = {path: path.read_text() for path in SOURCES}
-REPORT = ROOT / "COVERAGE_44.json"
+REPORT = ROOT / "COVERAGE_45.json"
 _ran = {str(path): set() for path in SOURCES}
 _files = {}  # co_filename -> its set in _ran, or None outside src/condrisk
 

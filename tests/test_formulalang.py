@@ -426,8 +426,8 @@ def _formula_outcome(text, universe):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(spelled_formulas())
 def test_formula_literal_memo_agrees_with_a_fresh_parse(case):
-    # the warm universe's memo holds every spelling, so its scan passes over
-    # them; the cold one passes over repeats only, and the reference over none
+    # the warm universe's memo holds every spelling, so its reader passes
+    # over them; the cold one passes over repeats only, and the reference over none
     m, spellings, clean, corrupt = case
     algebra = BooleanAlgebra(m)
     warm = Universe(algebra)

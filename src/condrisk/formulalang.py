@@ -134,11 +134,11 @@ def _group_pattern(depth: int) -> str:
     included, in which any closing bracket closes the innermost open one, as
     the literal reader pairs them.  A run of text between brackets is one
     repeat of one character class, and a bracket can start only one branch,
-    so no repeat need give anything back: each is possessive."""
-    gap = r"[^{}()\[\]]*+"
+    so no repeat backtracks."""
+    gap = r"[^{}()\[\]]*"
     group = r"[{(\[]" + gap + r"[})\]]"
     for _ in range(depth - 1):
-        group = r"[{(\[]" + gap + "(?:" + group + gap + r")*+[})\]]"
+        group = r"[{(\[]" + gap + "(?:" + group + gap + r")*[})\]]"
     return group
 
 
@@ -166,14 +166,14 @@ def parse(text: str, universe: Universe, free_names: Iterable[str] = ()) -> Form
     """Parse a formula; identifiers must be quantifier-bound or in free_names.
 
     The text is read item by item, each one regex match.  A literal term
-    whose text is in the universe's literal memo, or was read earlier in
-    the same text, is passed over whole, found by one match of ``_GROUP``;
-    any other is read by ``bvm.parse_name_tokens``.
+    whose text is in the universe's literal memo is passed over whole,
+    found by one match of ``_GROUP``; any other is read by
+    ``bvm.parse_name_tokens``, which stores it in the memo, so a repeat
+    later in the same text is passed over too.
     """
     free = set(free_names)
     bound: list = []
     memo = universe._literal_memo
-    known: dict = {}
 
     def formula(i):
         left, i, arrow = disj(i)
@@ -250,11 +250,10 @@ def parse(text: str, universe: Universe, free_names: Iterable[str] = ()) -> Form
             group = _GROUP.match(text, i)
             if group is not None:
                 key = text[h : group.end()]
-                name = known.get(key) or memo.get(key)
+                name = memo.get(key)
                 if name is not None:
                     return Lit(name), group.end()
             name, i = parse_name_tokens(text, h, universe)
-            known[text[h:i]] = name
             return Lit(name), i
         if not (word[0].isalpha() or word[0] == "_"):
             raise _Fault(h, _TERM)

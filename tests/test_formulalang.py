@@ -363,6 +363,20 @@ def _lexed_in_full(outcome, text, algebra):
         return outcome(text, Universe(algebra))
 
 
+def test_the_readers_patterns_need_no_newer_python_than_declared():
+    # possessive repeats and atomic groups came to ``re`` in Python 3.11;
+    # on 3.10, which the package supports, they fail to compile on import
+    patterns = [
+        value.pattern
+        for module in (bvm, formulalang)
+        for value in vars(module).values()
+        if isinstance(value, re.Pattern)
+    ]
+    assert formulalang._GROUP.pattern in patterns
+    for pattern in patterns:
+        assert re.search(r"[*+?}]\+|\(\?>", pattern) is None, pattern
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(spelled_literals())
 def test_literal_memo_agrees_with_a_fresh_parse(case):

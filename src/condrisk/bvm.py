@@ -74,37 +74,29 @@ class Universe:
     Names are registered, and truth tables grown, under one lock; a reader
     takes one reference to the current table and reads only slots it holds,
     and a table cleared at its cap is swapped for a new one, so no slot a
-    reader holds is ever rewritten.  A warm truth read is one lookup of both
-    slots in that table; a miss checks the names and grows the table.  The
+    reader holds is ever rewritten.  A truth read is one lookup of both
+    slots in that table; a miss grows the table, which checks the names
+    first, and reads the slots from the table the grow returns.  The
     literal memo maps the exact source text of a ``name{...}``, ``check(...)``
     or ``mix[...]`` literal to its name, so a spelling read before is one
-    lookup as a whole text or as a formula's term.  Two more tables are
-    built on their first read: the entry memo (``_entry_memo``), which maps
-    the ``(child, mask)`` pairs of a ``make_name`` call to its name, and the
-    atom-set memo (``_atom_memo``), which maps the text of an atom set in a
-    literal, such as ``{1, 3}``, to its element.  All three are ``_Memo``
-    tables.
+    lookup as a whole text or as a formula's term.  The entry memo
+    (``_entry_memo``) maps the set of ``(child, mask)`` pairs of a
+    ``make_name`` call to its name, and the atom-set memo (``_atom_memo``)
+    maps the text of an atom set in a literal, such as ``{1, 3}``, to its
+    element.  All three are ``_Memo`` tables.
     """
 
     def __init__(self, algebra: BooleanAlgebra):
         self.algebra = algebra
         self._registry: dict = {}
-        # names by canonical id; the truth tables are built on the first query
+        # names by canonical id
         self._names: list = []
-        self._table: Optional[_TruthTable] = None
+        self._table = _TruthTable(algebra)
         self._literal_memo = _Memo()
-        self._entry_memo = self._atom_memo = None
+        self._entry_memo = _Memo()
+        self._atom_memo = _Memo()
         self._lock = threading.Lock()
         self.empty = self._register(())
-
-    def _memo(self, table: str) -> _Memo:
-        """The entry memo or the atom-set memo, built on its first read, so
-        a universe that reads no entries or atom sets builds neither."""
-        memo = getattr(self, table)
-        if memo is None:
-            memo = _Memo()
-            setattr(self, table, memo)
-        return memo
 
     def __repr__(self):
         return f"Universe(atoms={self.algebra.atom_count}, names={len(self._registry)})"
@@ -115,10 +107,12 @@ class Universe:
         """Normalize and hash-cons: drop zero values, merge equivalent children.
 
         Each entry is checked first.  No entries is ``empty``; entries read
-        before, as the same ``(child, mask)`` pairs in the same order, are
-        one lookup in the entry memo.  Otherwise the name is registered
-        (``_register``) and stored there: the registry never forgets a name,
-        so a stored name stays the registered one.
+        before, as the same set of ``(child, mask)`` pairs in any order, are
+        one lookup in the entry memo, so a name read back from its literal,
+        which lists children by id, finds the name built in another order.
+        Otherwise the name is registered (``_register``) and stored there:
+        the registry never forgets a name, so a stored name stays the
+        registered one.
         """
         key = []
         for child, value in entries.items():
@@ -129,11 +123,10 @@ class Universe:
             key.append((child, value.mask))
         if not key:
             return self.empty
-        key = tuple(key)
-        memo = self._memo("_entry_memo")
-        name = memo.get(key)
+        key = frozenset(key)
+        name = self._entry_memo.get(key)
         if name is None:
-            name = memo.keep(key, self._register(key))
+            name = self._entry_memo.keep(key, self._register(key))
         return name
 
     def _register(self, pairs: Sequence) -> Name:
@@ -182,60 +175,39 @@ class Universe:
     def truth_in(self, u: Name, v: Name) -> BoolElem:
         """[[u in v]] by the membership equation, read from the truth table."""
         table = self._table
-        if table is not None:
-            try:
-                s, t = table.slot[v], table.slot[u]
-            except (KeyError, TypeError):
-                pass
-            else:
-                return self.algebra._interned[table.inn.item(s, t)]
-        self._check(u, v)
-        return self.algebra._interned[self._in(u, v)]
+        try:
+            s, t = table.slot[v], table.slot[u]
+        except (KeyError, TypeError):
+            table = None
+        if table is None:
+            table = self._grow(u, v)
+            s, t = table.slot[v], table.slot[u]
+        return self.algebra._interned[table.inn.item(s, t)]
 
     def truth_eq(self, u: Name, v: Name) -> BoolElem:
         """[[u = v]] by the double-inclusion equation, read from the truth table."""
         table = self._table
-        if table is not None:
-            try:
-                s, t = table.slot[u], table.slot[v]
-            except (KeyError, TypeError):
-                pass
-            else:
-                return self.algebra._interned[table.eq.item(s, t)]
-        self._check(u, v)
-        return self.algebra._interned[self._eq(u, v)]
+        try:
+            s, t = table.slot[u], table.slot[v]
+        except (KeyError, TypeError):
+            table = None
+        if table is None:
+            table = self._grow(u, v)
+            s, t = table.slot[u], table.slot[v]
+        return self.algebra._interned[table.eq.item(s, t)]
 
     # A slotted name belongs to self, so a pair found in the table needs no
-    # check, and an unhashable or foreign name misses and meets _check.  No
-    # name checks are needed past _check either: make_name refuses children
-    # from another universe, so every name reached belongs to self.
-
-    def _in(self, u: Name, v: Name) -> int:
-        table, s, t = self._slots(v, u)
-        return table.inn.item(s, t)
-
-    def _eq(self, u: Name, v: Name) -> int:
-        table, s, t = self._slots(u, v)
-        return table.eq.item(s, t)
-
-    def _slots(self, u: Name, v: Name):
-        """A truth table holding u and v, and their slots in it."""
-        table = self._table
-        if table is not None:
-            s = table.slot.get(u)
-            t = table.slot.get(v)
-            if s is not None and t is not None:
-                return table, s, t
-        table = self._grow(u, v)
-        return table, table.slot[u], table.slot[v]
+    # check, and an unhashable or foreign name misses and meets _grow's
+    # check.  No name checks are needed past it either: make_name refuses
+    # children from another universe, so every name reached belongs to self.
 
     def _grow(self, u: Name, v: Name) -> "_TruthTable":
-        """Slot every unslotted name if the registry fits under the cap, else
-        the unslotted closure of u and v, in a cleared table if need be."""
+        """Check u and v, then slot every unslotted name if the registry fits
+        under the cap, else the unslotted closure of u and v, in a cleared
+        table if need be; the table that holds both is returned."""
+        self._check(u, v)
         with self._lock:
             table = self._table
-            if table is None:
-                table = self._table = _TruthTable(self.algebra)
             if u in table.slot and v in table.slot:
                 return table
             if len(self._names) <= TRUTH_TABLE_CAP:
@@ -282,50 +254,48 @@ class Universe:
                 values[child] = values.get(child, 0) | (part.mask & mask)
         mixed = self.make_name({c: self.algebra._interned[v] for c, v in values.items()})
         for part, u in zip(partition, names):
-            if part.mask & ~self._eq(mixed, u):
+            if part.mask & ~self.truth_eq(mixed, u).mask:
                 raise UniverseError("mixing produced a name violating its defining bound")
         return mixed
 
     def maximum_witness(self, phi: Callable[[Name], BoolElem], v: Name) -> Name:
         """A name u with [[phi(u)]] equal to [[exists x in v . phi(x)]].
 
-        Atomwise: below the existence value pick the smallest-id member of
-        dom(v) whose formula value covers the atom; elsewhere pick any member
-        (still smallest id), since membership already forces the formula false
-        there.  Where v has no member at all, try the first four von Neumann
-        ordinals, the empty name first, until one falsifies the formula at
-        that atom, else take the empty name.  The guarantee is verified; it is
-        unachievable only when v is empty at an atom where the formula holds
-        of every candidate.
+        The maximum principle as a mix along a partition: each member of
+        dom(v), in id order, takes the atoms still open where it is a member
+        and, below the existence value, where the formula holds of it.  The
+        atoms left are those where v has no member: there the first four von
+        Neumann ordinals, the empty name first, each take what is still open
+        where the formula fails of them, and the empty name takes the rest.
+        The guarantee is verified; it is unachievable only when v is empty
+        at an atom where the formula holds of every candidate.
         """
         self._check(v)
         truths = [(child, value.mask, phi(child).mask) for child, value in v.entries]
         exists = 0
-        for child, value, t in truths:
+        for _, value, t in truths:
             exists |= value & t
-        picks = []
-        parts = []
-        fallbacks = None
-        for a in range(1, self.algebra.atom_count + 1):
-            bit = 1 << (a - 1)
-            # v.entries are ordered by child id, so local is too
-            local = [(c, val, t) for c, val, t in truths if val & bit]
-            if exists & bit:
-                chosen = next(c for c, val, t in local if t & bit)
-            elif local:
-                chosen = local[0][0]
-            else:
-                if fallbacks is None:
-                    ordinal: frozenset = frozenset()
-                    fallbacks = []
-                    for _ in range(4):
-                        fallbacks.append(self._canonical_from_hf(ordinal))
-                        ordinal = ordinal | frozenset([ordinal])
-                chosen = next(
-                    (c for c in fallbacks if not phi(c).mask & bit), self.empty
-                )
-            picks.append(chosen)
-            parts.append(self.algebra.from_mask(bit))
+        rest = self.algebra.full
+        picks, parts = [], []
+
+        def take(name: Name, mask: int) -> None:
+            nonlocal rest
+            mask &= rest
+            if mask:
+                picks.append(name)
+                parts.append(self.algebra._interned[mask])
+                rest ^= mask
+
+        for child, value, t in truths:
+            take(child, value & (t | ~exists))
+        ordinal: frozenset = frozenset()
+        for _ in range(4):
+            if not rest:
+                break
+            candidate = self._canonical_from_hf(ordinal)
+            take(candidate, ~phi(candidate).mask)
+            ordinal = ordinal | frozenset([ordinal])
+        take(self.empty, rest)
         witness = self.mix(PartitionOfUnity(parts), picks)
         if phi(witness) != self.algebra.from_mask(exists):
             raise WitnessError(
@@ -865,7 +835,7 @@ def parse_name_tokens(text: str, i: int, universe: Universe):
         if m is not None:
             j = m.end()
         else:
-            algebra, atoms = universe.algebra, universe._memo("_atom_memo")
+            algebra, atoms = universe.algebra, universe._atom_memo
             while True:
                 child, j = parse_name_tokens(text, j, universe)
                 value, j = _atom_set(text, _take(text, j, ":"), algebra, atoms)
@@ -883,7 +853,7 @@ def parse_name_tokens(text: str, i: int, universe: Universe):
         j = _take(text, j, ")")
         name = universe.canonical_name(hf)
     else:
-        algebra, atoms = universe.algebra, universe._memo("_atom_memo")
+        algebra, atoms = universe.algebra, universe._atom_memo
         parts, names = [], []
         while True:
             part, j = _atom_set(text, j, algebra, atoms)

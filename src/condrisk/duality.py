@@ -587,10 +587,8 @@ def verify_representation(
     measure: CondRiskMeasure,
     payoffs: Sequence[RandomVariable],
     tol: float = 1e-6,
-    cfg: Optional[DualSearchConfig] = None,
 ) -> RepresentationReport:
-    """Compare rho(x) against the dual value for each payoff; ``cfg`` has no
-    effect."""
+    """Compare rho(x) against the dual value for each payoff."""
     _check_tol(tol)
     payoffs = list(payoffs)
     if not payoffs:

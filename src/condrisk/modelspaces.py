@@ -289,7 +289,7 @@ class ModuleSpec:
             if self.p is None or not self.p >= 1:
                 raise ValueError("Lp modules need p in [1, inf]")
         elif self.kind == "orlicz":
-            if self.phi is None:
+            if not isinstance(self.phi, YoungFunction):
                 raise ValueError("orlicz modules need a Young function")
         else:
             raise ValueError(f"unknown module kind {self.kind!r}")
@@ -334,7 +334,7 @@ def _luxemburg_block(phi: YoungFunction, q: np.ndarray, absvals: np.ndarray) -> 
             break
         hi *= 2.0
     lo = hi
-    for _ in range(200):
+    while True:
         lo *= 0.5
         h_lo = h(lo)
         if h_lo > 1.0:

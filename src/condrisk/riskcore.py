@@ -223,7 +223,7 @@ def _map_chunks(batch, chunks: list) -> list:
     return out
 
 
-def _builtin(space, label, risk, penalty, oracle, kernel, prepare=None, batch=None, **dual) -> CondRiskMeasure:
+def _builtin(space, label, risk, penalty, oracle, kernel, prepare=None, **dual) -> CondRiskMeasure:
     """A built-in from kernels on rows in block order, its risk (rows of
     payoffs), penalty (rows of duals) and dual oracle (rows of payoffs to
     weights in atom order), and its ``kernel``: the kind of ``_KERNELS`` and
@@ -236,16 +236,12 @@ def _builtin(space, label, risk, penalty, oracle, kernel, prepare=None, batch=No
     batch's full-size temporaries stay that small however many rows it has;
     a batch of several chunks shares them among the process's CPUs
     (``_map_chunks``).  ``prepare``, if given, builds the lazy tables that
-    ``risk`` reads; it runs before any helper thread starts.  ``batch``, if
-    given, takes a chunk of rows in atom order in place of the gather and
-    ``risk``.
+    ``risk`` reads; it runs before any helper thread starts.
     """
     step = max(1, CHUNK_ELEMENTS // space.n_atoms)
 
-    if batch is None:
-
-        def batch(xs: np.ndarray) -> np.ndarray:
-            return risk(space._in_order(xs))
+    def batch(xs: np.ndarray) -> np.ndarray:
+        return risk(space._in_order(xs))
 
     def batch_fn(xs: np.ndarray) -> np.ndarray:
         if len(xs) <= step:
@@ -279,13 +275,7 @@ def _zero_where(ok: np.ndarray) -> np.ndarray:
 
 
 def neg_cond_expectation(space: FiniteProbSpace) -> CondRiskMeasure:
-    """rho(x) = -E[x | F].
-
-    A batch weights its rows by ``space.cond`` in atom order and gathers the
-    products, which are still in cache; ``evaluate`` weights the payoff's
-    gathered copy.  Each product has the same two operands and each block
-    sums them in the same order, so the two agree bit for bit.
-    """
+    """rho(x) = -E[x | F]."""
     return _builtin(
         space,
         "neg_expectation",
@@ -293,7 +283,6 @@ def neg_cond_expectation(space: FiniteProbSpace) -> CondRiskMeasure:
         lambda b: _zero_where(np.maximum.reduceat(np.abs(b + 1.0), space.starts, axis=-1) <= ADMISSIBLE_TOL),
         lambda a: np.ones(a.shape),
         ("neg_expectation", None),
-        batch=lambda xs: -np.add.reduceat(space._in_order(space.cond * xs), space.starts, axis=-1),
     )
 
 

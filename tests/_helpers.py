@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from condrisk import ConditionalValue, CondRiskMeasure, PartitionOfUnity, Universe, atom_collapse
+from condrisk.bvm import WitnessError
 from condrisk.errors import CondriskError, ParseError
 from condrisk.formulalang import (
     And,
@@ -593,9 +594,54 @@ def reference_mix(universe: Universe, partition, names):
     for child in candidates:
         value = 0
         for part, u in zip(partition, names):
-            value |= part.mask & universe._in(child, u)
+            value |= part.mask & universe.truth_in(child, u).mask
         entries[child] = universe.algebra.from_mask(value)
     return universe.make_name(entries)
+
+
+# -- per-atom reference for Universe.maximum_witness ----------------------------------
+# The witness as it was picked before it was a mix of per-child parts: one
+# pick per atom, the fallback ordinals asked atom by atom.
+
+
+def reference_maximum_witness(universe: Universe, phi, v):
+    """A name u with [[phi(u)]] equal to [[exists x in v . phi(x)]], picked
+    atom by atom: below the existence value the smallest-id member of dom(v)
+    whose formula value covers the atom, elsewhere the smallest-id member,
+    and where v has no member the first of the four smallest von Neumann
+    ordinals that falsifies the formula there, else the empty name."""
+    universe._check(v)
+    truths = [(child, value.mask, phi(child).mask) for child, value in v.entries]
+    exists = 0
+    for child, value, t in truths:
+        exists |= value & t
+    picks = []
+    parts = []
+    fallbacks = None
+    for a in range(1, universe.algebra.atom_count + 1):
+        bit = 1 << (a - 1)
+        local = [(c, val, t) for c, val, t in truths if val & bit]
+        if exists & bit:
+            chosen = next(c for c, val, t in local if t & bit)
+        elif local:
+            chosen = local[0][0]
+        else:
+            if fallbacks is None:
+                ordinal = frozenset()
+                fallbacks = []
+                for _ in range(4):
+                    fallbacks.append(universe.canonical_name(ordinal))
+                    ordinal = ordinal | frozenset([ordinal])
+            chosen = next((c for c in fallbacks if not phi(c).mask & bit), universe.empty)
+        picks.append(chosen)
+        parts.append(universe.algebra.from_mask(bit))
+    witness = universe.mix(PartitionOfUnity(parts), picks)
+    if phi(witness) != universe.algebra.from_mask(exists):
+        raise WitnessError(
+            "no witness can match the existence value: the bound name is "
+            "empty on an atom where the formula holds of every candidate"
+        )
+    return witness
 
 
 # -- per-call reference for collapse_eval -----------------------------------------
@@ -818,7 +864,7 @@ def _ref_compound(tokens, i, universe):
         hf, i = _ref_hf(tokens, i)
         i = _ref_expect(tokens, i, ")")
         return universe.canonical_name(hf), i
-    algebra, memo = universe.algebra, universe._memo("_atom_memo")
+    algebra, memo = universe.algebra, universe._atom_memo
     if tok.text == "name":
         i = _ref_expect(tokens, i + 1, "{")
         entries = {}

@@ -13,7 +13,7 @@ import condrisk
 
 # Raising this bound needs a CHANGES.md line naming the two callers that need
 # different values of the new option; a value only one caller uses is a constant.
-MAX_DEFAULTED_PARAMETERS = 28
+MAX_DEFAULTED_PARAMETERS = 27
 
 
 def _public_callables():
@@ -352,3 +352,54 @@ def test_each_value_rule_is_written_once(message):
     check calls it rather than restating it, so the two cannot drift."""
     found = {p.name: p.read_text().count(message) for p in sorted(PACKAGE.glob("*.py"))}
     assert sum(found.values()) == 1, {name: n for name, n in found.items() if n}
+
+
+# names that Python 3.11 added to the standard library, by module (None: a
+# builtin), which the declared floor of 3.10 lacks
+NEWER_NAMES = {
+    ("tomllib", None),
+    ("typing", "Self"),
+    ("enum", "StrEnum"),
+    (None, "ExceptionGroup"),
+    (None, "BaseExceptionGroup"),
+    ("datetime", "UTC"),
+}
+
+
+def _newer_names(tree):
+    """``(line, module, name)`` of each read of a name in ``NEWER_NAMES``:
+    an import of it or of its module, an attribute of its module, or a
+    builtin by its bare name."""
+    modules = {module for module, name in NEWER_NAMES if name is None and module}
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            found += [(n.lineno, a.name, None) for a in n.names if a.name in modules]
+        elif isinstance(n, ast.ImportFrom):
+            if n.module in modules:
+                found.append((n.lineno, n.module, None))
+            found += [(n.lineno, n.module, a.name) for a in n.names if (n.module, a.name) in NEWER_NAMES]
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            if (n.value.id, n.attr) in NEWER_NAMES:
+                found.append((n.lineno, n.value.id, n.attr))
+        elif isinstance(n, ast.Name) and (None, n.id) in NEWER_NAMES:
+            found.append((n.lineno, None, n.id))
+    return found
+
+
+def test_the_sources_need_no_newer_python_than_declared():
+    """Every package file parses under the grammar of the Python floor that
+    ``pyproject.toml`` declares, and reads none of the names 3.11 added."""
+    declared = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    floor = tuple(map(int, declared.groups()))
+    assert floor == (3, 10)  # NEWER_NAMES is what the next version added
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path), feature_version=floor)
+        found[path.name] = _newer_names(tree)
+    assert {name: reads for name, reads in found.items() if reads} == {}
+    # each kind of read is found
+    probe = "import tomllib\nfrom typing import Self\nimport enum\nenum.StrEnum\nExceptionGroup\n"
+    assert len(_newer_names(ast.parse(probe))) == 4
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_name, reference_mix, reference_truth, spy_calls
+from _helpers import random_name, reference_maximum_witness, reference_mix, reference_truth, spy_calls
 from condrisk import bvm
 from condrisk import (
     BooleanAlgebra,
@@ -29,9 +29,10 @@ from condrisk import (
     truth_atomic,
     verify_interp_props,
 )
-from condrisk.boolalg import AlgebraMismatchError
+from condrisk.boolalg import AlgebraMismatchError, mask_atoms
 from condrisk.bvm import (
     UniverseError,
+    WitnessError,
     l1_eq_truth,
     l1_le_truth,
     mix_reals,
@@ -157,8 +158,8 @@ def test_mix_reads_one_truth_value_per_part(monkeypatch):
     rng = np.random.default_rng(38)
     names = [random_name(uni, rng, 3) for _ in range(3)]
     parts = PartitionOfUnity([uni.algebra.element(p) for p in ((1, 4), (2, 3, 8), (5, 6, 7))])
-    memberships = spy_calls(monkeypatch, Universe, "_in")
-    equalities = spy_calls(monkeypatch, Universe, "_eq")
+    memberships = spy_calls(monkeypatch, Universe, "truth_in")
+    equalities = spy_calls(monkeypatch, Universe, "truth_eq")
     mixed = uni.mix(parts, names)
     assert memberships == []
     assert [call[1:] for call in equalities] == [(mixed, u) for u in names]
@@ -282,6 +283,61 @@ def test_maximum_witness_examples(u2, a2):
     phi3 = lambda t: u2.truth_in(t, e)  # nothing belongs to the empty name
     wit3 = maximum_witness(phi3, v2)
     assert phi3(wit3) == a2.from_mask(0)
+
+
+def _random_formula_value(uni, rng):
+    """A random map from a name to a truth value: a join, a difference, a
+    complement or one of membership in, equality with, or holding a random
+    name, or a constant."""
+    w = random_name(uni, rng, 2)
+    const = uni.algebra.from_mask(int(rng.integers(0, uni.algebra.full + 1)))
+    leaves = (
+        lambda x: uni.truth_in(x, w),
+        lambda x: uni.truth_eq(x, w),
+        lambda x: uni.truth_in(w, x),
+        lambda x: const,
+    )
+    f, g = (leaves[k] for k in rng.integers(0, len(leaves), 2))
+    return (
+        lambda x: f(x) | g(x),
+        lambda x: f(x) & ~g(x),
+        lambda x: ~f(x),
+        f,
+    )[int(rng.integers(0, 4))]
+
+
+def test_maximum_witness_matches_the_per_atom_loop():
+    # the mix of per-child parts picks, atom by atom, what the loop picks:
+    # the same name, or the same WitnessError
+    outcomes, beyond_empty = [], 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        uni = Universe(BooleanAlgebra(int(rng.integers(1, 7))))
+        v = random_name(uni, rng, 3)
+        phi = _random_formula_value(uni, rng)
+        runs = [maximum_witness, lambda f, u: reference_maximum_witness(uni, f, u)]
+        if seed % 2:
+            runs.reverse()
+        got = [_outcome_or_name(run, phi, v) for run in runs]
+        assert got[0] == got[1], seed
+        outcomes.append(got[0])
+        if isinstance(got[0], bvm.Name):
+            # an atom where v has no member and the witness is an ordinal
+            # past the empty name
+            held = 0
+            for _, value in v.entries:
+                held |= value.mask
+            memberless = mask_atoms(uni.algebra.full & ~held)
+            beyond_empty += any(atom_collapse(got[0], a) for a in memberless)
+    names = [o for o in outcomes if isinstance(o, bvm.Name)]
+    assert len(names) > 200 and len(outcomes) - len(names) > 20 and beyond_empty > 20
+
+
+def _outcome_or_name(call, *args):
+    try:
+        return call(*args)
+    except WitnessError as exc:
+        return WitnessError, str(exc)
 
 
 def test_truth_map_examples(s4, a2):
@@ -538,6 +594,23 @@ def test_warm_name_builds_agree_with_cold_ones(recipes):
         assert _outcome(parse_name_literal, text, uni) == first
 
 
+def test_a_name_read_back_from_its_literal_registers_nothing(monkeypatch):
+    # names built with their children in the order a recipe gives, not by
+    # id: the literal lists them by id, and its read finds each name in the
+    # entry memo
+    uni = Universe(BooleanAlgebra(5))
+    rng = np.random.default_rng(46)
+    names, unsorted = [uni.empty], 0
+    for _ in range(40):
+        picked = rng.permutation(len(names))[: int(rng.integers(1, 4))]
+        unsorted += any(picked[:-1] > picked[1:])
+        names.append(uni.make_name({names[j]: uni.algebra.from_mask(int(rng.integers(1, 32))) for j in picked}))
+    assert unsorted > 10
+    literals = [name_to_literal(u) for u in names]
+    monkeypatch.setattr(uni, "_register", mock.Mock(side_effect=AssertionError("a registration")))
+    assert all(parse_name_literal(text, uni) is u for text, u in zip(literals, names))
+
+
 def test_literal_of_a_shared_dag_is_refused_past_its_cap(u2, a2):
     from condrisk.bvm import LITERAL_CHAR_CAP
 
@@ -662,7 +735,7 @@ def test_truth_table_grows_then_clears_at_its_cap(monkeypatch):
     ref = reference_truth(uni)
     # ordinal k has the k + 1 ordinals up to it as its closure
     o = [uni._canonical_from_hf(hf) for hf in _ordinals(11)]
-    assert uni._table is None
+    assert uni._table.slot == {}
     # 12 registered names do not fit: only the closure of the pair is slotted
     _assert_truth_matches(uni, ref, o[2], o[3])
     table = uni._table

@@ -55,14 +55,14 @@ def _entries(n):
     def check(k, u):
         return u.universe is uni and u.masks == ((uni.empty, k + 1),)
 
-    return uni._memo("_entry_memo"), read, check
+    return uni._entry_memo, read, check
 
 
 def _atom_sets(n):
     # key k spells the atom set {a,b,c} of _literals' key k, as the literal
     # reader reads a mix[...] part
     uni = Universe(BooleanAlgebra(16))
-    alg, memo = uni.algebra, uni._memo("_atom_memo")
+    alg, memo = uni.algebra, uni._atom_memo
 
     def digits(k):
         return [(k >> s & 15) + 1 for s in (8, 4, 0)]
@@ -106,9 +106,9 @@ def _block_spaces(n):
 
 # each table with the tracemalloc peak, in bytes, of building its owner and
 # filling the table to MEMO_CAP entries, each read checked.  Measured on
-# Python 3.11: 1.26 MB for the elements (their atom sets included), 8.53 MB
+# Python 3.11: 1.26 MB for the elements (their atom sets included), 9.19 MB
 # for the entries (their names included, each with 16 collapses, every empty
-# one the shared empty set; 17.39 MB with a set of its own each), 0.44 MB
+# one the shared empty set, each key a frozenset of its pairs), 0.44 MB
 # for the atom sets, 3.61 MB for the literals (their names included), 0.36 MB
 # for the Young values and 8.68 MB for the block spaces
 TABLES = {

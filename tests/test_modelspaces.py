@@ -38,6 +38,17 @@ def test_conjugate_of_linear():
     assert not psi.finite_valued
 
 
+def test_conjugate_of_linear_on_a_grid_near_the_float_limit():
+    # the doubling from the grid's last point overflows before its 90 steps
+    # are out: at r = 1 the chord slope never overtakes r and the supremum
+    # never climbs
+    psi = young_conjugate(YoungFunction(lambda t: t, np.append(np.geomspace(1e-3, 20.0, 63), 1e300)))
+    for r in (0.0, 0.3, 0.9, 1.0):
+        assert psi(r) == 0.0
+    for r in (1.01, 2.0, 7.5):
+        assert math.isinf(psi(r))
+
+
 def test_conjugate_of_square():
     psi = young_conjugate(young_power(2))
     for r in np.linspace(0.0, 10.0, 41):
@@ -160,6 +171,28 @@ def test_module_gauge_examples(s4):
     assert np.allclose(g.values, math.sqrt(2), atol=1e-9)
 
 
+def test_gauge_of_a_young_function_at_most_one_far_below_max_x():
+    # h(lam) <= 1 down to lam = 2^-200 max|x| and past it: the halving goes
+    # on until a bracket is found or lam is below 1e-300
+    space = FiniteProbSpace([0.5, 0.5], [[1], [2]])
+    x = RandomVariable([1.0, 2.0])
+    zero = YoungFunction(lambda t: 0.0, np.geomspace(1e-3, 20.0, 16))
+    assert np.array_equal(module_gauge(ModuleSpec.orlicz(zero), x, space).values, [0.0, 0.0])
+    # a finite domain: h is +inf once |x| / lam leaves it, and the gauge is max|x|
+    g = module_gauge(ModuleSpec.orlicz(indicator_young()), x, space).values
+    assert np.all(np.abs(g - [1.0, 2.0]) <= LUXEMBURG_TOL)
+
+
+@pytest.mark.parametrize("kind, phi", [("orlicz", 3.0), ("orlicz", None), ("orlicz", math.exp), ("lq", None)])
+def test_module_specs_refuse_a_kind_or_phi_by_name(kind, phi):
+    message = "orlicz modules need a Young function" if kind == "orlicz" else "unknown module kind 'lq'"
+    with pytest.raises(ValueError, match=message):
+        ModuleSpec(kind, phi=phi)
+    if kind == "orlicz":
+        with pytest.raises(ValueError, match=message):
+            ModuleSpec.orlicz(phi)
+
+
 def test_gauge_finite_for_all_specs(s4):
     rng = np.random.default_rng(8)
     specs = [
@@ -209,6 +242,9 @@ def test_inequality_check_rejects_nonconjugate(s4):
         inequality_check(ones, ones, (ModuleSpec.lp(2), ModuleSpec.lp(3)), s4)
     with pytest.raises(ConjugacyError):
         inequality_check(ones, ones, (ModuleSpec.orlicz(young_power(2)), ModuleSpec.orlicz(young_power(3))), s4)
+    for pair in ((ModuleSpec.lp(2), ModuleSpec.orlicz(young_power(2))), (ModuleSpec.orlicz(young_power(2)), ModuleSpec.lp(2))):
+        with pytest.raises(ConjugacyError, match="two Lp specs or two Orlicz specs"):
+            inequality_check(ones, ones, pair, s4)
 
 
 def test_holder_seeded(s4):

@@ -198,8 +198,10 @@ class Universe:
 
     # A slotted name belongs to self, so a pair found in the table needs no
     # check, and an unhashable or foreign name misses and meets _grow's
-    # check.  No name checks are needed past it either: make_name refuses
-    # children from another universe, so every name reached belongs to self.
+    # check, run outside the except clause so that its refusal carries no
+    # KeyError context.  No name checks are needed past it either: make_name
+    # refuses children from another universe, so every name reached belongs
+    # to self.
 
     def _grow(self, u: Name, v: Name) -> "_TruthTable":
         """Check u and v, then slot every unslotted name if the registry fits

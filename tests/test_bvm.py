@@ -306,6 +306,13 @@ def _random_formula_value(uni, rng):
     )[int(rng.integers(0, 4))]
 
 
+def _outcome_or_name(call, *args):
+    try:
+        return call(*args)
+    except WitnessError as exc:
+        return WitnessError, str(exc)
+
+
 def test_maximum_witness_matches_the_per_atom_loop():
     # the mix of per-child parts picks, atom by atom, what the loop picks:
     # the same name, or the same WitnessError
@@ -331,13 +338,6 @@ def test_maximum_witness_matches_the_per_atom_loop():
             beyond_empty += any(atom_collapse(got[0], a) for a in memberless)
     names = [o for o in outcomes if isinstance(o, bvm.Name)]
     assert len(names) > 200 and len(outcomes) - len(names) > 20 and beyond_empty > 20
-
-
-def _outcome_or_name(call, *args):
-    try:
-        return call(*args)
-    except WitnessError as exc:
-        return WitnessError, str(exc)
 
 
 def test_truth_map_examples(s4, a2):

@@ -307,7 +307,8 @@ def _luxemburg_block(phi: YoungFunction, q: np.ndarray, absvals: np.ndarray) -> 
     """inf{lam > 0 : E[phi(|x|/lam)] <= 1} on one block.
 
     h(lam) = E[phi(|x|/lam)] decreases in lam.  A bracket h(hi) <= 1 < h(lo)
-    is found by doubling and halving from max |x|, then shrunk by the
+    is found by doubling and halving from max |x| (+inf when the doubling
+    passes the largest float), then shrunk by the
     Illinois regula falsi (Dowell and Jarratt, BIT 1971) on log h against
     log lam, a straight line for a power Young function, until
     hi - lo <= LUXEMBURG_TOL or no float lies between them; hi is returned.
@@ -328,11 +329,13 @@ def _luxemburg_block(phi: YoungFunction, q: np.ndarray, absvals: np.ndarray) -> 
         return total
 
     hi = top
-    for _ in range(200):
-        h_hi = h(hi)
-        if h_hi <= 1.0:
-            break
+    h_hi = h(hi)
+    while not h_hi <= 1.0:
         hi *= 2.0
+        if math.isinf(hi):
+            # the gauge passes the largest float
+            return math.inf
+        h_hi = h(hi)
     lo = hi
     while True:
         lo *= 0.5

@@ -183,6 +183,40 @@ def test_gauge_of_a_young_function_at_most_one_far_below_max_x():
     assert np.all(np.abs(g - [1.0, 2.0]) <= LUXEMBURG_TOL)
 
 
+@pytest.mark.parametrize("scale", [1e50, 1e100, 1e200])
+def test_gauge_far_above_max_x_doubles_until_a_bracket(scale):
+    # h(lam) > 1 out to lam = 2^200 max|x| and past it: the doubling goes on
+    # until h(hi) <= 1, and the gauge of phi(t) = scale * t is scale * |x|
+    space = FiniteProbSpace([0.5, 0.5], [[1], [2]])
+    phi = YoungFunction(lambda t: scale * t, np.geomspace(1e-3, 20.0, 64))
+    g = module_gauge(ModuleSpec.orlicz(phi), RandomVariable([1.0, 2.0]), space).values
+    assert np.allclose(g, [scale, 2.0 * scale], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "fn, top",
+    [(lambda t: 2.0 * t, 1e308), (lambda t: math.exp(t) - 1.0, 1e308), (lambda t: 1e100 * t, 1e250)],
+    ids=["2t", "exp", "1e100t"],
+)
+def test_gauge_past_the_largest_float_is_inf(monkeypatch, fn, top):
+    # h(lam) > 1 until the doubling of lam overflows: the gauge passes the
+    # largest float.  Halving from lam = inf never shrinks it, so the phi
+    # reads are capped here to fail rather than hang
+    phi = YoungFunction(fn, np.geomspace(1e-3, 20.0, 64))
+    real = YoungFunction.__call__
+    reads = []
+
+    def capped(self, t):
+        reads.append(t)
+        assert len(reads) <= 5000, "the bracket search did not stop"
+        return real(self, t)
+
+    monkeypatch.setattr(YoungFunction, "__call__", capped)
+    space = FiniteProbSpace([1.0], [[1]])
+    g = module_gauge(ModuleSpec.orlicz(phi), RandomVariable([top]), space).values
+    assert np.array_equal(g, [math.inf])
+
+
 @pytest.mark.parametrize("kind, phi", [("orlicz", 3.0), ("orlicz", None), ("orlicz", math.exp), ("lq", None)])
 def test_module_specs_refuse_a_kind_or_phi_by_name(kind, phi):
     message = "orlicz modules need a Young function" if kind == "orlicz" else "unknown module kind 'lq'"

@@ -21,7 +21,6 @@ from .bvm import (
     maximum_witness,
     name_to_literal,
     parse_name_literal,
-    seq_index,
     truth_atomic,
     verify_interp_props,
 )
@@ -62,6 +61,7 @@ from .probspace import (
     FiniteProbSpace,
     RandomVariable,
     SpaceError,
+    seq_index,
 )
 from .riskcore import (
     AXIOMS,

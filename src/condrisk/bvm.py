@@ -25,11 +25,11 @@ from .boolalg import (
     BoolElem,
     PartitionOfUnity,
     _Memo,
-    array_mask,
     mask_atoms,
 )
 from .errors import CondriskError, ParseError, _as_int
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable
+from .probspace import l1_eq_truth, l1_le_truth, mix_reals, real_eq_truth, real_le_truth
 
 # the collapse of a name at an atom where it has no member
 _NO_MEMBERS = frozenset()
@@ -497,69 +497,6 @@ def atom_collapse(u: Name, atom) -> frozenset:
 
 def maximum_witness(phi: Callable[[Name], BoolElem], v: Name) -> Name:
     return v.universe.maximum_witness(phi, v)
-
-
-# -- interpretation maps -----------------------------------------------------------
-# Over a finite algebra the model's reals descend to one real per atom, which
-# is what a ConditionalValue holds (a natural number when its entries are
-# integral), and the model's L^1 elements descend to payoffs.  The maps below
-# act on those types directly.
-
-
-def _real_entries(algebra: BooleanAlgebra, u: ConditionalValue) -> np.ndarray:
-    """The entries of ``u``, checked as one finite real per atom of ``algebra``."""
-    if not isinstance(u, ConditionalValue):
-        raise TypeError("expected a ConditionalValue")
-    if len(u) != algebra.atom_count:
-        raise ValueError(f"conditional value has length {len(u)}, algebra has {algebra.atom_count} atoms")
-    if not u.is_finite:
-        raise ValueError("a real of the model is a finite conditional value")
-    return u.values
-
-
-def real_eq_truth(algebra: BooleanAlgebra, u: ConditionalValue, v: ConditionalValue) -> BoolElem:
-    return algebra.from_mask(array_mask(_real_entries(algebra, u) == _real_entries(algebra, v)))
-
-
-def real_le_truth(algebra: BooleanAlgebra, u: ConditionalValue, v: ConditionalValue) -> BoolElem:
-    return algebra.from_mask(array_mask(_real_entries(algebra, u) <= _real_entries(algebra, v)))
-
-
-def l1_eq_truth(space: FiniteProbSpace, x: RandomVariable, y: RandomVariable) -> BoolElem:
-    return space.algebra.from_mask(array_mask(space.block_min(space._check_rv(x) == space._check_rv(y))))
-
-
-def l1_le_truth(space: FiniteProbSpace, x: RandomVariable, y: RandomVariable) -> BoolElem:
-    return space.algebra.from_mask(array_mask(space.block_min(space._check_rv(x) <= space._check_rv(y))))
-
-
-def mix_reals(partition: PartitionOfUnity, reals: Sequence[ConditionalValue]) -> ConditionalValue:
-    """Paste one real per part: the result agrees with ``reals[k]`` on part k."""
-    reals = list(reals)
-    if len(reals) != len(partition):
-        raise ValueError(f"{len(partition)} parts but {len(reals)} reals")
-    algebra = partition.algebra
-    stacked = np.stack([_real_entries(algebra, u) for u in reals])
-    return ConditionalValue(stacked[partition.part_index(), np.arange(algebra.atom_count)])
-
-
-def seq_index(xs: Sequence[RandomVariable], n: ConditionalValue, space: FiniteProbSpace) -> RandomVariable:
-    """Blockwise indexing of a finite sequence: block j takes xs[n_j] (1-based).
-
-    ``n`` is a natural number of the model: one integral entry per block.
-    """
-    xs = list(xs)
-    index = space._check_cv(n)
-    outside = (index < 1) | (index > len(xs))
-    if np.any(outside):
-        j = int(np.argmax(outside))
-        raise IndexError(f"block {j + 1} index {index[j]:g} outside 1..{len(xs)}")
-    fractional = index != np.floor(index)
-    if np.any(fractional):
-        j = int(np.argmax(fractional))
-        raise ValueError(f"block {j + 1} index {index[j]:g} is not an integer")
-    stacked = np.stack([space._check_rv(x) for x in xs])
-    return RandomVariable(stacked[space.broadcast(index.astype(np.intp) - 1), np.arange(space.n_atoms)])
 
 
 # -- interpretation property suite --------------------------------------------------

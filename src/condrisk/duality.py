@@ -332,8 +332,10 @@ ASCENT_GAP_TOL = 1e-8
 
 @dataclass
 class DualSearchConfig:
-    """Accepted by ``dual_representation`` and ``verify_representation`` so that callers
-    passing one still run; it has no effect: every dual comes from a fixed list of candidates."""
+    """Accepted by ``dual_representation`` alone, so that callers passing one
+    still run; it has no effect: every dual comes from a fixed list of
+    candidates.  Outside the tests its one caller is the ``user_dual``
+    request of the benchmark (``perfbench/workloads.py``)."""
 
     max_iters: int = 400
 
@@ -664,13 +666,15 @@ def _walk_rows(members: int, m: int):
     return total, choices, note
 
 
-def _escapes(f, base: np.ndarray, dirs: np.ndarray, judged: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """Where each ray base + t dir leaves the set {f <= level}, ``(dirs,
-    n_blocks)``, for t = 1, 2, 4, ..., SUBLEVEL_RAY_BOUND, counting a block
-    a direction is not ``judged`` on as left: each step is one call on the
-    directions still inside on some block, and a step of such a direction
-    past float range raises the payoff's ValueError."""
-    escaped = ~judged
+def _escapes(f, space: FiniteProbSpace, base: np.ndarray, probe: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Whether each block leaves the set {f <= level} along every ray base
+    +/- t p of a probe row p, for t = 1, 2, 4, ..., SUBLEVEL_RAY_BOUND.  A
+    ray is judged only on the blocks it moves: a block on which p is 0
+    counts as left.  Each step is one call on the rays still inside on some
+    block, and a step of such a ray past float range raises the payoff's
+    ValueError."""
+    dirs = np.stack([probe, -probe], axis=1).reshape(-1, probe.shape[-1])
+    escaped = space.block_min(dirs == 0)
     live, t = np.flatnonzero(~escaped.all(axis=1)), 1.0
     while live.size and t <= SUBLEVEL_RAY_BOUND:
         with np.errstate(over="ignore"):
@@ -679,7 +683,7 @@ def _escapes(f, base: np.ndarray, dirs: np.ndarray, judged: np.ndarray, level: n
         escaped[live] |= _values_of_rows(f, rays) > level
         live = live[~escaped[live].all(axis=1)]
         t *= 2.0
-    return escaped
+    return escaped.all(axis=0)
 
 
 def stable_sublevel_check(
@@ -709,17 +713,18 @@ def stable_sublevel_check(
     payoff entries at first, doubling up to about CHUNK_ELEMENTS, and stops
     after the batch that holds the first violation, which it reports.  The
     rays are taken step by step (``_escapes``) from the first member, along
-    each probe direction that is not 0.
+    + and - each probe payoff, and each ray is judged on the blocks it moves.
     """
     if not probe:
         raise ValueError("probe must be nonempty")
     level = space._check_cv(eta)
     n, m = space.n_atoms, space.n_blocks
 
-    inside = np.all(_values_of_rows(f, np.stack([v.values for v in probe])) <= level, axis=1)
-    members = [v for v, ok in zip(probe, inside) if ok]
+    vs = np.stack([v.values for v in probe])
+    inside = np.all(_values_of_rows(f, vs) <= level, axis=1)
+    members = vs[inside]
     notes = []
-    if not members:
+    if not len(members):
         notes.append("no probe member lies in the sublevel set; verdicts vacuous")
 
     # mixed payoffs are pasted from one stack of the members: a choice picks
@@ -728,28 +733,24 @@ def stable_sublevel_check(
     # screening already evaluated: there is nothing to walk
     violation = None
     if m > 1 and len(members) > 1:
-        stack = np.stack([v.values for v in members])
         cols = np.arange(n)
         total, choices, note = _walk_rows(len(members), m)
         for done, size in _row_batches(n, total):
             batch = choices(np.arange(done, done + size))
-            vals = _values_of_rows(f, stack[space.broadcast(batch), cols])
+            vals = _values_of_rows(f, members[space.broadcast(batch), cols])
             outside = ~np.all(vals <= level, axis=1)
             if outside.any():
-                choice = batch[int(np.argmax(outside))].tolist()
                 violation = {
                     "partition": [[j] for j in range(1, m + 1)],
-                    "choice": [members[k].values.tolist() for k in choice],
+                    "choice": members[batch[int(np.argmax(outside))]].tolist(),
                 }
                 break
         if violation is None and note is not None:
             notes.append(note)
     mixing_ok = violation is None
 
-    dirs = [d for v in probe for d in (v.values, -v.values) if np.any(d)] if members else []
-    dirs = np.reshape(dirs, (-1, n))
-    base = members[0].values if members else None
-    bounded = _escapes(f, base, dirs, np.ones((len(dirs), m), dtype=bool), level).all(axis=0).tolist()
+    # without a member no ray moves a block: every block is vacuously bounded
+    bounded = _escapes(f, space, vs[inside.argmax()], vs * inside.any(), level).tolist()
 
     inf_compact = [mixing_ok and b for b in bounded]
     return SublevelReport(
@@ -768,14 +769,10 @@ def _bounded_blocks(space: FiniteProbSpace, f, eta: ConditionalValue, probe: Seq
     sublevel set is bounded and mixing-closed.  On one block every choice is
     a member, so no mix is walked.  The members of a block are the probes
     inside the set there; its rays start at its first member and run along
-    each probe direction that is not 0 on it.  A block without a member is
-    vacuously bounded."""
+    + and - each probe (``_escapes``).  A block without a member is
+    vacuously bounded: no ray moves it."""
     level = space._check_cv(eta)
     vs = np.stack([v.values for v in probe])
     inside = _values_of_rows(f, vs) <= level
     base = vs[space.broadcast(inside.argmax(axis=0)), np.arange(space.n_atoms)]
-    dirs = np.stack([vs, -vs], axis=1).reshape(-1, space.n_atoms)
-    judged = (space.block_max(np.abs(dirs)) > 0) & inside.any(axis=0)
-    # a direction is 0 on the blocks it is not judged on, so its rays stay finite there
-    dirs = dirs * space.broadcast(judged)
-    return _escapes(f, base, dirs, judged, level).all(axis=0)
+    return _escapes(f, space, base, vs * space.broadcast(inside.any(axis=0)), level)

@@ -97,7 +97,8 @@ class YoungFunction:
         ):
             if not (math.isfinite(fa) and math.isfinite(fc)):
                 continue
-            chord = fa + (fc - fa) * (b - a) / (c - a)
+            # the run's share first: (fc - fa) * (b - a) overflows on grids past about 1e154
+            chord = fa + (fc - fa) * ((b - a) / (c - a))
             if fb > chord + 1e-9 * max(1.0, abs(chord)):
                 raise YoungFunctionError(f"midpoint convexity fails near t={b:g}")
 

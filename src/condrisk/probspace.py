@@ -14,10 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, _Memo
+from .boolalg import BooleanAlgebra, BoolElem, PartitionOfUnity, _Memo, array_mask
 from .errors import CondriskError, _as_int
 
 PROB_SUM_TOL = 1e-12
+
+
+def _mass_key(mass: np.ndarray) -> np.ndarray:
+    """The equal-mass rule: two conditional masses are equal when their keys are (12 decimals)."""
+    return np.round(mass, 12)
 
 
 class SpaceError(CondriskError):
@@ -239,6 +244,24 @@ class FiniteProbSpace:
         return len(self._bounds) - 1
 
     @cached_property
+    def _mass_groups(self) -> tuple:
+        """Groups of atoms of one block whose conditional masses are equal
+        (``_mass_key``), built on first read: the atoms of every group, group
+        after group and in block order inside each, and the group label of
+        each.  A conditional law survives any shuffle inside a group; one-atom
+        groups, whose shuffle is the identity, are left out."""
+        mass = _mass_key(self._cond_in_order)
+        # stable: a group's atoms stay in block order
+        s = np.lexsort((mass, self._block_in_order))
+        block, mass = self._block_in_order[s], mass[s]
+        label = np.cumsum(np.r_[True, (block[1:] != block[:-1]) | (mass[1:] != mass[:-1])]) - 1
+        shared = np.bincount(label)[label] > 1
+        members, labels = self.order[s][shared], label[shared]
+        for arr in (members, labels):
+            arr.setflags(write=False)
+        return members, labels
+
+    @cached_property
     def blocks(self) -> tuple:
         """The blocks as tuples of 1-based atom indices, as Python ints, in
         the order given; built from the layout on first read."""
@@ -387,7 +410,8 @@ class FiniteProbSpace:
 
     def same_conditional_law(self, x: RandomVariable, y: RandomVariable) -> bool:
         """Whether every block gives x and y the same law: the same values,
-        each carrying the same conditional mass.
+        each carrying the same conditional mass by the equal-mass rule
+        (``_mass_key``), the rule that groups the atoms a law trial shuffles.
 
         The mass at a value is summed in the order of a lexsort by block,
         value and atom mass, so the verdict does not depend on atom order.
@@ -396,9 +420,69 @@ class FiniteProbSpace:
         for v in (self._check_rv(x), self._check_rv(y)):
             at = np.lexsort((self.cond, v, self.block_of))
             block, value = self.block_of[at], v[at]
-            first = np.flatnonzero(
-                np.r_[True, (block[1:] != block[:-1]) | (value[1:] != value[:-1])]
-            )
-            laws.append((block[first], value[first], np.add.reduceat(self.cond[at], first)))
+            first = np.flatnonzero(np.r_[True, (block[1:] != block[:-1]) | (value[1:] != value[:-1])])
+            laws.append((block[first], value[first], _mass_key(np.add.reduceat(self.cond[at], first))))
         return all(np.array_equal(a, b) for a, b in zip(*laws))
 
+
+# -- interpretation maps -----------------------------------------------------------
+# Over a finite algebra the model's reals descend to one real per atom, which
+# is what a ConditionalValue holds (a natural number when its entries are
+# integral), and the model's L^1 elements descend to payoffs.  The maps below
+# act on those types directly.
+
+
+def _real_entries(algebra: BooleanAlgebra, u: ConditionalValue) -> np.ndarray:
+    """The entries of ``u``, checked as one finite real per atom of ``algebra``."""
+    if not isinstance(u, ConditionalValue):
+        raise TypeError("expected a ConditionalValue")
+    if len(u) != algebra.atom_count:
+        raise ValueError(f"conditional value has length {len(u)}, algebra has {algebra.atom_count} atoms")
+    if not u.is_finite:
+        raise ValueError("a real of the model is a finite conditional value")
+    return u.values
+
+
+def real_eq_truth(algebra: BooleanAlgebra, u: ConditionalValue, v: ConditionalValue) -> BoolElem:
+    return algebra.from_mask(array_mask(_real_entries(algebra, u) == _real_entries(algebra, v)))
+
+
+def real_le_truth(algebra: BooleanAlgebra, u: ConditionalValue, v: ConditionalValue) -> BoolElem:
+    return algebra.from_mask(array_mask(_real_entries(algebra, u) <= _real_entries(algebra, v)))
+
+
+def l1_eq_truth(space: FiniteProbSpace, x: RandomVariable, y: RandomVariable) -> BoolElem:
+    return space.algebra.from_mask(array_mask(space.block_min(space._check_rv(x) == space._check_rv(y))))
+
+
+def l1_le_truth(space: FiniteProbSpace, x: RandomVariable, y: RandomVariable) -> BoolElem:
+    return space.algebra.from_mask(array_mask(space.block_min(space._check_rv(x) <= space._check_rv(y))))
+
+
+def mix_reals(partition: PartitionOfUnity, reals: Sequence[ConditionalValue]) -> ConditionalValue:
+    """Paste one real per part: the result agrees with ``reals[k]`` on part k."""
+    reals = list(reals)
+    if len(reals) != len(partition):
+        raise ValueError(f"{len(partition)} parts but {len(reals)} reals")
+    algebra = partition.algebra
+    stacked = np.stack([_real_entries(algebra, u) for u in reals])
+    return ConditionalValue(stacked[partition.part_index(), np.arange(algebra.atom_count)])
+
+
+def seq_index(xs: Sequence[RandomVariable], n: ConditionalValue, space: FiniteProbSpace) -> RandomVariable:
+    """Blockwise indexing of a finite sequence: block j takes xs[n_j] (1-based).
+
+    ``n`` is a natural number of the model: one integral entry per block.
+    """
+    xs = list(xs)
+    index = space._check_cv(n)
+    outside = (index < 1) | (index > len(xs))
+    if np.any(outside):
+        j = int(np.argmax(outside))
+        raise IndexError(f"block {j + 1} index {index[j]:g} outside 1..{len(xs)}")
+    fractional = index != np.floor(index)
+    if np.any(fractional):
+        j = int(np.argmax(fractional))
+        raise ValueError(f"block {j + 1} index {index[j]:g} is not an integer")
+    stacked = np.stack([space._check_rv(x) for x in xs])
+    return RandomVariable(stacked[space.broadcast(index.astype(np.intp) - 1), np.arange(space.n_atoms)])

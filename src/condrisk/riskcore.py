@@ -788,23 +788,6 @@ def _check_finite_risks(measure: CondRiskMeasure, *risks: np.ndarray) -> None:
         raise RiskMeasureError(f"{measure.label} produced a non-finite risk value")
 
 
-def _equal_mass_groups(space: FiniteProbSpace) -> tuple:
-    """Groups of atoms of one block whose conditional masses agree to 12
-    decimals: the atoms of every group, group after group and in block
-    order inside each, and the group label of each.
-
-    A conditional law survives any shuffle inside a group.  One-atom groups
-    are left out: their shuffle is the identity.
-    """
-    mass = np.round(space._cond_in_order, 12)
-    # stable: a group's atoms stay in block order
-    s = np.lexsort((mass, space._block_in_order))
-    block, mass = space._block_in_order[s], mass[s]
-    label = np.cumsum(np.r_[True, (block[1:] != block[:-1]) | (mass[1:] != mass[:-1])]) - 1
-    shared = np.bincount(label)[label] > 1
-    return space.order[s][shared], label[shared]
-
-
 # the inputs a trial may draw, each from its own child stream of the seed, in
 # the order of ``SeedSequence(seed).spawn``; trial t is row t of each stream
 TRIAL_INPUTS = ("x", "y", "eta", "up", "on", "keys")
@@ -827,13 +810,13 @@ def _trial_streams(axiom: str, seed: int) -> list:
     ]
 
 
-def _draw_trials(axiom: str, space: FiniteProbSpace, streams: list, groups: tuple, size: int, tile: int = 1) -> list:
+def _draw_trials(axiom: str, space: FiniteProbSpace, streams: list, size: int, tile: int = 1) -> list:
     """Inputs of the next ``size`` trials, one generator call per input array.
 
     Trial t is row t of each input's stream, wherever the batches are cut.
-    A law-preserving permutation sorts each equal-mass group (``groups``, as
-    ``_equal_mass_groups`` gives it) by the trial's keys, one random key per
-    atom: the group's i-th slot takes the atom with the group's i-th
+    A law-preserving permutation sorts each of the space's equal-mass groups
+    (``FiniteProbSpace._mass_groups``) by the trial's keys, one random key
+    per atom: the group's i-th slot takes the atom with the group's i-th
     smallest key.  Atoms outside every group keep their place.  A space of
     ``tile`` equal copies of one block layout side by side (a stack of
     ``_stacked``; 1 for any other space) draws each input for one copy and
@@ -854,13 +837,12 @@ def _draw_trials(axiom: str, space: FiniteProbSpace, streams: list, groups: tupl
     if axiom == "local_property":
         # a uniform element of the block algebra: each block in with chance 1/2
         return [x, draw(rng.random((size, m)) < 0.5)]
-    members, labels = groups
+    members, labels = space._mass_groups
     perm = np.arange(space.n_atoms)[None].repeat(size, axis=0)
-    if members.size:
-        # one stable sort by (group label, key): numpy orders complex numbers
-        # by their real parts, then by their imaginary parts
-        keys = draw(rng.random((size, n)))[:, members]
-        perm[:, members] = members[np.argsort(labels + 1j * keys, axis=-1, kind="stable")]
+    # one stable sort by (group label, key): numpy orders complex numbers
+    # by their real parts, then by their imaginary parts
+    keys = draw(rng.random((size, n)))[:, members]
+    perm[:, members] = members[np.argsort(labels + 1j * keys, axis=-1, kind="stable")]
     return [x, perm]
 
 
@@ -940,9 +922,8 @@ def check_axiom(
     trials, seed = _as_int(trials, "trials", 1, None), _as_int(seed, "seed", 0, None)
     space = measure.space
     streams = _trial_streams(axiom, seed)
-    groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else None
     for done, size in _row_batches(space.n_atoms, trials):
-        inputs = _draw_trials(axiom, space, streams, groups, size)
+        inputs = _draw_trials(axiom, space, streams, size)
         found = _first_failure(measure, axiom, inputs)
         if found is not None:
             first, block, lhs, rhs = found
@@ -969,10 +950,9 @@ def _failing_blocks(measure: CondRiskMeasure, axiom: str, trials: int, seed: int
     A non-finite risk in a trial run raises RiskMeasureError."""
     space = measure.space
     streams = _trial_streams(axiom, seed)
-    groups = _equal_mass_groups(space) if axiom == "conditional_law_invariance" else None
     failed = np.zeros(space.n_blocks, dtype=bool)
     for _, size in _row_batches(space.n_atoms, trials):
-        inputs = _draw_trials(axiom, space, streams, groups, size, tile)
+        inputs = _draw_trials(axiom, space, streams, size, tile)
         with np.errstate(invalid="ignore"):
             lhs, rhs, bad = _axiom_sides(axiom, space, measure.evaluate_batch, *inputs)
         _check_finite_risks(measure, lhs, rhs)

@@ -510,7 +510,8 @@ def reference_block_verdicts(measure, items, payoffs, seed=0):
 
 def reference_sublevel_rays(space, f, eta, probe, members):
     """Blocks bounded along every step-doubling ray of ``stable_sublevel_check``,
-    found one payoff per call of ``f``."""
+    found one payoff per call of ``f``: a ray counts on a block only when its
+    direction is not 0 there."""
     from condrisk import RandomVariable
     from condrisk.duality import SUBLEVEL_RAY_BOUND
 
@@ -520,15 +521,15 @@ def reference_sublevel_rays(space, f, eta, probe, members):
     base = members[0].values
     for v in probe:
         for dvec in (v.values, -v.values):
-            if not np.any(dvec):
-                continue
             escaped = [False] * space.n_blocks
             t = 1.0
             while t <= SUBLEVEL_RAY_BOUND:
                 vals = f(RandomVariable(base + t * dvec)).values
                 escaped = [e or bool(val > lev) for e, val, lev in zip(escaped, vals, eta.values)]
                 t *= 2.0
-            bounded = [b and e for b, e in zip(bounded, escaped)]
+            for j in range(space.n_blocks):
+                if np.any(space.restrict(v, j + 1)):
+                    bounded[j] = bounded[j] and escaped[j]
     return bounded
 
 

@@ -403,3 +403,44 @@ def test_the_sources_need_no_newer_python_than_declared():
     assert len(_newer_names(ast.parse(probe))) == 4
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_one_equal_mass_rule():
+    """Two conditional masses are equal when they agree to 12 decimals, and
+    ``probspace._mass_key`` is where that is written: a rounding anywhere
+    else in the package fails here, so the law trials' groups and
+    ``same_conditional_law`` cannot drift apart."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, f in _functions(ast.parse(path.read_text())):
+            found += [
+                (path.stem, name)
+                for n in ast.walk(f)
+                if isinstance(n, ast.Call)
+                and (getattr(n.func, "attr", None) or getattr(n.func, "id", None)) in ("round", "around")
+            ]
+    assert found == [("probspace", "_mass_key")]
+
+
+# the layers under the name engine, which read truth values without it
+MODEL_FREE = ("probspace", "riskcore", "duality", "transfer", "modelspaces")
+INTERPRETATION_MAPS = ("real_eq_truth", "real_le_truth", "l1_eq_truth", "l1_le_truth", "mix_reals", "seq_index")
+
+
+def test_the_truth_maps_live_beside_the_values_they_read():
+    """The interpretation maps act on ``ConditionalValue``s and payoffs, not
+    on names, so they live in ``probspace`` and the layers under the name
+    engine import nothing from ``bvm`` or ``formulalang``."""
+    imports = {}
+    for stem in MODEL_FREE:
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        # ``from .bvm import x`` and ``from . import bvm`` alike
+        modules = {m for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for m in [n.module, *(a.name for a in n.names)]}
+        imports[stem] = sorted(modules & {"bvm", "formulalang"})
+    assert {stem: found for stem, found in imports.items() if found} == {}
+    defined = {
+        stem: {top.name for top in ast.parse((PACKAGE / f"{stem}.py").read_text()).body if isinstance(top, ast.FunctionDef)}
+        for stem in ("bvm", "probspace")
+    }
+    assert defined["bvm"].isdisjoint(INTERPRETATION_MAPS)
+    assert defined["probspace"].issuperset(INTERPRETATION_MAPS)

@@ -463,7 +463,7 @@ def test_failing_blocks_runs_on_until_every_block_has_failed(s4):
     # crosses: a check that stopped at the first failing block misses block 2
     trials, seed = 2000, 0
     first = next(riskcore._row_batches(s4.n_atoms, trials))[1]
-    x, up = riskcore._draw_trials("monotonicity", s4, riskcore._trial_streams("monotonicity", seed), None, trials)
+    x, up = riskcore._draw_trials("monotonicity", s4, riskcore._trial_streams("monotonicity", seed), trials)
     lo, hi = x[:, 2], x[:, 2] + up[:, 2]
     c = next(c for c in np.nextafter(hi[first:], -np.inf) if not ((lo[:first] <= c) & (c < hi[:first])).any())
 
@@ -552,6 +552,45 @@ def test_check_axiom_matches_one_trial_at_a_time(case, seed):
                 assert repr(got.counterexample) == repr(want.counterexample)
 
 
+# conditional masses of one block: the thirds 1/3 - 4e-13, 1/3, 1/3 + 4e-13
+# round to two 12-decimal values, so exact sums tell the first two apart
+BLOCK_MASSES = (
+    [1 / 3 - 4e-13, 1 / 3, 1 / 3 + 4e-13],
+    [0.2, 0.1, 0.2, 0.5],
+    [0.25] * 4,
+    [0.5, 0.5],
+    [1.0],
+)
+
+
+@st.composite
+def near_equal_mass_spaces(draw):
+    """Shuffled blocks, each with the conditional masses of a row of
+    ``BLOCK_MASSES`` in some order, and a seed."""
+    rows = draw(st.lists(st.sampled_from(BLOCK_MASSES), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    probs = np.concatenate([w * np.array(draw(st.permutations(r))) for w, r in zip(weights, rows)])
+    atoms = np.array(draw(st.permutations(range(1, probs.size + 1))))
+    blocks = [b.tolist() for b in np.split(atoms, np.cumsum([len(r) for r in rows])[:-1])]
+    space_probs = np.empty(probs.size)
+    space_probs[atoms - 1] = probs / sum(weights)
+    return FiniteProbSpace(space_probs, blocks), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(near_equal_mass_spaces())
+def test_every_law_trial_is_a_same_law_pair(case):
+    # the trials and same_conditional_law read one equal-mass rule, so each
+    # drawn permutation of a payoff keeps its law, near-equal masses included
+    space, seed = case
+    axiom = "conditional_law_invariance"
+    streams = riskcore._trial_streams(axiom, seed)
+    for size in (1, 2, 4):
+        xs, perms = riskcore._draw_trials(axiom, space, streams, size)
+        for x, perm in zip(xs, perms):
+            assert space.same_conditional_law(RandomVariable(x), RandomVariable(x[perm]))
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(cases(), st.integers(0, 2**16))
 def test_law_permutations_shuffle_equal_mass_groups_only(case, seed):
@@ -559,10 +598,7 @@ def test_law_permutations_shuffle_equal_mass_groups_only(case, seed):
     axiom = "conditional_law_invariance"
     # batches of 1, 2 and 4 trials: trial t is row t of the key stream
     streams = riskcore._trial_streams(axiom, seed)
-    groups = riskcore._equal_mass_groups(space)
-    perms = np.concatenate(
-        [riskcore._draw_trials(axiom, space, streams, groups, size)[1] for size in (1, 2, 4)]
-    )
+    perms = np.concatenate([riskcore._draw_trials(axiom, space, streams, size)[1] for size in (1, 2, 4)])
     keys = reference_trial_streams(seed)["keys"]
     for perm in perms:
         # a permutation inside each block that keeps every conditional mass:

@@ -30,17 +30,9 @@ from condrisk import (
     verify_interp_props,
 )
 from condrisk.boolalg import AlgebraMismatchError, mask_atoms
-from condrisk.bvm import (
-    UniverseError,
-    WitnessError,
-    l1_eq_truth,
-    l1_le_truth,
-    mix_reals,
-    real_eq_truth,
-    real_le_truth,
-)
+from condrisk.bvm import UniverseError, WitnessError
 from condrisk.errors import ParseError
-from condrisk.probspace import SpaceError
+from condrisk.probspace import SpaceError, l1_eq_truth, l1_le_truth, mix_reals, real_eq_truth, real_le_truth
 
 EMPTY_HF = frozenset()
 SINGLE_HF = frozenset({EMPTY_HF})

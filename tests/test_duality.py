@@ -948,6 +948,8 @@ def sublevel_cases(draw):
     ]
     if draw(st.booleans()):  # a zero direction and a payoff off the density cone
         probes += [RandomVariable(np.zeros(n)), RandomVariable(rng.normal(0.0, 1.0, n))]
+    if m > 1 and draw(st.booleans()):  # the barycenter cut to 0 on one block
+        probes.append(RandomVariable(np.where(space.block_of == draw(st.integers(0, m - 1)), 0.0, -1.0)))
     levels = draw(st.lists(st.sampled_from([0.0, 0.05, 1.0]), min_size=m, max_size=m))
     return space, measure, probes, ConditionalValue(levels), draw(st.integers(1, 40))
 

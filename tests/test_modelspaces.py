@@ -49,6 +49,18 @@ def test_conjugate_of_linear_on_a_grid_near_the_float_limit():
         assert math.isinf(psi(r))
 
 
+@pytest.mark.parametrize("kink", [None, 1e200])
+def test_convexity_check_on_a_grid_near_the_float_limit(kink):
+    # a chord's rise times its run passes the largest float on this grid;
+    # phi = t is convex, and a slope that drops from 1 to 1/2 at the kink is not
+    grid = np.geomspace(1e-3, 1e300, 64)
+    if kink is None:
+        assert YoungFunction(lambda t: t, grid).finite_valued
+        return
+    with pytest.raises(YoungFunctionError, match="convexity fails"):
+        YoungFunction(lambda t: t if t <= kink else kink + (t - kink) / 2.0, grid)
+
+
 def test_conjugate_of_square():
     psi = young_conjugate(young_power(2))
     for r in np.linspace(0.0, 10.0, 41):

@@ -61,6 +61,11 @@ def test_conditional_law_examples(s4):
     assert not s4.same_conditional_law(x, RandomVariable([1, 3, 6, 6]))
     cdf = s4.cond_cdf(x, ConditionalValue([1, 6]))
     assert np.array_equal(cdf.values, [0.5, 1.0])
+    # masses are compared by the equal-mass rule (12 decimals), not exactly:
+    # 0.1 + 0.2 and 0.3 differ in their last bit
+    one = FiniteProbSpace([0.1, 0.2, 0.3, 0.4], [[1, 2, 3, 4]])
+    assert one.same_conditional_law(RandomVariable([1, 1, 0, 0]), RandomVariable([0, 0, 1, 0]))
+    assert not one.same_conditional_law(RandomVariable([1, 1, 0, 0]), RandomVariable([0, 0, 0, 1]))
 
 
 @st.composite

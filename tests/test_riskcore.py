@@ -376,11 +376,11 @@ def test_near_equal_masses_fall_in_one_group_each():
     # each rounded value with every atom within 1e-12 of it put the middle
     # atom in both groups, and one scatter of both was no permutation
     space = FiniteProbSpace([1 / 3 - 4e-13, 1 / 3, 1 / 3 + 4e-13], [[1, 2, 3]])
-    members, labels = riskcore._equal_mass_groups(space)
+    members, labels = space._mass_groups
     assert members.tolist() == [0, 1] and labels.tolist() == [0, 0]
     axiom = "conditional_law_invariance"
     streams = riskcore._trial_streams(axiom, 0)
-    for perm in riskcore._draw_trials(axiom, space, streams, (members, labels), 8)[1]:
+    for perm in riskcore._draw_trials(axiom, space, streams, 8)[1]:
         assert sorted(perm) == [0, 1, 2] and perm[2] == 2
 
 

@@ -48,7 +48,7 @@ def _penalty_map_rows(space):
 def _escapes(space):
     # every ray stays inside, so the second step, past float range, is taken
     inside = lambda v: ConditionalValue([0.0, 0.0])
-    duality._escapes(inside, np.zeros(4), np.full((1, 4), 1e308), np.ones((1, 2), bool), np.zeros(2))
+    duality._escapes(inside, space, np.zeros(4), np.full((1, 4), 1e308), np.zeros(2))
 
 
 def _convergence_blocks(space):

@@ -929,6 +929,15 @@ def test_rays_past_float_range_act_as_one_payoff_at_a_time(s4):
             stable_sublevel_check(s4, f, ConditionalValue([5, 5]), [RandomVariable([5.0] * 4), huge])
 
 
+def test_a_ray_is_judged_on_the_blocks_it_moves(s4):
+    # the second probe is 0 on block 2, so its rays say nothing there; the
+    # barycenter's rays leave the set on both blocks
+    probes = [RandomVariable(-np.ones(4)), RandomVariable([-0.5, -1.5, 0.0, 0.0])]
+    pen, level = penalty_map(cond_worst_case(s4)), ConditionalValue([1, 1])
+    assert stable_sublevel_check(s4, pen, level, probes).bounded_per_block == [True, True]
+    assert duality._bounded_blocks(s4, pen, level, probes).tolist() == [True, True]
+
+
 @st.composite
 def sublevel_cases(draw):
     m = draw(st.integers(1, 6))

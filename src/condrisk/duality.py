@@ -59,19 +59,29 @@ def _check_length(space: FiniteProbSpace, values: np.ndarray) -> None:
         raise DualityError("dual variable length does not match the space")
 
 
-def admissible_dual(space: FiniteProbSpace, densities) -> DualVariable:
-    """Build y = -d from per-atom densities, renormalized blockwise to mean 1;
-    the one gather of d gives the masses, then y's copy in block order."""
+def admissible_dual(space: FiniteProbSpace, densities):
+    """Build y = -d from per-atom densities, renormalized blockwise to mean
+    1: a dual variable from one density, or an array of dual rows from rows
+    of densities, each row the one-row result.  A density must be
+    nonnegative and finite, refused by name before any arithmetic, and have
+    mass on every block.  The one gather of d gives the masses, and a dual
+    variable its copy in block order."""
     d = np.asarray(densities, dtype=float)
     _check_length(space, d)
     if np.any(d < 0):
         raise ValueError("densities must be nonnegative")
+    if not np.isfinite(d).all():
+        raise ValueError("densities must be finite")
     a = space._in_order(d)
     mass = space._mean(a)
     if np.any(mass <= 0):
-        j = int(np.argmax(mass <= 0)) + 1
+        j = int(np.argmax(mass <= 0)) % space.n_blocks + 1
         raise ValueError(f"density has zero conditional mass on block {j}")
-    y = DualVariable(-d / space.broadcast(mass))
+    y = -d / space.broadcast(mass)
+    if d.ndim > 1:
+        DualVariable._check(y)
+        return y
+    y = DualVariable(y)
     np.negative(a, out=a)
     a /= mass.take(space._block_in_order)
     space._in_order(y, a)
@@ -163,10 +173,12 @@ def _compass_refine(objective, rows: np.ndarray, per: int, points: np.ndarray, s
             steps[part[~gain]] *= 0.5**COMPASS_SCALES
 
 
-def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
+def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray, pairs: Optional[np.ndarray] = None):
     """Numeric sup of E[x y | block] - rho(x) for a measure on B contiguous
     blocks of k atoms (a stack of ``riskcore._stacked``) for each row y of the
-    ``(rows, B k)`` duals ``ys`` on each block, all (row, block) pairs in lockstep.
+    ``(rows, B k)`` duals ``ys`` on each block, all (row, block) pairs that
+    the ``(rows, B)`` mask ``pairs`` marks (all by default) in lockstep; the
+    others are not searched and read +inf.
 
     The search leans on cash invariance, rho(x + c) = rho(x) - c, by which
     the objective moves by c (E[y] + 1) when a constant c is added to x.  A
@@ -211,8 +223,9 @@ def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
 
     start = np.zeros(len(weights)) - np.tile(measure.evaluate_batch(np.zeros((1, space.n_atoms)))[0], n_rows)
     values, points, rays = start.copy(), np.zeros(weights.shape), np.full(weights.shape, math.nan)
+    searched = np.ones(len(weights), dtype=bool) if pairs is None else pairs.ravel()
     gap = (space.block_mean(ys) + 1.0).ravel()
-    off = np.flatnonzero(np.abs(gap) > ADMISSIBLE_TOL)
+    off = np.flatnonzero((np.abs(gap) > ADMISSIBLE_TOL) & searched)
     if off.size:
         stretch = np.maximum(1.0, 2.0 * GRID_TOL / (GRID_RADIUS * np.abs(gap[off])))
         units = np.repeat(np.copysign(stretch, gap[off])[:, None], k, axis=1)
@@ -221,7 +234,7 @@ def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
         )
         hit = ~np.isnan(ray[:, 0])
         values[off[hit]], points[off[hit]], rays[off[hit]] = best[hit], point[hit], ray[hit]
-    on = np.flatnonzero(np.isnan(rays[:, 0]))
+    on = np.flatnonzero(np.isnan(rays[:, 0]) & searched)
     if on.size and k > 1:
         per_axis = GRID_PER_AXIS if k <= 3 else 5
         if per_axis ** (k - 1) > GRID_MAX_POINTS:
@@ -255,6 +268,7 @@ def _block_conjugate_grid(measure: CondRiskMeasure, ys: np.ndarray):
         steps[on] = np.where(np.isnan(rays[on, 0]), 2.0 * radius / (per_axis - 1), 0.0)
         per = max(1, CHUNK_ELEMENTS // (2 * k * COMPASS_SCALES * space.n_atoms))
         _compass_refine(objective, row, per, points, steps, values)
+    values[~searched] = math.inf
     return values.reshape(n_rows, n_blocks), points.reshape(ys.shape), rays.reshape(ys.shape)
 
 
@@ -262,9 +276,11 @@ def _penalty_rows(measure: CondRiskMeasure, ys, closed_form=True, blocks=None) -
     """Penalties of the rows of ``ys`` (a dual value is one row) as ``(rows,
     n_blocks)``: the closed form, one call for every row, if ``closed_form``
     is set and the measure has one (a built-in's reads a value's copy in
-    block order); else the grid conjugate of every row on the stack of the
-    blocks of each size (``riskcore._stacks``) that the mask ``blocks`` marks
-    (all by default), +inf on the others.  A wrong row length and a NaN penalty are refused by name."""
+    block order); else the grid conjugate, on the stack of the blocks of
+    each size (``riskcore._stacks``), of the (row, block) pairs that the
+    mask ``blocks`` marks (all by default; a mask of one row marks its
+    blocks on every row), +inf on the others.  A wrong row length and a NaN
+    penalty are refused by name."""
     space = measure.space
     rows = ys.values[None] if isinstance(ys, _Values) else ys
     _check_length(space, rows)
@@ -272,8 +288,9 @@ def _penalty_rows(measure: CondRiskMeasure, ys, closed_form=True, blocks=None) -
         pen = measure._rows(measure.closed_form_penalty, rows if measure._kernel is None else ys, "penalties")
     else:
         pen = np.full((len(rows), space.n_blocks), math.inf)
-        for cut, stack, atoms in _stacks(measure, blocks):
-            pen[:, cut] = _block_conjugate_grid(stack, rows[:, atoms])[0]
+        marked = np.broadcast_to(True if blocks is None else blocks, pen.shape)
+        for cut, stack, atoms in _stacks(measure, marked.any(axis=0)):
+            pen[:, cut] = _block_conjugate_grid(stack, rows[:, atoms], marked[:, cut])[0]
     ConditionalValue._check(pen)
     return pen
 
@@ -348,19 +365,19 @@ class DualResult:
     warnings: List[str]
 
 
-def _graded(measure: CondRiskMeasure, xv: np.ndarray, y: DualVariable, blocks=None) -> np.ndarray:
-    """E[x y | block] - penalty(y) by the measure's own route, ``_penalty_rows``;
-    -inf on the blocks that a measure without a closed form leaves unmarked."""
-    pen = _penalty_rows(measure, y, blocks=blocks)[0]
-    return measure.space.block_mean(xv * y.values) - pen
+def _graded(measure: CondRiskMeasure, xs: np.ndarray, ys: np.ndarray, blocks=None) -> np.ndarray:
+    """E[x y | block] - penalty(y) of each row x of ``xs`` at the same row y
+    of ``ys``, by the measure's own route, ``_penalty_rows``; -inf on the
+    (row, block) pairs that a measure without a closed form leaves unmarked."""
+    return measure.space.block_mean(xs * ys) - _penalty_rows(measure, ys, blocks=blocks)
 
 
-def _exact_duals(measure: CondRiskMeasure, xv: np.ndarray) -> Optional[DualVariable]:
-    """The dual oracle's maximizer on every block, as an admissible dual, or
-    None for a measure without an oracle."""
+def _exact_duals(measure: CondRiskMeasure, xs: np.ndarray) -> Optional[np.ndarray]:
+    """The dual oracle's maximizer of each row of ``xs`` on every block, as
+    rows of admissible duals, or None for a measure without an oracle."""
     if measure._dual_oracle is None:
         return None
-    return admissible_dual(measure.space, measure._dual_oracle(xv[None])[0])
+    return admissible_dual(measure.space, measure._dual_oracle(xs))
 
 
 # difference duals: atom i steps by h_i = 2^(e - DIFFERENCE_STEP_BITS), where e
@@ -376,59 +393,60 @@ SHIFT_SLOPES = (0.6180339887498949, 0.4142135623730951)
 FINE_STEP_BITS = 36
 
 
-def _binary_scale(space: FiniteProbSpace, xv: np.ndarray, bits: int) -> np.ndarray:
-    """2^(e - bits) on each atom, e the binary exponent of max(1, max |x| on
-    its block): x and 2^k x get the same bits, shifted by k."""
-    scale = space.broadcast(np.maximum(space.block_max(np.abs(xv)), 1.0))
+def _binary_scale(space: FiniteProbSpace, xs: np.ndarray, bits: int) -> np.ndarray:
+    """2^(e - bits) on each atom of each row, e the binary exponent of
+    max(1, max |x| on its block): x and 2^k x get the same bits, shifted by k."""
+    scale = space.broadcast(np.maximum(space.block_max(np.abs(xs)), 1.0))
     return np.ldexp(1.0, np.frexp(scale)[1] - 1 - bits)
 
 
-def _difference_duals(
-    measure: CondRiskMeasure, xv: np.ndarray, bits: int = DIFFERENCE_STEP_BITS
-) -> Optional[DualVariable]:
-    """The density -grad rho(x) / q on every block, from central differences
-    with steps ``_binary_scale(space, x, bits)``, as an admissible dual; None
-    where the differences give no density.
+def _difference_duals(measure: CondRiskMeasure, xs: np.ndarray, bits: int = DIFFERENCE_STEP_BITS) -> np.ndarray:
+    """The density -grad rho(x) / q of each row x of ``xs`` on every block,
+    from central differences with steps ``_binary_scale(space, x, bits)``,
+    as rows of admissible duals; a row of NaN where the differences give no
+    density.
 
     Where rho is differentiable at x this is the maximizer of the robust
     representation (the Fenchel-Young equality).  The steps are powers of 2
     set by each block's scale, so x and 2^k x give the same bits for a
     positively homogeneous measure.  By locality one row steps one atom of
-    every block, so one ``evaluate_batch`` call of twice the largest block
-    size gives every block's differences; rows go in chunks of about
-    CHUNK_ELEMENTS payoff entries.  The slope is clipped at 0 and normalized
-    blockwise by ``admissible_dual``; a non-finite risk, or a block with no
-    mass left, gives None.
+    every block, so 2k rows per payoff, k the largest block size, give
+    every block's differences; the rows of every payoff go in one
+    ``evaluate_batch`` call per chunk of about CHUNK_ELEMENTS payoff
+    entries.  The slope is clipped at 0 and normalized blockwise by
+    ``admissible_dual``; a non-finite risk, or a block with no mass left,
+    gives its row NaN.
     """
     space = measure.space
     n = space.n_atoms
-    h = _binary_scale(space, xv, bits)
-    # the position of each atom in its block: row r steps the atoms at
-    # position r up, row k + r steps them down, for blocks of at most k atoms
+    h = _binary_scale(space, xs, bits)
+    # the position of each atom in its block: step s of a payoff steps the
+    # atoms at position s % k, up for s < k and down from k on
     pos = np.empty(n, dtype=np.intp)
     pos[space.order] = np.arange(n) - space.starts[space._block_in_order]
     k = int(pos.max()) + 1
-    chunk = max(1, CHUNK_ELEMENTS // n)
-    risk = np.concatenate(
-        [
-            measure.evaluate_batch(xv + (r % k == pos) * np.where(r < k, h, -h))
-            for r in np.split(np.arange(2 * k)[:, None], range(chunk, 2 * k, chunk))
-        ]
-    )
-    at = (pos, space.block_of)
-    d = np.maximum((risk[k:][at] - risk[:k][at]) / (2.0 * h * space.cond), 0.0)
-    if not np.all(np.isfinite(d)) or np.any(space.block_max(d) <= 0):
-        return None
-    return admissible_dual(space, d)
+    total, chunk = 2 * k * len(xs), max(1, CHUNK_ELEMENTS // n)
+    risk = []
+    for part in np.split(np.arange(total), range(chunk, total, chunk)):
+        r, step = np.divmod(part, 2 * k)
+        step = step[:, None]
+        risk.append(measure.evaluate_batch(xs[r] + (step % k == pos) * np.where(step < k, h[r], -h[r])))
+    risk = np.concatenate(risk).reshape(len(xs), 2 * k, -1)
+    d = np.maximum((risk[:, k + pos, space.block_of] - risk[:, pos, space.block_of]) / (2.0 * h * space.cond), 0.0)
+    ok = np.isfinite(d).all(axis=1) & (space.block_max(d) > 0).all(axis=1)
+    out = np.full(xs.shape, math.nan)
+    if ok.any():
+        out[ok] = admissible_dual(space, d[ok])
+    return out
 
 
-def _capped_fill(measure: CondRiskMeasure, xv: np.ndarray) -> DualVariable:
-    """Each block filled to its declared ``dual_density_cap``: the dual
-    oracle of ``cond_avar`` at lambda = 1/cap, which gives density cap to the
-    atoms where x is least until the block's mass is filled.  A block whose
-    cap is at least 1/q for every atom of it takes the vertex of the atom
-    where x is least.  A cap below 1 leaves no density on its block; the
-    first such block is refused by name."""
+def _capped_fill(measure: CondRiskMeasure, xs: np.ndarray) -> np.ndarray:
+    """Each block of each row filled to its declared ``dual_density_cap``:
+    the dual oracle of ``cond_avar`` at lambda = 1/cap, which gives density
+    cap to the atoms where x is least until the block's mass is filled.  A
+    block whose cap is at least 1/q for every atom of it takes the vertex of
+    the atom where x is least.  A cap below 1 leaves no density on its
+    block; the first such block is refused by name."""
     space = measure.space
     cap = measure.dual_density_cap
     low = np.flatnonzero(cap < 1.0 - 1e-12)
@@ -436,15 +454,15 @@ def _capped_fill(measure: CondRiskMeasure, xv: np.ndarray) -> DualVariable:
         j = int(low[0]) + 1
         raise DualityError(f"block {j}: density cap {float(cap[j - 1])!r} is infeasible, below 1")
     lam = np.minimum(1.0, np.maximum(space.block_min(space.cond), 1.0 / cap))
-    return admissible_dual(space, cond_avar(space, lam)._dual_oracle(xv[None])[0])
+    return admissible_dual(space, cond_avar(space, lam)._dual_oracle(xs))
 
 
-def _fallback_duals(measure: CondRiskMeasure, xv: np.ndarray):
-    """The candidates after the difference passes, in order: the barycenter,
-    the vertex of the atom where x is least (the dual oracle of
-    ``cond_worst_case``), the fill to the declared cap, where the measure
-    declares one, and the differences at x with steps of 2^(e -
-    FINE_STEP_BITS).
+def _fallback_duals(measure: CondRiskMeasure):
+    """The candidates after the difference passes, in order, as maps from
+    rows of payoffs to rows of duals: the barycenter, the vertex of the atom
+    where x is least (the dual oracle of ``cond_worst_case``), the fill to
+    the declared cap, where the measure declares one, and the differences at
+    x with steps of 2^(e - FINE_STEP_BITS).
 
     At large payoff scales rounding can leave a difference density off the
     barycenter or off the cap by more than ADMISSIBLE_TOL, where a coherent
@@ -452,68 +470,77 @@ def _fallback_duals(measure: CondRiskMeasure, xv: np.ndarray):
     take the smooth blocks whose coarser differences round short.
     """
     space = measure.space
-    yield DualVariable(-np.ones(space.n_atoms))
-    yield admissible_dual(space, cond_worst_case(space)._dual_oracle(xv[None])[0])
+    yield lambda xs: -np.ones(xs.shape)
+    yield lambda xs: admissible_dual(space, cond_worst_case(space)._dual_oracle(xs))
     if measure.dual_density_cap is not None:
-        yield _capped_fill(measure, xv)
-    yield _difference_duals(measure, xv, FINE_STEP_BITS)
+        yield lambda xs: _capped_fill(measure, xs)
+    yield lambda xs: _difference_duals(measure, xs, FINE_STEP_BITS)
 
 
-def _candidate_duals(measure: CondRiskMeasure, xv: np.ndarray):
+def _candidate_duals(measure: CondRiskMeasure):
     """A user measure's candidate duals, in the order they are graded, each
-    made when it is asked for: the differences at x, at two generic points
-    near x, then ``_fallback_duals``.  None stands for a pass that gave no
-    density."""
+    a map from rows of payoffs to rows of duals, made when it is asked for:
+    the differences at x, at two generic points near x, then
+    ``_fallback_duals``.  A row of NaN stands for a pass that gave no
+    density on that payoff."""
     space = measure.space
-    yield _difference_duals(measure, xv)
+    yield lambda xs: _difference_duals(measure, xs)
     # at a kink the differences at x need not give a subgradient.  Those at a
     # generic point nearby do for a max of linear pieces, graded at x, unless
     # the steps there still straddle a kink; the next pattern takes those
     i = np.arange(1, space.n_atoms + 1)
     for slope in SHIFT_SLOPES:
-        shift = _binary_scale(space, xv, SHIFT_BITS) * ((i * slope) % 1.0 - 0.5)
-        yield _difference_duals(measure, xv + shift, SHIFTED_STEP_BITS)
-    yield from _fallback_duals(measure, xv)
+        pattern = (i * slope) % 1.0 - 0.5
+        yield lambda xs, u=pattern: _difference_duals(
+            measure, xs + _binary_scale(space, xs, SHIFT_BITS) * u, SHIFTED_STEP_BITS
+        )
+    yield from _fallback_duals(measure)
 
 
-def _represent(measure: CondRiskMeasure, x: RandomVariable, targets: np.ndarray) -> DualResult:
-    """``dual_representation`` against ``targets``, the figure rho(x)."""
+def _represent(measure: CondRiskMeasure, xs: np.ndarray, targets: np.ndarray) -> List[DualResult]:
+    """``dual_representation`` of each row x of ``xs`` against the same row of
+    ``targets``, the figure rho(x): one result per row, each the one-row
+    call's.  Every step works on all rows at once: the oracle, or each
+    candidate dual on the payoffs that still have a block short, graded on
+    the (payoff, block) pairs without a dual."""
     space = measure.space
-    xv = space._check_rv(x)
-    y = _exact_duals(measure, xv)
-    if y is not None:
-        values = _graded(measure, xv, y)
-        short = targets - values
-        converged = (np.isfinite(values) & (short <= ASCENT_GAP_TOL)).tolist()
-        warnings = [
-            f"block {j}: exact dual short of rho(x) by {short[j - 1]:.3e}"
-            for j, ok in enumerate(converged, start=1)
-            if not ok
-        ]
-        return DualResult(ConditionalValue(values), y, converged, warnings)
-    values = np.full(space.n_blocks, -math.inf)
-    density = np.ones(space.n_atoms)
-    accepted = np.zeros(space.n_blocks, dtype=bool)
-    for y in _candidate_duals(measure, xv):
-        if y is None:
-            continue
-        graded = _graded(measure, xv, y, ~accepted)
-        # a value above rho(x) leans on a penalty's slack: never kept.  The
-        # gap is compared, not rho(x) + ASCENT_GAP_TOL, which rounds upward
-        # at large payoffs
-        take = ~accepted & (graded > values) & (targets - graded >= -ASCENT_GAP_TOL)
-        values[take] = graded[take]
-        on = space.broadcast(take)
-        density[on] = -y.values[on]
-        accepted = np.abs(targets - values) <= ASCENT_GAP_TOL
-        if accepted.all():
-            break
+    ys = _exact_duals(measure, xs)
+    if ys is not None:
+        values = _graded(measure, xs, ys)
+        converged = np.isfinite(values) & (targets - values <= ASCENT_GAP_TOL)
+        what = "exact dual"
+    else:
+        values = np.full(targets.shape, -math.inf)
+        ys = -np.ones(xs.shape)
+        converged = np.zeros(targets.shape, dtype=bool)
+        for candidate in _candidate_duals(measure):
+            live = np.flatnonzero(~converged.all(axis=1))
+            if not live.size:
+                break
+            cand = candidate(xs[live])
+            has = ~np.isnan(cand[:, 0])
+            live, cand, short = live[has], cand[has], ~converged[live[has]]
+            if not live.size:
+                continue
+            graded = _graded(measure, xs[live], cand, short)
+            # a value above rho(x) leans on a penalty's slack: never kept.  The
+            # gap is compared, not rho(x) + ASCENT_GAP_TOL, which rounds upward
+            # at large payoffs
+            take = short & (graded > values[live]) & (targets[live] - graded >= -ASCENT_GAP_TOL)
+            values[live] = np.where(take, graded, values[live])
+            ys[live] = np.where(space.broadcast(take), cand, ys[live])
+            converged = np.abs(targets - values) <= ASCENT_GAP_TOL
+        what = f"no candidate dual within {ASCENT_GAP_TOL:g},"
     short = targets - values
-    warnings = [
-        f"block {j}: no candidate dual within {ASCENT_GAP_TOL:g}, short of rho(x) by {short[j - 1]:.3e}"
-        for j in (np.flatnonzero(~accepted) + 1).tolist()
+    return [
+        DualResult(
+            ConditionalValue(v),
+            DualVariable(y),
+            ok.tolist(),
+            [f"block {j}: {what} short of rho(x) by {gap[j - 1]:.3e}" for j in (np.flatnonzero(~ok) + 1).tolist()],
+        )
+        for v, y, ok, gap in zip(values, ys, converged, short)
     ]
-    return DualResult(ConditionalValue(values), DualVariable(-density), accepted.tolist(), warnings)
 
 
 def dual_representation(
@@ -539,9 +566,11 @@ def dual_representation(
     block that none takes is reported unconverged, with a warning that names
     its shortfall, at the best candidate value not above rho(x) +
     ASCENT_GAP_TOL (weak duality), or -inf without one.  ``cfg`` has no
-    effect.
+    effect.  This is the one-row case of ``_represent``, the pass that
+    ``verify_representation`` makes on all its payoffs at once.
     """
-    return _represent(measure, x, measure.evaluate(x).values)
+    direct = measure.evaluate(x).values
+    return _represent(measure, x.values[None], direct[None])[0]
 
 
 @dataclass
@@ -590,15 +619,26 @@ def verify_representation(
     payoffs: Sequence[RandomVariable],
     tol: float = 1e-6,
 ) -> RepresentationReport:
-    """Compare rho(x) against the dual value for each payoff."""
+    """Compare rho(x) against the dual value for each payoff, all payoffs in
+    one pass of ``_represent``, as rows.  Each payoff is evaluated once, by
+    ``evaluate``.  A pass that raises is run again payoff by payoff, as a
+    loop over the payoffs: the first failing payoff's error is raised, and
+    where every payoff passes alone (say, a batch function that refuses
+    the rows of several payoffs in one call) their reports are returned."""
     _check_tol(tol)
     payoffs = list(payoffs)
     if not payoffs:
         raise ValueError("verify_representation needs at least one payoff")
+    try:
+        directs = [measure.evaluate(x) for x in payoffs]
+        results = _represent(measure, np.stack([x.values for x in payoffs]), np.stack([d.values for d in directs]))
+    except Exception:
+        if len(payoffs) == 1:
+            raise
+        entries = [e for x in payoffs for e in verify_representation(measure, [x], tol).entries]
+        return RepresentationReport(entries, tol)
     entries = []
-    for x in payoffs:
-        direct = measure.evaluate(x)
-        result = _represent(measure, x, direct.values)
+    for x, direct, result in zip(payoffs, directs, results):
         gap = direct.values - result.value.values
         if np.any(gap < -tol):
             raise DualityError(

@@ -484,7 +484,7 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
                 np.uint64((1 << pos_bits) - 1),
                 ids[1:] != ids[:-1],  # position i + 1 starts a block
             )
-        return mass_fixed, before[ids], lam_arr * -scale, layout
+        return mass_fixed, before[ids], 1.0 / scale, layout
 
     def tail(a: np.ndarray, atoms: bool = False):
         """Each row of ``a`` (in block order) sorted: the fixed-point masses,
@@ -505,8 +505,10 @@ def cond_avar(space: FiniteProbSpace, lam) -> CondRiskMeasure:
 
     def risk(a: np.ndarray) -> np.ndarray:
         _, vals, take, _ = tail(a)
-        vals *= take
-        out = np.add.reduceat(vals, starts, axis=-1) / fill_tables()[2]  # -lambda, fixed point
+        # the fixed-point masses times 2^-s, exactly, so that no product
+        # overflows where the figure does not
+        vals *= np.multiply(take, fill_tables()[2])
+        out = np.add.reduceat(vals, starts, axis=-1) / -lam_arr
         return np.where(full, -space._mean(a), out) if any_full else out
 
     def oracle(a: np.ndarray) -> np.ndarray:

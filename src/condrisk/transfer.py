@@ -181,14 +181,11 @@ def _default_sequence(x: RandomVariable, n_max: int) -> ShrinkingPerturbationSeq
 
 
 def _probe_duals(measure: CondRiskMeasure, seed: int, count: int = 5) -> List[RandomVariable]:
-    """Admissible dual probes: the barycenter plus seeded random densities."""
+    """Admissible dual probes: the barycenter plus seeded random densities,
+    normalized in one row call."""
     space = measure.space
-    rng = np.random.default_rng(seed)
-    probes = [RandomVariable(-np.ones(space.n_atoms))]
-    for _ in range(count - 1):
-        d = rng.uniform(0.2, 1.8, space.n_atoms)
-        probes.append(RandomVariable(admissible_dual(space, d).values))
-    return probes
+    d = np.random.default_rng(seed).uniform(0.2, 1.8, (count - 1, space.n_atoms))
+    return [RandomVariable(y) for y in np.vstack([-np.ones(space.n_atoms), admissible_dual(space, d)])]
 
 
 def _probe_level(measure: CondRiskMeasure, probes: Sequence[RandomVariable]) -> ConditionalValue:

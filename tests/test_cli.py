@@ -191,7 +191,7 @@ def test_exit_code_on_failed_check(capsys, s4_path, monkeypatch):
     # difference routes off, the fallback candidates fall short of an absurd tolerance
     # and represent trips the failure exit code
     monkeypatch.setattr(duality, "_exact_duals", lambda *args: None)
-    monkeypatch.setattr(duality, "_difference_duals", lambda *args: None)
+    monkeypatch.setattr(duality, "_difference_duals", lambda measure, xs, *bits: np.full(xs.shape, np.nan))
     code, out = run(
         capsys,
         ["dual", "represent", "--scenario", s4_path, "--measure", "entropic",
@@ -208,7 +208,7 @@ def test_exact_duals_attain_where_the_ascent_stops_short(capsys, s4_path, monkey
     assert code == 0 and out["passed"] is True
     assert "warnings" not in out["entries"][0]
     monkeypatch.setattr(duality, "_exact_duals", lambda *args: None)
-    monkeypatch.setattr(duality, "_difference_duals", lambda *args: None)
+    monkeypatch.setattr(duality, "_difference_duals", lambda measure, xs, *bits: np.full(xs.shape, np.nan))
     code, out = run(capsys, argv)
     assert code == 1 and out["passed"] is False
 

@@ -50,7 +50,12 @@ LOG2 = math.log(2.0)
 def _no_difference_duals():
     """The difference route off, as ``_exact_duals`` is off for a user
     measure: every block of a user measure goes to the fallback candidates."""
-    return mock.patch.object(duality, "_difference_duals", return_value=None)
+    return mock.patch.object(duality, "_difference_duals", side_effect=_no_density)
+
+
+def _no_density(measure, xs, *bits):
+    """What ``_difference_duals`` gives rows ``xs`` where no row has a density: NaN rows."""
+    return np.full(xs.shape, np.nan)
 
 
 def test_dual_variable_guards():
@@ -91,6 +96,28 @@ def test_admissible_dual_refuses_a_negative_or_massless_density(s4):
         admissible_dual(s4, [0, 0, 1, 1])
 
 
+def test_admissible_dual_refuses_a_non_finite_density_by_name(s4):
+    # before any arithmetic: an infinite density divided by its infinite
+    # mass would give NaN, with a RuntimeWarning
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^densities must be finite$"):
+            admissible_dual(s4, [1.0, bad, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^densities must be finite$"):
+            admissible_dual(s4, [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, bad, 1.0]])
+
+
+def test_admissible_dual_rows_are_one_row_each(space8):
+    # the row form is each row's dual variable, stacked bit for bit, and a
+    # massless block is named by the first row that has one
+    d = np.random.default_rng(48).uniform(0.2, 1.8, (4, 8))
+    rows = admissible_dual(space8, d)
+    assert np.array_equal(rows, np.stack([admissible_dual(space8, row).values for row in d]))
+    d[1, 6:] = 0.0
+    d[2, :3] = 0.0
+    with pytest.raises(ValueError, match="^density has zero conditional mass on block 3$"):
+        admissible_dual(space8, d)
+
+
 def test_empty_payoffs_and_probes_are_refused(s4):
     m = cond_entropic(s4, 1.0)
     with pytest.raises(ValueError, match="^verify_representation needs at least one payoff$"):
@@ -114,7 +141,7 @@ def test_an_anti_monotone_user_measure_gets_no_difference_dual(s4):
     # fallback candidate reaches rho(x) on a block where E[x | F] is not 0
     user = CondRiskMeasure(s4, lambda x: s4.cond_expect(x), "anti_monotone")
     x = RandomVariable([1.0, 3.0, 2.0, 6.0])
-    assert duality._difference_duals(user, x.values) is None
+    assert np.isnan(duality._difference_duals(user, x.values[None])).all()
     result = dual_representation(user, x)
     assert result.converged == [False, False]
     assert [w.split(",")[0] for w in result.warnings] == [
@@ -526,6 +553,104 @@ def test_representation_json_carries_dual_warnings(s4):
         assert w.endswith(f"short of rho(x) by {short:.3e}") and abs(short - 1.0) <= 1e-8
 
 
+def test_verify_representation_makes_one_pass_for_all_payoffs(monkeypatch, space8):
+    # five payoffs, one call of the dual oracle for a built-in and one of the
+    # candidate generator for a user copy
+    payoffs = [RandomVariable(row) for row in np.random.default_rng(48).normal(0.0, 2.0, (5, 8))]
+    m = cond_entropic(space8, 1.5)
+    oracle, rows = m._dual_oracle, []
+    object.__setattr__(m, "_dual_oracle", lambda xs: rows.append(len(xs)) or oracle(xs))
+    assert verify_representation(m, payoffs).attained_all
+    assert rows == [5]
+    calls = spy_calls(monkeypatch, duality, "_candidate_duals")
+    assert verify_representation(dataclasses.replace(m), payoffs).attained_all
+    assert len(calls) == 1
+
+
+def test_verify_representation_raises_the_first_payoffs_error(s4):
+    # as a loop over the payoffs would: the weak-duality error of the first
+    # payoff before the length error of the second, and the other way round
+    m = neg_cond_expectation(s4)
+    closed = m.closed_form_penalty
+    object.__setattr__(m, "closed_form_penalty", lambda ys: closed(ys) - np.array([0.0, 1.0]))
+    low, short = RandomVariable([1.0, -2.0, 0.5, 3.0]), RandomVariable([1.0, 2.0, 3.0])
+    with pytest.raises(DualityError, match="^weak duality violated by 1.000e[+]00 for neg_expectation$"):
+        verify_representation(m, [low, short])
+    with pytest.raises(SpaceError, match="^random variable has length 3, space has 4 atoms$"):
+        verify_representation(m, [short, low])
+
+
+def test_a_pass_that_fails_only_on_all_payoffs_returns_each_payoffs_report(s4):
+    # a batch function that refuses more rows than one payoff's differences
+    # (2 x 2): each payoff alone passes, so the payoff-by-payoff reports are
+    # returned, as a loop over the payoffs would return them
+    base = neg_cond_expectation(s4)
+
+    def batch(xs):
+        if len(xs) > 4:
+            raise ValueError("more than 4 rows")
+        return base.evaluate_batch(xs)
+
+    m = dataclasses.replace(base, evaluate_batch_fn=batch)
+    x = RandomVariable([1.0, 2.0, 3.0, 4.0])
+    y = RandomVariable([-1.0, 0.5, 2.0, 0.0])
+    with pytest.raises(ValueError, match="^more than 4 rows$"):
+        m.evaluate_batch(np.zeros((5, 4)))
+    both = verify_representation(m, [x, y])
+    alone = [verify_representation(m, [v]).entries[0] for v in (x, y)]
+    assert both.attained_all
+    assert [e.to_dict() for e in both.entries] == [e.to_dict() for e in alone]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_row_representation_is_the_one_row_representation_of_each_payoff(data):
+    # on ragged shuffled spaces, two to four payoffs each at its own scale,
+    # so that different payoffs stop at different candidates: the row pass
+    # of verify_representation and of _represent gives each payoff what
+    # dual_representation gives it alone, bit for bit.  A copy without a
+    # closed form searches the grid on no more (payoff, block) pairs, and
+    # evaluates no more rows, than the payoff-by-payoff loop
+    space = _drawn_space(data.draw)
+    n = space.n_atoms
+    kind = data.draw(st.sampled_from(sorted(BUILTIN_FACTORIES)))
+    builtin = BUILTIN_FACTORIES[kind](space, gamma=data.draw(st.sampled_from([0.5, 2.0])), **{"lambda": 0.4})
+    form = data.draw(st.sampled_from(["builtin", "copy", "hookless"]))
+    rows = [0]
+
+    def batch(xs):
+        rows[0] += len(xs)
+        return builtin.evaluate_batch(xs)
+
+    measure = builtin
+    if form != "builtin":
+        penalty = builtin.closed_form_penalty if form == "copy" else None
+        measure = dataclasses.replace(builtin, evaluate_batch_fn=batch, closed_form_penalty=penalty)
+    point = st.integers(-8, 8).map(lambda k: k / 2)
+    scales = data.draw(st.lists(st.sampled_from([1.0, 1e3, 1e5]), min_size=2, max_size=4))
+    payoffs = [RandomVariable(np.array(data.draw(st.lists(point, min_size=n, max_size=n))) * s) for s in scales]
+    searched = []
+    grid = duality._block_conjugate_grid
+
+    def spy(stack, ys, pairs):
+        searched.append(int(pairs.sum()))
+        return grid(stack, ys, pairs)
+
+    with mock.patch.object(duality, "_block_conjugate_grid", spy):
+        alone = [dual_representation(measure, x) for x in payoffs]
+        alone_rows, alone_pairs = rows[0], sum(searched)
+        rows[0], searched[:] = 0, []
+        report = verify_representation(measure, payoffs, tol=1.0)
+    assert rows[0] <= alone_rows and sum(searched) == alone_pairs
+    xs = np.stack([x.values for x in payoffs])
+    together = duality._represent(measure, xs, np.stack([measure.evaluate(x).values for x in payoffs]))
+    for one, entry, row in zip(alone, report.entries, together):
+        assert np.array_equal(entry.dual.values, one.value.values)
+        assert entry.maximizer == one.maximizer and entry.warnings == one.warnings
+        assert row.value == one.value and row.maximizer == one.maximizer
+        assert row.converged == one.converged and row.warnings == one.warnings
+
+
 def test_verify_representation_evaluates_each_payoff_once(space8):
     m = cond_avar(space8, 0.4)
     calls = []
@@ -613,7 +738,7 @@ def test_a_block_short_at_payoff_scale_1e8_is_reported_not_climbed(space8):
     assert rep.attained_all
     assert result.converged == [False, True, True]
     assert len(result.warnings) == 1 and result.warnings[0].startswith("block 1: exact dual short")
-    graded = duality._graded(m, x.values, result.maximizer)
+    graded = duality._graded(m, x.values[None], result.maximizer.values[None])[0]
     assert np.array_equal(result.value.values, graded)
 
 
@@ -821,9 +946,9 @@ def test_user_ascent_stays_on_the_density_simplex():
     gaps = []
     grid = duality._block_conjugate_grid
 
-    def spy(measure, ys):
+    def spy(measure, ys, *pairs):
         gaps.extend(np.abs(ys @ measure.space.cond_probs(1) + 1.0))
-        return grid(measure, ys)
+        return grid(measure, ys, *pairs)
 
     x = RandomVariable([0.5, -1.0, 2.0, 0.0, 1.0])
     with mock.patch.object(duality, "_block_conjugate_grid", spy), _no_difference_duals():
@@ -1269,6 +1394,6 @@ def test_difference_duals_of_homogeneous_copies_scale_exactly(data):
     kind = data.draw(st.sampled_from(["neg_expectation", "worst_case", "avar"]))
     copy = dataclasses.replace(BUILTIN_FACTORIES[kind](space, **{"lambda": 0.4}))
     k = data.draw(st.integers(1, 30))
-    y = duality._difference_duals(copy, x)
-    assert y is not None
-    assert np.array_equal(duality._difference_duals(copy, np.ldexp(x, k)).values, y.values)
+    y = duality._difference_duals(copy, x[None])
+    assert not np.isnan(y).any()
+    assert np.array_equal(duality._difference_duals(copy, np.ldexp(x, k)[None]), y)

@@ -409,6 +409,21 @@ def test_avar_lambda_one_is_neg_expectation(s4, space8):
             assert np.array_equal(av.evaluate(x).values, ne.evaluate(x).values)
 
 
+def test_avar_tail_does_not_overflow_near_the_float_limit(s4):
+    # the fixed-point masses of the tail reach 2^52: multiplied into a payoff
+    # near 1e293 they overflowed, though the figure is finite.  Both sorts:
+    # s4 takes the two exact sorts, 4,096 atoms the packed key
+    m = cond_avar(s4, 0.5)
+    assert m.evaluate(RandomVariable([1e293, -1e293, 1.0, 2.0])).values.tolist() == [1e293, -1.0]
+    assert m.restrict(1).evaluate(RandomVariable([1e293, -1e293])).values.tolist() == [1e293]
+    space = FiniteProbSpace(np.full(4096, 1 / 4096), [list(range(1, 2049)), list(range(2049, 4097))])
+    assert space.n_atoms >= riskcore.PACKED_SORT_MIN_ATOMS
+    rows = np.full((2, 4096), -1e300)
+    rows[1, ::2] = 1e300
+    risk = cond_avar(space, 0.25).evaluate_batch(rows)
+    assert risk == pytest.approx(np.full((2, 2), 1e300), rel=1e-12)
+
+
 def test_avar_smallest_mass_is_worst_case(s4):
     av = cond_avar(s4, 0.5)  # uniform blocks of two atoms: smallest mass is 1/2
     wc = cond_worst_case(s4)

@@ -142,10 +142,22 @@ class YoungFunction:
         return f"YoungFunction({label}, finite_valued={self.finite_valued})"
 
 
+def _exponent(p, refusal: str, finite: bool = False) -> float:
+    """``p`` as a float of at least 1, and finite if ``finite``; else the
+    ValueError ``refusal``, naming p.  NaN compares false both ways, and a
+    number past the float range (an int of 2**1100) has no float."""
+    try:
+        value = float(p)
+    except OverflowError:
+        raise ValueError(f"{refusal}, got a p past the float range") from None
+    if not (value >= 1 and (value < math.inf or not finite)):
+        raise ValueError(f"{refusal}, got p = {value!r}")
+    return value
+
+
 def young_power(p: float) -> YoungFunction:
     """The power Young function t^p / p for p > 1 (t for p = 1)."""
-    if not p >= 1:
-        raise ValueError("power Young functions need p >= 1")
+    _exponent(p, "power Young functions need a finite p >= 1", finite=True)
     grid = np.geomspace(1e-3, 20.0, 64)
     if p == 1:
         return YoungFunction(lambda t: t, grid, finite_valued=True, name="t")
@@ -267,9 +279,7 @@ def young_conjugate(phi: YoungFunction, r_grid: Optional[Sequence[float]] = None
 
 def holder_conjugate(p: float) -> float:
     """q with 1/p + 1/q = 1; the pairs (1, inf) by convention."""
-    p = float(p)
-    if not p >= 1:
-        raise ValueError("Holder exponents live in [1, inf]")
+    p = _exponent(p, "Holder exponents live in [1, inf]")
     if p == 1:
         return math.inf
     if math.isinf(p):
@@ -287,8 +297,9 @@ class ModuleSpec:
 
     def __post_init__(self):
         if self.kind == "lp":
-            if self.p is None or not self.p >= 1:
+            if self.p is None:
                 raise ValueError("Lp modules need p in [1, inf]")
+            object.__setattr__(self, "p", _exponent(self.p, "Lp modules need p in [1, inf]"))
         elif self.kind == "orlicz":
             if not isinstance(self.phi, YoungFunction):
                 raise ValueError("orlicz modules need a Young function")
@@ -297,7 +308,7 @@ class ModuleSpec:
 
     @classmethod
     def lp(cls, p: float) -> "ModuleSpec":
-        return cls("lp", p=float(p))
+        return cls("lp", p=p)
 
     @classmethod
     def orlicz(cls, phi: YoungFunction) -> "ModuleSpec":

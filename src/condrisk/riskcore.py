@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .boolalg import _Memo
 from .errors import CondriskError, _as_int
 from .probspace import ConditionalValue, FiniteProbSpace, RandomVariable, SpaceError, _cv, _readonly, _Values
 
@@ -848,6 +849,38 @@ def _draw_trials(axiom: str, space: FiniteProbSpace, streams: list, size: int, t
     return [x, perm]
 
 
+# the trials of every check that fits in its first row batch, keyed on all
+# that their draw reads; each value is a tuple of read-only input arrays
+_TRIAL_DRAWS = _Memo()
+
+
+def _trial_batches(axiom: str, space: FiniteProbSpace, trials: int, seed: int, tile: int = 1):
+    """``(done, inputs)`` for each row batch (``_row_batches``) of ``trials``
+    trials of ``axiom`` at ``seed``, drawn by ``_draw_trials`` with ``tile``.
+
+    Trials that fit in the first batch (``trials * n_atoms <= CHUNK_ELEMENTS
+    >> 5``) are drawn once, kept read-only in ``_TRIAL_DRAWS`` under
+    ``(axiom, seed, trials, tile, n_atoms, n_blocks)`` and, for law trials,
+    the bytes of the space's equal-mass groups, and replayed on a repeat:
+    every measure of a scenario is checked on the same trials.  A larger
+    check draws batch by batch and keeps nothing."""
+    if trials * space.n_atoms <= CHUNK_ELEMENTS >> 5:
+        key = (axiom, seed, trials, tile, space.n_atoms, space.n_blocks)
+        if axiom == "conditional_law_invariance":
+            key += tuple(a.tobytes() for a in space._mass_groups)
+        inputs = _TRIAL_DRAWS.get(key)
+        if inputs is None:
+            inputs = tuple(_draw_trials(axiom, space, _trial_streams(axiom, seed), trials, tile))
+            for a in inputs:
+                a.setflags(write=False)
+            inputs = _TRIAL_DRAWS.keep(key, inputs)
+        yield 0, inputs
+        return
+    streams = _trial_streams(axiom, seed)
+    for done, size in _row_batches(space.n_atoms, trials):
+        yield done, _draw_trials(axiom, space, streams, size, tile)
+
+
 def _axiom_sides(axiom: str, space: FiniteProbSpace, risk, x: np.ndarray, *drawn):
     """Both sides of the axiom for a batch of trials, and the blocks that fail."""
     if axiom == "convexity":
@@ -915,17 +948,15 @@ def check_axiom(
     drawn and evaluated in row batches (``_row_batches``) of about
     CHUNK_ELEMENTS >> 5 payoff entries at first, doubling up to about
     CHUNK_ELEMENTS, so an early failure costs few evaluations and memory does
-    not grow with ``trials``.  The first failing trial is
-    reported; a non-finite risk in that trial or an earlier one raises
+    not grow with ``trials``.  Trials that fit in the first batch are drawn
+    once and replayed on a repeat (``_trial_batches``).  The first failing
+    trial is reported; a non-finite risk in that trial or an earlier one raises
     RiskMeasureError, and an error the measure raises there is raised.
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {AXIOMS}")
     trials, seed = _as_int(trials, "trials", 1, None), _as_int(seed, "seed", 0, None)
-    space = measure.space
-    streams = _trial_streams(axiom, seed)
-    for done, size in _row_batches(space.n_atoms, trials):
-        inputs = _draw_trials(axiom, space, streams, size)
+    for done, inputs in _trial_batches(axiom, measure.space, trials, seed):
         found = _first_failure(measure, axiom, inputs)
         if found is not None:
             first, block, lhs, rhs = found
@@ -951,10 +982,8 @@ def _failing_blocks(measure: CondRiskMeasure, axiom: str, trials: int, seed: int
     batches that stop once every block has failed or the trials are done.
     A non-finite risk in a trial run raises RiskMeasureError."""
     space = measure.space
-    streams = _trial_streams(axiom, seed)
     failed = np.zeros(space.n_blocks, dtype=bool)
-    for _, size in _row_batches(space.n_atoms, trials):
-        inputs = _draw_trials(axiom, space, streams, size, tile)
+    for _, inputs in _trial_batches(axiom, space, trials, seed, tile):
         with np.errstate(invalid="ignore"):
             lhs, rhs, bad = _axiom_sides(axiom, space, measure.evaluate_batch, *inputs)
         _check_finite_risks(measure, lhs, rhs)

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from condrisk import BooleanAlgebra, FiniteProbSpace, RandomVariable, Universe, YoungFunction, boolalg, young_power
+from condrisk import BooleanAlgebra, FiniteProbSpace, RandomVariable, Universe, YoungFunction, boolalg, riskcore, young_power
 from condrisk.boolalg import MEMO_CAP, _Memo, mask_atoms
 from condrisk.bvm import _atom_set, parse_name_literal
 
@@ -104,13 +104,30 @@ def _block_spaces(n):
     return space._block_spaces, read, check
 
 
+def _trial_draws(n):
+    # key k is two convexity trials at seed k on 2 blocks of 2 atoms, the
+    # module's one table emptied first
+    space = FiniteProbSpace([0.25] * 4, [[1, 2], [3, 4]])
+    riskcore._TRIAL_DRAWS.clear()
+
+    def read(k):
+        return next(riskcore._trial_batches("convexity", space, 2, k))[1]
+
+    def check(k, inputs):
+        cold = riskcore._draw_trials("convexity", space, riskcore._trial_streams("convexity", k), 2)
+        return all(not a.flags.writeable and np.array_equal(a, b) for a, b in zip(inputs, cold, strict=True))
+
+    return riskcore._TRIAL_DRAWS, read, check
+
+
 # each table with the tracemalloc peak, in bytes, of building its owner and
 # filling the table to MEMO_CAP entries, each read checked.  Measured on
 # Python 3.11: 1.26 MB for the elements (their atom sets included), 9.19 MB
 # for the entries (their names included, each with 16 collapses, every empty
 # one the shared empty set, each key a frozenset of its pairs), 0.44 MB
 # for the atom sets, 3.61 MB for the literals (their names included), 0.36 MB
-# for the Young values and 8.68 MB for the block spaces
+# for the Young values, 8.68 MB for the block spaces and 3.82 MB for the
+# trial draws (three arrays of 2 to 8 entries each)
 TABLES = {
     "elements": (_elements, 1_700_000),
     "entries": (_entries, 11_200_000),
@@ -118,6 +135,7 @@ TABLES = {
     "literals": (_literals, 4_800_000),
     "young": (_young, 500_000),
     "block_spaces": (_block_spaces, 11_500_000),
+    "trial_draws": (_trial_draws, 5_000_000),
 }
 
 

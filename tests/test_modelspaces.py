@@ -156,19 +156,25 @@ def test_holder_conjugate():
         holder_conjugate(0.5)
 
 
-@pytest.mark.parametrize("p", [0.5, math.nan])
+_REFUSALS = [
+    (holder_conjugate, r"Holder exponents live in \[1, inf\]"),
+    (ModuleSpec.lp, r"Lp modules need p in \[1, inf\]"),
+    (young_power, r"power Young functions need a finite p >= 1"),
+]
+
+
 @pytest.mark.parametrize(
-    "make, message",
-    [
-        (holder_conjugate, r"Holder exponents live in \[1, inf\]"),
-        (ModuleSpec.lp, r"Lp modules need p in \[1, inf\]"),
-        (young_power, r"power Young functions need p >= 1"),
-    ],
+    "make, message, p, named",
+    [(make, message, p, named) for make, message in _REFUSALS for p, named in
+     [(0.5, "got p = 0.5"), (math.nan, "got p = nan"), (2**1100, "got a p past the float range")]]
+    + [(young_power, _REFUSALS[2][1], math.inf, "got p = inf")],
 )
-def test_exponents_below_one_are_refused_by_name(make, message, p):
-    # NaN compares false both ways, so it takes the same refusal
-    with pytest.raises(ValueError, match=message):
+def test_exponents_below_one_are_refused_by_name(make, message, p, named):
+    # NaN compares false both ways, so it takes the same refusal; an int
+    # past the float range has no float, and t^inf / inf is no Young function
+    with pytest.raises(ValueError, match=message) as refused:
         make(p)
+    assert str(refused.value).endswith(named)
 
 
 def test_module_gauge_examples(s4):
@@ -226,9 +232,14 @@ def test_gauge_past_the_largest_float_is_inf(monkeypatch, fn, top):
     assert np.array_equal(g, [math.inf])
 
 
-@pytest.mark.parametrize("kind, phi", [("orlicz", 3.0), ("orlicz", None), ("orlicz", math.exp), ("lq", None)])
+@pytest.mark.parametrize(
+    "kind, phi", [("orlicz", 3.0), ("orlicz", None), ("orlicz", math.exp), ("lq", None), ("lp", None)]
+)
 def test_module_specs_refuse_a_kind_or_phi_by_name(kind, phi):
-    message = "orlicz modules need a Young function" if kind == "orlicz" else "unknown module kind 'lq'"
+    # an Lp spec without its p is refused as well
+    message = {"orlicz": "orlicz modules need a Young function", "lp": r"Lp modules need p in \[1, inf\]"}.get(
+        kind, "unknown module kind 'lq'"
+    )
     with pytest.raises(ValueError, match=message):
         ModuleSpec(kind, phi=phi)
     if kind == "orlicz":

@@ -27,7 +27,7 @@ from condrisk import (
     neg_cond_expectation,
 )
 from condrisk import riskcore
-from condrisk.boolalg import mask_array
+from condrisk.boolalg import _Memo, mask_array
 from condrisk.riskcore import RiskMeasureError, UndominatedSequenceError
 
 
@@ -338,7 +338,16 @@ class _CountingGenerator:
         return counted
 
 
-def test_law_trials_draw_one_array_per_input_and_batch(monkeypatch):
+@pytest.fixture
+def trial_draws(monkeypatch):
+    """``riskcore._TRIAL_DRAWS`` emptied for one test, so what it counts or
+    holds does not depend on the tests run before it."""
+    memo = _Memo()
+    monkeypatch.setattr(riskcore, "_TRIAL_DRAWS", memo)
+    return memo
+
+
+def test_law_trials_draw_one_array_per_input_and_batch(monkeypatch, trial_draws):
     # 1,000 blocks of 3 equal-mass atoms: drawing each trial's shuffle group
     # by group took one generator call per group, 200 x 1,000 in all
     space = FiniteProbSpace(np.full(3000, 1 / 3000), np.arange(1, 3001).reshape(1000, 3).tolist())
@@ -358,6 +367,78 @@ def test_small_space_checks_its_trials_in_one_batch(monkeypatch, space8):
     report = check_axiom(neg_cond_expectation(space8), "conditional_law_invariance", 200)
     assert report.passed
     assert [len(inputs[0]) for _, _, inputs in batches] == [200]
+
+
+def _tiled_space(tile):
+    """``tile`` copies side by side of one layout of 2 blocks (masses 1, 1, 2
+    and 3, 3), as a stack of ``_stacked`` lays them out."""
+    probs = np.tile([1.0, 1.0, 2.0, 3.0, 3.0], tile)
+    blocks = [[5 * c + a for a in atoms] for c in range(tile) for atoms in ([1, 2, 3], [4, 5])]
+    return FiniteProbSpace(probs / probs.sum(), blocks)
+
+
+@pytest.mark.parametrize("tile", [1, 3])
+@pytest.mark.parametrize("axiom", AXIOMS)
+def test_a_replayed_draw_is_the_cold_draw_bit_for_bit(monkeypatch, trial_draws, axiom, tile):
+    # the first check that fits in one row batch draws and stores its
+    # trials; a repeat hands out the stored arrays and draws nothing
+    space, seed = _tiled_space(tile), 5
+    cold = riskcore._draw_trials(axiom, space, riskcore._trial_streams(axiom, seed), 7, tile)
+    drawn = spy_calls(monkeypatch, riskcore, "_draw_trials")
+    first, again = (list(riskcore._trial_batches(axiom, space, 7, seed, tile)) for _ in range(2))
+    assert len(drawn) == 1 and len(trial_draws) == 1
+    assert [done for done, _ in first] == [done for done, _ in again] == [0]
+    for stored, replayed, want in zip(first[0][1], again[0][1], cold, strict=True):
+        assert replayed is stored
+        assert (stored.dtype, stored.shape, stored.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    if tile > 1:
+        # the same space drawn untiled is a key of its own
+        untiled = next(riskcore._trial_batches(axiom, space, 7, seed))[1]
+        assert len(trial_draws) == 2 and not np.array_equal(untiled[0], cold[0])
+
+
+def test_checks_on_replayed_trials_report_as_on_fresh_ones(trial_draws, s4):
+    # every axiom of a measure that fails some of them, checked twice: the
+    # second reads the stored trials, and both match the one-at-a-time loop
+    m = broken_measure(s4)
+    cold, warm = (check_all_axioms(m, trials=50, seed=3) for _ in range(2))
+    assert len(trial_draws) == len(AXIOMS)
+    for axiom in AXIOMS:
+        want = reference_check_axiom(m, axiom, 50, 3)
+        assert repr(cold[axiom].to_dict()) == repr(warm[axiom].to_dict()) == repr(want.to_dict())
+
+
+def test_spaces_of_one_shape_with_other_equal_mass_groups_draw_their_own_law_trials(trial_draws):
+    # both spaces have 4 atoms in 2 blocks; only the first has equal masses
+    # in its first block, so only its trials may swap atoms 1 and 2
+    axiom = "conditional_law_invariance"
+    spaces = [FiniteProbSpace(p, [[1, 2], [3, 4]]) for p in ([0.25] * 4, [0.1, 0.4, 0.25, 0.25])]
+    perms = [next(riskcore._trial_batches(axiom, space, 20, 0))[1][1] for space in spaces]
+    assert len(trial_draws) == 2
+    for space, perm in zip(spaces, perms):
+        assert np.array_equal(perm, riskcore._draw_trials(axiom, space, riskcore._trial_streams(axiom, 0), 20)[1])
+    assert (perms[0][:, 0] == 1).any() and (perms[1][:, :2] == [0, 1]).all()
+
+
+def test_stored_trial_arrays_refuse_writes(trial_draws, space8):
+    for axiom in AXIOMS:
+        for a in next(riskcore._trial_batches(axiom, space8, 4, 0))[1]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = a[0, 1]
+
+
+def test_a_check_of_several_batches_leaves_the_memo_unchanged(monkeypatch, trial_draws, space8):
+    # 256 trials of 8 atoms fill the first row batch (2,048 entries) and are
+    # stored; 257 take a second batch and are drawn batch by batch, unstored
+    m = neg_cond_expectation(space8)
+    assert check_axiom(m, "convexity", 256).passed
+    held = dict(trial_draws)
+    assert len(held) == 1
+    drawn = spy_calls(monkeypatch, riskcore, "_draw_trials")
+    assert check_axiom(m, "convexity", 257).passed
+    assert [call[3] for call in drawn] == [256, 1]
+    assert trial_draws.keys() == held.keys()
+    assert all(trial_draws[k] is v for k, v in held.items())
 
 
 @pytest.mark.parametrize("seed", [0, 7, 28, 2**40 + 3])

@@ -17,7 +17,9 @@ tree, with its ``better`` direction) the output holds both medians and
 interquartile ranges, the change's wins (pairs where it reads better; ties
 count for neither), and the median of the paired ratios change / parent
 with a bootstrap 95% interval (pairs resampled BOOTSTRAP_RESAMPLES times
-from a generator seeded with BOOTSTRAP_SEED).  The output file gains one
+from a generator seeded with BOOTSTRAP_SEED).  Each metric also reads the
+claim rule and the bound (``paired_stats``): ``claim_met`` and
+``within_bound``.  The output file gains one
 entry per workload; entries of other workloads already in it are kept.
 Uses the standard library and numpy only.
 """
@@ -37,9 +39,18 @@ BOOTSTRAP_RESAMPLES = 10_000
 BOOTSTRAP_SEED = 0
 
 
-def paired_stats(parent, change, better: str) -> dict:
+def paired_stats(parent, change, better: str, bound: float, failed=(0.0, 0.0)) -> dict:
     """Medians, interquartile ranges, the change's wins and the paired ratio
-    of one metric, from the values of the runs of each side in pair order."""
+    of one metric, from the values of the runs of each side in pair order,
+    and the two rules a change is read by.
+
+    ``claim_met``: the change wins at least 9 of each 10 pairs (ties count
+    for neither), its median gain in the ``better`` direction exceeds the
+    parent's interquartile range, and the share of jobs it fails is no
+    larger than the parent's (``failed`` holds the two shares, parent first).
+    ``within_bound``: the change's median is worse than the parent's by no
+    more than ``bound``, a fraction of the parent's median (the metric's
+    ``bound`` in BENCHMARK.json)."""
     a, b = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("paired_stats needs one value per side for each pair")
@@ -51,17 +62,23 @@ def paired_stats(parent, change, better: str) -> dict:
     resampled = np.median(ratio[rng.integers(0, ratio.size, (BOOTSTRAP_RESAMPLES, ratio.size))], axis=1)
     lo, hi = np.percentile(resampled, [2.5, 97.5])
     q = {side: np.percentile(v, [25, 75]) for side, v in (("parent", a), ("change", b))}
+    parent_median, change_median = float(np.median(a)), float(np.median(b))
+    parent_iqr = float(q["parent"][1] - q["parent"][0])
+    gain = change_median - parent_median if better == "higher" else parent_median - change_median
     return {
         "better": better,
-        "parent_median": float(np.median(a)),
-        "parent_iqr": float(q["parent"][1] - q["parent"][0]),
-        "change_median": float(np.median(b)),
+        "parent_median": parent_median,
+        "parent_iqr": parent_iqr,
+        "change_median": change_median,
         "change_iqr": float(q["change"][1] - q["change"][0]),
         "change_wins": int(wins.sum()),
         "ties": int((a == b).sum()),
         "pairs": int(a.size),
         "ratio_median": float(np.median(ratio)),
         "ratio_ci95": [float(lo), float(hi)],
+        "gain": gain,
+        "claim_met": bool(10 * int(wins.sum()) >= 9 * a.size and gain > parent_iqr and failed[1] <= failed[0]),
+        "within_bound": bool(-gain <= bound * abs(parent_median)),
     }
 
 
@@ -127,10 +144,12 @@ def main(argv=None) -> int:
                 runs[side].append(_run(trees[side], workload, args.seed))
                 print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                       f"{runs[side][-1]['metrics']['jobs_per_s']['value']:.2f} jobs/s", flush=True)
+        failed = [sum(r["failed"] for r in runs[side]) / sum(r["attempted"] for r in runs[side]) for side in runs]
         metrics = {}
         for m in spec["end_to_end"]:
             values = {side: [r["metrics"][m["name"]]["value"] for r in rs] for side, rs in runs.items()}
-            metrics[m["name"]] = {"unit": m["unit"], **paired_stats(values["parent"], values["change"], m["better"])}
+            stats = paired_stats(values["parent"], values["change"], m["better"], m["bound"], failed)
+            metrics[m["name"]] = {"unit": m["unit"], **stats}
             metrics[m["name"]].update(parent_values=values["parent"], change_values=values["change"])
         report.setdefault("workloads", {})[workload] = {
             "seed": args.seed,
